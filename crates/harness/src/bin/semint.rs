@@ -65,8 +65,9 @@ USAGE:
                                                       timed sweep: per-stage wall-clock totals and
                                                       throughput (model check off unless --model-check)
     semint profile TRACE...                           aggregate --trace JSONL files: per-stage totals,
-                                                      per-case opcode-class histograms, allocation
-                                                      stats, hottest seeds by steps
+                                                      per-case stage totals, run ns per retired
+                                                      instruction, opcode-class histograms,
+                                                      allocation stats, hottest seeds by steps
     semint bench-diff BASELINE.json CURRENT.json      compare two `bench --json` files; fails on any
                                                       digest drift or a >25% throughput regression
     semint report PATH...                             render (and, for several PATHs, merge) reports

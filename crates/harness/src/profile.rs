@@ -26,9 +26,9 @@ pub struct TraceProfile {
     pub safe: u64,
     /// Per-case aggregates, keyed by case name.
     pub cases: BTreeMap<String, CaseProfile>,
-    /// Per-stage microseconds summed across all scenario events (present
+    /// Per-stage nanoseconds summed across all scenario events (present
     /// only when the traced sweep was timed).
-    pub stage_us: BTreeMap<String, u64>,
+    pub stage_ns: BTreeMap<String, u64>,
     /// The [`TOP_SEEDS`] hottest seeds by steps, hottest first.
     pub hottest: Vec<HotSeed>,
 }
@@ -52,6 +52,19 @@ pub struct CaseProfile {
     pub glue_hits: u64,
     /// See [`CaseProfile::glue_hits`].
     pub glue_misses: u64,
+    /// Per-stage nanoseconds summed over the case's scenarios (present only
+    /// when the traced sweep was timed).
+    pub stage_ns: BTreeMap<String, u64>,
+}
+
+impl CaseProfile {
+    /// Run-stage nanoseconds per retired VM instruction, when the trace was
+    /// timed and the case retired any.
+    pub fn run_ns_per_instr(&self) -> Option<f64> {
+        let run_ns = *self.stage_ns.get("run")?;
+        let instrs = self.counters.total_instrs();
+        (instrs > 0).then(|| run_ns as f64 / instrs as f64)
+    }
 }
 
 /// One entry of the hottest-seeds leaderboard.
@@ -129,9 +142,20 @@ fn absorb_scenario(profile: &mut TraceProfile, doc: &Json) -> Result<(), String>
             .glue_misses
             .max(glue.require("misses")?.as_u64("misses")?);
     }
-    if let Some(Json::Object(stages)) = doc.get("stage_us") {
-        for (label, us) in stages {
-            *profile.stage_us.entry(label.clone()).or_insert(0) += us.as_u64(label)?;
+    // Traces written before exact `stage_ns` carried whole microseconds.
+    let stages = match (doc.get("stage_ns"), doc.get("stage_us")) {
+        (Some(Json::Object(stages)), _) => Some((stages, 1)),
+        (None, Some(Json::Object(stages))) => Some((stages, 1_000)),
+        _ => None,
+    };
+    if let Some((stages, scale)) = stages {
+        for (label, time) in stages {
+            let ns = time
+                .as_u64(label)?
+                .checked_mul(scale)
+                .ok_or_else(|| format!("{label}: stage time out of range"))?;
+            *profile.stage_ns.entry(label.clone()).or_insert(0) += ns;
+            *case.stage_ns.entry(label.clone()).or_insert(0) += ns;
         }
     }
 
@@ -162,19 +186,19 @@ pub fn render_profile(profile: &TraceProfile) -> String {
         "trace profile: {} scenarios ({} safe), {} heartbeats",
         profile.scenarios, profile.safe, profile.heartbeats
     );
-    if !profile.stage_us.is_empty() {
+    if !profile.stage_ns.is_empty() {
         out.push_str("stage totals\n");
-        let total: u64 = profile.stage_us.values().sum();
-        for (label, us) in &profile.stage_us {
+        let total: u64 = profile.stage_ns.values().sum();
+        for (label, ns) in &profile.stage_ns {
             let pct = if total > 0 {
-                100.0 * *us as f64 / total as f64
+                100.0 * *ns as f64 / total as f64
             } else {
                 0.0
             };
             let _ = writeln!(
                 out,
                 "  {label:<14} {:>10.3} ms  ({pct:>5.1}%)",
-                *us as f64 / 1_000.0
+                *ns as f64 / 1e6
             );
         }
     }
@@ -197,6 +221,16 @@ pub fn render_profile(profile: &TraceProfile) -> String {
             c.heap_allocs, c.heap_frees, c.heap_reuses, c.heap_peak_live, c.stack_peak
         );
         let _ = writeln!(out, "  boundaries       {}", c.boundary_crossings);
+        if !case.stage_ns.is_empty() {
+            out.push_str("  stage ms        ");
+            for (label, ns) in &case.stage_ns {
+                let _ = write!(out, " {label} {:.3}", *ns as f64 / 1e6);
+            }
+            out.push('\n');
+        }
+        if let Some(ns) = case.run_ns_per_instr() {
+            let _ = writeln!(out, "  run              {ns:.1} ns per retired instruction");
+        }
         if case.glue_hits + case.glue_misses > 0 {
             let _ = writeln!(
                 out,
@@ -230,7 +264,7 @@ pub fn render_profile(profile: &TraceProfile) -> String {
 mod tests {
     use super::*;
     use crate::trace::scenario_line;
-    use semint_core::stats::{OutcomeClass, RunStats, ScenarioRecord};
+    use semint_core::stats::{OutcomeClass, RunStats, ScenarioRecord, StageTimings};
 
     fn record(seed: u64, steps: u64) -> ScenarioRecord {
         ScenarioRecord {
@@ -302,6 +336,47 @@ mod tests {
         let err = absorb_trace(&mut profile, "{\"event\":\"nope\"}\n").unwrap_err();
         assert!(err.contains("unknown event"), "{err}");
         assert!(absorb_trace(&mut profile, "not json\n").is_err());
+    }
+
+    #[test]
+    fn stage_times_are_exact_per_case_and_yield_ns_per_instruction() {
+        let mut timed = record(4, 40);
+        timed.timings = Some(StageTimings {
+            generate_ns: 1_500,
+            run_ns: 6_543,
+            ..StageTimings::default()
+        });
+        let mut profile = TraceProfile::default();
+        absorb_trace(&mut profile, &scenario_line("sharedmem", &timed, None)).unwrap();
+        absorb_trace(&mut profile, &scenario_line("memgc", &timed, None)).unwrap();
+        assert_eq!(profile.stage_ns["run"], 2 * 6_543, "exact, not truncated");
+        let shared = &profile.cases["sharedmem"];
+        assert_eq!(shared.stage_ns["generate"], 1_500);
+        assert_eq!(shared.stage_ns["run"], 6_543);
+        // 40 retired instructions (`record` counts every step as data).
+        assert_eq!(shared.run_ns_per_instr(), Some(6_543.0 / 40.0));
+        let text = render_profile(&profile);
+        assert!(text.contains("163.6 ns per retired instruction"), "{text}");
+        // Untimed traces carry no stage times and no per-instruction figure.
+        let mut untimed = TraceProfile::default();
+        absorb_trace(&mut untimed, &sample_trace()).unwrap();
+        assert!(untimed.stage_ns.is_empty());
+        assert_eq!(untimed.cases["sharedmem"].run_ns_per_instr(), None);
+    }
+
+    #[test]
+    fn legacy_microsecond_stage_times_still_aggregate() {
+        let line = "{\"event\":\"scenario\",\"case\":\"affine\",\"seed\":1,\"steps\":8,\
+            \"outcome\":\"value\",\"safe\":true,\"counters\":{\"instr_data\":8},\
+            \"stage_us\":{\"run\":3,\"compile\":2}}\n";
+        let mut profile = TraceProfile::default();
+        absorb_trace(&mut profile, line).expect("old traces stay readable");
+        assert_eq!(profile.stage_ns["run"], 3_000);
+        assert_eq!(profile.cases["affine"].stage_ns["compile"], 2_000);
+        assert_eq!(profile.cases["affine"].run_ns_per_instr(), Some(375.0));
+        let huge = line.replace("\"run\":3", &format!("\"run\":{}", u64::MAX));
+        let err = absorb_trace(&mut profile, &huge).unwrap_err();
+        assert!(err.contains("out of range"), "{err}");
     }
 
     #[test]

@@ -263,8 +263,9 @@ impl SweepObserver {
 
 /// Renders one finished scenario as a single JSONL `scenario` event.
 /// Pre-run rejections (no [`ScenarioRecord::stats`]) report outcome
-/// `"rejected"` with zero steps and zero counters; `stage_us` appears only
-/// on timed sweeps, `glue` only for cases with a conversion cache.
+/// `"rejected"` with zero steps and zero counters; `stage_ns` (exact
+/// per-stage nanoseconds) appears only on timed sweeps, `glue` only for
+/// cases with a conversion cache.
 pub fn scenario_line(case: &str, record: &ScenarioRecord, glue: Option<&GlueCacheStats>) -> String {
     let mut line = String::with_capacity(256);
     let _ = write!(
@@ -303,12 +304,12 @@ pub fn scenario_line(case: &str, record: &ScenarioRecord, glue: Option<&GlueCach
         );
     }
     if let Some(timings) = &record.timings {
-        line.push_str(",\"stage_us\":{");
+        line.push_str(",\"stage_ns\":{");
         for (i, (label, ns)) in timings.stages().iter().enumerate() {
             if i > 0 {
                 line.push(',');
             }
-            let _ = write!(line, "\"{label}\":{}", ns / 1000);
+            let _ = write!(line, "\"{label}\":{ns}");
         }
         line.push('}');
     }
@@ -429,7 +430,7 @@ mod tests {
             }),
             failure: None,
             timings: Some(StageTimings {
-                generate_ns: 9_000,
+                generate_ns: 9_123,
                 typecheck_ns: 8_000,
                 compile_ns: 7_000,
                 run_ns: 6_000,
@@ -452,7 +453,9 @@ mod tests {
         assert!(line.contains("\"seed\":5"));
         assert!(line.contains("\"instr_data\":7"));
         assert!(line.contains("\"glue\":{\"hits\":4,\"misses\":2}"));
-        assert!(line.contains("\"stage_us\":{"));
+        // Stage times are exact nanoseconds, not truncated microseconds.
+        assert!(line.contains("\"stage_ns\":{\"generate\":9123,\"typecheck\":8000,"));
+        assert!(line.contains("\"model-check\":5000}"));
         assert!(line.contains("\"safe\":true"));
     }
 
@@ -474,7 +477,7 @@ mod tests {
         assert!(line.contains("\"steps\":0"));
         assert!(line.contains("\"safe\":false"));
         assert!(line.contains("\"fail_stage\":\"typecheck\""));
-        assert!(!line.contains("stage_us"));
+        assert!(!line.contains("stage_ns"));
     }
 
     #[test]

@@ -91,52 +91,89 @@ pub fn compile_hl(
     e: &HlExpr,
     emitter: &dyn ConversionEmitter,
 ) -> Result<Program, MissingConversion> {
-    Ok(match e {
-        HlExpr::Unit => Program::single(Instr::push_num(0)),
-        HlExpr::Bool(b) => Program::single(Instr::push_num(if *b { 0 } else { 1 })),
-        HlExpr::Var(x) => Program::single(Instr::push_var(x.clone())),
-        HlExpr::Inl(e1, _) => compile_hl(ctx, e1, emitter)?.then(tagged(0)),
-        HlExpr::Inr(e1, _) => compile_hl(ctx, e1, emitter)?.then(tagged(1)),
-        HlExpr::Pair(a, b) => compile_hl(ctx, a, emitter)?
-            .then(compile_hl(ctx, b, emitter)?)
-            .then_instr(pack(2)),
-        HlExpr::Fst(e1) => compile_hl(ctx, e1, emitter)?
-            .then_instr(Instr::push_num(0))
-            .then_instr(Instr::Idx),
-        HlExpr::Snd(e1) => compile_hl(ctx, e1, emitter)?
-            .then_instr(Instr::push_num(1))
-            .then_instr(Instr::Idx),
-        HlExpr::If(c, t, f) => compile_hl(ctx, c, emitter)?.then_instr(Instr::If0(
-            compile_hl(ctx, t, emitter)?,
-            compile_hl(ctx, f, emitter)?,
-        )),
-        HlExpr::Match(s, x, l, y, r) => compile_hl(ctx, s, emitter)?
-            .then_instr(dup())
-            .then_instr(Instr::push_num(1))
-            .then_instr(Instr::Idx)
-            .then_instr(swap())
-            .then_instr(Instr::push_num(0))
-            .then_instr(Instr::Idx)
-            .then_instr(Instr::If0(
-                Program::single(Instr::Lam(vec![x.clone()], compile_hl(ctx, l, emitter)?)),
-                Program::single(Instr::Lam(vec![y.clone()], compile_hl(ctx, r, emitter)?)),
-            )),
-        HlExpr::Lam(x, ty, body) => {
-            Program::single(Instr::push_thunk(Program::single(Instr::Lam(
-                vec![x.clone()],
-                compile_hl(&ctx.with_hl(x.clone(), ty.clone()), body, emitter)?,
-            ))))
+    let mut out = Vec::new();
+    emit_hl(ctx, e, emitter, &mut out)?;
+    Ok(Program::from(out))
+}
+
+/// Appends `e⁺` to `out`.  Programs are immutable once built, so each
+/// instruction sequence is emitted into one buffer; nested programs (`if0`
+/// branches, `lam` bodies, thunks) are compiled on their own.
+fn emit_hl(
+    ctx: &TypeCtx,
+    e: &HlExpr,
+    emitter: &dyn ConversionEmitter,
+    out: &mut Vec<Instr>,
+) -> Result<(), MissingConversion> {
+    match e {
+        HlExpr::Unit => out.push(Instr::push_num(0)),
+        HlExpr::Bool(b) => out.push(Instr::push_num(if *b { 0 } else { 1 })),
+        HlExpr::Var(x) => out.push(Instr::push_var(x.clone())),
+        HlExpr::Inl(e1, _) => {
+            emit_hl(ctx, e1, emitter, out)?;
+            out.extend_from_slice(tagged(0).instrs());
         }
-        HlExpr::App(f, a) => compile_hl(ctx, f, emitter)?
-            .then(compile_hl(ctx, a, emitter)?)
-            .then_instr(swap())
-            .then_instr(Instr::Call),
-        HlExpr::Ref(e1) => compile_hl(ctx, e1, emitter)?.then_instr(Instr::Alloc),
-        HlExpr::Deref(e1) => compile_hl(ctx, e1, emitter)?.then_instr(Instr::Read),
-        HlExpr::Assign(a, b) => compile_hl(ctx, a, emitter)?
-            .then(compile_hl(ctx, b, emitter)?)
-            .then_instr(Instr::Write)
-            .then_instr(Instr::push_num(0)),
+        HlExpr::Inr(e1, _) => {
+            emit_hl(ctx, e1, emitter, out)?;
+            out.extend_from_slice(tagged(1).instrs());
+        }
+        HlExpr::Pair(a, b) => {
+            emit_hl(ctx, a, emitter, out)?;
+            emit_hl(ctx, b, emitter, out)?;
+            out.push(pack(2));
+        }
+        HlExpr::Fst(e1) => {
+            emit_hl(ctx, e1, emitter, out)?;
+            out.extend([Instr::push_num(0), Instr::Idx]);
+        }
+        HlExpr::Snd(e1) => {
+            emit_hl(ctx, e1, emitter, out)?;
+            out.extend([Instr::push_num(1), Instr::Idx]);
+        }
+        HlExpr::If(c, t, f) => {
+            emit_hl(ctx, c, emitter, out)?;
+            out.push(Instr::If0(
+                compile_hl(ctx, t, emitter)?,
+                compile_hl(ctx, f, emitter)?,
+            ));
+        }
+        HlExpr::Match(s, x, l, y, r) => {
+            emit_hl(ctx, s, emitter, out)?;
+            out.extend([
+                dup(),
+                Instr::push_num(1),
+                Instr::Idx,
+                swap(),
+                Instr::push_num(0),
+                Instr::Idx,
+            ]);
+            out.push(Instr::If0(
+                Program::single(Instr::lam1(x.clone(), compile_hl(ctx, l, emitter)?)),
+                Program::single(Instr::lam1(y.clone(), compile_hl(ctx, r, emitter)?)),
+            ));
+        }
+        HlExpr::Lam(x, ty, body) => out.push(Instr::push_thunk(Program::single(Instr::lam1(
+            x.clone(),
+            compile_hl(&ctx.with_hl(x.clone(), ty.clone()), body, emitter)?,
+        )))),
+        HlExpr::App(f, a) => {
+            emit_hl(ctx, f, emitter, out)?;
+            emit_hl(ctx, a, emitter, out)?;
+            out.extend([swap(), Instr::Call]);
+        }
+        HlExpr::Ref(e1) => {
+            emit_hl(ctx, e1, emitter, out)?;
+            out.push(Instr::Alloc);
+        }
+        HlExpr::Deref(e1) => {
+            emit_hl(ctx, e1, emitter, out)?;
+            out.push(Instr::Read);
+        }
+        HlExpr::Assign(a, b) => {
+            emit_hl(ctx, a, emitter, out)?;
+            emit_hl(ctx, b, emitter, out)?;
+            out.extend([Instr::Write, Instr::push_num(0)]);
+        }
         HlExpr::Boundary(ll, ty) => {
             let ll_ty = match infer_ll_type_for_boundary(ctx, ll) {
                 Some(t) => t,
@@ -155,9 +192,11 @@ pub fn compile_hl(
                     hl: ty.clone(),
                     ll: ll_ty.clone(),
                 })?;
-            compile_ll(ctx, ll, emitter)?.then(glue)
+            emit_ll(ctx, ll, emitter, out)?;
+            out.extend_from_slice(glue.instrs());
         }
-    })
+    }
+    Ok(())
 }
 
 /// Compiles a RefLL expression to StackLang.
@@ -171,43 +210,66 @@ pub fn compile_ll(
     e: &LlExpr,
     emitter: &dyn ConversionEmitter,
 ) -> Result<Program, MissingConversion> {
-    Ok(match e {
-        LlExpr::Int(n) => Program::single(Instr::push_num(*n)),
-        LlExpr::Var(x) => Program::single(Instr::push_var(x.clone())),
+    let mut out = Vec::new();
+    emit_ll(ctx, e, emitter, &mut out)?;
+    Ok(Program::from(out))
+}
+
+/// Appends `ē⁺` to `out` (see [`emit_hl`]).
+fn emit_ll(
+    ctx: &TypeCtx,
+    e: &LlExpr,
+    emitter: &dyn ConversionEmitter,
+    out: &mut Vec<Instr>,
+) -> Result<(), MissingConversion> {
+    match e {
+        LlExpr::Int(n) => out.push(Instr::push_num(*n)),
+        LlExpr::Var(x) => out.push(Instr::push_var(x.clone())),
         LlExpr::Array(es, _) => {
-            let mut p = Program::empty();
             for e1 in es {
-                p = p.then(compile_ll(ctx, e1, emitter)?);
+                emit_ll(ctx, e1, emitter, out)?;
             }
-            p.then_instr(pack(es.len()))
+            out.push(pack(es.len()));
         }
-        LlExpr::Index(a, i) => compile_ll(ctx, a, emitter)?
-            .then(compile_ll(ctx, i, emitter)?)
-            .then_instr(Instr::Idx),
-        LlExpr::Lam(x, ty, body) => {
-            Program::single(Instr::push_thunk(Program::single(Instr::Lam(
-                vec![x.clone()],
-                compile_ll(&ctx.with_ll(x.clone(), ty.clone()), body, emitter)?,
-            ))))
+        LlExpr::Index(a, i) => {
+            emit_ll(ctx, a, emitter, out)?;
+            emit_ll(ctx, i, emitter, out)?;
+            out.push(Instr::Idx);
         }
-        LlExpr::App(f, a) => compile_ll(ctx, f, emitter)?
-            .then(compile_ll(ctx, a, emitter)?)
-            .then_instr(swap())
-            .then_instr(Instr::Call),
-        LlExpr::Add(a, b) => compile_ll(ctx, a, emitter)?
-            .then(compile_ll(ctx, b, emitter)?)
-            .then_instr(swap())
-            .then_instr(Instr::Add),
-        LlExpr::If0(c, t, f) => compile_ll(ctx, c, emitter)?.then_instr(Instr::If0(
-            compile_ll(ctx, t, emitter)?,
-            compile_ll(ctx, f, emitter)?,
-        )),
-        LlExpr::Ref(e1) => compile_ll(ctx, e1, emitter)?.then_instr(Instr::Alloc),
-        LlExpr::Deref(e1) => compile_ll(ctx, e1, emitter)?.then_instr(Instr::Read),
-        LlExpr::Assign(a, b) => compile_ll(ctx, a, emitter)?
-            .then(compile_ll(ctx, b, emitter)?)
-            .then_instr(Instr::Write)
-            .then_instr(Instr::push_num(0)),
+        LlExpr::Lam(x, ty, body) => out.push(Instr::push_thunk(Program::single(Instr::lam1(
+            x.clone(),
+            compile_ll(&ctx.with_ll(x.clone(), ty.clone()), body, emitter)?,
+        )))),
+        LlExpr::App(f, a) => {
+            emit_ll(ctx, f, emitter, out)?;
+            emit_ll(ctx, a, emitter, out)?;
+            out.extend([swap(), Instr::Call]);
+        }
+        LlExpr::Add(a, b) => {
+            emit_ll(ctx, a, emitter, out)?;
+            emit_ll(ctx, b, emitter, out)?;
+            out.extend([swap(), Instr::Add]);
+        }
+        LlExpr::If0(c, t, f) => {
+            emit_ll(ctx, c, emitter, out)?;
+            out.push(Instr::If0(
+                compile_ll(ctx, t, emitter)?,
+                compile_ll(ctx, f, emitter)?,
+            ));
+        }
+        LlExpr::Ref(e1) => {
+            emit_ll(ctx, e1, emitter, out)?;
+            out.push(Instr::Alloc);
+        }
+        LlExpr::Deref(e1) => {
+            emit_ll(ctx, e1, emitter, out)?;
+            out.push(Instr::Read);
+        }
+        LlExpr::Assign(a, b) => {
+            emit_ll(ctx, a, emitter, out)?;
+            emit_ll(ctx, b, emitter, out)?;
+            out.extend([Instr::Write, Instr::push_num(0)]);
+        }
         LlExpr::Boundary(hl, ty) => {
             let hl_ty = match infer_hl_type_for_boundary(ctx, hl) {
                 Some(t) => t,
@@ -224,9 +286,11 @@ pub fn compile_ll(
                     hl: hl_ty.clone(),
                     ll: ty.clone(),
                 })?;
-            compile_hl(ctx, hl, emitter)?.then(glue)
+            emit_hl(ctx, hl, emitter, out)?;
+            out.extend_from_slice(glue.instrs());
         }
-    })
+    }
+    Ok(())
 }
 
 /// A lightweight syntactic type reconstruction used only to select the

@@ -223,12 +223,11 @@ fn array_to_sum(c1: &Program, c2: &Program) -> Program {
 fn repack_tagged() -> Instr {
     let xv = semint_core::Var::new("conv%xv");
     let xt = semint_core::Var::new("conv%xt");
-    Instr::Lam(
-        vec![xv.clone(), xt.clone()],
-        Program::single(Instr::Push(stacklang::Operand::Array(vec![
-            stacklang::Operand::Var(xt),
-            stacklang::Operand::Var(xv),
-        ]))),
+    Instr::lam(
+        [xv.clone(), xt.clone()],
+        Program::single(Instr::Push(stacklang::Operand::Array(
+            [stacklang::Operand::Var(xt), stacklang::Operand::Var(xv)].into(),
+        ))),
     )
 }
 

@@ -326,10 +326,9 @@ impl ModelChecker {
         cod: &SemType,
         depth: usize,
     ) -> bool {
-        let thunk_prog = match v {
-            Value::Thunk(p) => p.clone(),
-            _ => return false,
-        };
+        if !matches!(v, Value::Thunk(_)) {
+            return false;
+        }
         if depth == 0 {
             // Budget for nested function exploration exhausted: accept the
             // shape (this is the approximate positive direction).
@@ -339,7 +338,7 @@ impl ModelChecker {
             // Application protocol (Fig. 3): argument below the thunk, `call`.
             let program = Program::from(vec![
                 Instr::push_val(arg.clone()),
-                Instr::push_val(Value::Thunk(thunk_prog.clone())),
+                Instr::push_val(v.clone()),
                 Instr::Call,
             ]);
             if !self.expr_in_with_depth(world, heap.clone(), &program, cod, depth - 1) {
@@ -422,9 +421,9 @@ impl ModelChecker {
             SemType::Ll(LlType::Array(elem)) => {
                 let es = self.sample_values(&SemType::Ll((**elem).clone()), depth);
                 vec![
-                    Value::Array(vec![]),
-                    Value::Array(es.iter().take(2).cloned().collect()),
-                    Value::Array(es.into_iter().take(3).collect()),
+                    Value::array([]),
+                    Value::array(es.iter().take(2).cloned()),
+                    Value::array(es.into_iter().take(3)),
                 ]
             }
             SemType::Hl(HlType::Fun(_, b)) => {
@@ -433,8 +432,8 @@ impl ModelChecker {
                     .into_iter()
                     .take(2)
                     .map(|v| {
-                        Value::Thunk(Program::single(Instr::Lam(
-                            vec![semint_core::Var::new("ignored")],
+                        Value::thunk(Program::single(Instr::lam1(
+                            "ignored",
                             Program::single(Instr::push_val(v)),
                         )))
                     })
@@ -445,8 +444,8 @@ impl ModelChecker {
                 .into_iter()
                 .take(2)
                 .map(|v| {
-                    Value::Thunk(Program::single(Instr::Lam(
-                        vec![semint_core::Var::new("ignored")],
+                    Value::thunk(Program::single(Instr::lam1(
+                        "ignored",
                         Program::single(Instr::push_val(v)),
                     )))
                 })
@@ -577,7 +576,7 @@ mod tests {
         assert!(!c.value_in(&w, &h, &Value::Num(3), &SemType::Hl(HlType::Unit)));
         // bool: every integer, nothing else.
         assert!(c.value_in(&w, &h, &Value::Num(17), &SemType::Hl(HlType::Bool)));
-        assert!(!c.value_in(&w, &h, &Value::Array(vec![]), &SemType::Hl(HlType::Bool)));
+        assert!(!c.value_in(&w, &h, &Value::array([]), &SemType::Hl(HlType::Bool)));
         // int likewise.
         assert!(c.value_in(&w, &h, &Value::Num(-4), &SemType::Ll(LlType::Int)));
     }
@@ -596,14 +595,14 @@ mod tests {
         assert!(!c.value_in(&w, &h, &Value::array([Value::Num(2), Value::Num(0)]), &sum));
 
         let arr = SemType::Ll(LlType::array(LlType::Int));
-        assert!(c.value_in(&w, &h, &Value::Array(vec![]), &arr));
+        assert!(c.value_in(&w, &h, &Value::array([]), &arr));
         assert!(c.value_in(
             &w,
             &h,
             &Value::array([Value::Num(1), Value::Num(2), Value::Num(3)]),
             &arr
         ));
-        assert!(!c.value_in(&w, &h, &Value::array([Value::Array(vec![])]), &arr));
+        assert!(!c.value_in(&w, &h, &Value::array([Value::array([])]), &arr));
     }
 
     #[test]
@@ -656,17 +655,17 @@ mod tests {
         let w = World::new(10_000);
         let h = Heap::new();
         // thunk (lam x. push x) : bool → bool (the identity).
-        let ident = Value::Thunk(Program::single(Instr::Lam(
-            vec![semint_core::Var::new("x")],
+        let ident = Value::thunk(Program::single(Instr::lam1(
+            "x",
             Program::single(Instr::push_var("x")),
         )));
         let ty = SemType::Hl(HlType::fun(HlType::Bool, HlType::Bool));
         assert!(c.value_in(&w, &h, &ident, &ty));
         // A function that ignores its argument and returns an array is not a
         // bool → bool.
-        let bad = Value::Thunk(Program::single(Instr::Lam(
-            vec![semint_core::Var::new("x")],
-            Program::single(Instr::push_val(Value::Array(vec![]))),
+        let bad = Value::thunk(Program::single(Instr::lam1(
+            "x",
+            Program::single(Instr::push_val(Value::array([]))),
         )));
         assert!(!c.value_in(&w, &h, &bad, &ty));
         // But it *is* a bool → [int].
@@ -692,7 +691,7 @@ mod tests {
         let p = Program::single(Instr::Add);
         assert!(!c.expr_in(&w, Heap::new(), &p, &ty));
         // A value of the wrong shape is rejected.
-        let p = Program::single(Instr::push_val(Value::Array(vec![])));
+        let p = Program::single(Instr::push_val(Value::array([])));
         assert!(!c.expr_in(&w, Heap::new(), &p, &ty));
         // A long-running program exhausts the budget and is accepted.
         let mut instrs = vec![Instr::push_num(0)];

@@ -13,53 +13,73 @@
 //! instruction, together with helpers for the array-building `lam` shapes the
 //! compilers emit (`lam xₙ,…,x₁. (push [x₁,…,xₙ])`), which are used to encode
 //! pairs, sums and RefLL array literals.
+//!
+//! Each macro is built once per process and handed out as a shared copy, so
+//! emitting one costs a few reference-count bumps.
 
-use crate::instr::{Instr, Operand, Program};
+use crate::instr::{Instr, Operand, Program, Value};
 use semint_core::Var;
+use std::sync::OnceLock;
 
 /// `SWAP`: exchanges the two topmost stack values.
 pub fn swap() -> Instr {
-    let x = Var::new("swap%x");
-    let y = Var::new("swap%y");
-    Instr::Lam(
-        vec![x.clone()],
-        Program::from(vec![Instr::Lam(
-            vec![y.clone()],
-            Program::from(vec![
-                Instr::Push(Operand::Var(x)),
-                Instr::Push(Operand::Var(y)),
-            ]),
-        )]),
-    )
+    static SWAP: OnceLock<Instr> = OnceLock::new();
+    SWAP.get_or_init(|| {
+        let x = Var::new("swap%x");
+        let y = Var::new("swap%y");
+        Instr::lam1(
+            x.clone(),
+            Program::single(Instr::lam1(
+                y.clone(),
+                Program::from(vec![Instr::push_var(x), Instr::push_var(y)]),
+            )),
+        )
+    })
+    .clone()
 }
 
 /// `DROP`: discards the top stack value.
 pub fn drop_top() -> Instr {
-    Instr::Lam(vec![Var::new("drop%x")], Program::empty())
+    static DROP: OnceLock<Instr> = OnceLock::new();
+    DROP.get_or_init(|| Instr::lam1("drop%x", Program::empty()))
+        .clone()
 }
 
 /// `DUP`: duplicates the top stack value.
 pub fn dup() -> Instr {
-    let x = Var::new("dup%x");
-    Instr::Lam(
-        vec![x.clone()],
-        Program::from(vec![
-            Instr::Push(Operand::Var(x.clone())),
-            Instr::Push(Operand::Var(x)),
-        ]),
-    )
+    static DUP: OnceLock<Instr> = OnceLock::new();
+    DUP.get_or_init(|| {
+        let x = Var::new("dup%x");
+        Instr::lam1(
+            x.clone(),
+            Program::from(vec![Instr::push_var(x.clone()), Instr::push_var(x)]),
+        )
+    })
+    .clone()
 }
+
+/// Arities below this share one prebuilt `pack` instruction.
+const SHARED_PACKS: usize = 8;
 
 /// `lam xₙ,…,x₁. (push [x₁,…,xₙ])`: pops `n` values (the most recently pushed
 /// becomes the *last* array element) and pushes the array containing them in
 /// push order.  This is the compiled representation of tuples (Fig. 3) and of
 /// RefLL array literals.
 pub fn pack(n: usize) -> Instr {
+    static PACKS: OnceLock<Vec<Instr>> = OnceLock::new();
+    let shared = PACKS.get_or_init(|| (0..SHARED_PACKS).map(build_pack).collect());
+    match shared.get(n) {
+        Some(instr) => instr.clone(),
+        None => build_pack(n),
+    }
+}
+
+fn build_pack(n: usize) -> Instr {
     let names: Vec<Var> = (1..=n).map(|i| Var::new(format!("pack%x{i}"))).collect();
     // Binders are listed top-of-stack first, i.e. xₙ, …, x₁.
-    let binders: Vec<Var> = names.iter().rev().cloned().collect();
-    let template = Operand::Array(names.iter().map(|x| Operand::Var(x.clone())).collect());
-    Instr::Lam(binders, Program::single(Instr::Push(template)))
+    let binders = names.iter().rev().cloned();
+    let template = Operand::Array(names.iter().cloned().map(Operand::Var).collect());
+    Instr::lam(binders, Program::single(Instr::Push(template)))
 }
 
 /// A program popping two values `v₁` (pushed first) and `v₂` (top) and
@@ -76,13 +96,20 @@ pub fn project(i: i64) -> Program {
 /// Pops a value `v` and pushes the tagged array `[tag, v]` — the compiled
 /// representation of `inl`/`inr` with tags 0 and 1 (Fig. 3).
 pub fn tagged(tag: i64) -> Program {
+    static TAGGED: OnceLock<[Program; 2]> = OnceLock::new();
+    match tag {
+        0 | 1 => TAGGED.get_or_init(|| [build_tagged(0), build_tagged(1)])[tag as usize].clone(),
+        _ => build_tagged(tag),
+    }
+}
+
+fn build_tagged(tag: i64) -> Program {
     let x = Var::new("tag%x");
-    Program::single(Instr::Lam(
-        vec![x.clone()],
-        Program::single(Instr::Push(Operand::Array(vec![
-            Operand::Lit(crate::instr::Value::Num(tag)),
-            Operand::Var(x),
-        ]))),
+    Program::single(Instr::lam1(
+        x.clone(),
+        Program::single(Instr::Push(Operand::Array(
+            [Operand::Lit(Value::Num(tag)), Operand::Var(x)].into(),
+        ))),
     ))
 }
 

@@ -2,15 +2,26 @@
 //!
 //! The one divergence from the figure's concrete syntax is that `push`
 //! operands are split into literal values and variables: compiled code pushes
-//! variables (`push x`) which are later replaced by values when an enclosing
-//! `lam x. P` performs substitution.  The paper folds variables into the value
-//! grammar implicitly; separating them keeps "closed program" a checkable
-//! property ([`Program::is_closed`]).
+//! variables (`push x`) that an enclosing `lam x. P` binds.  The paper folds
+//! variables into the value grammar implicitly; separating them keeps "closed
+//! program" a checkable property ([`Program::is_closed`]).
+//!
+//! # Sharing
+//!
+//! A [`Program`] is an immutable, reference-counted instruction slice, and
+//! the nested programs of `if0`, `lam` and `thunk` are programs too, so
+//! copying any of them is a pointer copy.  Arrays inside a [`Value`] are
+//! shared the same way.  The machine never rewrites code: `lam` binds its
+//! values in an environment, and a [`Thunk`] carries the environment that
+//! was current when its `push (thunk P)` ran.  A thunk *denotes* Fig. 2's
+//! substituted program — its code with the environment substituted in
+//! ([`Thunk::program`]) — and it renders and compares as that program.
 
 use crate::heap::Loc;
 use semint_core::{ErrorCode, Var};
 use std::collections::BTreeSet;
 use std::fmt;
+use std::sync::{Arc, OnceLock};
 
 /// StackLang values `v ::= n | thunk P | ℓ | [v, …]`.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -18,11 +29,11 @@ pub enum Value {
     /// An integer.
     Num(i64),
     /// A suspended computation, resumed with `call`.
-    Thunk(Program),
+    Thunk(Thunk),
     /// A heap location.
     Loc(Loc),
-    /// An array of values.
-    Array(Vec<Value>),
+    /// An array of values, shared: copying the array copies a pointer.
+    Array(Arc<[Value]>),
 }
 
 impl Value {
@@ -54,13 +65,36 @@ impl Value {
     pub fn array(vs: impl IntoIterator<Item = Value>) -> Value {
         Value::Array(vs.into_iter().collect())
     }
+
+    /// `thunk P` for a program `P` that captured nothing.
+    pub fn thunk(code: Program) -> Value {
+        Value::Thunk(Thunk::new(code))
+    }
+
+    /// The value a literal `push v` pushes under `env`: every thunk inside
+    /// `v` that captured nothing captures `env`, as substituting `env` into
+    /// the literal would.  Thunk-free values are returned as they are.
+    pub(crate) fn closed_under(&self, env: &Env) -> Value {
+        match self {
+            Value::Thunk(t) => Value::Thunk(t.closed_under(env)),
+            Value::Array(vs)
+                if !env.is_empty()
+                    && vs
+                        .iter()
+                        .any(|v| matches!(v, Value::Thunk(_) | Value::Array(_))) =>
+            {
+                Value::Array(vs.iter().map(|v| v.closed_under(env)).collect())
+            }
+            other => other.clone(),
+        }
+    }
 }
 
 impl fmt::Display for Value {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Value::Num(n) => write!(f, "{n}"),
-            Value::Thunk(p) => write!(f, "thunk {{{p}}}"),
+            Value::Thunk(t) => write!(f, "thunk {{{}}}", t.program()),
             Value::Loc(l) => write!(f, "{l}"),
             Value::Array(vs) => {
                 write!(f, "[")?;
@@ -76,14 +110,128 @@ impl fmt::Display for Value {
     }
 }
 
-/// The operand of a `push`: a literal value, a variable awaiting
-/// substitution by an enclosing `lam`, or an array template whose elements
-/// are themselves operands.
+/// A thunk value: shared code plus the environment its `push (thunk P)`
+/// captured.
+///
+/// It stands for the program Fig. 2 would have built by substitution
+/// ([`Thunk::program`]): two thunks are equal, and render alike, exactly
+/// when those programs are.
+#[derive(Clone)]
+pub struct Thunk {
+    pub(crate) code: Program,
+    pub(crate) env: Env,
+}
+
+impl Thunk {
+    /// A thunk of `code` that captured nothing.
+    pub fn new(code: Program) -> Thunk {
+        Thunk {
+            code,
+            env: Env::empty(),
+        }
+    }
+
+    /// The program this thunk denotes: its code with the captured
+    /// environment substituted in.
+    pub fn program(&self) -> Program {
+        self.env.substitute_into(&self.code)
+    }
+
+    /// This thunk as a literal pushed under `env`.  Code that captured
+    /// nothing captures `env`; a thunk that already carries an environment
+    /// keeps it, since substituting into a closed value changes nothing.
+    fn closed_under(&self, env: &Env) -> Thunk {
+        Thunk {
+            code: self.code.clone(),
+            env: if self.env.is_empty() {
+                env.clone()
+            } else {
+                self.env.clone()
+            },
+        }
+    }
+}
+
+impl PartialEq for Thunk {
+    fn eq(&self, other: &Thunk) -> bool {
+        (self.code == other.code && self.env == other.env) || self.program() == other.program()
+    }
+}
+
+impl Eq for Thunk {}
+
+impl fmt::Debug for Thunk {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(&self.program(), f)
+    }
+}
+
+/// An environment: the values bound by the enclosing `lam`s, innermost
+/// first.
+///
+/// Persistent: binding shares the tail, so a thunk captures its environment
+/// with a pointer copy.
+#[derive(Clone, Default, PartialEq, Eq)]
+pub(crate) struct Env(Option<Arc<Binding>>);
+
+#[derive(PartialEq, Eq)]
+struct Binding {
+    var: Var,
+    val: Value,
+    next: Env,
+}
+
+impl Env {
+    /// The empty environment.
+    pub fn empty() -> Env {
+        Env(None)
+    }
+
+    /// True if nothing is bound.
+    pub fn is_empty(&self) -> bool {
+        self.0.is_none()
+    }
+
+    /// `self` extended with `var ↦ val`, shadowing any outer `var`.
+    pub fn bind(&self, var: Var, val: Value) -> Env {
+        Env(Some(Arc::new(Binding {
+            var,
+            val,
+            next: self.clone(),
+        })))
+    }
+
+    /// The innermost value bound to `var`.
+    pub fn lookup(&self, var: &Var) -> Option<&Value> {
+        self.iter().find(|(x, _)| *x == var).map(|(_, v)| v)
+    }
+
+    /// The bindings, innermost first (shadowed ones included).
+    pub fn iter(&self) -> impl Iterator<Item = (&Var, &Value)> {
+        std::iter::successors(self.0.as_deref(), |b| b.next.0.as_deref()).map(|b| (&b.var, &b.val))
+    }
+
+    /// `program` with every binding substituted, innermost first, so an
+    /// inner binding shadows an outer one of the same name.
+    pub fn substitute_into(&self, program: &Program) -> Program {
+        self.iter().fold(program.clone(), |p, (x, v)| p.subst(x, v))
+    }
+}
+
+impl fmt::Debug for Env {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
+/// The operand of a `push`: a literal value, a variable bound by an
+/// enclosing `lam`, or an array template whose elements are themselves
+/// operands.
 ///
 /// Array templates let us write the paper's `push [x₁, x₂]` (Fig. 3): the
-/// variables are resolved by `lam` substitution, and by the time the push
-/// executes the template must be fully literal (otherwise the program was
-/// open and the machine raises `fail Type`).
+/// machine resolves each element against the current environment when the
+/// push executes, and an unbound variable is a `fail Type` (the program was
+/// open).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Operand {
     /// A literal value.
@@ -91,26 +239,7 @@ pub enum Operand {
     /// A variable occurrence.
     Var(Var),
     /// An array literal whose elements may mention variables.
-    Array(Vec<Operand>),
-}
-
-impl Operand {
-    /// Resolves a fully-substituted operand into a value.
-    ///
-    /// Returns `None` if any variable remains (the program was open).
-    pub fn resolve(&self) -> Option<Value> {
-        match self {
-            Operand::Lit(v) => Some(v.clone()),
-            Operand::Var(_) => None,
-            Operand::Array(ops) => {
-                let mut vs = Vec::with_capacity(ops.len());
-                for op in ops {
-                    vs.push(op.resolve()?);
-                }
-                Some(Value::Array(vs))
-            }
-        }
-    }
+    Array(Arc<[Operand]>),
 }
 
 impl fmt::Display for Operand {
@@ -144,8 +273,8 @@ pub enum Instr {
     /// `if0 P1 P2`: pop `n`, continue with `P1` if `n = 0`, else `P2`.
     If0(Program, Program),
     /// `lam x₁,…,xₖ. P`: pop one value per binder (leftmost binder takes the
-    /// top of the stack) and substitute them into `P`.
-    Lam(Vec<Var>, Program),
+    /// top of the stack) and run `P` with them bound.
+    Lam(Arc<[Var]>, Program),
     /// `call`: pop a thunk and continue with its program.
     Call,
     /// `idx`: pop `n`, an array, push the `n`-th element (`fail Idx` if out of
@@ -180,14 +309,19 @@ impl Instr {
         Instr::Push(Operand::Var(x.into()))
     }
 
+    /// `lam x₁,…,xₖ. P`, binders listed top-of-stack first.
+    pub fn lam(binders: impl IntoIterator<Item = Var>, body: Program) -> Instr {
+        Instr::Lam(binders.into_iter().collect(), body)
+    }
+
     /// `lam x. P` with a single binder.
     pub fn lam1(x: impl Into<Var>, body: Program) -> Instr {
-        Instr::Lam(vec![x.into()], body)
+        Instr::lam([x.into()], body)
     }
 
     /// `push (thunk P)`.
     pub fn push_thunk(p: Program) -> Instr {
-        Instr::Push(Operand::Lit(Value::Thunk(p)))
+        Instr::push_val(Value::thunk(p))
     }
 }
 
@@ -219,19 +353,21 @@ impl fmt::Display for Instr {
     }
 }
 
-/// A StackLang program `P ::= · | i, P`: a sequence of instructions.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct Program(pub Vec<Instr>);
+/// A StackLang program `P ::= · | i, P`: an immutable, shared sequence of
+/// instructions.  Cloning a program copies a pointer.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Program(Arc<[Instr]>);
 
 impl Program {
-    /// The empty program `·`.
+    /// The empty program `·` (one shared allocation per process).
     pub fn empty() -> Program {
-        Program(Vec::new())
+        static EMPTY: OnceLock<Program> = OnceLock::new();
+        EMPTY.get_or_init(|| Program(Arc::from(Vec::new()))).clone()
     }
 
     /// A single-instruction program.
     pub fn single(i: Instr) -> Program {
-        Program(vec![i])
+        Program(Arc::from([i]))
     }
 
     /// Number of top-level instructions.
@@ -245,15 +381,19 @@ impl Program {
     }
 
     /// Sequences `self` before `other` (`self, other`).
-    pub fn then(mut self, other: Program) -> Program {
-        self.0.extend(other.0);
-        self
+    pub fn then(self, other: Program) -> Program {
+        if other.is_empty() {
+            self
+        } else if self.is_empty() {
+            other
+        } else {
+            self.0.iter().chain(other.0.iter()).cloned().collect()
+        }
     }
 
     /// Appends a single instruction.
-    pub fn then_instr(mut self, i: Instr) -> Program {
-        self.0.push(i);
-        self
+    pub fn then_instr(self, i: Instr) -> Program {
+        self.0.iter().cloned().chain([i]).collect()
     }
 
     /// The instructions, in execution order.
@@ -261,13 +401,15 @@ impl Program {
         &self.0
     }
 
-    /// Capture-avoiding substitution `[x ↦ v]P`.
+    /// Capture-avoiding substitution `[x ↦ v]P` of Fig. 2.
     ///
     /// Replaces free occurrences of `x` (in `push x` operands) with the
     /// literal value `v`, descending into `if0` branches, `lam` bodies (unless
-    /// the `lam` rebinds `x`) and `thunk` literals.
-    pub fn subst(&self, x: &Var, v: &Value) -> Program {
-        Program(self.0.iter().map(|i| subst_instr(i, x, v)).collect())
+    /// the `lam` rebinds `x`) and the programs `thunk` literals denote.  The
+    /// machine never substitutes; this defines what a [`Thunk`] denotes and
+    /// drives the reference machine ([`crate::reference`]).
+    pub(crate) fn subst(&self, x: &Var, v: &Value) -> Program {
+        self.0.iter().map(|i| subst_instr(i, x, v)).collect()
     }
 
     /// The set of free variables of the program.
@@ -283,21 +425,21 @@ impl Program {
     }
 }
 
+impl Default for Program {
+    fn default() -> Program {
+        Program::empty()
+    }
+}
+
 impl From<Vec<Instr>> for Program {
     fn from(v: Vec<Instr>) -> Self {
-        Program(v)
+        Program(v.into())
     }
 }
 
 impl FromIterator<Instr> for Program {
     fn from_iter<T: IntoIterator<Item = Instr>>(iter: T) -> Self {
         Program(iter.into_iter().collect())
-    }
-}
-
-impl Extend<Instr> for Program {
-    fn extend<T: IntoIterator<Item = Instr>>(&mut self, iter: T) {
-        self.0.extend(iter)
     }
 }
 
@@ -320,13 +462,7 @@ fn subst_instr(i: &Instr, x: &Var, v: &Value) -> Instr {
     match i {
         Instr::Push(op) => Instr::Push(subst_operand(op, x, v)),
         Instr::If0(p1, p2) => Instr::If0(p1.subst(x, v), p2.subst(x, v)),
-        Instr::Lam(xs, p) => {
-            if xs.contains(x) {
-                Instr::Lam(xs.clone(), p.clone())
-            } else {
-                Instr::Lam(xs.clone(), p.subst(x, v))
-            }
-        }
+        Instr::Lam(xs, p) if !xs.contains(x) => Instr::Lam(xs.clone(), p.subst(x, v)),
         other => other.clone(),
     }
 }
@@ -342,14 +478,14 @@ fn subst_operand(op: &Operand, x: &Var, v: &Value) -> Operand {
 
 fn subst_value(val: &Value, x: &Var, v: &Value) -> Value {
     match val {
-        Value::Thunk(p) => Value::Thunk(p.subst(x, v)),
-        Value::Array(vs) => Value::Array(vs.iter().map(|w| subst_value(w, x, v)).collect()),
+        Value::Thunk(t) => Value::thunk(t.program().subst(x, v)),
+        Value::Array(vs) => Value::array(vs.iter().map(|w| subst_value(w, x, v))),
         other => other.clone(),
     }
 }
 
 fn free_vars_prog(p: &Program, bound: &mut Vec<Var>, acc: &mut BTreeSet<Var>) {
-    for i in &p.0 {
+    for i in p.instrs() {
         match i {
             Instr::Push(op) => free_vars_operand(op, bound, acc),
             Instr::If0(p1, p2) => {
@@ -376,7 +512,7 @@ fn free_vars_operand(op: &Operand, bound: &mut Vec<Var>, acc: &mut BTreeSet<Var>
         }
         Operand::Lit(v) => free_vars_value(v, bound, acc),
         Operand::Array(ops) => {
-            for o in ops {
+            for o in ops.iter() {
                 free_vars_operand(o, bound, acc)
             }
         }
@@ -385,9 +521,9 @@ fn free_vars_operand(op: &Operand, bound: &mut Vec<Var>, acc: &mut BTreeSet<Var>
 
 fn free_vars_value(v: &Value, bound: &mut Vec<Var>, acc: &mut BTreeSet<Var>) {
     match v {
-        Value::Thunk(p) => free_vars_prog(p, bound, acc),
+        Value::Thunk(t) => free_vars_prog(&t.program(), bound, acc),
         Value::Array(vs) => {
-            for w in vs {
+            for w in vs.iter() {
                 free_vars_value(w, bound, acc)
             }
         }
@@ -419,8 +555,8 @@ mod tests {
         let inner = Program::single(Instr::push_var("x"));
         let p = Program::from(vec![Instr::push_var("x"), Instr::lam1("x", inner.clone())]);
         let q = p.subst(&var("x"), &Value::Num(1));
-        assert_eq!(q.0[0], Instr::push_num(1));
-        assert_eq!(q.0[1], Instr::lam1("x", inner));
+        assert_eq!(q.instrs()[0], Instr::push_num(1));
+        assert_eq!(q.instrs()[1], Instr::lam1("x", inner));
     }
 
     #[test]
@@ -434,11 +570,11 @@ mod tests {
         ]);
         let q = p.subst(&var("x"), &Value::Num(3));
         assert_eq!(
-            q.0[0],
+            q.instrs()[0],
             Instr::push_thunk(Program::single(Instr::push_num(3)))
         );
         assert_eq!(
-            q.0[1],
+            q.instrs()[1],
             Instr::If0(
                 Program::single(Instr::push_num(3)),
                 Program::single(Instr::push_var("z")),
@@ -467,9 +603,10 @@ mod tests {
     fn then_concatenates_in_order() {
         let p = Program::single(Instr::push_num(1)).then(Program::single(Instr::push_num(2)));
         assert_eq!(p.len(), 2);
-        assert_eq!(p.0[0], Instr::push_num(1));
+        assert_eq!(p.instrs()[0], Instr::push_num(1));
         let p = p.then_instr(Instr::Add);
         assert_eq!(p.len(), 3);
+        assert_eq!(Program::empty().then(p.clone()), p);
     }
 
     #[test]
@@ -491,5 +628,36 @@ mod tests {
         let arr = Value::array([Value::Num(1), Value::Num(2)]);
         assert_eq!(arr.as_array().unwrap().len(), 2);
         assert_eq!(arr.to_string(), "[1, 2]");
+    }
+
+    #[test]
+    fn thunks_render_and_compare_as_the_program_they_denote() {
+        // thunk {push x} under x ↦ 7 is the substituted thunk {push 7}.
+        let code = Program::single(Instr::push_var("x"));
+        let captured = Value::Thunk(Thunk {
+            code: code.clone(),
+            env: Env::empty().bind(var("x"), Value::Num(7)),
+        });
+        let substituted = Value::thunk(Program::single(Instr::push_num(7)));
+        assert_eq!(captured, substituted);
+        assert_eq!(captured.to_string(), "thunk {push 7}");
+        assert_eq!(format!("{captured:?}"), format!("{substituted:?}"));
+        assert_ne!(Value::thunk(code), substituted);
+    }
+
+    #[test]
+    fn environments_shadow_innermost_first() {
+        let env = Env::empty()
+            .bind(var("x"), Value::Num(1))
+            .bind(var("y"), Value::Num(2))
+            .bind(var("x"), Value::Num(3));
+        assert_eq!(env.lookup(&var("x")), Some(&Value::Num(3)));
+        assert_eq!(env.lookup(&var("y")), Some(&Value::Num(2)));
+        assert_eq!(env.lookup(&var("z")), None);
+        let p = Program::from(vec![Instr::push_var("x"), Instr::push_var("y")]);
+        assert_eq!(
+            env.substitute_into(&p),
+            Program::from(vec![Instr::push_num(3), Instr::push_num(2)])
+        );
     }
 }

@@ -7,8 +7,17 @@
 //!
 //! Values are numbers, suspended computations (`thunk P`), heap locations and
 //! arrays of values.  `lam x. P` is an *instruction* (not a value) solely
-//! responsible for substitution, à la call-by-push-value; `thunk`/`call`
+//! responsible for binding, à la call-by-push-value; `thunk`/`call`
 //! suspend and resume computation.
+//!
+//! Fig. 2 gives `lam` by substitution.  The [`Machine`] instead runs shared,
+//! immutable code under environments: `lam` pops its values into a new
+//! environment for its body, `push (thunk P)` captures the current one, and
+//! `if0`/`call` enter code as a new frame, so no step copies a program.
+//! Running a body under `x ↦ v` is the same computation as running it with
+//! `v` substituted for `x`: outcomes, step counts and telemetry are the
+//! figure's, which tests check against the literal substitution machine
+//! kept in [`mod@reference`].
 //!
 //! Any instruction whose stack precondition is not met steps to `fail Type`;
 //! out-of-bounds indexing steps to `fail Idx`; conversion glue code emits
@@ -37,9 +46,10 @@ pub mod builder;
 pub mod heap;
 pub mod instr;
 pub mod machine;
+pub mod reference;
 
 pub use heap::{Heap, Loc};
-pub use instr::{Instr, Operand, Program, Value};
+pub use instr::{Instr, Operand, Program, Thunk, Value};
 pub use machine::{Machine, RunResult, StackState};
 
 pub use semint_core::{ErrorCode, Fuel, Outcome, Var};

@@ -6,9 +6,28 @@
 //! machine is driven by [`Machine::run`] under a [`Fuel`] budget so that the
 //! executable logical relation (crate `sharedmem`) can realise the paper's
 //! step-indexed expression relation directly.
+//!
+//! # Execution model
+//!
+//! The remaining program `P` is a stack of frames, each a shared
+//! [`Program`], the position of its next instruction and the environment its
+//! variables resolve in.  No step copies or rewrites code:
+//!
+//! * `lam x₁,…,xₖ. P` pops its values into a new environment for `P` — the
+//!   leftmost binder takes the top of the stack, an inner binder shadows an
+//!   outer one, and an unbound `push x` is `fail Type`;
+//! * `push (thunk P)` captures the current environment, and array templates
+//!   resolve against it;
+//! * `if0` enters its chosen branch and `call` its thunk's code as a new
+//!   frame.
+//!
+//! Running `P` with `x ↦ v` in its environment is the same computation as
+//! running Fig. 2's `[x ↦ v]P`, so outcomes, step counts and every
+//! [`VmCounters`] field are the substitution machine's.  That machine is
+//! kept as the tests' oracle ([`crate::reference`]).
 
 use crate::heap::Heap;
-use crate::instr::{Instr, Program, Value};
+use crate::instr::{Env, Instr, Operand, Program, Value};
 use semint_core::{ErrorCode, Fuel, OpClass, Outcome, VmCounters};
 use std::fmt;
 
@@ -81,15 +100,24 @@ pub struct RunResult {
     pub counters: VmCounters,
 }
 
+/// One frame of the remaining program: shared code, the position of its
+/// next instruction, and the environment its variables resolve in.
+#[derive(Debug, Clone, PartialEq)]
+struct Frame {
+    code: Program,
+    pc: usize,
+    env: Env,
+}
+
 /// A StackLang machine configuration `⟨H; S; P⟩`.
-///
-/// The remaining program is stored reversed so "next instruction" is a `pop`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Machine {
     heap: Heap,
     stack: StackState,
-    /// Remaining instructions, reversed (next instruction is the last element).
-    control: Vec<Instr>,
+    /// The remaining program, innermost frame last.  Every frame has at
+    /// least one instruction left, so the program is done exactly when no
+    /// frame is.
+    frames: Vec<Frame>,
     steps: u64,
     counters: VmCounters,
 }
@@ -102,24 +130,23 @@ impl Machine {
 
     /// A machine with explicit initial heap and stack.
     pub fn with_state(heap: Heap, stack: StackState, program: Program) -> Machine {
-        let mut control = program.0;
-        control.reverse();
-        Machine {
+        let mut machine = Machine {
             heap,
             stack,
-            control,
+            frames: Vec::new(),
             steps: 0,
             counters: VmCounters::new(),
-        }
+        };
+        machine.start(program);
+        machine
     }
 
     /// Rearms the machine to run `program` on an empty stack and empty
-    /// heap, adopting the program as the new control by reversing its own
-    /// buffer — the same zero-copy move [`Machine::with_state`] performs —
-    /// so a batch of compiled artifacts shares one machine instead of
-    /// constructing one per program.  (Each run's final heap and stack move
-    /// into its [`RunResult`], so those start over; see
-    /// [`Machine::run_mut`].)
+    /// heap.  The program becomes the only frame — a pointer copy — so a
+    /// batch of compiled artifacts shares one machine, and its heap, stack
+    /// and frame buffers, instead of constructing one per program.  (Each
+    /// run's final heap and stack move into its [`RunResult`], so those
+    /// start over; see [`Machine::run_mut`].)
     ///
     /// A reset machine is observationally identical to [`Machine::new`] on
     /// the same program — same outcome, same final heap and stack, same step
@@ -131,11 +158,20 @@ impl Machine {
             StackState::Values(vs) => vs.clear(),
             failed => *failed = StackState::empty(),
         }
-        let mut control = program.0;
-        control.reverse();
-        self.control = control;
+        self.frames.clear();
+        self.start(program);
         self.steps = 0;
         self.counters = VmCounters::new();
+    }
+
+    fn start(&mut self, program: Program) {
+        if !program.is_empty() {
+            self.frames.push(Frame {
+                code: program,
+                pc: 0,
+                env: Env::empty(),
+            });
+        }
     }
 
     /// The current heap.
@@ -155,156 +191,148 @@ impl Machine {
 
     /// True if the machine can take no further step.
     pub fn is_terminal(&self) -> bool {
-        self.control.is_empty() || matches!(self.stack, StackState::Fail(_))
+        self.frames.is_empty() || matches!(self.stack, StackState::Fail(_))
     }
 
-    /// Remaining program (in execution order) — mostly useful for debugging.
+    /// Remaining program in execution order, each frame's environment
+    /// substituted in — mostly useful for debugging.
     pub fn remaining_program(&self) -> Program {
-        let mut v = self.control.clone();
-        v.reverse();
-        Program(v)
-    }
-
-    fn fail(&mut self, code: ErrorCode) {
-        self.stack = StackState::Fail(code);
-        self.control.clear();
-    }
-
-    fn push_program(&mut self, p: Program) {
-        // The program `p` must run before the current continuation, so its
-        // instructions go on top of the (reversed) control stack.
-        for i in p.0.into_iter().rev() {
-            self.control.push(i);
-        }
-    }
-
-    fn pop_value(&mut self) -> Option<Value> {
-        match &mut self.stack {
-            StackState::Values(vs) => vs.pop(),
-            StackState::Fail(_) => None,
-        }
-    }
-
-    fn push_value(&mut self, v: Value) {
-        if let StackState::Values(vs) = &mut self.stack {
-            vs.push(v);
-        }
+        self.frames
+            .iter()
+            .rev()
+            .flat_map(|f| {
+                let rest: Program = f.code.instrs()[f.pc..].iter().cloned().collect();
+                f.env.substitute_into(&rest).instrs().to_vec()
+            })
+            .collect()
     }
 
     /// Performs one small step (one reduction of Fig. 2).
     ///
     /// Returns [`StepStatus::Done`] if the machine was already terminal.
     pub fn step(&mut self) -> StepStatus {
-        if self.is_terminal() {
+        let Machine {
+            heap,
+            stack,
+            frames,
+            steps,
+            counters,
+        } = self;
+        let (StackState::Values(vs), Some(frame)) = (&mut *stack, frames.last_mut()) else {
             return StepStatus::Done;
-        }
-        let instr = self
-            .control
-            .pop()
-            .expect("non-terminal machine has an instruction");
-        self.steps += 1;
-        self.counters.retire(classify_instr(&instr));
-        match instr {
-            Instr::Push(op) => match op.resolve() {
-                Some(v) => self.push_value(v),
-                // A free variable reached execution: the program was not
-                // closed. This is a dynamic type error.
-                None => self.fail(ErrorCode::Type),
-            },
-            Instr::Add => match (self.pop_value(), self.pop_value()) {
+        };
+        let instr = &frame.code.instrs()[frame.pc];
+        frame.pc += 1;
+        *steps += 1;
+        counters.retire(classify_instr(instr));
+        // The code (and its environment) the instruction continues with
+        // before the rest of the current frame, if any.
+        let mut enter: Option<(Program, Env)> = None;
+        // `Ok` carries the value the instruction pushes, if any.
+        let stepped = match instr {
+            // A free variable reaching execution means the program was not
+            // closed: a dynamic type error.
+            Instr::Push(op) => resolve(op, &frame.env).map(Some).ok_or(ErrorCode::Type),
+            Instr::Add => match (vs.pop(), vs.pop()) {
                 (Some(Value::Num(n1)), Some(Value::Num(n))) => {
-                    self.push_value(Value::Num(n.wrapping_add(n1)))
+                    Ok(Some(Value::Num(n.wrapping_add(n1))))
                 }
-                _ => self.fail(ErrorCode::Type),
+                _ => Err(ErrorCode::Type),
             },
-            Instr::Less => match (self.pop_value(), self.pop_value()) {
+            Instr::Less => match (vs.pop(), vs.pop()) {
                 (Some(Value::Num(n1)), Some(Value::Num(n))) => {
-                    self.push_value(Value::Num(if n < n1 { 0 } else { 1 }))
+                    Ok(Some(Value::Num(if n < n1 { 0 } else { 1 })))
                 }
-                _ => self.fail(ErrorCode::Type),
+                _ => Err(ErrorCode::Type),
             },
-            Instr::If0(p1, p2) => match self.pop_value() {
+            Instr::If0(p1, p2) => match vs.pop() {
                 Some(Value::Num(n)) => {
-                    if n == 0 {
-                        self.push_program(p1);
-                    } else {
-                        self.push_program(p2);
+                    let branch = if n == 0 { p1 } else { p2 };
+                    enter = Some((branch.clone(), frame.env.clone()));
+                    Ok(None)
+                }
+                _ => Err(ErrorCode::Type),
+            },
+            Instr::Lam(xs, body) => match vs.len().checked_sub(xs.len()) {
+                Some(base) => {
+                    // The top k values are, from the top down, x₁'s, x₂'s,
+                    // …; binding right to left lets a repeated name resolve
+                    // to its leftmost binder, as substituting x₁ first does.
+                    let env = xs
+                        .iter()
+                        .rev()
+                        .zip(vs.drain(base..))
+                        .fold(frame.env.clone(), |env, (x, v)| env.bind(x.clone(), v));
+                    enter = Some((body.clone(), env));
+                    Ok(None)
+                }
+                None => Err(ErrorCode::Type),
+            },
+            Instr::Call => match vs.pop() {
+                Some(Value::Thunk(t)) => {
+                    enter = Some((t.code, t.env));
+                    Ok(None)
+                }
+                _ => Err(ErrorCode::Type),
+            },
+            Instr::Idx => match (vs.pop(), vs.pop()) {
+                (Some(Value::Num(n)), Some(Value::Array(elems))) => {
+                    match usize::try_from(n).ok().and_then(|i| elems.get(i)) {
+                        Some(v) => Ok(Some(v.clone())),
+                        None => Err(ErrorCode::Idx),
                     }
                 }
-                _ => self.fail(ErrorCode::Type),
+                _ => Err(ErrorCode::Type),
             },
-            Instr::Lam(xs, body) => {
-                // Pop one value per binder; the leftmost binder receives the
-                // top of the stack (Fig. 3 compiles pairs with
-                // `lam x2,x1. …` so that x2 is the most recently pushed).
-                let mut subst = Vec::with_capacity(xs.len());
-                let mut ok = true;
-                for x in &xs {
-                    match self.pop_value() {
-                        Some(v) => subst.push((x.clone(), v)),
-                        None => {
-                            ok = false;
-                            break;
+            Instr::Len => match vs.pop() {
+                Some(Value::Array(elems)) => Ok(Some(Value::Num(elems.len() as i64))),
+                _ => Err(ErrorCode::Type),
+            },
+            Instr::Alloc => match vs.pop() {
+                Some(v) => Ok(Some(Value::Loc(heap.alloc(v)))),
+                None => Err(ErrorCode::Type),
+            },
+            Instr::Read => match vs.pop() {
+                Some(Value::Loc(l)) => heap.read(l).cloned().map(Some).ok_or(ErrorCode::Type),
+                _ => Err(ErrorCode::Type),
+            },
+            Instr::Write => match (vs.pop(), vs.pop()) {
+                (Some(v), Some(Value::Loc(l))) if heap.contains(l) => {
+                    heap.write(l, v);
+                    Ok(None)
+                }
+                _ => Err(ErrorCode::Type),
+            },
+            Instr::Fail(c) => Err(*c),
+        };
+        match stepped {
+            Err(code) => {
+                *stack = StackState::Fail(code);
+                frames.clear();
+            }
+            Ok(pushed) => {
+                if let Some(v) = pushed {
+                    vs.push(v);
+                }
+                counters.note_stack_depth(vs.len());
+                let exhausted = frame.pc == frame.code.len();
+                match enter {
+                    Some((code, env)) if !code.is_empty() => {
+                        let next = Frame { code, pc: 0, env };
+                        // A finished frame is replaced rather than kept
+                        // below, so tail calls do not grow the frame stack.
+                        if exhausted {
+                            *frame = next;
+                        } else {
+                            frames.push(next);
                         }
                     }
-                }
-                if !ok {
-                    self.fail(ErrorCode::Type);
-                } else {
-                    let mut body = body;
-                    for (x, v) in &subst {
-                        body = body.subst(x, v);
+                    _ if exhausted => {
+                        frames.pop();
                     }
-                    self.push_program(body);
+                    _ => {}
                 }
             }
-            Instr::Call => match self.pop_value() {
-                Some(Value::Thunk(p)) => self.push_program(p),
-                _ => self.fail(ErrorCode::Type),
-            },
-            Instr::Idx => match (self.pop_value(), self.pop_value()) {
-                (Some(Value::Num(n)), Some(Value::Array(vs))) => {
-                    if n >= 0 && (n as usize) < vs.len() {
-                        self.push_value(vs[n as usize].clone());
-                    } else {
-                        self.fail(ErrorCode::Idx);
-                    }
-                }
-                _ => self.fail(ErrorCode::Type),
-            },
-            Instr::Len => match self.pop_value() {
-                Some(Value::Array(vs)) => self.push_value(Value::Num(vs.len() as i64)),
-                _ => self.fail(ErrorCode::Type),
-            },
-            Instr::Alloc => match self.pop_value() {
-                Some(v) => {
-                    let l = self.heap.alloc(v);
-                    self.push_value(Value::Loc(l));
-                }
-                None => self.fail(ErrorCode::Type),
-            },
-            Instr::Read => match self.pop_value() {
-                Some(Value::Loc(l)) => match self.heap.read(l) {
-                    Some(v) => {
-                        let v = v.clone();
-                        self.push_value(v);
-                    }
-                    None => self.fail(ErrorCode::Type),
-                },
-                _ => self.fail(ErrorCode::Type),
-            },
-            Instr::Write => match (self.pop_value(), self.pop_value()) {
-                (Some(v), Some(Value::Loc(l))) => {
-                    if !self.heap.write(l, v) {
-                        self.fail(ErrorCode::Type);
-                    }
-                }
-                _ => self.fail(ErrorCode::Type),
-            },
-            Instr::Fail(c) => self.fail(c),
-        }
-        if let StackState::Values(vs) = &self.stack {
-            self.counters.note_stack_depth(vs.len());
         }
         StepStatus::Continue
     }
@@ -376,9 +404,31 @@ impl Machine {
     }
 }
 
+/// The value `push op` pushes under `env`, or `None` if `op` mentions a
+/// variable `env` does not bind.
+fn resolve(op: &Operand, env: &Env) -> Option<Value> {
+    match op {
+        Operand::Lit(v) => Some(v.closed_under(env)),
+        Operand::Var(x) => env.lookup(x).cloned(),
+        Operand::Array(ops) => {
+            let mut bound = true;
+            let elems = ops
+                .iter()
+                .map(|op| {
+                    resolve(op, env).unwrap_or_else(|| {
+                        bound = false;
+                        Value::Num(0)
+                    })
+                })
+                .collect();
+            bound.then_some(Value::Array(elems))
+        }
+    }
+}
+
 /// The opcode class an instruction retires under (see
 /// [`semint_core::telemetry::OpClass`] for the bucket definitions).
-fn classify_instr(i: &Instr) -> OpClass {
+pub(crate) fn classify_instr(i: &Instr) -> OpClass {
     match i {
         Instr::Push(_) | Instr::Add | Instr::Less | Instr::Idx | Instr::Len => OpClass::Data,
         Instr::If0(..) | Instr::Fail(_) => OpClass::Control,
@@ -392,7 +442,6 @@ mod tests {
     use super::*;
     use crate::builder::{drop_top, dup, swap};
     use crate::heap::Loc;
-    use crate::instr::Operand;
     use semint_core::Var;
 
     fn run(p: Program) -> RunResult {
@@ -446,7 +495,7 @@ mod tests {
     }
 
     #[test]
-    fn lam_substitutes_and_thunk_call_resumes() {
+    fn lam_binds_and_thunk_call_resumes() {
         // push 21, lam x. (push x, push x, add)  ==>  42
         let p = Program::from(vec![
             Instr::push_num(21),
@@ -468,28 +517,59 @@ mod tests {
     #[test]
     fn multi_binder_lam_pops_top_first() {
         // push 1, push 2, lam x2,x1. (push [x1, x2])  ==> [1, 2]
+        let template =
+            Operand::Array(vec![Operand::Var(Var::new("x1")), Operand::Var(Var::new("x2"))].into());
         let p = Program::from(vec![
             Instr::push_num(1),
             Instr::push_num(2),
-            Instr::Lam(
-                vec![Var::new("x2"), Var::new("x1")],
-                Program::single(Instr::Push(Operand::Lit(Value::Array(vec![])))),
+            Instr::lam(
+                [Var::new("x2"), Var::new("x1")],
+                Program::single(Instr::Push(template)),
             ),
         ]);
-        // Build the body properly: push [x1, x2] is sugar we don't have, so use
-        // two pushes and a two-binder lam to array-construct via builder in
-        // compile tests; here we only check binding order via arithmetic:
-        // lam x2,x1. (push x1) should give 1 (the first pushed value).
-        let p2 = Program::from(vec![
+        assert_eq!(
+            run(p).outcome,
+            Outcome::Value(Value::array([Value::Num(1), Value::Num(2)]))
+        );
+    }
+
+    #[test]
+    fn lam_underflow_is_a_type_error() {
+        let p = Program::from(vec![
             Instr::push_num(1),
-            Instr::push_num(2),
-            Instr::Lam(
-                vec![Var::new("x2"), Var::new("x1")],
-                Program::single(Instr::push_var("x1")),
+            Instr::lam([Var::new("a"), Var::new("b")], Program::empty()),
+        ]);
+        assert_eq!(run(p).outcome, Outcome::Fail(ErrorCode::Type));
+    }
+
+    #[test]
+    fn thunks_capture_their_lexical_environment() {
+        // push 5, lam x. (push (thunk (push x))), push 9, lam x. (call)
+        // ==> 5: the thunk runs under the x it captured, not the caller's.
+        let p = Program::from(vec![
+            Instr::push_num(5),
+            Instr::lam1(
+                "x",
+                Program::single(Instr::push_thunk(Program::single(Instr::push_var("x")))),
+            ),
+            Instr::push_num(9),
+            Instr::lam1("x", Program::single(Instr::Call)),
+        ]);
+        let r = run(p);
+        assert_eq!(r.outcome, Outcome::Value(Value::Num(5)));
+        // The captured thunk renders as the program substitution would
+        // have built.
+        let p = Program::from(vec![
+            Instr::push_num(5),
+            Instr::lam1(
+                "x",
+                Program::single(Instr::push_thunk(Program::single(Instr::push_var("x")))),
             ),
         ]);
-        assert_eq!(run(p2).outcome, Outcome::Value(Value::Num(1)));
-        let _ = p;
+        assert_eq!(
+            run(p).outcome.value().unwrap().to_string(),
+            "thunk {push 5}"
+        );
     }
 
     #[test]
@@ -511,7 +591,13 @@ mod tests {
         let p = Program::from(vec![Instr::push_val(arr.clone()), Instr::Len]);
         assert_eq!(run(p).outcome, Outcome::Value(Value::Num(3)));
 
-        let p = Program::from(vec![Instr::push_val(arr), Instr::push_num(5), Instr::Idx]);
+        let p = Program::from(vec![
+            Instr::push_val(arr.clone()),
+            Instr::push_num(5),
+            Instr::Idx,
+        ]);
+        assert_eq!(run(p).outcome, Outcome::Fail(ErrorCode::Idx));
+        let p = Program::from(vec![Instr::push_val(arr), Instr::push_num(-1), Instr::Idx]);
         assert_eq!(run(p).outcome, Outcome::Fail(ErrorCode::Idx));
     }
 
@@ -596,7 +682,7 @@ mod tests {
     #[test]
     fn reset_machine_is_observationally_identical_to_a_fresh_one() {
         // Programs exercising every piece of machine state a reset must
-        // clear: stack values, heap cells, substitution, failure states.
+        // clear: stack values, heap cells, environments, failure states.
         let programs: Vec<Program> = vec![
             Program::from(vec![Instr::push_num(4), Instr::push_num(5), Instr::Add]),
             Program::from(vec![Instr::push_num(7), Instr::Alloc, Instr::Read]),
@@ -626,7 +712,8 @@ mod tests {
             assert_eq!(from_reset, from_fresh, "program {p:?}");
         }
         // Fuel exhaustion mid-run leaves no residue either: a half-run
-        // program does not leak stack or heap state into the next one.
+        // program does not leak stack, heap or frame state into the next
+        // one.
         let long: Vec<Instr> = (0..50).map(Instr::push_num).collect();
         reused.reset(Program::from(long));
         assert_eq!(reused.run_mut(Fuel::steps(10)).outcome, Outcome::OutOfFuel);
@@ -712,6 +799,22 @@ mod tests {
         assert_eq!(
             m.remaining_program(),
             Program::from(vec![Instr::push_num(1), Instr::Add])
+        );
+        // Mid-`lam`, the body's rest comes first, with its binding
+        // substituted, then the caller's rest.
+        let mut m = Machine::new(Program::from(vec![
+            Instr::push_num(3),
+            Instr::lam1(
+                "x",
+                Program::from(vec![Instr::push_var("x"), Instr::push_var("x")]),
+            ),
+            Instr::Add,
+        ]));
+        m.step();
+        m.step();
+        assert_eq!(
+            m.remaining_program(),
+            Program::from(vec![Instr::push_num(3), Instr::push_num(3), Instr::Add])
         );
     }
 }

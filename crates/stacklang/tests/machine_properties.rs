@@ -91,19 +91,50 @@ proptest! {
         );
     }
 
-    /// Substitution is capture-avoiding: substituting into a program that
-    /// rebinds the same name does not change its behaviour.
+    /// Scope is lexical: an inner `lam x` shadows an outer one, and a thunk
+    /// that captured the outer `x` still sees it when it is called under the
+    /// inner binder — directly or after a round trip through the heap.
     #[test]
-    fn substitution_respects_shadowing(n in -50i64..50, m in -50i64..50) {
-        // lam x. (push x)  applied twice with different outer substitutions.
-        let body = Program::from(vec![Instr::push_var("x")]);
-        let shadowing = Program::single(Instr::Lam(vec![Var::new("x")], body));
-        let subst = shadowing.subst(&Var::new("x"), &Value::Num(n));
-        // Regardless of the outer substitution, pushing m and running the lam
-        // yields m (the inner binder wins).
-        let p = Program::single(Instr::push_num(m)).then(subst);
-        let r = Machine::run_program(p, Fuel::default());
-        prop_assert_eq!(r.outcome, Outcome::Value(Value::Num(m)));
+    fn scoping_is_lexical(n in -50i64..50, m in -50i64..50) {
+        let x = || Var::new("x");
+        let run = |p: Program| Machine::run_program(p, Fuel::default()).outcome;
+        // push n, lam x. (push m, lam x. (push x))  ==>  m
+        let shadowed = Program::from(vec![
+            Instr::push_num(n),
+            Instr::lam1(x(), Program::from(vec![
+                Instr::push_num(m),
+                Instr::lam1(x(), Program::single(Instr::push_var(x()))),
+            ])),
+        ]);
+        prop_assert_eq!(run(shadowed), Outcome::Value(Value::Num(m)));
+
+        // push n, lam x. (push (thunk (push x)), push m, lam x. (call))  ==>  n
+        let captured = |stash: Vec<Instr>, fetch: Vec<Instr>| {
+            let mut body = vec![Instr::push_thunk(Program::single(Instr::push_var(x())))];
+            body.extend(stash);
+            body.push(Instr::push_num(m));
+            Program::from(vec![
+                Instr::push_num(n),
+                Instr::lam1(x(), Program::from(body).then(Program::single(
+                    Instr::lam1(x(), Program::from(fetch).then_instr(Instr::Call)),
+                ))),
+            ])
+        };
+        prop_assert_eq!(run(captured(vec![], vec![])), Outcome::Value(Value::Num(n)));
+        // The same thunk stored with `alloc` and read back under the inner x.
+        prop_assert_eq!(
+            run(captured(vec![Instr::Alloc], vec![Instr::Read])),
+            Outcome::Value(Value::Num(n))
+        );
+
+        // In one `lam`, the leftmost of two equal binders takes the top of
+        // the stack and shadows the other: push n, push m, lam x,x. push x ==> m
+        let repeated = Program::from(vec![
+            Instr::push_num(n),
+            Instr::push_num(m),
+            Instr::lam([x(), x()], Program::single(Instr::push_var(x()))),
+        ]);
+        prop_assert_eq!(run(repeated), Outcome::Value(Value::Num(m)));
     }
 
     /// pack(k) followed by idx recovers each element in push order.
