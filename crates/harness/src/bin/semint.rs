@@ -8,20 +8,16 @@
 //! semint sweep --seeds 0..200 --jobs 4              # parallel sweep, aggregate report
 //! semint sweep --profile deep                       # deep-type population (glue cache on the hot path)
 //! semint sweep --seeds 0..200 --shard 0/2           # this process takes half the range
+//! semint sweep --workers 4 --state-dir state        # 4 supervised shard processes, journaled
+//! semint sweep --workers 4 --state-dir state --resume  # finish a killed sweep
 //! semint sweep --corpus-save pop.corpus             # persist the swept scenario set
 //! semint sweep --corpus-load pop.corpus             # replay it (identical digests)
 //! semint bench --profile deep --repeat 3            # E9/E11 timing mode (per-stage totals)
 //! semint sweep --trace t.jsonl --progress           # JSONL event stream + live stderr line
 //! semint profile t.jsonl                            # aggregate trace files offline
-//! semint bench-diff BENCH_7.json current.json       # digest drift / throughput regression gate
+//! semint bench-diff BENCH_12.json current.json      # digest drift / throughput regression gate
 //! semint report a.tsv b.tsv                         # merge + re-render saved reports
-//! semint serve --workers 4 --log serve.log          # sweep-orchestration daemon (localhost TCP)
-//! semint serve --state-dir state                    # crash-safe daemon: journal + checkpoints
-//! semint serve --state-dir state --resume           # replay the journal, finish interrupted jobs
-//! semint submit --seeds 0..500 --profile deep       # queue a sweep job on the daemon
-//! semint status --job 0 --wait                      # follow it to completion, digests included
-//! semint submit --shutdown                          # drain accepted jobs, then exit
-//! semint chaos --seed 7 --rounds 2                  # deterministic kill-and-resume drill
+//! semint chaos --seed 7 --rounds 4                  # deterministic kill-and-resume drill
 //! ```
 //!
 //! Argument parsing is hand-rolled (the workspace is offline; no clap).
@@ -34,22 +30,19 @@ use semint_harness::engine::{
     parallel_map, run_generated, run_scenario, sweep_all, sweep_all_observed, SweepConfig,
     MAX_SEEDS_PER_SWEEP,
 };
+use semint_harness::fleet::{self, ChaosConfig, FaultKind, FaultPlan, SweepSpec};
 use semint_harness::json::{
     looks_like_bench_json, parse_bench_json, parse_bench_json_with_counter_keys, render_bench_json,
     BenchMeta,
 };
 use semint_harness::profile::{absorb_trace, render_profile, TraceProfile};
-use semint_harness::report::{render_rolling, render_sweep};
-use semint_harness::serve::{
-    self, ChaosConfig, Daemon, FaultKind, FaultPlan, JobSpec, JobStatus, Request, Response,
-    ServeConfig, DEFAULT_PORT,
-};
+use semint_harness::report::render_sweep;
 use semint_harness::source::{Corpus, ScenarioSource, SeedRange, Shard};
 use semint_harness::trace::SweepObserver;
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
-use std::time::Duration;
+use std::time::{Duration, SystemTime, UNIX_EPOCH};
 
 const USAGE: &str = "\
 semint — unified scenario engine for the PLDI 2022 interoperability case studies
@@ -60,7 +53,13 @@ USAGE:
     semint check [--case NAME] [--seeds A..B] [options]
                                                       Lemma 3.1 catalogue + model-check a seed range
     semint sweep [--case NAME] [--seeds A..B] [--jobs J] [--save PATH] [options]
-                                                      parallel sweep with aggregate statistics
+                                                      parallel sweep with aggregate statistics;
+                                                      with --workers N it runs as N supervised
+                                                      `semint sweep --shard` processes (crashed or
+                                                      wedged workers are re-issued) journaled in a
+                                                      state dir, so --resume finishes a killed
+                                                      sweep; digests are byte-identical to a
+                                                      one-shot sweep
     semint bench [--case NAME] [--seeds A..B] [--repeat R] [--cold] [--json PATH] [options]
                                                       timed sweep: per-stage wall-clock totals and
                                                       throughput (model check off unless --model-check)
@@ -74,23 +73,11 @@ USAGE:
                                                       saved by `sweep --save` or `bench --json`;
                                                       sharded sweeps merge into the digests of the
                                                       unsharded sweep
-    semint serve  [--port P] [--workers W] [options]  long-running sweep-orchestration daemon: a FIFO
-                                                      job queue whose jobs run as supervised fleets of
-                                                      `semint sweep --shard` worker processes; crashed
-                                                      or wedged workers are killed and their exact seed
-                                                      slice re-issued, and the merged digests are
-                                                      byte-identical to a one-shot sweep
-    semint submit [--port P] [--seeds A..B] [options] queue a sweep job on a running daemon
-                                                      (--shutdown drains it instead)
-    semint status [--port P] [--job N] [--wait]       job states and rolling merged digests; with no
-                                                      --job, every known job is listed (including
-                                                      journal-recovered jobs after --resume);
-                                                      --wait follows one job to completion
     semint chaos  [--seed S] [--rounds N] [options]   deterministic crash drill: per round, derive a
-                                                      fault schedule from the seed, run a faulted job
-                                                      on a real daemon, SIGKILL the daemon mid-job,
-                                                      restart it with --resume, and assert the merged
-                                                      digests and VM counters are byte-identical to an
+                                                      fault schedule from the seed, run a faulted
+                                                      `sweep --workers`, SIGKILL it mid-sweep, rerun
+                                                      it with --resume, and assert the merged digests
+                                                      and VM counters are byte-identical to an
                                                       uninterrupted one-shot sweep
     semint help                                       this text
 
@@ -141,29 +128,25 @@ OPTIONS:
                      reads it back
     --broken         sabotage a conversion rule per case study; failing
                      scenarios are reported with shrunk counterexamples
-    --save PATH      save the sweep report as TSV (for `status --job N`,
-                     save the job's merged report)
+    --save PATH      save the sweep report as TSV
 
-SERVE (daemon, submit, status):
-    --port P         daemon TCP port on 127.0.0.1                (default: 7844; 0 = ephemeral)
-    --workers W      concurrent shard worker processes per job   (default: 4)
-    --queue-capacity C  bounded admission: at most C unfinished jobs (default: 16)
+SUPERVISED SWEEP (sweep --workers, chaos):
+    --workers N      split the seed range into N shards and run them as N
+                     concurrent `semint sweep --shard` worker processes
+                     (chaos default: 4); a shard that dies three times fails
+                     the sweep.  Custom profile knobs, --shard, --corpus-*,
+                     --broken, --trace and --time cannot be handed to
+                     workers and are refused
     --worker-timeout-ms T  a worker with no heartbeat for T ms is wedged,
-                     killed, and its slice re-issued              (default: 30000)
-    --max-retries R  re-issues per shard before the job fails     (default: 2)
-    --log PATH       JSONL daemon log (job/shard lifecycle events)
-    --state-dir DIR  durable state: an fsync'd JSONL job journal plus
-                     checkpointed shard reports live here; with it the daemon
-                     survives its own death (see --resume)
-    --resume         replay the state dir's journal at startup: digest-verified
-                     checkpoints are adopted as merged shards, interrupted jobs
-                     are re-enqueued, and only unaccounted shards re-run
-    --shards N       split a submitted job into N shard workers   (default: the
-                     daemon's worker count)
-    --job N          restrict `status` to job N
-    --wait           poll `status --job N` until the job is done or failed
-    --shutdown       `submit --shutdown` drains the daemon: accepted jobs
-                     finish, new ones are refused, then it exits
+                     killed, and its slice re-issued    (default: 30000; chaos: 5000)
+    --state-dir DIR  durable state: an fsync'd JSONL journal recording the
+                     sweep plus checkpointed shard reports (default: a fresh
+                     temporary dir, removed after a successful sweep and kept,
+                     path printed, after a failed one); chaos keeps its
+                     per-round dirs in here
+    --resume         finish the sweep journaled in --state-dir: the command
+                     must match the journaled one, digest-verified checkpoints
+                     are adopted, and only unaccounted shards re-run
     --rounds N       (chaos) kill-and-resume rounds to run        (default: 1)
 
 FAULT INJECTION (testing):
@@ -175,8 +158,8 @@ FAULT INJECTION (testing):
                      `garbage` replaces it wholesale, `truncate` cuts it
                      mid-line so it cannot parse
     --fault-shard K / --fault-after N
-                     (submit) sabotage shard K's first attempt after N
-                     scenarios, forcing a supervised re-issue
+                     (sweep --workers) sabotage shard K's first attempt after
+                     N scenarios, forcing a supervised re-issue
     --fault-kind KIND  crash | wedge | corrupt-report | truncate-report —
                      how the sabotaged shard misbehaves       (default: crash)
 
@@ -188,25 +171,7 @@ fn main() -> ExitCode {
         eprintln!("{USAGE}");
         return ExitCode::from(2);
     };
-    let result = match command.as_str() {
-        "run" => cmd_run(rest),
-        "check" => cmd_check(rest),
-        "sweep" => cmd_sweep(rest),
-        "bench" => cmd_bench(rest),
-        "profile" => cmd_profile(rest),
-        "bench-diff" => cmd_bench_diff(rest),
-        "report" => cmd_report(rest),
-        "serve" => cmd_serve(rest),
-        "submit" => cmd_submit(rest),
-        "status" => cmd_status(rest),
-        "chaos" => cmd_chaos(rest),
-        "help" | "--help" | "-h" => {
-            println!("{USAGE}");
-            return ExitCode::SUCCESS;
-        }
-        other => Err(unknown_command(other)),
-    };
-    match result {
+    match dispatch(command, rest) {
         Ok(clean) => {
             if clean {
                 ExitCode::SUCCESS
@@ -221,21 +186,40 @@ fn main() -> ExitCode {
     }
 }
 
-/// Every subcommand the dispatcher knows, for the unknown-command hint.
-const COMMANDS: [&str; 12] = [
-    "run",
-    "check",
-    "sweep",
-    "bench",
-    "profile",
-    "bench-diff",
-    "report",
-    "serve",
-    "submit",
-    "status",
-    "chaos",
-    "help",
+/// A subcommand: its arguments in, `Ok(clean)` or a usage error out.
+type Handler = fn(&[String]) -> Result<bool, String>;
+
+/// Every subcommand: `main` dispatches through this table, the
+/// unknown-command hint searches it, and `USAGE` lists exactly these.
+const COMMANDS: [(&str, Handler); 9] = [
+    ("run", cmd_run),
+    ("check", cmd_check),
+    ("sweep", cmd_sweep),
+    ("bench", cmd_bench),
+    ("profile", cmd_profile),
+    ("bench-diff", cmd_bench_diff),
+    ("report", cmd_report),
+    ("chaos", cmd_chaos),
+    ("help", cmd_help),
 ];
+
+/// Runs the subcommand `command` names (`--help`/`-h` mean `help`).
+fn dispatch(command: &str, args: &[String]) -> Result<bool, String> {
+    let name = match command {
+        "--help" | "-h" => "help",
+        other => other,
+    };
+    match COMMANDS.iter().find(|(known, _)| *known == name) {
+        Some((_, handler)) => handler(args),
+        None => Err(unknown_command(name)),
+    }
+}
+
+/// `semint help`: the usage text.
+fn cmd_help(_args: &[String]) -> Result<bool, String> {
+    println!("{USAGE}");
+    Ok(true)
+}
 
 /// Plain Levenshtein edit distance, small enough to hand-roll (the CLI is
 /// dependency-free) and only ever run on two short command words.
@@ -259,7 +243,7 @@ fn edit_distance(a: &str, b: &str) -> usize {
 fn unknown_command(given: &str) -> String {
     let closest = COMMANDS
         .iter()
-        .map(|cmd| (edit_distance(given, cmd), *cmd))
+        .map(|(cmd, _)| (edit_distance(given, cmd), *cmd))
         .min()
         .expect("COMMANDS is nonempty");
     // A hint beyond half the word's length would be noise, not help.
@@ -298,29 +282,23 @@ struct Options {
     json: Option<String>,
     trace: Option<String>,
     progress: bool,
-    // serve / submit / status / chaos
-    port: u16,
-    workers: usize,
-    queue_capacity: usize,
-    /// Tri-state so each subcommand picks its own default (`serve`: 30000,
-    /// `chaos`: 5000 — drills want wedges detected fast).
+    // sweep --workers / chaos
+    /// `--workers N`: run `sweep` as N supervised shard processes (`chaos`:
+    /// the fan-out of every round, default 4).
+    workers: Option<usize>,
+    /// Tri-state so each subcommand picks its own default (`sweep
+    /// --workers`: 30000, `chaos`: 5000 — drills want wedges detected fast).
     worker_timeout_ms: Option<u64>,
-    max_retries: u64,
-    log: Option<String>,
-    /// `--state-dir DIR`: where the daemon's journal and shard checkpoints
-    /// live (chaos uses it as the root for per-round state dirs).
+    /// `--state-dir DIR`: where a supervised sweep's journal and shard
+    /// checkpoints live (chaos uses it as the root for per-round state dirs).
     state_dir: Option<String>,
-    /// `--resume`: replay the state dir's journal at startup.
+    /// `--resume`: finish the sweep journaled in the state dir.
     resume: bool,
-    shards: u64,
-    job: Option<u64>,
-    wait: bool,
-    shutdown: bool,
     /// `--rounds N`: how many kill-and-resume rounds `chaos` runs.
     rounds: u64,
     fault_shard: Option<u64>,
     fault_after: Option<u64>,
-    /// `--fault-kind`: how the sabotaged shard misbehaves (submit).
+    /// `--fault-kind`: how the sabotaged shard misbehaves (sweep --workers).
     fault_kind: Option<FaultKind>,
     /// `--die-after N` fault injection (sweep): abort the process after N
     /// scenarios, for supervision tests.
@@ -355,18 +333,10 @@ impl Default for Options {
             json: None,
             trace: None,
             progress: false,
-            port: DEFAULT_PORT,
-            workers: 4,
-            queue_capacity: 16,
+            workers: None,
             worker_timeout_ms: None,
-            max_retries: 2,
-            log: None,
             state_dir: None,
             resume: false,
-            shards: 0,
-            job: None,
-            wait: false,
-            shutdown: false,
             rounds: 1,
             fault_shard: None,
             fault_after: None,
@@ -533,26 +503,14 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
             "--json" => opts.json = Some(value("--json")?.to_string()),
             "--trace" => opts.trace = Some(value("--trace")?.to_string()),
             "--progress" => opts.progress = true,
-            "--port" => {
-                opts.port = value("--port")?
-                    .parse()
-                    .map_err(|e| format!("--port: {e}"))?;
-            }
             "--workers" => {
-                opts.workers = value("--workers")?
+                let workers: usize = value("--workers")?
                     .parse()
                     .map_err(|e| format!("--workers: {e}"))?;
-                if opts.workers == 0 {
+                if workers == 0 {
                     return Err("--workers must be at least 1".into());
                 }
-            }
-            "--queue-capacity" => {
-                opts.queue_capacity = value("--queue-capacity")?
-                    .parse()
-                    .map_err(|e| format!("--queue-capacity: {e}"))?;
-                if opts.queue_capacity == 0 {
-                    return Err("--queue-capacity must be at least 1".into());
-                }
+                opts.workers = Some(workers);
             }
             "--worker-timeout-ms" => {
                 let ms: u64 = value("--worker-timeout-ms")?
@@ -563,12 +521,6 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
                 }
                 opts.worker_timeout_ms = Some(ms);
             }
-            "--max-retries" => {
-                opts.max_retries = value("--max-retries")?
-                    .parse()
-                    .map_err(|e| format!("--max-retries: {e}"))?;
-            }
-            "--log" => opts.log = Some(value("--log")?.to_string()),
             "--state-dir" => opts.state_dir = Some(value("--state-dir")?.to_string()),
             "--resume" => opts.resume = true,
             "--rounds" => {
@@ -579,16 +531,6 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
                     return Err("--rounds must be at least 1".into());
                 }
             }
-            "--shards" => {
-                opts.shards = value("--shards")?
-                    .parse()
-                    .map_err(|e| format!("--shards: {e}"))?;
-            }
-            "--job" => {
-                opts.job = Some(value("--job")?.parse().map_err(|e| format!("--job: {e}"))?);
-            }
-            "--wait" => opts.wait = true,
-            "--shutdown" => opts.shutdown = true,
             "--fault-shard" => {
                 opts.fault_shard = Some(
                     value("--fault-shard")?
@@ -865,14 +807,17 @@ fn cmd_check(args: &[String]) -> Result<bool, String> {
 /// `semint sweep`: the parallel batch run.
 fn cmd_sweep(args: &[String]) -> Result<bool, String> {
     let opts = parse_options(args)?;
+    if let Some(workers) = opts.workers {
+        return cmd_supervised_sweep(&opts, workers);
+    }
     if opts.corrupt_save.is_some() && opts.save.is_none() {
         return Err("--corrupt-save sabotages the --save report; give --save PATH too".into());
     }
     let cases = selected_cases(&opts)?;
     let source = build_source(&opts)?;
     let mut cfg = sweep_config(&opts, true);
-    // A trace event carries per-stage micros, so tracing implies timing
-    // (timing never changes digests, so this is safe to force).
+    // A trace event carries per-stage nanoseconds, so tracing implies
+    // timing (timing never changes digests, so this is safe to force).
     if opts.trace.is_some() {
         cfg.time = true;
     }
@@ -888,10 +833,7 @@ fn cmd_sweep(args: &[String]) -> Result<bool, String> {
     if let Some(path) = &opts.trace {
         println!("trace saved: {path}");
     }
-    print!("{}", render_sweep(&report));
-    for case in &report.cases {
-        println!("digest: {}", case.digest());
-    }
+    print_sweep(&report);
     if let Some(path) = &opts.corpus_save {
         let corpus = Corpus::record(&cases, source.as_ref(), cfg.profile)?;
         corpus.save(path)?;
@@ -907,9 +849,129 @@ fn cmd_sweep(args: &[String]) -> Result<bool, String> {
     Ok(report.failure_count() == 0)
 }
 
+/// The report block and `digest:` lines every sweep-shaped command ends
+/// its output with.
+fn print_sweep(report: &SweepReport) {
+    print!("{}", render_sweep(report));
+    for case in &report.cases {
+        println!("digest: {}", case.digest());
+    }
+}
+
+/// The one check `sweep --workers` and `chaos` share: whatever a worker
+/// process cannot be handed is refused rather than silently dropped, and
+/// the rest becomes the sweep's validated spec.
+fn fleet_spec(
+    opts: &Options,
+    workers: usize,
+    model_check_default: bool,
+) -> Result<SweepSpec, String> {
+    if opts.profile.name == "custom" {
+        return Err(
+            "supervised sweeps pin preset profiles (smoke | default | deep | boundary-heavy); \
+             knob overrides like --type-depth cannot be handed to shard workers"
+                .into(),
+        );
+    }
+    if opts.shard.is_some() {
+        return Err(
+            "supervised sweeps shard themselves; use --workers N instead of --shard K/N".into(),
+        );
+    }
+    if opts.corpus_load.is_some() || opts.corpus_save.is_some() {
+        return Err("corpus replay/persistence is not supported for supervised sweeps".into());
+    }
+    if opts.broken {
+        return Err("--broken is not supported for supervised sweeps".into());
+    }
+    if opts.trace.is_some() || opts.time {
+        return Err("shard workers run untimed, so --trace and --time cannot be honoured".into());
+    }
+    if opts.die_after.is_some() || opts.wedge_after.is_some() || opts.corrupt_save.is_some() {
+        return Err(
+            "--die-after, --wedge-after and --corrupt-save sabotage one process; \
+                    use --fault-shard, --fault-after and --fault-kind to sabotage a shard"
+                .into(),
+        );
+    }
+    let fault = match (opts.fault_shard, opts.fault_after) {
+        (None, None) => {
+            if opts.fault_kind.is_some() {
+                return Err("--fault-kind needs --fault-shard and --fault-after".into());
+            }
+            None
+        }
+        (Some(shard), Some(after)) => Some(FaultPlan {
+            shard,
+            after,
+            kind: opts.fault_kind.unwrap_or(FaultKind::Crash),
+        }),
+        _ => return Err("--fault-shard and --fault-after must be given together".into()),
+    };
+    let spec = SweepSpec {
+        seeds: opts.range,
+        profile: opts.profile.name.to_string(),
+        case: opts.case.clone(),
+        workers: workers as u64,
+        jobs: opts.jobs,
+        batch: opts.batch,
+        model_check: opts.model_check.unwrap_or(model_check_default),
+        fault,
+    };
+    spec.validate()?;
+    Ok(spec)
+}
+
+/// `semint sweep --workers N`: the same sweep run as N supervised shard
+/// processes, journaled and checkpointed in a state dir so that a killed
+/// sweep can be finished with `--resume`.  It prints, saves and exits as a
+/// one-shot sweep does.
+fn cmd_supervised_sweep(opts: &Options, workers: usize) -> Result<bool, String> {
+    let spec = fleet_spec(opts, workers, true)?;
+    let binary = std::env::current_exe()
+        .map_err(|e| format!("cannot locate the semint binary to spawn workers: {e}"))?;
+    let (state_dir, temporary) = match &opts.state_dir {
+        Some(dir) => (PathBuf::from(dir), false),
+        None if opts.resume => {
+            return Err("--resume requires --state-dir (the journal lives there)".into())
+        }
+        None => {
+            let nanos = SystemTime::now()
+                .duration_since(UNIX_EPOCH)
+                .map_or(0, |since| since.subsec_nanos());
+            let name = format!("semint-sweep-{}-{nanos}", std::process::id());
+            (std::env::temp_dir().join(name), true)
+        }
+    };
+    println!(
+        "sweep: {} · profile {}",
+        spec.range().describe(),
+        opts.profile
+    );
+    let timeout = Duration::from_millis(opts.worker_timeout_ms.unwrap_or(30_000));
+    let report =
+        fleet::run_sweep(&binary, &spec, &state_dir, opts.resume, timeout).inspect_err(|_| {
+            if temporary {
+                eprintln!(
+                    "sweep state kept in {0}; finish it with --state-dir {0} --resume",
+                    state_dir.display()
+                );
+            }
+        })?;
+    if temporary {
+        let _ = std::fs::remove_dir_all(&state_dir);
+    }
+    print_sweep(&report);
+    if let Some(path) = &opts.save {
+        std::fs::write(path, report.to_tsv()).map_err(|e| format!("saving {path}: {e}"))?;
+        println!("saved: {path}");
+    }
+    Ok(report.failure_count() == 0)
+}
+
 /// `--corrupt-save` fault injection: sabotages an already-saved report so
-/// the daemon's validation (and, for checkpoints, digest verification) has
-/// something real to catch.  `garbage` replaces the report wholesale;
+/// the supervisor's validation (and, for checkpoints, digest verification)
+/// has something real to catch.  `garbage` replaces the report wholesale;
 /// `truncate` cuts it mid-line — a dangling key with no value — so
 /// `SweepReport::from_tsv` reliably *fails* instead of parsing a
 /// smaller-but-valid report that would slip past everything except the
@@ -1254,237 +1316,21 @@ fn cmd_report(args: &[String]) -> Result<bool, String> {
         }
     }
     let report = merged.expect("at least one path");
-    print!("{}", render_sweep(&report));
-    for case in &report.cases {
-        println!("digest: {}", case.digest());
-    }
+    print_sweep(&report);
     Ok(report.failure_count() == 0)
 }
 
-/// `semint serve`: the foreground sweep-orchestration daemon.  Runs until a
-/// client sends `semint submit --shutdown`, then drains the queue and exits.
-fn cmd_serve(args: &[String]) -> Result<bool, String> {
-    let opts = parse_options(args)?;
-    let worker_binary = std::env::current_exe()
-        .map_err(|e| format!("cannot locate the semint binary to spawn workers: {e}"))?;
-    let worker_timeout_ms = opts.worker_timeout_ms.unwrap_or(30_000);
-    let cfg = ServeConfig {
-        port: opts.port,
-        workers: opts.workers,
-        queue_capacity: opts.queue_capacity,
-        heartbeat_timeout: Duration::from_millis(worker_timeout_ms),
-        max_retries: opts.max_retries,
-        worker_binary,
-        log_path: opts.log.as_ref().map(PathBuf::from),
-        echo: true,
-        state_dir: opts.state_dir.as_ref().map(PathBuf::from),
-        resume: opts.resume,
-    };
-    let daemon = Daemon::spawn(cfg)?;
-    let port = daemon.port();
-    println!(
-        "semint serve: listening on 127.0.0.1:{port} · {} workers · queue capacity {} · \
-         worker timeout {} ms · {} retries per shard",
-        opts.workers, opts.queue_capacity, worker_timeout_ms, opts.max_retries
-    );
-    if let Some(dir) = &opts.state_dir {
-        println!(
-            "durable state: {dir} (fsync'd job journal + shard checkpoints; \
-             recover with `semint serve --state-dir {dir} --resume`)"
-        );
-    }
-    println!("submit jobs:   semint submit --port {port} --seeds A..B [--profile NAME]");
-    println!("watch them:    semint status --port {port} [--job N --wait]");
-    println!("drain + exit:  semint submit --port {port} --shutdown");
-    daemon.join();
-    println!("semint serve: drained, exiting");
-    Ok(true)
-}
-
-/// The daemon address the serve-client subcommands talk to.
-fn daemon_addr(opts: &Options) -> String {
-    format!("127.0.0.1:{}", opts.port)
-}
-
-/// `semint submit`: queue one sweep job on a running daemon (or, with
-/// `--shutdown`, drain it).
-fn cmd_submit(args: &[String]) -> Result<bool, String> {
-    let opts = parse_options(args)?;
-    let addr = daemon_addr(&opts);
-    if opts.shutdown {
-        return match serve::call(&addr, &Request::Shutdown)? {
-            Response::Ok => {
-                println!("daemon at {addr} is draining: accepted jobs finish, then it exits");
-                Ok(true)
-            }
-            Response::Error(e) => Err(e),
-            other => Err(format!("unexpected response: {other:?}")),
-        };
-    }
-    // Everything a worker cannot faithfully reconstruct from the wire is
-    // rejected here rather than silently dropped.
-    if opts.profile.name == "custom" {
-        return Err(
-            "serve jobs pin preset profiles (smoke | default | deep | boundary-heavy); \
-             knob overrides like --type-depth do not travel over the wire"
-                .into(),
-        );
-    }
-    if opts.shard.is_some() {
-        return Err("the daemon shards jobs itself; use --shards N instead of --shard K/N".into());
-    }
-    if opts.corpus_load.is_some() || opts.corpus_save.is_some() {
-        return Err("corpus replay/persistence is not supported for serve jobs".into());
-    }
-    if opts.broken {
-        return Err("--broken is not supported for serve jobs".into());
-    }
-    let fault = match (opts.fault_shard, opts.fault_after) {
-        (None, None) => {
-            if opts.fault_kind.is_some() {
-                return Err("--fault-kind needs --fault-shard and --fault-after".into());
-            }
-            None
-        }
-        (Some(shard), Some(after)) => Some(FaultPlan {
-            shard,
-            after,
-            kind: opts.fault_kind.unwrap_or(FaultKind::Crash),
-        }),
-        _ => return Err("--fault-shard and --fault-after must be given together".into()),
-    };
-    let spec = JobSpec {
-        seeds: opts.range,
-        profile: opts.profile.name.to_string(),
-        case: opts.case.clone(),
-        shards: opts.shards,
-        jobs: opts.jobs,
-        batch: opts.batch,
-        model_check: opts.model_check.unwrap_or(true),
-        fault,
-    };
-    match serve::call(&addr, &Request::Submit(spec))? {
-        Response::Submitted { job } => {
-            println!("job {job} queued at {addr} (follow it: semint status --port {} --job {job} --wait)", opts.port);
-            Ok(true)
-        }
-        Response::Error(e) => Err(e),
-        other => Err(format!("unexpected response: {other:?}")),
-    }
-}
-
-/// Renders one job's status snapshot: the one-line summary always, plus the
-/// full rolling/final report when this job was singled out with `--job`.
-fn print_job_status(status: &JobStatus, detailed: bool) -> Result<(), String> {
-    let mut line = format!(
-        "job {}: {} · shards {}/{} · {} scenarios · {} failures",
-        status.id,
-        status.state,
-        status.shards_done,
-        status.shards_total,
-        status.scenarios,
-        status.failures
-    );
-    if status.retries > 0 {
-        line.push_str(&format!(" · {} shard re-issues", status.retries));
-    }
-    if status.recovered {
-        line.push_str(" · recovered");
-    }
-    println!("{line}");
-    if let Some(error) = &status.error {
-        println!("  error: {error}");
-    }
-    if !detailed {
-        return Ok(());
-    }
-    let report = SweepReport::from_tsv(&status.report_tsv)
-        .map_err(|e| format!("job {}: daemon sent an unreadable report: {e}", status.id))?;
-    if status.state == "done" {
-        print!("{}", render_sweep(&report));
-        for digest in &status.digests {
-            println!("digest: {digest}");
-        }
-    } else {
-        print!(
-            "{}",
-            render_rolling(&report, status.shards_done, status.shards_total)
-        );
-    }
-    Ok(())
-}
-
-/// `semint status`: job states and rolling merged digests; `--wait` polls
-/// one job to completion.
-fn cmd_status(args: &[String]) -> Result<bool, String> {
-    let opts = parse_options(args)?;
-    let addr = daemon_addr(&opts);
-    if opts.wait && opts.job.is_none() {
-        return Err("--wait follows one job; give --job N".into());
-    }
-    loop {
-        let (draining, jobs) = match serve::call(&addr, &Request::Status { job: opts.job })? {
-            Response::Status { draining, jobs } => (draining, jobs),
-            Response::Error(e) => return Err(e),
-            other => return Err(format!("unexpected response: {other:?}")),
-        };
-        let settled = jobs
-            .iter()
-            .all(|job| matches!(job.state.as_str(), "done" | "failed"));
-        if opts.wait && !settled {
-            std::thread::sleep(Duration::from_millis(200));
-            continue;
-        }
-        if draining {
-            println!("daemon at {addr} is draining");
-        }
-        if jobs.is_empty() {
-            println!("no jobs at {addr}");
-        }
-        for job in &jobs {
-            print_job_status(job, opts.job.is_some())?;
-        }
-        if let Some(path) = &opts.save {
-            let job = opts
-                .job
-                .and_then(|_| jobs.first())
-                .ok_or("--save writes one job's merged report; give --job N")?;
-            std::fs::write(path, &job.report_tsv).map_err(|e| format!("saving {path}: {e}"))?;
-            println!("saved: {path}");
-        }
-        let clean = jobs
-            .iter()
-            .all(|job| job.state != "failed" && job.failures == 0);
-        return Ok(clean);
-    }
-}
-
 /// `semint chaos`: the deterministic kill-and-resume drill.  Every round
-/// derives a fault plan and a kill point from `--seed`, runs a faulted job
-/// on a real daemon process, SIGKILLs the daemon once the journal shows the
-/// scheduled number of checkpoints, restarts it with `--resume`, and
-/// asserts the resumed digests and VM counters are byte-identical to an
+/// derives a fault plan and a kill point from `--seed`, runs a faulted
+/// `semint sweep --workers` process, SIGKILLs it once the journal shows the
+/// scheduled number of checkpoints, reruns it with `--resume`, and asserts
+/// the resumed digests and VM counters are byte-identical to an
 /// uninterrupted one-shot sweep — with no checkpointed shard re-run.
 fn cmd_chaos(args: &[String]) -> Result<bool, String> {
     let opts = parse_options(args)?;
-    // The same wire restrictions as `submit`: the drill's jobs travel over
-    // the real protocol.
-    if opts.profile.name == "custom" {
-        return Err(
-            "chaos jobs pin preset profiles (smoke | default | deep | boundary-heavy); \
-             knob overrides like --type-depth do not travel over the wire"
-                .into(),
-        );
-    }
-    if opts.shard.is_some() {
-        return Err("chaos shards its jobs itself; use --shards N instead of --shard K/N".into());
-    }
-    if opts.corpus_load.is_some() || opts.corpus_save.is_some() {
-        return Err("corpus replay/persistence is not supported for chaos jobs".into());
-    }
-    if opts.broken {
-        return Err("--broken is not supported for chaos jobs".into());
-    }
+    // The drill's rounds are real supervised sweeps (run-only unless
+    // --model-check); each round replaces the fault with its scheduled one.
+    let spec = fleet_spec(&opts, opts.workers.unwrap_or(4), false)?;
     let binary = std::env::current_exe()
         .map_err(|e| format!("cannot locate the semint binary to drill: {e}"))?;
     let state_root = match &opts.state_dir {
@@ -1495,33 +1341,22 @@ fn cmd_chaos(args: &[String]) -> Result<bool, String> {
         binary,
         seed: opts.seed.unwrap_or(0),
         rounds: opts.rounds,
-        seeds: opts.range,
-        profile: opts.profile.name.to_string(),
-        case: opts.case.clone(),
-        shards: if opts.shards == 0 {
-            opts.workers as u64
-        } else {
-            opts.shards
-        },
-        jobs: opts.jobs,
-        workers: opts.workers,
-        batch: opts.batch,
+        spec,
         // Drills inject wedges on purpose; detect them fast.
         worker_timeout_ms: opts.worker_timeout_ms.unwrap_or(5_000),
         state_root,
         echo: true,
     };
     println!(
-        "chaos: {} rounds · seed {} · seeds {}..{} · profile {} · {} shards · state root {}",
+        "chaos: {} rounds · seed {} · seeds {} · profile {} · {} workers · state root {}",
         cfg.rounds,
         cfg.seed,
-        cfg.seeds.0,
-        cfg.seeds.1,
-        cfg.profile,
-        cfg.shards,
+        cfg.spec.range().spec(),
+        cfg.spec.profile,
+        cfg.spec.workers,
         cfg.state_root.display()
     );
-    let outcomes = serve::run_drills(&cfg)?;
+    let outcomes = fleet::run_drills(&cfg)?;
     let mut clean = true;
     for outcome in &outcomes {
         let held = outcome.invariant_holds();
@@ -1731,57 +1566,35 @@ mod tests {
     }
 
     #[test]
-    fn serve_flags_parse_with_documented_defaults() {
+    fn supervised_sweep_flags_parse_and_retired_flags_are_unknown() {
         let opts = parse(&[]).unwrap();
-        assert_eq!(opts.port, DEFAULT_PORT);
-        assert_eq!(opts.workers, 4);
-        assert_eq!(opts.queue_capacity, 16);
+        assert_eq!(opts.workers, None, "no --workers = one-shot sweep");
         assert_eq!(
             opts.worker_timeout_ms, None,
-            "tri-state: serve resolves to 30000, chaos to 5000"
+            "tri-state: sweep --workers resolves to 30000, chaos to 5000"
         );
-        assert_eq!(opts.max_retries, 2);
-        assert_eq!(opts.shards, 0, "0 = one shard per daemon worker");
-        assert!(opts.job.is_none() && !opts.wait && !opts.shutdown);
-        let opts = parse(&[
-            "--port",
-            "0",
-            "--workers",
-            "2",
-            "--queue-capacity",
-            "3",
-            "--worker-timeout-ms",
-            "5000",
-            "--max-retries",
-            "1",
-            "--log",
-            "serve.log",
-            "--shards",
-            "6",
-            "--job",
-            "4",
-            "--wait",
-            "--shutdown",
-        ])
-        .unwrap();
-        assert_eq!(opts.port, 0);
-        assert_eq!(opts.workers, 2);
-        assert_eq!(opts.queue_capacity, 3);
+        let opts = parse(&["--workers", "2", "--worker-timeout-ms", "5000"]).unwrap();
+        assert_eq!(opts.workers, Some(2));
         assert_eq!(opts.worker_timeout_ms, Some(5000));
-        assert_eq!(opts.max_retries, 1);
-        assert_eq!(opts.log.as_deref(), Some("serve.log"));
-        assert_eq!(opts.shards, 6);
-        assert_eq!(opts.job, Some(4));
-        assert!(opts.wait && opts.shutdown);
         assert!(parse(&["--workers", "0"])
-            .unwrap_err()
-            .contains("at least 1"));
-        assert!(parse(&["--queue-capacity", "0"])
             .unwrap_err()
             .contains("at least 1"));
         assert!(parse(&["--worker-timeout-ms", "0"])
             .unwrap_err()
             .contains("at least 1"));
+        for retired in [
+            "--port",
+            "--queue-capacity",
+            "--max-retries",
+            "--log",
+            "--shards",
+            "--job",
+            "--wait",
+            "--shutdown",
+        ] {
+            let err = parse(&[retired, "1"]).unwrap_err();
+            assert!(err.contains("unknown option"), "{retired}: {err}");
+        }
     }
 
     #[test]
@@ -1789,7 +1602,10 @@ mod tests {
         let opts = parse(&["--fault-shard", "1", "--fault-after", "5"]).unwrap();
         assert_eq!(opts.fault_shard, Some(1));
         assert_eq!(opts.fault_after, Some(5));
-        assert_eq!(opts.fault_kind, None, "submit defaults the kind to crash");
+        assert_eq!(
+            opts.fault_kind, None,
+            "sweep --workers defaults the kind to crash"
+        );
         let opts = parse(&["--die-after", "3"]).unwrap();
         assert_eq!(opts.die_after, Some(3));
         assert!(parse(&["--die-after", "0"])
@@ -1837,19 +1653,30 @@ mod tests {
     }
 
     #[test]
-    fn submit_and_chaos_reject_unwireable_combinations_up_front() {
-        let err = cmd_submit(&["--fault-kind".into(), "wedge".into()]).unwrap_err();
-        assert!(err.contains("--fault-shard"), "{err}");
-        // Chaos validation happens before any daemon or baseline is built.
-        let err = cmd_chaos(&["--type-depth".into(), "5".into()]).unwrap_err();
-        assert!(err.contains("preset"), "{err}");
-        let err = cmd_chaos(&["--shard".into(), "0/2".into()]).unwrap_err();
-        assert!(err.contains("--shards"), "{err}");
-        let err = cmd_chaos(&["--corpus-load".into(), "x.corpus".into()]).unwrap_err();
-        assert!(err.contains("corpus"), "{err}");
-        let err = cmd_chaos(&["--broken".into()]).unwrap_err();
-        assert!(err.contains("--broken"), "{err}");
-        // Sweep refuses --corrupt-save with nothing to corrupt.
+    fn supervised_sweep_and_chaos_share_one_refusal_check() {
+        // Every refusal fires before any worker, sweep or baseline runs.
+        let refusals: [(&[&str], &str); 8] = [
+            (&["--type-depth", "5"], "preset"),
+            (&["--shard", "0/2"], "--workers N"),
+            (&["--corpus-load", "x.corpus"], "corpus"),
+            (&["--broken"], "--broken"),
+            (&["--trace", "t.jsonl"], "--trace"),
+            (&["--die-after", "3"], "--fault-shard"),
+            (&["--fault-kind", "wedge"], "--fault-shard"),
+            (&["--fault-shard", "1"], "together"),
+        ];
+        for (flags, needle) in refusals {
+            let owned: Vec<String> = flags.iter().map(|s| s.to_string()).collect();
+            let mut sweep = vec!["--workers".to_string(), "2".into()];
+            sweep.extend(owned.iter().cloned());
+            let err = cmd_sweep(&sweep).unwrap_err();
+            assert!(err.contains(needle), "sweep --workers 2 {flags:?}: {err}");
+            let err = cmd_chaos(&owned).unwrap_err();
+            assert!(err.contains(needle), "chaos {flags:?}: {err}");
+        }
+        let err = cmd_sweep(&["--workers".into(), "2".into(), "--resume".into()]).unwrap_err();
+        assert!(err.contains("--state-dir"), "{err}");
+        // A one-shot sweep refuses --corrupt-save with nothing to corrupt.
         let err = cmd_sweep(&["--corrupt-save".into(), "garbage".into()]).unwrap_err();
         assert!(err.contains("--save"), "{err}");
     }
@@ -1858,8 +1685,8 @@ mod tests {
     fn unknown_commands_suggest_the_closest_subcommand() {
         let hint = unknown_command("swep");
         assert!(hint.contains("did you mean `sweep`?"), "{hint}");
-        let hint = unknown_command("stauts");
-        assert!(hint.contains("did you mean `status`?"), "{hint}");
+        let hint = unknown_command("reprot");
+        assert!(hint.contains("did you mean `report`?"), "{hint}");
         let hint = unknown_command("benchdiff");
         assert!(hint.contains("did you mean `bench-diff`?"), "{hint}");
         // Gibberish gets the plain error, not a far-fetched hint.
@@ -1878,21 +1705,19 @@ mod tests {
     }
 
     #[test]
-    fn wait_requires_a_job_and_submit_rejects_unwireable_options() {
-        let err = cmd_status(&["--wait".into(), "--port".into(), "1".into()]).unwrap_err();
-        assert!(err.contains("--job"), "{err}");
-        // Validation happens before any connection attempt, so these fail
-        // fast even with no daemon listening.
-        let err = cmd_submit(&["--type-depth".into(), "5".into()]).unwrap_err();
-        assert!(err.contains("preset"), "{err}");
-        let err = cmd_submit(&["--shard".into(), "0/2".into()]).unwrap_err();
-        assert!(err.contains("--shards"), "{err}");
-        let err = cmd_submit(&["--corpus-load".into(), "x.corpus".into()]).unwrap_err();
-        assert!(err.contains("corpus"), "{err}");
-        let err = cmd_submit(&["--broken".into()]).unwrap_err();
-        assert!(err.contains("--broken"), "{err}");
-        let err = cmd_submit(&["--fault-shard".into(), "1".into()]).unwrap_err();
-        assert!(err.contains("together"), "{err}");
+    fn the_command_table_and_usage_agree() {
+        let usage_names: Vec<&str> = USAGE
+            .lines()
+            .filter_map(|line| line.strip_prefix("    semint "))
+            .filter_map(|rest| rest.split_whitespace().next())
+            .collect();
+        let table_names: Vec<&str> = COMMANDS.iter().map(|(name, _)| *name).collect();
+        assert_eq!(usage_names, table_names, "USAGE lists exactly the table");
+        for retired in ["serve", "submit", "status"] {
+            let err = dispatch(retired, &[]).unwrap_err();
+            assert!(err.contains("unknown command"), "{retired}: {err}");
+        }
+        assert_eq!(dispatch("--help", &[]), Ok(true));
     }
 
     #[test]

@@ -1,59 +1,61 @@
-//! The daemon's write-ahead log: an append-only, fsync'd JSONL journal of
-//! job lifecycle transitions, plus the replay logic `--resume` uses to
-//! rebuild the queue after a crash.
+//! The supervisor's write-ahead log: an append-only, fsync'd JSONL journal
+//! of one sweep's shard transitions, plus the replay logic `--resume` uses
+//! to pick the sweep up after a crash.
 //!
 //! Durability contract, in order:
 //!
-//! 1. A shard's validated TSV report is written to the state dir and
+//! 1. The first line records the sweep's [`SweepSpec`]: a state dir holds
+//!    exactly one sweep, and resume refuses a command that differs from it.
+//! 2. A shard's validated TSV report is written to the state dir and
 //!    `sync_all`'d **before** its `shard-saved` event is journaled, so a
 //!    journaled checkpoint always exists on disk (the digest in the event
 //!    lets resume detect a corrupted one).
-//! 2. Every journal append is a single `write_all` of one line followed by
+//! 3. Every journal append is a single `write_all` of one line followed by
 //!    `sync_data`, so after a crash the journal is a prefix of the true
 //!    history plus at most one torn final line.
-//! 3. A torn final line is a transition that never became durable — replay
+//! 4. A torn final line is a transition that never became durable — replay
 //!    drops it (it never happened), and [`Journal::open`] neutralizes it
 //!    with a lone newline so later appends start on a fresh line.
 //!
 //! Replay is deliberately tolerant of *duplicates* (a shard re-run after a
 //! corrupted checkpoint journals `shard-saved` again; last wins) and of
-//! unparseable lines anywhere in the file (neutralized torn lines persist
-//! mid-file across daemon lives), but strict about *structure*: events that
-//! reference a job or shard the journal never introduced are hard errors —
-//! that journal belongs to some other state dir.
+//! unparseable lines after the first (neutralized torn lines persist
+//! mid-file across supervisor lives), but strict about *structure*: a
+//! journal whose first line is not the sweep's spec, that records a second
+//! sweep, or that references a shard outside the spec's partition belongs
+//! to no sweep this binary can resume.
 
 use std::collections::BTreeMap;
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
-use std::sync::Mutex;
 
-use super::protocol::{parse_spec, render_spec};
-use super::queue::JobSpec;
-use crate::json::{document_version, escape_json, Reader, FORMAT_VERSION};
+use super::spec::{FaultKind, FaultPlan, SweepSpec};
+use crate::json::{document_version, escape_json, Json, Reader, FORMAT_VERSION};
 
 /// The journal's file name inside a `--state-dir`.
 pub const JOURNAL_FILE: &str = "journal.jsonl";
 
-/// The checkpoint file name for one job's shard inside a `--state-dir`.
-pub fn checkpoint_name(job: u64, shard: u64) -> String {
-    format!("job{job}-shard{shard}.tsv")
+/// The `semint_journal` marker this binary writes and reads.  Format 1
+/// journals held several daemon-assigned jobs; they are refused rather
+/// than misread.
+pub const JOURNAL_FORMAT: u64 = 2;
+
+/// The checkpoint file name for one shard inside a `--state-dir`.
+pub fn checkpoint_name(shard: u64) -> String {
+    format!("shard{shard}.tsv")
 }
 
-/// One durable job lifecycle transition.
+/// One durable sweep transition.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum JournalEvent {
-    /// A job was admitted with this (validated, shards-resolved) spec.
-    Submitted {
-        /// Daemon-assigned job id (dense, starting at 0).
-        job: u64,
-        /// The validated spec, exactly as the queue holds it.
-        spec: JobSpec,
+    /// The journal's first line: the validated spec of its one sweep.
+    SweepStarted {
+        /// The spec every later event belongs to.
+        spec: SweepSpec,
     },
     /// A shard worker process was spawned.
     ShardStarted {
-        /// The job the shard belongs to.
-        job: u64,
         /// Shard index (0-based).
         shard: u64,
         /// 0 = first issue, >0 = re-issue after a death.
@@ -61,8 +63,6 @@ pub enum JournalEvent {
     },
     /// A shard's report was validated and checkpointed to the state dir.
     ShardSaved {
-        /// The job the shard belongs to.
-        job: u64,
         /// Shard index (0-based).
         shard: u64,
         /// The attempt that produced the checkpoint.
@@ -75,8 +75,6 @@ pub enum JournalEvent {
     },
     /// A shard attempt died (crash / wedge / bad report) and was re-issued.
     ShardDied {
-        /// The job the shard belongs to.
-        job: u64,
         /// Shard index (0-based).
         shard: u64,
         /// The attempt that died.
@@ -84,88 +82,106 @@ pub enum JournalEvent {
         /// The supervisor's classification of the death.
         reason: String,
     },
-    /// Every shard merged; the job's digests are final.
-    JobCompleted {
-        /// The finished job.
-        job: u64,
-    },
-    /// The job was abandoned with this reason.
-    JobFailed {
-        /// The abandoned job.
-        job: u64,
-        /// Why it was abandoned.
-        reason: String,
-    },
-    /// A daemon replayed this journal and took over its jobs.  Everything
-    /// before the *last* such marker predates the current daemon's life.
+    /// A supervisor replayed this journal and took the sweep over.
+    /// Everything before the *last* such marker predates the current
+    /// supervisor's life.
     Resumed {
-        /// How many jobs the daemon recovered.
-        jobs: u64,
+        /// How many digest-verified checkpoints it adopted.
+        adopted: u64,
     },
 }
 
-fn header() -> String {
-    format!("{{\"semint_journal\": 1, \"version\": {FORMAT_VERSION}")
+fn render_spec(spec: &SweepSpec) -> String {
+    let mut out = format!(
+        "{{\"seeds_start\": {}, \"seeds_end\": {}, \"profile\": \"{}\", \"case\": \"{}\", \
+         \"workers\": {}, \"jobs\": {}, \"batch\": {}, \"model_check\": {}",
+        spec.seeds.0,
+        spec.seeds.1,
+        escape_json(&spec.profile),
+        escape_json(&spec.case),
+        spec.workers,
+        spec.jobs,
+        spec.batch,
+        spec.model_check,
+    );
+    if let Some(fault) = spec.fault {
+        out.push_str(&format!(
+            ", \"fault_shard\": {}, \"fault_after\": {}, \"fault_kind\": \"{}\"",
+            fault.shard,
+            fault.after,
+            fault.kind.label()
+        ));
+    }
+    out.push('}');
+    out
+}
+
+fn parse_spec(doc: &Json) -> Result<SweepSpec, String> {
+    let fault = match doc.get("fault_shard") {
+        None => None,
+        Some(shard) => Some(FaultPlan {
+            shard: shard.as_u64("fault_shard")?,
+            after: doc.require("fault_after")?.as_u64("fault_after")?,
+            kind: FaultKind::from_label(doc.require("fault_kind")?.as_str("fault_kind")?)?,
+        }),
+    };
+    Ok(SweepSpec {
+        seeds: (
+            doc.require("seeds_start")?.as_u64("seeds_start")?,
+            doc.require("seeds_end")?.as_u64("seeds_end")?,
+        ),
+        profile: doc.require("profile")?.as_str("profile")?.to_string(),
+        case: doc.require("case")?.as_str("case")?.to_string(),
+        workers: doc.require("workers")?.as_u64("workers")?,
+        jobs: doc.require("jobs")?.as_u64("jobs")? as usize,
+        batch: doc.require("batch")?.as_u64("batch")? as usize,
+        model_check: doc.require("model_check")?.as_bool("model_check")?,
+        fault,
+    })
 }
 
 /// Renders one event as its one-line journal form (no trailing newline).
 pub fn render_event(event: &JournalEvent) -> String {
-    let mut out = header();
+    let mut out = format!("{{\"semint_journal\": {JOURNAL_FORMAT}, \"version\": {FORMAT_VERSION}");
     match event {
-        JournalEvent::Submitted { job, spec } => {
+        JournalEvent::SweepStarted { spec } => {
             out.push_str(&format!(
-                ", \"event\": \"job-submitted\", \"job\": {job}, \"spec\": {}",
+                ", \"event\": \"sweep-started\", \"spec\": {}",
                 render_spec(spec)
             ));
         }
-        JournalEvent::ShardStarted {
-            job,
-            shard,
-            attempt,
-        } => {
+        JournalEvent::ShardStarted { shard, attempt } => {
             out.push_str(&format!(
-                ", \"event\": \"shard-started\", \"job\": {job}, \"shard\": {shard}, \
-                 \"attempt\": {attempt}"
+                ", \"event\": \"shard-started\", \"shard\": {shard}, \"attempt\": {attempt}"
             ));
         }
         JournalEvent::ShardSaved {
-            job,
             shard,
             attempt,
             path,
             digest,
         } => {
             out.push_str(&format!(
-                ", \"event\": \"shard-saved\", \"job\": {job}, \"shard\": {shard}, \
-                 \"attempt\": {attempt}, \"path\": \"{}\", \"digest\": \"{}\"",
+                ", \"event\": \"shard-saved\", \"shard\": {shard}, \"attempt\": {attempt}, \
+                 \"path\": \"{}\", \"digest\": \"{}\"",
                 escape_json(path),
                 escape_json(digest)
             ));
         }
         JournalEvent::ShardDied {
-            job,
             shard,
             attempt,
             reason,
         } => {
             out.push_str(&format!(
-                ", \"event\": \"shard-died\", \"job\": {job}, \"shard\": {shard}, \
-                 \"attempt\": {attempt}, \"reason\": \"{}\"",
+                ", \"event\": \"shard-died\", \"shard\": {shard}, \"attempt\": {attempt}, \
+                 \"reason\": \"{}\"",
                 escape_json(reason)
             ));
         }
-        JournalEvent::JobCompleted { job } => {
-            out.push_str(&format!(", \"event\": \"job-completed\", \"job\": {job}"));
-        }
-        JournalEvent::JobFailed { job, reason } => {
+        JournalEvent::Resumed { adopted } => {
             out.push_str(&format!(
-                ", \"event\": \"job-failed\", \"job\": {job}, \"reason\": \"{}\"",
-                escape_json(reason)
-            ));
-        }
-        JournalEvent::Resumed { jobs } => {
-            out.push_str(&format!(
-                ", \"event\": \"daemon-resumed\", \"jobs\": {jobs}"
+                ", \"event\": \"sweep-resumed\", \"adopted\": {adopted}"
             ));
         }
     }
@@ -183,58 +199,48 @@ pub fn parse_event(line: &str) -> Result<JournalEvent, String> {
     if reader.peek_after_ws().is_some() {
         return Err("trailing content after journal entry".into());
     }
-    doc.require("semint_journal")?
-        .as_u64("semint_journal")
-        .and_then(|v| match v {
-            1 => Ok(()),
-            other => Err(format!("unsupported semint_journal format {other}")),
-        })?;
+    let format = doc.require("semint_journal")?.as_u64("semint_journal")?;
+    if format != JOURNAL_FORMAT {
+        return Err(format!(
+            "journal format {format} is not supported (this semint reads format \
+             {JOURNAL_FORMAT}, one sweep per state dir); start the sweep in a fresh --state-dir"
+        ));
+    }
     document_version(&doc)?;
-    let job = || doc.require("job")?.as_u64("job");
     let shard = || doc.require("shard")?.as_u64("shard");
     let attempt = || doc.require("attempt")?.as_u64("attempt");
     let text =
         |key: &str| -> Result<String, String> { Ok(doc.require(key)?.as_str(key)?.to_string()) };
     match doc.require("event")?.as_str("event")? {
-        "job-submitted" => Ok(JournalEvent::Submitted {
-            job: job()?,
+        "sweep-started" => Ok(JournalEvent::SweepStarted {
             spec: parse_spec(doc.require("spec")?)?,
         }),
         "shard-started" => Ok(JournalEvent::ShardStarted {
-            job: job()?,
             shard: shard()?,
             attempt: attempt()?,
         }),
         "shard-saved" => Ok(JournalEvent::ShardSaved {
-            job: job()?,
             shard: shard()?,
             attempt: attempt()?,
             path: text("path")?,
             digest: text("digest")?,
         }),
         "shard-died" => Ok(JournalEvent::ShardDied {
-            job: job()?,
             shard: shard()?,
             attempt: attempt()?,
             reason: text("reason")?,
         }),
-        "job-completed" => Ok(JournalEvent::JobCompleted { job: job()? }),
-        "job-failed" => Ok(JournalEvent::JobFailed {
-            job: job()?,
-            reason: text("reason")?,
-        }),
-        "daemon-resumed" => Ok(JournalEvent::Resumed {
-            jobs: doc.require("jobs")?.as_u64("jobs")?,
+        "sweep-resumed" => Ok(JournalEvent::Resumed {
+            adopted: doc.require("adopted")?.as_u64("adopted")?,
         }),
         other => Err(format!("unknown journal event {other:?}")),
     }
 }
 
-/// An open journal file handle, shared between the accept loop (submits)
-/// and the scheduler (everything else).
+/// An open journal file handle.
 #[derive(Debug)]
 pub struct Journal {
-    file: Mutex<File>,
+    file: File,
     path: PathBuf,
 }
 
@@ -264,10 +270,7 @@ impl Journal {
                 .and_then(|()| file.sync_data())
                 .map_err(|e| format!("cannot neutralize the torn journal tail: {e}"))?;
         }
-        Ok(Journal {
-            file: Mutex::new(file),
-            path,
-        })
+        Ok(Journal { file, path })
     }
 
     /// The journal file's path.
@@ -279,136 +282,98 @@ impl Journal {
     /// transition is durable.
     pub fn append(&self, event: &JournalEvent) -> Result<(), String> {
         let line = format!("{}\n", render_event(event));
-        let mut file = self.file.lock().expect("journal file poisoned");
+        let mut file = &self.file;
         file.write_all(line.as_bytes())
             .and_then(|()| file.sync_data())
             .map_err(|e| format!("cannot append to journal {}: {e}", self.path.display()))
     }
 }
 
-/// How a recovered job had settled by the end of the journal.
+/// The sweep as reconstructed from its journal.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum RecoveredOutcome {
-    /// Still queued or mid-flight when the daemon died: re-enqueue it.
-    Incomplete,
-    /// The journal recorded `job-completed`.
-    Completed,
-    /// The journal recorded `job-failed` with this reason.
-    Failed(String),
-}
-
-/// One job as reconstructed from the journal.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RecoveredJob {
-    /// The journaled job id (dense; replay enforces submission order).
-    pub id: u64,
-    /// The validated spec the daemon admitted.
-    pub spec: JobSpec,
-    /// How the job had settled, if at all.
-    pub outcome: RecoveredOutcome,
+pub struct RecoveredSweep {
+    /// The spec the journal's first line records.
+    pub spec: SweepSpec,
     /// Checkpointed shards: index → (checkpoint file name, content digest).
     /// Last write wins — a shard re-run after checkpoint corruption
     /// re-journals its save.
     pub saved: BTreeMap<u64, (String, String)>,
     /// Shard re-issues the journal recorded.
     pub retries: u64,
-}
-
-/// Everything replay recovered from one journal.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct RecoveredState {
-    /// Jobs in submission order (index = id).
-    pub jobs: Vec<RecoveredJob>,
     /// Unparseable lines skipped (torn tails, including neutralized ones
-    /// from earlier daemon lives).
+    /// from earlier supervisor lives).
     pub torn_lines: u64,
-    /// How many `daemon-resumed` markers the journal holds.
-    pub resumes: u64,
 }
 
-impl RecoveredState {
+impl RecoveredSweep {
     fn apply(&mut self, event: JournalEvent) -> Result<(), String> {
         match event {
-            JournalEvent::Submitted { job, spec } => {
-                if job != self.jobs.len() as u64 {
-                    return Err(format!(
-                        "journal submitted job {job} out of order (expected {})",
-                        self.jobs.len()
-                    ));
-                }
-                self.jobs.push(RecoveredJob {
-                    id: job,
-                    spec,
-                    outcome: RecoveredOutcome::Incomplete,
-                    saved: BTreeMap::new(),
-                    retries: 0,
-                });
+            JournalEvent::SweepStarted { .. } => {
+                return Err("the journal records a second sweep; a state dir holds one".into());
             }
-            JournalEvent::ShardStarted { job, shard, .. } => {
-                self.shard_of(job, shard)?;
-            }
+            JournalEvent::ShardStarted { shard, .. } => self.check_shard(shard)?,
             JournalEvent::ShardSaved {
-                job,
                 shard,
                 path,
                 digest,
                 ..
             } => {
-                let recovered = self.shard_of(job, shard)?;
-                recovered.saved.insert(shard, (path, digest));
+                self.check_shard(shard)?;
+                self.saved.insert(shard, (path, digest));
             }
-            JournalEvent::ShardDied { job, shard, .. } => {
-                self.shard_of(job, shard)?.retries += 1;
+            JournalEvent::ShardDied { shard, .. } => {
+                self.check_shard(shard)?;
+                self.retries += 1;
             }
-            JournalEvent::JobCompleted { job } => {
-                self.job_of(job)?.outcome = RecoveredOutcome::Completed;
-            }
-            JournalEvent::JobFailed { job, reason } => {
-                self.job_of(job)?.outcome = RecoveredOutcome::Failed(reason);
-            }
-            JournalEvent::Resumed { .. } => self.resumes += 1,
+            JournalEvent::Resumed { .. } => {}
         }
         Ok(())
     }
 
-    fn job_of(&mut self, job: u64) -> Result<&mut RecoveredJob, String> {
-        let known = self.jobs.len();
-        self.jobs
-            .get_mut(job as usize)
-            .ok_or_else(|| format!("journal references job {job} but only {known} were submitted"))
-    }
-
-    fn shard_of(&mut self, job: u64, shard: u64) -> Result<&mut RecoveredJob, String> {
-        let recovered = self.job_of(job)?;
-        if shard >= recovered.spec.shards {
+    fn check_shard(&self, shard: u64) -> Result<(), String> {
+        if shard >= self.spec.workers {
             return Err(format!(
-                "journal references shard {shard} of job {job}, which has only {} shards",
-                recovered.spec.shards
+                "the journal references shard {shard}, but its sweep has only {} shards",
+                self.spec.workers
             ));
         }
-        Ok(recovered)
+        Ok(())
     }
 }
 
-/// Replays a journal's text into the state a resuming daemon adopts.
+/// Replays a journal's text into the sweep a resuming supervisor adopts.
 ///
-/// Unparseable lines are tolerated anywhere (counted in `torn_lines`) —
-/// only the final line can be torn by a crash, but a neutralized torn line
-/// persists mid-file once the daemon has lived and died again.  Structural
-/// inconsistencies (events referencing jobs or shards never submitted) are
-/// hard errors: the journal does not describe this state dir.
-pub fn replay(text: &str) -> Result<RecoveredState, String> {
-    let mut state = RecoveredState::default();
-    for line in text.lines() {
-        if line.trim().is_empty() {
-            continue;
+/// The first line must record the sweep's spec.  Unparseable lines after
+/// it are tolerated (counted in `torn_lines`) — only the final line can be
+/// torn by a crash, but a neutralized torn line persists mid-file once the
+/// supervisor has lived and died again.  Structural inconsistencies are
+/// hard errors: the journal does not describe a sweep this binary can
+/// resume.
+pub fn replay(text: &str) -> Result<RecoveredSweep, String> {
+    let mut lines = text.lines().filter(|line| !line.trim().is_empty());
+    let first = lines.next().ok_or("the journal records no sweep")?;
+    let spec = match parse_event(first) {
+        Ok(JournalEvent::SweepStarted { spec }) => spec,
+        Ok(other) => {
+            return Err(format!(
+                "the journal starts with {other:?}, not a sweep spec"
+            ))
         }
+        Err(e) => return Err(format!("the journal's first line is not a sweep spec: {e}")),
+    };
+    let mut sweep = RecoveredSweep {
+        spec,
+        saved: BTreeMap::new(),
+        retries: 0,
+        torn_lines: 0,
+    };
+    for line in lines {
         match parse_event(line) {
-            Ok(event) => state.apply(event)?,
-            Err(_torn) => state.torn_lines += 1,
+            Ok(event) => sweep.apply(event)?,
+            Err(_torn) => sweep.torn_lines += 1,
         }
     }
-    Ok(state)
+    Ok(sweep)
 }
 
 /// FNV-1a 64 over raw bytes, rendered `fnv1a:{hash:016x}` — the checkpoint
@@ -429,12 +394,12 @@ pub fn content_digest(bytes: &[u8]) -> String {
 mod tests {
     use super::*;
 
-    fn sample_spec() -> JobSpec {
-        JobSpec {
+    fn sample_spec() -> SweepSpec {
+        SweepSpec {
             seeds: (0, 60),
             profile: "deep".into(),
             case: "all".into(),
-            shards: 3,
+            workers: 3,
             jobs: 2,
             batch: 4,
             model_check: false,
@@ -444,40 +409,45 @@ mod tests {
 
     fn sample_events() -> Vec<JournalEvent> {
         vec![
-            JournalEvent::Submitted {
-                job: 0,
+            JournalEvent::SweepStarted {
                 spec: sample_spec(),
             },
             JournalEvent::ShardStarted {
-                job: 0,
                 shard: 0,
                 attempt: 0,
             },
             JournalEvent::ShardDied {
-                job: 0,
                 shard: 0,
                 attempt: 0,
                 reason: "crashed (exit code 42)".into(),
             },
             JournalEvent::ShardSaved {
-                job: 0,
                 shard: 0,
                 attempt: 1,
-                path: checkpoint_name(0, 0),
+                path: checkpoint_name(0),
                 digest: content_digest(b"case\tsharedmem\n"),
             },
-            JournalEvent::JobCompleted { job: 0 },
-            JournalEvent::Resumed { jobs: 1 },
-            JournalEvent::JobFailed {
-                job: 0,
-                reason: "retry budget (2) exhausted".into(),
-            },
+            JournalEvent::Resumed { adopted: 1 },
         ]
     }
 
     #[test]
     fn every_event_round_trips_on_one_line() {
-        for event in sample_events() {
+        let mut events = sample_events();
+        // Every fault kind survives the journal.
+        for kind in FaultKind::ALL {
+            events.push(JournalEvent::SweepStarted {
+                spec: SweepSpec {
+                    fault: Some(FaultPlan {
+                        shard: 1,
+                        after: 5,
+                        kind,
+                    }),
+                    ..sample_spec()
+                },
+            });
+        }
+        for event in events {
             let line = render_event(&event);
             assert!(!line.contains('\n'), "one line per event: {line}");
             assert_eq!(parse_event(&line).expect("round trip"), event);
@@ -486,81 +456,77 @@ mod tests {
 
     #[test]
     fn version_skew_matches_the_shared_document_policy() {
-        let line = render_event(&JournalEvent::JobCompleted { job: 3 });
+        let line = render_event(&JournalEvent::Resumed { adopted: 3 });
         let future = line.replace(&format!("\"version\": {FORMAT_VERSION}"), "\"version\": 99");
         assert!(parse_event(&future).unwrap_err().contains("newer"));
         let legacy = line.replace(&format!(", \"version\": {FORMAT_VERSION}"), "");
         assert_ne!(line, legacy);
         assert_eq!(
             parse_event(&legacy).unwrap(),
-            JournalEvent::JobCompleted { job: 3 }
+            JournalEvent::Resumed { adopted: 3 }
         );
         assert!(parse_event("{}").unwrap_err().contains("semint_journal"));
+        // A multi-job format-1 journal is refused, never misread.
+        let old = line.replace("\"semint_journal\": 2", "\"semint_journal\": 1");
+        let err = parse_event(&old).unwrap_err();
+        assert!(err.contains("format 1") && err.contains("fresh"), "{err}");
     }
 
     #[test]
-    fn replay_reconstructs_saved_shards_outcomes_and_retries() {
+    fn replay_reconstructs_spec_saved_shards_and_retries() {
         let text: String = sample_events()
             .iter()
             .map(|e| format!("{}\n", render_event(e)))
             .collect();
-        let state = replay(&text).expect("valid journal");
-        assert_eq!(state.jobs.len(), 1);
-        assert_eq!(state.torn_lines, 0);
-        assert_eq!(state.resumes, 1);
-        let job = &state.jobs[0];
-        assert_eq!(job.spec, sample_spec());
-        assert_eq!(job.retries, 1);
-        assert_eq!(job.saved.len(), 1);
-        assert_eq!(job.saved[&0].0, checkpoint_name(0, 0));
-        // Last outcome wins: the post-resume failure overrode the earlier
-        // completion.
-        assert_eq!(
-            job.outcome,
-            RecoveredOutcome::Failed("retry budget (2) exhausted".into())
-        );
+        let sweep = replay(&text).expect("valid journal");
+        assert_eq!(sweep.spec, sample_spec());
+        assert_eq!(sweep.torn_lines, 0);
+        assert_eq!(sweep.retries, 1);
+        assert_eq!(sweep.saved.len(), 1);
+        assert_eq!(sweep.saved[&0].0, checkpoint_name(0));
     }
 
     #[test]
     fn torn_lines_are_counted_and_dropped_wherever_they_sit() {
-        let good = render_event(&JournalEvent::Submitted {
-            job: 0,
+        let good = render_event(&JournalEvent::SweepStarted {
             spec: sample_spec(),
         });
         let saved = render_event(&JournalEvent::ShardSaved {
-            job: 0,
             shard: 1,
             attempt: 0,
-            path: checkpoint_name(0, 1),
+            path: checkpoint_name(1),
             digest: content_digest(b"x"),
         });
         // A neutralized torn line mid-file and a torn tail: both dropped.
         let half = &saved[..saved.len() / 2];
         let text = format!("{good}\n{half}\n{saved}\n{half}");
-        let state = replay(&text).expect("torn lines are tolerated");
-        assert_eq!(state.torn_lines, 2);
-        assert_eq!(state.jobs[0].saved.len(), 1);
+        let sweep = replay(&text).expect("torn lines are tolerated");
+        assert_eq!(sweep.torn_lines, 2);
+        assert_eq!(sweep.saved.len(), 1);
     }
 
     #[test]
-    fn structurally_impossible_events_are_hard_errors() {
-        let orphan = render_event(&JournalEvent::JobCompleted { job: 0 });
-        assert!(replay(&orphan).unwrap_err().contains("job 0"));
-        let wrong_id = render_event(&JournalEvent::Submitted {
-            job: 5,
+    fn structurally_impossible_journals_are_hard_errors() {
+        assert!(replay("").unwrap_err().contains("no sweep"));
+        let spec = render_event(&JournalEvent::SweepStarted {
             spec: sample_spec(),
         });
-        assert!(replay(&wrong_id).unwrap_err().contains("out of order"));
-        let submitted = render_event(&JournalEvent::Submitted {
-            job: 0,
-            spec: sample_spec(),
+        let started = render_event(&JournalEvent::ShardStarted {
+            shard: 0,
+            attempt: 0,
         });
+        let err = replay(&started).unwrap_err();
+        assert!(err.contains("not a sweep spec"), "{err}");
+        let torn_spec = &spec[..spec.len() / 2];
+        let err = replay(&format!("{torn_spec}\n{started}\n")).unwrap_err();
+        assert!(err.contains("first line"), "{err}");
+        let err = replay(&format!("{spec}\n{spec}\n")).unwrap_err();
+        assert!(err.contains("second sweep"), "{err}");
         let wild_shard = render_event(&JournalEvent::ShardStarted {
-            job: 0,
             shard: 9,
             attempt: 0,
         });
-        let err = replay(&format!("{submitted}\n{wild_shard}\n")).unwrap_err();
+        let err = replay(&format!("{spec}\n{wild_shard}\n")).unwrap_err();
         assert!(err.contains("shard 9"), "{err}");
     }
 
@@ -568,20 +534,29 @@ mod tests {
     fn open_neutralizes_a_torn_tail_and_appends_survive_it() {
         let dir = std::env::temp_dir().join(format!("semint-journal-test-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
-        let submitted = render_event(&JournalEvent::Submitted {
-            job: 0,
+        let spec = render_event(&JournalEvent::SweepStarted {
             spec: sample_spec(),
         });
-        let torn = &submitted[..submitted.len() - 7];
-        std::fs::write(Journal::path_in(&dir), format!("{submitted}\n{torn}")).unwrap();
+        let saved = render_event(&JournalEvent::ShardSaved {
+            shard: 2,
+            attempt: 0,
+            path: checkpoint_name(2),
+            digest: content_digest(b"y"),
+        });
+        let torn = &saved[..saved.len() - 7];
+        std::fs::write(Journal::path_in(&dir), format!("{spec}\n{torn}")).unwrap();
         let journal = Journal::open(&dir).expect("opens over a torn tail");
         journal
-            .append(&JournalEvent::JobCompleted { job: 0 })
+            .append(&JournalEvent::Resumed { adopted: 0 })
             .expect("append after neutralization");
         let text = std::fs::read_to_string(journal.path()).unwrap();
-        let state = replay(&text).expect("replays");
-        assert_eq!(state.torn_lines, 1, "{text}");
-        assert_eq!(state.jobs[0].outcome, RecoveredOutcome::Completed);
+        let sweep = replay(&text).expect("replays");
+        assert_eq!(sweep.torn_lines, 1, "{text}");
+        assert!(text.ends_with(&format!(
+            "\n{}\n",
+            render_event(&JournalEvent::Resumed { adopted: 0 })
+        )));
+        assert!(sweep.saved.is_empty(), "the torn save never happened");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -1,19 +1,18 @@
 //! Live digest merge: folds per-shard sweep reports into one rolling
 //! aggregate as workers finish, instead of waiting for the whole fleet.
 //!
-//! The heavy lifting was done in PR 3: every [`semint_core::stats::CaseReport`]
-//! aggregate folds associatively and commutatively, so k-of-n shard reports
-//! merge into the digests — and [`semint_core::VmCounters`] — of the
-//! unsharded sweep, byte for byte, in *any* arrival order.  [`RollingMerge`]
-//! adds the bookkeeping a long-running daemon needs on top: how many shards
-//! have landed, whether the job is complete, and a snapshot of the
-//! digests-so-far for `semint status`.
+//! Every [`semint_core::stats::CaseReport`] aggregate folds associatively
+//! and commutatively, so k-of-n shard reports merge into the digests — and
+//! [`semint_core::VmCounters`] — of the unsharded sweep, byte for byte, in
+//! *any* arrival order.  [`RollingMerge`] adds the bookkeeping the
+//! supervisor needs on top: which shards have landed and whether the sweep
+//! is complete.
 
 use std::collections::BTreeSet;
 
 use semint_core::stats::SweepReport;
 
-/// A job's rolling merged report: shard results are absorbed as they
+/// A sweep's rolling merged report: shard results are absorbed as they
 /// arrive, and the digests converge on the one-shot sweep's the moment the
 /// last shard lands.
 ///
@@ -66,12 +65,7 @@ impl RollingMerge {
         self.done.contains(&index)
     }
 
-    /// The merged shard indices, ascending.
-    pub fn done_indices(&self) -> &BTreeSet<u64> {
-        &self.done
-    }
-
-    /// Shards the job was split into.
+    /// Shards the sweep was split into.
     pub fn shards_total(&self) -> u64 {
         self.shards_total
     }
@@ -85,11 +79,6 @@ impl RollingMerge {
     pub fn report(&self) -> &SweepReport {
         &self.report
     }
-
-    /// The per-case digests of the merged-so-far report.
-    pub fn digests(&self) -> Vec<String> {
-        self.report.cases.iter().map(|c| c.digest()).collect()
-    }
 }
 
 #[cfg(test)]
@@ -99,7 +88,7 @@ mod tests {
     use crate::engine::{sweep_all, SweepConfig};
     use crate::source::{SeedRange, Shard};
 
-    /// The daemon-side property behind the whole subsystem: shard reports
+    /// The property behind the whole subsystem: shard reports
     /// absorbed one by one — in any order — reproduce the unsharded sweep's
     /// digests and counters exactly.
     #[test]
@@ -124,13 +113,10 @@ mod tests {
             }
             assert!(rolling.is_complete());
             assert_eq!(rolling.shards_done(), 3);
+            let digests = |r: &SweepReport| r.cases.iter().map(|c| c.digest()).collect::<Vec<_>>();
             assert_eq!(
-                rolling.done_indices().iter().copied().collect::<Vec<_>>(),
-                vec![0, 1, 2]
-            );
-            assert_eq!(
-                rolling.digests(),
-                whole.cases.iter().map(|c| c.digest()).collect::<Vec<_>>(),
+                digests(rolling.report()),
+                digests(&whole),
                 "digests must converge on the unsharded sweep (order {order:?})"
             );
             for (merged, direct) in rolling.report().cases.iter().zip(&whole.cases) {
@@ -143,9 +129,9 @@ mod tests {
     }
 
     #[test]
-    fn empty_merge_reports_no_digests() {
+    fn empty_merge_reports_no_cases() {
         let rolling = RollingMerge::new(2);
-        assert_eq!(rolling.digests(), Vec::<String>::new());
+        assert!(rolling.report().cases.is_empty());
         assert_eq!(rolling.shards_total(), 2);
         assert!(!rolling.is_complete());
     }

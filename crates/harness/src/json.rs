@@ -14,9 +14,9 @@ use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 /// The current version of every JSON document this crate writes: the bench
-/// format here, the `semint serve` wire protocol, and the daemon's durable
-/// job journal all stamp their documents with `"version": FORMAT_VERSION`
-/// so the one format can evolve.
+/// format here and every line of the supervised sweep's durable journal
+/// stamp their documents with `"version": FORMAT_VERSION` so the one format
+/// can evolve.
 /// Parsers tolerate an *absent* field (the v1 documents written before the
 /// field existed) and reject versions newer than they understand.
 pub const FORMAT_VERSION: u64 = 2;

@@ -38,15 +38,14 @@
 //! * [`profile`] — `semint profile`'s order-insensitive aggregation of
 //!   trace files: stage breakdowns, per-case opcode-class histograms,
 //!   allocation stats, and the hottest seeds by steps;
-//! * [`serve`] — the `semint serve` daemon: a bounded FIFO queue of sweep
-//!   jobs, a supervisor that drives each job as a fleet of `semint sweep
-//!   --shard` child processes (re-issuing the exact slice of any worker
-//!   that crashes or wedges), and a rolling merge whose final digests are
-//!   byte-identical to a one-shot sweep; the wire protocol is hand-rolled
-//!   line-JSON over localhost TCP. With `--state-dir` the daemon is
-//!   crash-safe: an fsync'd job journal plus checkpointed shard reports
-//!   let `--resume` restore every job after a kill, and `semint chaos`
-//!   drills exactly that with seed-derived fault schedules.
+//! * [`fleet`] — `semint sweep --workers N`: a supervisor that runs a sweep
+//!   as N `semint sweep --shard` child processes (re-issuing the exact
+//!   slice of any worker that crashes or wedges) and merges their reports
+//!   into digests byte-identical to a one-shot sweep.  It is crash-safe:
+//!   an fsync'd journal plus checkpointed shard reports in the state dir
+//!   let `--resume` finish a killed sweep, re-running only unaccounted
+//!   shards, and `semint chaos` drills exactly that with seed-derived
+//!   fault schedules.
 //!
 //! ## Example
 //!
@@ -68,10 +67,10 @@
 
 pub mod cases;
 pub mod engine;
+pub mod fleet;
 pub mod json;
 pub mod profile;
 pub mod report;
-pub mod serve;
 pub mod shrink;
 pub mod source;
 pub mod trace;
@@ -81,6 +80,5 @@ pub use engine::{sweep_all, sweep_all_observed, sweep_case, sweep_case_observed,
 pub use profile::{render_profile, TraceProfile};
 pub use semint_core::case::{CaseStudy, CheckFailure, GenProfile, Scenario};
 pub use semint_core::stats::{CaseReport, SweepReport};
-pub use serve::{Daemon, ServeConfig};
 pub use source::{Corpus, ScenarioSource, SeedRange, Shard};
 pub use trace::SweepObserver;

@@ -94,29 +94,6 @@ pub fn render_sweep(report: &SweepReport) -> String {
     out
 }
 
-/// Renders a `semint serve` job's rolling merge: the digests-so-far of a
-/// partially merged sweep, one compact line per case, headed by shard
-/// progress.  Once every shard has landed these digests are byte-identical
-/// to the unsharded sweep's, so the rolling view converges on exactly what
-/// [`render_sweep`] would show for a one-shot run.
-pub fn render_rolling(report: &SweepReport, shards_done: u64, shards_total: u64) -> String {
-    let mut out = format!("rolling merge: {shards_done}/{shards_total} shards\n");
-    if report.cases.is_empty() {
-        out.push_str("  (no shard results yet)\n");
-        return out;
-    }
-    for case in &report.cases {
-        out.push_str(&format!(
-            "  case {:<12} {:>8} scenarios · {:>3} failures · {}\n",
-            case.case,
-            case.scenarios,
-            case.failures.len(),
-            case.digest()
-        ));
-    }
-    out
-}
-
 fn truncate(s: &str, max_chars: usize) -> String {
     if s.chars().count() <= max_chars {
         s.to_string()
@@ -198,20 +175,6 @@ mod tests {
         // A pre-counter report (all zero) renders no counter block.
         let legacy = render_case(&CaseReport::new("affine"));
         assert!(!legacy.contains("vm counters"), "{legacy}");
-    }
-
-    #[test]
-    fn rolling_render_shows_progress_and_converged_digests() {
-        let empty = render_rolling(&SweepReport::default(), 0, 4);
-        assert!(empty.contains("0/4 shards"), "{empty}");
-        assert!(empty.contains("no shard results yet"), "{empty}");
-        let mut case = CaseReport::new("memgc");
-        case.scenarios = 9;
-        let digest = case.digest();
-        let text = render_rolling(&SweepReport { cases: vec![case] }, 3, 4);
-        assert!(text.contains("3/4 shards"), "{text}");
-        assert!(text.contains("case memgc"), "{text}");
-        assert!(text.contains(&digest), "{text}");
     }
 
     #[test]

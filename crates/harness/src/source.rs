@@ -87,7 +87,7 @@ impl SeedRange {
 
     /// The `A..B` spec string the CLI's `--seeds` flag accepts — the round
     /// trip `SeedRange::new` ∘ parse ∘ `spec` is the identity, which is how
-    /// `semint serve` hands a job's range to its shard workers.
+    /// `semint sweep --workers` hands its range to its shard workers.
     pub fn spec(&self) -> String {
         format!("{}..{}", self.start, self.end)
     }
@@ -150,7 +150,8 @@ impl Shard {
     /// The `K/N` spec string the CLI's `--shard` flag accepts.  Because the
     /// partition is a pure function of `(range, index, of)`, re-issuing this
     /// spec to a fresh process reproduces the dead worker's seed slice
-    /// exactly — the property `semint serve`'s crash recovery rests on.
+    /// exactly — the property `semint sweep --workers`'s crash recovery
+    /// rests on.
     pub fn spec(&self) -> String {
         format!("{}/{}", self.index, self.of)
     }

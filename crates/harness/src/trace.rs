@@ -44,11 +44,23 @@ pub const HEARTBEAT_EVERY: u64 = 64;
 const PROGRESS_MIN_INTERVAL_US: u64 = 100_000;
 
 /// Exit code of a process killed by `--die-after` fault injection, chosen to
-/// collide with nothing the CLI returns itself (0/1/2).  `semint serve`'s
-/// supervisor treats it like any other crash — that is the point: the flag
-/// exists so supervision tests can kill a shard worker mid-sweep
-/// deterministically.
+/// collide with nothing the CLI returns itself (0/1/2).  The `sweep
+/// --workers` supervisor treats it like any other crash — that is the
+/// point: the flag exists so supervision tests can kill a shard worker
+/// mid-sweep deterministically.
 pub const FAULT_EXIT_CODE: i32 = 42;
+
+/// The parent process id, which changes when the parent dies and the
+/// process is reparented (constant where the platform cannot tell).
+#[cfg(unix)]
+fn parent_id() -> u32 {
+    std::os::unix::process::parent_id()
+}
+
+#[cfg(not(unix))]
+fn parent_id() -> u32 {
+    0
+}
 
 /// Shared observation sink for one sweep: counts scenarios as workers
 /// finish them, streams JSONL events to the trace writer thread, and
@@ -151,12 +163,16 @@ impl SweepObserver {
             // One farewell beat, then total silence: other pool threads
             // keep sweeping but the wedged flag mutes their progress, and
             // this thread never returns — the process cannot finish, write
-            // its report, or exit.  Only a heartbeat timeout catches it.
+            // its report, or exit.  Only a heartbeat timeout catches it, or
+            // the death of the supervisor that spawned it: a wedged orphan
+            // of a SIGKILLed supervisor exits instead of lingering.
             eprintln!("[fault] --wedge-after {done}: worker going silent (injected wedge)");
             self.wedged.store(true, Ordering::SeqCst);
-            loop {
-                std::thread::sleep(std::time::Duration::from_secs(3600));
+            let parent = parent_id();
+            while parent_id() == parent {
+                std::thread::sleep(std::time::Duration::from_millis(200));
             }
+            std::process::exit(FAULT_EXIT_CODE);
         }
         if record.failure.is_none() {
             self.safe.fetch_add(1, Ordering::Relaxed);
@@ -324,82 +340,6 @@ pub fn scenario_line(case: &str, record: &ScenarioRecord, glue: Option<&GlueCach
     line
 }
 
-/// Renders one `semint serve` lifecycle event as a single JSONL line, the
-/// same one-event-per-line idiom as the sweep trace: `{"event":"shard-start",
-/// "t_ms":12,"job":0,"shard":"1/4","attempt":"0"}`.  `detail` pairs are
-/// emitted in order as string fields.
-pub fn serve_event_line(
-    event: &str,
-    t_ms: u64,
-    job: Option<u64>,
-    detail: &[(&str, String)],
-) -> String {
-    let mut line = String::with_capacity(128);
-    let _ = write!(
-        line,
-        "{{\"event\":\"{}\",\"t_ms\":{t_ms}",
-        escape_json(event)
-    );
-    if let Some(job) = job {
-        let _ = write!(line, ",\"job\":{job}");
-    }
-    for (key, value) in detail {
-        let _ = write!(line, ",\"{}\":\"{}\"", escape_json(key), escape_json(value));
-    }
-    line.push_str("}\n");
-    line
-}
-
-/// The daemon's structured activity stream: one JSONL event per lifecycle
-/// transition (job queued, shard started, shard crashed, slice re-issued,
-/// job done…), flushed per event so `tail -f` and the CI artifact both see
-/// a live log.  With `echo` on, every event is mirrored to stdout in a
-/// human-readable form — the interactive face of `semint serve`.
-pub struct ServeLog {
-    file: Option<Mutex<BufWriter<File>>>,
-    echo: bool,
-    started: Instant,
-}
-
-impl ServeLog {
-    /// Opens the log (truncating `path` when given).  `echo` mirrors events
-    /// to stdout.
-    pub fn new(path: Option<&Path>, echo: bool) -> io::Result<ServeLog> {
-        let file = match path {
-            None => None,
-            Some(path) => Some(Mutex::new(BufWriter::new(File::create(path)?))),
-        };
-        Ok(ServeLog {
-            file,
-            echo,
-            started: Instant::now(),
-        })
-    }
-
-    /// Records one event.  Logging is observational: I/O errors are
-    /// swallowed so a full disk never takes the daemon down.
-    pub fn event(&self, event: &str, job: Option<u64>, detail: &[(&str, String)]) {
-        let t_ms = self.started.elapsed().as_millis() as u64;
-        if let Some(file) = &self.file {
-            let line = serve_event_line(event, t_ms, job, detail);
-            let mut out = file.lock().expect("serve log poisoned");
-            let _ = out.write_all(line.as_bytes());
-            let _ = out.flush();
-        }
-        if self.echo {
-            let mut human = String::new();
-            if let Some(job) = job {
-                let _ = write!(human, "job {job}: ");
-            }
-            human.push_str(event);
-            for (key, value) in detail {
-                let _ = write!(human, " {key}={value}");
-            }
-            println!("[serve] {human}");
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -478,42 +418,6 @@ mod tests {
         assert!(line.contains("\"safe\":false"));
         assert!(line.contains("\"fail_stage\":\"typecheck\""));
         assert!(!line.contains("stage_ns"));
-    }
-
-    #[test]
-    fn serve_event_lines_are_single_json_lines() {
-        let line = serve_event_line(
-            "shard-retry",
-            37,
-            Some(4),
-            &[("shard", "1/4".into()), ("attempt", "1".into())],
-        );
-        assert_eq!(line.matches('\n').count(), 1, "one event per line");
-        assert!(line.contains("\"event\":\"shard-retry\""));
-        assert!(line.contains("\"t_ms\":37"));
-        assert!(line.contains("\"job\":4"));
-        assert!(line.contains("\"shard\":\"1/4\""));
-        let bare = serve_event_line("drained", 1, None, &[]);
-        assert!(!bare.contains("\"job\""));
-    }
-
-    #[test]
-    fn serve_log_writes_flushed_jsonl_events() {
-        let path = std::env::temp_dir().join(format!(
-            "semint-serve-log-test-{}.jsonl",
-            std::process::id()
-        ));
-        let log = ServeLog::new(Some(&path), false).expect("log file");
-        log.event("job-queued", Some(0), &[("seeds", "0..10".into())]);
-        log.event("job-done", Some(0), &[]);
-        // Flushed per event: readable before the log is dropped.
-        let text = std::fs::read_to_string(&path).expect("log written");
-        drop(log);
-        let _ = std::fs::remove_file(&path);
-        let lines: Vec<&str> = text.lines().collect();
-        assert_eq!(lines.len(), 2, "{text}");
-        assert!(lines[0].contains("\"event\":\"job-queued\""));
-        assert!(lines[1].contains("\"event\":\"job-done\""));
     }
 
     #[test]

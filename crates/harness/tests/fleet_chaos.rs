@@ -1,32 +1,37 @@
-//! The deterministic chaos drill as a test: a real daemon is fault-injected
-//! (per the seed-derived schedule), SIGKILLed mid-job, resumed with
-//! `--resume`, and must still produce digests and VM counters byte-identical
-//! to an uninterrupted one-shot sweep — without re-running any shard whose
-//! checkpoint survived the kill.
+//! The deterministic chaos drill as a test: a real supervised sweep is
+//! fault-injected (per the seed-derived schedule), SIGKILLed mid-sweep,
+//! rerun with `--resume`, and must still produce digests and VM counters
+//! byte-identical to an uninterrupted one-shot sweep — without re-running
+//! any shard whose checkpoint survived the kill.
 //!
 //! This is the same machinery `semint chaos` drives from the CLI (and CI
 //! drives in release mode); here it runs in-process so a failed invariant
 //! points straight at the round's state dir.
 
+use std::collections::BTreeSet;
 use std::path::PathBuf;
 
-use semint_harness::serve::{run_drills, ChaosConfig};
+use semint_harness::fleet::{run_drills, ChaosConfig, FaultKind, SweepSpec};
 
 #[test]
-fn killed_and_resumed_daemon_matches_the_uninterrupted_sweep() {
+fn killed_and_resumed_sweep_matches_the_uninterrupted_sweep() {
     let state_root = std::env::temp_dir().join(format!("semint-chaos-test-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&state_root);
     let cfg = ChaosConfig {
         binary: PathBuf::from(env!("CARGO_BIN_EXE_semint")),
         seed: 1,
-        rounds: 2,
-        seeds: (0, 24),
-        profile: "default".into(),
-        case: "all".into(),
-        shards: 3,
-        jobs: 2,
-        workers: 2,
-        batch: 1,
+        // Four consecutive rounds drill every fault kind once.
+        rounds: 4,
+        spec: SweepSpec {
+            seeds: (0, 24),
+            profile: "default".into(),
+            case: "all".into(),
+            workers: 3,
+            jobs: 2,
+            batch: 1,
+            model_check: false,
+            fault: None,
+        },
         // Wedge rounds are only caught by this timeout; keep it short but
         // well above an honest shard's runtime.
         worker_timeout_ms: 5_000,
@@ -34,7 +39,9 @@ fn killed_and_resumed_daemon_matches_the_uninterrupted_sweep() {
         echo: false,
     };
     let outcomes = run_drills(&cfg).expect("the drill runs to completion");
-    assert_eq!(outcomes.len(), 2, "one outcome per round");
+    assert_eq!(outcomes.len(), 4, "one outcome per round");
+    let kinds: BTreeSet<&str> = outcomes.iter().map(|o| o.plan.kind.label()).collect();
+    assert_eq!(kinds.len(), FaultKind::ALL.len(), "{kinds:?}");
     for outcome in &outcomes {
         assert!(
             outcome.invariant_holds(),
