@@ -74,16 +74,16 @@ pub fn harness_sweep_timed(seed_count: u64, jobs: usize, model_check: bool) -> S
     sweep_with(seed_count, jobs, model_check, true, scenario_profile())
 }
 
-/// A timed sweep over the `deep` profile — the E11 workload (`semint bench
-/// --profile deep`), where compound glue derivation is hot enough for the
-/// cache to show up in whole-sweep wall clock.
+/// A timed sweep over the `deep` profile — the E11 workload (`semint sweep
+/// --profile deep --no-model-check --time`), where compound glue derivation
+/// is hot enough for the cache to show up in whole-sweep wall clock.
 pub fn deep_sweep_timed(seed_count: u64, jobs: usize) -> SweepReport {
     sweep_with(seed_count, jobs, false, true, deep_profile())
 }
 
 /// A timed, model-checked sweep over the `deep` profile — the E12 workload
-/// (`semint bench --profile deep --model-check`).  Before PR 4 this was the
-/// worst case for redundant early stages (the model check recompiled every
+/// (`semint sweep --profile deep --time`).  It used to be the worst case
+/// for redundant early stages (the model check recompiled every
 /// scenario on top of the run stage's internal compile); with the
 /// artifact-threaded pipeline each scenario is typechecked once and
 /// compiled once however many stages consume it.

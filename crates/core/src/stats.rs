@@ -170,9 +170,24 @@ impl fmt::Display for FailStage {
     }
 }
 
+impl std::str::FromStr for FailStage {
+    type Err = String;
+
+    /// Parses the label [`FailStage`]'s `Display` writes.
+    fn from_str(label: &str) -> Result<FailStage, String> {
+        match label {
+            "typecheck" => Ok(FailStage::Typecheck),
+            "compile" => Ok(FailStage::Compile),
+            "run" => Ok(FailStage::Run),
+            "model-check" => Ok(FailStage::ModelCheck),
+            other => Err(format!("unknown failure stage {other:?}")),
+        }
+    }
+}
+
 /// A failed scenario, with its shrunk counterexample when the engine could
 /// produce one.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FailureRecord {
     /// The scenario seed.
     pub seed: u64,
@@ -267,6 +282,7 @@ impl CaseReport {
     /// counter high-water marks take the max), so merging the per-shard
     /// reports of a partitioned seed range reproduces the unsharded report
     /// — its [`CaseReport::digest`] *and* its [`VmCounters`] — exactly.
+    /// Failures stay in seed order, the order a one-shot sweep lists them.
     pub fn merge(&mut self, other: &CaseReport) {
         debug_assert_eq!(self.case, other.case, "merging reports of different cases");
         self.scenarios += other.scenarios;
@@ -280,6 +296,7 @@ impl CaseReport {
             *self.outcome_histogram.entry(label.clone()).or_insert(0) += count;
         }
         self.failures.extend(other.failures.iter().cloned());
+        self.failures.sort_by_key(|failure| failure.seed);
         if let Some(timings) = &other.timings {
             self.timings
                 .get_or_insert_with(StageTimings::default)
@@ -351,9 +368,13 @@ impl SweepReport {
         }
     }
 
-    /// Serialises the aggregate (not the failure witnesses) to a simple
-    /// line-oriented `key<TAB>value` format that [`SweepReport::from_tsv`]
-    /// reads back; used by `semint sweep --save` / `semint report`.
+    /// Serialises the report to a simple line-oriented `key<TAB>value`
+    /// format that [`SweepReport::from_tsv`] reads back; used by `semint
+    /// sweep --save` / `semint report` and the supervised sweep's
+    /// checkpoints.  Each case's `failures<TAB>N` line is followed by N
+    /// `failure` rows — seed, stage, shrink steps, reason, witness, shrunk —
+    /// whose text fields escape backslash, tab, newline and carriage return,
+    /// so a clean case writes no rows at all.
     pub fn to_tsv(&self) -> String {
         let mut out = String::new();
         for case in &self.cases {
@@ -376,6 +397,17 @@ impl SweepReport {
                 }
             }
             out.push_str(&format!("failures\t{}\n", case.failures.len()));
+            for failure in &case.failures {
+                out.push_str(&format!(
+                    "failure\t{}\t{}\t{}",
+                    failure.seed, failure.stage, failure.shrink_steps
+                ));
+                for text in [&failure.reason, &failure.witness, &failure.shrunk] {
+                    out.push('\t');
+                    push_escaped(&mut out, text);
+                }
+                out.push('\n');
+            }
             for (label, count) in &case.outcome_histogram {
                 out.push_str(&format!("outcome\t{label}\t{count}\n"));
             }
@@ -383,14 +415,22 @@ impl SweepReport {
         out
     }
 
-    /// Parses the format produced by [`SweepReport::to_tsv`].
-    ///
-    /// Failure counts are restored as placeholder records (witnesses are not
-    /// serialised), which is enough for `semint report` rendering.
+    /// Parses the format produced by [`SweepReport::to_tsv`], failure
+    /// records included.  A case whose `failure` rows do not number exactly
+    /// its `failures` count is refused, so a truncated file — or a
+    /// count-only one written before failures were persisted — never reads
+    /// back as a report with fewer counterexamples.
     pub fn from_tsv(text: &str) -> Result<SweepReport, String> {
         let mut report = SweepReport::default();
+        // The `failures` count each case declared, in case order.
+        let mut declared: Vec<u64> = Vec::new();
         for (lineno, line) in text.lines().enumerate() {
-            let line = line.trim_end();
+            // A failure row keeps trailing whitespace: it is program text.
+            let line = if line.starts_with("failure\t") {
+                line
+            } else {
+                line.trim_end()
+            };
             if line.is_empty() {
                 continue;
             }
@@ -404,7 +444,10 @@ impl SweepReport {
                     .map_err(|e| format!("line {}: {e}", lineno + 1))
             };
             match key {
-                "case" => report.cases.push(CaseReport::new(value)),
+                "case" => {
+                    report.cases.push(CaseReport::new(value));
+                    declared.push(0);
+                }
                 _ => {
                     let case = report
                         .cases
@@ -440,17 +483,12 @@ impl SweepReport {
                                 .map_err(|e| format!("line {}: {e}", lineno + 1))?;
                         }
                         "failures" => {
-                            for _ in 0..parse(value)? {
-                                case.failures.push(FailureRecord {
-                                    seed: 0,
-                                    stage: FailStage::ModelCheck,
-                                    reason: "(not serialised)".into(),
-                                    witness: String::new(),
-                                    shrunk: String::new(),
-                                    shrink_steps: 0,
-                                });
-                            }
+                            *declared.last_mut().expect("one count per case") = parse(value)?
                         }
+                        "failure" => case.failures.push(
+                            parse_failure_row(value, fields)
+                                .map_err(|e| format!("line {}: {e}", lineno + 1))?,
+                        ),
                         "outcome" => {
                             let count = fields
                                 .next()
@@ -463,8 +501,82 @@ impl SweepReport {
                 }
             }
         }
+        for (case, declared) in report.cases.iter().zip(declared) {
+            let rows = case.failures.len() as u64;
+            if rows != declared {
+                return Err(format!(
+                    "case {}: {declared} failures declared but {rows} failure rows found",
+                    case.case
+                ));
+            }
+        }
         Ok(report)
     }
+}
+
+/// Parses the fields after the `failure` key of a failure row.
+fn parse_failure_row<'a>(
+    seed: &str,
+    rest: impl Iterator<Item = &'a str>,
+) -> Result<FailureRecord, String> {
+    let rest: Vec<&str> = rest.collect();
+    let [stage, steps, reason, witness, shrunk] = rest[..] else {
+        return Err(format!(
+            "a failure row has 6 fields (seed, stage, shrink steps, reason, witness, \
+             shrunk), found {}",
+            rest.len() + 1
+        ));
+    };
+    Ok(FailureRecord {
+        seed: seed.parse().map_err(|e| format!("failure seed: {e}"))?,
+        stage: stage.parse()?,
+        shrink_steps: steps.parse().map_err(|e| format!("shrink steps: {e}"))?,
+        reason: unescape_field(reason)?,
+        witness: unescape_field(witness)?,
+        shrunk: unescape_field(shrunk)?,
+    })
+}
+
+/// Appends a failure row's text field to `out`, escaping backslash, tab,
+/// newline and carriage return so the field stays one field of one line.
+/// All four are ASCII, so the scan runs over bytes and copies the runs
+/// between them whole.
+fn push_escaped(out: &mut String, text: &str) {
+    let mut rest = text;
+    while let Some(at) = rest
+        .bytes()
+        .position(|b| matches!(b, b'\\' | b'\t' | b'\n' | b'\r'))
+    {
+        out.push_str(&rest[..at]);
+        out.push_str(match rest.as_bytes()[at] {
+            b'\\' => "\\\\",
+            b'\t' => "\\t",
+            b'\n' => "\\n",
+            _ => "\\r",
+        });
+        rest = &rest[at + 1..];
+    }
+    out.push_str(rest);
+}
+
+/// Reverses [`push_escaped`], refusing an escape it never writes.
+fn unescape_field(field: &str) -> Result<String, String> {
+    let mut out = String::with_capacity(field.len());
+    let mut rest = field;
+    while let Some(at) = rest.find('\\') {
+        out.push_str(&rest[..at]);
+        out.push(match rest.as_bytes().get(at + 1) {
+            Some(b'\\') => '\\',
+            Some(b't') => '\t',
+            Some(b'n') => '\n',
+            Some(b'r') => '\r',
+            _ => return Err(format!("unknown escape in failure field {field:?}")),
+        });
+        // The escaped byte is ASCII, so the next char starts right after it.
+        rest = &rest[at + 2..];
+    }
+    out.push_str(rest);
+    Ok(out)
 }
 
 #[cfg(test)]
@@ -580,7 +692,7 @@ mod tests {
         let mut even = CaseReport::new("sharedmem");
         let mut odd = CaseReport::new("sharedmem");
         for seed in 0..10u64 {
-            let rec = record(
+            let mut rec = record(
                 seed,
                 if seed % 3 == 0 {
                     OutcomeClass::Value
@@ -589,6 +701,9 @@ mod tests {
                 },
                 seed + 1,
             );
+            if seed % 3 != 1 {
+                rec.failure = Some(failure(seed, FailStage::Run, "unsafe"));
+            }
             whole.absorb(&rec);
             if seed % 2 == 0 {
                 even.absorb(&rec);
@@ -596,14 +711,91 @@ mod tests {
                 odd.absorb(&rec);
             }
         }
-        let mut merged = SweepReport { cases: vec![even] };
-        merged.merge(&SweepReport { cases: vec![odd] });
+        // Merge the later shard first: the order must not matter.
+        let mut merged = SweepReport { cases: vec![odd] };
+        merged.merge(&SweepReport { cases: vec![even] });
         assert_eq!(merged.cases.len(), 1);
         assert_eq!(merged.cases[0].digest(), whole.digest());
         assert_eq!(
             merged.cases[0].counters, whole.counters,
             "VmCounters survive shard merge exactly"
         );
+        assert_eq!(
+            merged.cases[0].failures, whole.failures,
+            "failures are listed in seed order, as the unsharded sweep lists them"
+        );
+    }
+
+    fn failure(seed: u64, stage: FailStage, text: &str) -> FailureRecord {
+        FailureRecord {
+            seed,
+            stage,
+            reason: format!("{stage} rejected it: {text}"),
+            witness: format!("witness of {text}"),
+            shrunk: text.to_string(),
+            shrink_steps: seed as usize,
+        }
+    }
+
+    #[test]
+    fn tsv_round_trips_failures_whose_text_holds_tabs_and_newlines() {
+        let mut case = CaseReport::new("affine");
+        case.absorb(&record(3, OutcomeClass::Value, 11));
+        case.failures = vec![
+            failure(3, FailStage::Typecheck, "let x =\t1\nin x"),
+            failure(5, FailStage::Compile, "a \\ b\\t \r\n"),
+            failure(8, FailStage::Run, "trailing space "),
+            failure(13, FailStage::ModelCheck, ""),
+        ];
+        let text = SweepReport {
+            cases: vec![case.clone()],
+        }
+        .to_tsv();
+        let rows: Vec<&str> = text
+            .lines()
+            .filter(|line| line.starts_with("failure\t"))
+            .collect();
+        assert_eq!(rows.len(), 4, "one line per failure: {text}");
+        assert!(
+            rows.iter().all(|row| row.split('\t').count() == 7),
+            "{text}"
+        );
+        let parsed = SweepReport::from_tsv(&text).unwrap();
+        assert_eq!(parsed.cases[0].failures, case.failures);
+        assert_eq!(parsed.cases[0].digest(), case.digest());
+        // A clean case writes no failure rows at all.
+        let clean = SweepReport {
+            cases: vec![CaseReport::new("memgc")],
+        };
+        assert!(!clean.to_tsv().contains("failure\t"));
+    }
+
+    #[test]
+    fn malformed_failure_rows_are_refused() {
+        let row = |fields: &str| format!("case\tmemgc\nfailures\t1\nfailure\t{fields}\n");
+        let err = SweepReport::from_tsv(&row("4\trun\t0\treason\twitness")).unwrap_err();
+        assert!(err.contains("line 3") && err.contains("6 fields"), "{err}");
+        let err = SweepReport::from_tsv(&row("4\trun\t0\tr\tw\ts\textra")).unwrap_err();
+        assert!(err.contains("6 fields"), "{err}");
+        let err = SweepReport::from_tsv(&row("4\tlink\t0\tr\tw\ts")).unwrap_err();
+        assert!(err.contains("unknown failure stage"), "{err}");
+        let err = SweepReport::from_tsv(&row("4\trun\t0\tr\\q\tw\ts")).unwrap_err();
+        assert!(err.contains("unknown escape"), "{err}");
+        assert!(SweepReport::from_tsv(&row("4\trun\t0\tr\tw\ts")).is_ok());
+    }
+
+    #[test]
+    fn failure_counts_must_match_their_rows() {
+        // A count-only file, as written before failures were persisted.
+        let count_only = "case\taffine\nscenarios\t5\nfailures\t2\n";
+        let err = SweepReport::from_tsv(count_only).unwrap_err();
+        assert!(
+            err.contains("case affine: 2 failures declared but 0"),
+            "{err}"
+        );
+        let uncounted = "case\taffine\nfailure\t1\trun\t0\tr\tw\ts\ncase\tmemgc\n";
+        let err = SweepReport::from_tsv(uncounted).unwrap_err();
+        assert!(err.contains("0 failures declared but 1"), "{err}");
     }
 
     #[test]

@@ -10,12 +10,9 @@
 //! semint sweep --seeds 0..200 --shard 0/2           # this process takes half the range
 //! semint sweep --workers 4 --state-dir state        # 4 supervised shard processes, journaled
 //! semint sweep --workers 4 --state-dir state --resume  # finish a killed sweep
-//! semint sweep --corpus-save pop.corpus             # persist the swept scenario set
-//! semint sweep --corpus-load pop.corpus             # replay it (identical digests)
-//! semint bench --profile deep --repeat 3            # E9/E11 timing mode (per-stage totals)
+//! semint sweep --seeds 0..50 --time                 # per-stage wall-clock totals
 //! semint sweep --trace t.jsonl --progress           # JSONL event stream + live stderr line
 //! semint profile t.jsonl                            # aggregate trace files offline
-//! semint bench-diff BENCH_12.json current.json      # digest drift / throughput regression gate
 //! semint report a.tsv b.tsv                         # merge + re-render saved reports
 //! semint chaos --seed 7 --rounds 4                  # deterministic kill-and-resume drill
 //! ```
@@ -27,19 +24,13 @@ use semint_core::stats::SweepReport;
 use semint_core::Fuel;
 use semint_harness::cases::AnyCase;
 use semint_harness::engine::{
-    parallel_map, run_generated, run_scenario, sweep_all, sweep_all_observed, SweepConfig,
-    MAX_SEEDS_PER_SWEEP,
+    run_generated, sweep_all, sweep_all_observed, SweepConfig, MAX_SEEDS_PER_SWEEP,
 };
 use semint_harness::fleet::{self, ChaosConfig, FaultKind, FaultPlan, SweepSpec};
-use semint_harness::json::{
-    looks_like_bench_json, parse_bench_json, parse_bench_json_with_counter_keys, render_bench_json,
-    BenchMeta,
-};
 use semint_harness::profile::{absorb_trace, render_profile, TraceProfile};
 use semint_harness::report::render_sweep;
-use semint_harness::source::{Corpus, ScenarioSource, SeedRange, Shard};
+use semint_harness::source::{ScenarioSource, SeedRange, Shard};
 use semint_harness::trace::SweepObserver;
-use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::time::{Duration, SystemTime, UNIX_EPOCH};
@@ -60,19 +51,15 @@ USAGE:
                                                       state dir, so --resume finishes a killed
                                                       sweep; digests are byte-identical to a
                                                       one-shot sweep
-    semint bench [--case NAME] [--seeds A..B] [--repeat R] [--cold] [--json PATH] [options]
-                                                      timed sweep: per-stage wall-clock totals and
-                                                      throughput (model check off unless --model-check)
     semint profile TRACE...                           aggregate --trace JSONL files: per-stage totals,
                                                       per-case stage totals, run ns per retired
                                                       instruction, opcode-class histograms,
                                                       allocation stats, hottest seeds by steps
-    semint bench-diff BASELINE.json CURRENT.json      compare two `bench --json` files; fails on any
-                                                      digest drift or a >25% throughput regression
-    semint report PATH...                             render (and, for several PATHs, merge) reports
-                                                      saved by `sweep --save` or `bench --json`;
-                                                      sharded sweeps merge into the digests of the
-                                                      unsharded sweep
+    semint report PATH...                             render (and, for several PATHs, merge) TSV
+                                                      reports saved by `sweep --save`, failures and
+                                                      their shrunk witnesses included; sharded
+                                                      sweeps merge into the report of the unsharded
+                                                      sweep
     semint chaos  [--seed S] [--rounds N] [options]   deterministic crash drill: per round, derive a
                                                       fault schedule from the seed, run a faulted
                                                       `sweep --workers`, SIGKILL it mid-sweep, rerun
@@ -86,9 +73,6 @@ SCENARIO SUPPLY:
     --shard K/N      take the K-th of N deterministic slices of the seed range;
                      the N shards are disjoint, cover the range, and their saved
                      reports merge (`semint report`) into the unsharded digests
-    --corpus-load PATH  replay a persisted scenario corpus (pins the profile it
-                     was saved with; excludes --seeds/--shard)
-    --corpus-save PATH  persist the swept scenario set as a corpus
 
 GENERATION PROFILE:
     --profile NAME   smoke | default | deep | boundary-heavy (default: default)
@@ -107,36 +91,29 @@ OPTIONS:
     --batch N        compiled artifacts executed per reused machine
                      (default: 1 = one machine per scenario); batching
                      amortises machine setup and never changes digests
-                     (--cold benches rebuild everything per scenario, so
-                     they run and record batch 1)
     --no-model-check skip the realizability-model stage (sweep only)
-    --model-check    force the realizability-model stage (bench only; off there by default)
+    --model-check    run the realizability-model stage (sweep: on by default;
+                     chaos rounds skip it unless this is given)
     --time           collect per-stage wall-clock totals
                      (generate/typecheck/compile/run/model-check);
                      deterministic VM counters are always collected
-    --trace PATH     stream one JSONL event per scenario (plus periodic
+    --trace PATH     (sweep) stream one JSONL event per scenario (plus periodic
                      sweep-progress heartbeats) to PATH from a dedicated
-                     writer thread (sweep and bench; a bench streams every
-                     repeat into the one file); implies --time; traced and
-                     untraced sweeps agree on digests and counters exactly
+                     writer thread; implies --time; traced and untraced
+                     sweeps agree on digests and counters exactly
     --progress       rolling stderr progress line (scenarios/s, safe-rate,
                      glue hit-rate, ETA)
-    --repeat R       bench repeats, best-of-R is reported    (default: 3)
-    --cold           bench with a cold glue cache per scenario (cache bypassed)
-    --json PATH      save the bench result (per-stage totals, throughput,
-                     digests) as machine-readable JSON; `semint report PATH`
-                     reads it back
     --broken         sabotage a conversion rule per case study; failing
                      scenarios are reported with shrunk counterexamples
-    --save PATH      save the sweep report as TSV
+    --save PATH      save the sweep report, failures included, as TSV
 
 SUPERVISED SWEEP (sweep --workers, chaos):
     --workers N      split the seed range into N shards and run them as N
                      concurrent `semint sweep --shard` worker processes
                      (chaos default: 4); a shard that dies three times fails
-                     the sweep.  Custom profile knobs, --shard, --corpus-*,
-                     --broken, --trace and --time cannot be handed to
-                     workers and are refused
+                     the sweep.  Custom profile knobs, --shard, --broken,
+                     --trace and --time cannot be handed to workers and
+                     are refused
     --worker-timeout-ms T  a worker with no heartbeat for T ms is wedged,
                      killed, and its slice re-issued    (default: 30000; chaos: 5000)
     --state-dir DIR  durable state: an fsync'd JSONL journal recording the
@@ -191,13 +168,11 @@ type Handler = fn(&[String]) -> Result<bool, String>;
 
 /// Every subcommand: `main` dispatches through this table, the
 /// unknown-command hint searches it, and `USAGE` lists exactly these.
-const COMMANDS: [(&str, Handler); 9] = [
+const COMMANDS: [(&str, Handler); 7] = [
     ("run", cmd_run),
     ("check", cmd_check),
     ("sweep", cmd_sweep),
-    ("bench", cmd_bench),
     ("profile", cmd_profile),
-    ("bench-diff", cmd_bench_diff),
     ("report", cmd_report),
     ("chaos", cmd_chaos),
     ("help", cmd_help),
@@ -262,24 +237,17 @@ fn unknown_command(given: &str) -> String {
 struct Options {
     case: String,
     range: (u64, u64),
-    /// Whether `--seeds` was given explicitly (a corpus replay rejects it).
-    range_set: bool,
     shard: Option<(u64, u64)>,
-    corpus_load: Option<String>,
-    corpus_save: Option<String>,
     seed: Option<u64>,
     jobs: usize,
     batch: usize,
     profile: GenProfile,
     /// Tri-state so each subcommand picks its own default (`sweep`: on,
-    /// `bench`: off).
+    /// `chaos`: off).
     model_check: Option<bool>,
     time: bool,
     broken: bool,
-    repeat: usize,
-    cold: bool,
     save: Option<String>,
-    json: Option<String>,
     trace: Option<String>,
     progress: bool,
     // sweep --workers / chaos
@@ -316,10 +284,7 @@ impl Default for Options {
         Options {
             case: "all".into(),
             range: (0, 100),
-            range_set: false,
             shard: None,
-            corpus_load: None,
-            corpus_save: None,
             seed: None,
             jobs: 4,
             batch: 1,
@@ -327,10 +292,7 @@ impl Default for Options {
             model_check: None,
             time: false,
             broken: false,
-            repeat: 3,
-            cold: false,
             save: None,
-            json: None,
             trace: None,
             progress: false,
             workers: None,
@@ -381,7 +343,6 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
                     ));
                 }
                 opts.range = (start, end);
-                opts.range_set = true;
             }
             "--shard" => {
                 let spec = value("--shard")?;
@@ -400,8 +361,6 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
                 }
                 opts.shard = Some((index, of));
             }
-            "--corpus-load" => opts.corpus_load = Some(value("--corpus-load")?.to_string()),
-            "--corpus-save" => opts.corpus_save = Some(value("--corpus-save")?.to_string()),
             "--seed" => {
                 opts.seed = Some(
                     value("--seed")?
@@ -490,17 +449,7 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
             "--model-check" => opts.model_check = Some(true),
             "--time" => opts.time = true,
             "--broken" => opts.broken = true,
-            "--repeat" => {
-                opts.repeat = value("--repeat")?
-                    .parse()
-                    .map_err(|e| format!("--repeat: {e}"))?;
-                if opts.repeat == 0 {
-                    return Err("--repeat must be at least 1".into());
-                }
-            }
-            "--cold" => opts.cold = true,
             "--save" => opts.save = Some(value("--save")?.to_string()),
-            "--json" => opts.json = Some(value("--json")?.to_string()),
             "--trace" => opts.trace = Some(value("--trace")?.to_string()),
             "--progress" => opts.progress = true,
             "--workers" => {
@@ -578,15 +527,6 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
             other => return Err(format!("unknown option `{other}`; try `semint help`")),
         }
     }
-    if opts.corpus_load.is_some()
-        && (opts.shard.is_some() || opts.range_set || profile_name.is_some())
-    {
-        return Err(
-            "--corpus-load replays the corpus's own scenario set and profile; \
-             it cannot be combined with --seeds, --shard or --profile"
-                .into(),
-        );
-    }
     let mut profile = match &profile_name {
         Some(name) => GenProfile::by_name(name).expect("validated above"),
         None => GenProfile::standard(),
@@ -636,12 +576,9 @@ fn selected_cases(opts: &Options) -> Result<Vec<AnyCase>, String> {
     }
 }
 
-/// Builds the scenario source the options describe: a corpus, a shard of
-/// the seed range, or the plain range.
+/// Builds the scenario source the options describe: a shard of the seed
+/// range, or the plain range.
 fn build_source(opts: &Options) -> Result<Box<dyn ScenarioSource>, String> {
-    if let Some(path) = &opts.corpus_load {
-        return Ok(Box::new(Corpus::load(path)?));
-    }
     let range = SeedRange::new(opts.range.0, opts.range.1).map_err(|e| format!("--seeds: {e}"))?;
     match opts.shard {
         Some((index, of)) => Ok(Box::new(
@@ -653,8 +590,7 @@ fn build_source(opts: &Options) -> Result<Box<dyn ScenarioSource>, String> {
 
 /// The friendly version of the engine's sweep-size assert: the per-range
 /// check in `parse_options` cannot see the case count, so a range below
-/// `MAX_SEEDS_PER_SWEEP` can still exceed it once multiplied across cases
-/// (or a loaded corpus can simply be huge).
+/// `MAX_SEEDS_PER_SWEEP` can still exceed it once multiplied across cases.
 fn check_sweep_size(cases: &[AnyCase], source: &dyn ScenarioSource) -> Result<(), String> {
     let names: Vec<&str> = cases.iter().map(|c| c.name()).collect();
     let total = source.total(&names);
@@ -680,20 +616,12 @@ fn sweep_config(opts: &Options, model_check_default: bool) -> SweepConfig {
     }
 }
 
-/// The profile a sweep over `source` actually generates with (a corpus pins
-/// its own).
-fn effective_profile(source: &dyn ScenarioSource, cfg: &SweepConfig) -> GenProfile {
-    source.pinned_profile().unwrap_or(cfg.profile)
-}
-
-/// Builds the `--trace`/`--progress` observer when either flag was given.
-/// `passes` is how many times the whole scenario set will run (bench
-/// repeats), so the progress line's total and ETA stay honest.
+/// Builds the `--trace`/`--progress` observer when either flag was given
+/// (or a `--die-after`/`--wedge-after` fault needs its scenario count).
 fn build_observer(
     opts: &Options,
     cases: &[AnyCase],
     source: &dyn ScenarioSource,
-    passes: u64,
 ) -> Result<Option<SweepObserver>, String> {
     if opts.trace.is_none()
         && !opts.progress
@@ -703,7 +631,7 @@ fn build_observer(
         return Ok(None);
     }
     let names: Vec<&str> = cases.iter().map(|c| c.name()).collect();
-    let total = source.total(&names) * passes;
+    let total = source.total(&names);
     SweepObserver::new(total, opts.trace.as_deref().map(Path::new), opts.progress)
         .map(|observer| {
             Some(
@@ -726,7 +654,7 @@ fn finish_observer(observer: Option<SweepObserver>) -> Result<(), String> {
 
 /// `semint run`: one scenario, spelled out — always with per-stage
 /// wall-clock, so a single-seed investigation shows where the time goes
-/// without a full `semint bench`.
+/// without a timed sweep.
 fn cmd_run(args: &[String]) -> Result<bool, String> {
     let opts = parse_options(args)?;
     let seed = opts.seed.ok_or("`semint run` needs --seed N")?;
@@ -822,23 +750,14 @@ fn cmd_sweep(args: &[String]) -> Result<bool, String> {
         cfg.time = true;
     }
     check_sweep_size(&cases, source.as_ref())?;
-    println!(
-        "sweep: {} · profile {}",
-        source.describe(),
-        effective_profile(source.as_ref(), &cfg)
-    );
-    let observer = build_observer(&opts, &cases, source.as_ref(), 1)?;
+    println!("sweep: {} · profile {}", source.describe(), cfg.profile);
+    let observer = build_observer(&opts, &cases, source.as_ref())?;
     let report = sweep_all_observed(&cases, source.as_ref(), &cfg, observer.as_ref());
     finish_observer(observer)?;
     if let Some(path) = &opts.trace {
         println!("trace saved: {path}");
     }
     print_sweep(&report);
-    if let Some(path) = &opts.corpus_save {
-        let corpus = Corpus::record(&cases, source.as_ref(), cfg.profile)?;
-        corpus.save(path)?;
-        println!("corpus saved: {path} ({} scenarios)", corpus.len());
-    }
     if let Some(path) = &opts.save {
         std::fs::write(path, report.to_tsv()).map_err(|e| format!("saving {path}: {e}"))?;
         println!("saved: {path}");
@@ -877,9 +796,6 @@ fn fleet_spec(
         return Err(
             "supervised sweeps shard themselves; use --workers N instead of --shard K/N".into(),
         );
-    }
-    if opts.corpus_load.is_some() || opts.corpus_save.is_some() {
-        return Err("corpus replay/persistence is not supported for supervised sweeps".into());
     }
     if opts.broken {
         return Err("--broken is not supported for supervised sweeps".into());
@@ -975,7 +891,7 @@ fn cmd_supervised_sweep(opts: &Options, workers: usize) -> Result<bool, String> 
 /// `truncate` cuts it mid-line — a dangling key with no value — so
 /// `SweepReport::from_tsv` reliably *fails* instead of parsing a
 /// smaller-but-valid report that would slip past everything except the
-/// job-level completeness check.
+/// supervisor's sweep-level completeness check.
 fn corrupt_saved_report(path: &str, mode: &str) -> Result<(), String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("corrupting {path}: {e}"))?;
     let corrupted = match mode {
@@ -992,189 +908,11 @@ fn corrupt_saved_report(path: &str, mode: &str) -> Result<(), String> {
     Ok(())
 }
 
-/// `semint bench`: the E9/E11 timing mode — repeated timed sweeps with
-/// per-stage wall-clock totals and throughput, optionally with the glue
-/// cache bypassed (`--cold` builds every scenario's interop system from
-/// scratch, so no derivation survives between scenarios).
-fn cmd_bench(args: &[String]) -> Result<bool, String> {
-    let opts = parse_options(args)?;
-    let cases = selected_cases(&opts)?;
-    let source = build_source(&opts)?;
-    let mut cfg = sweep_config(&opts, false);
-    cfg.time = true;
-    // A cold bench rebuilds everything per scenario (machines included),
-    // so it runs — and is recorded as — one artifact per machine,
-    // whatever `--batch` was given.
-    if opts.cold {
-        cfg.batch = 1;
-    }
-    if let Some(pinned) = source.pinned_profile() {
-        cfg.profile = pinned;
-    }
-    check_sweep_size(&cases, source.as_ref())?;
-    println!(
-        "bench: {} · profile {} · {} repeats · glue cache {} · model check {} · batch {}",
-        source.describe(),
-        cfg.profile,
-        opts.repeat,
-        if opts.cold {
-            "cold per scenario"
-        } else {
-            "shared"
-        },
-        if cfg.model_check { "on" } else { "off" },
-        cfg.batch
-    );
-    let observer = build_observer(&opts, &cases, source.as_ref(), opts.repeat as u64)?;
-    let mut best: Option<(u64, SweepReport)> = None;
-    let mut digests_stable = true;
-    for _rep in 0..opts.repeat {
-        let started = std::time::Instant::now();
-        let report = if opts.cold {
-            cold_sweep(
-                &cases,
-                source.as_ref(),
-                &cfg,
-                opts.broken,
-                observer.as_ref(),
-            )
-        } else {
-            sweep_all_observed(&cases, source.as_ref(), &cfg, observer.as_ref())
-        };
-        let wall_ns = started.elapsed().as_nanos() as u64;
-        if let Some((_, prior)) = &best {
-            let digest = |r: &SweepReport| r.cases.iter().map(|c| c.digest()).collect::<Vec<_>>();
-            if digest(prior) != digest(&report) {
-                digests_stable = false;
-            }
-        }
-        match &best {
-            Some((best_ns, _)) if *best_ns <= wall_ns => {}
-            _ => best = Some((wall_ns, report)),
-        }
-    }
-    finish_observer(observer)?;
-    if let Some(path) = &opts.trace {
-        println!("trace saved: {path}");
-    }
-    let (wall_ns, report) = best.expect("--repeat is at least 1");
-    let scenarios = report.scenarios();
-    for case in &report.cases {
-        println!("case {}", case.case);
-        println!("  scenarios        {:>10}", case.scenarios);
-        if let Some(timings) = &case.timings {
-            println!("  stage wall-clock (best repeat)");
-            for (label, ns) in timings.stages() {
-                println!("    {label:<14} {:>10.3} ms", ns as f64 / 1_000_000.0);
-            }
-            println!(
-                "    {:<14} {:>10.3} ms",
-                "total",
-                timings.total_ns() as f64 / 1_000_000.0
-            );
-        }
-        println!(
-            "  glue cache       {:>10} hits / {} misses ({:.1}% hit rate)",
-            case.glue_hits,
-            case.glue_misses,
-            case.glue_hit_rate() * 100.0
-        );
-        println!("  failures         {:>10}", case.failures.len());
-    }
-    let wall_s = wall_ns as f64 / 1e9;
-    println!(
-        "best wall-clock: {:.3} s ({:.0} scenarios/s across {} scenarios)",
-        wall_s,
-        scenarios as f64 / wall_s.max(1e-9),
-        scenarios
-    );
-    println!(
-        "digests stable across repeats: {}",
-        if digests_stable { "yes" } else { "NO" }
-    );
-    for case in &report.cases {
-        println!("digest: {}", case.digest());
-    }
-    if let Some(path) = &opts.corpus_save {
-        let corpus = Corpus::record(&cases, source.as_ref(), cfg.profile)?;
-        corpus.save(path)?;
-        println!("corpus saved: {path} ({} scenarios)", corpus.len());
-    }
-    if let Some(path) = &opts.save {
-        std::fs::write(path, report.to_tsv()).map_err(|e| format!("saving {path}: {e}"))?;
-        println!("saved: {path}");
-    }
-    if let Some(path) = &opts.json {
-        let meta = BenchMeta {
-            profile: cfg.profile.name.to_string(),
-            repeat: opts.repeat,
-            jobs: cfg.jobs,
-            batch: cfg.batch,
-            model_check: cfg.model_check,
-            cold: opts.cold,
-            wall_ns,
-            digests_stable,
-        };
-        std::fs::write(path, render_bench_json(&meta, &report))
-            .map_err(|e| format!("saving {path}: {e}"))?;
-        println!("json saved: {path}");
-    }
-    Ok(report.failure_count() == 0 && digests_stable)
-}
-
-/// A sweep in which every scenario gets a freshly built case study — and
-/// therefore a cold glue cache: nothing derived for one scenario is visible
-/// to the next.  This is the "glue cache bypassed" baseline of the E11
-/// experiment; per-sweep cache counters are meaningless here (every
-/// scenario has its own cache) and reported as zero.  `--batch` is ignored
-/// on this path for the same reason: a cold run rebuilds everything per
-/// scenario, machines included, so there is nothing to amortise.
-fn cold_sweep(
-    cases: &[AnyCase],
-    source: &dyn ScenarioSource,
-    cfg: &SweepConfig,
-    broken: bool,
-    observer: Option<&SweepObserver>,
-) -> SweepReport {
-    let tasks: Vec<(&str, u64)> = cases
-        .iter()
-        .flat_map(|case| {
-            source
-                .seeds(case.name())
-                .into_iter()
-                .map(move |seed| (case.name(), seed))
-        })
-        .collect();
-    let records = parallel_map(&tasks, cfg.jobs, |&(name, seed)| {
-        let fresh = AnyCase::by_name(name, broken).expect("case names come from AnyCase");
-        let record = run_scenario(&fresh, seed, cfg);
-        if let Some(observer) = observer {
-            // Per-scenario caches make the glue snapshot meaningless here.
-            observer.scenario(name, &record, None);
-        }
-        (name, record)
-    });
-    let mut report = SweepReport {
-        cases: cases
-            .iter()
-            .map(|c| semint_core::stats::CaseReport::new(c.name()))
-            .collect(),
-    };
-    for (name, record) in &records {
-        if let Some(case_report) = report.cases.iter_mut().find(|c| &c.case == name) {
-            case_report.absorb(record);
-        }
-    }
-    report
-}
-
 /// `semint profile`: offline aggregation of one or more `--trace` files.
 fn cmd_profile(args: &[String]) -> Result<bool, String> {
     if args.is_empty() {
         return Err(
-            "`semint profile` needs at least one TRACE file written by `sweep --trace` \
-             or `bench --trace`"
-                .into(),
+            "`semint profile` needs at least one TRACE file written by `sweep --trace`".into(),
         );
     }
     let mut profile = TraceProfile::default();
@@ -1189,127 +927,18 @@ fn cmd_profile(args: &[String]) -> Result<bool, String> {
     Ok(true)
 }
 
-/// Largest tolerated `bench-diff` throughput drop relative to the baseline.
-const MAX_THROUGHPUT_REGRESSION: f64 = 0.25;
-
-/// `semint bench-diff`: the CI regression gate over two `bench --json`
-/// documents.  Fails (exit 1) on any per-case digest drift — the sweep is
-/// deterministic, so drift means behaviour changed — or when current
-/// throughput falls more than [`MAX_THROUGHPUT_REGRESSION`] below baseline.
-fn cmd_bench_diff(args: &[String]) -> Result<bool, String> {
-    let [baseline_path, current_path] = args else {
-        return Err(
-            "`semint bench-diff` needs exactly two paths: BASELINE.json CURRENT.json".into(),
-        );
-    };
-    let load = |path: &String| -> Result<(BenchMeta, SweepReport, BTreeSet<String>), String> {
-        let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
-        parse_bench_json_with_counter_keys(&text).map_err(|e| format!("{path}: {e}"))
-    };
-    let (base_meta, base, base_counter_keys) = load(baseline_path)?;
-    let (current_meta, current, _) = load(current_path)?;
-    let mut clean = true;
-    for base_case in &base.cases {
-        let Some(current_case) = current.cases.iter().find(|c| c.case == base_case.case) else {
-            clean = false;
-            println!("case {}: MISSING from {current_path}", base_case.case);
-            continue;
-        };
-        // Counters are digest-grade facts too, but only the keys the baseline
-        // document actually recorded constrain the current run: a counter
-        // introduced after the baseline was written (or a pre-counter
-        // baseline entirely) reads back as zero and is grandfathered in.
-        let counter_drift = !base_case.counters.is_zero()
-            && base_case.counters.fields().iter().any(|(key, base_value)| {
-                base_counter_keys.contains(*key)
-                    && current_case
-                        .counters
-                        .fields()
-                        .iter()
-                        .any(|(k, current_value)| k == key && current_value != base_value)
-            });
-        if current_case.digest() != base_case.digest() {
-            clean = false;
-            println!(
-                "case {}: DIGEST DRIFT\n  baseline {}\n  current  {}",
-                base_case.case,
-                base_case.digest(),
-                current_case.digest()
-            );
-        } else if counter_drift {
-            clean = false;
-            println!(
-                "case {}: VM COUNTER DRIFT\n  baseline {}\n  current  {}",
-                base_case.case, base_case.counters, current_case.counters
-            );
-        } else {
-            println!(
-                "case {}: digest OK ({})",
-                base_case.case,
-                base_case.digest()
-            );
-        }
-    }
-    for current_case in &current.cases {
-        if !base.cases.iter().any(|c| c.case == current_case.case) {
-            clean = false;
-            println!(
-                "case {}: not in baseline {baseline_path}",
-                current_case.case
-            );
-        }
-    }
-    let base_tp = base_meta.throughput_per_s(base.scenarios());
-    let current_tp = current_meta.throughput_per_s(current.scenarios());
-    let floor = base_tp * (1.0 - MAX_THROUGHPUT_REGRESSION);
-    println!("throughput: baseline {base_tp:.0}/s, current {current_tp:.0}/s (floor {floor:.0}/s)");
-    if current_tp < floor {
-        clean = false;
-        println!(
-            "throughput REGRESSION: more than {:.0}% below baseline",
-            MAX_THROUGHPUT_REGRESSION * 100.0
-        );
-    }
-    println!("bench-diff: {}", if clean { "OK" } else { "FAILED" });
-    Ok(clean)
-}
-
 /// `semint report`: render saved sweeps, merging when several are given
-/// (per-shard saves merge into the unsharded digests).  Accepts both the
-/// TSV format of `sweep --save` and the JSON format of `bench --json`.
+/// (per-shard saves merge into the unsharded report, failures included).
 fn cmd_report(args: &[String]) -> Result<bool, String> {
     if args.is_empty() {
-        return Err("`semint report` needs at least one PATH saved by \
-                    `semint sweep --save` or `semint bench --json`"
-            .into());
+        return Err(
+            "`semint report` needs at least one PATH saved by `semint sweep --save`".into(),
+        );
     }
     let mut merged: Option<SweepReport> = None;
     for path in args {
         let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
-        let report = if looks_like_bench_json(&text) {
-            let (meta, report) = parse_bench_json(&text).map_err(|e| format!("{path}: {e}"))?;
-            println!(
-                "bench: profile {} · {} repeats · jobs {} · batch {} · model check {} · \
-                 glue cache {} · best wall-clock {:.3} s ({:.0} scenarios/s) · \
-                 digests stable: {}",
-                meta.profile,
-                meta.repeat,
-                meta.jobs,
-                meta.batch,
-                if meta.model_check { "on" } else { "off" },
-                if meta.cold {
-                    "cold per scenario"
-                } else {
-                    "shared"
-                },
-                meta.wall_ns as f64 / 1e9,
-                meta.throughput_per_s(report.scenarios()),
-                if meta.digests_stable { "yes" } else { "NO" }
-            );
-            report
-        } else {
-            SweepReport::from_tsv(&text).map_err(|e| format!("{path}: {e}"))?
-        };
+        let report = SweepReport::from_tsv(&text).map_err(|e| format!("{path}: {e}"))?;
         match &mut merged {
             None => merged = Some(report),
             Some(acc) => acc.merge(&report),
@@ -1494,19 +1123,6 @@ mod tests {
     }
 
     #[test]
-    fn corpus_load_excludes_seeds_shard_and_profile() {
-        let err = parse(&["--corpus-load", "x.corpus", "--shard", "0/2"]).unwrap_err();
-        assert!(err.contains("corpus"), "{err}");
-        let err = parse(&["--corpus-load", "x.corpus", "--profile", "deep"]).unwrap_err();
-        assert!(err.contains("corpus"), "{err}");
-        let err = parse(&["--corpus-load", "x.corpus", "--seeds", "0..10"]).unwrap_err();
-        assert!(err.contains("corpus"), "{err}");
-        // Knob overrides without --profile are also meaningless with a
-        // corpus, but harmless: the pinned profile wins inside the engine.
-        assert!(parse(&["--corpus-load", "x.corpus"]).is_ok());
-    }
-
-    #[test]
     fn oversized_weights_are_rejected_not_overflowed() {
         let err = parse(&["--weights", "3000000000,3000000000,1"]).unwrap_err();
         assert!(err.contains("at or below"), "{err}");
@@ -1525,21 +1141,19 @@ mod tests {
     }
 
     #[test]
-    fn bench_flags_parse() {
-        let opts = parse(&["--repeat", "5", "--cold", "--model-check"]).unwrap();
-        assert_eq!(opts.repeat, 5);
-        assert!(opts.cold);
+    fn model_check_flags_parse() {
+        assert_eq!(parse(&[]).unwrap().model_check, None);
+        let opts = parse(&["--model-check"]).unwrap();
         assert_eq!(opts.model_check, Some(true));
-        assert!(parse(&["--repeat", "0"])
-            .unwrap_err()
-            .contains("at least 1"));
-    }
-
-    #[test]
-    fn json_flag_parses_and_needs_a_path() {
-        let opts = parse(&["--json", "bench.json"]).unwrap();
-        assert_eq!(opts.json.as_deref(), Some("bench.json"));
-        assert!(parse(&["--json"]).unwrap_err().contains("--json"));
+        assert!(
+            sweep_config(&opts, false).model_check,
+            "overrides chaos's default"
+        );
+        let opts = parse(&["--no-model-check"]).unwrap();
+        assert!(
+            !sweep_config(&opts, true).model_check,
+            "overrides sweep's default"
+        );
     }
 
     #[test]
@@ -1550,14 +1164,6 @@ mod tests {
         assert_eq!(opts.trace.as_deref(), Some("t.jsonl"));
         assert!(opts.progress);
         assert!(parse(&["--trace"]).unwrap_err().contains("--trace"));
-    }
-
-    #[test]
-    fn bench_diff_needs_exactly_two_paths() {
-        assert!(cmd_bench_diff(&[]).unwrap_err().contains("BASELINE"));
-        assert!(cmd_bench_diff(&["one.json".into()])
-            .unwrap_err()
-            .contains("exactly two"));
     }
 
     #[test]
@@ -1591,6 +1197,11 @@ mod tests {
             "--job",
             "--wait",
             "--shutdown",
+            "--repeat",
+            "--cold",
+            "--json",
+            "--corpus-load",
+            "--corpus-save",
         ] {
             let err = parse(&[retired, "1"]).unwrap_err();
             assert!(err.contains("unknown option"), "{retired}: {err}");
@@ -1655,10 +1266,9 @@ mod tests {
     #[test]
     fn supervised_sweep_and_chaos_share_one_refusal_check() {
         // Every refusal fires before any worker, sweep or baseline runs.
-        let refusals: [(&[&str], &str); 8] = [
+        let refusals: [(&[&str], &str); 7] = [
             (&["--type-depth", "5"], "preset"),
             (&["--shard", "0/2"], "--workers N"),
-            (&["--corpus-load", "x.corpus"], "corpus"),
             (&["--broken"], "--broken"),
             (&["--trace", "t.jsonl"], "--trace"),
             (&["--die-after", "3"], "--fault-shard"),
@@ -1687,8 +1297,8 @@ mod tests {
         assert!(hint.contains("did you mean `sweep`?"), "{hint}");
         let hint = unknown_command("reprot");
         assert!(hint.contains("did you mean `report`?"), "{hint}");
-        let hint = unknown_command("benchdiff");
-        assert!(hint.contains("did you mean `bench-diff`?"), "{hint}");
+        let hint = unknown_command("profil");
+        assert!(hint.contains("did you mean `profile`?"), "{hint}");
         // Gibberish gets the plain error, not a far-fetched hint.
         let hint = unknown_command("xyzzyqwert");
         assert!(!hint.contains("did you mean"), "{hint}");
@@ -1713,7 +1323,7 @@ mod tests {
             .collect();
         let table_names: Vec<&str> = COMMANDS.iter().map(|(name, _)| *name).collect();
         assert_eq!(usage_names, table_names, "USAGE lists exactly the table");
-        for retired in ["serve", "submit", "status"] {
+        for retired in ["serve", "submit", "status", "bench", "bench-diff"] {
             let err = dispatch(retired, &[]).unwrap_err();
             assert!(err.contains("unknown command"), "{retired}: {err}");
         }

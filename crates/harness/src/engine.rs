@@ -30,20 +30,19 @@ use std::sync::Mutex;
 use std::time::Instant;
 
 /// Configuration for one sweep.  *What* to sweep is no longer in here — the
-/// workload is supplied by a [`ScenarioSource`] (a seed range, a shard of
-/// one, or a persisted corpus); this struct carries only the *how*.
+/// workload is supplied by a [`ScenarioSource`] (a seed range or a shard of
+/// one); this struct carries only the *how*.
 #[derive(Debug, Clone, Copy)]
 pub struct SweepConfig {
     /// Worker threads; clamped to the task count and to at least 1.
     pub jobs: usize,
-    /// The generation profile (superseded by the source's pinned profile,
-    /// if it has one — corpora replay the profile they were saved with).
+    /// The generation profile every scenario is generated with.
     pub profile: GenProfile,
     /// Whether to run the realizability-model check on every scenario (the
     /// expensive stage; `run`-only sweeps skip it).
     pub model_check: bool,
     /// Whether to collect per-stage wall-clock totals (`semint sweep
-    /// --time`, `semint bench`, `semint run`, and any `--trace`d sweep).
+    /// --time`, `semint run`, and any `--trace`d sweep).
     /// Wall-clock is one of two sweep-time signals: the deterministic
     /// [`semint_core::VmCounters`] (instructions by opcode class,
     /// allocations, high-water marks) are collected unconditionally — they
@@ -71,17 +70,6 @@ impl Default for SweepConfig {
             model_check: true,
             time: false,
             batch: 1,
-        }
-    }
-}
-
-impl SweepConfig {
-    /// The configuration a sweep over `source` actually runs with: the
-    /// source's pinned profile wins over the configured one.
-    fn resolved_for(&self, source: &(impl ScenarioSource + ?Sized)) -> SweepConfig {
-        match source.pinned_profile() {
-            Some(profile) => SweepConfig { profile, ..*self },
-            None => *self,
         }
     }
 }
@@ -577,13 +565,12 @@ where
     S: ScenarioSource + ?Sized,
 {
     check_size(source, &[case.name()]);
-    let cfg = cfg.resolved_for(source);
-    check_batch(&cfg);
+    check_batch(cfg);
     let glue_before = case.glue_cache_stats();
     let seeds = source.seeds(case.name());
     let batches: Vec<&[u64]> = seeds.chunks(cfg.batch).collect();
     let records = parallel_map(&batches, cfg.jobs, |batch| {
-        let records = run_batch(case, batch, &cfg);
+        let records = run_batch(case, batch, cfg);
         if let Some(observer) = observer {
             for record in &records {
                 observer.scenario(case.name(), record, case.glue_cache_stats());
@@ -632,8 +619,7 @@ where
 {
     let case_names: Vec<&str> = cases.iter().map(|c| c.name()).collect();
     check_size(source, &case_names);
-    let cfg = cfg.resolved_for(source);
-    check_batch(&cfg);
+    check_batch(cfg);
     let glue_before: Vec<_> = cases.iter().map(|case| case.glue_cache_stats()).collect();
     let per_case_seeds: Vec<Vec<u64>> =
         cases.iter().map(|case| source.seeds(case.name())).collect();
@@ -643,7 +629,7 @@ where
         .flat_map(|(idx, seeds)| seeds.chunks(cfg.batch).map(move |batch| (idx, batch)))
         .collect();
     let records = parallel_map(&tasks, cfg.jobs, |&(idx, batch)| {
-        let records = run_batch(&cases[idx], batch, &cfg);
+        let records = run_batch(&cases[idx], batch, cfg);
         if let Some(observer) = observer {
             for record in &records {
                 observer.scenario(cases[idx].name(), record, cases[idx].glue_cache_stats());

@@ -31,14 +31,15 @@ use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
 
 use super::spec::{FaultKind, FaultPlan, SweepSpec};
-use crate::json::{document_version, escape_json, Json, Reader, FORMAT_VERSION};
+use crate::json::{self, escape_json, Json};
 
 /// The journal's file name inside a `--state-dir`.
 pub const JOURNAL_FILE: &str = "journal.jsonl";
 
-/// The `semint_journal` marker this binary writes and reads.  Format 1
-/// journals held several daemon-assigned jobs; they are refused rather
-/// than misread.
+/// The `semint_journal` marker this binary writes and reads: the journal
+/// line format's one version.  Format 1 journals held several
+/// daemon-assigned jobs, and a newer format is from a newer `semint`; both
+/// are refused rather than misread.
 pub const JOURNAL_FORMAT: u64 = 2;
 
 /// The checkpoint file name for one shard inside a `--state-dir`.
@@ -142,7 +143,7 @@ fn parse_spec(doc: &Json) -> Result<SweepSpec, String> {
 
 /// Renders one event as its one-line journal form (no trailing newline).
 pub fn render_event(event: &JournalEvent) -> String {
-    let mut out = format!("{{\"semint_journal\": {JOURNAL_FORMAT}, \"version\": {FORMAT_VERSION}");
+    let mut out = format!("{{\"semint_journal\": {JOURNAL_FORMAT}");
     match event {
         JournalEvent::SweepStarted { spec } => {
             out.push_str(&format!(
@@ -189,24 +190,23 @@ pub fn render_event(event: &JournalEvent) -> String {
     out
 }
 
-/// Parses one journal line, checking the journal marker and the shared
-/// version field.
+/// Parses one journal line, checking its journal marker.  Keys the event
+/// does not use are ignored.
 pub fn parse_event(line: &str) -> Result<JournalEvent, String> {
-    let mut reader = Reader::new(line);
-    let doc = reader
-        .value()
-        .map_err(|e| format!("{} ({e})", reader.position()))?;
-    if reader.peek_after_ws().is_some() {
-        return Err("trailing content after journal entry".into());
-    }
+    let doc = json::parse(line)?;
     let format = doc.require("semint_journal")?.as_u64("semint_journal")?;
-    if format != JOURNAL_FORMAT {
+    if format > JOURNAL_FORMAT {
+        return Err(format!(
+            "journal format {format} is newer than this semint reads (format \
+             {JOURNAL_FORMAT}); upgrade semint"
+        ));
+    }
+    if format < JOURNAL_FORMAT {
         return Err(format!(
             "journal format {format} is not supported (this semint reads format \
              {JOURNAL_FORMAT}, one sweep per state dir); start the sweep in a fresh --state-dir"
         ));
     }
-    document_version(&doc)?;
     let shard = || doc.require("shard")?.as_u64("shard");
     let attempt = || doc.require("attempt")?.as_u64("attempt");
     let text =
@@ -455,21 +455,35 @@ mod tests {
     }
 
     #[test]
-    fn version_skew_matches_the_shared_document_policy() {
+    fn marker_skew_is_refused_and_older_version_keys_are_ignored() {
         let line = render_event(&JournalEvent::Resumed { adopted: 3 });
-        let future = line.replace(&format!("\"version\": {FORMAT_VERSION}"), "\"version\": 99");
-        assert!(parse_event(&future).unwrap_err().contains("newer"));
-        let legacy = line.replace(&format!(", \"version\": {FORMAT_VERSION}"), "");
-        assert_ne!(line, legacy);
         assert_eq!(
-            parse_event(&legacy).unwrap(),
+            line,
+            "{\"semint_journal\": 2, \"event\": \"sweep-resumed\", \"adopted\": 3}"
+        );
+        // Lines written before the marker became the only version carried
+        // a `"version": 2` key too; it is ignored like any unknown key.
+        let stamped = line.replace(
+            "\"semint_journal\": 2",
+            "\"semint_journal\": 2, \"version\": 2",
+        );
+        assert_ne!(line, stamped);
+        assert_eq!(
+            parse_event(&stamped).unwrap(),
             JournalEvent::Resumed { adopted: 3 }
         );
         assert!(parse_event("{}").unwrap_err().contains("semint_journal"));
+        // A newer writer's journal is refused with an upgrade hint.
+        let future = line.replace("\"semint_journal\": 2", "\"semint_journal\": 3");
+        let err = parse_event(&future).unwrap_err();
+        assert!(err.contains("format 3") && err.contains("upgrade"), "{err}");
         // A multi-job format-1 journal is refused, never misread.
         let old = line.replace("\"semint_journal\": 2", "\"semint_journal\": 1");
         let err = parse_event(&old).unwrap_err();
         assert!(err.contains("format 1") && err.contains("fresh"), "{err}");
+        // Malformed lines carry the reader's position.
+        let err = parse_event(&format!("{line} trailing")).unwrap_err();
+        assert!(err.contains("column") && err.contains("trailing"), "{err}");
     }
 
     #[test]

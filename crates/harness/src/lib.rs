@@ -9,10 +9,8 @@
 //! generic on top of that trait:
 //!
 //! * [`source`] — the [`source::ScenarioSource`] abstraction over *where a
-//!   sweep's workload comes from*: a seed range, a deterministic k-of-n
-//!   [`source::Shard`] of one (sweeps compose across processes), or a
-//!   persisted, replayable [`source::Corpus`] with its generation profile
-//!   pinned;
+//!   sweep's workload comes from*: a seed range, or a deterministic k-of-n
+//!   [`source::Shard`] of one (sweeps compose across processes);
 //! * [`engine`] — a parallel batch runner with deterministic per-task seed
 //!   splitting and a work-stealing thread pool (std threads + mutex deques,
 //!   no external dependencies), producing the shared
@@ -26,11 +24,9 @@
 //!   case studies into one task type so a single pool can interleave all of
 //!   them;
 //! * [`report`] — plain-text rendering of sweep reports for the `semint`
-//!   CLI binary shipped by this crate (`run`, `check`, `sweep`, `bench`,
-//!   `report` subcommands);
-//! * [`json`] — the hand-rolled machine-readable bench format behind
-//!   `semint bench --json PATH` (and `semint report`'s ability to read it
-//!   back), for tracking per-stage performance across commits;
+//!   CLI binary shipped by this crate (`run`, `check`, `sweep`, `report`
+//!   subcommands); the one persisted report is the TSV of
+//!   [`SweepReport::to_tsv`], failure witnesses included;
 //! * [`trace`] — Tier-B telemetry: the `--trace` JSONL event stream
 //!   (dedicated writer thread behind a bounded channel) and the
 //!   `--progress` live stderr line, both strictly observational — traced
@@ -68,7 +64,7 @@
 pub mod cases;
 pub mod engine;
 pub mod fleet;
-pub mod json;
+mod json;
 pub mod profile;
 pub mod report;
 pub mod shrink;
@@ -80,5 +76,5 @@ pub use engine::{sweep_all, sweep_all_observed, sweep_case, sweep_case_observed,
 pub use profile::{render_profile, TraceProfile};
 pub use semint_core::case::{CaseStudy, CheckFailure, GenProfile, Scenario};
 pub use semint_core::stats::{CaseReport, SweepReport};
-pub use source::{Corpus, ScenarioSource, SeedRange, Shard};
+pub use source::{ScenarioSource, SeedRange, Shard};
 pub use trace::SweepObserver;

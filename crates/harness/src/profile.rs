@@ -7,7 +7,7 @@
 //! reports the *same* per-case counter totals the sweep's own report did,
 //! which the integration suite asserts as the trace round-trip property.
 
-use crate::json::{Json, Reader};
+use crate::json::{self, Json};
 use semint_core::VmCounters;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -93,11 +93,7 @@ pub fn absorb_trace(profile: &mut TraceProfile, text: &str) -> Result<(), String
 }
 
 fn absorb_event(profile: &mut TraceProfile, line: &str) -> Result<(), String> {
-    let mut reader = Reader::new(line);
-    let doc = reader.value()?;
-    if reader.peek_after_ws().is_some() {
-        return Err("trailing content after event".into());
-    }
+    let doc = json::parse(line)?;
     match doc.require("event")?.as_str("event")? {
         "sweep-progress" => {
             profile.heartbeats += 1;

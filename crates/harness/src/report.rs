@@ -7,6 +7,7 @@
 //! every `--jobs`/`--batch`/shard combination.
 
 use semint_core::stats::{CaseReport, SweepReport};
+use std::fmt::Write as _;
 
 /// Renders one case report as an aligned block.
 pub fn render_case(report: &CaseReport) -> String {
@@ -66,7 +67,8 @@ pub fn render_case(report: &CaseReport) -> String {
         report.failures.len()
     ));
     for failure in &report.failures {
-        out.push_str(&format!(
+        let _ = write!(
+            out,
             "    seed {:>6} [{}] {}\n      witness: {}\n      shrunk ({} steps): {}\n",
             failure.seed,
             failure.stage,
@@ -74,7 +76,7 @@ pub fn render_case(report: &CaseReport) -> String {
             truncate(&failure.witness, 120),
             failure.shrink_steps,
             truncate(&failure.shrunk, 120),
-        ));
+        );
     }
     out
 }
@@ -95,11 +97,9 @@ pub fn render_sweep(report: &SweepReport) -> String {
 }
 
 fn truncate(s: &str, max_chars: usize) -> String {
-    if s.chars().count() <= max_chars {
-        s.to_string()
-    } else {
-        let prefix: String = s.chars().take(max_chars).collect();
-        format!("{prefix}…")
+    match s.char_indices().nth(max_chars) {
+        None => s.to_string(),
+        Some((cut, _)) => format!("{}…", &s[..cut]),
     }
 }
 

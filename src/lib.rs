@@ -40,17 +40,17 @@
 //! ```
 //!
 //! Workloads are supplied by a [`harness::source::ScenarioSource`] — a seed
-//! range, a deterministic k-of-n shard of one, or a persisted corpus — and
-//! shaped by a [`core::case::GenProfile`] (presets `smoke`, `default`,
-//! `deep`, `boundary-heavy`).  The same engine backs the `semint` binary:
+//! range or a deterministic k-of-n shard of one — and shaped by a
+//! [`core::case::GenProfile`] (presets `smoke`, `default`, `deep`,
+//! `boundary-heavy`).  The same engine backs the `semint` binary:
 //!
 //! ```text
 //! semint sweep --seeds 0..200 --jobs 4          # parallel sweep, aggregate report
 //! semint sweep --profile deep                   # deep source types (glue on the hot path)
 //! semint sweep --profile deep --batch 8         # 8 artifacts per reused machine, same digests
-//! semint sweep --seeds 0..200 --shard 0/2       # half the range; digests merge via report
-//! semint sweep --corpus-save pop.corpus         # persist + replay scenario populations
-//! semint bench --profile deep --repeat 3        # per-stage timing mode (E9/E11)
+//! semint sweep --shard 0/2 --save s0.tsv        # half the range, saved as a TSV report
+//! semint report s0.tsv s1.tsv                   # merge shards: unsharded digests and failures
+//! semint sweep --profile deep --time            # per-stage wall-clock totals
 //! semint check --case sharedmem --seeds 0..50   # Lemma 3.1 catalogue + model checks
 //! semint run --case memgc --seed 7              # one scenario, verbosely
 //! semint sweep --seeds 0..50 --broken           # sabotaged rule → shrunk counterexamples

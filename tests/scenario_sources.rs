@@ -5,16 +5,14 @@
 //! * the `deep` profile actually reaches source types of depth ≥ 4 in every
 //!   case study, and its sweeps stay deterministic across thread counts;
 //! * [`Shard`] sources partition a seed range exactly (disjoint, covering),
-//!   and the merged per-shard reports reproduce the unsharded digests;
-//! * a [`Corpus`] saved to disk and reloaded replays the identical sweep
-//!   digest, with its generation profile pinned.
+//!   and the merged per-shard reports reproduce the unsharded digests.
 
 use proptest::prelude::*;
 use semint::affine::harness::AffSourceType;
 use semint::affine::{AffiType, MlType};
 use semint::harness::cases::{AnyCase, AnyTy};
 use semint::harness::engine::{sweep_all, SweepConfig};
-use semint::harness::source::{Corpus, ScenarioSource, SeedRange, Shard};
+use semint::harness::source::{ScenarioSource, SeedRange, Shard};
 use semint::harness::CaseStudy;
 use semint::memgc::harness::MgSourceType;
 use semint::memgc::{L3Type, PolyType};
@@ -217,42 +215,6 @@ fn sharded_sweeps_merge_into_the_unsharded_digests() {
     }
     let merged = merged.expect("three shards");
     assert_eq!(digests(&whole), digests(&merged));
-}
-
-/// A corpus records exactly the scenario set a source supplies, survives a
-/// disk round trip, and replays the identical sweep digest — even under a
-/// differently-configured sweep, because the corpus pins its profile.
-#[test]
-fn corpus_round_trip_reproduces_the_sweep_digest() {
-    let cases = AnyCase::all(false);
-    let range = SeedRange::new(0, 20).unwrap();
-    let profile = GenProfile::deep();
-    let cfg = SweepConfig {
-        jobs: 2,
-        profile,
-        model_check: false,
-        ..SweepConfig::default()
-    };
-    let original = sweep_all(&cases, &range, &cfg);
-
-    let corpus = Corpus::record(&cases, &range, profile).expect("valid profile");
-    assert_eq!(corpus.len(), 60, "20 seeds × 3 cases");
-    let path =
-        std::env::temp_dir().join(format!("semint-corpus-test-{}.corpus", std::process::id()));
-    corpus.save(&path).expect("corpus saves");
-    let reloaded = Corpus::load(&path).expect("corpus loads");
-    std::fs::remove_file(&path).ok();
-    assert_eq!(reloaded.pinned_profile(), Some(profile));
-
-    // Replay under a *different* configured profile: the pinned one wins.
-    let mismatched_cfg = SweepConfig {
-        jobs: 5,
-        profile: GenProfile::smoke(),
-        model_check: false,
-        ..SweepConfig::default()
-    };
-    let replayed = sweep_all(&cases, &reloaded, &mismatched_cfg);
-    assert_eq!(digests(&original), digests(&replayed));
 }
 
 /// Boundary counts in sweep reports come from the structural counters and
