@@ -6,8 +6,12 @@
 //! conversion exists.  The §4 instantiations of the Fundamental Property and
 //! the type-safety theorems quantify over all well-typed programs; the test
 //! suites sample that space through this module.
+//!
+//! Boundary types come from structural candidates that are sound by
+//! construction: every candidate pair is derivable under the standard
+//! Fig. 9 rules, so the generator never derives glue itself (the test
+//! `candidates_are_derivable_under_the_standard_rules` pins this).
 
-use crate::convert::AffineConversions;
 use crate::syntax::{AffiExpr, AffiType, MlExpr, MlType, Mode};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -59,7 +63,6 @@ impl From<&GenProfile> for AffineGenConfig {
 pub struct AffineProgramGen {
     rng: StdRng,
     config: AffineGenConfig,
-    conversions: AffineConversions,
     fresh: u64,
 }
 
@@ -74,7 +77,6 @@ impl AffineProgramGen {
         AffineProgramGen {
             rng: StdRng::seed_from_u64(seed),
             config,
-            conversions: AffineConversions::standard(),
             fresh: 0,
         }
     }
@@ -167,7 +169,7 @@ impl AffineProgramGen {
     fn affi(&mut self, ty: &AffiType, depth: usize) -> AffiExpr {
         // Possibly detour through MiniML when a conversion exists.
         if depth > 0 && self.boundary_here() {
-            if let Some(ml_ty) = self.ml_type_convertible_to(ty) {
+            if let Some(ml_ty) = ml_type_convertible_to(ty) {
                 return AffiExpr::boundary(self.ml(&ml_ty, depth - 1), ty.clone());
             }
         }
@@ -244,7 +246,6 @@ impl AffineProgramGen {
                 // value of the result type, so it is well-typed for either
                 // mode without tracking usage of the binder.
                 let body = self.affi(b, d);
-                let _ = a;
                 match mode {
                     crate::syntax::Mode::Static => {
                         AffiExpr::lam_static(name.as_str(), (**a).clone(), body)
@@ -358,64 +359,65 @@ impl AffineProgramGen {
         }
     }
 
-    /// Picks a MiniML type convertible with the Affi goal type, if any.
-    /// Recursion covers tensors, `!` and dynamic lollis (`𝜏1 ⊸ 𝜏2 ∼
-    /// (unit → τ1) → τ2`), so boundaries appear under deep pairs and
-    /// functions, not only at base types.
-    fn ml_type_convertible_to(&mut self, ty: &AffiType) -> Option<MlType> {
-        let candidate = match ty {
-            AffiType::Unit => MlType::Unit,
-            AffiType::Bool | AffiType::Int => MlType::Int,
-            AffiType::Bang(inner) => return self.ml_type_convertible_to(inner),
-            AffiType::Tensor(a, b) => MlType::prod(
-                self.ml_type_convertible_to(a)?,
-                self.ml_type_convertible_to(b)?,
-            ),
-            AffiType::Lolli(Mode::Dynamic, a, b) => MlType::fun(
-                MlType::fun(MlType::Unit, self.ml_type_convertible_to(a)?),
-                self.ml_type_convertible_to(b)?,
-            ),
-            _ => return None,
-        };
-        self.conversions.derive(ty, &candidate).map(|_| candidate)
-    }
-
     /// Picks an Affi type convertible with the MiniML goal type, if any
-    /// (the mirror image of [`Self::ml_type_convertible_to`]).
+    /// (the mirror image of [`ml_type_convertible_to`]; `int` has two
+    /// candidates and one random draw picks which).
     fn affi_type_convertible_to(&mut self, ty: &MlType) -> Option<AffiType> {
-        let candidate = match ty {
-            MlType::Unit => AffiType::Unit,
-            MlType::Int => {
-                if self.rng.gen_bool(0.5) {
-                    AffiType::Int
-                } else {
-                    AffiType::Bool
-                }
-            }
-            MlType::Prod(a, b) => AffiType::tensor(
+        match ty {
+            MlType::Unit => Some(AffiType::Unit),
+            MlType::Int => Some(if self.rng.gen_bool(0.5) {
+                AffiType::Int
+            } else {
+                AffiType::Bool
+            }),
+            MlType::Prod(a, b) => Some(AffiType::tensor(
                 self.affi_type_convertible_to(a)?,
                 self.affi_type_convertible_to(b)?,
-            ),
+            )),
             MlType::Fun(thunk, b) => {
                 let m1 = match thunk.as_ref() {
                     MlType::Fun(u, m1) if **u == MlType::Unit => m1,
                     _ => return None,
                 };
-                AffiType::lolli(
+                Some(AffiType::lolli(
                     self.affi_type_convertible_to(m1)?,
                     self.affi_type_convertible_to(b)?,
-                )
+                ))
             }
-            _ => return None,
-        };
-        self.conversions.derive(&candidate, ty).map(|_| candidate)
+            MlType::Sum(_, _) | MlType::Ref(_) => None,
+        }
+    }
+}
+
+/// Picks a MiniML type convertible with the Affi goal type, if any.
+/// Recursion covers tensors, `!` and dynamic lollis (`𝜏1 ⊸ 𝜏2 ∼
+/// (unit → τ1) → τ2`), so boundaries appear under deep pairs and
+/// functions, not only at base types.  Every candidate is derivable under
+/// the standard rules, so no glue is derived to confirm it.
+fn ml_type_convertible_to(ty: &AffiType) -> Option<MlType> {
+    match ty {
+        AffiType::Unit => Some(MlType::Unit),
+        AffiType::Bool | AffiType::Int => Some(MlType::Int),
+        AffiType::Bang(inner) => ml_type_convertible_to(inner),
+        AffiType::Tensor(a, b) => Some(MlType::prod(
+            ml_type_convertible_to(a)?,
+            ml_type_convertible_to(b)?,
+        )),
+        AffiType::Lolli(Mode::Dynamic, a, b) => Some(MlType::fun(
+            MlType::fun(MlType::Unit, ml_type_convertible_to(a)?),
+            ml_type_convertible_to(b)?,
+        )),
+        AffiType::Lolli(Mode::Static, _, _) | AffiType::With(_, _) => None,
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::convert::AffineConversions;
     use crate::multilang::AffineMultiLang;
+    use semint_core::convert::ConversionScheme;
+    use std::collections::HashSet;
 
     #[test]
     fn generated_affi_programs_typecheck_at_the_requested_type() {
@@ -546,5 +548,87 @@ mod tests {
             format!("{}", gen.gen_affi(&goal)).contains('⦇')
         });
         assert!(crossed, "no seed crossed a boundary at {goal}");
+    }
+
+    /// Every Affi type of depth ≤ `depth`, over every constructor
+    /// (including `&` and the static arrow `⊸•`, which the generator never
+    /// builds as goal types).
+    fn all_affi_types(depth: usize) -> Vec<AffiType> {
+        let mut out = vec![AffiType::Int, AffiType::Bool, AffiType::Unit];
+        if depth == 0 {
+            return out;
+        }
+        let smaller = all_affi_types(depth - 1);
+        out.extend(smaller.iter().cloned().map(AffiType::bang));
+        for a in &smaller {
+            for b in &smaller {
+                out.push(AffiType::tensor(a.clone(), b.clone()));
+                out.push(AffiType::with(a.clone(), b.clone()));
+                out.push(AffiType::lolli(a.clone(), b.clone()));
+                out.push(AffiType::lolli_static(a.clone(), b.clone()));
+            }
+        }
+        out
+    }
+
+    /// Every MiniML type of depth ≤ `depth`, over every constructor.
+    fn all_ml_types(depth: usize) -> Vec<MlType> {
+        let mut out = vec![MlType::Unit, MlType::Int];
+        if depth == 0 {
+            return out;
+        }
+        let smaller = all_ml_types(depth - 1);
+        out.extend(smaller.iter().cloned().map(MlType::ref_));
+        for a in &smaller {
+            for b in &smaller {
+                out.push(MlType::prod(a.clone(), b.clone()));
+                out.push(MlType::sum(a.clone(), b.clone()));
+                out.push(MlType::fun(a.clone(), b.clone()));
+            }
+        }
+        out
+    }
+
+    /// The generator derives no glue: each boundary type it proposes must
+    /// be derivable under the standard Fig. 9 rules.  Covers every type of
+    /// depth ≤ 2 in both directions plus deep-profile random types of depth
+    /// ≤ 6, and both candidates the random draw in
+    /// `affi_type_convertible_to` can pick for `int`.
+    #[test]
+    fn candidates_are_derivable_under_the_standard_rules() {
+        let rules = AffineConversions::standard();
+        let mut random =
+            AffineProgramGen::with_config(0, AffineGenConfig::from(&GenProfile::deep()));
+        let mut affi_types = all_affi_types(2);
+        let mut ml_types = all_ml_types(2);
+        // Deep lolli glue is large, so 5 000 draws keep this under a
+        // second in a debug build.
+        for _ in 0..5_000 {
+            affi_types.push(random.gen_affi_type(6));
+            ml_types.push(random.gen_ml_type(6));
+        }
+        for ty in &affi_types {
+            if let Some(ml) = ml_type_convertible_to(ty) {
+                assert!(rules.derivable(ty, &ml), "unsound candidate {ty} ∼ {ml}");
+            }
+        }
+        let mut picked = HashSet::new();
+        for ty in &ml_types {
+            for _ in 0..4 {
+                if let Some(affi) = random.affi_type_convertible_to(ty) {
+                    assert!(
+                        rules.derivable(&affi, ty),
+                        "unsound candidate {affi} ∼ {ty}"
+                    );
+                    picked.insert((affi, ty.clone()));
+                }
+            }
+        }
+        for affi in [AffiType::Int, AffiType::Bool] {
+            assert!(
+                picked.contains(&(affi.clone(), MlType::Int)),
+                "never picked {affi} ∼ int"
+            );
+        }
     }
 }

@@ -160,8 +160,10 @@ impl GlueCacheStats {
 /// glue.
 ///
 /// Cloning a `GlueCache` is cheap and **shares** the underlying table and
-/// counters (the storage sits behind an [`Arc`]); a conversion scheme cloned
-/// per scenario therefore keeps one warm cache per sweep.
+/// counters (the storage sits behind an [`Arc`]), so the clones of one
+/// conversion scheme held by a system's type checker, compiler and model
+/// checker all consult one table.  Each case study's system owns one such
+/// cache for the whole sweep, shared by every worker.
 ///
 /// The hot path is engineered for the sweep engine's access pattern — many
 /// parallel workers, ~99% hits after warm-up:

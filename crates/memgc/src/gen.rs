@@ -10,8 +10,12 @@
 //! used directly, or discarded through `drop` at a `Duplicable` type), so
 //! generated programs always pass the algorithmic linear checker in
 //! [`crate::typecheck`].
+//!
+//! Boundary types come from structural candidates that are sound by
+//! construction: every candidate pair is derivable under the standard §5
+//! rules, so the generator never derives glue itself (the test
+//! `candidates_are_derivable_under_the_standard_rules` pins this).
 
-use crate::convert::MemGcConversions;
 use crate::syntax::{L3Expr, L3Type, PolyExpr, PolyType};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -58,7 +62,6 @@ impl From<&GenProfile> for MemGcGenConfig {
 pub struct MemGcProgramGen {
     rng: StdRng,
     config: MemGcGenConfig,
-    conversions: MemGcConversions,
     fresh: u64,
 }
 
@@ -73,7 +76,6 @@ impl MemGcProgramGen {
         MemGcProgramGen {
             rng: StdRng::seed_from_u64(seed),
             config,
-            conversions: MemGcConversions::standard(),
             fresh: 0,
         }
     }
@@ -170,7 +172,7 @@ impl MemGcProgramGen {
     fn ml(&mut self, ty: &PolyType, depth: usize) -> PolyExpr {
         // Possibly detour through L3 when a conversion exists.
         if depth > 0 && self.boundary_here() {
-            if let Some(l3_ty) = self.convertible_l3_for(ty) {
+            if let Some(l3_ty) = convertible_l3_for(ty) {
                 let inner = self.l3(&l3_ty, depth - 1);
                 return PolyExpr::boundary(inner, ty.clone());
             }
@@ -233,7 +235,6 @@ impl MemGcProgramGen {
             }
             PolyType::Fun(a, b) => {
                 let name = self.fresh_name("f");
-                let _ = a;
                 PolyExpr::lam(name.as_str(), (**a).clone(), self.ml(b, d))
             }
             PolyType::Ref(a) => PolyExpr::ref_(self.ml(a, d)),
@@ -254,7 +255,7 @@ impl MemGcProgramGen {
     fn l3(&mut self, ty: &L3Type, depth: usize) -> L3Expr {
         // Possibly detour through MiniML when a conversion exists.
         if depth > 0 && self.boundary_here() {
-            if let Some(ml_ty) = self.convertible_ml_for(ty) {
+            if let Some(ml_ty) = convertible_ml_for(ty) {
                 let inner = self.ml(&ml_ty, depth - 1);
                 return L3Expr::boundary(inner, ty.clone());
             }
@@ -330,52 +331,51 @@ impl MemGcProgramGen {
         };
         L3Expr::lam(name.as_str(), dom.clone(), body)
     }
+}
 
-    /// Picks an L3 type convertible with `ty`, if the §5 rules have one.
-    fn convertible_l3_for(&mut self, ty: &PolyType) -> Option<L3Type> {
-        let candidate = match ty {
-            PolyType::Unit => Some(L3Type::Unit),
-            PolyType::Int => Some(L3Type::Bool),
-            PolyType::Foreign(inner) if inner.is_duplicable() => Some((**inner).clone()),
-            PolyType::Ref(inner) => self.convertible_l3_for(inner).map(L3Type::ref_like),
-            PolyType::Prod(a, b) => {
-                let ca = self.convertible_l3_for(a)?;
-                let cb = self.convertible_l3_for(b)?;
-                Some(L3Type::tensor(ca, cb))
-            }
-            PolyType::Fun(a, b) => {
-                let ca = self.convertible_l3_for(a)?;
-                let cb = self.convertible_l3_for(b)?;
-                Some(L3Type::bang(L3Type::lolli(L3Type::bang(ca), cb)))
-            }
-            _ => None,
-        }?;
-        self.conversions.derive(ty, &candidate).map(|_| candidate)
+/// Picks an L3 type convertible with `ty`, if the §5 rules have one.  Every
+/// candidate is derivable under the standard rules, so no glue is derived
+/// to confirm it.
+fn convertible_l3_for(ty: &PolyType) -> Option<L3Type> {
+    match ty {
+        PolyType::Unit => Some(L3Type::Unit),
+        PolyType::Int => Some(L3Type::Bool),
+        PolyType::Foreign(inner) if inner.is_duplicable() => Some((**inner).clone()),
+        PolyType::Ref(inner) => convertible_l3_for(inner).map(L3Type::ref_like),
+        PolyType::Prod(a, b) => Some(L3Type::tensor(
+            convertible_l3_for(a)?,
+            convertible_l3_for(b)?,
+        )),
+        PolyType::Fun(a, b) => Some(L3Type::bang(L3Type::lolli(
+            L3Type::bang(convertible_l3_for(a)?),
+            convertible_l3_for(b)?,
+        ))),
+        _ => None,
     }
+}
 
-    /// Picks a MiniML type convertible with `ty`, if the §5 rules have one.
-    fn convertible_ml_for(&mut self, ty: &L3Type) -> Option<PolyType> {
-        let candidate = match ty {
-            L3Type::Unit => Some(PolyType::Unit),
-            L3Type::Bool => Some(PolyType::Int),
-            L3Type::Tensor(a, b) => {
-                let ca = self.convertible_ml_for(a)?;
-                let cb = self.convertible_ml_for(b)?;
-                Some(PolyType::prod(ca, cb))
-            }
-            _ => match crate::typecheck::ref_like_payload(ty) {
-                Some(payload) => self.convertible_ml_for(&payload).map(PolyType::ref_),
-                None => None,
-            },
-        }?;
-        self.conversions.derive(&candidate, ty).map(|_| candidate)
+/// Picks a MiniML type convertible with `ty`, if the §5 rules have one
+/// (the mirror image of [`convertible_l3_for`]).
+fn convertible_ml_for(ty: &L3Type) -> Option<PolyType> {
+    match ty {
+        L3Type::Unit => Some(PolyType::Unit),
+        L3Type::Bool => Some(PolyType::Int),
+        L3Type::Tensor(a, b) => Some(PolyType::prod(
+            convertible_ml_for(a)?,
+            convertible_ml_for(b)?,
+        )),
+        _ => crate::typecheck::ref_like_payload(ty)
+            .and_then(|payload| convertible_ml_for(&payload))
+            .map(PolyType::ref_),
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::convert::MemGcConversions;
     use crate::multilang::MemGcMultiLang;
+    use semint_core::convert::ConversionScheme;
 
     #[test]
     fn generated_ml_programs_typecheck_at_the_requested_type() {
@@ -494,6 +494,78 @@ mod tests {
             }
             let e = gen.gen_ml(&ty);
             assert!(!format!("{e}").contains('⦇'), "no boundaries expected: {e}");
+        }
+    }
+
+    /// Every L3 type of depth ≤ `depth`, over every constructor (including
+    /// linear arrows, bare pointers, capabilities and location quantifiers,
+    /// which the generator never builds as goal types); `REF 𝜏` counts as
+    /// one constructor.
+    fn all_l3_types(depth: usize) -> Vec<L3Type> {
+        let mut out = vec![L3Type::Unit, L3Type::Bool, L3Type::ptr("ζ")];
+        if depth == 0 {
+            return out;
+        }
+        let smaller = all_l3_types(depth - 1);
+        for a in &smaller {
+            out.push(L3Type::bang(a.clone()));
+            out.push(L3Type::cap("ζ", a.clone()));
+            out.push(L3Type::forall_loc("ζ", a.clone()));
+            out.push(L3Type::exists_loc("ζ", a.clone()));
+            out.push(L3Type::ref_like(a.clone()));
+            for b in &smaller {
+                out.push(L3Type::tensor(a.clone(), b.clone()));
+                out.push(L3Type::lolli(a.clone(), b.clone()));
+            }
+        }
+        out
+    }
+
+    /// Every MiniML type of depth ≤ `depth`, over every constructor; a
+    /// foreign type `⟨𝜏⟩` counts one level plus the depth of `𝜏`.
+    fn all_ml_types(depth: usize) -> Vec<PolyType> {
+        let mut out = vec![PolyType::Unit, PolyType::Int, PolyType::tvar("α")];
+        if depth == 0 {
+            return out;
+        }
+        out.extend(all_l3_types(depth - 1).into_iter().map(PolyType::foreign));
+        let smaller = all_ml_types(depth - 1);
+        for a in &smaller {
+            out.push(PolyType::ref_(a.clone()));
+            out.push(PolyType::forall("α", a.clone()));
+            for b in &smaller {
+                out.push(PolyType::prod(a.clone(), b.clone()));
+                out.push(PolyType::sum(a.clone(), b.clone()));
+                out.push(PolyType::fun(a.clone(), b.clone()));
+            }
+        }
+        out
+    }
+
+    /// The generator derives no glue: each boundary type it proposes must
+    /// be derivable under the standard §5 rules.  Covers every type of
+    /// depth ≤ 2 in both directions (plus the Church booleans) and
+    /// deep-profile random types of depth ≤ 6.
+    #[test]
+    fn candidates_are_derivable_under_the_standard_rules() {
+        let rules = MemGcConversions::standard();
+        let mut random = MemGcProgramGen::with_config(0, MemGcGenConfig::from(&GenProfile::deep()));
+        let mut ml_types = all_ml_types(2);
+        let mut l3_types = all_l3_types(2);
+        ml_types.push(PolyType::church_bool());
+        for _ in 0..20_000 {
+            ml_types.push(random.gen_ml_type(6));
+            l3_types.push(random.gen_l3_type(6));
+        }
+        for ty in &ml_types {
+            if let Some(l3) = convertible_l3_for(ty) {
+                assert!(rules.derivable(ty, &l3), "unsound candidate {ty} ∼ {l3}");
+            }
+        }
+        for ty in &l3_types {
+            if let Some(ml) = convertible_ml_for(ty) {
+                assert!(rules.derivable(&ml, ty), "unsound candidate {ml} ∼ {ty}");
+            }
         }
     }
 }

@@ -6,8 +6,12 @@
 //! type-directed: [`ProgramGen::gen_hl`] produces a RefHL expression of a requested type,
 //! [`ProgramGen::gen_ll`] a RefLL expression, and both freely insert boundaries at
 //! convertible types so the generated programs exercise the glue code.
+//!
+//! Boundary types come from structural candidates that are sound by
+//! construction: every candidate pair is derivable under the standard
+//! Fig. 4 rules, so the generator never derives glue itself (the test
+//! `candidates_are_derivable_under_the_standard_rules` pins this).
 
-use crate::convert::SharedMemConversions;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use reflang::syntax::{HlExpr, HlType, LlExpr, LlType};
@@ -55,11 +59,10 @@ impl From<&GenProfile> for GenConfig {
 pub struct ProgramGen {
     rng: StdRng,
     config: GenConfig,
-    conversions: SharedMemConversions,
 }
 
 impl ProgramGen {
-    /// A generator with the standard conversions and default configuration.
+    /// A generator with the default configuration.
     pub fn new(seed: u64) -> Self {
         ProgramGen::with_config(seed, GenConfig::default())
     }
@@ -69,7 +72,6 @@ impl ProgramGen {
         ProgramGen {
             rng: StdRng::seed_from_u64(seed),
             config,
-            conversions: SharedMemConversions::standard(),
         }
     }
 
@@ -143,7 +145,7 @@ impl ProgramGen {
     fn hl(&mut self, ty: &HlType, depth: usize) -> HlExpr {
         // Possibly detour through RefLL when a conversion exists.
         if depth > 0 && self.boundary_here() {
-            if let Some(ll_ty) = self.convertible_ll_for(ty) {
+            if let Some(ll_ty) = ll_candidate_for(ty) {
                 let inner = self.ll(&ll_ty, depth - 1);
                 return HlExpr::boundary(inner, ty.clone());
             }
@@ -209,7 +211,6 @@ impl ProgramGen {
             HlType::Prod(a, b) => HlExpr::pair(self.hl(a, d), self.hl(b, d)),
             HlType::Fun(a, b) => {
                 let var = format!("f{}", self.rng.gen_range(0..1000));
-                let _ = a;
                 HlExpr::lam(var.as_str(), (**a).clone(), self.hl(b, d))
             }
             HlType::Ref(a) => HlExpr::ref_(self.hl(a, d)),
@@ -280,66 +281,50 @@ impl ProgramGen {
         }
     }
 
-    /// Picks a RefLL type convertible with `ty`, if the rule set has one.
-    /// The candidate is built structurally (recursing into products, sums
-    /// and references) so boundaries appear under *deep* compound types,
-    /// not just at the depth-≤-2 pairs the original generator handled; the
-    /// final `derive` call remains the source of truth.
-    fn convertible_ll_for(&mut self, ty: &HlType) -> Option<LlType> {
-        let candidate = ll_candidate_for(ty)?;
-        self.conversions.derive(ty, &candidate).map(|_| candidate)
-    }
-
     /// Picks a RefHL type convertible with `ty`, if the rule set has one.
+    /// `int` and `[int]` each have two candidates; one random draw picks
+    /// which, and both are derivable, so the pick is the answer.
     fn convertible_hl_for(&mut self, ty: &LlType) -> Option<HlType> {
-        let candidates: Vec<HlType> = match ty {
-            LlType::Int => {
-                if self.rng.gen_bool(0.5) {
-                    vec![HlType::Bool, HlType::Unit]
-                } else {
-                    vec![HlType::Unit, HlType::Bool]
-                }
-            }
+        match ty {
+            LlType::Int => Some(if self.rng.gen_bool(0.5) {
+                HlType::Bool
+            } else {
+                HlType::Unit
+            }),
             // Pointer sharing needs no-op payload glue, so the payload
             // candidate chain bottoms out at `bool ∼ int`.
-            LlType::Ref(inner) => match hl_ref_payload_for(inner) {
-                Some(payload) => vec![HlType::ref_(payload)],
-                None => vec![],
-            },
+            LlType::Ref(inner) => hl_ref_payload_for(inner).map(HlType::ref_),
             LlType::Array(inner) => match inner.as_ref() {
-                LlType::Int => {
-                    let sum = HlType::sum(HlType::Bool, HlType::Bool);
-                    let prod = HlType::prod(HlType::Bool, HlType::Unit);
-                    if self.rng.gen_bool(0.5) {
-                        vec![sum, prod]
-                    } else {
-                        vec![prod, sum]
-                    }
-                }
+                LlType::Int => Some(if self.rng.gen_bool(0.5) {
+                    HlType::sum(HlType::Bool, HlType::Bool)
+                } else {
+                    HlType::prod(HlType::Bool, HlType::Unit)
+                }),
                 // Deep arrays become nested products whose components all
                 // convert to the element type.
-                elem => match self.convertible_hl_for(elem) {
-                    Some(c) => vec![HlType::prod(c.clone(), c)],
-                    None => vec![],
-                },
+                elem => self
+                    .convertible_hl_for(elem)
+                    .map(|c| HlType::prod(c.clone(), c)),
             },
-            _ => vec![],
-        };
-        candidates
-            .into_iter()
-            .find(|hl| self.conversions.derive(hl, ty).is_some())
+            LlType::Fun(_, _) => None,
+        }
     }
 }
 
-/// The structural RefLL candidate for a RefHL type: `bool`/`unit` go to
-/// `int`, sums of int-convertible arms go to `[int]`, products go to an
-/// array of their (shared) component candidate, and reference chains pass
-/// the pointer when the payload glue is a no-op.
+/// The structural RefLL candidate for a RefHL type, built so boundaries
+/// appear under *deep* compound types: `bool`/`unit` go to `int`, sums of
+/// int-convertible arms go to `[int]`, products go to an array of their
+/// (shared) component candidate, and reference chains pass the pointer
+/// when the payload glue is a no-op.  Every candidate is derivable under
+/// the standard rules, so no glue is derived to confirm it.
 fn ll_candidate_for(ty: &HlType) -> Option<LlType> {
     match ty {
         HlType::Bool | HlType::Unit => Some(LlType::Int),
         HlType::Ref(inner) => ll_ref_payload_for(inner).map(LlType::ref_),
-        HlType::Sum(_, _) => Some(LlType::array(LlType::Int)),
+        HlType::Sum(t1, t2) => {
+            let int_arm = |t: &HlType| ll_candidate_for(t) == Some(LlType::Int);
+            (int_arm(t1) && int_arm(t2)).then(|| LlType::array(LlType::Int))
+        }
         HlType::Prod(t1, t2) => {
             let c1 = ll_candidate_for(t1)?;
             let c2 = ll_candidate_for(t2)?;
@@ -373,7 +358,10 @@ fn hl_ref_payload_for(ty: &LlType) -> Option<HlType> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::convert::SharedMemConversions;
     use crate::multilang::MultiLang;
+    use semint_core::convert::ConversionScheme;
+    use std::collections::HashSet;
 
     #[test]
     fn generated_hl_programs_typecheck_at_the_requested_type() {
@@ -472,6 +460,105 @@ mod tests {
         assert!(
             format!("{e}").contains('⦇'),
             "bias 100 over a convertible deep type must cross a boundary: {e}"
+        );
+    }
+
+    /// Every RefHL type of depth ≤ `depth`, over every constructor
+    /// (including functions and references of compound types, which the
+    /// generator never proposes a candidate for).
+    fn all_hl_types(depth: usize) -> Vec<HlType> {
+        let mut out = vec![HlType::Bool, HlType::Unit];
+        if depth == 0 {
+            return out;
+        }
+        let smaller = all_hl_types(depth - 1);
+        out.extend(smaller.iter().cloned().map(HlType::ref_));
+        for a in &smaller {
+            for b in &smaller {
+                out.push(HlType::sum(a.clone(), b.clone()));
+                out.push(HlType::prod(a.clone(), b.clone()));
+                out.push(HlType::fun(a.clone(), b.clone()));
+            }
+        }
+        out
+    }
+
+    /// Every RefLL type of depth ≤ `depth`, over every constructor.
+    fn all_ll_types(depth: usize) -> Vec<LlType> {
+        let mut out = vec![LlType::Int];
+        if depth == 0 {
+            return out;
+        }
+        let smaller = all_ll_types(depth - 1);
+        out.extend(smaller.iter().cloned().map(LlType::array));
+        out.extend(smaller.iter().cloned().map(LlType::ref_));
+        for a in &smaller {
+            for b in &smaller {
+                out.push(LlType::fun(a.clone(), b.clone()));
+            }
+        }
+        out
+    }
+
+    /// The generator derives no glue: each boundary type it proposes must
+    /// be derivable under the standard Fig. 4 rules.  Covers every type of
+    /// depth ≤ 2 in both directions plus deep-profile random types of depth
+    /// ≤ 6, and every candidate the random draw in `convertible_hl_for` can
+    /// pick.
+    #[test]
+    fn candidates_are_derivable_under_the_standard_rules() {
+        let rules = SharedMemConversions::standard();
+        let mut random = ProgramGen::with_config(0, GenConfig::from(&GenProfile::deep()));
+        let mut hl_types = all_hl_types(2);
+        let mut ll_types = all_ll_types(2);
+        for _ in 0..20_000 {
+            hl_types.push(random.gen_hl_type(6));
+            ll_types.push(random.gen_ll_type(6));
+        }
+        for ty in &hl_types {
+            if let Some(ll) = ll_candidate_for(ty) {
+                assert!(rules.derivable(ty, &ll), "unsound candidate {ty} ∼ {ll}");
+            }
+        }
+        let mut picked = HashSet::new();
+        for ty in &ll_types {
+            for _ in 0..8 {
+                if let Some(hl) = random.convertible_hl_for(ty) {
+                    assert!(rules.derivable(&hl, ty), "unsound candidate {hl} ∼ {ty}");
+                    picked.insert((hl, ty.clone()));
+                }
+            }
+        }
+        for (hl, ll) in [
+            (HlType::Bool, LlType::Int),
+            (HlType::Unit, LlType::Int),
+            (
+                HlType::sum(HlType::Bool, HlType::Bool),
+                LlType::array(LlType::Int),
+            ),
+            (
+                HlType::prod(HlType::Bool, HlType::Unit),
+                LlType::array(LlType::Int),
+            ),
+        ] {
+            assert!(
+                picked.contains(&(hl.clone(), ll.clone())),
+                "never picked {hl} ∼ {ll}"
+            );
+        }
+    }
+
+    /// `τ1 + τ2 ∼ [int]` needs both arms to convert to `int`; a sum with a
+    /// reference arm has no array candidate.
+    #[test]
+    fn sums_with_a_non_int_arm_get_no_candidate() {
+        let ty = HlType::sum(HlType::Bool, HlType::ref_(HlType::Bool));
+        assert_eq!(ll_candidate_for(&ty), None);
+        assert!(!SharedMemConversions::standard().derivable(&ty, &LlType::array(LlType::Int)));
+        let both_int = HlType::sum(HlType::Bool, HlType::Unit);
+        assert_eq!(
+            ll_candidate_for(&both_int),
+            Some(LlType::array(LlType::Int))
         );
     }
 }
