@@ -3,10 +3,10 @@
 
 use crate::compile::CompileOutput;
 use crate::gen::{AffineGenConfig, AffineProgramGen};
-use crate::model::{AffineModelChecker, AffineSemType};
+use crate::model::{AffineModelChecker, AffineSemType, CHECK_FUEL};
 use crate::multilang::AffineMultiLang;
 use crate::syntax::{AffiType, MlType};
-use lcvm::RunResult;
+use lcvm::{Halt, RunResult};
 use semint_core::case::{CaseStudy, CheckFailure, GenProfile, Scenario};
 use semint_core::stats::{OutcomeClass, RunStats};
 use semint_core::{Fuel, GlueCacheStats};
@@ -41,6 +41,17 @@ impl AffineCase {
             broken: true,
         }
     }
+}
+
+/// What the §4 judgement needs besides the run stage's report.
+#[derive(Debug, Clone)]
+pub struct AffineEvidence {
+    /// How the program halts under the augmented semantics, within the
+    /// checker's fuel.
+    augmented: Halt,
+    /// How the checker's own standard run halted, when the sweep's fuel
+    /// falls short of the checker's.
+    own_run: Option<Halt>,
 }
 
 impl Default for AffineCase {
@@ -109,6 +120,7 @@ impl CaseStudy for AffineCase {
     type Ty = AffSourceType;
     type Report = RunResult;
     type Compiled = CompileOutput;
+    type Evidence = AffineEvidence;
 
     fn name(&self) -> &'static str {
         "affine"
@@ -160,22 +172,54 @@ impl CaseStudy for AffineCase {
         }
     }
 
-    fn model_check_compiled(
+    fn model_budget(&self) -> Fuel {
+        CHECK_FUEL
+    }
+
+    /// The augmented-semantics run, plus the checker's own standard run
+    /// when the sweep's fuel falls short of the checker's.
+    fn model_evidence(
+        &self,
+        _program: &AffProgram,
+        _ty: &AffSourceType,
+        compiled: &CompileOutput,
+        fuel: Fuel,
+    ) -> AffineEvidence {
+        let budget = self.model_budget();
+        AffineEvidence {
+            augmented: AffineModelChecker::new()
+                .augmented_run(&compiled.expr, &compiled.static_binders),
+            own_run: (!fuel.covers(budget)).then(|| self.execute(compiled.clone(), budget).halt),
+        }
+    }
+
+    fn model_judgement(
         &self,
         program: &AffProgram,
         ty: &AffSourceType,
-        compiled: &CompileOutput,
+        evidence: AffineEvidence,
+        report: &RunResult,
+        fuel: Fuel,
     ) -> Result<(), CheckFailure> {
-        let checker = AffineModelChecker::new();
+        // How the standard run halts within the checker's fuel.
+        let out_of_fuel = Halt::OutOfFuel;
+        let standard = match &evidence.own_run {
+            Some(halt) => halt,
+            None => report
+                .rebudget(fuel, self.model_budget())
+                .decide(report)
+                .map_or(&out_of_fuel, |run| &run.halt),
+        };
+
         // Safety under the standard *and* the augmented semantics, plus
         // erasure agreement (the §4 analogue of type safety).
-        checker
-            .check_safety(&compiled.expr, &compiled.static_binders)
-            .map_err(|ce| CheckFailure {
+        AffineModelChecker::judge_safety(standard, &evidence.augmented).map_err(|ce| {
+            CheckFailure {
                 claim: ce.claim,
                 witness: program.to_string(),
                 reason: ce.reason,
-            })?;
+            }
+        })?;
 
         // The claimed-type membership check, where the broken rule bites:
         // int-typed programs get claimed at the boolean relation.
@@ -189,7 +233,7 @@ impl CaseStudy for AffineCase {
             _ => None,
         };
         if let Some(sem_ty) = claimed {
-            if !checker.expr_in(compiled.expr.clone(), &sem_ty) {
+            if !AffineModelChecker::new().halt_in(standard, &sem_ty) {
                 return Err(CheckFailure {
                     claim: format!("deliberately broken rule: compiled program ∈ E⟦{sem_ty:?}⟧"),
                     witness: program.to_string(),

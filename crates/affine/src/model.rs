@@ -63,6 +63,9 @@ impl fmt::Display for AffineSemType {
     }
 }
 
+/// The step budget of every evaluation a default checker performs.
+pub const CHECK_FUEL: Fuel = Fuel::steps(100_000);
+
 /// The executable §4 model checker.
 #[derive(Debug, Clone)]
 pub struct AffineModelChecker {
@@ -77,7 +80,7 @@ impl Default for AffineModelChecker {
     fn default() -> Self {
         AffineModelChecker {
             conversions: AffineConversions::standard(),
-            fuel: Fuel::steps(100_000),
+            fuel: CHECK_FUEL,
             fun_depth: 2,
         }
     }
@@ -218,12 +221,22 @@ impl AffineModelChecker {
 
     fn expr_in_depth(&self, e: Expr, ty: &AffineSemType, depth: usize) -> bool {
         let r = Machine::run_expr(e, self.fuel);
-        match r.halt {
+        self.halt_in_depth(&r.halt, ty, depth)
+    }
+
+    /// The post-run half of [`AffineModelChecker::expr_in`]: is a run under
+    /// the checker's fuel that halted with `halt` in `E⟦ty⟧`?
+    pub fn halt_in(&self, halt: &Halt, ty: &AffineSemType) -> bool {
+        self.halt_in_depth(halt, ty, self.fun_depth)
+    }
+
+    fn halt_in_depth(&self, halt: &Halt, ty: &AffineSemType, depth: usize) -> bool {
+        match halt {
             Halt::OutOfFuel => true,
             Halt::Fail(ErrorCode::Conv) => true,
             Halt::Fail(_) => false,
             Halt::PhantomStuck { .. } => false,
-            Halt::Value(v) => self.value_in_depth(&v, ty, depth),
+            Halt::Value(v) => self.value_in_depth(v, ty, depth),
         }
     }
 
@@ -375,31 +388,51 @@ impl AffineModelChecker {
         static_binders: &BTreeSet<Var>,
     ) -> Result<(), AffineCounterExample> {
         let standard = Machine::run_expr(expr.clone(), self.fuel);
-        if !standard.halt.is_safe() {
-            return Err(AffineCounterExample {
-                claim: "type safety (standard semantics)".into(),
-                witness: expr.to_string(),
-                reason: format!("{:?}", standard.halt),
-            });
-        }
+        let augmented = self.augmented_run(expr, static_binders);
+        Self::judge_safety(&standard.halt, &augmented).map_err(|ce| AffineCounterExample {
+            witness: expr.to_string(),
+            ..ce
+        })
+    }
+
+    /// The augmented-semantics half of [`AffineModelChecker::check_safety`]:
+    /// how `expr` halts under the checker's fuel when its static affine
+    /// binders are protected by phantom flags.
+    pub fn augmented_run(&self, expr: &Expr, static_binders: &BTreeSet<Var>) -> Halt {
         let cfg = MachineConfig {
             phantom: Some(PhantomConfig::protecting(static_binders.iter().cloned())),
             pinned: BTreeSet::new(),
         };
-        let phantom = Machine::with_config(expr.clone(), cfg).run(self.fuel);
-        if !phantom.halt.is_safe() {
-            return Err(AffineCounterExample {
-                claim: "type safety (augmented semantics)".into(),
-                witness: expr.to_string(),
-                reason: format!("{:?}", phantom.halt),
-            });
+        Machine::with_config(expr.clone(), cfg).run(self.fuel).halt
+    }
+
+    /// The judgement of [`AffineModelChecker::check_safety`] on how the
+    /// program halts under the standard and the augmented semantics (each
+    /// within the checker's fuel).  The counterexample's witness is left
+    /// empty for the caller, who knows what ran.
+    pub fn judge_safety(standard: &Halt, augmented: &Halt) -> Result<(), AffineCounterExample> {
+        let refuted = |claim: &str, reason: String| AffineCounterExample {
+            claim: claim.into(),
+            witness: String::new(),
+            reason,
+        };
+        if !standard.is_safe() {
+            return Err(refuted(
+                "type safety (standard semantics)",
+                format!("{standard:?}"),
+            ));
         }
-        match (&standard.halt, &phantom.halt) {
-            (Halt::Value(a), Halt::Value(b)) if a != b => Err(AffineCounterExample {
-                claim: "erasure agreement".into(),
-                witness: expr.to_string(),
-                reason: format!("standard gave {a}, augmented gave {b}"),
-            }),
+        if !augmented.is_safe() {
+            return Err(refuted(
+                "type safety (augmented semantics)",
+                format!("{augmented:?}"),
+            ));
+        }
+        match (standard, augmented) {
+            (Halt::Value(a), Halt::Value(b)) if a != b => Err(refuted(
+                "erasure agreement",
+                format!("standard gave {a}, augmented gave {b}"),
+            )),
             _ => Ok(()),
         }
     }

@@ -9,6 +9,14 @@
 //! sweep seed ranges over all case studies — present and future — with one
 //! batch runner, one statistics pipeline and one counterexample shrinker.
 //!
+//! The realizability models judge a compiled program by its run (`E⟦τ⟧`
+//! and the type-safety theorems are claims about how evaluation within the
+//! step index ends), and the run stage already makes that run.  So the
+//! model check comes in two halves around it: [`CaseStudy::model_evidence`]
+//! takes from the artifact what only the artifact can give before the run
+//! consumes it, and [`CaseStudy::model_judgement`] judges the run's report
+//! with that evidence.  Each scenario is run once.
+//!
 //! Implementations live with their case studies (`sharedmem::harness`,
 //! `affine_interop::harness`, `memgc_interop::harness`); only the vocabulary
 //! lives here so the case-study crates need not depend on the engine.
@@ -242,6 +250,28 @@ impl GenProfile {
         self.validate()?;
         Ok(self)
     }
+
+    /// The `semint` flags that select this profile: `--profile NAME` for a
+    /// preset, every knob otherwise (an unlimited fuel, which the flags
+    /// cannot express, is left out).
+    pub fn flags(&self) -> String {
+        if GenProfile::by_name(self.name) == Some(*self) {
+            return format!("--profile {}", self.name);
+        }
+        let mut flags = format!(
+            "--type-depth {} --depth {} --boundary-bias {} --weights {},{},{}",
+            self.type_depth,
+            self.max_depth,
+            self.boundary_bias,
+            self.weights.leaf,
+            self.weights.branch,
+            self.weights.wrap
+        );
+        if let Some(steps) = self.fuel.remaining() {
+            flags.push_str(&format!(" --fuel {steps}"));
+        }
+        flags
+    }
 }
 
 impl Default for GenProfile {
@@ -322,8 +352,14 @@ pub trait CaseStudy {
     /// The compiled target artifact of one program — the first-class object
     /// the sweep engine threads through timing, execution and model checking
     /// so each scenario is compiled exactly once no matter how many stages
-    /// consume it.
-    type Compiled: Send + 'static;
+    /// consume it.  Only [`CaseStudy::model_check_compiled`] clones one, to
+    /// run a copy of its own.
+    type Compiled: Clone + Send + 'static;
+    /// What the model check learns from the artifact before the run stage
+    /// consumes it ([`CaseStudy::model_evidence`]), kept for the judgement
+    /// of the run's report ([`CaseStudy::model_judgement`]).  The sweep
+    /// engine holds one per scenario between the two, boxed.
+    type Evidence: Send + 'static;
 
     /// A short stable name (`sharedmem`, `affine`, `memgc`).
     fn name(&self) -> &'static str;
@@ -346,9 +382,8 @@ pub trait CaseStudy {
     /// Runs an already-compiled artifact under the given step budget.
     ///
     /// The artifact is taken by value so the compile-once-execute-once sweep
-    /// path never copies a compiled program; callers that also want to model
-    /// check borrow the artifact through
-    /// [`CaseStudy::model_check_compiled`] *before* executing it.
+    /// path never copies a compiled program; a model-checked scenario hands
+    /// the artifact to [`CaseStudy::model_evidence`] *before* executing it.
     fn execute(&self, compiled: Self::Compiled, fuel: Fuel) -> Self::Report;
 
     /// Runs a whole batch of already-compiled artifacts under the given
@@ -382,22 +417,59 @@ pub trait CaseStudy {
     /// vocabulary.
     fn stats(&self, report: &Self::Report) -> RunStats;
 
-    /// Checks the program against the case study's realizability model at
-    /// the claimed type (type safety and, where the model supports it,
-    /// membership in the expression relation), borrowing an artifact the
-    /// caller already built — the model-check stage never recompiles.
+    /// The largest step budget the model check judges a run under: the
+    /// fuel [`CaseStudy::model_check_compiled`] runs its own copy with.
+    fn model_budget(&self) -> Fuel;
+
+    /// The model check's first half, on the artifact before it runs under
+    /// `fuel`: the evidence only the artifact can give.  That is any run
+    /// under other semantics or of another program, and the checker's own
+    /// run when `fuel` does not [cover](Fuel::covers) its budget, so that
+    /// the run stage's report might not decide it.
+    fn model_evidence(
+        &self,
+        program: &Self::Program,
+        ty: &Self::Ty,
+        compiled: &Self::Compiled,
+        fuel: Fuel,
+    ) -> Self::Evidence;
+
+    /// The model check's second half: checks the program against the case
+    /// study's realizability model at the claimed type (type safety and,
+    /// where the model supports it, membership in the expression relation),
+    /// judging `report`, the run of the artifact under `fuel`, together
+    /// with the evidence gathered under the same `fuel`.  A checker's step
+    /// budget caps the run's steps by the budget rule of [`Fuel::rebudget`],
+    /// so the verdict is the one a run of its own would give.
+    fn model_judgement(
+        &self,
+        program: &Self::Program,
+        ty: &Self::Ty,
+        evidence: Self::Evidence,
+        report: &Self::Report,
+        fuel: Fuel,
+    ) -> Result<(), CheckFailure>;
+
+    /// The whole model check on a borrowed artifact, for callers with no
+    /// run of their own to judge (shrink re-checks, ad-hoc checks): the
+    /// evidence, one run of a copy of the artifact under
+    /// [`CaseStudy::model_budget`], then the same judgement.  The sweep
+    /// judges its run stage's report instead, and never calls this on the
+    /// scenario itself.
     fn model_check_compiled(
         &self,
         program: &Self::Program,
         ty: &Self::Ty,
         compiled: &Self::Compiled,
-    ) -> Result<(), CheckFailure>;
+    ) -> Result<(), CheckFailure> {
+        let budget = self.model_budget();
+        let evidence = self.model_evidence(program, ty, compiled, budget);
+        let report = self.execute(compiled.clone(), budget);
+        self.model_judgement(program, ty, evidence, &report, budget)
+    }
 
     /// Compile-and-model-check convenience over
-    /// [`CaseStudy::model_check_compiled`] for ad-hoc callers.  The sweep
-    /// engine's shrink re-checks compile each candidate themselves and call
-    /// [`CaseStudy::model_check_compiled`] directly, so the compile-once
-    /// invariant holds there too.
+    /// [`CaseStudy::model_check_compiled`] for ad-hoc callers.
     fn model_check(&self, program: &Self::Program, ty: &Self::Ty) -> Result<(), CheckFailure> {
         let compiled = self.compile(program).map_err(|reason| CheckFailure {
             claim: "compilation".into(),
@@ -499,6 +571,21 @@ mod tests {
         };
         assert!(p.validate().unwrap_err().contains("at or below"));
         assert!(GenProfile::standard().validated().is_ok());
+    }
+
+    #[test]
+    fn presets_flag_their_name_and_custom_profiles_every_knob() {
+        assert_eq!(GenProfile::deep().flags(), "--profile deep");
+        let custom = GenProfile {
+            name: "custom",
+            boundary_bias: 60,
+            fuel: crate::Fuel::steps(30),
+            ..GenProfile::boundary_heavy()
+        };
+        assert_eq!(
+            custom.flags(),
+            "--type-depth 2 --depth 5 --boundary-bias 60 --weights 3,3,1 --fuel 30"
+        );
     }
 
     #[test]

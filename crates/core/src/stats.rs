@@ -342,6 +342,10 @@ impl CaseReport {
 pub struct SweepReport {
     /// Reports in sweep order.
     pub cases: Vec<CaseReport>,
+    /// The `semint` flags that select the swept population (the profile
+    /// and whether the case studies were the broken variants), when the
+    /// writer recorded them.  Failures replay under exactly these flags.
+    pub population: Option<String>,
 }
 
 impl SweepReport {
@@ -358,8 +362,13 @@ impl SweepReport {
     /// Merges another sweep report into this one, matching case reports by
     /// name (cases only in `other` are appended).  Sharded sweeps merge
     /// into the digests of the unsharded sweep — the property `semint
-    /// report a.tsv b.tsv` and the CI shard smoke rely on.
+    /// report a.tsv b.tsv` and the CI shard smoke rely on.  A report that
+    /// recorded no population takes `other`'s; checking that the two agree
+    /// is the caller's business.
     pub fn merge(&mut self, other: &SweepReport) {
+        if self.population.is_none() {
+            self.population.clone_from(&other.population);
+        }
         for incoming in &other.cases {
             match self.cases.iter_mut().find(|c| c.case == incoming.case) {
                 Some(existing) => existing.merge(incoming),
@@ -371,12 +380,16 @@ impl SweepReport {
     /// Serialises the report to a simple line-oriented `key<TAB>value`
     /// format that [`SweepReport::from_tsv`] reads back; used by `semint
     /// sweep --save` / `semint report` and the supervised sweep's
-    /// checkpoints.  Each case's `failures<TAB>N` line is followed by N
-    /// `failure` rows — seed, stage, shrink steps, reason, witness, shrunk —
-    /// whose text fields escape backslash, tab, newline and carriage return,
-    /// so a clean case writes no rows at all.
+    /// checkpoints.  A recorded population is the first row.  Each case's
+    /// `failures<TAB>N` line is followed by N `failure` rows — seed, stage,
+    /// shrink steps, reason, witness, shrunk — whose text fields escape
+    /// backslash, tab, newline and carriage return, so a clean case writes
+    /// no rows at all.
     pub fn to_tsv(&self) -> String {
         let mut out = String::new();
+        if let Some(population) = &self.population {
+            out.push_str(&format!("population\t{population}\n"));
+        }
         for case in &self.cases {
             out.push_str(&format!("case\t{}\n", case.case));
             out.push_str(&format!("scenarios\t{}\n", case.scenarios));
@@ -419,7 +432,8 @@ impl SweepReport {
     /// records included.  A case whose `failure` rows do not number exactly
     /// its `failures` count is refused, so a truncated file — or a
     /// count-only one written before failures were persisted — never reads
-    /// back as a report with fewer counterexamples.
+    /// back as a report with fewer counterexamples.  A file written before
+    /// populations were recorded reads back with none.
     pub fn from_tsv(text: &str) -> Result<SweepReport, String> {
         let mut report = SweepReport::default();
         // The `failures` count each case declared, in case order.
@@ -444,6 +458,9 @@ impl SweepReport {
                     .map_err(|e| format!("line {}: {e}", lineno + 1))
             };
             match key {
+                "population" if report.cases.is_empty() => {
+                    report.population = Some(value.to_string());
+                }
                 "case" => {
                     report.cases.push(CaseReport::new(value));
                     declared.push(0);
@@ -642,8 +659,17 @@ mod tests {
             run_ns: 4,
             model_check_ns: 5,
         });
-        let report = SweepReport { cases: vec![case] };
-        let parsed = SweepReport::from_tsv(&report.to_tsv()).unwrap();
+        let report = SweepReport {
+            cases: vec![case],
+            population: Some("--profile deep --broken".into()),
+        };
+        let text = report.to_tsv();
+        assert!(
+            text.starts_with("population\t--profile deep --broken\n"),
+            "{text}"
+        );
+        let parsed = SweepReport::from_tsv(&text).unwrap();
+        assert_eq!(parsed.population, report.population);
         assert_eq!(parsed.cases.len(), 1);
         assert_eq!(parsed.cases[0].case, "affine");
         assert_eq!(parsed.cases[0].scenarios, 1);
@@ -653,6 +679,21 @@ mod tests {
         assert_eq!(parsed.cases[0].glue_misses, 4);
         assert_eq!(parsed.cases[0].timings, report.cases[0].timings);
         assert_eq!(parsed.cases[0].counters, report.cases[0].counters);
+    }
+
+    #[test]
+    fn population_rows_are_optional_and_belong_before_the_cases() {
+        let legacy = "case\tsharedmem\nscenarios\t3\n";
+        assert_eq!(SweepReport::from_tsv(legacy).unwrap().population, None);
+        let late = "case\tsharedmem\npopulation\t--profile smoke\n";
+        assert!(SweepReport::from_tsv(late).is_err());
+        // Merging keeps a recorded population.
+        let mut merged = SweepReport::default();
+        merged.merge(&SweepReport {
+            cases: vec![],
+            population: Some("--profile smoke".into()),
+        });
+        assert_eq!(merged.population.as_deref(), Some("--profile smoke"));
     }
 
     #[test]
@@ -712,8 +753,14 @@ mod tests {
             }
         }
         // Merge the later shard first: the order must not matter.
-        let mut merged = SweepReport { cases: vec![odd] };
-        merged.merge(&SweepReport { cases: vec![even] });
+        let mut merged = SweepReport {
+            cases: vec![odd],
+            population: None,
+        };
+        merged.merge(&SweepReport {
+            cases: vec![even],
+            population: None,
+        });
         assert_eq!(merged.cases.len(), 1);
         assert_eq!(merged.cases[0].digest(), whole.digest());
         assert_eq!(
@@ -749,6 +796,7 @@ mod tests {
         ];
         let text = SweepReport {
             cases: vec![case.clone()],
+            population: None,
         }
         .to_tsv();
         let rows: Vec<&str> = text
@@ -766,6 +814,7 @@ mod tests {
         // A clean case writes no failure rows at all.
         let clean = SweepReport {
             cases: vec![CaseReport::new("memgc")],
+            population: None,
         };
         assert!(!clean.to_tsv().contains("failure\t"));
     }

@@ -28,7 +28,7 @@ use semint_harness::engine::{
 };
 use semint_harness::fleet::{self, ChaosConfig, FaultKind, FaultPlan, SweepSpec};
 use semint_harness::profile::{absorb_trace, render_profile, TraceProfile};
-use semint_harness::report::render_sweep;
+use semint_harness::report::{population, render_sweep};
 use semint_harness::source::{ScenarioSource, SeedRange, Shard};
 use semint_harness::trace::SweepObserver;
 use std::path::{Path, PathBuf};
@@ -59,7 +59,8 @@ USAGE:
                                                       reports saved by `sweep --save`, failures and
                                                       their shrunk witnesses included; sharded
                                                       sweeps merge into the report of the unsharded
-                                                      sweep
+                                                      sweep, and reports of different populations
+                                                      (profile, --broken) are refused
     semint chaos  [--seed S] [--rounds N] [options]   deterministic crash drill: per round, derive a
                                                       fault schedule from the seed, run a faulted
                                                       `sweep --workers`, SIGKILL it mid-sweep, rerun
@@ -105,7 +106,9 @@ OPTIONS:
                      glue hit-rate, ETA)
     --broken         sabotage a conversion rule per case study; failing
                      scenarios are reported with shrunk counterexamples
-    --save PATH      save the sweep report, failures included, as TSV
+    --save PATH      save the sweep report, failures included, as TSV; it records
+                     the population's flags, and every printed failure ends with
+                     the `repro: semint run ...` line that replays it
 
 SUPERVISED SWEEP (sweep --workers, chaos):
     --workers N      split the seed range into N shards and run them as N
@@ -727,7 +730,8 @@ fn cmd_check(args: &[String]) -> Result<bool, String> {
         }
     }
     check_sweep_size(&cases, source.as_ref())?;
-    let report = sweep_all(&cases, source.as_ref(), &cfg);
+    let mut report = sweep_all(&cases, source.as_ref(), &cfg);
+    report.population = Some(population(&opts.profile, opts.broken));
     print!("{}", render_sweep(&report));
     Ok(clean && report.failure_count() == 0)
 }
@@ -752,7 +756,8 @@ fn cmd_sweep(args: &[String]) -> Result<bool, String> {
     check_sweep_size(&cases, source.as_ref())?;
     println!("sweep: {} · profile {}", source.describe(), cfg.profile);
     let observer = build_observer(&opts, &cases, source.as_ref())?;
-    let report = sweep_all_observed(&cases, source.as_ref(), &cfg, observer.as_ref());
+    let mut report = sweep_all_observed(&cases, source.as_ref(), &cfg, observer.as_ref());
+    report.population = Some(population(&opts.profile, opts.broken));
     finish_observer(observer)?;
     if let Some(path) = &opts.trace {
         println!("trace saved: {path}");
@@ -865,8 +870,8 @@ fn cmd_supervised_sweep(opts: &Options, workers: usize) -> Result<bool, String> 
         opts.profile
     );
     let timeout = Duration::from_millis(opts.worker_timeout_ms.unwrap_or(30_000));
-    let report =
-        fleet::run_sweep(&binary, &spec, &state_dir, opts.resume, timeout).inspect_err(|_| {
+    let mut report = fleet::run_sweep(&binary, &spec, &state_dir, opts.resume, timeout)
+        .inspect_err(|_| {
             if temporary {
                 eprintln!(
                     "sweep state kept in {0}; finish it with --state-dir {0} --resume",
@@ -877,6 +882,7 @@ fn cmd_supervised_sweep(opts: &Options, workers: usize) -> Result<bool, String> 
     if temporary {
         let _ = std::fs::remove_dir_all(&state_dir);
     }
+    report.population = Some(population(&opts.profile, opts.broken));
     print_sweep(&report);
     if let Some(path) = &opts.save {
         std::fs::write(path, report.to_tsv()).map_err(|e| format!("saving {path}: {e}"))?;
@@ -929,24 +935,44 @@ fn cmd_profile(args: &[String]) -> Result<bool, String> {
 
 /// `semint report`: render saved sweeps, merging when several are given
 /// (per-shard saves merge into the unsharded report, failures included).
+/// Reports of different populations are refused: their digests would add
+/// up to no sweep anyone ran, and their failures would replay under no one
+/// set of flags.
 fn cmd_report(args: &[String]) -> Result<bool, String> {
     if args.is_empty() {
         return Err(
             "`semint report` needs at least one PATH saved by `semint sweep --save`".into(),
         );
     }
-    let mut merged: Option<SweepReport> = None;
+    let describe = |population: &Option<String>| {
+        population
+            .as_deref()
+            .map_or("no recorded population".to_string(), |flags| {
+                format!("`{flags}`")
+            })
+    };
+    let mut merged: Option<(&str, SweepReport)> = None;
     for path in args {
         let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
         let report = SweepReport::from_tsv(&text).map_err(|e| format!("{path}: {e}"))?;
         match &mut merged {
-            None => merged = Some(report),
-            Some(acc) => acc.merge(&report),
+            None => merged = Some((path, report)),
+            Some((first, acc)) => {
+                if acc.population != report.population {
+                    return Err(format!(
+                        "{first} was swept with {} but {path} with {}; \
+                         reports of different populations do not merge",
+                        describe(&acc.population),
+                        describe(&report.population)
+                    ));
+                }
+                acc.merge(&report)
+            }
         }
     }
-    let report = merged.expect("at least one path");
-    print_sweep(&report);
-    Ok(report.failure_count() == 0)
+    let (_, merged) = merged.expect("at least one path");
+    print_sweep(&merged);
+    Ok(merged.failure_count() == 0)
 }
 
 /// `semint chaos`: the deterministic kill-and-resume drill.  Every round

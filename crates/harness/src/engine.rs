@@ -5,11 +5,16 @@
 //! task, and drains the tasks through a **work-stealing pool**: every worker
 //! owns a deque, pops from its own front, and steals from the backs of the
 //! others when it runs dry.  Within a task, every scenario is generated,
-//! typechecked, compiled and model-checked individually — exactly as in a
-//! per-scenario sweep — and then the whole batch of compiled artifacts is
-//! executed through [`CaseStudy::execute_batch`], which the case studies
-//! implement with **one** reused machine (reset in place between programs)
-//! so machine setup is amortised across the batch.
+//! typechecked and compiled individually — exactly as in a per-scenario
+//! sweep — and the model check takes its evidence from the artifact
+//! ([`CaseStudy::model_evidence`]).  Then the whole batch of compiled
+//! artifacts is executed through [`CaseStudy::execute_batch`], which the
+//! case studies implement with **one** reused machine (reset in place
+//! between programs) so machine setup is amortised across the batch.
+//! Finally each scenario's report is checked for an unsafe outcome and,
+//! failing that, judged by the model check ([`CaseStudy::model_judgement`]):
+//! the realizability models judge a program by its run, and the run stage
+//! has just made it, so no scenario runs twice.
 //!
 //! Neither scheduling nor batching influences results: each task's
 //! generator is seeded purely by its sweep seed, batches preserve per-seed
@@ -21,7 +26,7 @@
 use crate::shrink::shrink_failure;
 use crate::source::ScenarioSource;
 use crate::trace::SweepObserver;
-use semint_core::case::{CaseStudy, CheckFailure, GenProfile, Scenario};
+use semint_core::case::{CaseStudy, GenProfile, Scenario};
 use semint_core::stats::{
     CaseReport, FailStage, FailureRecord, ScenarioRecord, StageTimings, SweepReport,
 };
@@ -47,11 +52,13 @@ pub struct SweepConfig {
     /// [`semint_core::VmCounters`] (instructions by opcode class,
     /// allocations, high-water marks) are collected unconditionally — they
     /// are digest-grade facts, cheap enough to never switch off.  Timing
-    /// changes *measurement only*: every scenario is typechecked once and
-    /// compiled once whether or not the stopwatch is on — the compiled
-    /// artifact is threaded from the compile stage through model checking
-    /// into execution — so timed and untimed sweeps of the same seeds agree
-    /// on digests, counters, and glue-cache hit/miss figures alike.
+    /// changes *measurement only*: every scenario is typechecked once,
+    /// compiled once and run once whether or not the stopwatch is on — the
+    /// compiled artifact is threaded from the compile stage through the
+    /// model check's evidence into execution — so timed and untimed sweeps
+    /// of the same seeds agree on digests, counters, and glue-cache hit/miss
+    /// figures alike.  The model-check stage's time is its evidence plus its
+    /// judgement.
     pub time: bool,
     /// How many same-case compiled artifacts are executed per reused
     /// machine (`--batch N`; must be at least 1).  `1` executes every
@@ -153,6 +160,14 @@ fn staged<R>(enabled: bool, slot: &mut u64, f: impl FnOnce() -> R) -> R {
     }
 }
 
+/// A scenario ready to run: its compiled artifact and, when the sweep
+/// model-checks, the model check's evidence.  The evidence is boxed so a
+/// scenario holds one pointer, whatever the case study keeps.
+type Ready<C> = (
+    <C as CaseStudy>::Compiled,
+    Option<Box<<C as CaseStudy>::Evidence>>,
+);
+
 /// The product of the pre-execution pipeline stages for one scenario:
 /// everything the engine needs to finish the record once a machine report
 /// is available (the execution itself is left to the caller, so a batch of
@@ -164,9 +179,8 @@ struct Prepared<C: CaseStudy> {
     /// Per-stage wall-clock so far (`generate_ns` is stamped in by the
     /// caller, which owns the generation).
     timings: StageTimings,
-    /// The compiled artifact and the deferred model-check verdict, when
-    /// every pre-run stage passed.
-    ready: Option<(C::Compiled, Result<(), CheckFailure>)>,
+    /// What the run needs, when every pre-run stage passed.
+    ready: Option<Ready<C>>,
 }
 
 /// Stamps the collected timings into the record when the sweep is timed.
@@ -178,10 +192,11 @@ fn seal(mut record: ScenarioRecord, timings: StageTimings, time: bool) -> Scenar
 }
 
 /// Runs the pre-execution pipeline stages on a generated scenario: the one
-/// typecheck, the one compile, and the model check *borrowing* the artifact
-/// (execution consumes it later, so nothing is cloned on the hot path).
+/// typecheck, the one compile, and the model check's evidence, *borrowing*
+/// the artifact (execution consumes it later, so nothing is cloned on the
+/// hot path).
 ///
-/// The model-check verdict is deferred until after the run: an unsafe run
+/// The model check's judgement waits for the run's report: an unsafe run
 /// outcome still takes precedence over a model-check rejection, exactly as
 /// when the stages ran in pipeline order.
 fn prepare_generated<C: CaseStudy>(
@@ -256,32 +271,35 @@ fn prepare_generated<C: CaseStudy>(
         }
     };
 
-    // 3. Model check borrows the artifact; the verdict is held until after
-    // execution.
-    let model_verdict = if cfg.model_check {
+    // 3. The model check's evidence borrows the artifact; its judgement
+    // waits for the run's report.
+    let evidence = cfg.model_check.then(|| {
         staged(cfg.time, &mut timings.model_check_ns, || {
-            case.model_check_compiled(&scenario.program, &scenario.ty, &compiled)
+            Box::new(case.model_evidence(
+                &scenario.program,
+                &scenario.ty,
+                &compiled,
+                cfg.profile.fuel,
+            ))
         })
-    } else {
-        Ok(())
-    };
+    });
 
     Prepared {
         record,
         timings,
-        ready: Some((compiled, model_verdict)),
+        ready: Some((compiled, evidence)),
     }
 }
 
 /// Folds a machine report into a prepared scenario's record: run-stage
-/// statistics, the unsafe-outcome check, and the deferred model-check
-/// verdict, shrinking any counterexample.
+/// statistics, the unsafe-outcome check, and the model check's judgement
+/// of the report, shrinking any counterexample.
 fn finish_executed<C: CaseStudy>(
     case: &C,
     scenario: &Scenario<C::Program, C::Ty>,
     mut record: ScenarioRecord,
-    timings: StageTimings,
-    model_verdict: Result<(), CheckFailure>,
+    mut timings: StageTimings,
+    evidence: Option<Box<C::Evidence>>,
     report: C::Report,
     cfg: &SweepConfig,
 ) -> ScenarioRecord {
@@ -319,13 +337,26 @@ fn finish_executed<C: CaseStudy>(
         return seal(record, timings, cfg.time);
     }
 
-    // The deferred model-check verdict, shrinking any counterexample with
-    // the same one-compile-per-candidate discipline (the verdict is taken
-    // on the borrowed artifact).  A candidate that typechecks but fails to
-    // compile still counts as failing — the semantics the compile-their-own
-    // `model_check` default always had (a compile error *is* a refutation
-    // of the model claim), preserved so shrunk witnesses are unchanged.
-    if let Err(check) = model_verdict {
+    // The model check judges the run it has just seen.  A counterexample
+    // is shrunk with the same one-compile-per-candidate discipline; each
+    // candidate is model-checked whole, on its borrowed artifact.  A
+    // candidate that typechecks but fails to compile still counts as
+    // failing — the semantics the compile-their-own `model_check` default
+    // always had (a compile error *is* a refutation of the model claim),
+    // preserved so shrunk witnesses are unchanged.
+    let Some(evidence) = evidence else {
+        return seal(record, timings, cfg.time);
+    };
+    let verdict = staged(cfg.time, &mut timings.model_check_ns, || {
+        case.model_judgement(
+            &scenario.program,
+            &scenario.ty,
+            *evidence,
+            &report,
+            cfg.profile.fuel,
+        )
+    });
+    if let Err(check) = verdict {
         let (shrunk, steps) = shrink_failure(case, &scenario.program, |p| {
             case.typecheck(p)
                 .map(|ty| match case.compile(p) {
@@ -362,11 +393,13 @@ pub fn run_scenario<C: CaseStudy>(case: &C, seed: u64, cfg: &SweepConfig) -> Sce
 /// Runs the full pipeline on an already-generated scenario (callers that
 /// want to display the program first generate once and reuse it here).
 ///
-/// The pipeline is artifact-threaded: the scenario is typechecked **once**
-/// and compiled **once**, and the resulting [`CaseStudy::Compiled`] artifact
-/// is borrowed by the model-check stage and then consumed by execution —
-/// no stage recompiles, no stage clones.  Only shrink re-checks (which
-/// examine different, smaller programs) compile again, once per candidate.
+/// The pipeline is artifact-threaded: the scenario is typechecked **once**,
+/// compiled **once** and run **once**.  The resulting
+/// [`CaseStudy::Compiled`] artifact is borrowed by the model check's
+/// evidence and then consumed by execution, whose report the model check
+/// judges — no stage recompiles, no stage clones, no stage reruns.  Only
+/// shrink re-checks (which examine different, smaller programs) compile and
+/// run again, once per candidate.
 pub fn run_generated<C: CaseStudy>(
     case: &C,
     scenario: &Scenario<C::Program, C::Ty>,
@@ -375,7 +408,7 @@ pub fn run_generated<C: CaseStudy>(
     let mut prepared = prepare_generated(case, scenario, cfg);
     match prepared.ready.take() {
         None => seal(prepared.record, prepared.timings, cfg.time),
-        Some((compiled, verdict)) => {
+        Some((compiled, evidence)) => {
             let mut timings = prepared.timings;
             let report = staged(cfg.time, &mut timings.run_ns, || {
                 case.execute(compiled, cfg.profile.fuel)
@@ -385,7 +418,7 @@ pub fn run_generated<C: CaseStudy>(
                 scenario,
                 prepared.record,
                 timings,
-                verdict,
+                evidence,
                 report,
                 cfg,
             )
@@ -398,8 +431,9 @@ pub fn run_generated<C: CaseStudy>(
 /// [`CaseStudy::execute_batch`] (one reused machine in the case-study
 /// overrides).
 ///
-/// Every pre-run stage — generate, typecheck, compile, the borrowed model
-/// check — runs per scenario exactly as in [`run_scenario`], and records
+/// Every stage — generate, typecheck, compile, the model check's evidence
+/// before the run and its judgement after — runs per scenario exactly as in
+/// [`run_scenario`], and records
 /// come back in seed order with per-scenario statistics split back out, so
 /// the result is digest-identical to running the seeds one at a time; only
 /// machine setup is amortised.  The batch's run wall-clock cannot be
@@ -425,12 +459,12 @@ pub fn run_batch<C: CaseStudy>(case: &C, seeds: &[u64], cfg: &SweepConfig) -> Ve
     // Collect the executable artifacts in seed order and run them as one
     // batch; scenarios that failed a pre-run stage simply take no part.
     let mut ready_indices = Vec::with_capacity(prepared.len());
-    let mut verdicts = Vec::with_capacity(prepared.len());
+    let mut evidence = Vec::with_capacity(prepared.len());
     let mut artifacts = Vec::with_capacity(prepared.len());
     for (idx, p) in prepared.iter_mut().enumerate() {
-        if let Some((compiled, verdict)) = p.ready.take() {
+        if let Some((compiled, held)) = p.ready.take() {
             ready_indices.push(idx);
-            verdicts.push(verdict);
+            evidence.push(held);
             artifacts.push(compiled);
         }
     }
@@ -457,7 +491,7 @@ pub fn run_batch<C: CaseStudy>(case: &C, seeds: &[u64], cfg: &SweepConfig) -> Ve
 
     let mut executed = ready_indices
         .into_iter()
-        .zip(verdicts.into_iter().zip(reports.into_iter().zip(shares)))
+        .zip(evidence.into_iter().zip(reports.into_iter().zip(shares)))
         .peekable();
     prepared
         .into_iter()
@@ -465,10 +499,10 @@ pub fn run_batch<C: CaseStudy>(case: &C, seeds: &[u64], cfg: &SweepConfig) -> Ve
         .enumerate()
         .map(|(idx, (p, scenario))| match executed.peek() {
             Some((ready_idx, _)) if *ready_idx == idx => {
-                let (_, (verdict, (report, run_ns))) = executed.next().expect("peeked entry");
+                let (_, (held, (report, run_ns))) = executed.next().expect("peeked entry");
                 let mut timings = p.timings;
                 timings.run_ns = run_ns;
-                finish_executed(case, scenario, p.record, timings, verdict, report, cfg)
+                finish_executed(case, scenario, p.record, timings, held, report, cfg)
             }
             _ => seal(p.record, p.timings, cfg.time),
         })
@@ -649,7 +683,10 @@ where
     for ((case, report), before) in cases.iter().zip(&mut reports).zip(glue_before) {
         record_glue_stats(case, before, report);
     }
-    SweepReport { cases: reports }
+    SweepReport {
+        cases: reports,
+        population: None,
+    }
 }
 
 #[cfg(test)]

@@ -4,8 +4,9 @@
 //!
 //! The paper instantiates its framework once per language pair; the
 //! reproduction's case-study crates each expose the same pipeline shape
-//! (generate → typecheck → compile → run → model-check) through the
-//! [`CaseStudy`] trait in `semint-core`.  This crate supplies everything
+//! (generate → typecheck → compile → run → model-check, the model check
+//! judging the run's report) through the [`CaseStudy`] trait in
+//! `semint-core`.  This crate supplies everything
 //! generic on top of that trait:
 //!
 //! * [`source`] — the [`source::ScenarioSource`] abstraction over *where a

@@ -5,12 +5,40 @@
 //! — instructions retired by opcode class, boundary crossings, allocation
 //! totals, high-water marks — which are digest-grade facts identical across
 //! every `--jobs`/`--batch`/shard combination.
+//!
+//! Every failure block ends with a `repro:` line, a `semint run` command
+//! that replays the failure as it was found.
 
+use semint_core::case::GenProfile;
 use semint_core::stats::{CaseReport, SweepReport};
 use std::fmt::Write as _;
 
-/// Renders one case report as an aligned block.
-pub fn render_case(report: &CaseReport) -> String {
+/// The population a sweep drew from, as the `semint` flags that select it
+/// (the profile, and `--broken` for the sabotaged case studies): what
+/// [`SweepReport::population`] records.
+pub fn population(profile: &GenProfile, broken: bool) -> String {
+    let mut flags = profile.flags();
+    if broken {
+        flags.push_str(" --broken");
+    }
+    flags
+}
+
+/// The `semint run` command that replays seed `seed` of case study `case`
+/// drawn from `population` (see [`population`]).
+fn repro_line(case: &str, seed: u64, population: Option<&str>) -> String {
+    match population {
+        Some(flags) => format!("semint run --case {case} --seed {seed} {flags}"),
+        None => format!(
+            "semint run --case {case} --seed {seed}  \
+             # population not recorded: add the sweep's profile flags"
+        ),
+    }
+}
+
+/// Renders one case report as an aligned block; each failure block ends
+/// with the `semint run` line that replays it under `population`.
+pub fn render_case(report: &CaseReport, population: Option<&str>) -> String {
     let mut out = String::new();
     out.push_str(&format!("case {}\n", report.case));
     out.push_str(&format!("  scenarios        {:>10}\n", report.scenarios));
@@ -69,13 +97,14 @@ pub fn render_case(report: &CaseReport) -> String {
     for failure in &report.failures {
         let _ = write!(
             out,
-            "    seed {:>6} [{}] {}\n      witness: {}\n      shrunk ({} steps): {}\n",
+            "    seed {:>6} [{}] {}\n      witness: {}\n      shrunk ({} steps): {}\n      repro: {}\n",
             failure.seed,
             failure.stage,
             failure.reason,
             truncate(&failure.witness, 120),
             failure.shrink_steps,
             truncate(&failure.shrunk, 120),
+            repro_line(&report.case, failure.seed, population),
         );
     }
     out
@@ -85,7 +114,7 @@ pub fn render_case(report: &CaseReport) -> String {
 pub fn render_sweep(report: &SweepReport) -> String {
     let mut out = String::new();
     for case in &report.cases {
-        out.push_str(&render_case(case));
+        out.push_str(&render_case(case, report.population.as_deref()));
         out.push('\n');
     }
     out.push_str(&format!(
@@ -120,11 +149,21 @@ mod tests {
             shrunk: "true".into(),
             shrink_steps: 3,
         });
-        let text = render_sweep(&SweepReport { cases: vec![case] });
+        let mut report = SweepReport {
+            cases: vec![case],
+            population: Some(population(&GenProfile::deep(), true)),
+        };
+        let text = render_sweep(&report);
         assert!(text.contains("case sharedmem"));
         assert!(text.contains("seed      7"));
         assert!(text.contains("shrunk (3 steps): true"));
+        assert!(
+            text.contains("repro: semint run --case sharedmem --seed 7 --profile deep --broken\n"),
+            "{text}"
+        );
         assert!(text.contains("total: 2 scenarios, 1 failures"));
+        report.population = None;
+        assert!(render_sweep(&report).contains("--seed 7  # population not recorded"));
     }
 
     #[test]
@@ -140,7 +179,7 @@ mod tests {
             run_ns: 4_000_000,
             model_check_ns: 0,
         });
-        let text = render_case(&case);
+        let text = render_case(&case, None);
         assert!(text.contains("glue cache"), "{text}");
         assert!(
             text.contains("30 hits / 10 misses (75.0% hit rate)"),
@@ -168,12 +207,12 @@ mod tests {
             heap_peak_live: 1,
             stack_peak: 5,
         };
-        let text = render_case(&case);
+        let text = render_case(&case, None);
         assert!(text.contains("vm counters"), "{text}");
         assert!(text.contains("instr_data"), "{text}");
         assert!(text.contains("total_instrs"), "{text}");
         // A pre-counter report (all zero) renders no counter block.
-        let legacy = render_case(&CaseReport::new("affine"));
+        let legacy = render_case(&CaseReport::new("affine"), None);
         assert!(!legacy.contains("vm counters"), "{legacy}");
     }
 

@@ -101,6 +101,7 @@ mod tests {
         type Ty = Depth;
         type Report = ();
         type Compiled = ();
+        type Evidence = ();
 
         fn name(&self) -> &'static str {
             "toy"
@@ -129,11 +130,17 @@ mod tests {
         fn boundary_count(&self, _p: &Depth) -> usize {
             0
         }
-        fn model_check_compiled(
+        fn model_budget(&self) -> Fuel {
+            Fuel::steps(0)
+        }
+        fn model_evidence(&self, _p: &Depth, _ty: &Depth, _compiled: &(), _fuel: Fuel) {}
+        fn model_judgement(
             &self,
             p: &Depth,
             _ty: &Depth,
-            _compiled: &(),
+            _evidence: (),
+            _report: &(),
+            _fuel: Fuel,
         ) -> Result<(), CheckFailure> {
             if p.0 >= self.threshold {
                 Err(CheckFailure {

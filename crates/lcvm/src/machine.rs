@@ -15,6 +15,7 @@ use crate::heap::{Heap, Loc};
 use crate::phantom::{PhantomConfig, PhantomState};
 use crate::syntax::{Expr, PrimOp};
 use crate::value::{Env, Value};
+use semint_core::fuel::Rebudgeted;
 use semint_core::{ErrorCode, Fuel, OpClass, Var, VmCounters};
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -90,6 +91,14 @@ pub struct RunResult {
     /// Deterministic per-run telemetry: instructions retired by opcode
     /// class, allocation totals, and high-water marks.
     pub counters: VmCounters,
+}
+
+impl RunResult {
+    /// How this run, made under `fuel`, ends under `budget` (the budget
+    /// rule of [`Fuel::rebudget`]).
+    pub fn rebudget(&self, fuel: Fuel, budget: Fuel) -> Rebudgeted {
+        fuel.rebudget(self.halt != Halt::OutOfFuel, self.steps, budget)
+    }
 }
 
 /// Static configuration of a machine.

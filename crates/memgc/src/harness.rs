@@ -2,10 +2,10 @@
 //! polymorphism), consumed by the `semint-harness` engine.
 
 use crate::gen::{MemGcGenConfig, MemGcProgramGen};
-use crate::model::MemGcModelChecker;
+use crate::model::{MemGcModelChecker, CHECK_FUEL};
 use crate::multilang::MemGcMultiLang;
 use crate::syntax::{L3Expr, L3Type, PolyExpr, PolyType};
-use lcvm::{Expr, RunResult};
+use lcvm::{Expr, Halt, RunResult};
 use semint_core::case::{CaseStudy, CheckFailure, GenProfile, Scenario};
 use semint_core::stats::{OutcomeClass, RunStats};
 use semint_core::{Fuel, GlueCacheStats};
@@ -126,6 +126,10 @@ impl CaseStudy for MemGcCase {
     type Ty = MgSourceType;
     type Report = RunResult;
     type Compiled = Expr;
+    /// How the checker's own run halted: the `fst`-wrapped artifact's run
+    /// for the broken glue, or a copy of the artifact's when the sweep's
+    /// fuel falls short of the checker's.
+    type Evidence = Option<Halt>;
 
     fn name(&self) -> &'static str {
         "memgc"
@@ -170,7 +174,6 @@ impl CaseStudy for MemGcCase {
     }
 
     fn stats(&self, report: &RunResult) -> RunStats {
-        use lcvm::Halt;
         let outcome = match &report.halt {
             Halt::Value(_) => OutcomeClass::Value,
             Halt::Fail(c) => OutcomeClass::Fail(*c),
@@ -184,34 +187,57 @@ impl CaseStudy for MemGcCase {
         }
     }
 
-    fn model_check_compiled(
+    fn model_budget(&self) -> Fuel {
+        CHECK_FUEL
+    }
+
+    /// The broken glue projects every result as if it were a pair, so its
+    /// check runs a program of its own, `fst` of the artifact.  The
+    /// standard check judges the run stage's report, unless the sweep's
+    /// fuel falls short of the checker's; then it too runs its own copy.
+    fn model_evidence(
+        &self,
+        _program: &MgProgram,
+        _ty: &MgSourceType,
+        compiled: &Expr,
+        fuel: Fuel,
+    ) -> Option<Halt> {
+        let budget = self.model_budget();
+        let checked = if self.broken {
+            Expr::fst(compiled.clone())
+        } else if !fuel.covers(budget) {
+            compiled.clone()
+        } else {
+            return None;
+        };
+        Some(self.execute(checked, budget).halt)
+    }
+
+    fn model_judgement(
         &self,
         program: &MgProgram,
         _ty: &MgSourceType,
-        compiled: &Expr,
+        own_halt: Option<Halt>,
+        report: &RunResult,
+        fuel: Fuel,
     ) -> Result<(), CheckFailure> {
-        // The broken glue projects every result as if it were a pair (the
-        // only mode that needs its own copy of the borrowed artifact).
-        let broken_wrap;
-        let checked: &Expr = if self.broken {
-            broken_wrap = Expr::fst(compiled.clone());
-            &broken_wrap
-        } else {
-            compiled
+        let out_of_fuel = Halt::OutOfFuel;
+        let halt = match &own_halt {
+            Some(halt) => halt,
+            None => report
+                .rebudget(fuel, self.model_budget())
+                .decide(report)
+                .map_or(&out_of_fuel, |run| &run.halt),
         };
-
-        let checker = MemGcModelChecker::new();
-        checker
-            .check_type_safety(checked)
-            .map_err(|ce| CheckFailure {
-                claim: if self.broken {
-                    format!("deliberately broken glue: {}", ce.claim)
-                } else {
-                    ce.claim
-                },
-                witness: program.to_string(),
-                reason: ce.reason,
-            })
+        MemGcModelChecker::halt_type_safe(halt).map_err(|ce| CheckFailure {
+            claim: if self.broken {
+                format!("deliberately broken glue: {}", ce.claim)
+            } else {
+                ce.claim
+            },
+            witness: program.to_string(),
+            reason: ce.reason,
+        })
     }
 
     fn shrink(&self, program: &MgProgram) -> Vec<MgProgram> {

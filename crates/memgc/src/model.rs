@@ -64,6 +64,9 @@ impl fmt::Display for MemGcCounterExample {
 /// The location-variable substitution `ρ.L3(ζ) = ℓ` from Fig. 14.
 pub type LocSubst = BTreeMap<LocVar, Loc>;
 
+/// The step budget of every evaluation a default checker performs.
+pub const CHECK_FUEL: Fuel = Fuel::steps(100_000);
+
 /// The executable §5 model checker.
 #[derive(Debug, Clone)]
 pub struct MemGcModelChecker {
@@ -76,7 +79,7 @@ impl Default for MemGcModelChecker {
     fn default() -> Self {
         MemGcModelChecker {
             conversions: MemGcConversions::standard(),
-            fuel: Fuel::steps(100_000),
+            fuel: CHECK_FUEL,
         }
     }
 }
@@ -303,7 +306,13 @@ impl MemGcModelChecker {
     /// violation.
     pub fn check_type_safety(&self, expr: &Expr) -> Result<(), MemGcCounterExample> {
         let r = Machine::run_expr(expr.clone(), self.fuel);
-        match r.halt {
+        Self::halt_type_safe(&r.halt)
+    }
+
+    /// The post-run half of [`MemGcModelChecker::check_type_safety`]:
+    /// judges how a run halted within the checker's fuel.
+    pub fn halt_type_safe(halt: &Halt) -> Result<(), MemGcCounterExample> {
+        match halt {
             Halt::Value(_) | Halt::OutOfFuel | Halt::Fail(ErrorCode::Conv) => Ok(()),
             other => Err(MemGcCounterExample {
                 claim: "type safety".into(),

@@ -9,9 +9,15 @@ use reflang::syntax::{HlExpr, HlType, LlExpr, LlType};
 use semint_core::case::{CaseStudy, CheckFailure, GenProfile, Scenario};
 use semint_core::stats::{OutcomeClass, RunStats};
 use semint_core::{Fuel, GlueCacheStats, Outcome};
-use stacklang::{Heap, Program, RunResult};
+use stacklang::{Program, RunResult};
 
 pub use crate::multilang::SmProgram;
+
+/// The step budget of the type-safety check (Theorems 3.3/3.4).
+pub const SAFETY_STEPS: u64 = 200_000;
+
+/// The step index `W.k` at which the compiled program must inhabit `E⟦τ⟧`.
+pub const STEP_INDEX: u64 = 20_000;
 
 /// Case study 1 packaged for the harness engine.
 ///
@@ -126,6 +132,9 @@ impl CaseStudy for SharedMemCase {
     type Ty = SourceType;
     type Report = RunResult;
     type Compiled = Program;
+    /// The checker's own run, when the sweep's fuel falls short of
+    /// [`SAFETY_STEPS`].
+    type Evidence = Option<Box<RunResult>>;
 
     fn name(&self) -> &'static str {
         "sharedmem"
@@ -183,27 +192,57 @@ impl CaseStudy for SharedMemCase {
         }
     }
 
-    fn model_check_compiled(
+    fn model_budget(&self) -> Fuel {
+        Fuel::steps(SAFETY_STEPS)
+    }
+
+    /// The run stage's report decides both budgets the judgement asks
+    /// about, unless the sweep's fuel falls short of the type-safety
+    /// budget; then the checker runs a copy of its own.
+    fn model_evidence(
+        &self,
+        _program: &SmProgram,
+        _ty: &SourceType,
+        compiled: &Program,
+        fuel: Fuel,
+    ) -> Option<Box<RunResult>> {
+        let budget = self.model_budget();
+        (!fuel.covers(budget)).then(|| Box::new(self.execute(compiled.clone(), budget)))
+    }
+
+    fn model_judgement(
         &self,
         program: &SmProgram,
         ty: &SourceType,
-        compiled: &Program,
+        own_run: Option<Box<RunResult>>,
+        report: &RunResult,
+        fuel: Fuel,
     ) -> Result<(), CheckFailure> {
-        // Theorems 3.3/3.4: no dynamic type errors.
-        self.checker
-            .check_type_safety(compiled, Fuel::steps(200_000))
-            .map_err(|ce| CheckFailure {
-                claim: ce.claim,
-                witness: program.to_string(),
-                reason: ce.reason,
-            })?;
+        let (run, fuel) = match own_run.as_deref() {
+            Some(own) => (own, self.model_budget()),
+            None => (report, fuel),
+        };
+
+        // Theorems 3.3/3.4: no dynamic type errors (a run that outlasts the
+        // budget is safe).
+        if let Some(run) = run.rebudget(fuel, self.model_budget()).decide(run) {
+            self.checker
+                .outcome_type_safe(&run.outcome)
+                .map_err(|ce| CheckFailure {
+                    claim: ce.claim,
+                    witness: program.to_string(),
+                    reason: ce.reason,
+                })?;
+        }
 
         // The Fundamental Property: the compiled program inhabits E⟦τ⟧ at
         // its claimed type (the *broken* rule set claims bool-typed programs
-        // at [int], which is where the sabotage surfaces).
+        // at [int], which is where the sabotage surfaces).  A run that
+        // outlasts the step index is in the relation by its escape clause.
         let sem_ty = self.claimed_sem_type(ty);
-        let world = World::new(20_000);
-        if !self.checker.expr_in(&world, Heap::new(), compiled, &sem_ty) {
+        let world = World::new(STEP_INDEX);
+        let within = run.rebudget(fuel, Fuel::steps(STEP_INDEX)).decide(run);
+        if !within.is_none_or(|run| self.checker.run_in(&world, run, &sem_ty)) {
             return Err(CheckFailure {
                 claim: format!("compiled program ∈ E⟦{sem_ty}⟧"),
                 witness: program.to_string(),

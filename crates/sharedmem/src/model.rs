@@ -31,7 +31,7 @@
 use crate::convert::SharedMemConversions;
 use reflang::syntax::{HlType, LlType};
 use semint_core::{ErrorCode, Fuel, Outcome, StepIndex};
-use stacklang::{Heap, Instr, Loc, Machine, Program, StackState, Value};
+use stacklang::{Heap, Instr, Loc, Machine, Program, RunResult, StackState, Value};
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -363,7 +363,18 @@ impl ModelChecker {
     ) -> bool {
         let machine = Machine::with_state(heap, StackState::empty(), program.clone());
         let result = machine.run(Fuel::steps(world.k.get()));
-        match result.outcome {
+        self.run_in_depth(world, &result, ty, depth)
+    }
+
+    /// The post-run half of [`ModelChecker::expr_in`]: is `result`, a run
+    /// of the program for at most `W.k` steps from a heap that satisfies
+    /// `W`, in `E⟦ty⟧`?
+    pub fn run_in(&self, world: &World, result: &RunResult, ty: &SemType) -> bool {
+        self.run_in_depth(world, result, ty, self.fun_depth)
+    }
+
+    fn run_in_depth(&self, world: &World, result: &RunResult, ty: &SemType, depth: usize) -> bool {
+        match &result.outcome {
             // Ran longer than the step budget: no constraint (escape clause).
             Outcome::OutOfFuel => true,
             // Well-defined errors are allowed by the §3 expression relation.
@@ -377,7 +388,7 @@ impl ModelChecker {
                     k: StepIndex::new(k_left),
                     heap_typing: world.heap_typing.clone(),
                 };
-                self.value_in_depth(&future, &result.heap, &v, ty, depth)
+                self.value_in_depth(&future, &result.heap, v, ty, depth)
             }
         }
     }
@@ -518,13 +529,24 @@ impl ModelChecker {
     /// fuel — never a dynamic type error.
     pub fn check_type_safety(&self, program: &Program, fuel: Fuel) -> Result<(), CounterExample> {
         let result = Machine::run_program(program.clone(), fuel);
-        if result.outcome.is_safe() {
+        self.outcome_type_safe(&result.outcome)
+            .map_err(|ce| CounterExample {
+                witness: program.to_string(),
+                ..ce
+            })
+    }
+
+    /// The post-run half of [`ModelChecker::check_type_safety`]: judges a
+    /// run's outcome.  The counterexample's witness is left empty for the
+    /// caller, who knows what ran.
+    pub fn outcome_type_safe(&self, outcome: &Outcome<Value>) -> Result<(), CounterExample> {
+        if outcome.is_safe() {
             Ok(())
         } else {
             Err(CounterExample {
                 claim: "type safety".into(),
-                witness: program.to_string(),
-                reason: format!("outcome {:?}", result.outcome),
+                witness: String::new(),
+                reason: format!("outcome {outcome:?}"),
             })
         }
     }

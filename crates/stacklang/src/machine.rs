@@ -28,6 +28,7 @@
 
 use crate::heap::Heap;
 use crate::instr::{Env, Instr, Operand, Program, Value};
+use semint_core::fuel::Rebudgeted;
 use semint_core::{ErrorCode, Fuel, OpClass, Outcome, VmCounters};
 use std::fmt;
 
@@ -98,6 +99,14 @@ pub struct RunResult {
     /// Deterministic per-run telemetry: instructions retired by opcode
     /// class, allocation totals, and high-water marks.
     pub counters: VmCounters,
+}
+
+impl RunResult {
+    /// How this run, made under `fuel`, ends under `budget` (the budget
+    /// rule of [`Fuel::rebudget`]).
+    pub fn rebudget(&self, fuel: Fuel, budget: Fuel) -> Rebudgeted {
+        fuel.rebudget(self.outcome != Outcome::OutOfFuel, self.steps, budget)
+    }
 }
 
 /// One frame of the remaining program: shared code, the position of its

@@ -20,11 +20,13 @@
 //! ## The `CaseStudy` abstraction and the `semint` CLI
 //!
 //! Each case-study crate implements [`core::case::CaseStudy`] (associated
-//! `Program`/`Ty`/`Report`/`Compiled` types; `generate`, `typecheck`,
-//! `compile`, `execute`, `model_check_compiled`), and the [`harness`] engine
-//! drives any implementation — including all three at once, interleaved on
-//! one thread pool — typechecking and compiling each scenario exactly once
-//! and threading the compiled artifact through every consuming stage:
+//! `Program`/`Ty`/`Report`/`Compiled`/`Evidence` types; `generate`,
+//! `typecheck`, `compile`, `execute`, and the model check in two halves:
+//! `model_evidence` on the artifact before it runs, `model_judgement` on the
+//! run's report), and the [`harness`] engine drives any implementation —
+//! including all three at once, interleaved on one thread pool —
+//! typechecking, compiling and running each scenario exactly once: the model
+//! check judges the run stage's report instead of running the program again.
 //!
 //! ```
 //! use semint::harness::cases::AnyCase;

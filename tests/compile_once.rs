@@ -1,9 +1,10 @@
 //! Integration tests for the artifact-carrying scenario pipeline (PR 4):
 //!
 //! * a counting test-double proves a timed, model-checked sweep performs
-//!   **exactly one** typecheck and **exactly one** compile per scenario —
-//!   the artifact built by the compile stage is borrowed by the model check
-//!   and consumed by execution, never rebuilt;
+//!   **exactly one** typecheck, **exactly one** compile and **exactly one**
+//!   execution per scenario — the artifact built by the compile stage is
+//!   borrowed by the model check's evidence and consumed by execution, whose
+//!   report the model check judges; nothing is rebuilt or rerun;
 //! * sweep digests under the artifact-threaded pipeline are byte-identical
 //!   to a reference runner that recompiles per stage (the pre-PR shape:
 //!   run recompiles, model check recompiles, `--time` adds a dedicated
@@ -12,7 +13,7 @@
 //!   change: same scenarios, same outcomes, fewer redundant stages.
 
 use proptest::prelude::*;
-use semint::harness::cases::{AnyCase, AnyCompiled, AnyProgram, AnyReport, AnyTy};
+use semint::harness::cases::{AnyCase, AnyCompiled, AnyEvidence, AnyProgram, AnyReport, AnyTy};
 use semint::harness::engine::{run_scenario, sweep_case, SweepConfig};
 use semint::harness::source::SeedRange;
 use semint::harness::CaseStudy;
@@ -29,6 +30,7 @@ struct CountingCase {
     typechecks: AtomicUsize,
     compiles: AtomicUsize,
     executes: AtomicUsize,
+    evidence: AtomicUsize,
     model_checks: AtomicUsize,
 }
 
@@ -39,15 +41,19 @@ impl CountingCase {
             typechecks: AtomicUsize::new(0),
             compiles: AtomicUsize::new(0),
             executes: AtomicUsize::new(0),
+            evidence: AtomicUsize::new(0),
             model_checks: AtomicUsize::new(0),
         }
     }
 
-    fn counts(&self) -> (usize, usize, usize, usize) {
+    /// Typechecks, compiles, executions, model-check evidence gathered and
+    /// model-check judgements.
+    fn counts(&self) -> (usize, usize, usize, usize, usize) {
         (
             self.typechecks.load(Ordering::SeqCst),
             self.compiles.load(Ordering::SeqCst),
             self.executes.load(Ordering::SeqCst),
+            self.evidence.load(Ordering::SeqCst),
             self.model_checks.load(Ordering::SeqCst),
         )
     }
@@ -58,6 +64,7 @@ impl CaseStudy for CountingCase {
     type Ty = AnyTy;
     type Report = AnyReport;
     type Compiled = AnyCompiled;
+    type Evidence = AnyEvidence;
 
     fn name(&self) -> &'static str {
         self.inner.name()
@@ -86,14 +93,32 @@ impl CaseStudy for CountingCase {
         self.inner.stats(report)
     }
 
-    fn model_check_compiled(
+    fn model_budget(&self) -> Fuel {
+        self.inner.model_budget()
+    }
+
+    fn model_evidence(
         &self,
         program: &AnyProgram,
         ty: &AnyTy,
         compiled: &AnyCompiled,
+        fuel: Fuel,
+    ) -> AnyEvidence {
+        self.evidence.fetch_add(1, Ordering::SeqCst);
+        self.inner.model_evidence(program, ty, compiled, fuel)
+    }
+
+    fn model_judgement(
+        &self,
+        program: &AnyProgram,
+        ty: &AnyTy,
+        evidence: AnyEvidence,
+        report: &AnyReport,
+        fuel: Fuel,
     ) -> Result<(), CheckFailure> {
         self.model_checks.fetch_add(1, Ordering::SeqCst);
-        self.inner.model_check_compiled(program, ty, compiled)
+        self.inner
+            .model_judgement(program, ty, evidence, report, fuel)
     }
 
     fn shrink(&self, program: &AnyProgram) -> Vec<AnyProgram> {
@@ -121,10 +146,14 @@ fn timed_model_checked_sweep_typechecks_once_and_compiles_once_per_scenario() {
             let record = run_scenario(&case, seed, &cfg);
             assert!(record.failure.is_none(), "{name} seed {seed} failed");
         }
-        let (typechecks, compiles, executes, model_checks) = case.counts();
+        let (typechecks, compiles, executes, evidence, model_checks) = case.counts();
         assert_eq!(typechecks, SEEDS, "{name}: one typecheck per scenario");
         assert_eq!(compiles, SEEDS, "{name}: one compile per scenario");
         assert_eq!(executes, SEEDS, "{name}: one execution per scenario");
+        assert_eq!(
+            evidence, SEEDS,
+            "{name}: one model-check evidence per scenario"
+        );
         assert_eq!(model_checks, SEEDS, "{name}: one model check per scenario");
     }
 }
@@ -143,10 +172,11 @@ fn untimed_sweep_also_compiles_exactly_once_and_skipped_model_check_stays_skippe
         let record = run_scenario(&case, seed, &cfg);
         assert!(record.failure.is_none(), "seed {seed} failed");
     }
-    let (typechecks, compiles, executes, model_checks) = case.counts();
+    let (typechecks, compiles, executes, evidence, model_checks) = case.counts();
     assert_eq!((typechecks, compiles, executes), (10, 10, 10));
     assert_eq!(
-        model_checks, 0,
+        (evidence, model_checks),
+        (0, 0),
         "--no-model-check must not pay for the stage"
     );
 }
