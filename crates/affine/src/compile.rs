@@ -98,7 +98,10 @@ pub struct CompileOutput {
     /// semantics protects exactly these.
     pub static_binders: BTreeSet<Var>,
     /// How many dynamic-guard thunks the compiler inserted (one per
-    /// dynamic-arrow application) — reported for the E3/E4 experiments.
+    /// dynamic-arrow application).  It counts only these: the guards of a
+    /// call across the boundary come from the `⊸` glue, so a MiniML program
+    /// calling converted Affi functions reports 0 while its run allocates
+    /// one guard per call.
     pub dynamic_guards: usize,
 }
 

@@ -6,7 +6,8 @@
 //! The paper's framework has five steps (paper §2):
 //!
 //! 1. **Boundary syntax** — a language `A` embeds language-`B` code via a
-//!    boundary form `⦇e⦈τ` ([`boundary`]).
+//!    boundary form `⦇e⦈τ`.  Each source language's AST has its own boundary
+//!    node, since it must carry the foreign expression.
 //! 2. **Convertibility rules** — the designer declares `τA ∼ τB`, witnessed by
 //!    target-level glue code `C_{τA↦τB}` and `C_{τB↦τA}` ([`convert`]).
 //! 3. **Realizability models** — source types are interpreted as sets of
@@ -18,8 +19,8 @@
 //!
 //! This crate contains only the pieces shared by every case study: interned
 //! variables, fresh-name generation, fuel/step budgets, machine outcomes and
-//! error codes, the generic convertibility registry, boundary descriptors and
-//! the step-index/world vocabulary used by the executable logical relations.
+//! error codes, the generic convertibility registry and the step-index/world
+//! vocabulary used by the executable logical relations.
 //!
 //! ## Example
 //!
@@ -37,7 +38,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod boundary;
 pub mod case;
 pub mod convert;
 pub mod fresh;
@@ -49,7 +49,6 @@ pub mod symbol;
 pub mod telemetry;
 pub mod world;
 
-pub use boundary::BoundaryDirection;
 pub use case::{
     CaseStudy, CheckFailure, ConstructorClass, ConstructorWeights, GenProfile, Scenario,
 };

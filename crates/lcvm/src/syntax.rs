@@ -320,54 +320,6 @@ impl Expr {
         };
         f(&rebuilt)
     }
-
-    /// Counts AST nodes (used by benches to report program sizes).
-    pub fn size(&self) -> usize {
-        let mut n = 0;
-        self.visit(&mut |_| n += 1);
-        n
-    }
-
-    fn visit(&self, f: &mut impl FnMut(&Expr)) {
-        f(self);
-        match self {
-            Expr::Unit
-            | Expr::Int(_)
-            | Expr::Loc(_)
-            | Expr::Var(_)
-            | Expr::Fail(_)
-            | Expr::Callgc => {}
-            Expr::Pair(a, b) | Expr::App(a, b) | Expr::Assign(a, b) | Expr::Prim(_, a, b) => {
-                a.visit(f);
-                b.visit(f);
-            }
-            Expr::Let(_, a, b) => {
-                a.visit(f);
-                b.visit(f);
-            }
-            Expr::Fst(a)
-            | Expr::Snd(a)
-            | Expr::Inl(a)
-            | Expr::Inr(a)
-            | Expr::Lam(_, a)
-            | Expr::Ref(a)
-            | Expr::Deref(a)
-            | Expr::Alloc(a)
-            | Expr::Free(a)
-            | Expr::Gcmov(a)
-            | Expr::Protect(a, _) => a.visit(f),
-            Expr::If(c, t, e) => {
-                c.visit(f);
-                t.visit(f);
-                e.visit(f);
-            }
-            Expr::Match(s, _, l, _, r) => {
-                s.visit(f);
-                l.visit(f);
-                r.visit(f);
-            }
-        }
-    }
 }
 
 fn free_vars(e: &Expr, bound: &mut Vec<Var>, acc: &mut BTreeSet<Var>) {
@@ -495,12 +447,6 @@ mod tests {
     fn bool_literal_encoding_follows_fig8() {
         assert_eq!(Expr::bool_lit(true), Expr::Int(0));
         assert_eq!(Expr::bool_lit(false), Expr::Int(1));
-    }
-
-    #[test]
-    fn size_counts_nodes() {
-        assert_eq!(Expr::int(1).size(), 1);
-        assert_eq!(Expr::add(Expr::int(1), Expr::int(2)).size(), 3);
     }
 
     #[test]

@@ -218,26 +218,6 @@ impl HlExpr {
         HlExpr::Boundary(Box::new(e), ty)
     }
 
-    /// Number of AST nodes (including embedded RefLL nodes).
-    pub fn size(&self) -> usize {
-        match self {
-            HlExpr::Unit | HlExpr::Bool(_) | HlExpr::Var(_) => 1,
-            HlExpr::Inl(e, _)
-            | HlExpr::Inr(e, _)
-            | HlExpr::Fst(e)
-            | HlExpr::Snd(e)
-            | HlExpr::Ref(e)
-            | HlExpr::Deref(e) => 1 + e.size(),
-            HlExpr::Pair(a, b) | HlExpr::App(a, b) | HlExpr::Assign(a, b) => {
-                1 + a.size() + b.size()
-            }
-            HlExpr::If(a, b, c) => 1 + a.size() + b.size() + c.size(),
-            HlExpr::Match(s, _, l, _, r) => 1 + s.size() + l.size() + r.size(),
-            HlExpr::Lam(_, _, b) => 1 + b.size(),
-            HlExpr::Boundary(e, _) => 1 + e.size(),
-        }
-    }
-
     /// Number of syntactic language boundaries `⦇·⦈`, counted structurally
     /// (one tree walk, no rendering) across both embedded languages.
     pub fn boundary_count(&self) -> usize {
@@ -353,21 +333,6 @@ impl LlExpr {
         LlExpr::Boundary(Box::new(e), ty)
     }
 
-    /// Number of AST nodes (including embedded RefHL nodes).
-    pub fn size(&self) -> usize {
-        match self {
-            LlExpr::Int(_) | LlExpr::Var(_) => 1,
-            LlExpr::Array(es, _) => 1 + es.iter().map(LlExpr::size).sum::<usize>(),
-            LlExpr::Index(a, b) | LlExpr::App(a, b) | LlExpr::Add(a, b) | LlExpr::Assign(a, b) => {
-                1 + a.size() + b.size()
-            }
-            LlExpr::Lam(_, _, b) => 1 + b.size(),
-            LlExpr::If0(a, b, c) => 1 + a.size() + b.size() + c.size(),
-            LlExpr::Ref(e) | LlExpr::Deref(e) => 1 + e.size(),
-            LlExpr::Boundary(e, _) => 1 + e.size(),
-        }
-    }
-
     /// Number of syntactic language boundaries `⦇·⦈`, counted structurally
     /// (one tree walk, no rendering) across both embedded languages.
     pub fn boundary_count(&self) -> usize {
@@ -460,7 +425,6 @@ mod tests {
             LlExpr::int(1),
         );
         let outer = HlExpr::boundary(inner, HlType::Bool);
-        assert_eq!(outer.size(), 5);
         assert!(outer.to_string().contains("⦇"));
         // The structural counter agrees with the rendered half-brackets.
         assert_eq!(outer.boundary_count(), 2);
@@ -468,13 +432,5 @@ mod tests {
             outer.boundary_count(),
             outer.to_string().matches('⦇').count()
         );
-    }
-
-    #[test]
-    fn sizes_count_nodes() {
-        let e = HlExpr::pair(HlExpr::bool_(true), HlExpr::unit());
-        assert_eq!(e.size(), 3);
-        let l = LlExpr::array([LlExpr::int(1), LlExpr::int(2)], LlType::Int);
-        assert_eq!(l.size(), 3);
     }
 }

@@ -17,11 +17,11 @@
 //! * `τ1 × τ2 ∼ [𝜏]` when `τ1 ∼ 𝜏` and `τ2 ∼ 𝜏` (elided in the paper's
 //!   figure) — component-wise conversion with a length check.
 //!
-//! The alternative strategies from the paper's Discussion are provided for
-//! the E1 benchmark ablation: [`RefStrategy::Copy`] converts reference
-//! contents into a *fresh* location on every crossing (no aliasing), and the
-//! per-access cost of guard/proxy-style interoperation is measured by the
-//! benchmark harness by inserting a payload conversion around every access.
+//! The paper's Discussion contrasts pointer sharing with two alternatives.
+//! [`RefStrategy::Copy`] converts reference contents into a *fresh* location
+//! on every crossing (no aliasing).  Per-access conversion, the cost model of
+//! guard/proxy-style interoperation, needs no rule of its own: a program gets
+//! it by converting the contents around every access.
 
 use reflang::compile::ConversionEmitter;
 use reflang::syntax::{HlType, LlType};

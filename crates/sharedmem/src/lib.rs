@@ -6,9 +6,8 @@
 //! The crate provides
 //!
 //! * [`convert`] — the convertibility rules of Fig. 4 together with their
-//!   StackLang glue code, plus the two alternative strategies the paper's
-//!   Discussion describes (copy-convert and per-access conversion), used by
-//!   the benchmark ablations;
+//!   StackLang glue code, plus the copy-convert strategy the paper's
+//!   Discussion contrasts with pointer sharing;
 //! * [`multilang`] — a driver that type checks a multi-language program
 //!   (both environments, boundaries), compiles it with the registered glue
 //!   code and runs it on the StackLang machine;

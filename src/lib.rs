@@ -76,9 +76,9 @@
 //! assert!(result.outcome.is_safe());
 //! ```
 //!
-//! See the `examples/` directory for one runnable scenario per case study and
-//! `EXPERIMENTS.md` for the benchmark harness that reproduces the paper's
-//! performance trade-off discussion.
+//! See the `examples/` directory for one runnable scenario per case study,
+//! `tests/cost_laws.rs` for the paper's cost claims as exact laws over the
+//! VM counters, and `EXPERIMENTS.md` for the experiment index.
 
 #![forbid(unsafe_code)]
 

@@ -173,6 +173,8 @@ fn timed_sweep_reports_per_stage_wall_clock() {
     for case in &report.cases {
         let timings = case.timings.expect("--time collects stage totals");
         assert!(timings.run_ns > 0, "{}", case.case);
+        assert!(timings.compile_ns > 0, "{}", case.case);
+        assert!(timings.model_check_ns > 0, "{}", case.case);
         assert!(timings.total_ns() >= timings.run_ns, "{}", case.case);
     }
     // Timed and untimed sweeps agree on everything the digest covers.
