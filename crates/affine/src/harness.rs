@@ -157,11 +157,11 @@ impl CaseStudy for AffineCase {
     }
 
     fn execute(&self, compiled: CompileOutput, fuel: Fuel) -> RunResult {
-        self.system.execute_with_fuel(compiled, fuel)
+        self.system.execute(compiled, fuel)
     }
 
     fn execute_batch(&self, batch: Vec<CompileOutput>, fuel: Fuel) -> Vec<RunResult> {
-        self.system.execute_batch_with_fuel(batch, fuel)
+        self.system.execute_batch(batch, fuel)
     }
 
     fn stats(&self, report: &RunResult) -> RunStats {

@@ -23,7 +23,7 @@
 use crate::compile::thunk_guard;
 use crate::convert::AffineConversions;
 use crate::syntax::{AffiType, MlType, Mode};
-use lcvm::{Expr, Halt, Machine, MachineConfig, PhantomConfig, Value};
+use lcvm::{Expr, Halt, Machine, PhantomConfig, Value};
 use semint_core::{ErrorCode, Fuel, Var};
 use std::collections::BTreeSet;
 use std::fmt;
@@ -399,11 +399,12 @@ impl AffineModelChecker {
     /// how `expr` halts under the checker's fuel when its static affine
     /// binders are protected by phantom flags.
     pub fn augmented_run(&self, expr: &Expr, static_binders: &BTreeSet<Var>) -> Halt {
-        let cfg = MachineConfig {
-            phantom: Some(PhantomConfig::protecting(static_binders.iter().cloned())),
-            pinned: BTreeSet::new(),
-        };
-        Machine::with_config(expr.clone(), cfg).run(self.fuel).halt
+        Machine::run_phantom(
+            expr.clone(),
+            PhantomConfig::protecting(static_binders.iter().cloned()),
+            self.fuel,
+        )
+        .halt
     }
 
     /// The judgement of [`AffineModelChecker::check_safety`] on how the

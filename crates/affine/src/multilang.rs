@@ -1,20 +1,14 @@
 //! The end-to-end driver for case study 2: type check → compile → run, under
 //! either the standard LCVM semantics or the augmented (phantom-flag)
 //! semantics that additionally enforces the static affine discipline.
-//!
-//! Since PR 2 the driver is the shared [`InteropPipeline`] from
-//! `semint-core`; this module supplies the §4 instantiation
-//! ([`AffineSystem`]) plus the phantom-semantics runner, which is unique to
-//! this case study.
 
 use crate::compile::{CompileError, CompileOutput, Compiler};
 use crate::convert::AffineConversions;
 use crate::syntax::{AffiExpr, AffiType, MlExpr, MlType};
 use crate::typecheck::{check_affi, check_ml, AffineCtx, AffineTypeError};
-use lcvm::{Machine, MachineConfig, PhantomConfig, RunResult};
-use semint_core::pipeline::{InteropPipeline, InteropSystem, PipelineError};
+use lcvm::{Machine, PhantomConfig, RunResult};
+use semint_core::pipeline::PipelineError;
 use semint_core::Fuel;
-use std::collections::BTreeSet;
 use std::fmt;
 
 /// Errors from the §4 pipeline: the shared [`PipelineError`] shape
@@ -57,45 +51,62 @@ impl fmt::Display for AffSourceType {
     }
 }
 
-/// The §4 instantiation of [`InteropSystem`]: MiniML + Affi compiled (with
-/// Fig. 9 glue) to LCVM.
+/// The §4 multi-language system: MiniML + Affi + the Fig. 9 conversions over
+/// LCVM.
 #[derive(Debug, Clone, Default)]
-pub struct AffineSystem {
+pub struct AffineMultiLang {
     conversions: AffineConversions,
+    fuel: Fuel,
 }
 
-impl AffineSystem {
-    /// A system over the standard (memoizing) rule set.
+impl AffineMultiLang {
+    /// A system with the standard rule set and default fuel.
     pub fn new() -> Self {
-        AffineSystem {
+        AffineMultiLang {
             conversions: AffineConversions::standard(),
+            fuel: Fuel::default(),
         }
+    }
+
+    /// Overrides the fuel budget used by the run methods.
+    pub fn with_fuel(mut self, fuel: Fuel) -> Self {
+        self.fuel = fuel;
+        self
     }
 
     /// The conversion rule set in use.
     pub fn conversions(&self) -> &AffineConversions {
         &self.conversions
     }
-}
 
-impl InteropSystem for AffineSystem {
-    type Program = AffProgram;
-    type Ty = AffSourceType;
-    type Artifact = CompileOutput;
-    type TypeError = AffineTypeError;
-    type CompileError = CompileError;
-    type Exec = RunResult;
-
-    fn typecheck(&self, program: &AffProgram) -> Result<AffSourceType, AffineTypeError> {
+    /// Type checks a closed multi-language program (either host language).
+    pub fn typecheck(&self, program: &AffProgram) -> Result<AffSourceType, AffineTypeError> {
         match program {
-            AffProgram::Affi(e) => check_affi(&AffineCtx::empty(), e, &self.conversions)
-                .map(|(t, _)| AffSourceType::Affi(t)),
-            AffProgram::Ml(e) => check_ml(&AffineCtx::empty(), e, &self.conversions)
-                .map(|(t, _)| AffSourceType::Ml(t)),
+            AffProgram::Affi(e) => self.typecheck_affi(e).map(AffSourceType::Affi),
+            AffProgram::Ml(e) => self.typecheck_ml(e).map(AffSourceType::Ml),
         }
     }
 
-    fn compile(&self, program: &AffProgram) -> Result<CompileOutput, CompileError> {
+    /// Type checks a closed MiniML program.
+    pub fn typecheck_ml(&self, e: &MlExpr) -> Result<MlType, AffineTypeError> {
+        check_ml(&AffineCtx::empty(), e, &self.conversions).map(|(t, _)| t)
+    }
+
+    /// Type checks a closed Affi program.
+    pub fn typecheck_affi(&self, e: &AffiExpr) -> Result<AffiType, AffineTypeError> {
+        check_affi(&AffineCtx::empty(), e, &self.conversions).map(|(t, _)| t)
+    }
+
+    /// Type checks and compiles a closed multi-language program.
+    pub fn compile(&self, program: &AffProgram) -> Result<CompileOutput, AffineMultiLangError> {
+        self.typecheck(program).map_err(PipelineError::Type)?;
+        self.compile_only(program).map_err(PipelineError::Compile)
+    }
+
+    /// Compiles a program already known to type check, skipping the
+    /// typecheck (the sweep engine re-checks the generator's type claim
+    /// once up front).
+    pub fn compile_only(&self, program: &AffProgram) -> Result<CompileOutput, CompileError> {
         let compiler = Compiler::new(&self.conversions, &self.conversions);
         match program {
             AffProgram::Affi(e) => compiler.compile_affi_program(e),
@@ -103,94 +114,19 @@ impl InteropSystem for AffineSystem {
         }
     }
 
-    fn execute(&self, artifact: CompileOutput, fuel: Fuel) -> RunResult {
-        Machine::run_expr(artifact.expr, fuel)
-    }
-
-    /// Drives the whole batch through **one** LCVM machine under the
-    /// *standard* semantics, reset in place between programs (the
-    /// continuation stack's grown buffer survives as an allocation, never
-    /// as state), instead of constructing a machine per artifact.
-    fn execute_batch(&self, artifacts: Vec<CompileOutput>, fuel: Fuel) -> Vec<RunResult> {
-        Machine::run_batch(artifacts.into_iter().map(|artifact| artifact.expr), fuel)
-    }
-}
-
-/// The §4 multi-language system: MiniML + Affi + the Fig. 9 conversions over
-/// LCVM, driven by the shared [`InteropPipeline`].
-#[derive(Debug, Clone, Default)]
-pub struct AffineMultiLang {
-    pipeline: InteropPipeline<AffineSystem>,
-}
-
-impl AffineMultiLang {
-    /// A system with the standard rule set and default fuel.
-    pub fn new() -> Self {
-        AffineMultiLang {
-            pipeline: InteropPipeline::new(AffineSystem::new()),
-        }
-    }
-
-    /// Overrides the fuel budget used by the run methods.
-    pub fn with_fuel(mut self, fuel: Fuel) -> Self {
-        self.pipeline = self.pipeline.with_fuel(fuel);
-        self
-    }
-
-    /// The conversion rule set in use.
-    pub fn conversions(&self) -> &AffineConversions {
-        self.pipeline.system().conversions()
-    }
-
-    /// The shared pipeline driving this system.
-    pub fn pipeline(&self) -> &InteropPipeline<AffineSystem> {
-        &self.pipeline
-    }
-
-    /// Type checks a closed multi-language program (either host language).
-    pub fn typecheck(&self, program: &AffProgram) -> Result<AffSourceType, AffineTypeError> {
-        self.pipeline.typecheck(program)
-    }
-
-    /// Type checks a closed MiniML program.
-    pub fn typecheck_ml(&self, e: &MlExpr) -> Result<MlType, AffineTypeError> {
-        check_ml(&AffineCtx::empty(), e, self.conversions()).map(|(t, _)| t)
-    }
-
-    /// Type checks a closed Affi program.
-    pub fn typecheck_affi(&self, e: &AffiExpr) -> Result<AffiType, AffineTypeError> {
-        check_affi(&AffineCtx::empty(), e, self.conversions()).map(|(t, _)| t)
-    }
-
-    /// Type checks and compiles a closed multi-language program.
-    pub fn compile(&self, program: &AffProgram) -> Result<CompileOutput, AffineMultiLangError> {
-        Ok(self.pipeline.check_and_compile(program)?.artifact)
-    }
-
-    /// Compiles a program already known to type check, skipping the
-    /// pipeline's typecheck stage (the sweep engine re-checks the
-    /// generator's type claim once up front).
-    pub fn compile_only(&self, program: &AffProgram) -> Result<CompileOutput, CompileError> {
-        self.pipeline.system().compile(program)
-    }
-
     /// Runs an already-compiled program under an explicit fuel budget and
     /// the *standard* semantics, consuming the artifact (no clone — the
     /// compile-once flow).
-    pub fn execute_with_fuel(&self, compiled: CompileOutput, fuel: Fuel) -> RunResult {
-        self.pipeline.execute_with_fuel(compiled, fuel)
+    pub fn execute(&self, compiled: CompileOutput, fuel: Fuel) -> RunResult {
+        Machine::run_expr(compiled.expr, fuel)
     }
 
     /// Runs a batch of already-compiled programs under one fuel budget and
-    /// the *standard* semantics through a single reused machine (see
-    /// [`InteropSystem::execute_batch`] on [`AffineSystem`]), returning
-    /// results in input order.
-    pub fn execute_batch_with_fuel(
-        &self,
-        compiled: Vec<CompileOutput>,
-        fuel: Fuel,
-    ) -> Vec<RunResult> {
-        self.pipeline.execute_batch(compiled, fuel)
+    /// the *standard* semantics through **one** LCVM machine, reset in place
+    /// between programs (the continuation stack's grown buffer survives as
+    /// an allocation, never as state), returning results in input order.
+    pub fn execute_batch(&self, compiled: Vec<CompileOutput>, fuel: Fuel) -> Vec<RunResult> {
+        Machine::run_batch(compiled.into_iter().map(|compiled| compiled.expr), fuel)
     }
 
     /// Type checks and compiles a closed MiniML program.
@@ -205,38 +141,27 @@ impl AffineMultiLang {
 
     /// Runs a compiled program under the *standard* semantics.
     pub fn run(&self, compiled: &CompileOutput) -> RunResult {
-        self.pipeline.execute(compiled)
+        Machine::run_expr(compiled.expr.clone(), self.fuel)
     }
 
     /// Runs a compiled program under the *augmented* (phantom-flag) semantics,
     /// protecting exactly the static binders the compiler reported.
     pub fn run_phantom(&self, compiled: &CompileOutput) -> RunResult {
-        let cfg = MachineConfig {
-            phantom: Some(PhantomConfig::protecting(
-                compiled.static_binders.iter().cloned(),
-            )),
-            pinned: BTreeSet::new(),
-        };
-        Machine::with_config(compiled.expr.clone(), cfg).run(self.pipeline.fuel())
-    }
-
-    /// Runs a closed multi-language program under the given fuel budget.
-    pub fn run_with_fuel(
-        &self,
-        program: &AffProgram,
-        fuel: Fuel,
-    ) -> Result<RunResult, AffineMultiLangError> {
-        self.pipeline.run_with_fuel(program, fuel)
+        Machine::run_phantom(
+            compiled.expr.clone(),
+            PhantomConfig::protecting(compiled.static_binders.iter().cloned()),
+            self.fuel,
+        )
     }
 
     /// Convenience: type check, compile and run a MiniML program.
     pub fn run_ml(&self, e: &MlExpr) -> Result<RunResult, AffineMultiLangError> {
-        self.pipeline.run(&AffProgram::Ml(e.clone()))
+        Ok(self.execute(self.compile_ml(e)?, self.fuel))
     }
 
     /// Convenience: type check, compile and run an Affi program.
     pub fn run_affi(&self, e: &AffiExpr) -> Result<RunResult, AffineMultiLangError> {
-        self.pipeline.run(&AffProgram::Affi(e.clone()))
+        Ok(self.execute(self.compile_affi(e)?, self.fuel))
     }
 }
 

@@ -404,15 +404,6 @@ pub trait CaseStudy {
             .collect()
     }
 
-    /// Compiles and runs a program under the given step budget — the
-    /// one-shot convenience over [`CaseStudy::compile`] +
-    /// [`CaseStudy::execute`] for ad-hoc callers.  The sweep engine never
-    /// calls this: scenarios and shrink candidates alike go through the
-    /// explicit compile → execute artifact path.
-    fn run(&self, program: &Self::Program, fuel: Fuel) -> Result<Self::Report, String> {
-        Ok(self.execute(self.compile(program)?, fuel))
-    }
-
     /// Projects a case-study-specific report into the shared statistics
     /// vocabulary.
     fn stats(&self, report: &Self::Report) -> RunStats;

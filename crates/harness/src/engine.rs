@@ -312,8 +312,7 @@ fn finish_executed<C: CaseStudy>(
     if !stats.outcome.is_safe() {
         // Shrink candidates are *different* programs, so each takes its own
         // trip through the artifact pipeline: typecheck once, compile once,
-        // execute that artifact — never the compile-their-own `run`
-        // convenience, so the compile-once invariant holds here too.
+        // execute that artifact once.
         let (shrunk, steps) = shrink_failure(case, &scenario.program, |p| {
             case.typecheck(p).is_ok()
                 && case
@@ -377,17 +376,12 @@ fn finish_executed<C: CaseStudy>(
     seal(record, timings, cfg.time)
 }
 
-/// Runs the full pipeline for one seed of one case study.
+/// Runs the full pipeline for one seed of one case study: a [`run_batch`]
+/// of one.
 pub fn run_scenario<C: CaseStudy>(case: &C, seed: u64, cfg: &SweepConfig) -> ScenarioRecord {
-    let mut generate_ns = 0;
-    let scenario = staged(cfg.time, &mut generate_ns, || {
-        case.generate(seed, &cfg.profile)
-    });
-    let mut record = run_generated(case, &scenario, cfg);
-    if let Some(timings) = &mut record.timings {
-        timings.generate_ns = generate_ns;
-    }
-    record
+    run_batch(case, &[seed], cfg)
+        .pop()
+        .expect("one record per seed")
 }
 
 /// Runs the full pipeline on an already-generated scenario (callers that
@@ -399,31 +393,17 @@ pub fn run_scenario<C: CaseStudy>(case: &C, seed: u64, cfg: &SweepConfig) -> Sce
 /// evidence and then consumed by execution, whose report the model check
 /// judges — no stage recompiles, no stage clones, no stage reruns.  Only
 /// shrink re-checks (which examine different, smaller programs) compile and
-/// run again, once per candidate.
+/// run again, once per candidate.  The scenario executes as a batch of one,
+/// so its run stage is charged the whole batch wall-clock.
 pub fn run_generated<C: CaseStudy>(
     case: &C,
     scenario: &Scenario<C::Program, C::Ty>,
     cfg: &SweepConfig,
 ) -> ScenarioRecord {
-    let mut prepared = prepare_generated(case, scenario, cfg);
-    match prepared.ready.take() {
-        None => seal(prepared.record, prepared.timings, cfg.time),
-        Some((compiled, evidence)) => {
-            let mut timings = prepared.timings;
-            let report = staged(cfg.time, &mut timings.run_ns, || {
-                case.execute(compiled, cfg.profile.fuel)
-            });
-            finish_executed(
-                case,
-                scenario,
-                prepared.record,
-                timings,
-                evidence,
-                report,
-                cfg,
-            )
-        }
-    }
+    let prepared = prepare_generated(case, scenario, cfg);
+    run_prepared(case, std::slice::from_ref(scenario), vec![prepared], cfg)
+        .pop()
+        .expect("one record per scenario")
 }
 
 /// Runs the full pipeline for a contiguous group of seeds of one case
@@ -455,7 +435,19 @@ pub fn run_batch<C: CaseStudy>(case: &C, seeds: &[u64], cfg: &SweepConfig) -> Ve
         scenarios.push(scenario);
         prepared.push(p);
     }
+    run_prepared(case, &scenarios, prepared, cfg)
+}
 
+/// Finishes prepared scenarios (`prepared[i]` from `scenarios[i]`): their
+/// compiled artifacts execute as **one batch** through
+/// [`CaseStudy::execute_batch`], and each report is folded into its
+/// scenario's record, in input order.
+fn run_prepared<C: CaseStudy>(
+    case: &C,
+    scenarios: &[Scenario<C::Program, C::Ty>],
+    mut prepared: Vec<Prepared<C>>,
+    cfg: &SweepConfig,
+) -> Vec<ScenarioRecord> {
     // Collect the executable artifacts in seed order and run them as one
     // batch; scenarios that failed a pre-run stage simply take no part.
     let mut ready_indices = Vec::with_capacity(prepared.len());
@@ -495,7 +487,7 @@ pub fn run_batch<C: CaseStudy>(case: &C, seeds: &[u64], cfg: &SweepConfig) -> Ve
         .peekable();
     prepared
         .into_iter()
-        .zip(&scenarios)
+        .zip(scenarios)
         .enumerate()
         .map(|(idx, (p, scenario))| match executed.peek() {
             Some((ready_idx, _)) if *ready_idx == idx => {
@@ -574,50 +566,16 @@ fn record_glue_stats<C: CaseStudy>(
 }
 
 /// Sweeps one case study over the scenarios a [`ScenarioSource`] supplies
-/// for it, scheduling contiguous [`SweepConfig::batch`]-sized seed groups
-/// as the pool's tasks.
+/// for it: a [`sweep_all`] of that one case.
 pub fn sweep_case<C, S>(case: &C, source: &S, cfg: &SweepConfig) -> CaseReport
 where
     C: CaseStudy + Sync,
     S: ScenarioSource + ?Sized,
 {
-    sweep_case_observed(case, source, cfg, None)
-}
-
-/// [`sweep_case`] with an optional [`SweepObserver`]: each worker reports
-/// every finished scenario as it completes (trace events, progress ticks).
-/// Observation is strictly one-way — the returned report is identical to an
-/// unobserved sweep's, digests and counters alike.
-pub fn sweep_case_observed<C, S>(
-    case: &C,
-    source: &S,
-    cfg: &SweepConfig,
-    observer: Option<&SweepObserver>,
-) -> CaseReport
-where
-    C: CaseStudy + Sync,
-    S: ScenarioSource + ?Sized,
-{
-    check_size(source, &[case.name()]);
-    check_batch(cfg);
-    let glue_before = case.glue_cache_stats();
-    let seeds = source.seeds(case.name());
-    let batches: Vec<&[u64]> = seeds.chunks(cfg.batch).collect();
-    let records = parallel_map(&batches, cfg.jobs, |batch| {
-        let records = run_batch(case, batch, cfg);
-        if let Some(observer) = observer {
-            for record in &records {
-                observer.scenario(case.name(), record, case.glue_cache_stats());
-            }
-        }
-        records
-    });
-    let mut report = CaseReport::new(case.name());
-    for record in records.iter().flatten() {
-        report.absorb(record);
-    }
-    record_glue_stats(case, glue_before, &mut report);
-    report
+    sweep_all(std::slice::from_ref(case), source, cfg)
+        .cases
+        .pop()
+        .expect("one report per case")
 }
 
 /// Sweeps several case studies through **one shared pool**: all
@@ -638,9 +596,11 @@ where
     sweep_all_observed(cases, source, cfg, None)
 }
 
-/// [`sweep_all`] with an optional [`SweepObserver`] (see
-/// [`sweep_case_observed`]); the observer sees the interleaved completion
-/// order across all cases, the report is unchanged by observation.
+/// [`sweep_all`] with an optional [`SweepObserver`]: each worker reports
+/// every finished scenario as it completes (trace events, progress ticks),
+/// in the interleaved completion order across all cases.  Observation is
+/// strictly one-way — the returned report is identical to an unobserved
+/// sweep's, digests and counters alike.
 pub fn sweep_all_observed<C, S>(
     cases: &[C],
     source: &S,

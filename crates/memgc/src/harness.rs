@@ -166,11 +166,11 @@ impl CaseStudy for MemGcCase {
     }
 
     fn execute(&self, compiled: Expr, fuel: Fuel) -> RunResult {
-        self.system.execute_with_fuel(compiled, fuel)
+        self.system.execute(compiled, fuel)
     }
 
     fn execute_batch(&self, batch: Vec<Expr>, fuel: Fuel) -> Vec<RunResult> {
-        self.system.execute_batch_with_fuel(batch, fuel)
+        self.system.execute_batch(batch, fuel)
     }
 
     fn stats(&self, report: &RunResult) -> RunStats {

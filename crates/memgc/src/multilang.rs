@@ -1,15 +1,12 @@
-//! The end-to-end driver for case study 3.
-//!
-//! Since PR 2 the driver is the shared [`InteropPipeline`] from
-//! `semint-core`; this module supplies the §5 instantiation
-//! ([`MemGcSystem`]).
+//! The end-to-end driver for case study 3: type check → compile → run on
+//! LCVM with GC and manual memory.
 
 use crate::compile::{MemGcCompileError, MemGcCompiler};
 use crate::convert::MemGcConversions;
 use crate::syntax::{L3Expr, L3Type, PolyExpr, PolyType};
 use crate::typecheck::{check_l3, check_poly, MemGcCtx, MemGcTypeError};
 use lcvm::{Expr, Machine, RunResult};
-use semint_core::pipeline::{InteropPipeline, InteropSystem, PipelineError};
+use semint_core::pipeline::PipelineError;
 use semint_core::Fuel;
 use std::fmt;
 
@@ -53,46 +50,62 @@ impl fmt::Display for MgSourceType {
     }
 }
 
-/// The §5 instantiation of [`InteropSystem`]: MiniML + L3 compiled (with §5
-/// glue) to LCVM with GC and manual memory.
+/// The §5 multi-language system: MiniML + L3 + the §5 conversions over
+/// LCVM with GC and manual memory.
 #[derive(Debug, Clone, Default)]
-pub struct MemGcSystem {
+pub struct MemGcMultiLang {
     conversions: MemGcConversions,
+    fuel: Fuel,
 }
 
-impl MemGcSystem {
-    /// A system over the standard (memoizing) rule set.
+impl MemGcMultiLang {
+    /// A system with the standard rule set and default fuel.
     pub fn new() -> Self {
-        MemGcSystem {
+        MemGcMultiLang {
             conversions: MemGcConversions::standard(),
+            fuel: Fuel::default(),
         }
+    }
+
+    /// Overrides the fuel budget.
+    pub fn with_fuel(mut self, fuel: Fuel) -> Self {
+        self.fuel = fuel;
+        self
     }
 
     /// The conversion rule set in use.
     pub fn conversions(&self) -> &MemGcConversions {
         &self.conversions
     }
-}
 
-impl InteropSystem for MemGcSystem {
-    type Program = MgProgram;
-    type Ty = MgSourceType;
-    type Artifact = Expr;
-    type TypeError = MemGcTypeError;
-    type CompileError = MemGcCompileError;
-    type Exec = RunResult;
-
-    fn typecheck(&self, program: &MgProgram) -> Result<MgSourceType, MemGcTypeError> {
+    /// Type checks a closed multi-language program (either host language).
+    pub fn typecheck(&self, program: &MgProgram) -> Result<MgSourceType, MemGcTypeError> {
         match program {
-            MgProgram::Ml(e) => check_poly(&MemGcCtx::empty(), e, &self.conversions)
-                .map(|(t, _)| MgSourceType::Ml(t)),
-            MgProgram::L3(e) => {
-                check_l3(&MemGcCtx::empty(), e, &self.conversions).map(|(t, _)| MgSourceType::L3(t))
-            }
+            MgProgram::Ml(e) => self.typecheck_ml(e).map(MgSourceType::Ml),
+            MgProgram::L3(e) => self.typecheck_l3(e).map(MgSourceType::L3),
         }
     }
 
-    fn compile(&self, program: &MgProgram) -> Result<Expr, MemGcCompileError> {
+    /// Type checks a closed MiniML program.
+    pub fn typecheck_ml(&self, e: &PolyExpr) -> Result<PolyType, MemGcTypeError> {
+        check_poly(&MemGcCtx::empty(), e, &self.conversions).map(|(t, _)| t)
+    }
+
+    /// Type checks a closed L3 program.
+    pub fn typecheck_l3(&self, e: &L3Expr) -> Result<L3Type, MemGcTypeError> {
+        check_l3(&MemGcCtx::empty(), e, &self.conversions).map(|(t, _)| t)
+    }
+
+    /// Type checks and compiles a closed multi-language program.
+    pub fn compile(&self, program: &MgProgram) -> Result<Expr, MemGcMultiLangError> {
+        self.typecheck(program).map_err(PipelineError::Type)?;
+        self.compile_only(program).map_err(PipelineError::Compile)
+    }
+
+    /// Compiles a program already known to type check, skipping the
+    /// typecheck (the sweep engine re-checks the generator's type claim
+    /// once up front).
+    pub fn compile_only(&self, program: &MgProgram) -> Result<Expr, MemGcCompileError> {
         let compiler = MemGcCompiler::new(&self.conversions, &self.conversions);
         match program {
             MgProgram::Ml(e) => compiler.compile_ml_program(e),
@@ -100,89 +113,18 @@ impl InteropSystem for MemGcSystem {
         }
     }
 
-    fn execute(&self, artifact: Expr, fuel: Fuel) -> RunResult {
-        Machine::run_expr(artifact, fuel)
-    }
-
-    /// Drives the whole batch through **one** LCVM machine, reset in place
-    /// between programs (the continuation stack's grown buffer survives as
-    /// an allocation, never as state), instead of constructing a machine
-    /// per artifact.
-    fn execute_batch(&self, artifacts: Vec<Expr>, fuel: Fuel) -> Vec<RunResult> {
-        Machine::run_batch(artifacts, fuel)
-    }
-}
-
-/// The §5 multi-language system: MiniML + L3 + the §5 conversions over
-/// LCVM with GC and manual memory, driven by the shared [`InteropPipeline`].
-#[derive(Debug, Clone, Default)]
-pub struct MemGcMultiLang {
-    pipeline: InteropPipeline<MemGcSystem>,
-}
-
-impl MemGcMultiLang {
-    /// A system with the standard rule set and default fuel.
-    pub fn new() -> Self {
-        MemGcMultiLang {
-            pipeline: InteropPipeline::new(MemGcSystem::new()),
-        }
-    }
-
-    /// Overrides the fuel budget.
-    pub fn with_fuel(mut self, fuel: Fuel) -> Self {
-        self.pipeline = self.pipeline.with_fuel(fuel);
-        self
-    }
-
-    /// The conversion rule set in use.
-    pub fn conversions(&self) -> &MemGcConversions {
-        self.pipeline.system().conversions()
-    }
-
-    /// The shared pipeline driving this system.
-    pub fn pipeline(&self) -> &InteropPipeline<MemGcSystem> {
-        &self.pipeline
-    }
-
-    /// Type checks a closed multi-language program (either host language).
-    pub fn typecheck(&self, program: &MgProgram) -> Result<MgSourceType, MemGcTypeError> {
-        self.pipeline.typecheck(program)
-    }
-
-    /// Type checks a closed MiniML program.
-    pub fn typecheck_ml(&self, e: &PolyExpr) -> Result<PolyType, MemGcTypeError> {
-        check_poly(&MemGcCtx::empty(), e, self.conversions()).map(|(t, _)| t)
-    }
-
-    /// Type checks a closed L3 program.
-    pub fn typecheck_l3(&self, e: &L3Expr) -> Result<L3Type, MemGcTypeError> {
-        check_l3(&MemGcCtx::empty(), e, self.conversions()).map(|(t, _)| t)
-    }
-
-    /// Type checks and compiles a closed multi-language program.
-    pub fn compile(&self, program: &MgProgram) -> Result<Expr, MemGcMultiLangError> {
-        Ok(self.pipeline.check_and_compile(program)?.artifact)
-    }
-
-    /// Compiles a program already known to type check, skipping the
-    /// pipeline's typecheck stage (the sweep engine re-checks the
-    /// generator's type claim once up front).
-    pub fn compile_only(&self, program: &MgProgram) -> Result<Expr, MemGcCompileError> {
-        self.pipeline.system().compile(program)
-    }
-
     /// Runs an already-compiled LCVM expression under an explicit fuel
     /// budget, consuming the artifact (no clone — the compile-once flow).
-    pub fn execute_with_fuel(&self, compiled: Expr, fuel: Fuel) -> RunResult {
-        self.pipeline.execute_with_fuel(compiled, fuel)
+    pub fn execute(&self, compiled: Expr, fuel: Fuel) -> RunResult {
+        Machine::run_expr(compiled, fuel)
     }
 
     /// Runs a batch of already-compiled LCVM expressions under one fuel
-    /// budget through a single reused machine (see
-    /// [`InteropSystem::execute_batch`] on [`MemGcSystem`]), returning
-    /// results in input order.
-    pub fn execute_batch_with_fuel(&self, compiled: Vec<Expr>, fuel: Fuel) -> Vec<RunResult> {
-        self.pipeline.execute_batch(compiled, fuel)
+    /// budget through **one** LCVM machine, reset in place between programs
+    /// (the continuation stack's grown buffer survives as an allocation,
+    /// never as state), returning results in input order.
+    pub fn execute_batch(&self, compiled: Vec<Expr>, fuel: Fuel) -> Vec<RunResult> {
+        Machine::run_batch(compiled, fuel)
     }
 
     /// Type checks and compiles a closed MiniML program.
@@ -195,23 +137,14 @@ impl MemGcMultiLang {
         self.compile(&MgProgram::L3(e.clone()))
     }
 
-    /// Runs a closed multi-language program under the given fuel budget.
-    pub fn run_with_fuel(
-        &self,
-        program: &MgProgram,
-        fuel: Fuel,
-    ) -> Result<RunResult, MemGcMultiLangError> {
-        self.pipeline.run_with_fuel(program, fuel)
-    }
-
     /// Type checks, compiles and runs a MiniML program.
     pub fn run_ml(&self, e: &PolyExpr) -> Result<RunResult, MemGcMultiLangError> {
-        self.pipeline.run(&MgProgram::Ml(e.clone()))
+        Ok(self.execute(self.compile_ml(e)?, self.fuel))
     }
 
     /// Type checks, compiles and runs an L3 program.
     pub fn run_l3(&self, e: &L3Expr) -> Result<RunResult, MemGcMultiLangError> {
-        self.pipeline.run(&MgProgram::L3(e.clone()))
+        Ok(self.execute(self.compile_l3(e)?, self.fuel))
     }
 }
 

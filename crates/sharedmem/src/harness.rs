@@ -172,11 +172,11 @@ impl CaseStudy for SharedMemCase {
     }
 
     fn execute(&self, compiled: Program, fuel: Fuel) -> RunResult {
-        self.system.execute_with_fuel(compiled, fuel)
+        self.system.execute(compiled, fuel)
     }
 
     fn execute_batch(&self, batch: Vec<Program>, fuel: Fuel) -> Vec<RunResult> {
-        self.system.execute_batch_with_fuel(batch, fuel)
+        self.system.execute_batch(batch, fuel)
     }
 
     fn stats(&self, report: &RunResult) -> RunStats {

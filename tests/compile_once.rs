@@ -182,8 +182,8 @@ fn untimed_sweep_also_compiles_exactly_once_and_skipped_model_check_stays_skippe
 }
 
 // ---------------------------------------------------------------------------
-// The reference runner: the pre-PR per-stage-recompile pipeline, built on
-// the same public trait (`run` and `model_check` compile their own).
+// The reference runner: a per-stage-recompile pipeline built on the same
+// public trait (its run stage and `model_check` compile their own).
 
 fn recompiling_record(case: &AnyCase, seed: u64, cfg: &SweepConfig) -> ScenarioRecord {
     let scenario = case.generate(seed, &cfg.profile);
@@ -231,23 +231,22 @@ fn recompiling_record(case: &AnyCase, seed: u64, cfg: &SweepConfig) -> ScenarioR
         }
     }
 
-    // Run, compiling internally.
-    match case.run(&scenario.program, cfg.profile.fuel) {
-        Ok(report) => {
-            let stats = case.stats(&report);
-            record.stats = Some(stats);
-            if !stats.outcome.is_safe() {
-                record.failure = Some(plain_failure(
-                    FailStage::Run,
-                    format!("unsafe outcome {}", stats.outcome),
-                ));
-                return record;
-            }
-        }
+    // Run, compiling again.
+    let compiled = match case.compile(&scenario.program) {
+        Ok(compiled) => compiled,
         Err(err) => {
             record.failure = Some(plain_failure(FailStage::Compile, err));
             return record;
         }
+    };
+    let stats = case.stats(&case.execute(compiled, cfg.profile.fuel));
+    record.stats = Some(stats);
+    if !stats.outcome.is_safe() {
+        record.failure = Some(plain_failure(
+            FailStage::Run,
+            format!("unsafe outcome {}", stats.outcome),
+        ));
+        return record;
     }
 
     // Model check, compiling yet again.
