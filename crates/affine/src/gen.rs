@@ -7,6 +7,9 @@
 //! the type-safety theorems quantify over all well-typed programs; the test
 //! suites sample that space through this module.
 //!
+//! The generator reads the [`GenProfile`] it is given, the same profile
+//! the sweep engine hands every case study.
+//!
 //! Boundary types come from structural candidates that are sound by
 //! construction: every candidate pair is derivable under the standard
 //! Fig. 9 rules, so the generator never derives glue itself (the test
@@ -15,68 +18,34 @@
 use crate::syntax::{AffiExpr, AffiType, MlExpr, MlType, Mode};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use semint_core::case::{ConstructorClass, ConstructorWeights, GenProfile};
+use semint_core::case::{ConstructorClass, GenProfile};
 
-/// Tuning knobs for the §4 generator.
-#[derive(Debug, Clone, Copy)]
-pub struct AffineGenConfig {
-    /// Maximum expression depth.
-    pub max_depth: usize,
-    /// Maximum goal-type depth.
-    pub type_depth: usize,
-    /// Probability (0–100) of crossing a boundary when a conversion exists.
-    pub boundary_bias: u32,
-    /// Probability (0–100) of choosing the static arrow over the dynamic one
-    /// when introducing an affine function.
-    pub static_bias: u32,
-    /// Constructor-class weights for goal-type generation.
-    pub weights: ConstructorWeights,
-}
-
-impl Default for AffineGenConfig {
-    fn default() -> Self {
-        AffineGenConfig {
-            max_depth: 4,
-            type_depth: 2,
-            boundary_bias: 35,
-            static_bias: 50,
-            weights: ConstructorWeights::STANDARD,
-        }
-    }
-}
-
-impl From<&GenProfile> for AffineGenConfig {
-    fn from(profile: &GenProfile) -> Self {
-        AffineGenConfig {
-            max_depth: profile.max_depth,
-            type_depth: profile.type_depth,
-            boundary_bias: profile.boundary_bias,
-            static_bias: 50,
-            weights: profile.weights,
-        }
-    }
-}
+/// Probability (0–100) of choosing the static arrow over the dynamic one
+/// when introducing an affine function.
+const STATIC_BIAS: u32 = 50;
 
 /// A deterministic, seed-driven generator of closed well-typed Affi and
-/// MiniML programs.
+/// MiniML programs.  It reads its knobs from the [`GenProfile`] it is
+/// given: expression depth, goal-type depth, boundary bias and constructor
+/// weights.
 #[derive(Debug)]
 pub struct AffineProgramGen {
     rng: StdRng,
-    config: AffineGenConfig,
+    profile: GenProfile,
     fresh: u64,
 }
 
 impl AffineProgramGen {
-    /// A generator with the default configuration.
+    /// A generator under the standard profile.
     pub fn new(seed: u64) -> Self {
-        Self::with_config(seed, AffineGenConfig::default())
+        Self::with_profile(seed, &GenProfile::standard())
     }
 
-    /// A generator with an explicit configuration.
-    pub fn with_config(seed: u64, config: AffineGenConfig) -> Self {
+    /// A generator under the given profile.
+    pub fn with_profile(seed: u64, profile: &GenProfile) -> Self {
         AffineProgramGen {
             rng: StdRng::seed_from_u64(seed),
-            config,
+            profile: *profile,
             fresh: 0,
         }
     }
@@ -88,7 +57,7 @@ impl AffineProgramGen {
     }
 
     /// Generates a random Affi goal type, drawing constructor classes from
-    /// the configured weights: base types (`leaf`), tensors and dynamic
+    /// the profile's weights: base types (`leaf`), tensors and dynamic
     /// lollis (`branch`, so deep pairs *and functions* sit under glue), and
     /// `!` wrappers (`wrap`).
     pub fn gen_affi_type(&mut self, depth: usize) -> AffiType {
@@ -115,9 +84,9 @@ impl AffineProgramGen {
         }
     }
 
-    /// A goal type at the configured type depth.
+    /// A goal type at the profile's type depth.
     pub fn gen_goal_affi_type(&mut self) -> AffiType {
-        self.gen_affi_type(self.config.type_depth)
+        self.gen_affi_type(self.profile.type_depth)
     }
 
     /// Generates a random MiniML goal type of bounded size (for the
@@ -148,22 +117,22 @@ impl AffineProgramGen {
     }
 
     fn pick_class(&mut self) -> ConstructorClass {
-        let total = self.config.weights.total().max(1);
-        self.config.weights.class_for(self.rng.gen_range(0..total))
+        let total = self.profile.weights.total().max(1);
+        self.profile.weights.class_for(self.rng.gen_range(0..total))
     }
 
     /// Generates a closed, well-typed Affi expression of type `ty`.
     pub fn gen_affi(&mut self, ty: &AffiType) -> AffiExpr {
-        self.affi(ty, self.config.max_depth)
+        self.affi(ty, self.profile.max_depth)
     }
 
     /// Generates a closed, well-typed MiniML expression of type `ty`.
     pub fn gen_ml(&mut self, ty: &MlType) -> MlExpr {
-        self.ml(ty, self.config.max_depth)
+        self.ml(ty, self.profile.max_depth)
     }
 
     fn boundary_here(&mut self) -> bool {
-        self.rng.gen_range(0u32..100) < self.config.boundary_bias
+        self.rng.gen_range(0u32..100) < self.profile.boundary_bias
     }
 
     fn affi(&mut self, ty: &AffiType, depth: usize) -> AffiExpr {
@@ -183,7 +152,7 @@ impl AffineProgramGen {
             1 => {
                 let name = self.fresh_name("a");
                 let arg = self.affi(ty, depth - 1);
-                if self.rng.gen_range(0u32..100) < self.config.static_bias {
+                if self.rng.gen_range(0u32..100) < STATIC_BIAS {
                     AffiExpr::app(
                         AffiExpr::lam_static(
                             name.as_str(),
@@ -474,13 +443,12 @@ mod tests {
 
     #[test]
     fn boundary_bias_zero_keeps_programs_single_language() {
-        let cfg = AffineGenConfig {
-            max_depth: 4,
+        let profile = GenProfile {
             boundary_bias: 0,
-            ..AffineGenConfig::default()
+            ..GenProfile::standard()
         };
         for seed in 0..20 {
-            let mut gen = AffineProgramGen::with_config(seed, cfg);
+            let mut gen = AffineProgramGen::with_profile(seed, &profile);
             let e = gen.gen_affi(&AffiType::Int);
             assert!(!format!("{e}").contains('⦇'), "unexpected boundary in {e}");
         }
@@ -498,12 +466,10 @@ mod tests {
 
     #[test]
     fn deep_profile_types_reach_depth_four_and_programs_typecheck() {
-        use semint_core::case::GenProfile;
         let sys = AffineMultiLang::new();
-        let cfg = AffineGenConfig::from(&GenProfile::deep());
         let mut max_depth_seen = 0;
         for seed in 0..40 {
-            let mut gen = AffineProgramGen::with_config(seed, cfg);
+            let mut gen = AffineProgramGen::with_profile(seed, &GenProfile::deep());
             let ty = gen.gen_goal_affi_type();
             max_depth_seen = max_depth_seen.max(affi_type_depth(&ty));
             let e = gen.gen_affi(&ty);
@@ -520,12 +486,11 @@ mod tests {
 
     #[test]
     fn deep_ml_goal_types_typecheck_too() {
-        use semint_core::case::GenProfile;
         let sys = AffineMultiLang::new();
-        let cfg = AffineGenConfig::from(&GenProfile::deep());
+        let deep = GenProfile::deep();
         for seed in 0..40 {
-            let mut gen = AffineProgramGen::with_config(seed, cfg);
-            let ty = gen.gen_ml_type(cfg.type_depth);
+            let mut gen = AffineProgramGen::with_profile(seed, &deep);
+            let ty = gen.gen_ml_type(deep.type_depth);
             let e = gen.gen_ml(&ty);
             let checked = sys
                 .typecheck_ml(&e)
@@ -538,13 +503,13 @@ mod tests {
     fn dynamic_lolli_goals_can_cross_the_boundary() {
         // 𝜏 ⊸ 𝜏 ∼ (unit → τ) → τ is derivable, so bias 100 must produce a
         // boundary at a lolli goal type for some seed.
-        let cfg = AffineGenConfig {
+        let profile = GenProfile {
             boundary_bias: 100,
-            ..AffineGenConfig::default()
+            ..GenProfile::standard()
         };
         let goal = AffiType::lolli(AffiType::Int, AffiType::Int);
         let crossed = (0..20).any(|seed| {
-            let mut gen = AffineProgramGen::with_config(seed, cfg);
+            let mut gen = AffineProgramGen::with_profile(seed, &profile);
             format!("{}", gen.gen_affi(&goal)).contains('⦇')
         });
         assert!(crossed, "no seed crossed a boundary at {goal}");
@@ -597,8 +562,7 @@ mod tests {
     #[test]
     fn candidates_are_derivable_under_the_standard_rules() {
         let rules = AffineConversions::standard();
-        let mut random =
-            AffineProgramGen::with_config(0, AffineGenConfig::from(&GenProfile::deep()));
+        let mut random = AffineProgramGen::with_profile(0, &GenProfile::deep());
         let mut affi_types = all_affi_types(2);
         let mut ml_types = all_ml_types(2);
         // Deep lolli glue is large, so 5 000 draws keep this under a

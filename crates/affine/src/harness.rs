@@ -2,7 +2,7 @@
 //! interoperability), consumed by the `semint-harness` engine.
 
 use crate::compile::CompileOutput;
-use crate::gen::{AffineGenConfig, AffineProgramGen};
+use crate::gen::AffineProgramGen;
 use crate::model::{AffineModelChecker, AffineSemType, CHECK_FUEL};
 use crate::multilang::AffineMultiLang;
 use crate::syntax::{AffiType, MlType};
@@ -127,7 +127,7 @@ impl CaseStudy for AffineCase {
     }
 
     fn generate(&self, seed: u64, profile: &GenProfile) -> Scenario<AffProgram, AffSourceType> {
-        let mut gen = AffineProgramGen::with_config(seed, AffineGenConfig::from(profile));
+        let mut gen = AffineProgramGen::with_profile(seed, profile);
         // Every fourth scenario is MiniML-hosted.
         if seed % 4 == 3 {
             let ty = gen.gen_ml_type(profile.type_depth);

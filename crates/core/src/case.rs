@@ -106,10 +106,11 @@ impl Default for ConstructorWeights {
 
 /// A named generation profile: every knob the scenario generators honor.
 ///
-/// Profiles are the engine's first-class notion of a workload *population*
-/// (replacing the old flat `ScenarioConfig`): four presets cover the common
-/// sweeps, and every knob is independently overridable (`semint sweep
-/// --profile deep --boundary-bias 60 …`).  Construct presets via
+/// Profiles are the engine's first-class notion of a workload *population*:
+/// four presets cover the common sweeps, and every knob is independently
+/// overridable (`semint sweep --profile deep --boundary-bias 60 …`).  Each
+/// case study's generator reads the profile itself, so a knob means the
+/// same thing in every case study.  Construct presets via
 /// [`GenProfile::by_name`] or the named constructors; after mutating knobs,
 /// re-check with [`GenProfile::validate`] — the engine and CLI reject
 /// invalid profiles instead of silently clamping.

@@ -9,7 +9,10 @@
 //!    boundary form `⦇e⦈τ`.  Each source language's AST has its own boundary
 //!    node, since it must carry the foreign expression.
 //! 2. **Convertibility rules** — the designer declares `τA ∼ τB`, witnessed by
-//!    target-level glue code `C_{τA↦τB}` and `C_{τB↦τA}` ([`convert`]).
+//!    target-level glue code `C_{τA↦τB}` and `C_{τB↦τA}`.  Each language pair
+//!    states this judgment as one [`ConversionScheme`], a structural
+//!    derivation memoized by a [`GlueCache`]; its typechecker and compiler
+//!    both ask that scheme ([`convert`]).
 //! 3. **Realizability models** — source types are interpreted as sets of
 //!    *target* terms; the shared machinery (step indices, fuel, error codes)
 //!    lives in [`fuel`], [`outcome`] and [`world`].
@@ -18,29 +21,15 @@
 //!    fundamental property, exercised in the per-case-study crates.
 //!
 //! This crate contains only the pieces shared by every case study: interned
-//! variables, fresh-name generation, fuel/step budgets, machine outcomes and
-//! error codes, the generic convertibility registry and the step-index/world
-//! vocabulary used by the executable logical relations.
-//!
-//! ## Example
-//!
-//! ```
-//! use semint_core::convert::{ConvertibilityRegistry, ConversionPair};
-//!
-//! // A toy registry whose "glue code" is just a label.
-//! let mut reg: ConvertibilityRegistry<&'static str, &'static str, &'static str> =
-//!     ConvertibilityRegistry::new();
-//! reg.register("bool", "int", ConversionPair::new("id", "id"));
-//! assert!(reg.convertible(&"bool", &"int"));
-//! assert!(!reg.convertible(&"bool", &"array"));
-//! ```
+//! variables, fuel/step budgets and step indices, machine outcomes and error
+//! codes, the conversion scheme and its glue cache, the [`CaseStudy`] stage
+//! interface with its [`GenProfile`], and the sweep statistics.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod case;
 pub mod convert;
-pub mod fresh;
 pub mod fuel;
 pub mod outcome;
 pub mod pipeline;
@@ -52,10 +41,7 @@ pub mod world;
 pub use case::{
     CaseStudy, CheckFailure, ConstructorClass, ConstructorWeights, GenProfile, Scenario,
 };
-pub use convert::{
-    ConversionPair, ConversionScheme, ConvertibilityRegistry, GlueCache, GlueCacheStats,
-};
-pub use fresh::FreshGen;
+pub use convert::{ConversionPair, ConversionScheme, GlueCache, GlueCacheStats};
 pub use fuel::Fuel;
 pub use outcome::{ErrorCode, Outcome};
 pub use pipeline::PipelineError;

@@ -34,13 +34,6 @@ impl Var {
     pub fn as_str(&self) -> &str {
         &self.0
     }
-
-    /// Returns a derived variable name with the given suffix appended.
-    ///
-    /// Used by compilers that need related helper names (`x`, `x_thnk`, …).
-    pub fn suffixed(&self, suffix: &str) -> Var {
-        Var::new(format!("{}{}", self.0, suffix))
-    }
 }
 
 impl fmt::Debug for Var {
@@ -93,11 +86,6 @@ mod tests {
     #[test]
     fn display_is_bare_name() {
         assert_eq!(Var::new("foo").to_string(), "foo");
-    }
-
-    #[test]
-    fn suffixed_builds_related_names() {
-        assert_eq!(Var::new("x").suffixed("_thnk"), Var::new("x_thnk"));
     }
 
     #[test]

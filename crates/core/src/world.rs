@@ -1,20 +1,19 @@
-//! Step indices and the shared vocabulary of Kripke worlds.
+//! Step indices, the budget component of every case study's worlds.
 //!
 //! Every case study builds a different world (heap typings only in §3; heap
 //! typing + affine flag store Θ in §4; GC'd heap typing + owned manual
 //! fragments in §5), but all of them are step-indexed and all of them use
 //! *approximation*: `⌊R⌋_j` restricts a relation to worlds with index `< j`.
-//! This module provides the index arithmetic and a small trait capturing the
-//! common "future world" notion so that the executable models can share
-//! driver code.
+//! The §3 executable model's world (`sharedmem::model::World`) pairs a
+//! [`StepIndex`] with a heap typing and defines its own extension relation.
 
 /// A step index `k` (the "budget" component of a world).
 ///
 /// ```
 /// use semint_core::StepIndex;
 /// let k = StepIndex::new(5);
-/// assert!(StepIndex::new(3).within(k));
-/// assert_eq!(k.decremented(), StepIndex::new(4));
+/// assert_eq!(k.get(), 5);
+/// assert_eq!(StepIndex::from(5), k);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct StepIndex(pub u64);
@@ -29,119 +28,10 @@ impl StepIndex {
     pub fn get(self) -> u64 {
         self.0
     }
-
-    /// `self < other` — is this index a valid approximation level inside a
-    /// world with budget `other`?
-    pub fn within(self, other: StepIndex) -> bool {
-        self.0 < other.0
-    }
-
-    /// The index lowered by one step, saturating at zero.
-    pub fn decremented(self) -> StepIndex {
-        StepIndex(self.0.saturating_sub(1))
-    }
-
-    /// The smaller of two indices (used when combining approximations).
-    pub fn min(self, other: StepIndex) -> StepIndex {
-        StepIndex(self.0.min(other.0))
-    }
 }
 
 impl From<u64> for StepIndex {
     fn from(k: u64) -> Self {
         StepIndex(k)
-    }
-}
-
-/// The common interface of Kripke worlds used by the executable models.
-///
-/// A future world may lower the step budget and must preserve whatever
-/// invariants the case study demands (heap typings grow, affine flags only
-/// move from "unused" to "used", pinned GC locations survive, …).  The trait
-/// only exposes what the generic model-checking drivers need: the budget and
-/// the *reflexive* extension check used in sanity assertions.
-pub trait World: Clone {
-    /// The current step budget `W.k`.
-    fn step_index(&self) -> StepIndex;
-
-    /// Is `future` a legal extension of `self` (`self ⊑ future`)?
-    fn extended_by(&self, future: &Self) -> bool;
-
-    /// The same world with its budget lowered to `k` (world approximation).
-    fn with_step_index(&self, k: StepIndex) -> Self;
-}
-
-/// Checks the two world-extension laws every case-study world must satisfy:
-/// reflexivity and "lowering the budget is an extension".  Used by the tests
-/// of each concrete world type.
-pub fn check_world_laws<W: World>(w: &W) -> Result<(), String> {
-    if !w.extended_by(w) {
-        return Err("world extension is not reflexive".to_string());
-    }
-    let lowered = w.with_step_index(w.step_index().decremented());
-    if !w.extended_by(&lowered) {
-        return Err("lowering the step budget must be a world extension".to_string());
-    }
-    if lowered.step_index().get() > w.step_index().get() {
-        return Err("with_step_index must not raise the budget".to_string());
-    }
-    Ok(())
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[derive(Clone, Debug, PartialEq)]
-    struct TrivialWorld {
-        k: StepIndex,
-    }
-
-    impl World for TrivialWorld {
-        fn step_index(&self) -> StepIndex {
-            self.k
-        }
-        fn extended_by(&self, future: &Self) -> bool {
-            future.k.get() <= self.k.get()
-        }
-        fn with_step_index(&self, k: StepIndex) -> Self {
-            TrivialWorld { k }
-        }
-    }
-
-    #[test]
-    fn index_arithmetic() {
-        let k = StepIndex::new(3);
-        assert!(StepIndex::new(2).within(k));
-        assert!(!StepIndex::new(3).within(k));
-        assert_eq!(StepIndex::new(0).decremented(), StepIndex::new(0));
-        assert_eq!(StepIndex::new(7).min(StepIndex::new(4)), StepIndex::new(4));
-        assert_eq!(StepIndex::from(9u64).get(), 9);
-    }
-
-    #[test]
-    fn trivial_world_satisfies_laws() {
-        check_world_laws(&TrivialWorld {
-            k: StepIndex::new(10),
-        })
-        .unwrap();
-    }
-
-    #[test]
-    fn law_checker_detects_violations() {
-        #[derive(Clone)]
-        struct BadWorld;
-        impl World for BadWorld {
-            fn step_index(&self) -> StepIndex {
-                StepIndex::new(1)
-            }
-            fn extended_by(&self, _f: &Self) -> bool {
-                false
-            }
-            fn with_step_index(&self, _k: StepIndex) -> Self {
-                BadWorld
-            }
-        }
-        assert!(check_world_laws(&BadWorld).is_err());
     }
 }

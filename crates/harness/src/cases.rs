@@ -127,24 +127,9 @@ impl AnyCase {
 
     /// Looks a case study up by name (`sharedmem`, `affine`, `memgc`).
     pub fn by_name(name: &str, broken: bool) -> Option<AnyCase> {
-        match name {
-            "sharedmem" => Some(AnyCase::SharedMem(if broken {
-                SharedMemCase::broken()
-            } else {
-                SharedMemCase::standard()
-            })),
-            "affine" => Some(AnyCase::Affine(if broken {
-                AffineCase::broken()
-            } else {
-                AffineCase::standard()
-            })),
-            "memgc" => Some(AnyCase::MemGc(if broken {
-                MemGcCase::broken()
-            } else {
-                MemGcCase::standard()
-            })),
-            _ => None,
-        }
+        AnyCase::all(broken)
+            .into_iter()
+            .find(|case| case.name() == name)
     }
 }
 
@@ -368,39 +353,6 @@ impl CaseStudy for AnyCase {
         }
     }
 
-    /// Dispatches to the case study's own wrapper, so a program handed to
-    /// the wrong case study is refuted rather than run.
-    fn model_check_compiled(
-        &self,
-        program: &AnyProgram,
-        ty: &AnyTy,
-        compiled: &AnyCompiled,
-    ) -> Result<(), CheckFailure> {
-        let bug = |case: &AnyCase| CheckFailure {
-            claim: "driver invariant".into(),
-            witness: program.to_string(),
-            reason: format!("program does not belong to case study `{}`", case.name()),
-        };
-        match (self, program, ty, compiled) {
-            (
-                AnyCase::SharedMem(c),
-                AnyProgram::SharedMem(p),
-                AnyTy::SharedMem(t),
-                AnyCompiled::SharedMem(a),
-            ) => c.model_check_compiled(p, t, a),
-            (
-                AnyCase::Affine(c),
-                AnyProgram::Affine(p),
-                AnyTy::Affine(t),
-                AnyCompiled::Affine(a),
-            ) => c.model_check_compiled(p, t, a),
-            (AnyCase::MemGc(c), AnyProgram::MemGc(p), AnyTy::MemGc(t), AnyCompiled::MemGc(a)) => {
-                c.model_check_compiled(p, t, a)
-            }
-            _ => Err(bug(self)),
-        }
-    }
-
     fn shrink(&self, program: &AnyProgram) -> Vec<AnyProgram> {
         match (self, program) {
             (AnyCase::SharedMem(c), AnyProgram::SharedMem(p)) => {
@@ -474,6 +426,8 @@ mod tests {
         let affine = AnyCase::by_name("affine", false).unwrap();
         let scen = affine.generate(0, &GenProfile::standard());
         assert!(sm.typecheck(&scen.program).is_err());
-        assert!(sm.model_check(&scen.program, &scen.ty).is_err());
+        // The model check refutes it at compile, before anything runs.
+        let refuted = sm.model_check(&scen.program, &scen.ty).unwrap_err();
+        assert_eq!(refuted.claim, "compilation");
     }
 }

@@ -152,9 +152,16 @@ impl Shard {
 
 impl ScenarioSource for Shard {
     fn seeds(&self, _case: &str) -> Vec<u64> {
-        (self.range.start..self.range.end)
-            .filter(|seed| (seed - self.range.start) % self.of == self.index)
-            .collect()
+        // A first seed past `u64::MAX` lies past the range's end too.
+        let Some(first) = self.range.start.checked_add(self.index) else {
+            return Vec::new();
+        };
+        let step = usize::try_from(self.of).unwrap_or(usize::MAX);
+        (first..self.range.end).step_by(step).collect()
+    }
+
+    fn total(&self, cases: &[&str]) -> u64 {
+        self.seed_count() * cases.len() as u64
     }
 
     fn describe(&self) -> String {
@@ -214,8 +221,20 @@ mod tests {
                     shard.seeds("any").len() as u64,
                     "closed-form count agrees with the enumerated slice"
                 );
+                assert_eq!(shard.total(&["a", "b"]), 2 * shard.seed_count());
             }
         }
+        // More shards than seeds: the last ones are empty.
+        let empty = Shard::new(SeedRange::new(0, 3).unwrap(), 4, 5).unwrap();
+        assert!(empty.seeds("any").is_empty());
+        assert_eq!((empty.seed_count(), empty.total(&["a"])), (0, 0));
+        // Near `u64::MAX` the slice neither overflows nor wraps around.
+        let top = SeedRange::new(u64::MAX - 3, u64::MAX).unwrap();
+        let shard = Shard::new(top, 2, 5).unwrap();
+        assert_eq!(shard.seeds("any"), vec![u64::MAX - 1]);
+        let shard = Shard::new(top, 4, 5).unwrap();
+        assert!(shard.seeds("any").is_empty());
+        assert_eq!(shard.seed_count(), 0);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! The [`CaseStudy`] instance for case study 3 (memory management &
 //! polymorphism), consumed by the `semint-harness` engine.
 
-use crate::gen::{MemGcGenConfig, MemGcProgramGen};
+use crate::gen::MemGcProgramGen;
 use crate::model::{MemGcModelChecker, CHECK_FUEL};
 use crate::multilang::MemGcMultiLang;
 use crate::syntax::{L3Expr, L3Type, PolyExpr, PolyType};
@@ -136,7 +136,7 @@ impl CaseStudy for MemGcCase {
     }
 
     fn generate(&self, seed: u64, profile: &GenProfile) -> Scenario<MgProgram, MgSourceType> {
-        let mut gen = MemGcProgramGen::with_config(seed, MemGcGenConfig::from(profile));
+        let mut gen = MemGcProgramGen::with_profile(seed, profile);
         // Every fourth scenario is L3-hosted.
         if seed % 4 == 3 {
             let ty = gen.gen_l3_type(profile.type_depth);

@@ -7,6 +7,9 @@
 //! [`ProgramGen::gen_ll`] a RefLL expression, and both freely insert boundaries at
 //! convertible types so the generated programs exercise the glue code.
 //!
+//! The generator reads the [`GenProfile`] it is given, the same profile
+//! the sweep engine hands every case study.
+//!
 //! Boundary types come from structural candidates that are sound by
 //! construction: every candidate pair is derivable under the standard
 //! Fig. 4 rules, so the generator never derives glue itself (the test
@@ -15,80 +18,46 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use reflang::syntax::{HlExpr, HlType, LlExpr, LlType};
-use semint_core::case::{ConstructorClass, ConstructorWeights, GenProfile};
-
-/// Tuning knobs for the generator.
-#[derive(Debug, Clone, Copy)]
-pub struct GenConfig {
-    /// Maximum expression depth.
-    pub max_depth: usize,
-    /// Maximum goal-type depth (used by [`ProgramGen::gen_hl_type`] /
-    /// [`ProgramGen::gen_ll_type`] callers that follow the config).
-    pub type_depth: usize,
-    /// Probability (0–100) of inserting a boundary when one is possible.
-    pub boundary_bias: u32,
-    /// Constructor-class weights for goal-type generation.
-    pub weights: ConstructorWeights,
-}
-
-impl Default for GenConfig {
-    fn default() -> Self {
-        GenConfig {
-            max_depth: 5,
-            type_depth: 2,
-            boundary_bias: 35,
-            weights: ConstructorWeights::STANDARD,
-        }
-    }
-}
-
-impl From<&GenProfile> for GenConfig {
-    fn from(profile: &GenProfile) -> Self {
-        GenConfig {
-            max_depth: profile.max_depth,
-            type_depth: profile.type_depth,
-            boundary_bias: profile.boundary_bias,
-            weights: profile.weights,
-        }
-    }
-}
+use semint_core::case::{ConstructorClass, GenProfile};
 
 /// A deterministic program generator seeded by a `u64`, so property tests can
-/// shrink on the seed.
+/// shrink on the seed.  It reads its knobs from the [`GenProfile`] it is
+/// given: expression depth, goal-type depth, boundary bias and constructor
+/// weights.
 #[derive(Debug)]
 pub struct ProgramGen {
     rng: StdRng,
-    config: GenConfig,
+    profile: GenProfile,
 }
 
 impl ProgramGen {
-    /// A generator with the default configuration.
+    /// A generator under the standard profile.
     pub fn new(seed: u64) -> Self {
-        ProgramGen::with_config(seed, GenConfig::default())
+        ProgramGen::with_profile(seed, &GenProfile::standard())
     }
 
-    /// A generator with an explicit configuration.
-    pub fn with_config(seed: u64, config: GenConfig) -> Self {
+    /// A generator under the given profile.
+    pub fn with_profile(seed: u64, profile: &GenProfile) -> Self {
         ProgramGen {
             rng: StdRng::seed_from_u64(seed),
-            config,
+            profile: *profile,
         }
     }
 
     /// Generates a closed, well-typed RefHL expression of type `ty`.
     pub fn gen_hl(&mut self, ty: &HlType) -> HlExpr {
-        self.hl(ty, self.config.max_depth)
+        self.hl(ty, self.profile.max_depth)
     }
 
     /// Generates a closed, well-typed RefLL expression of type `ty`.
     pub fn gen_ll(&mut self, ty: &LlType) -> LlExpr {
-        self.ll(ty, self.config.max_depth)
+        self.ll(ty, self.profile.max_depth)
     }
 
     /// Generates a random RefHL type of bounded size (used to vary the goal
     /// type itself in property tests and by [`ProgramGen::gen_goal_hl_type`]
-    /// at the configured type depth).  Constructor classes are drawn from
-    /// the configured [`ConstructorWeights`], so branch-heavy profiles
+    /// at the profile's type depth).  Constructor classes are drawn from
+    /// the profile's constructor weights, so branch-heavy profiles
     /// recurse most of the time and reach their full depth budget.
     pub fn gen_hl_type(&mut self, depth: usize) -> HlType {
         if depth == 0 {
@@ -115,9 +84,9 @@ impl ProgramGen {
         }
     }
 
-    /// A goal type at the configured type depth.
+    /// A goal type at the profile's type depth.
     pub fn gen_goal_hl_type(&mut self) -> HlType {
-        self.gen_hl_type(self.config.type_depth)
+        self.gen_hl_type(self.profile.type_depth)
     }
 
     /// Generates a random RefLL goal type of bounded size (deep arrays and
@@ -134,12 +103,12 @@ impl ProgramGen {
     }
 
     fn pick_class(&mut self) -> ConstructorClass {
-        let total = self.config.weights.total().max(1);
-        self.config.weights.class_for(self.rng.gen_range(0..total))
+        let total = self.profile.weights.total().max(1);
+        self.profile.weights.class_for(self.rng.gen_range(0..total))
     }
 
     fn boundary_here(&mut self) -> bool {
-        self.rng.gen_range(0u32..100) < self.config.boundary_bias
+        self.rng.gen_range(0u32..100) < self.profile.boundary_bias
     }
 
     fn hl(&mut self, ty: &HlType, depth: usize) -> HlExpr {
@@ -363,11 +332,20 @@ mod tests {
     use semint_core::convert::ConversionScheme;
     use std::collections::HashSet;
 
+    /// The standard profile at expression depth 5, the population these
+    /// tests were written against.
+    fn depth_5() -> GenProfile {
+        GenProfile {
+            max_depth: 5,
+            ..GenProfile::standard()
+        }
+    }
+
     #[test]
     fn generated_hl_programs_typecheck_at_the_requested_type() {
         let ml = MultiLang::new(SharedMemConversions::standard());
         for seed in 0..60 {
-            let mut gen = ProgramGen::new(seed);
+            let mut gen = ProgramGen::with_profile(seed, &depth_5());
             let ty = gen.gen_hl_type(2);
             let e = gen.gen_hl(&ty);
             let checked = ml.typecheck_hl(&e).unwrap_or_else(|err| {
@@ -381,7 +359,7 @@ mod tests {
     fn generated_ll_programs_typecheck() {
         let ml = MultiLang::new(SharedMemConversions::standard());
         for seed in 0..60 {
-            let mut gen = ProgramGen::new(seed);
+            let mut gen = ProgramGen::with_profile(seed, &depth_5());
             let e = gen.gen_ll(&LlType::Int);
             let ty = ml
                 .typecheck_ll(&e)
@@ -392,20 +370,19 @@ mod tests {
 
     #[test]
     fn generator_is_deterministic_in_its_seed() {
-        let mut a = ProgramGen::new(7);
-        let mut b = ProgramGen::new(7);
+        let mut a = ProgramGen::with_profile(7, &depth_5());
+        let mut b = ProgramGen::with_profile(7, &depth_5());
         assert_eq!(a.gen_hl(&HlType::Bool), b.gen_hl(&HlType::Bool));
     }
 
     #[test]
     fn boundary_bias_zero_generates_single_language_programs() {
-        let cfg = GenConfig {
-            max_depth: 4,
+        let profile = GenProfile {
             boundary_bias: 0,
-            ..GenConfig::default()
+            ..GenProfile::standard()
         };
         for seed in 0..20 {
-            let mut gen = ProgramGen::with_config(seed, cfg);
+            let mut gen = ProgramGen::with_profile(seed, &profile);
             let e = gen.gen_hl(&HlType::Bool);
             assert!(!format!("{e}").contains('⦇'), "no boundaries expected: {e}");
         }
@@ -423,12 +400,10 @@ mod tests {
 
     #[test]
     fn deep_profile_types_reach_depth_four_and_programs_typecheck() {
-        use semint_core::case::GenProfile;
         let ml = MultiLang::new(SharedMemConversions::standard());
-        let cfg = GenConfig::from(&GenProfile::deep());
         let mut max_depth_seen = 0;
         for seed in 0..40 {
-            let mut gen = ProgramGen::with_config(seed, cfg);
+            let mut gen = ProgramGen::with_profile(seed, &GenProfile::deep());
             let ty = gen.gen_goal_hl_type();
             max_depth_seen = max_depth_seen.max(hl_type_depth(&ty));
             let e = gen.gen_hl(&ty);
@@ -451,11 +426,11 @@ mod tests {
             HlType::prod(HlType::Bool, HlType::Bool),
             HlType::prod(HlType::Bool, HlType::Bool),
         );
-        let cfg = GenConfig {
+        let profile = GenProfile {
             boundary_bias: 100,
-            ..GenConfig::default()
+            ..depth_5()
         };
-        let mut gen = ProgramGen::with_config(11, cfg);
+        let mut gen = ProgramGen::with_profile(11, &profile);
         let e = gen.gen_hl(&ty);
         assert!(
             format!("{e}").contains('⦇'),
@@ -508,7 +483,7 @@ mod tests {
     #[test]
     fn candidates_are_derivable_under_the_standard_rules() {
         let rules = SharedMemConversions::standard();
-        let mut random = ProgramGen::with_config(0, GenConfig::from(&GenProfile::deep()));
+        let mut random = ProgramGen::with_profile(0, &GenProfile::deep());
         let mut hl_types = all_hl_types(2);
         let mut ll_types = all_ll_types(2);
         for _ in 0..20_000 {

@@ -2,7 +2,7 @@
 //! interoperability), consumed by the `semint-harness` engine.
 
 use crate::convert::SharedMemConversions;
-use crate::gen::{GenConfig, ProgramGen};
+use crate::gen::ProgramGen;
 use crate::model::{ModelChecker, SemType, World};
 use crate::multilang::{MultiLang, SourceType};
 use reflang::syntax::{HlExpr, HlType, LlExpr, LlType};
@@ -141,7 +141,7 @@ impl CaseStudy for SharedMemCase {
     }
 
     fn generate(&self, seed: u64, profile: &GenProfile) -> Scenario<SmProgram, SourceType> {
-        let mut gen = ProgramGen::with_config(seed, GenConfig::from(profile));
+        let mut gen = ProgramGen::with_profile(seed, profile);
         // Every fourth scenario is RefLL-hosted so both directions of the
         // boundary get swept.
         if seed % 4 == 3 {

@@ -143,21 +143,6 @@ impl World {
     }
 }
 
-impl semint_core::world::World for World {
-    fn step_index(&self) -> StepIndex {
-        self.k
-    }
-    fn extended_by(&self, future: &Self) -> bool {
-        World::extended_by(self, future)
-    }
-    fn with_step_index(&self, k: StepIndex) -> Self {
-        World {
-            k,
-            heap_typing: self.heap_typing.clone(),
-        }
-    }
-}
-
 /// A counterexample found by one of the checkers.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CounterExample {
@@ -816,7 +801,13 @@ mod tests {
     #[test]
     fn world_extension_laws() {
         let w = World::new(10).with_loc(Loc(0), HlType::Bool);
-        semint_core::world::check_world_laws(&w).unwrap();
+        // Extension is reflexive, and lowering the budget is an extension.
+        assert!(w.extended_by(&w));
+        let lowered = World {
+            k: StepIndex::new(9),
+            ..w.clone()
+        };
+        assert!(w.extended_by(&lowered));
         // Forgetting a location is not an extension; relabelling bool as int is.
         let forgot = World::new(5);
         assert!(!w.extended_by(&forgot));

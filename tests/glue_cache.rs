@@ -1,16 +1,17 @@
-//! Properties of the shared conversion layer (PR 2): memoized glue
-//! derivation must be **observably identical** to cold derivation for deep
-//! compound types in all three case studies, and the generic
-//! [`ConvertibilityRegistry`] must look up flipped/symmetric rules
-//! coherently.
+//! Properties of the shared conversion layer: memoized glue derivation
+//! must be **observably identical** to cold derivation for deep compound
+//! types in all three case studies, and the compilers' lookups in either
+//! direction must hand out the matching half of one derivation.
 
 use proptest::prelude::*;
+use semint::affine::compile::AffineConversionEmitter;
 use semint::affine::convert::AffineConversions;
 use semint::affine::{AffiType, MlType};
-use semint::core::convert::{ConversionPair, ConvertibilityRegistry};
+use semint::memgc::compile::MemGcConversionEmitter;
 use semint::memgc::convert::MemGcConversions;
 use semint::memgc::{L3Type, PolyType};
 use semint::reflang::syntax::{HlType, LlType};
+use semint::reflang::ConversionEmitter;
 use semint::sharedmem::convert::SharedMemConversions;
 
 /// A §3 type pair that is derivable at any nesting depth: products (and,
@@ -120,32 +121,27 @@ proptest! {
     }
 
     #[test]
-    fn registry_flipped_lookup_is_symmetric(depth in 0u8..5, use_unit in any::<bool>()) {
-        // Load the derived §3 glue into the generic registry both ways round
-        // (HL→LL and, flipped, LL→HL) and check the two views agree rule by
-        // rule: `flipped` must swap directions, and flipping twice must be
-        // the identity.
-        let derived = SharedMemConversions::standard();
-        let (hl, ll) = sharedmem_pair(depth, use_unit);
-        let (to_ll, to_hl) = derived.derive(&hl, &ll).expect("derivable");
+    fn registry_flipped_lookup_is_symmetric(depth in 0u8..5, variant in any::<bool>()) {
+        // A boundary in either direction looks its glue up under the one
+        // `(τA, τB)` key: the B-to-A lookup is the `b_to_a` half of the
+        // derivation and the A-to-B lookup is its `a_to_b` half.
+        let (hl, ll) = sharedmem_pair(depth, variant);
+        let rules = SharedMemConversions::standard();
+        let (to_ll, to_hl) = rules.derive(&hl, &ll).expect("derivable");
+        prop_assert_eq!(rules.ll_to_hl(&ll, &hl), Some(to_hl));
+        prop_assert_eq!(rules.hl_to_ll(&hl, &ll), Some(to_ll));
 
-        let mut forward: ConvertibilityRegistry<HlType, LlType, semint::stacklang::Program> =
-            ConvertibilityRegistry::new();
-        let mut backward: ConvertibilityRegistry<LlType, HlType, semint::stacklang::Program> =
-            ConvertibilityRegistry::new();
-        forward.register(hl.clone(), ll.clone(), ConversionPair::new(to_ll, to_hl));
-        for ((a, b), pair) in forward.iter() {
-            backward.register(b.clone(), a.clone(), pair.clone().flipped());
-        }
+        let (affi, ml) = affine_pair(depth, variant);
+        let rules = AffineConversions::standard();
+        let (to_ml, to_affi) = rules.derive(&affi, &ml).expect("derivable");
+        prop_assert_eq!(rules.ml_to_affi(&ml, &affi), Some(to_affi));
+        prop_assert_eq!(rules.affi_to_ml(&affi, &ml), Some(to_ml));
 
-        prop_assert!(forward.convertible(&hl, &ll));
-        prop_assert!(backward.convertible(&ll, &hl), "flipped rule must be found");
-        let fwd = forward.conversion(&hl, &ll).expect("registered").clone();
-        let bwd = backward.conversion(&ll, &hl).expect("registered").clone();
-        prop_assert_eq!(&fwd.a_to_b, &bwd.b_to_a);
-        prop_assert_eq!(&fwd.b_to_a, &bwd.a_to_b);
-        prop_assert_eq!(fwd.clone(), bwd.flipped());
-        prop_assert_eq!(fwd.clone().flipped().flipped(), fwd);
+        let (ml, l3) = memgc_pair(depth, variant);
+        let rules = MemGcConversions::standard();
+        let (to_l3, to_ml) = rules.derive(&ml, &l3).expect("derivable");
+        prop_assert_eq!(rules.l3_to_ml(&l3, &ml), Some(to_ml));
+        prop_assert_eq!(rules.ml_to_l3(&ml, &l3), Some(to_l3));
     }
 }
 

@@ -3,16 +3,26 @@
 //! type-safety theorems (Thm 3.3/3.4).
 
 use proptest::prelude::*;
-use semint::core::Fuel;
+use semint::core::{Fuel, GenProfile};
 use semint::reflang::syntax::{HlExpr, HlType, LlExpr, LlType};
 use semint::sharedmem::convert::{RefStrategy, SharedMemConversions};
-use semint::sharedmem::gen::{GenConfig, ProgramGen};
+use semint::sharedmem::gen::ProgramGen;
 use semint::sharedmem::model::{ModelChecker, SemType};
 use semint::sharedmem::multilang::MultiLang;
 use semint::stacklang::Value;
 
 fn system() -> MultiLang {
     MultiLang::new(SharedMemConversions::standard()).with_fuel(Fuel::steps(200_000))
+}
+
+/// The standard generation profile with the given expression depth and
+/// boundary bias.
+fn profile(max_depth: usize, boundary_bias: u32) -> GenProfile {
+    GenProfile {
+        max_depth,
+        boundary_bias,
+        ..GenProfile::standard()
+    }
 }
 
 #[test]
@@ -136,7 +146,7 @@ proptest! {
     #[test]
     fn generated_refhl_programs_are_type_safe(seed in any::<u64>()) {
         let sys = system();
-        let mut generator = ProgramGen::new(seed);
+        let mut generator = ProgramGen::with_profile(seed, &profile(5, 35));
         let ty = generator.gen_hl_type(2);
         let program = generator.gen_hl(&ty);
         let checked = sys.typecheck_hl(&program).expect("generated programs typecheck");
@@ -149,7 +159,7 @@ proptest! {
     #[test]
     fn generated_refll_programs_are_type_safe(seed in any::<u64>()) {
         let sys = system();
-        let mut generator = ProgramGen::new(seed);
+        let mut generator = ProgramGen::with_profile(seed, &profile(5, 35));
         let program = generator.gen_ll(&LlType::Int);
         sys.typecheck_ll(&program).expect("generated programs typecheck");
         let result = sys.run_ll(&program).expect("generated programs compile");
@@ -162,7 +172,7 @@ proptest! {
     fn generated_programs_inhabit_their_expression_relation(seed in any::<u64>()) {
         let sys = system();
         let checker = ModelChecker::default();
-        let mut generator = ProgramGen::with_config(seed, GenConfig { max_depth: 4, boundary_bias: 30, ..GenConfig::default() });
+        let mut generator = ProgramGen::with_profile(seed, &profile(4, 30));
         let ty = generator.gen_hl_type(1);
         let program = generator.gen_hl(&ty);
         let compiled = sys.compile_hl(&program).expect("compiles");
@@ -177,8 +187,7 @@ proptest! {
     /// and copying rule sets (the strategies only differ at boundaries).
     #[test]
     fn conversion_strategy_is_unobservable_without_boundaries(seed in any::<u64>()) {
-        let cfg = GenConfig { max_depth: 4, boundary_bias: 0, ..GenConfig::default() };
-        let mut g1 = ProgramGen::with_config(seed, cfg);
+        let mut g1 = ProgramGen::with_profile(seed, &profile(4, 0));
         let ty = g1.gen_hl_type(2);
         let program = g1.gen_hl(&ty);
         let share = MultiLang::new(SharedMemConversions::standard());
