@@ -7,6 +7,7 @@
 
 use semint_core::Var;
 use std::fmt;
+use std::sync::Arc;
 
 /// The mode of an affine binder or arrow: dynamic (`◦`, may cross the
 /// boundary, runtime-guarded) or static (`•`, never crosses, model-enforced).
@@ -28,6 +29,9 @@ impl fmt::Display for Mode {
 }
 
 /// MiniML types (§4 instance).
+///
+/// Children sit behind [`Arc`]: a clone copies one node and shares its
+/// subtrees, while equality, hashing and rendering stay structural.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum MlType {
     /// `unit`.
@@ -35,31 +39,31 @@ pub enum MlType {
     /// `int`.
     Int,
     /// `τ1 × τ2`.
-    Prod(Box<MlType>, Box<MlType>),
+    Prod(Arc<MlType>, Arc<MlType>),
     /// `τ1 + τ2`.
-    Sum(Box<MlType>, Box<MlType>),
+    Sum(Arc<MlType>, Arc<MlType>),
     /// `τ1 → τ2`.
-    Fun(Box<MlType>, Box<MlType>),
+    Fun(Arc<MlType>, Arc<MlType>),
     /// `ref τ`.
-    Ref(Box<MlType>),
+    Ref(Arc<MlType>),
 }
 
 impl MlType {
     /// `τ1 × τ2`.
     pub fn prod(a: MlType, b: MlType) -> MlType {
-        MlType::Prod(Box::new(a), Box::new(b))
+        MlType::Prod(Arc::new(a), Arc::new(b))
     }
     /// `τ1 + τ2`.
     pub fn sum(a: MlType, b: MlType) -> MlType {
-        MlType::Sum(Box::new(a), Box::new(b))
+        MlType::Sum(Arc::new(a), Arc::new(b))
     }
     /// `τ1 → τ2`.
     pub fn fun(a: MlType, b: MlType) -> MlType {
-        MlType::Fun(Box::new(a), Box::new(b))
+        MlType::Fun(Arc::new(a), Arc::new(b))
     }
     /// `ref τ`.
     pub fn ref_(a: MlType) -> MlType {
-        MlType::Ref(Box::new(a))
+        MlType::Ref(Arc::new(a))
     }
 }
 
@@ -77,6 +81,9 @@ impl fmt::Display for MlType {
 }
 
 /// Affi types (Fig. 6).
+///
+/// Children sit behind [`Arc`]: a clone copies one node and shares its
+/// subtrees, while equality, hashing and rendering stay structural.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum AffiType {
     /// `unit`.
@@ -86,35 +93,35 @@ pub enum AffiType {
     /// `int`.
     Int,
     /// `𝜏1 ⊸ 𝜏2` (dynamic) or `𝜏1 ⊸• 𝜏2` (static), distinguished by the mode.
-    Lolli(Mode, Box<AffiType>, Box<AffiType>),
+    Lolli(Mode, Arc<AffiType>, Arc<AffiType>),
     /// `!𝜏` — the exponential: values that use no affine resources.
-    Bang(Box<AffiType>),
+    Bang(Arc<AffiType>),
     /// `𝜏1 & 𝜏2` — additive (lazy) pair: only one component will be used.
-    With(Box<AffiType>, Box<AffiType>),
+    With(Arc<AffiType>, Arc<AffiType>),
     /// `𝜏1 ⊗ 𝜏2` — multiplicative pair: both components are owned.
-    Tensor(Box<AffiType>, Box<AffiType>),
+    Tensor(Arc<AffiType>, Arc<AffiType>),
 }
 
 impl AffiType {
     /// `𝜏1 ⊸ 𝜏2` (dynamic).
     pub fn lolli(a: AffiType, b: AffiType) -> AffiType {
-        AffiType::Lolli(Mode::Dynamic, Box::new(a), Box::new(b))
+        AffiType::Lolli(Mode::Dynamic, Arc::new(a), Arc::new(b))
     }
     /// `𝜏1 ⊸• 𝜏2` (static).
     pub fn lolli_static(a: AffiType, b: AffiType) -> AffiType {
-        AffiType::Lolli(Mode::Static, Box::new(a), Box::new(b))
+        AffiType::Lolli(Mode::Static, Arc::new(a), Arc::new(b))
     }
     /// `!𝜏`.
     pub fn bang(a: AffiType) -> AffiType {
-        AffiType::Bang(Box::new(a))
+        AffiType::Bang(Arc::new(a))
     }
     /// `𝜏1 & 𝜏2`.
     pub fn with(a: AffiType, b: AffiType) -> AffiType {
-        AffiType::With(Box::new(a), Box::new(b))
+        AffiType::With(Arc::new(a), Arc::new(b))
     }
     /// `𝜏1 ⊗ 𝜏2`.
     pub fn tensor(a: AffiType, b: AffiType) -> AffiType {
-        AffiType::Tensor(Box::new(a), Box::new(b))
+        AffiType::Tensor(Arc::new(a), Arc::new(b))
     }
 }
 

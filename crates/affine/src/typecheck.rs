@@ -15,6 +15,7 @@ use crate::syntax::{AffiExpr, AffiType, MlExpr, MlType, Mode};
 use semint_core::Var;
 use std::collections::{BTreeSet, HashMap};
 use std::fmt;
+use std::sync::Arc;
 
 /// The convertibility judgment `𝜏 ∼ τ` (Affi type vs MiniML type) as consulted
 /// by the type checkers.
@@ -203,14 +204,14 @@ pub fn check_ml(
         MlExpr::Fst(e1) => {
             let (t, u) = check_ml(ctx, e1, oracle)?;
             match t {
-                MlType::Prod(a, _) => Ok((*a, u)),
+                MlType::Prod(a, _) => Ok((Arc::unwrap_or_clone(a), u)),
                 other => Err(mismatch("a product type", other, "fst")),
             }
         }
         MlExpr::Snd(e1) => {
             let (t, u) = check_ml(ctx, e1, oracle)?;
             match t {
-                MlType::Prod(_, b) => Ok((*b, u)),
+                MlType::Prod(_, b) => Ok((Arc::unwrap_or_clone(b), u)),
                 other => Err(mismatch("a product type", other, "snd")),
             }
         }
@@ -240,8 +241,10 @@ pub fn check_ml(
             let (ts, us) = check_ml(ctx, s, oracle)?;
             match ts {
                 MlType::Sum(tl, tr) => {
-                    let (t1, u1) = check_ml(&ctx.with_ml(x.clone(), *tl), l, oracle)?;
-                    let (t2, u2) = check_ml(&ctx.with_ml(y.clone(), *tr), r, oracle)?;
+                    let (t1, u1) =
+                        check_ml(&ctx.with_ml(x.clone(), Arc::unwrap_or_clone(tl)), l, oracle)?;
+                    let (t2, u2) =
+                        check_ml(&ctx.with_ml(y.clone(), Arc::unwrap_or_clone(tr)), r, oracle)?;
                     if t1 != t2 {
                         return Err(mismatch(t1, t2, "match branches"));
                     }
@@ -271,7 +274,7 @@ pub fn check_ml(
                     if *dom != ta {
                         return Err(mismatch(dom, ta, "application argument"));
                     }
-                    Ok((*cod, split(&uf, &ua)?))
+                    Ok((Arc::unwrap_or_clone(cod), split(&uf, &ua)?))
                 }
                 other => Err(mismatch("a function type", other, "application head")),
             }
@@ -283,7 +286,7 @@ pub fn check_ml(
         MlExpr::Deref(e1) => {
             let (t, u) = check_ml(ctx, e1, oracle)?;
             match t {
-                MlType::Ref(inner) => Ok((*inner, u)),
+                MlType::Ref(inner) => Ok((Arc::unwrap_or_clone(inner), u)),
                 other => Err(mismatch("a reference type", other, "dereference")),
             }
         }
@@ -359,7 +362,7 @@ pub fn check_affi(
                 no_static(ctx, &used)?;
             }
             Ok((
-                AffiType::Lolli(*mode, Box::new(ty.clone()), Box::new(tb)),
+                AffiType::Lolli(*mode, Arc::new(ty.clone()), Arc::new(tb)),
                 used,
             ))
         }
@@ -371,7 +374,7 @@ pub fn check_affi(
                     if *dom != ta {
                         return Err(mismatch(dom, ta, "application argument"));
                     }
-                    Ok((*cod, split(&uf, &ua)?))
+                    Ok((Arc::unwrap_or_clone(cod), split(&uf, &ua)?))
                 }
                 other => Err(mismatch(
                     "an affine function type",
@@ -391,8 +394,11 @@ pub fn check_affi(
             let (t, u1) = check_affi(ctx, e1, oracle)?;
             match t {
                 AffiType::Bang(inner) => {
-                    let (tb, u2) =
-                        check_affi(&ctx.with_unrestricted(x.clone(), *inner), body, oracle)?;
+                    let (tb, u2) = check_affi(
+                        &ctx.with_unrestricted(x.clone(), Arc::unwrap_or_clone(inner)),
+                        body,
+                        oracle,
+                    )?;
                     Ok((tb, split(&u1, &u2)?))
                 }
                 other => Err(mismatch("a !-type", other, "let !")),
@@ -407,14 +413,14 @@ pub fn check_affi(
         AffiExpr::Proj1(e1) => {
             let (t, u) = check_affi(ctx, e1, oracle)?;
             match t {
-                AffiType::With(a, _) => Ok((*a, u)),
+                AffiType::With(a, _) => Ok((Arc::unwrap_or_clone(a), u)),
                 other => Err(mismatch("a &-type", other, "projection .1")),
             }
         }
         AffiExpr::Proj2(e1) => {
             let (t, u) = check_affi(ctx, e1, oracle)?;
             match t {
-                AffiType::With(_, b) => Ok((*b, u)),
+                AffiType::With(_, b) => Ok((Arc::unwrap_or_clone(b), u)),
                 other => Err(mismatch("a &-type", other, "projection .2")),
             }
         }
@@ -427,11 +433,9 @@ pub fn check_affi(
             let (t, u1) = check_affi(ctx, e1, oracle)?;
             match t {
                 AffiType::Tensor(t1, t2) => {
-                    let inner_ctx = ctx.with_affine(a.clone(), Mode::Static, *t1).with_affine(
-                        b.clone(),
-                        Mode::Static,
-                        *t2,
-                    );
+                    let inner_ctx = ctx
+                        .with_affine(a.clone(), Mode::Static, Arc::unwrap_or_clone(t1))
+                        .with_affine(b.clone(), Mode::Static, Arc::unwrap_or_clone(t2));
                     let (tb, mut u2) = check_affi(&inner_ctx, body, oracle)?;
                     u2.remove(a);
                     u2.remove(b);

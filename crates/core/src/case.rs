@@ -345,7 +345,9 @@ pub trait CaseStudy {
     /// Closed multi-language programs of this case study (either host
     /// language at the top level).
     type Program: Clone + fmt::Display + Send + 'static;
-    /// Source types of this case study.
+    /// Source types of this case study.  The engine clones them at every
+    /// stage, so the case studies keep type subtrees behind `Arc`: a clone
+    /// shares them, while equality, hashing and rendering stay structural.
     type Ty: Clone + fmt::Display + PartialEq + Send + 'static;
     /// The full, case-study-specific result of one run (machine outcome plus
     /// whatever the pair's machine exposes: heaps, stacks, guard counts).

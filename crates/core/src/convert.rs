@@ -19,9 +19,10 @@
 //! program for case study 1, an `lcvm` expression-to-expression wrapper for
 //! case studies 2 and 3).
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::hash::Hash;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, RwLock};
 
 /// A pair of target-level conversions witnessing `τA ∼ τB`.
@@ -92,7 +93,7 @@ impl GlueCacheStats {
 /// glue.
 ///
 /// Cloning a `GlueCache` is cheap and **shares** the underlying table and
-/// counters (the storage sits behind an [`Arc`]), so the clones of one
+/// counters (they sit together behind one [`Arc`]), so the clones of one
 /// conversion scheme held by a pair's type checker, compiler and model
 /// checker all consult one table.  Each case study owns one such cache for
 /// the whole sweep, shared by every worker.
@@ -109,12 +110,22 @@ impl GlueCacheStats {
 ///   the type checker's yes/no queries without touching the glue at all);
 /// * derivations run *outside* the lock — recursive sub-derivations re-enter
 ///   the cache without deadlocking, at the price of occasional duplicated
-///   work under contention (harmless: derivation is deterministic).
+///   work under contention (harmless: derivation is deterministic);
+/// * the number of memoized pairs is a counter bumped only when an insert
+///   finds its slot vacant, so [`GlueCache::stats`] and [`GlueCache::len`]
+///   are O(1) and never walk the table.
 #[derive(Debug)]
 pub struct GlueCache<TA, TB, G> {
-    entries: Arc<RwLock<GlueTable<TA, TB, G>>>,
-    hits: Arc<AtomicU64>,
-    misses: Arc<AtomicU64>,
+    shared: Arc<SharedGlue<TA, TB, G>>,
+}
+
+/// The state every clone of a [`GlueCache`] shares.
+#[derive(Debug)]
+struct SharedGlue<TA, TB, G> {
+    table: RwLock<GlueTable<TA, TB, G>>,
+    hits: AtomicU64,
+    misses: AtomicU64,
+    entries: AtomicUsize,
 }
 
 /// The memoization table of a [`GlueCache`]: a nested map so lookups borrow
@@ -126,9 +137,7 @@ impl<TA, TB, G> Clone for GlueCache<TA, TB, G> {
     /// Clones share the table and counters; see the type-level docs.
     fn clone(&self) -> Self {
         GlueCache {
-            entries: Arc::clone(&self.entries),
-            hits: Arc::clone(&self.hits),
-            misses: Arc::clone(&self.misses),
+            shared: Arc::clone(&self.shared),
         }
     }
 }
@@ -136,9 +145,12 @@ impl<TA, TB, G> Clone for GlueCache<TA, TB, G> {
 impl<TA, TB, G> Default for GlueCache<TA, TB, G> {
     fn default() -> Self {
         GlueCache {
-            entries: Arc::new(RwLock::new(HashMap::new())),
-            hits: Arc::new(AtomicU64::new(0)),
-            misses: Arc::new(AtomicU64::new(0)),
+            shared: Arc::new(SharedGlue {
+                table: RwLock::new(HashMap::new()),
+                hits: AtomicU64::new(0),
+                misses: AtomicU64::new(0),
+                entries: AtomicUsize::new(0),
+            }),
         }
     }
 }
@@ -162,28 +174,31 @@ where
         b: &TB,
         derive: impl FnOnce() -> Option<ConversionPair<G>>,
     ) -> Option<Arc<ConversionPair<G>>> {
-        if let Some(found) = self
-            .entries
+        let shared = &*self.shared;
+        if let Some(found) = shared
+            .table
             .read()
             .expect("glue cache poisoned")
             .get(a)
             .and_then(|by_b| by_b.get(b))
         {
-            self.hits.fetch_add(1, Ordering::Relaxed);
+            shared.hits.fetch_add(1, Ordering::Relaxed);
             return found.clone();
         }
-        self.misses.fetch_add(1, Ordering::Relaxed);
+        shared.misses.fetch_add(1, Ordering::Relaxed);
         // The lock is released while deriving: structural derivations recurse
         // back into this cache for their sub-pairs.
         let derived = derive().map(Arc::new);
-        self.entries
-            .write()
-            .expect("glue cache poisoned")
-            .entry(a.clone())
-            .or_default()
-            .entry(b.clone())
-            .or_insert(derived)
-            .clone()
+        let mut table = shared.table.write().expect("glue cache poisoned");
+        match table.entry(a.clone()).or_default().entry(b.clone()) {
+            // A racing lookup of the same pair inserted first: keep its
+            // answer so every caller shares one glue pointer.
+            Entry::Occupied(slot) => slot.get().clone(),
+            Entry::Vacant(slot) => {
+                shared.entries.fetch_add(1, Ordering::Relaxed);
+                slot.insert(derived).clone()
+            }
+        }
     }
 
     /// Whether `a ∼ b` is derivable, **if** the answer is already memoized
@@ -192,26 +207,22 @@ where
     /// probe and never touches the glue.
     pub fn is_derivable(&self, a: &TA, b: &TB) -> Option<bool> {
         let cached = self
-            .entries
+            .shared
+            .table
             .read()
             .expect("glue cache poisoned")
             .get(a)
             .and_then(|by_b| by_b.get(b))
             .map(|entry| entry.is_some());
         if cached.is_some() {
-            self.hits.fetch_add(1, Ordering::Relaxed);
+            self.shared.hits.fetch_add(1, Ordering::Relaxed);
         }
         cached
     }
 
     /// Number of memoized type pairs.
     pub fn len(&self) -> usize {
-        self.entries
-            .read()
-            .expect("glue cache poisoned")
-            .values()
-            .map(|by_b| by_b.len())
-            .sum()
+        self.shared.entries.load(Ordering::Relaxed)
     }
 
     /// True when nothing has been memoized yet.
@@ -222,8 +233,8 @@ where
     /// A snapshot of the hit/miss counters and table size.
     pub fn stats(&self) -> GlueCacheStats {
         GlueCacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
+            hits: self.shared.hits.load(Ordering::Relaxed),
+            misses: self.shared.misses.load(Ordering::Relaxed),
             entries: self.len(),
         }
     }
@@ -280,6 +291,7 @@ pub trait ConversionScheme {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Barrier;
 
     #[test]
     fn glue_cache_memoizes_hits_and_refutations() {
@@ -329,6 +341,30 @@ mod tests {
             Some(&ConversionPair::new(3, 4))
         );
         assert_eq!(cache.stats().hits, 1);
+    }
+
+    #[test]
+    fn glue_cache_counts_a_raced_pair_once() {
+        let cache: GlueCache<u8, u8, u8> = GlueCache::new();
+        // Both lookups wait inside `derive` until the other has missed too,
+        // so both insert the same pair.
+        let both_missed = Barrier::new(2);
+        let [first, second] = std::thread::scope(|s| {
+            let lookup = || {
+                cache.get_or_derive(&1, &2, || {
+                    both_missed.wait();
+                    Some(ConversionPair::new(3, 4))
+                })
+            };
+            let first = s.spawn(lookup);
+            let second = s.spawn(lookup);
+            [first, second].map(|t| t.join().expect("lookup panicked").unwrap())
+        });
+        let stats = cache.stats();
+        assert_eq!((stats.hits, stats.misses, stats.entries), (0, 2, 1));
+        assert_eq!(cache.len(), 1);
+        // The loser of the race returns the winner's stored glue.
+        assert!(Arc::ptr_eq(&first, &second));
     }
 
     #[test]

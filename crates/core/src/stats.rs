@@ -133,7 +133,9 @@ pub struct ScenarioRecord {
     pub seed: u64,
     /// The claimed (and re-checked) source type, rendered.
     pub ty: String,
-    /// Rendered length of the program — a cheap, stable size proxy.
+    /// Rendered length of the program in characters — a stable size proxy,
+    /// but not a cheap one: the engine renders the whole program to count
+    /// it.
     pub program_chars: usize,
     /// Syntactic language-boundary count of the program.
     pub boundaries: usize,

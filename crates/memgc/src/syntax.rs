@@ -4,6 +4,7 @@
 
 use semint_core::Var;
 use std::fmt;
+use std::sync::Arc;
 
 /// A type variable `α` (MiniML) — plain names.
 pub type TyVar = Var;
@@ -13,6 +14,9 @@ pub type LocVar = Var;
 
 /// MiniML types (§5 instance): `unit | int | τ×τ | τ+τ | τ→τ | ∀α.τ | α |
 /// ref τ | ⟨𝜏⟩`.
+///
+/// Children sit behind [`Arc`]: a clone copies one node and shares its
+/// subtrees, while equality, hashing and rendering stay structural.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum PolyType {
     /// `unit`.
@@ -20,37 +24,37 @@ pub enum PolyType {
     /// `int`.
     Int,
     /// `τ1 × τ2`.
-    Prod(Box<PolyType>, Box<PolyType>),
+    Prod(Arc<PolyType>, Arc<PolyType>),
     /// `τ1 + τ2`.
-    Sum(Box<PolyType>, Box<PolyType>),
+    Sum(Arc<PolyType>, Arc<PolyType>),
     /// `τ1 → τ2`.
-    Fun(Box<PolyType>, Box<PolyType>),
+    Fun(Arc<PolyType>, Arc<PolyType>),
     /// `∀α. τ`.
-    Forall(TyVar, Box<PolyType>),
+    Forall(TyVar, Arc<PolyType>),
     /// A type variable `α`.
     Var(TyVar),
     /// `ref τ` (garbage collected).
-    Ref(Box<PolyType>),
+    Ref(Arc<PolyType>),
     /// A foreign type `⟨𝜏⟩` embedding an L3 type opaquely.
-    Foreign(Box<L3Type>),
+    Foreign(Arc<L3Type>),
 }
 
 impl PolyType {
     /// `τ1 × τ2`.
     pub fn prod(a: PolyType, b: PolyType) -> PolyType {
-        PolyType::Prod(Box::new(a), Box::new(b))
+        PolyType::Prod(Arc::new(a), Arc::new(b))
     }
     /// `τ1 + τ2`.
     pub fn sum(a: PolyType, b: PolyType) -> PolyType {
-        PolyType::Sum(Box::new(a), Box::new(b))
+        PolyType::Sum(Arc::new(a), Arc::new(b))
     }
     /// `τ1 → τ2`.
     pub fn fun(a: PolyType, b: PolyType) -> PolyType {
-        PolyType::Fun(Box::new(a), Box::new(b))
+        PolyType::Fun(Arc::new(a), Arc::new(b))
     }
     /// `∀α. τ`.
     pub fn forall(a: impl Into<TyVar>, t: PolyType) -> PolyType {
-        PolyType::Forall(a.into(), Box::new(t))
+        PolyType::Forall(a.into(), Arc::new(t))
     }
     /// The type variable `α`.
     pub fn tvar(a: impl Into<TyVar>) -> PolyType {
@@ -58,11 +62,11 @@ impl PolyType {
     }
     /// `ref τ`.
     pub fn ref_(t: PolyType) -> PolyType {
-        PolyType::Ref(Box::new(t))
+        PolyType::Ref(Arc::new(t))
     }
     /// `⟨𝜏⟩`.
     pub fn foreign(t: L3Type) -> PolyType {
-        PolyType::Foreign(Box::new(t))
+        PolyType::Foreign(Arc::new(t))
     }
     /// The Church-boolean type `∀α. α → α → α` used in the paper's example (2).
     pub fn church_bool() -> PolyType {
@@ -96,7 +100,7 @@ impl PolyType {
                 if b == a {
                     self.clone()
                 } else {
-                    PolyType::Forall(b.clone(), Box::new(body.subst(a, target)))
+                    PolyType::Forall(b.clone(), Arc::new(body.subst(a, target)))
                 }
             }
             PolyType::Ref(t) => PolyType::ref_(t.subst(a, target)),
@@ -123,6 +127,9 @@ impl fmt::Display for PolyType {
 
 /// L3 types (Fig. 11): `unit | bool | 𝜏⊗𝜏 | 𝜏⊸𝜏 | !𝜏 | ptr ζ | cap ζ 𝜏 |
 /// ∀ζ.𝜏 | ∃ζ.𝜏`.
+///
+/// Children sit behind [`Arc`]: a clone copies one node and shares its
+/// subtrees, while equality, hashing and rendering stay structural.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum L3Type {
     /// `unit`.
@@ -130,33 +137,33 @@ pub enum L3Type {
     /// `bool`.
     Bool,
     /// `𝜏1 ⊗ 𝜏2`.
-    Tensor(Box<L3Type>, Box<L3Type>),
+    Tensor(Arc<L3Type>, Arc<L3Type>),
     /// `𝜏1 ⊸ 𝜏2`.
-    Lolli(Box<L3Type>, Box<L3Type>),
+    Lolli(Arc<L3Type>, Arc<L3Type>),
     /// `!𝜏`.
-    Bang(Box<L3Type>),
+    Bang(Arc<L3Type>),
     /// `ptr ζ` — an aliasable pointer to the abstract location `ζ`.
     Ptr(LocVar),
     /// `cap ζ 𝜏` — the unique capability to access `ζ`, currently holding a 𝜏.
-    Cap(LocVar, Box<L3Type>),
+    Cap(LocVar, Arc<L3Type>),
     /// `∀ζ. 𝜏`.
-    ForallLoc(LocVar, Box<L3Type>),
+    ForallLoc(LocVar, Arc<L3Type>),
     /// `∃ζ. 𝜏`.
-    ExistsLoc(LocVar, Box<L3Type>),
+    ExistsLoc(LocVar, Arc<L3Type>),
 }
 
 impl L3Type {
     /// `𝜏1 ⊗ 𝜏2`.
     pub fn tensor(a: L3Type, b: L3Type) -> L3Type {
-        L3Type::Tensor(Box::new(a), Box::new(b))
+        L3Type::Tensor(Arc::new(a), Arc::new(b))
     }
     /// `𝜏1 ⊸ 𝜏2`.
     pub fn lolli(a: L3Type, b: L3Type) -> L3Type {
-        L3Type::Lolli(Box::new(a), Box::new(b))
+        L3Type::Lolli(Arc::new(a), Arc::new(b))
     }
     /// `!𝜏`.
     pub fn bang(a: L3Type) -> L3Type {
-        L3Type::Bang(Box::new(a))
+        L3Type::Bang(Arc::new(a))
     }
     /// `ptr ζ`.
     pub fn ptr(z: impl Into<LocVar>) -> L3Type {
@@ -164,15 +171,15 @@ impl L3Type {
     }
     /// `cap ζ 𝜏`.
     pub fn cap(z: impl Into<LocVar>, t: L3Type) -> L3Type {
-        L3Type::Cap(z.into(), Box::new(t))
+        L3Type::Cap(z.into(), Arc::new(t))
     }
     /// `∀ζ. 𝜏`.
     pub fn forall_loc(z: impl Into<LocVar>, t: L3Type) -> L3Type {
-        L3Type::ForallLoc(z.into(), Box::new(t))
+        L3Type::ForallLoc(z.into(), Arc::new(t))
     }
     /// `∃ζ. 𝜏`.
     pub fn exists_loc(z: impl Into<LocVar>, t: L3Type) -> L3Type {
-        L3Type::ExistsLoc(z.into(), Box::new(t))
+        L3Type::ExistsLoc(z.into(), Arc::new(t))
     }
     /// The `REF 𝜏` abbreviation from §5: `∃ζ. cap ζ 𝜏 ⊗ !ptr ζ`.
     pub fn ref_like(t: L3Type) -> L3Type {
@@ -203,17 +210,17 @@ impl L3Type {
             L3Type::Ptr(w) => L3Type::Ptr(if w == z { target.clone() } else { w.clone() }),
             L3Type::Cap(w, t) => L3Type::Cap(
                 if w == z { target.clone() } else { w.clone() },
-                Box::new(t.subst_loc(z, target)),
+                Arc::new(t.subst_loc(z, target)),
             ),
             L3Type::ForallLoc(w, t) | L3Type::ExistsLoc(w, t) => {
-                let rebuild = |inner: Box<L3Type>| match self {
+                let rebuild = |inner: Arc<L3Type>| match self {
                     L3Type::ForallLoc(_, _) => L3Type::ForallLoc(w.clone(), inner),
                     _ => L3Type::ExistsLoc(w.clone(), inner),
                 };
                 if w == z {
                     self.clone()
                 } else {
-                    rebuild(Box::new(t.subst_loc(z, target)))
+                    rebuild(Arc::new(t.subst_loc(z, target)))
                 }
             }
         }

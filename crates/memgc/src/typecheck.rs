@@ -13,6 +13,7 @@ use crate::syntax::{L3Expr, L3Type, LocVar, PolyExpr, PolyType, TyVar};
 use semint_core::Var;
 use std::collections::{BTreeSet, HashMap};
 use std::fmt;
+use std::sync::Arc;
 
 /// The convertibility judgment `τ ∼ 𝜏` as consulted by the type checkers.
 pub trait MemGcConvertOracle {
@@ -209,11 +210,11 @@ pub fn check_poly(
             Ok((PolyType::prod(ta, tb), split(&ua, &ub)?))
         }
         PolyExpr::Fst(e1) => match check_poly(ctx, e1, oracle)? {
-            (PolyType::Prod(a, _), u) => Ok((*a, u)),
+            (PolyType::Prod(a, _), u) => Ok((Arc::unwrap_or_clone(a), u)),
             (other, _) => Err(mismatch("a product type", other, "fst")),
         },
         PolyExpr::Snd(e1) => match check_poly(ctx, e1, oracle)? {
-            (PolyType::Prod(_, b), u) => Ok((*b, u)),
+            (PolyType::Prod(_, b), u) => Ok((Arc::unwrap_or_clone(b), u)),
             (other, _) => Err(mismatch("a product type", other, "snd")),
         },
         PolyExpr::Inl(e1, ty) => match ty {
@@ -242,8 +243,10 @@ pub fn check_poly(
             let (ts, us) = check_poly(ctx, s, oracle)?;
             match ts {
                 PolyType::Sum(tl, tr) => {
-                    let (t1, u1) = check_poly(&ctx.with_ml(x.clone(), *tl), l, oracle)?;
-                    let (t2, u2) = check_poly(&ctx.with_ml(y.clone(), *tr), r, oracle)?;
+                    let (t1, u1) =
+                        check_poly(&ctx.with_ml(x.clone(), Arc::unwrap_or_clone(tl)), l, oracle)?;
+                    let (t2, u2) =
+                        check_poly(&ctx.with_ml(y.clone(), Arc::unwrap_or_clone(tr)), r, oracle)?;
                     if t1 != t2 {
                         return Err(mismatch(t1, t2, "match branches"));
                     }
@@ -270,14 +273,14 @@ pub fn check_poly(
                     if *dom != ta {
                         return Err(mismatch(dom, ta, "application argument"));
                     }
-                    Ok((*cod, split(&uf, &ua)?))
+                    Ok((Arc::unwrap_or_clone(cod), split(&uf, &ua)?))
                 }
                 other => Err(mismatch("a function type", other, "application head")),
             }
         }
         PolyExpr::TyLam(a, body) => {
             let (tb, ub) = check_poly(&ctx.with_tyvar(a.clone()), body, oracle)?;
-            Ok((PolyType::Forall(a.clone(), Box::new(tb)), ub))
+            Ok((PolyType::forall(a.clone(), tb), ub))
         }
         PolyExpr::TyApp(e1, ty) => {
             let (t, u) = check_poly(ctx, e1, oracle)?;
@@ -291,7 +294,7 @@ pub fn check_poly(
             Ok((PolyType::ref_(t), u))
         }
         PolyExpr::Deref(e1) => match check_poly(ctx, e1, oracle)? {
-            (PolyType::Ref(t), u) => Ok((*t, u)),
+            (PolyType::Ref(t), u) => Ok((Arc::unwrap_or_clone(t), u)),
             (other, _) => Err(mismatch("a reference type", other, "dereference")),
         },
         PolyExpr::Assign(a, b) => {
@@ -367,7 +370,7 @@ pub fn check_l3(
                     if *dom != ta {
                         return Err(mismatch(dom, ta, "application argument"));
                     }
-                    Ok((*cod, split(&uf, &ua)?))
+                    Ok((Arc::unwrap_or_clone(cod), split(&uf, &ua)?))
                 }
                 other => Err(mismatch("a ⊸-type", other, "application head")),
             }
@@ -382,8 +385,8 @@ pub fn check_l3(
             match t {
                 L3Type::Tensor(t1, t2) => {
                     let inner = ctx
-                        .with_l3_linear(x.clone(), *t1)
-                        .with_l3_linear(y.clone(), *t2);
+                        .with_l3_linear(x.clone(), Arc::unwrap_or_clone(t1))
+                        .with_l3_linear(y.clone(), Arc::unwrap_or_clone(t2));
                     let (tb, ub) = check_l3(&inner, body, oracle)?;
                     let ub = consume_binder(ub, x)?;
                     let ub = consume_binder(ub, y)?;
@@ -429,8 +432,11 @@ pub fn check_l3(
             let (t, u1) = check_l3(ctx, e1, oracle)?;
             match t {
                 L3Type::Bang(inner) => {
-                    let (tb, ub) =
-                        check_l3(&ctx.with_l3_unrestricted(x.clone(), *inner), body, oracle)?;
+                    let (tb, ub) = check_l3(
+                        &ctx.with_l3_unrestricted(x.clone(), Arc::unwrap_or_clone(inner)),
+                        body,
+                        oracle,
+                    )?;
                     Ok((tb, split(&u1, &ub)?))
                 }
                 other => Err(mismatch("a !-type", other, "let !")),
@@ -466,7 +472,7 @@ pub fn check_l3(
             let (tp, up) = check_l3(ctx, ep, oracle)?;
             let (tv, uv) = check_l3(ctx, ev, oracle)?;
             let (z, stored) = match tc {
-                L3Type::Cap(z, stored) => (z, *stored),
+                L3Type::Cap(z, stored) => (z, Arc::unwrap_or_clone(stored)),
                 other => return Err(mismatch("a capability", other, "swap capability")),
             };
             let ptr_ok = matches!(&tp, L3Type::Ptr(w) if *w == z)
@@ -475,11 +481,11 @@ pub fn check_l3(
                 return Err(mismatch(format!("ptr {z}"), tp, "swap pointer"));
             }
             let usage = split(&split(&uc, &up)?, &uv)?;
-            Ok((L3Type::tensor(L3Type::Cap(z, Box::new(tv)), stored), usage))
+            Ok((L3Type::tensor(L3Type::cap(z, tv), stored), usage))
         }
         L3Expr::LocLam(z, body) => {
             let (tb, ub) = check_l3(&ctx.with_locvar(z.clone()), body, oracle)?;
-            Ok((L3Type::ForallLoc(z.clone(), Box::new(tb)), ub))
+            Ok((L3Type::forall_loc(z.clone(), tb), ub))
         }
         L3Expr::LocApp(e1, z) => {
             if !ctx.locvars.contains(z) {

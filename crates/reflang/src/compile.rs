@@ -293,11 +293,14 @@ fn emit_ll(
     Ok(())
 }
 
-/// A lightweight syntactic type reconstruction used only to select the
-/// conversion at a boundary.  It mirrors the type checker but works without
-/// an environment for the common closed cases; boundary-heavy programs should
-/// be compiled through `sharedmem::MultiLang`, which runs the real type
-/// checker first and caches the boundary types.
+/// The source type of a boundary's subterm, which selects the boundary's
+/// conversion.  It re-runs the type checker on the subterm under the
+/// compiler's typing context, with an oracle that accepts every conversion:
+/// the program is already known to type check, so these re-checks probe no
+/// glue cache.  Nothing keeps the types the type checker found, so
+/// `sharedmem::MultiLang::compile_only` re-infers every boundary's subterm,
+/// and a boundary nested inside another is re-checked once per enclosing
+/// boundary.
 fn infer_ll_type_for_boundary(ctx: &TypeCtx, e: &LlExpr) -> Option<LlType> {
     crate::typecheck::check_ll(ctx, e, &AllowAllOracle).ok()
 }

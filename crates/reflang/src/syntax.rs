@@ -6,8 +6,12 @@
 
 use semint_core::Var;
 use std::fmt;
+use std::sync::Arc;
 
 /// RefHL types `τ ::= unit | bool | τ+τ | τ×τ | τ→τ | ref τ`.
+///
+/// Children sit behind [`Arc`]: a clone copies one node and shares its
+/// subtrees, while equality, hashing and rendering stay structural.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum HlType {
     /// `unit`.
@@ -15,34 +19,34 @@ pub enum HlType {
     /// `bool`.
     Bool,
     /// Sum `τ1 + τ2`.
-    Sum(Box<HlType>, Box<HlType>),
+    Sum(Arc<HlType>, Arc<HlType>),
     /// Product `τ1 × τ2`.
-    Prod(Box<HlType>, Box<HlType>),
+    Prod(Arc<HlType>, Arc<HlType>),
     /// Function `τ1 → τ2`.
-    Fun(Box<HlType>, Box<HlType>),
+    Fun(Arc<HlType>, Arc<HlType>),
     /// Reference `ref τ`.
-    Ref(Box<HlType>),
+    Ref(Arc<HlType>),
 }
 
 impl HlType {
     /// `τ1 + τ2`.
     pub fn sum(a: HlType, b: HlType) -> HlType {
-        HlType::Sum(Box::new(a), Box::new(b))
+        HlType::Sum(Arc::new(a), Arc::new(b))
     }
 
     /// `τ1 × τ2`.
     pub fn prod(a: HlType, b: HlType) -> HlType {
-        HlType::Prod(Box::new(a), Box::new(b))
+        HlType::Prod(Arc::new(a), Arc::new(b))
     }
 
     /// `τ1 → τ2`.
     pub fn fun(a: HlType, b: HlType) -> HlType {
-        HlType::Fun(Box::new(a), Box::new(b))
+        HlType::Fun(Arc::new(a), Arc::new(b))
     }
 
     /// `ref τ`.
     pub fn ref_(a: HlType) -> HlType {
-        HlType::Ref(Box::new(a))
+        HlType::Ref(Arc::new(a))
     }
 }
 
@@ -60,32 +64,35 @@ impl fmt::Display for HlType {
 }
 
 /// RefLL types `𝜏 ::= int | [𝜏] | 𝜏→𝜏 | ref 𝜏`.
+///
+/// Children sit behind [`Arc`]: a clone copies one node and shares its
+/// subtrees, while equality, hashing and rendering stay structural.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum LlType {
     /// `int`.
     Int,
     /// Array `[𝜏]`.
-    Array(Box<LlType>),
+    Array(Arc<LlType>),
     /// Function `𝜏1 → 𝜏2`.
-    Fun(Box<LlType>, Box<LlType>),
+    Fun(Arc<LlType>, Arc<LlType>),
     /// Reference `ref 𝜏`.
-    Ref(Box<LlType>),
+    Ref(Arc<LlType>),
 }
 
 impl LlType {
     /// `[𝜏]`.
     pub fn array(a: LlType) -> LlType {
-        LlType::Array(Box::new(a))
+        LlType::Array(Arc::new(a))
     }
 
     /// `𝜏1 → 𝜏2`.
     pub fn fun(a: LlType, b: LlType) -> LlType {
-        LlType::Fun(Box::new(a), Box::new(b))
+        LlType::Fun(Arc::new(a), Arc::new(b))
     }
 
     /// `ref 𝜏`.
     pub fn ref_(a: LlType) -> LlType {
-        LlType::Ref(Box::new(a))
+        LlType::Ref(Arc::new(a))
     }
 }
 

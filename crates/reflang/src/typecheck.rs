@@ -17,6 +17,7 @@ use crate::syntax::{HlExpr, HlType, LlExpr, LlType};
 use semint_core::Var;
 use std::collections::HashMap;
 use std::fmt;
+use std::sync::Arc;
 
 /// The convertibility judgment `τ ∼ 𝜏` as seen by the type checkers.
 pub trait ConvertOracle {
@@ -181,11 +182,11 @@ pub fn check_hl(
             Ok(HlType::prod(ta, tb))
         }
         HlExpr::Fst(e1) => match check_hl(ctx, e1, oracle)? {
-            HlType::Prod(a, _) => Ok(*a),
+            HlType::Prod(a, _) => Ok(Arc::unwrap_or_clone(a)),
             other => Err(mismatch("a product type", other, "fst")),
         },
         HlExpr::Snd(e1) => match check_hl(ctx, e1, oracle)? {
-            HlType::Prod(_, b) => Ok(*b),
+            HlType::Prod(_, b) => Ok(Arc::unwrap_or_clone(b)),
             other => Err(mismatch("a product type", other, "snd")),
         },
         HlExpr::If(c, t, f) => {
@@ -203,8 +204,8 @@ pub fn check_hl(
         }
         HlExpr::Match(s, x, l, y, r) => match check_hl(ctx, s, oracle)? {
             HlType::Sum(tl, tr) => {
-                let t1 = check_hl(&ctx.with_hl(x.clone(), *tl), l, oracle)?;
-                let t2 = check_hl(&ctx.with_hl(y.clone(), *tr), r, oracle)?;
+                let t1 = check_hl(&ctx.with_hl(x.clone(), Arc::unwrap_or_clone(tl)), l, oracle)?;
+                let t2 = check_hl(&ctx.with_hl(y.clone(), Arc::unwrap_or_clone(tr)), r, oracle)?;
                 if t1 == t2 {
                     Ok(t1)
                 } else {
@@ -221,7 +222,7 @@ pub fn check_hl(
             HlType::Fun(dom, cod) => {
                 let ta = check_hl(ctx, a, oracle)?;
                 if ta == *dom {
-                    Ok(*cod)
+                    Ok(Arc::unwrap_or_clone(cod))
                 } else {
                     Err(mismatch(dom, ta, "application argument"))
                 }
@@ -230,7 +231,7 @@ pub fn check_hl(
         },
         HlExpr::Ref(e1) => Ok(HlType::ref_(check_hl(ctx, e1, oracle)?)),
         HlExpr::Deref(e1) => match check_hl(ctx, e1, oracle)? {
-            HlType::Ref(t) => Ok(*t),
+            HlType::Ref(t) => Ok(Arc::unwrap_or_clone(t)),
             other => Err(mismatch("a reference type", other, "dereference")),
         },
         HlExpr::Assign(a, b) => match check_hl(ctx, a, oracle)? {
@@ -286,7 +287,7 @@ pub fn check_ll(
                 return Err(mismatch(LlType::Int, ti, "array index"));
             }
             match ta {
-                LlType::Array(t) => Ok(*t),
+                LlType::Array(t) => Ok(Arc::unwrap_or_clone(t)),
                 other => Err(mismatch("an array type", other, "indexing")),
             }
         }
@@ -298,7 +299,7 @@ pub fn check_ll(
             LlType::Fun(dom, cod) => {
                 let ta = check_ll(ctx, a, oracle)?;
                 if ta == *dom {
-                    Ok(*cod)
+                    Ok(Arc::unwrap_or_clone(cod))
                 } else {
                     Err(mismatch(dom, ta, "application argument"))
                 }
@@ -331,7 +332,7 @@ pub fn check_ll(
         }
         LlExpr::Ref(e1) => Ok(LlType::ref_(check_ll(ctx, e1, oracle)?)),
         LlExpr::Deref(e1) => match check_ll(ctx, e1, oracle)? {
-            LlType::Ref(t) => Ok(*t),
+            LlType::Ref(t) => Ok(Arc::unwrap_or_clone(t)),
             other => Err(mismatch("a reference type", other, "dereference")),
         },
         LlExpr::Assign(a, b) => match check_ll(ctx, a, oracle)? {

@@ -1,6 +1,7 @@
 //! Properties of the shared conversion layer: memoized glue derivation
 //! must be **observably identical** to cold derivation for deep compound
-//! types in all three case studies, and the compilers' lookups in either
+//! types in all three case studies, a type pair built afresh must hit the
+//! entry an equal pair stored, and the compilers' lookups in either
 //! direction must hand out the matching half of one derivation.
 
 use proptest::prelude::*;
@@ -76,9 +77,12 @@ proptest! {
         let warm = SharedMemConversions::standard();
         let first = warm.derive(&hl, &ll);
         prop_assert!(first.is_some(), "{hl} ∼ {ll} must be derivable");
-        // Asking again answers from the cache…
+        // Asking again, with a pair built afresh so that it shares no
+        // subtree with the stored key, answers from the cache: keys hash
+        // and compare by structure, not by pointer…
         let misses_after_first = warm.cache().stats().misses;
-        let second = warm.derive(&hl, &ll);
+        let (hl_again, ll_again) = sharedmem_pair(depth, use_unit);
+        let second = warm.derive(&hl_again, &ll_again);
         prop_assert_eq!(warm.cache().stats().misses, misses_after_first);
         // …and both the cached and a cold derivation agree, glue for glue.
         let cold = SharedMemConversions::standard().derive(&hl, &ll);
@@ -96,7 +100,8 @@ proptest! {
         let first = warm.derive(&affi, &ml);
         prop_assert!(first.is_some(), "{affi} ∼ {ml} must be derivable");
         let misses_after_first = warm.cache().stats().misses;
-        let second = warm.derive(&affi, &ml);
+        let (affi_again, ml_again) = affine_pair(depth, lolli);
+        let second = warm.derive(&affi_again, &ml_again);
         prop_assert_eq!(warm.cache().stats().misses, misses_after_first);
         let cold = AffineConversions::standard().derive(&affi, &ml);
         prop_assert_eq!(&first, &second);
@@ -113,7 +118,8 @@ proptest! {
         let first = warm.derive(&ml, &l3);
         prop_assert!(first.is_some(), "{ml} ∼ {l3} must be derivable");
         let misses_after_first = warm.cache().stats().misses;
-        let second = warm.derive(&ml, &l3);
+        let (ml_again, l3_again) = memgc_pair(depth, fun);
+        let second = warm.derive(&ml_again, &l3_again);
         prop_assert_eq!(warm.cache().stats().misses, misses_after_first);
         let cold = MemGcConversions::standard().derive(&ml, &l3);
         prop_assert_eq!(&first, &second);
