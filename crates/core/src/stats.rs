@@ -9,6 +9,7 @@
 
 use crate::outcome::ErrorCode;
 use crate::telemetry::VmCounters;
+use std::cmp::Reverse;
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -69,7 +70,9 @@ pub struct RunStats {
 /// Per-stage wall-clock totals for one scenario or one whole sweep, in
 /// nanoseconds.  Collected only when the sweep asks for timing (`semint
 /// sweep --time`); wall-clock is inherently nondeterministic, so timings are
-/// excluded from [`CaseReport::digest`].
+/// excluded from [`CaseReport::digest`].  The five pipeline stages plus
+/// [`StageTimings::other_ns`] add up to the engine's wall-clock for the
+/// scenarios, so the books balance in-program.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StageTimings {
     /// Scenario generation.
@@ -83,6 +86,11 @@ pub struct StageTimings {
     pub run_ns: u64,
     /// Realizability-model checking.
     pub model_check_ns: u64,
+    /// The engine's own time: a batch's wall-clock minus the five stages
+    /// above, split evenly over the batch's scenarios.  It holds rendering
+    /// the program, building the record and, on `--broken` sweeps,
+    /// counterexample shrinking, which is not timed as a stage of its own.
+    pub other_ns: u64,
 }
 
 impl StageTimings {
@@ -93,21 +101,24 @@ impl StageTimings {
         self.compile_ns += other.compile_ns;
         self.run_ns += other.run_ns;
         self.model_check_ns += other.model_check_ns;
+        self.other_ns += other.other_ns;
     }
 
-    /// Total wall-clock across all stages.
+    /// Total wall-clock across all stages, `other` included.
     pub fn total_ns(&self) -> u64 {
-        self.generate_ns + self.typecheck_ns + self.compile_ns + self.run_ns + self.model_check_ns
+        self.stages().iter().map(|(_, ns)| ns).sum()
     }
 
-    /// The stages as `(label, nanoseconds)` pairs, in pipeline order.
-    pub fn stages(&self) -> [(&'static str, u64); 5] {
+    /// The stages as `(label, nanoseconds)` pairs, in pipeline order, with
+    /// `other` last.
+    pub fn stages(&self) -> [(&'static str, u64); 6] {
         [
             ("generate", self.generate_ns),
             ("typecheck", self.typecheck_ns),
             ("compile", self.compile_ns),
             ("run", self.run_ns),
             ("model-check", self.model_check_ns),
+            ("other", self.other_ns),
         ]
     }
 
@@ -120,6 +131,7 @@ impl StageTimings {
             "compile" => self.compile_ns = ns,
             "run" => self.run_ns = ns,
             "model-check" => self.model_check_ns = ns,
+            "other" => self.other_ns = ns,
             other => return Err(format!("unknown stage {other:?}")),
         }
         Ok(())
@@ -216,6 +228,9 @@ impl fmt::Display for FailureRecord {
     }
 }
 
+/// How many of a case's hottest seeds a [`CaseReport`] keeps.
+pub const HOTTEST_SEEDS: usize = 10;
+
 /// Aggregate report for one case study over one seed range.
 #[derive(Debug, Clone, Default)]
 pub struct CaseReport {
@@ -243,6 +258,11 @@ pub struct CaseReport {
     pub counters: VmCounters,
     /// Per-stage wall-clock totals, when the sweep collected timing.
     pub timings: Option<StageTimings>,
+    /// The [`HOTTEST_SEEDS`] scenarios that ran the most machine steps, as
+    /// `(seed, steps)`: most steps first, ties to the lower seed.  The
+    /// order is total, so every shard split and merge order keeps the same
+    /// list.  Empty for reports read from files written before it existed.
+    pub hottest: Vec<(u64, u64)>,
     /// Scenarios that failed some pipeline stage.
     pub failures: Vec<FailureRecord>,
 }
@@ -268,6 +288,7 @@ impl CaseReport {
                 .or_insert(0) += 1;
             self.total_steps += stats.steps;
             self.counters.absorb(&stats.counters);
+            self.rank_hot(record.seed, stats.steps);
         }
         if let Some(failure) = &record.failure {
             self.failures.push(failure.clone());
@@ -304,6 +325,31 @@ impl CaseReport {
                 .get_or_insert_with(StageTimings::default)
                 .absorb(timings);
         }
+        for &(seed, steps) in &other.hottest {
+            self.rank_hot(seed, steps);
+        }
+    }
+
+    /// Offers one scenario to [`CaseReport::hottest`], keeping the list
+    /// ordered and at most [`HOTTEST_SEEDS`] long.
+    fn rank_hot(&mut self, seed: u64, steps: u64) {
+        // Most steps first, then the lower seed: a total order on entries.
+        let rank = |&(seed, steps): &(u64, u64)| (Reverse(steps), seed);
+        let at = self
+            .hottest
+            .partition_point(|kept| rank(kept) < rank(&(seed, steps)));
+        if at < HOTTEST_SEEDS {
+            self.hottest.insert(at, (seed, steps));
+            self.hottest.truncate(HOTTEST_SEEDS);
+        }
+    }
+
+    /// Run-stage nanoseconds per retired VM instruction, when the sweep was
+    /// timed and the case retired any instruction.
+    pub fn run_ns_per_instr(&self) -> Option<f64> {
+        let run_ns = self.timings?.run_ns;
+        let instrs = self.counters.total_instrs();
+        (instrs > 0).then(|| run_ns as f64 / instrs as f64)
     }
 
     /// Fraction of glue-cache lookups answered from the cache, in `[0, 1]`.
@@ -386,7 +432,8 @@ impl SweepReport {
     /// `failures<TAB>N` line is followed by N `failure` rows — seed, stage,
     /// shrink steps, reason, witness, shrunk — whose text fields escape
     /// backslash, tab, newline and carriage return, so a clean case writes
-    /// no rows at all.
+    /// no rows at all.  A case ends with its `outcome` rows and then one
+    /// `hot<TAB>SEED<TAB>STEPS` row per entry of [`CaseReport::hottest`].
     pub fn to_tsv(&self) -> String {
         let mut out = String::new();
         if let Some(population) = &self.population {
@@ -426,6 +473,9 @@ impl SweepReport {
             for (label, count) in &case.outcome_histogram {
                 out.push_str(&format!("outcome\t{label}\t{count}\n"));
             }
+            for (seed, steps) in &case.hottest {
+                out.push_str(&format!("hot\t{seed}\t{steps}\n"));
+            }
         }
         out
     }
@@ -435,7 +485,9 @@ impl SweepReport {
     /// its `failures` count is refused, so a truncated file — or a
     /// count-only one written before failures were persisted — never reads
     /// back as a report with fewer counterexamples.  A file written before
-    /// populations were recorded reads back with none.
+    /// populations were recorded reads back with none, and one written
+    /// before `hot` rows existed reads back with an empty
+    /// [`CaseReport::hottest`].
     pub fn from_tsv(text: &str) -> Result<SweepReport, String> {
         let mut report = SweepReport::default();
         // The `failures` count each case declared, in case order.
@@ -514,6 +566,12 @@ impl SweepReport {
                                 .ok_or_else(|| format!("line {}: missing count", lineno + 1))?;
                             case.outcome_histogram
                                 .insert(value.to_string(), parse(count)?);
+                        }
+                        "hot" => {
+                            let steps = fields
+                                .next()
+                                .ok_or_else(|| format!("line {}: missing steps", lineno + 1))?;
+                            case.rank_hot(parse(value)?, parse(steps)?);
                         }
                         other => return Err(format!("line {}: unknown key {other:?}", lineno + 1)),
                     }
@@ -654,12 +712,15 @@ mod tests {
         case.absorb(&record(3, OutcomeClass::Value, 11));
         case.glue_hits = 9;
         case.glue_misses = 4;
+        case.absorb(&record(4, OutcomeClass::Value, 11));
+        case.absorb(&record(9, OutcomeClass::OutOfFuel, 30));
         case.timings = Some(StageTimings {
             generate_ns: 1,
             typecheck_ns: 2,
             compile_ns: 3,
             run_ns: 4,
             model_check_ns: 5,
+            other_ns: 6,
         });
         let report = SweepReport {
             cases: vec![case],
@@ -674,13 +735,18 @@ mod tests {
         assert_eq!(parsed.population, report.population);
         assert_eq!(parsed.cases.len(), 1);
         assert_eq!(parsed.cases[0].case, "affine");
-        assert_eq!(parsed.cases[0].scenarios, 1);
-        assert_eq!(parsed.cases[0].total_steps, 11);
-        assert_eq!(parsed.cases[0].outcome_histogram.get("value"), Some(&1));
+        assert_eq!(parsed.cases[0].scenarios, 3);
+        assert_eq!(parsed.cases[0].total_steps, 52);
+        assert_eq!(parsed.cases[0].outcome_histogram.get("value"), Some(&2));
         assert_eq!(parsed.cases[0].glue_hits, 9);
         assert_eq!(parsed.cases[0].glue_misses, 4);
         assert_eq!(parsed.cases[0].timings, report.cases[0].timings);
         assert_eq!(parsed.cases[0].counters, report.cases[0].counters);
+        assert_eq!(parsed.cases[0].hottest, vec![(9, 30), (3, 11), (4, 11)]);
+        assert!(
+            text.ends_with("hot\t9\t30\nhot\t3\t11\nhot\t4\t11\n"),
+            "{text}"
+        );
     }
 
     #[test]
@@ -705,6 +771,7 @@ mod tests {
         let parsed = SweepReport::from_tsv(legacy).unwrap();
         assert_eq!(parsed.cases[0].scenarios, 3);
         assert!(parsed.cases[0].counters.is_zero());
+        assert!(parsed.cases[0].hottest.is_empty(), "no `hot` rows yet");
         // Unknown counter names are still rejected, like unknown keys.
         let bad = "case\tsharedmem\ncounter\tnope\t1\n";
         assert!(SweepReport::from_tsv(bad).is_err());
@@ -720,12 +787,18 @@ mod tests {
             compile_ns: 30,
             run_ns: 40,
             model_check_ns: 50,
+            other_ns: 60,
         });
         report.absorb(&rec);
         report.absorb(&rec);
         let timings = report.timings.expect("collected");
         assert_eq!(timings.generate_ns, 20);
-        assert_eq!(timings.total_ns(), 300);
+        assert_eq!(timings.other_ns, 120);
+        assert_eq!(timings.total_ns(), 420, "the total includes `other`");
+        assert_eq!(timings.stages()[5], ("other", 120), "`other` comes last");
+        // 80 run ns over the 2 retired instructions of the two scenarios.
+        assert_eq!(report.run_ns_per_instr(), Some(40.0));
+        assert_eq!(CaseReport::new("memgc").run_ns_per_instr(), None);
         assert!((report.glue_hit_rate() - 0.0).abs() < 1e-9);
     }
 
@@ -734,7 +807,9 @@ mod tests {
         let mut whole = CaseReport::new("sharedmem");
         let mut even = CaseReport::new("sharedmem");
         let mut odd = CaseReport::new("sharedmem");
-        for seed in 0..10u64 {
+        for seed in 0..24u64 {
+            // Steps repeat every 8 seeds, so the hottest list has ties that
+            // straddle the two shards.
             let mut rec = record(
                 seed,
                 if seed % 3 == 0 {
@@ -742,7 +817,7 @@ mod tests {
                 } else {
                     OutcomeClass::OutOfFuel
                 },
-                seed + 1,
+                seed % 8 + 1,
             );
             if seed % 3 != 1 {
                 rec.failure = Some(failure(seed, FailStage::Run, "unsafe"));
@@ -773,6 +848,48 @@ mod tests {
             merged.cases[0].failures, whole.failures,
             "failures are listed in seed order, as the unsharded sweep lists them"
         );
+        assert_eq!(merged.cases[0].hottest, whole.hottest);
+        assert_eq!(whole.hottest.len(), HOTTEST_SEEDS);
+        assert_eq!(whole.hottest[..4], [(7, 8), (15, 8), (23, 8), (6, 7)]);
+    }
+
+    #[test]
+    fn hottest_seeds_rank_by_steps_then_the_lower_seed() {
+        let mut report = CaseReport::new("affine");
+        // Absorbed out of order: 14 seeds with 20 steps, one with 50.
+        for seed in (0..14u64).rev() {
+            report.absorb(&record(seed, OutcomeClass::Value, 20));
+        }
+        report.absorb(&record(99, OutcomeClass::Value, 50));
+        // A scenario rejected before the run has no run to rank.
+        let mut rejected = record(100, OutcomeClass::Value, 1_000);
+        rejected.stats = None;
+        rejected.failure = Some(failure(100, FailStage::Typecheck, "claimed bool"));
+        report.absorb(&rejected);
+        assert_eq!(report.hottest.len(), HOTTEST_SEEDS, "the list stops at 10");
+        assert_eq!(report.hottest[0], (99, 50));
+        let tied: Vec<u64> = report.hottest[1..].iter().map(|&(seed, _)| seed).collect();
+        assert_eq!(
+            tied,
+            (0..9).collect::<Vec<u64>>(),
+            "ties go to the lower seed"
+        );
+    }
+
+    #[test]
+    fn malformed_hot_rows_are_refused() {
+        let row = |fields: &str| format!("case\tmemgc\nscenarios\t1\nhot{fields}\n");
+        for (fields, needle) in [
+            ("", "line 3: missing value"),
+            ("\t4", "line 3: missing steps"),
+            ("\tfour\t12", "line 3: invalid digit"),
+            ("\t4\t1x", "line 3: invalid digit"),
+        ] {
+            let err = SweepReport::from_tsv(&row(fields)).unwrap_err();
+            assert!(err.contains(needle), "hot{fields:?}: {err}");
+        }
+        let parsed = SweepReport::from_tsv(&row("\t4\t12")).unwrap();
+        assert_eq!(parsed.cases[0].hottest, vec![(4, 12)]);
     }
 
     fn failure(seed: u64, stage: FailStage, text: &str) -> FailureRecord {

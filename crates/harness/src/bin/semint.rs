@@ -10,9 +10,9 @@
 //! semint sweep --seeds 0..200 --shard 0/2           # this process takes half the range
 //! semint sweep --workers 4 --state-dir state        # 4 supervised shard processes, journaled
 //! semint sweep --workers 4 --state-dir state --resume  # finish a killed sweep
-//! semint sweep --seeds 0..50 --time                 # per-stage wall-clock totals
-//! semint sweep --trace t.jsonl --progress           # JSONL event stream + live stderr line
-//! semint profile t.jsonl                            # aggregate trace files offline
+//! semint sweep --seeds 0..50 --time --save t.tsv    # per-stage wall-clock totals, saved
+//! semint report t.tsv                               # time per layer: stage shares, ns/instr
+//! semint sweep --seeds 0..500 --progress            # live stderr progress line
 //! semint report a.tsv b.tsv                         # merge + re-render saved reports
 //! semint chaos --seed 7 --rounds 4                  # deterministic kill-and-resume drill
 //! ```
@@ -27,11 +27,10 @@ use semint_harness::engine::{
     run_generated, sweep_all, sweep_all_observed, SweepConfig, MAX_SEEDS_PER_SWEEP,
 };
 use semint_harness::fleet::{self, ChaosConfig, FaultKind, FaultPlan, SweepSpec};
-use semint_harness::profile::{absorb_trace, render_profile, TraceProfile};
+use semint_harness::observe::SweepObserver;
 use semint_harness::report::{population, render_sweep};
 use semint_harness::source::{ScenarioSource, SeedRange, Shard};
-use semint_harness::trace::SweepObserver;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::process::ExitCode;
 use std::time::{Duration, SystemTime, UNIX_EPOCH};
 
@@ -51,16 +50,15 @@ USAGE:
                                                       state dir, so --resume finishes a killed
                                                       sweep; digests are byte-identical to a
                                                       one-shot sweep
-    semint profile TRACE...                           aggregate --trace JSONL files: per-stage totals,
-                                                      per-case stage totals, run ns per retired
-                                                      instruction, opcode-class histograms,
-                                                      allocation stats, hottest seeds by steps
     semint report PATH...                             render (and, for several PATHs, merge) TSV
                                                       reports saved by `sweep --save`, failures and
-                                                      their shrunk witnesses included; sharded
-                                                      sweeps merge into the report of the unsharded
-                                                      sweep, and reports of different populations
-                                                      (profile, --broken) are refused
+                                                      their shrunk witnesses and each case's hottest
+                                                      seeds by steps included; a `--time` report
+                                                      also gives every stage's share and run ns per
+                                                      retired instruction; sharded sweeps merge into
+                                                      the report of the unsharded sweep, and reports
+                                                      of different populations (profile, --broken)
+                                                      are refused
     semint chaos  [--seed S] [--rounds N] [options]   deterministic crash drill: per round, derive a
                                                       fault schedule from the seed, run a faulted
                                                       `sweep --workers`, SIGKILL it mid-sweep, rerun
@@ -96,12 +94,10 @@ OPTIONS:
     --model-check    run the realizability-model stage (sweep: on by default;
                      chaos rounds skip it unless this is given)
     --time           collect per-stage wall-clock totals
-                     (generate/typecheck/compile/run/model-check);
-                     deterministic VM counters are always collected
-    --trace PATH     (sweep) stream one JSONL event per scenario (plus periodic
-                     sweep-progress heartbeats) to PATH from a dedicated
-                     writer thread; implies --time; traced and untraced
-                     sweeps agree on digests and counters exactly
+                     (generate/typecheck/compile/run/model-check, and the
+                     engine's own time as `other`); deterministic VM counters
+                     are always collected, and timed and untimed sweeps agree
+                     on digests and counters exactly
     --progress       rolling stderr progress line (scenarios/s, safe-rate,
                      glue hit-rate, ETA)
     --broken         sabotage a conversion rule per case study; failing
@@ -114,9 +110,8 @@ SUPERVISED SWEEP (sweep --workers, chaos):
     --workers N      split the seed range into N shards and run them as N
                      concurrent `semint sweep --shard` worker processes
                      (chaos default: 4); a shard that dies three times fails
-                     the sweep.  Custom profile knobs, --shard, --broken,
-                     --trace and --time cannot be handed to workers and
-                     are refused
+                     the sweep.  Custom profile knobs, --shard, --broken
+                     and --time cannot be handed to workers and are refused
     --worker-timeout-ms T  a worker with no heartbeat for T ms is wedged,
                      killed, and its slice re-issued    (default: 30000; chaos: 5000)
     --state-dir DIR  durable state: an fsync'd JSONL journal recording the
@@ -171,11 +166,10 @@ type Handler = fn(&[String]) -> Result<bool, String>;
 
 /// Every subcommand: `main` dispatches through this table, the
 /// unknown-command hint searches it, and `USAGE` lists exactly these.
-const COMMANDS: [(&str, Handler); 7] = [
+const COMMANDS: [(&str, Handler); 6] = [
     ("run", cmd_run),
     ("check", cmd_check),
     ("sweep", cmd_sweep),
-    ("profile", cmd_profile),
     ("report", cmd_report),
     ("chaos", cmd_chaos),
     ("help", cmd_help),
@@ -251,7 +245,6 @@ struct Options {
     time: bool,
     broken: bool,
     save: Option<String>,
-    trace: Option<String>,
     progress: bool,
     // sweep --workers / chaos
     /// `--workers N`: run `sweep` as N supervised shard processes (`chaos`:
@@ -296,7 +289,6 @@ impl Default for Options {
             time: false,
             broken: false,
             save: None,
-            trace: None,
             progress: false,
             workers: None,
             worker_timeout_ms: None,
@@ -453,7 +445,6 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
             "--time" => opts.time = true,
             "--broken" => opts.broken = true,
             "--save" => opts.save = Some(value("--save")?.to_string()),
-            "--trace" => opts.trace = Some(value("--trace")?.to_string()),
             "--progress" => opts.progress = true,
             "--workers" => {
                 let workers: usize = value("--workers")?
@@ -619,40 +610,20 @@ fn sweep_config(opts: &Options, model_check_default: bool) -> SweepConfig {
     }
 }
 
-/// Builds the `--trace`/`--progress` observer when either flag was given
-/// (or a `--die-after`/`--wedge-after` fault needs its scenario count).
+/// Builds the `--progress` observer when that flag was given (or a
+/// `--die-after`/`--wedge-after` fault needs its scenario count).
 fn build_observer(
     opts: &Options,
     cases: &[AnyCase],
     source: &dyn ScenarioSource,
-) -> Result<Option<SweepObserver>, String> {
-    if opts.trace.is_none()
-        && !opts.progress
-        && opts.die_after.is_none()
-        && opts.wedge_after.is_none()
-    {
-        return Ok(None);
-    }
-    let names: Vec<&str> = cases.iter().map(|c| c.name()).collect();
-    let total = source.total(&names);
-    SweepObserver::new(total, opts.trace.as_deref().map(Path::new), opts.progress)
-        .map(|observer| {
-            Some(
-                observer
-                    .with_fault(opts.die_after)
-                    .with_wedge(opts.wedge_after),
-            )
-        })
-        .map_err(|e| format!("opening trace file: {e}"))
-}
-
-/// Settles an observer at sweep end: flushes and joins the trace writer
-/// thread, surfacing any I/O error it hit.
-fn finish_observer(observer: Option<SweepObserver>) -> Result<(), String> {
-    match observer {
-        None => Ok(()),
-        Some(observer) => observer.finish().map_err(|e| format!("writing trace: {e}")),
-    }
+) -> Option<SweepObserver> {
+    let observed = opts.progress || opts.die_after.is_some() || opts.wedge_after.is_some();
+    observed.then(|| {
+        let names: Vec<&str> = cases.iter().map(|c| c.name()).collect();
+        SweepObserver::new(source.total(&names), opts.progress)
+            .with_fault(opts.die_after)
+            .with_wedge(opts.wedge_after)
+    })
 }
 
 /// `semint run`: one scenario, spelled out — always with per-stage
@@ -747,20 +718,14 @@ fn cmd_sweep(args: &[String]) -> Result<bool, String> {
     }
     let cases = selected_cases(&opts)?;
     let source = build_source(&opts)?;
-    let mut cfg = sweep_config(&opts, true);
-    // A trace event carries per-stage nanoseconds, so tracing implies
-    // timing (timing never changes digests, so this is safe to force).
-    if opts.trace.is_some() {
-        cfg.time = true;
-    }
+    let cfg = sweep_config(&opts, true);
     check_sweep_size(&cases, source.as_ref())?;
     println!("sweep: {} · profile {}", source.describe(), cfg.profile);
-    let observer = build_observer(&opts, &cases, source.as_ref())?;
+    let observer = build_observer(&opts, &cases, source.as_ref());
     let mut report = sweep_all_observed(&cases, source.as_ref(), &cfg, observer.as_ref());
     report.population = Some(population(&opts.profile, opts.broken));
-    finish_observer(observer)?;
-    if let Some(path) = &opts.trace {
-        println!("trace saved: {path}");
+    if let Some(observer) = observer {
+        observer.finish();
     }
     print_sweep(&report);
     if let Some(path) = &opts.save {
@@ -805,8 +770,8 @@ fn fleet_spec(
     if opts.broken {
         return Err("--broken is not supported for supervised sweeps".into());
     }
-    if opts.trace.is_some() || opts.time {
-        return Err("shard workers run untimed, so --trace and --time cannot be honoured".into());
+    if opts.time {
+        return Err("shard workers run untimed, so --time cannot be honoured".into());
     }
     if opts.die_after.is_some() || opts.wedge_after.is_some() || opts.corrupt_save.is_some() {
         return Err(
@@ -912,25 +877,6 @@ fn corrupt_saved_report(path: &str, mode: &str) -> Result<(), String> {
     std::fs::write(path, corrupted).map_err(|e| format!("corrupting {path}: {e}"))?;
     eprintln!("[fault] --corrupt-save {mode}: sabotaged the saved report at {path}");
     Ok(())
-}
-
-/// `semint profile`: offline aggregation of one or more `--trace` files.
-fn cmd_profile(args: &[String]) -> Result<bool, String> {
-    if args.is_empty() {
-        return Err(
-            "`semint profile` needs at least one TRACE file written by `sweep --trace`".into(),
-        );
-    }
-    let mut profile = TraceProfile::default();
-    for path in args {
-        let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
-        absorb_trace(&mut profile, &text).map_err(|e| format!("{path}: {e}"))?;
-    }
-    if profile.scenarios == 0 && profile.heartbeats == 0 {
-        return Err("the given trace files contain no events".into());
-    }
-    print!("{}", render_profile(&profile));
-    Ok(true)
 }
 
 /// `semint report`: render saved sweeps, merging when several are given
@@ -1184,17 +1130,8 @@ mod tests {
 
     #[test]
     fn trace_and_progress_flags_parse() {
-        let opts = parse(&[]).unwrap();
-        assert!(opts.trace.is_none() && !opts.progress);
-        let opts = parse(&["--trace", "t.jsonl", "--progress"]).unwrap();
-        assert_eq!(opts.trace.as_deref(), Some("t.jsonl"));
-        assert!(opts.progress);
-        assert!(parse(&["--trace"]).unwrap_err().contains("--trace"));
-    }
-
-    #[test]
-    fn profile_needs_at_least_one_trace() {
-        assert!(cmd_profile(&[]).unwrap_err().contains("TRACE"));
+        assert!(!parse(&[]).unwrap().progress);
+        assert!(parse(&["--progress"]).unwrap().progress);
     }
 
     #[test]
@@ -1228,6 +1165,7 @@ mod tests {
             "--json",
             "--corpus-load",
             "--corpus-save",
+            "--trace",
         ] {
             let err = parse(&[retired, "1"]).unwrap_err();
             assert!(err.contains("unknown option"), "{retired}: {err}");
@@ -1296,7 +1234,7 @@ mod tests {
             (&["--type-depth", "5"], "preset"),
             (&["--shard", "0/2"], "--workers N"),
             (&["--broken"], "--broken"),
-            (&["--trace", "t.jsonl"], "--trace"),
+            (&["--time"], "--time"),
             (&["--die-after", "3"], "--fault-shard"),
             (&["--fault-kind", "wedge"], "--fault-shard"),
             (&["--fault-shard", "1"], "together"),
@@ -1323,8 +1261,8 @@ mod tests {
         assert!(hint.contains("did you mean `sweep`?"), "{hint}");
         let hint = unknown_command("reprot");
         assert!(hint.contains("did you mean `report`?"), "{hint}");
-        let hint = unknown_command("profil");
-        assert!(hint.contains("did you mean `profile`?"), "{hint}");
+        let hint = unknown_command("chaso");
+        assert!(hint.contains("did you mean `chaos`?"), "{hint}");
         // Gibberish gets the plain error, not a far-fetched hint.
         let hint = unknown_command("xyzzyqwert");
         assert!(!hint.contains("did you mean"), "{hint}");
@@ -1349,7 +1287,14 @@ mod tests {
             .collect();
         let table_names: Vec<&str> = COMMANDS.iter().map(|(name, _)| *name).collect();
         assert_eq!(usage_names, table_names, "USAGE lists exactly the table");
-        for retired in ["serve", "submit", "status", "bench", "bench-diff"] {
+        for retired in [
+            "serve",
+            "submit",
+            "status",
+            "bench",
+            "bench-diff",
+            "profile",
+        ] {
             let err = dispatch(retired, &[]).unwrap_err();
             assert!(err.contains("unknown command"), "{retired}: {err}");
         }

@@ -23,9 +23,9 @@
 //! deterministic (digest-identical) for any `--jobs` *and* any `--batch`
 //! value, which the integration suite asserts.
 
+use crate::observe::SweepObserver;
 use crate::shrink::shrink_failure;
 use crate::source::ScenarioSource;
-use crate::trace::SweepObserver;
 use semint_core::case::{CaseStudy, GenProfile, Scenario};
 use semint_core::stats::{
     CaseReport, FailStage, FailureRecord, ScenarioRecord, StageTimings, SweepReport,
@@ -47,7 +47,9 @@ pub struct SweepConfig {
     /// expensive stage; `run`-only sweeps skip it).
     pub model_check: bool,
     /// Whether to collect per-stage wall-clock totals (`semint sweep
-    /// --time`, `semint run`, and any `--trace`d sweep).
+    /// --time` and `semint run`): the five stages, plus the engine's own
+    /// time in between as the `other` stage, so each batch's records add up
+    /// to its wall-clock.
     /// Wall-clock is one of two sweep-time signals: the deterministic
     /// [`semint_core::VmCounters`] (instructions by opcode class,
     /// allocations, high-water marks) are collected unconditionally — they
@@ -394,16 +396,18 @@ pub fn run_scenario<C: CaseStudy>(case: &C, seed: u64, cfg: &SweepConfig) -> Sce
 /// judges — no stage recompiles, no stage clones, no stage reruns.  Only
 /// shrink re-checks (which examine different, smaller programs) compile and
 /// run again, once per candidate.  The scenario executes as a batch of one,
-/// so its run stage is charged the whole batch wall-clock.
+/// so its run stage is charged the whole batch wall-clock, and its `other`
+/// stage is everything from here on that no stage timed.
 pub fn run_generated<C: CaseStudy>(
     case: &C,
     scenario: &Scenario<C::Program, C::Ty>,
     cfg: &SweepConfig,
 ) -> ScenarioRecord {
+    let started = cfg.time.then(Instant::now);
     let prepared = prepare_generated(case, scenario, cfg);
-    run_prepared(case, std::slice::from_ref(scenario), vec![prepared], cfg)
-        .pop()
-        .expect("one record per scenario")
+    let mut records = run_prepared(case, std::slice::from_ref(scenario), vec![prepared], cfg);
+    book_other(&mut records, started);
+    records.pop().expect("one record per scenario")
 }
 
 /// Runs the full pipeline for a contiguous group of seeds of one case
@@ -421,8 +425,10 @@ pub fn run_generated<C: CaseStudy>(
 /// the sweep is timed it is apportioned by the machine steps each scenario
 /// consumed — a scenario that dominates the batch is charged its share of
 /// the wall-clock, not an even split — with the exact-sum share split
-/// keeping the per-case run-stage total precise.
+/// keeping the per-case run-stage total precise.  What the batch's
+/// wall-clock holds beyond the five stages is booked as the `other` stage.
 pub fn run_batch<C: CaseStudy>(case: &C, seeds: &[u64], cfg: &SweepConfig) -> Vec<ScenarioRecord> {
+    let started = cfg.time.then(Instant::now);
     let mut scenarios = Vec::with_capacity(seeds.len());
     let mut prepared: Vec<Prepared<C>> = Vec::with_capacity(seeds.len());
     for &seed in seeds {
@@ -435,7 +441,28 @@ pub fn run_batch<C: CaseStudy>(case: &C, seeds: &[u64], cfg: &SweepConfig) -> Ve
         scenarios.push(scenario);
         prepared.push(p);
     }
-    run_prepared(case, &scenarios, prepared, cfg)
+    let mut records = run_prepared(case, &scenarios, prepared, cfg);
+    book_other(&mut records, started);
+    records
+}
+
+/// Books the time since `started` that no stage of `records` accounts for
+/// as their `other` stage, split evenly so the records sum back to the
+/// measured wall-clock exactly.  `started` is `None` when the sweep is
+/// untimed, and then nothing is booked.
+fn book_other(records: &mut [ScenarioRecord], started: Option<Instant>) {
+    let Some(started) = started else { return };
+    let wall_ns = started.elapsed().as_nanos() as u64;
+    let staged_ns: u64 = records
+        .iter()
+        .filter_map(|r| r.timings.map(|t| t.total_ns()))
+        .sum();
+    let shares = weighted_shares(wall_ns.saturating_sub(staged_ns), &vec![0; records.len()]);
+    for (record, share) in records.iter_mut().zip(shares) {
+        if let Some(timings) = &mut record.timings {
+            timings.other_ns = share;
+        }
+    }
 }
 
 /// Finishes prepared scenarios (`prepared[i]` from `scenarios[i]`): their
@@ -597,10 +624,11 @@ where
 }
 
 /// [`sweep_all`] with an optional [`SweepObserver`]: each worker reports
-/// every finished scenario as it completes (trace events, progress ticks),
-/// in the interleaved completion order across all cases.  Observation is
-/// strictly one-way — the returned report is identical to an unobserved
-/// sweep's, digests and counters alike.
+/// every finished scenario as it completes (the `--progress` line and the
+/// `--die-after`/`--wedge-after` fault hooks), in the interleaved
+/// completion order across all cases.  Observation is strictly one-way —
+/// the returned report is identical to an unobserved sweep's, digests,
+/// counters and hottest seeds alike.
 pub fn sweep_all_observed<C, S>(
     cases: &[C],
     source: &S,
@@ -714,9 +742,17 @@ mod tests {
             ..SweepConfig::default()
         };
         let seeds: Vec<u64> = (0..7).collect();
+        let started = Instant::now();
         let records = run_batch(&case, &seeds, &cfg);
+        let wall_ns = started.elapsed().as_nanos() as u64;
         assert_eq!(records.len(), 7);
-        assert!(records.iter().all(|r| r.timings.is_some()));
+        let timings: Vec<StageTimings> = records.iter().filter_map(|r| r.timings).collect();
+        assert_eq!(timings.len(), 7, "every record is stamped");
+        // The six stages book the batch's wall-clock and nothing more.
+        let booked: u64 = timings.iter().map(StageTimings::total_ns).sum();
+        assert!(booked <= wall_ns, "booked {booked} ns of {wall_ns} ns");
+        let other: u64 = timings.iter().map(|t| t.other_ns).sum();
+        assert!(other > 0, "rendering and record building are engine time");
     }
 
     #[test]

@@ -20,10 +20,9 @@
 //! digest-verified checkpoints and re-runs only the unaccounted shards.
 //!
 //! The supervisor prints one stderr line per shard event; the journal is
-//! the durable record.  Workers deliberately run *without*
-//! `--trace`/`--time`: stage wall-clock is nondeterministic and would
-//! pollute the saved TSV; the merged report carries only digest-grade
-//! facts.
+//! the durable record.  Workers deliberately run *without* `--time`: stage
+//! wall-clock is nondeterministic and would pollute the saved TSV; the
+//! merged report carries only digest-grade facts.
 
 use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
@@ -343,8 +342,8 @@ impl Fleet<'_> {
             .arg(self.spec.shard(task.index).spec())
             .arg("--save")
             .arg(&out_path)
-            // The progress line is the heartbeat.  NOT --trace: tracing
-            // implies --time and timings are nondeterministic.
+            // The progress line is the heartbeat.  NOT --time: timings are
+            // nondeterministic.
             .arg("--progress");
         if let Some(fault) = self.spec.fault {
             // Only the first attempt is sabotaged: the re-issue must

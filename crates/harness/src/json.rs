@@ -1,7 +1,6 @@
-//! The hand-rolled JSON of the journal and trace lines (the workspace is
-//! offline; no serde).  The supervised sweep's journal and the `--trace`
-//! stream write one JSON object per line through [`escape_json`], and
-//! `--resume` and `semint profile` read each line back with [`parse`].
+//! The hand-rolled JSON of the supervised sweep's journal (the workspace is
+//! offline; no serde).  The journal writes one JSON object per line through
+//! [`escape_json`], and `--resume` reads each line back with [`parse`].
 
 use std::fmt::Write as _;
 

@@ -27,14 +27,14 @@
 //! * [`report`] — plain-text rendering of sweep reports for the `semint`
 //!   CLI binary shipped by this crate (`run`, `check`, `sweep`, `report`
 //!   subcommands); the one persisted report is the TSV of
-//!   [`SweepReport::to_tsv`], failure witnesses included;
-//! * [`trace`] — Tier-B telemetry: the `--trace` JSONL event stream
-//!   (dedicated writer thread behind a bounded channel) and the
-//!   `--progress` live stderr line, both strictly observational — traced
-//!   and untraced sweeps agree on digests and counters byte for byte;
-//! * [`profile`] — `semint profile`'s order-insensitive aggregation of
-//!   trace files: stage breakdowns, per-case opcode-class histograms,
-//!   allocation stats, and the hottest seeds by steps;
+//!   [`SweepReport::to_tsv`], failure witnesses and each case's hottest
+//!   seeds included, and on a `--time` sweep it explains time per layer:
+//!   stage shares, the engine's own `other` time, and run ns per retired
+//!   instruction;
+//! * [`observe`] — the `--progress` live stderr line (the heartbeat of
+//!   supervised shard workers) and the `--die-after`/`--wedge-after` fault
+//!   hooks, strictly observational — observed and unobserved sweeps agree
+//!   on digests and counters byte for byte;
 //! * [`fleet`] — `semint sweep --workers N`: a supervisor that runs a sweep
 //!   as N `semint sweep --shard` child processes (re-issuing the exact
 //!   slice of any worker that crashes or wedges) and merges their reports
@@ -66,16 +66,14 @@ pub mod cases;
 pub mod engine;
 pub mod fleet;
 mod json;
-pub mod profile;
+pub mod observe;
 pub mod report;
 pub mod shrink;
 pub mod source;
-pub mod trace;
 
 pub use cases::{AnyCase, AnyCompiled};
 pub use engine::{sweep_all, sweep_all_observed, sweep_case, SweepConfig};
-pub use profile::{render_profile, TraceProfile};
+pub use observe::SweepObserver;
 pub use semint_core::case::{CaseStudy, CheckFailure, GenProfile, Scenario};
 pub use semint_core::stats::{CaseReport, SweepReport};
 pub use source::{ScenarioSource, SeedRange, Shard};
-pub use trace::SweepObserver;

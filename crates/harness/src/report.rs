@@ -1,16 +1,20 @@
 //! Plain-text rendering of sweep reports for the `semint` CLI.
 //!
-//! Two kinds of sweep-time signal land here: the optional per-stage
-//! wall-clock block (`--time`), and the always-on deterministic VM counters
-//! — instructions retired by opcode class, boundary crossings, allocation
-//! totals, high-water marks — which are digest-grade facts identical across
-//! every `--jobs`/`--batch`/shard combination.
+//! Two kinds of sweep-time signal land here.  The always-on deterministic
+//! ones — VM counters (instructions retired by opcode class, boundary
+//! crossings, allocation totals, high-water marks) and each case's hottest
+//! seeds by machine steps — are digest-grade facts, identical across every
+//! `--jobs`/`--batch`/shard combination.  A `--time` sweep adds where the
+//! time went: per case, and for all cases together when more than one was
+//! timed, each stage's wall-clock and share (the engine's own time is the
+//! `other` stage), and per case the run stage's nanoseconds per retired
+//! instruction.
 //!
 //! Every failure block ends with a `repro:` line, a `semint run` command
 //! that replays the failure as it was found.
 
 use semint_core::case::GenProfile;
-use semint_core::stats::{CaseReport, SweepReport};
+use semint_core::stats::{CaseReport, StageTimings, SweepReport};
 use std::fmt::Write as _;
 
 /// The population a sweep drew from, as the `semint` flags that select it
@@ -70,18 +74,10 @@ pub fn render_case(report: &CaseReport, population: Option<&str>) -> String {
         ));
     }
     if let Some(timings) = &report.timings {
-        out.push_str("  stage wall-clock\n");
-        for (label, ns) in timings.stages() {
-            out.push_str(&format!(
-                "    {label:<14} {:>10.3} ms\n",
-                ns as f64 / 1_000_000.0
-            ));
-        }
-        out.push_str(&format!(
-            "    {:<14} {:>10.3} ms\n",
-            "total",
-            timings.total_ns() as f64 / 1_000_000.0
-        ));
+        render_stages(&mut out, "  stage wall-clock", timings);
+    }
+    if let Some(ns) = report.run_ns_per_instr() {
+        let _ = writeln!(out, "  run              {ns:.1} ns per retired instruction");
     }
     out.push_str("  outcomes\n");
     if report.outcome_histogram.is_empty() {
@@ -90,6 +86,14 @@ pub fn render_case(report: &CaseReport, population: Option<&str>) -> String {
     for (label, count) in &report.outcome_histogram {
         out.push_str(&format!("    {label:<14} {count:>8}\n"));
     }
+    out.push_str("  hottest seeds   ");
+    if report.hottest.is_empty() {
+        out.push_str(" (none)");
+    }
+    for (seed, steps) in &report.hottest {
+        let _ = write!(out, " {seed}:{steps}");
+    }
+    out.push('\n');
     out.push_str(&format!(
         "  failures         {:>10}\n",
         report.failures.len()
@@ -110,7 +114,24 @@ pub fn render_case(report: &CaseReport, population: Option<&str>) -> String {
     out
 }
 
-/// Renders a whole sweep report.
+/// Renders a stage wall-clock block under `heading`: every stage's
+/// milliseconds and share of the stage total, then the total.
+fn render_stages(out: &mut String, heading: &str, timings: &StageTimings) {
+    let total = timings.total_ns();
+    let _ = writeln!(out, "{heading}");
+    for (label, ns) in timings.stages() {
+        let share = 100.0 * ns as f64 / total.max(1) as f64;
+        let _ = writeln!(
+            out,
+            "    {label:<14} {:>10.3} ms  ({share:>5.1}%)",
+            ns as f64 / 1e6
+        );
+    }
+    let _ = writeln!(out, "    {:<14} {:>10.3} ms", "total", total as f64 / 1e6);
+}
+
+/// Renders a whole sweep report; when more than one case was timed, it
+/// ends with the stage block of all cases together.
 pub fn render_sweep(report: &SweepReport) -> String {
     let mut out = String::new();
     for case in &report.cases {
@@ -122,6 +143,18 @@ pub fn render_sweep(report: &SweepReport) -> String {
         report.scenarios(),
         report.failure_count()
     ));
+    let timed: Vec<&StageTimings> = report
+        .cases
+        .iter()
+        .filter_map(|c| c.timings.as_ref())
+        .collect();
+    if timed.len() > 1 {
+        let mut all = StageTimings::default();
+        for timings in timed {
+            all.absorb(timings);
+        }
+        render_stages(&mut out, "stage wall-clock, all cases", &all);
+    }
     out
 }
 
@@ -172,12 +205,15 @@ mod tests {
         case.scenarios = 4;
         case.glue_hits = 30;
         case.glue_misses = 10;
-        case.timings = Some(semint_core::StageTimings {
+        case.counters.instr_data = 40;
+        case.hottest = vec![(12, 30), (3, 10)];
+        case.timings = Some(StageTimings {
             generate_ns: 2_000_000,
             typecheck_ns: 1_000_000,
             compile_ns: 500_000,
-            run_ns: 4_000_000,
+            run_ns: 6_543,
             model_check_ns: 0,
+            other_ns: 1_493_457,
         });
         let text = render_case(&case, None);
         assert!(text.contains("glue cache"), "{text}");
@@ -185,10 +221,47 @@ mod tests {
             text.contains("30 hits / 10 misses (75.0% hit rate)"),
             "{text}"
         );
-        assert!(text.contains("stage wall-clock"), "{text}");
-        assert!(text.contains("generate"), "{text}");
-        assert!(text.contains("model-check"), "{text}");
-        assert!(text.contains("total"), "{text}");
+        for line in [
+            "  stage wall-clock\n",
+            "    generate            2.000 ms  ( 40.0%)\n",
+            "    model-check         0.000 ms  (  0.0%)\n",
+            "    other               1.493 ms  ( 29.9%)\n",
+            "    total               5.000 ms\n",
+            // 6 543 run ns over 40 retired instructions.
+            "  run              163.6 ns per retired instruction\n",
+            "  hottest seeds    12:30 3:10\n",
+        ] {
+            assert!(text.contains(line), "{line:?} in\n{text}");
+        }
+
+        // An untimed case has no per-instruction figure, and the all-cases
+        // block needs more than one timed case.
+        let untimed = CaseReport::new("affine");
+        let text = render_case(&untimed, None);
+        assert!(!text.contains("per retired instruction"), "{text}");
+        assert!(text.contains("  hottest seeds    (none)\n"), "{text}");
+        let mut report = SweepReport {
+            cases: vec![case.clone(), untimed],
+            population: None,
+        };
+        let text = render_sweep(&report);
+        assert!(!text.contains("all cases"), "{text}");
+        report.cases[1] = CaseReport {
+            case: "sharedmem".into(),
+            ..case
+        };
+        let text = render_sweep(&report);
+        let (_, all) = text
+            .split_once("stage wall-clock, all cases\n")
+            .expect("two timed cases get the all-cases block");
+        assert!(
+            all.starts_with("    generate            4.000 ms  ( 40.0%)\n"),
+            "{text}"
+        );
+        assert!(
+            all.ends_with("    total              10.000 ms\n"),
+            "{text}"
+        );
     }
 
     #[test]

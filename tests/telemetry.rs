@@ -1,23 +1,24 @@
-//! Integration tests for deterministic telemetry (PR 6):
+//! Integration tests for deterministic telemetry:
 //!
-//! * telemetry is strictly observational — a traced sweep's per-case
-//!   digests are byte-identical to an untraced sweep's, across all three
-//!   case studies and all four [`GenProfile`] presets;
-//! * the Tier-A [`VmCounters`] are digest-grade facts: byte-identical
-//!   across every `--jobs` × `--batch` combination, and they survive the
-//!   shard-merge path ([`CaseReport::merge`]) exactly;
-//! * the Tier-B JSONL trace round-trips: aggregating a sweep's `--trace`
-//!   stream through the `semint profile` machinery reproduces the sweep
-//!   report's own counter totals.
+//! * observation and timing are strictly observational — an observed,
+//!   timed sweep's per-case digests, counters and hottest seeds are
+//!   byte-identical to a plain sweep's, across all three case studies and
+//!   all four [`GenProfile`] presets;
+//! * the [`VmCounters`] and hottest seeds are digest-grade facts:
+//!   byte-identical across every `--jobs` × `--batch` combination, and they
+//!   survive the shard-merge path ([`CaseReport::merge`]) exactly;
+//! * a timed sweep's `--save` TSV round-trips, and `semint report` renders
+//!   from it the time per layer: stage shares, run ns per retired
+//!   instruction and the hottest seeds.
 
 use semint::core::case::GenProfile;
-use semint::core::stats::CaseReport;
+use semint::core::stats::{CaseReport, SweepReport};
 use semint::core::VmCounters;
 use semint::harness::cases::AnyCase;
 use semint::harness::engine::{sweep_all, sweep_all_observed, sweep_case, SweepConfig};
-use semint::harness::profile::{absorb_trace, render_profile, TraceProfile};
+use semint::harness::observe::SweepObserver;
+use semint::harness::report::render_sweep;
 use semint::harness::source::{SeedRange, Shard};
-use semint::harness::trace::SweepObserver;
 
 fn cfg(jobs: usize, batch: usize, profile: GenProfile) -> SweepConfig {
     SweepConfig {
@@ -32,39 +33,38 @@ fn cfg(jobs: usize, batch: usize, profile: GenProfile) -> SweepConfig {
 // ---------------------------------------------------------------------------
 // Telemetry on ≡ telemetry off.
 
-/// The headline guarantee: tracing a sweep (observer attached, trace file
-/// streaming, timing forced on as `--trace` does) changes no digest, for
-/// every case study and every generation preset.
+/// The headline guarantee: observing a sweep (as `--progress` does) and
+/// timing it changes no digest, counter or hottest seed, for every case
+/// study and every generation preset.
 #[test]
 fn traced_sweeps_produce_byte_identical_digests() {
     let source = SeedRange::new(0, 24).expect("non-empty");
     let cases = AnyCase::all(false);
     for profile in GenProfile::presets() {
         let plain = sweep_all(&cases, &source, &cfg(2, 4, profile));
-        let path = std::env::temp_dir().join(format!(
-            "semint-telemetry-{}-{}.jsonl",
-            std::process::id(),
-            profile.name
-        ));
-        let observer = SweepObserver::new(72, Some(&path), false).expect("trace file");
-        let traced_cfg = SweepConfig {
-            time: true, // `--trace` implies `--time`
+        let observer = SweepObserver::new(72, false);
+        let timed_cfg = SweepConfig {
+            time: true,
             ..cfg(2, 4, profile)
         };
-        let traced = sweep_all_observed(&cases, &source, &traced_cfg, Some(&observer));
-        observer.finish().expect("trace writer");
-        let _ = std::fs::remove_file(&path);
-        for (a, b) in plain.cases.iter().zip(&traced.cases) {
+        let observed = sweep_all_observed(&cases, &source, &timed_cfg, Some(&observer));
+        observer.finish();
+        for (a, b) in plain.cases.iter().zip(&observed.cases) {
             assert_eq!(
                 a.digest(),
                 b.digest(),
-                "case {} profile {}: tracing changed the digest",
+                "case {} profile {}: observing changed the digest",
                 a.case,
                 profile.name
             );
             assert_eq!(
                 a.counters, b.counters,
-                "case {} profile {}: tracing changed the counters",
+                "case {} profile {}: observing changed the counters",
+                a.case, profile.name
+            );
+            assert_eq!(
+                a.hottest, b.hottest,
+                "case {} profile {}: observing changed the hottest seeds",
                 a.case, profile.name
             );
         }
@@ -96,6 +96,7 @@ fn counters_are_identical_across_jobs_and_batch() {
                     a.case
                 );
                 assert_eq!(a.digest(), b.digest(), "case {}", a.case);
+                assert_eq!(a.hottest, b.hottest, "case {}", a.case);
             }
         }
     }
@@ -130,50 +131,58 @@ fn counters_survive_shard_merge_exactly() {
             whole_case.case
         );
         assert_eq!(whole_case.digest(), merged_case.digest());
+        assert_eq!(
+            whole_case.hottest, merged_case.hottest,
+            "case {}: merge changed the hottest seeds",
+            whole_case.case
+        );
     }
 }
 
 // ---------------------------------------------------------------------------
-// Trace → profile round trip.
+// Timed sweep → `--save` TSV → `semint report`.
 
-/// A sweep's `--trace` stream, aggregated by the `semint profile`
-/// machinery, reproduces the sweep report's own per-case counter totals and
-/// scenario counts — the JSONL round trip loses nothing the profile needs.
+/// A timed sweep's `--save` TSV reads back with the sweep's own counters,
+/// stage times and hottest seeds, and `semint report` renders the time per
+/// layer from it — the one persisted report loses nothing the retired
+/// trace profile printed.
 #[test]
 fn trace_round_trips_through_profile_aggregation() {
     let source = SeedRange::new(0, 18).expect("non-empty");
     let cases = AnyCase::all(false);
-    let path = std::env::temp_dir().join(format!(
-        "semint-telemetry-roundtrip-{}.jsonl",
-        std::process::id()
-    ));
-    let observer = SweepObserver::new(54, Some(&path), false).expect("trace file");
     let swept_cfg = SweepConfig {
         time: true,
         ..cfg(4, 8, GenProfile::standard())
     };
-    let report = sweep_all_observed(&cases, &source, &swept_cfg, Some(&observer));
-    observer.finish().expect("trace writer");
-    let text = std::fs::read_to_string(&path).expect("trace written");
-    let _ = std::fs::remove_file(&path);
-
-    let mut profile = TraceProfile::default();
-    absorb_trace(&mut profile, &text).expect("well-formed trace");
-    assert_eq!(profile.scenarios, report.scenarios());
-    assert!(profile.heartbeats >= 1, "finish emits a final heartbeat");
-    for case in &report.cases {
-        let profiled = &profile.cases[&case.case];
+    let report = sweep_all(&cases, &source, &swept_cfg);
+    let saved = SweepReport::from_tsv(&report.to_tsv()).expect("well-formed TSV");
+    assert_eq!(saved.scenarios(), report.scenarios());
+    for (case, read) in report.cases.iter().zip(&saved.cases) {
         assert_eq!(
-            profiled.counters, case.counters,
-            "case {}: profile counters diverge from the sweep report",
+            read.counters, case.counters,
+            "case {}: saved counters diverge from the sweep report",
             case.case
         );
-        assert_eq!(profiled.scenarios, case.scenarios, "case {}", case.case);
-        assert_eq!(profiled.steps, case.total_steps, "case {}", case.case);
+        assert_eq!(read.timings, case.timings, "case {}", case.case);
+        assert_eq!(read.hottest, case.hottest, "case {}", case.case);
+        assert!(!case.hottest.is_empty(), "case {}", case.case);
+        assert!(
+            case.timings.is_some_and(|t| t.other_ns > 0),
+            "case {}: a timed sweep books the engine's own time",
+            case.case
+        );
     }
-    let rendered = render_profile(&profile);
-    assert!(rendered.contains("trace profile:"), "{rendered}");
-    assert!(rendered.contains("hottest seeds"), "{rendered}");
+    let rendered = render_sweep(&saved);
+    assert_eq!(
+        rendered.matches("ns per retired instruction").count(),
+        3,
+        "{rendered}"
+    );
+    assert_eq!(rendered.matches("hottest seeds").count(), 3, "{rendered}");
+    assert!(
+        rendered.contains("stage wall-clock, all cases"),
+        "{rendered}"
+    );
 }
 
 // ---------------------------------------------------------------------------
