@@ -260,6 +260,13 @@ impl CaseStudy for AffineCase {
         }
     }
 
+    fn program_chars(&self, program: &AffProgram) -> usize {
+        match program {
+            AffProgram::Affi(e) => e.rendered_chars(),
+            AffProgram::Ml(e) => e.rendered_chars(),
+        }
+    }
+
     fn check_conversions(&self) -> Result<(), CheckFailure> {
         let checker = AffineModelChecker::new();
         let catalogue = [

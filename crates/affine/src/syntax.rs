@@ -80,6 +80,21 @@ impl fmt::Display for MlType {
     }
 }
 
+impl MlType {
+    /// The length of this type's rendering in characters, counted arm for
+    /// arm beside [`fmt::Display`] without formatting anything.
+    pub fn rendered_chars(&self) -> usize {
+        match self {
+            MlType::Unit => 4,
+            MlType::Int => 3,
+            MlType::Prod(a, b) | MlType::Sum(a, b) | MlType::Fun(a, b) => {
+                5 + a.rendered_chars() + b.rendered_chars()
+            }
+            MlType::Ref(a) => 4 + a.rendered_chars(),
+        }
+    }
+}
+
 /// Affi types (Fig. 6).
 ///
 /// Children sit behind [`Arc`]: a clone copies one node and shares its
@@ -136,6 +151,22 @@ impl fmt::Display for AffiType {
             AffiType::Bang(a) => write!(f, "!{a}"),
             AffiType::With(a, b) => write!(f, "({a} & {b})"),
             AffiType::Tensor(a, b) => write!(f, "({a} ⊗ {b})"),
+        }
+    }
+}
+
+impl AffiType {
+    /// The length of this type's rendering in characters, counted arm for
+    /// arm beside [`fmt::Display`] without formatting anything.
+    pub fn rendered_chars(&self) -> usize {
+        match self {
+            AffiType::Unit | AffiType::Bool => 4,
+            AffiType::Int => 3,
+            AffiType::Lolli(Mode::Dynamic, a, b)
+            | AffiType::With(a, b)
+            | AffiType::Tensor(a, b) => 5 + a.rendered_chars() + b.rendered_chars(),
+            AffiType::Lolli(Mode::Static, a, b) => 6 + a.rendered_chars() + b.rendered_chars(),
+            AffiType::Bang(a) => 1 + a.rendered_chars(),
         }
     }
 }
@@ -430,6 +461,39 @@ impl fmt::Display for MlExpr {
     }
 }
 
+impl MlExpr {
+    /// The length of this program's rendering in characters, counted arm
+    /// for arm beside [`fmt::Display`] without formatting anything.
+    pub fn rendered_chars(&self) -> usize {
+        match self {
+            MlExpr::Unit => 2,
+            MlExpr::Int(n) => semint_core::int_chars(*n),
+            MlExpr::Var(x) => x.rendered_chars(),
+            MlExpr::Pair(a, b) | MlExpr::Assign(a, b) => {
+                4 + a.rendered_chars() + b.rendered_chars()
+            }
+            MlExpr::Fst(e)
+            | MlExpr::Snd(e)
+            | MlExpr::Inl(e, _)
+            | MlExpr::Inr(e, _)
+            | MlExpr::Ref(e) => 4 + e.rendered_chars(),
+            MlExpr::Match(s, x, l, y, r) => {
+                12 + s.rendered_chars()
+                    + x.rendered_chars()
+                    + l.rendered_chars()
+                    + y.rendered_chars()
+                    + r.rendered_chars()
+            }
+            MlExpr::Lam(x, ty, b) => {
+                4 + x.rendered_chars() + ty.rendered_chars() + b.rendered_chars()
+            }
+            MlExpr::App(a, b) | MlExpr::Add(a, b) => 5 + a.rendered_chars() + b.rendered_chars(),
+            MlExpr::Deref(e) => 1 + e.rendered_chars(),
+            MlExpr::Boundary(e, ty) => 2 + e.rendered_chars() + ty.rendered_chars(),
+        }
+    }
+}
+
 impl fmt::Display for AffiExpr {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -448,6 +512,40 @@ impl fmt::Display for AffiExpr {
             AffiExpr::TensorPair(a, b) => write!(f, "({a}, {b})"),
             AffiExpr::LetTensor(a, b, e, body) => write!(f, "let ({a}•, {b}•) = {e} in {body}"),
             AffiExpr::Boundary(e, ty) => write!(f, "⦇{e}⦈{ty}"),
+        }
+    }
+}
+
+impl AffiExpr {
+    /// The length of this program's rendering in characters, counted arm
+    /// for arm beside [`fmt::Display`] without formatting anything.
+    pub fn rendered_chars(&self) -> usize {
+        match self {
+            AffiExpr::Unit => 2,
+            AffiExpr::Bool(true) => 4,
+            AffiExpr::Bool(false) => 5,
+            AffiExpr::Int(n) => semint_core::int_chars(*n),
+            AffiExpr::UVar(x) => x.rendered_chars(),
+            AffiExpr::AVar(_, x) => 1 + x.rendered_chars(),
+            AffiExpr::Lam(_, x, ty, b) => {
+                5 + x.rendered_chars() + ty.rendered_chars() + b.rendered_chars()
+            }
+            AffiExpr::App(a, b) => 5 + a.rendered_chars() + b.rendered_chars(),
+            AffiExpr::Bang(e) => 1 + e.rendered_chars(),
+            AffiExpr::LetBang(x, e, b) => {
+                12 + x.rendered_chars() + e.rendered_chars() + b.rendered_chars()
+            }
+            AffiExpr::WithPair(a, b) | AffiExpr::TensorPair(a, b) => {
+                4 + a.rendered_chars() + b.rendered_chars()
+            }
+            AffiExpr::Proj1(e) | AffiExpr::Proj2(e) => 2 + e.rendered_chars(),
+            AffiExpr::LetTensor(a, b, e, body) => {
+                17 + a.rendered_chars()
+                    + b.rendered_chars()
+                    + e.rendered_chars()
+                    + body.rendered_chars()
+            }
+            AffiExpr::Boundary(e, ty) => 2 + e.rendered_chars() + ty.rendered_chars(),
         }
     }
 }
@@ -473,6 +571,81 @@ mod tests {
         assert_eq!(
             AffiType::tensor(AffiType::Unit, AffiType::bang(AffiType::Int)).to_string(),
             "(unit ⊗ !int)"
+        );
+    }
+
+    #[test]
+    fn structural_char_counts_match_the_rendering() {
+        // Every constructor, with what the generators never emit: negative
+        // and extreme integers, static lollis and `a•` binders, multi-byte
+        // names.
+        let affi_ty = AffiType::with(
+            AffiType::lolli_static(AffiType::Int, AffiType::bang(AffiType::Bool)),
+            AffiType::tensor(
+                AffiType::Unit,
+                AffiType::lolli(AffiType::Int, AffiType::Int),
+            ),
+        );
+        let ml_ty = MlType::fun(
+            MlType::sum(MlType::Int, MlType::prod(MlType::Unit, MlType::Int)),
+            MlType::ref_(MlType::Unit),
+        );
+        let ml = MlExpr::match_(
+            MlExpr::inl(
+                MlExpr::int(i64::MIN),
+                MlType::sum(MlType::Int, MlType::Unit),
+            ),
+            "ζ",
+            MlExpr::pair(
+                MlExpr::fst(MlExpr::var("ζ")),
+                MlExpr::snd(MlExpr::add(MlExpr::int(-42), MlExpr::int(1234))),
+            ),
+            "y2",
+            MlExpr::app(
+                MlExpr::lam(
+                    "α",
+                    ml_ty.clone(),
+                    MlExpr::deref(MlExpr::ref_(MlExpr::unit())),
+                ),
+                MlExpr::assign(
+                    MlExpr::inr(MlExpr::unit(), MlType::sum(MlType::Int, MlType::Unit)),
+                    MlExpr::boundary(AffiExpr::int(-7), MlType::Int),
+                ),
+            ),
+        );
+        let affi = AffiExpr::let_tensor(
+            "ζ",
+            "b",
+            AffiExpr::tensor(
+                AffiExpr::bool_(true),
+                AffiExpr::tensor(AffiExpr::bool_(false), AffiExpr::unit()),
+            ),
+            AffiExpr::app(
+                AffiExpr::lam_static(
+                    "α",
+                    affi_ty.clone(),
+                    AffiExpr::let_bang(
+                        "x",
+                        AffiExpr::bang(AffiExpr::int(-305)),
+                        AffiExpr::with_pair(AffiExpr::uvar("x"), AffiExpr::avar_static("α")),
+                    ),
+                ),
+                AffiExpr::proj1(AffiExpr::proj2(AffiExpr::app(
+                    AffiExpr::lam("a", AffiType::Unit, AffiExpr::avar("a")),
+                    AffiExpr::boundary(ml.clone(), affi_ty.clone()),
+                ))),
+            ),
+        );
+        assert_eq!(
+            affi_ty.rendered_chars(),
+            affi_ty.to_string().chars().count()
+        );
+        assert_eq!(ml_ty.rendered_chars(), ml_ty.to_string().chars().count());
+        assert_eq!(ml.rendered_chars(), ml.to_string().chars().count(), "{ml}");
+        assert_eq!(
+            affi.rendered_chars(),
+            affi.to_string().chars().count(),
+            "{affi}"
         );
     }
 

@@ -491,6 +491,16 @@ pub trait CaseStudy {
     /// scenario, which is why there is deliberately no render-based default.
     fn boundary_count(&self, program: &Self::Program) -> usize;
 
+    /// The length of `program`'s rendering in characters: the size every
+    /// sweep digest totals as `chars=`, and the shrinker's size order.
+    ///
+    /// Like [`CaseStudy::boundary_count`], it runs once per scenario on the
+    /// sweep hot path, so implementations count structurally (one tree walk
+    /// beside each `Display` impl) and there is deliberately no render-based
+    /// default: formatting a program costs several times the walk, and the
+    /// sweep renders a program only to report a failure.
+    fn program_chars(&self, program: &Self::Program) -> usize;
+
     /// Checks Lemma 3.1 (convertibility soundness) over the case study's
     /// registered rule catalogue, independent of any generated program.
     /// Cases without an executable conversion checker return `Ok(())`.

@@ -46,6 +46,6 @@ pub use fuel::Fuel;
 pub use outcome::{ErrorCode, Outcome};
 pub use pipeline::PipelineError;
 pub use stats::{CaseReport, OutcomeClass, RunStats, ScenarioRecord, StageTimings, SweepReport};
-pub use symbol::Var;
+pub use symbol::{int_chars, Var};
 pub use telemetry::{OpClass, VmCounters};
 pub use world::StepIndex;

@@ -143,11 +143,15 @@ impl StageTimings {
 pub struct ScenarioRecord {
     /// The scenario seed.
     pub seed: u64,
-    /// The claimed (and re-checked) source type, rendered.
+    /// The claimed (and re-checked) source type, rendered.  Nothing reads
+    /// it: no digest, report or counter depends on it.  It stays, rendered
+    /// for every scenario, only because the benchmark's replay
+    /// (`perfbench/src/replay.rs`) builds records field by field, and goes
+    /// with the benchmark change that retires that replay.
     pub ty: String,
-    /// Rendered length of the program in characters — a stable size proxy,
-    /// but not a cheap one: the engine renders the whole program to count
-    /// it.
+    /// Length of the program's rendering in characters — the stable size
+    /// every digest totals as `chars=`.  The engine counts it structurally
+    /// ([`crate::CaseStudy::program_chars`]) and renders nothing for it.
     pub program_chars: usize,
     /// Syntactic language-boundary count of the program.
     pub boundaries: usize,

@@ -34,6 +34,28 @@ impl Var {
     pub fn as_str(&self) -> &str {
         &self.0
     }
+
+    /// The length of the variable's rendering in characters, not bytes
+    /// (`ζ` counts one): what every syntax tree's `rendered_chars` walk adds
+    /// for a name.
+    pub fn rendered_chars(&self) -> usize {
+        self.0.chars().count()
+    }
+}
+
+/// The length of an integer literal's rendering in characters: its decimal
+/// digits, plus one for the sign of a negative number (`i64::MIN` included).
+///
+/// ```
+/// assert_eq!(semint_core::int_chars(-120), 4);
+/// assert_eq!(semint_core::int_chars(i64::MIN), i64::MIN.to_string().len());
+/// ```
+pub fn int_chars(n: i64) -> usize {
+    let digits = n
+        .unsigned_abs()
+        .checked_ilog10()
+        .map_or(1, |log| log as usize + 1);
+    digits + usize::from(n < 0)
 }
 
 impl fmt::Debug for Var {
@@ -86,6 +108,15 @@ mod tests {
     #[test]
     fn display_is_bare_name() {
         assert_eq!(Var::new("foo").to_string(), "foo");
+    }
+
+    #[test]
+    fn rendered_lengths_count_characters() {
+        assert_eq!(Var::new("ζ").rendered_chars(), 1);
+        assert_eq!(Var::new("x12").rendered_chars(), 3);
+        for n in [0, 7, 9, 10, 99, 100, -1, -9, -10, -120, i64::MAX, i64::MIN] {
+            assert_eq!(int_chars(n), n.to_string().chars().count(), "{n}");
+        }
     }
 
     #[test]

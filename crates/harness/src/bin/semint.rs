@@ -654,7 +654,10 @@ fn cmd_run(args: &[String]) -> Result<bool, String> {
                 c.heap_allocs, c.heap_frees, c.heap_reuses, c.heap_peak_live
             );
         }
-        println!("  boundaries {}", record.boundaries);
+        println!(
+            "  boundaries {} · chars {}",
+            record.boundaries, record.program_chars
+        );
         if let Some(timings) = &record.timings {
             println!("  stage wall-clock");
             for (label, ns) in timings.stages() {

@@ -378,6 +378,17 @@ impl CaseStudy for AnyCase {
         }
     }
 
+    fn program_chars(&self, program: &AnyProgram) -> usize {
+        match (self, program) {
+            (AnyCase::SharedMem(c), AnyProgram::SharedMem(p)) => c.program_chars(p),
+            (AnyCase::Affine(c), AnyProgram::Affine(p)) => c.program_chars(p),
+            (AnyCase::MemGc(c), AnyProgram::MemGc(p)) => c.program_chars(p),
+            // As with boundaries: a foreign program has no size *in this
+            // case study*.
+            _ => 0,
+        }
+    }
+
     fn check_conversions(&self) -> Result<(), CheckFailure> {
         match self {
             AnyCase::SharedMem(c) => c.check_conversions(),

@@ -207,24 +207,28 @@ fn prepare_generated<C: CaseStudy>(
     cfg: &SweepConfig,
 ) -> Prepared<C> {
     let seed = scenario.seed;
-    let rendered = scenario.program.to_string();
     let mut timings = StageTimings::default();
     let mut record = ScenarioRecord {
         seed,
         ty: scenario.ty.to_string(),
-        program_chars: rendered.chars().count(),
+        program_chars: case.program_chars(&scenario.program),
         boundaries: case.boundary_count(&scenario.program),
         stats: None,
         failure: None,
         timings: None,
     };
-    let plain_failure = |stage: FailStage, reason: String| FailureRecord {
-        seed,
-        stage,
-        reason,
-        witness: rendered.clone(),
-        shrunk: rendered.clone(),
-        shrink_steps: 0,
+    // A scenario that fails before it runs is its own shrunk witness: the
+    // program is rendered here, once, and only when it failed.
+    let plain_failure = |stage: FailStage, reason: String| {
+        let rendered = scenario.program.to_string();
+        FailureRecord {
+            seed,
+            stage,
+            reason,
+            witness: rendered.clone(),
+            shrunk: rendered,
+            shrink_steps: 0,
+        }
     };
 
     // 1. The generator's type claim must re-check — the only typecheck the
@@ -752,7 +756,7 @@ mod tests {
         let booked: u64 = timings.iter().map(StageTimings::total_ns).sum();
         assert!(booked <= wall_ns, "booked {booked} ns of {wall_ns} ns");
         let other: u64 = timings.iter().map(|t| t.other_ns).sum();
-        assert!(other > 0, "rendering and record building are engine time");
+        assert!(other > 0, "record building is engine time");
     }
 
     #[test]

@@ -12,8 +12,8 @@
 //! descent could never reach.
 
 use semint_core::case::CaseStudy;
-use std::collections::BTreeSet;
-use std::collections::VecDeque;
+use std::collections::btree_map::Entry;
+use std::collections::{BTreeMap, VecDeque};
 
 /// Bound on how many distinct subterm candidates one shrink round examines.
 pub const MAX_CANDIDATES: usize = 2_000;
@@ -23,25 +23,25 @@ pub const MAX_CANDIDATES: usize = 2_000;
 pub const MAX_ROUNDS: usize = 8;
 
 /// All distinct proper subterms of `program`, smallest rendering first.
+///
+/// One ordered map both deduplicates and orders: it is keyed by size
+/// ([`CaseStudy::program_chars`]) and then rendering, so the result is
+/// deterministic regardless of traversal order, and the first program met
+/// with a given rendering is the one kept.
 fn subterm_candidates<C: CaseStudy>(case: &C, program: &C::Program) -> Vec<C::Program> {
-    let mut seen: BTreeSet<String> = BTreeSet::new();
     let mut queue: VecDeque<C::Program> = case.shrink(program).into();
-    let mut out: Vec<(usize, String, C::Program)> = Vec::new();
+    let mut candidates: BTreeMap<(usize, String), C::Program> = BTreeMap::new();
     while let Some(candidate) = queue.pop_front() {
-        if out.len() >= MAX_CANDIDATES {
+        if candidates.len() >= MAX_CANDIDATES {
             break;
         }
-        let rendered = candidate.to_string();
-        if !seen.insert(rendered.clone()) {
-            continue;
+        let key = (case.program_chars(&candidate), candidate.to_string());
+        if let Entry::Vacant(slot) = candidates.entry(key) {
+            queue.extend(case.shrink(&candidate));
+            slot.insert(candidate);
         }
-        queue.extend(case.shrink(&candidate));
-        out.push((rendered.chars().count(), rendered, candidate));
     }
-    // Sort by size, tie-broken by rendering, so the result is deterministic
-    // regardless of traversal order.
-    out.sort_by(|a, b| a.0.cmp(&b.0).then_with(|| a.1.cmp(&b.1)));
-    out.into_iter().map(|(_, _, p)| p).collect()
+    candidates.into_values().collect()
 }
 
 /// Shrinks `program` while `still_fails` holds, returning the smallest
@@ -129,6 +129,9 @@ mod tests {
         }
         fn boundary_count(&self, _p: &Depth) -> usize {
             0
+        }
+        fn program_chars(&self, p: &Depth) -> usize {
+            p.0
         }
         fn model_budget(&self) -> Fuel {
             Fuel::steps(0)

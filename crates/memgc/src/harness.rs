@@ -256,6 +256,13 @@ impl CaseStudy for MemGcCase {
         }
     }
 
+    fn program_chars(&self, program: &MgProgram) -> usize {
+        match program {
+            MgProgram::Ml(e) => e.rendered_chars(),
+            MgProgram::L3(e) => e.rendered_chars(),
+        }
+    }
+
     fn check_conversions(&self) -> Result<(), CheckFailure> {
         // §5's executable conversion check is transfer soundness for the
         // in-place `gcmov` move at representative payload types.

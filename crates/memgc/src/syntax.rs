@@ -125,6 +125,24 @@ impl fmt::Display for PolyType {
     }
 }
 
+impl PolyType {
+    /// The length of this type's rendering in characters, counted arm for
+    /// arm beside [`fmt::Display`] without formatting anything.
+    pub fn rendered_chars(&self) -> usize {
+        match self {
+            PolyType::Unit => 4,
+            PolyType::Int => 3,
+            PolyType::Prod(a, b) | PolyType::Sum(a, b) | PolyType::Fun(a, b) => {
+                5 + a.rendered_chars() + b.rendered_chars()
+            }
+            PolyType::Forall(a, t) => 3 + a.rendered_chars() + t.rendered_chars(),
+            PolyType::Var(a) => a.rendered_chars(),
+            PolyType::Ref(t) => 4 + t.rendered_chars(),
+            PolyType::Foreign(t) => 2 + t.rendered_chars(),
+        }
+    }
+}
+
 /// L3 types (Fig. 11): `unit | bool | 𝜏⊗𝜏 | 𝜏⊸𝜏 | !𝜏 | ptr ζ | cap ζ 𝜏 |
 /// ∀ζ.𝜏 | ∃ζ.𝜏`.
 ///
@@ -239,6 +257,25 @@ impl fmt::Display for L3Type {
             L3Type::Cap(z, t) => write!(f, "cap {z} {t}"),
             L3Type::ForallLoc(z, t) => write!(f, "∀{z}. {t}"),
             L3Type::ExistsLoc(z, t) => write!(f, "∃{z}. {t}"),
+        }
+    }
+}
+
+impl L3Type {
+    /// The length of this type's rendering in characters, counted arm for
+    /// arm beside [`fmt::Display`] without formatting anything.
+    pub fn rendered_chars(&self) -> usize {
+        match self {
+            L3Type::Unit | L3Type::Bool => 4,
+            L3Type::Tensor(a, b) | L3Type::Lolli(a, b) => {
+                5 + a.rendered_chars() + b.rendered_chars()
+            }
+            L3Type::Bang(a) => 1 + a.rendered_chars(),
+            L3Type::Ptr(z) => 4 + z.rendered_chars(),
+            L3Type::Cap(z, t) => 5 + z.rendered_chars() + t.rendered_chars(),
+            L3Type::ForallLoc(z, t) | L3Type::ExistsLoc(z, t) => {
+                3 + z.rendered_chars() + t.rendered_chars()
+            }
         }
     }
 }
@@ -581,6 +618,43 @@ impl fmt::Display for PolyExpr {
     }
 }
 
+impl PolyExpr {
+    /// The length of this program's rendering in characters, counted arm
+    /// for arm beside [`fmt::Display`] without formatting anything.
+    pub fn rendered_chars(&self) -> usize {
+        match self {
+            PolyExpr::Unit => 2,
+            PolyExpr::Int(n) => semint_core::int_chars(*n),
+            PolyExpr::Var(x) => x.rendered_chars(),
+            PolyExpr::Pair(a, b) | PolyExpr::Assign(a, b) => {
+                4 + a.rendered_chars() + b.rendered_chars()
+            }
+            PolyExpr::Fst(e)
+            | PolyExpr::Snd(e)
+            | PolyExpr::Inl(e, _)
+            | PolyExpr::Inr(e, _)
+            | PolyExpr::Ref(e) => 4 + e.rendered_chars(),
+            PolyExpr::Match(s, x, l, y, r) => {
+                12 + s.rendered_chars()
+                    + x.rendered_chars()
+                    + l.rendered_chars()
+                    + y.rendered_chars()
+                    + r.rendered_chars()
+            }
+            PolyExpr::Lam(x, ty, b) => {
+                4 + x.rendered_chars() + ty.rendered_chars() + b.rendered_chars()
+            }
+            PolyExpr::App(a, b) | PolyExpr::Add(a, b) => {
+                5 + a.rendered_chars() + b.rendered_chars()
+            }
+            PolyExpr::TyLam(a, b) => 3 + a.rendered_chars() + b.rendered_chars(),
+            PolyExpr::TyApp(e, ty) => 3 + e.rendered_chars() + ty.rendered_chars(),
+            PolyExpr::Deref(e) => 1 + e.rendered_chars(),
+            PolyExpr::Boundary(e, ty) => 2 + e.rendered_chars() + ty.rendered_chars(),
+        }
+    }
+}
+
 impl fmt::Display for L3Expr {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -609,9 +683,145 @@ impl fmt::Display for L3Expr {
     }
 }
 
+impl L3Expr {
+    /// The length of this program's rendering in characters, counted arm
+    /// for arm beside [`fmt::Display`] without formatting anything.
+    pub fn rendered_chars(&self) -> usize {
+        match self {
+            L3Expr::Unit => 2,
+            L3Expr::Bool(true) => 4,
+            L3Expr::Bool(false) => 5,
+            L3Expr::Var(x) | L3Expr::UVar(x) => x.rendered_chars(),
+            L3Expr::Lam(x, ty, b) => {
+                4 + x.rendered_chars() + ty.rendered_chars() + b.rendered_chars()
+            }
+            L3Expr::App(a, b) => 5 + a.rendered_chars() + b.rendered_chars(),
+            L3Expr::Pair(a, b) => 4 + a.rendered_chars() + b.rendered_chars(),
+            L3Expr::LetPair(x, y, e, b) | L3Expr::Unpack(x, y, e, b) => {
+                15 + x.rendered_chars()
+                    + y.rendered_chars()
+                    + e.rendered_chars()
+                    + b.rendered_chars()
+            }
+            L3Expr::LetUnit(e, b) => 13 + e.rendered_chars() + b.rendered_chars(),
+            L3Expr::If(c, t, e) => 5 + c.rendered_chars() + t.rendered_chars() + e.rendered_chars(),
+            L3Expr::Bang(e) => 1 + e.rendered_chars(),
+            L3Expr::LetBang(x, e, b) => {
+                12 + x.rendered_chars() + e.rendered_chars() + b.rendered_chars()
+            }
+            L3Expr::Dupl(e) | L3Expr::Drop(e) | L3Expr::Free(e) => 5 + e.rendered_chars(),
+            L3Expr::New(e) => 4 + e.rendered_chars(),
+            L3Expr::Swap(c, p, v) => {
+                7 + c.rendered_chars() + p.rendered_chars() + v.rendered_chars()
+            }
+            L3Expr::LocLam(z, b) => 3 + z.rendered_chars() + b.rendered_chars(),
+            L3Expr::LocApp(e, z) => 3 + e.rendered_chars() + z.rendered_chars(),
+            L3Expr::Pack(z, e, _) => 4 + z.rendered_chars() + e.rendered_chars(),
+            L3Expr::Boundary(e, ty) => 2 + e.rendered_chars() + ty.rendered_chars(),
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn structural_char_counts_match_the_rendering() {
+        // Every constructor, with what the generators never emit: negative
+        // and extreme integers, foreign types, packs, unpacks, location
+        // applications and swaps, multi-byte names.
+        let l3_ty = L3Type::forall_loc(
+            "ζ",
+            L3Type::lolli(
+                L3Type::cap("ζ", L3Type::Unit),
+                L3Type::ref_like(L3Type::tensor(L3Type::Bool, L3Type::bang(L3Type::Unit))),
+            ),
+        );
+        let poly_ty = PolyType::forall(
+            "α",
+            PolyType::fun(
+                PolyType::prod(PolyType::tvar("α"), PolyType::foreign(l3_ty.clone())),
+                PolyType::sum(PolyType::Int, PolyType::ref_(PolyType::Unit)),
+            ),
+        );
+        let l3 = L3Expr::unpack(
+            "ζ",
+            "x",
+            L3Expr::pack(
+                "ζ",
+                L3Expr::pair(L3Expr::var("c"), L3Expr::bang(L3Expr::uvar("p"))),
+                L3Type::ref_like(L3Type::Bool),
+            ),
+            L3Expr::let_pair(
+                "c",
+                "p",
+                L3Expr::swap(
+                    L3Expr::locapp(L3Expr::loclam("η", L3Expr::var("c")), "ζ"),
+                    L3Expr::dupl(L3Expr::var("p")),
+                    L3Expr::if_(
+                        L3Expr::bool_(true),
+                        L3Expr::bool_(false),
+                        L3Expr::boundary(PolyExpr::int(i64::MIN), L3Type::Bool),
+                    ),
+                ),
+                L3Expr::let_unit(
+                    L3Expr::drop_(L3Expr::unit()),
+                    L3Expr::let_bang(
+                        "y",
+                        L3Expr::free(L3Expr::new(L3Expr::unit())),
+                        L3Expr::app(
+                            L3Expr::lam("α", l3_ty.clone(), L3Expr::var("α")),
+                            L3Expr::uvar("y"),
+                        ),
+                    ),
+                ),
+            ),
+        );
+        let poly = PolyExpr::match_(
+            PolyExpr::inl(
+                PolyExpr::int(-42),
+                PolyType::sum(PolyType::Int, PolyType::Unit),
+            ),
+            "ζ",
+            PolyExpr::pair(
+                PolyExpr::fst(PolyExpr::var("ζ")),
+                PolyExpr::snd(PolyExpr::add(PolyExpr::int(-1), PolyExpr::int(9876))),
+            ),
+            "y2",
+            PolyExpr::app(
+                PolyExpr::tyapp(
+                    PolyExpr::tylam(
+                        "α",
+                        PolyExpr::lam(
+                            "x",
+                            poly_ty.clone(),
+                            PolyExpr::deref(PolyExpr::ref_(PolyExpr::unit())),
+                        ),
+                    ),
+                    poly_ty.clone(),
+                ),
+                PolyExpr::assign(
+                    PolyExpr::inr(
+                        PolyExpr::unit(),
+                        PolyType::sum(PolyType::Int, PolyType::Unit),
+                    ),
+                    PolyExpr::boundary(l3.clone(), PolyType::foreign(L3Type::ptr("ζ"))),
+                ),
+            ),
+        );
+        assert_eq!(l3_ty.rendered_chars(), l3_ty.to_string().chars().count());
+        assert_eq!(
+            poly_ty.rendered_chars(),
+            poly_ty.to_string().chars().count()
+        );
+        assert_eq!(l3.rendered_chars(), l3.to_string().chars().count(), "{l3}");
+        assert_eq!(
+            poly.rendered_chars(),
+            poly.to_string().chars().count(),
+            "{poly}"
+        );
+    }
 
     #[test]
     fn duplicable_set_matches_the_paper() {

@@ -63,6 +63,20 @@ impl fmt::Display for HlType {
     }
 }
 
+impl HlType {
+    /// The length of this type's rendering in characters, counted arm for
+    /// arm beside [`fmt::Display`] without formatting anything.
+    pub fn rendered_chars(&self) -> usize {
+        match self {
+            HlType::Unit | HlType::Bool => 4,
+            HlType::Sum(a, b) | HlType::Prod(a, b) | HlType::Fun(a, b) => {
+                5 + a.rendered_chars() + b.rendered_chars()
+            }
+            HlType::Ref(a) => 4 + a.rendered_chars(),
+        }
+    }
+}
+
 /// RefLL types `𝜏 ::= int | [𝜏] | 𝜏→𝜏 | ref 𝜏`.
 ///
 /// Children sit behind [`Arc`]: a clone copies one node and shares its
@@ -103,6 +117,19 @@ impl fmt::Display for LlType {
             LlType::Array(a) => write!(f, "[{a}]"),
             LlType::Fun(a, b) => write!(f, "({a} → {b})"),
             LlType::Ref(a) => write!(f, "ref {a}"),
+        }
+    }
+}
+
+impl LlType {
+    /// The length of this type's rendering in characters, counted arm for
+    /// arm beside [`fmt::Display`] without formatting anything.
+    pub fn rendered_chars(&self) -> usize {
+        match self {
+            LlType::Int => 3,
+            LlType::Array(a) => 2 + a.rendered_chars(),
+            LlType::Fun(a, b) => 5 + a.rendered_chars() + b.rendered_chars(),
+            LlType::Ref(a) => 4 + a.rendered_chars(),
         }
     }
 }
@@ -380,6 +407,40 @@ impl fmt::Display for HlExpr {
     }
 }
 
+impl HlExpr {
+    /// The length of this program's rendering in characters, counted arm
+    /// for arm beside [`fmt::Display`] without formatting anything.
+    pub fn rendered_chars(&self) -> usize {
+        match self {
+            HlExpr::Unit => 2,
+            HlExpr::Bool(true) => 4,
+            HlExpr::Bool(false) => 5,
+            HlExpr::Var(x) => x.rendered_chars(),
+            HlExpr::Inl(e, _) | HlExpr::Inr(e, _) | HlExpr::Fst(e) | HlExpr::Snd(e) => {
+                4 + e.rendered_chars()
+            }
+            HlExpr::Pair(a, b) | HlExpr::Assign(a, b) => {
+                4 + a.rendered_chars() + b.rendered_chars()
+            }
+            HlExpr::If(c, t, e) => 5 + c.rendered_chars() + t.rendered_chars() + e.rendered_chars(),
+            HlExpr::Match(s, x, l, y, r) => {
+                12 + s.rendered_chars()
+                    + x.rendered_chars()
+                    + l.rendered_chars()
+                    + y.rendered_chars()
+                    + r.rendered_chars()
+            }
+            HlExpr::Lam(x, ty, b) => {
+                4 + x.rendered_chars() + ty.rendered_chars() + b.rendered_chars()
+            }
+            HlExpr::App(a, b) => 5 + a.rendered_chars() + b.rendered_chars(),
+            HlExpr::Ref(e) => 4 + e.rendered_chars(),
+            HlExpr::Deref(e) => 1 + e.rendered_chars(),
+            HlExpr::Boundary(e, ty) => 2 + e.rendered_chars() + ty.rendered_chars(),
+        }
+    }
+}
+
 impl fmt::Display for LlExpr {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -408,6 +469,33 @@ impl fmt::Display for LlExpr {
     }
 }
 
+impl LlExpr {
+    /// The length of this program's rendering in characters, counted arm
+    /// for arm beside [`fmt::Display`] without formatting anything.
+    pub fn rendered_chars(&self) -> usize {
+        match self {
+            LlExpr::Int(n) => semint_core::int_chars(*n),
+            LlExpr::Var(x) => x.rendered_chars(),
+            LlExpr::Array(es, _) => {
+                2 + 2 * es.len().saturating_sub(1)
+                    + es.iter().map(LlExpr::rendered_chars).sum::<usize>()
+            }
+            LlExpr::Index(a, i) => 2 + a.rendered_chars() + i.rendered_chars(),
+            LlExpr::Lam(x, ty, b) => {
+                4 + x.rendered_chars() + ty.rendered_chars() + b.rendered_chars()
+            }
+            LlExpr::App(a, b) | LlExpr::Add(a, b) => 5 + a.rendered_chars() + b.rendered_chars(),
+            LlExpr::If0(c, t, e) => {
+                6 + c.rendered_chars() + t.rendered_chars() + e.rendered_chars()
+            }
+            LlExpr::Ref(e) => 4 + e.rendered_chars(),
+            LlExpr::Deref(e) => 1 + e.rendered_chars(),
+            LlExpr::Assign(a, b) => 4 + a.rendered_chars() + b.rendered_chars(),
+            LlExpr::Boundary(e, ty) => 2 + e.rendered_chars() + ty.rendered_chars(),
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -421,6 +509,57 @@ mod tests {
         assert_eq!(t.to_string(), "((bool + unit) → ref bool)");
         let u = LlType::fun(LlType::array(LlType::Int), LlType::ref_(LlType::Int));
         assert_eq!(u.to_string(), "([int] → ref int)");
+    }
+
+    #[test]
+    fn structural_char_counts_match_the_rendering() {
+        // Every constructor, with what the generators never emit: negative
+        // and extreme integers, arrays of 0, 1 and 3 elements, multi-byte
+        // names.
+        let hl_ty = HlType::fun(
+            HlType::sum(HlType::Bool, HlType::prod(HlType::Unit, HlType::Bool)),
+            HlType::ref_(HlType::Unit),
+        );
+        let ll_ty = LlType::fun(LlType::array(LlType::Int), LlType::ref_(LlType::Int));
+        let ll = LlExpr::if0(
+            LlExpr::index(
+                LlExpr::array(
+                    [LlExpr::int(i64::MIN), LlExpr::int(-42), LlExpr::int(7)],
+                    LlType::Int,
+                ),
+                LlExpr::add(LlExpr::int(0), LlExpr::var("ζ")),
+            ),
+            LlExpr::app(
+                LlExpr::lam("α", ll_ty.clone(), LlExpr::array([], LlType::Int)),
+                LlExpr::array([LlExpr::deref(LlExpr::ref_(LlExpr::int(-1)))], LlType::Int),
+            ),
+            LlExpr::assign(
+                LlExpr::var("x1"),
+                LlExpr::boundary(HlExpr::bool_(false), LlType::Int),
+            ),
+        );
+        let hl = HlExpr::if_(
+            HlExpr::boundary(ll.clone(), HlType::Bool),
+            HlExpr::match_(
+                HlExpr::inl(HlExpr::unit(), HlType::sum(HlType::Unit, HlType::Bool)),
+                "ζ",
+                HlExpr::pair(HlExpr::fst(HlExpr::var("ζ")), HlExpr::snd(HlExpr::unit())),
+                "yy",
+                HlExpr::inr(HlExpr::bool_(true), HlType::sum(HlType::Unit, HlType::Bool)),
+            ),
+            HlExpr::app(
+                HlExpr::lam(
+                    "α",
+                    hl_ty.clone(),
+                    HlExpr::deref(HlExpr::ref_(HlExpr::unit())),
+                ),
+                HlExpr::assign(HlExpr::var("r"), HlExpr::bool_(true)),
+            ),
+        );
+        assert_eq!(hl_ty.rendered_chars(), hl_ty.to_string().chars().count());
+        assert_eq!(ll_ty.rendered_chars(), ll_ty.to_string().chars().count());
+        assert_eq!(ll.rendered_chars(), ll.to_string().chars().count(), "{ll}");
+        assert_eq!(hl.rendered_chars(), hl.to_string().chars().count(), "{hl}");
     }
 
     #[test]

@@ -268,6 +268,13 @@ impl CaseStudy for SharedMemCase {
         }
     }
 
+    fn program_chars(&self, program: &SmProgram) -> usize {
+        match program {
+            SmProgram::Hl(e) => e.rendered_chars(),
+            SmProgram::Ll(e) => e.rendered_chars(),
+        }
+    }
+
     fn check_conversions(&self) -> Result<(), CheckFailure> {
         let hl_types = [
             HlType::Bool,

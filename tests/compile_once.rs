@@ -128,6 +128,10 @@ impl CaseStudy for CountingCase {
     fn boundary_count(&self, program: &AnyProgram) -> usize {
         self.inner.boundary_count(program)
     }
+
+    fn program_chars(&self, program: &AnyProgram) -> usize {
+        self.inner.program_chars(program)
+    }
 }
 
 #[test]

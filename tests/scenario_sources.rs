@@ -6,11 +6,13 @@
 //!   case study, and its sweeps stay deterministic across thread counts;
 //! * [`Shard`] sources partition a seed range exactly (disjoint, covering),
 //!   and the merged per-shard reports reproduce the unsharded digests.
+//! * the two sizes every digest totals, `boundaries=` and `chars=`, are
+//!   structural counts that agree with the rendered program.
 
 use proptest::prelude::*;
 use semint::affine::harness::AffSourceType;
 use semint::affine::{AffiType, MlType};
-use semint::harness::cases::{AnyCase, AnyTy};
+use semint::harness::cases::{AnyCase, AnyProgram, AnyTy};
 use semint::harness::engine::{sweep_all, SweepConfig};
 use semint::harness::source::{ScenarioSource, SeedRange, Shard};
 use semint::harness::CaseStudy;
@@ -217,22 +219,34 @@ fn sharded_sweeps_merge_into_the_unsharded_digests() {
     assert_eq!(digests(&whole), digests(&merged));
 }
 
-/// Boundary counts in sweep reports come from the structural counters and
-/// agree with the rendered `⦇` half-brackets.
+/// The sizes a sweep digests (`boundaries=` and `chars=`) come from
+/// structural counters; both agree with the rendering — the `⦇`
+/// half-brackets and the character count — on every generated program
+/// under every preset and on every shrink candidate below it, which reaches
+/// every subterm in both host languages.
 #[test]
 fn structural_boundary_counts_agree_with_the_rendering() {
-    let profile = GenProfile::boundary_heavy();
-    for case in AnyCase::all(false) {
-        for seed in 0..30 {
-            let scenario = case.generate(seed, &profile);
-            let structural = case.boundary_count(&scenario.program);
-            let rendered = scenario.program.to_string().matches('⦇').count();
-            assert_eq!(
-                structural,
-                rendered,
-                "{} seed {seed}: structural count {structural} != rendered {rendered}",
-                case.name()
-            );
+    fn check(case: &AnyCase, program: &AnyProgram, seed: u64, profile: &str) {
+        let rendered = program.to_string();
+        let (boundaries, chars) = (case.boundary_count(program), case.program_chars(program));
+        assert_eq!(
+            (boundaries, chars),
+            (rendered.matches('⦇').count(), rendered.chars().count()),
+            "{} {profile} seed {seed}: structural (boundaries, chars) disagree with {rendered}",
+            case.name()
+        );
+    }
+    for profile in GenProfile::presets() {
+        for case in AnyCase::all(false) {
+            for seed in 0..200 {
+                let scenario = case.generate(seed, &profile);
+                check(&case, &scenario.program, seed, profile.name);
+                let mut candidates = case.shrink(&scenario.program);
+                while let Some(candidate) = candidates.pop() {
+                    check(&case, &candidate, seed, profile.name);
+                    candidates.extend(case.shrink(&candidate));
+                }
+            }
         }
     }
 }
