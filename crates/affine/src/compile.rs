@@ -29,23 +29,51 @@ use lcvm::Expr;
 use semint_core::{ErrorCode, Var};
 use std::collections::{BTreeSet, HashMap};
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// The `thunk(·)` guard macro from Fig. 8: a one-shot thunk whose second
 /// forcing fails with `Conv`.
+///
+/// Everything but `e` (the binders `rfr` and `_`, `ref 1`, `!rfr`,
+/// `fail Conv` and `rfr := 0`) is built once per process and shared, so a
+/// guard allocates only the four nodes on the path to `e`.
 pub fn thunk_guard(e: Expr) -> Expr {
-    let rfr = Var::new("rfr%guard");
-    Expr::let_(
-        rfr.clone(),
-        Expr::ref_(Expr::int(1)),
-        Expr::lam(
-            "_",
-            Expr::if_(
-                Expr::deref(Expr::var(rfr.clone())),
-                Expr::Fail(ErrorCode::Conv),
-                Expr::seq(Expr::assign(Expr::var(rfr), Expr::int(0)), e),
-            ),
-        ),
+    /// The fixed parts of every guard.
+    struct Guard {
+        rfr: Var,
+        wildcard: Var,
+        ref_one: Arc<Expr>,
+        read_flag: Arc<Expr>,
+        fail_conv: Arc<Expr>,
+        clear_flag: Arc<Expr>,
+    }
+    static GUARD: OnceLock<Guard> = OnceLock::new();
+    let guard = GUARD.get_or_init(|| {
+        let rfr = Var::new("rfr%guard");
+        Guard {
+            wildcard: Var::new("_"),
+            ref_one: Arc::new(Expr::ref_(Expr::int(1))),
+            read_flag: Arc::new(Expr::deref(Expr::Var(rfr.clone()))),
+            fail_conv: Arc::new(Expr::Fail(ErrorCode::Conv)),
+            clear_flag: Arc::new(Expr::assign(Expr::Var(rfr.clone()), Expr::int(0))),
+            rfr,
+        }
+    });
+    // let rfr = ref 1 in λ_. { if !rfr { fail Conv } { let _ = rfr := 0 in e } }
+    let clear_then_run = Expr::Let(
+        guard.wildcard.clone(),
+        Arc::clone(&guard.clear_flag),
+        Arc::new(e),
+    );
+    let check = Expr::If(
+        Arc::clone(&guard.read_flag),
+        Arc::clone(&guard.fail_conv),
+        Arc::new(clear_then_run),
+    );
+    Expr::Let(
+        guard.rfr.clone(),
+        Arc::clone(&guard.ref_one),
+        Arc::new(Expr::lam(guard.wildcard.clone(), check)),
     )
 }
 

@@ -16,6 +16,14 @@
 //!   (Fig. 9, both directions);
 //! * there is **no** rule for the static arrow `⊸•` — it cannot cross the
 //!   boundary soundly, and the test suite checks that it is rejected.
+//!
+//! The binder names (`cv%fun`, `cv%thnk`, …) and every closed subterm of
+//! the glue (`xthnk ()`, `thunk(xconv)`, `x xacc`, the identity and
+//! `int ↦ bool` collapse functions, and the fixed parts of the
+//! [`thunk_guard`]) are built once per process and shared by `Arc`.  A
+//! derivation allocates only the nodes on the path from its root to its
+//! sub-glue, and the glue is the same term, names included, that building
+//! it afresh would give.
 
 use crate::compile::{thunk_guard, AffineConversionEmitter};
 use crate::syntax::{AffiType, MlType, Mode};
@@ -23,6 +31,7 @@ use crate::typecheck::AffineConvertOracle;
 use lcvm::Expr;
 use semint_core::convert::{ConversionPair, ConversionScheme, GlueCache};
 use semint_core::Var;
+use std::sync::{Arc, OnceLock};
 
 /// The §4 conversion rule set, memoized through a shared
 /// [`GlueCache`] (clones share the cache).
@@ -110,27 +119,76 @@ impl AffineConversionEmitter for AffineConversions {
     }
 }
 
+/// The binder names and closed subterms of the §4 glue, built once per
+/// process and shared by every derivation, as `stacklang::builder` shares
+/// `SWAP` and `DROP`.  A derivation allocates only the nodes on the path
+/// from its root to its sub-glue; the set is fixed and does not grow with
+/// the population.
+struct Parts {
+    /// `λx. x`.
+    identity: Expr,
+    /// `λx. if x { 0 } { 1 }`.
+    collapse_to_bool: Expr,
+    /// The binder of [`pair_map`], and its `fst p` and `snd p`.
+    p: Var,
+    fst_p: Arc<Expr>,
+    snd_p: Arc<Expr>,
+    /// The binders of the `⊸` wrappers.
+    fun: Var,
+    thnk: Var,
+    conv: Var,
+    acc: Var,
+    /// `xthnk ()`, `thunk(xconv)` and `x xacc`.
+    force_thnk: Arc<Expr>,
+    guard_conv: Arc<Expr>,
+    call_fun: Arc<Expr>,
+}
+
+fn parts() -> &'static Parts {
+    static PARTS: OnceLock<Parts> = OnceLock::new();
+    PARTS.get_or_init(|| {
+        let x = Var::new("cv%x");
+        let p = Var::new("cv%p");
+        let [fun, thnk, conv, acc] = ["cv%fun", "cv%thnk", "cv%conv", "cv%acc"].map(Var::new);
+        Parts {
+            identity: Expr::lam(x.clone(), Expr::Var(x.clone())),
+            collapse_to_bool: Expr::lam(
+                x.clone(),
+                Expr::if_(Expr::Var(x), Expr::int(0), Expr::int(1)),
+            ),
+            fst_p: Arc::new(Expr::fst(Expr::Var(p.clone()))),
+            snd_p: Arc::new(Expr::snd(Expr::Var(p.clone()))),
+            p,
+            force_thnk: Arc::new(Expr::app(Expr::Var(thnk.clone()), Expr::unit())),
+            guard_conv: Arc::new(thunk_guard(Expr::Var(conv.clone()))),
+            call_fun: Arc::new(Expr::app(Expr::Var(fun.clone()), Expr::Var(acc.clone()))),
+            fun,
+            thnk,
+            conv,
+            acc,
+        }
+    })
+}
+
 fn identity() -> Expr {
-    Expr::lam("cv%x", Expr::var("cv%x"))
+    parts().identity.clone()
 }
 
 /// `λx. if x { 0 } { 1 }`: collapses an arbitrary MiniML integer into an Affi
 /// boolean (0 stays true, everything else becomes the canonical false).
 fn collapse_to_bool() -> Expr {
-    Expr::lam(
-        "cv%x",
-        Expr::if_(Expr::var("cv%x"), Expr::int(0), Expr::int(1)),
-    )
+    parts().collapse_to_bool.clone()
 }
 
 /// `λp. (c1 (fst p), c2 (snd p))`.
 fn pair_map(c1: Expr, c2: Expr) -> Expr {
-    Expr::lam(
-        "cv%p",
-        Expr::pair(
-            Expr::app(c1, Expr::fst(Expr::var("cv%p"))),
-            Expr::app(c2, Expr::snd(Expr::var("cv%p"))),
-        ),
+    let parts = parts();
+    Expr::Lam(
+        parts.p.clone(),
+        Arc::new(Expr::Pair(
+            Arc::new(Expr::App(Arc::new(c1), Arc::clone(&parts.fst_p))),
+            Arc::new(Expr::App(Arc::new(c2), Arc::clone(&parts.snd_p))),
+        )),
     )
 }
 
@@ -146,25 +204,19 @@ fn pair_map(c1: Expr, c2: Expr) -> Expr {
 /// here, converted, and re-protected with the one-shot guard that the
 /// compiled affine function expects.
 fn lolli_to_ml(c_arg_to_affi: Expr, c_res_to_ml: Expr) -> Expr {
-    let x = Var::new("cv%fun");
-    let xthnk = Var::new("cv%thnk");
-    let xconv = Var::new("cv%conv");
-    let xacc = Var::new("cv%acc");
-    Expr::lam(
-        x.clone(),
-        Expr::lam(
-            xthnk.clone(),
-            Expr::let_(
-                xconv.clone(),
-                Expr::app(c_arg_to_affi, Expr::app(Expr::var(xthnk), Expr::unit())),
-                Expr::let_(
-                    xacc.clone(),
-                    thunk_guard(Expr::var(xconv)),
-                    Expr::app(c_res_to_ml, Expr::app(Expr::var(x), Expr::var(xacc))),
-                ),
-            ),
-        ),
-    )
+    let parts = parts();
+    let convert_arg = Expr::App(Arc::new(c_arg_to_affi), Arc::clone(&parts.force_thnk));
+    let convert_res = Expr::App(Arc::new(c_res_to_ml), Arc::clone(&parts.call_fun));
+    let body = Expr::Let(
+        parts.conv.clone(),
+        Arc::new(convert_arg),
+        Arc::new(Expr::Let(
+            parts.acc.clone(),
+            Arc::clone(&parts.guard_conv),
+            Arc::new(convert_res),
+        )),
+    );
+    Expr::lam(parts.fun.clone(), Expr::lam(parts.thnk.clone(), body))
 }
 
 /// `C_{(unit→τ1)→τ2 ↦ 𝜏1⊸𝜏2}` (Fig. 9):
@@ -177,23 +229,11 @@ fn lolli_to_ml(c_arg_to_affi: Expr, c_res_to_ml: Expr) -> Expr {
 /// `unit → τ1` thunk the MiniML function expects, converting the payload on
 /// first (and only) forcing.
 fn ml_to_lolli(c_arg_to_ml: Expr, c_res_to_affi: Expr) -> Expr {
-    let x = Var::new("cv%fun");
-    let xthnk = Var::new("cv%thnk");
-    let xacc = Var::new("cv%acc");
-    Expr::lam(
-        x.clone(),
-        Expr::lam(
-            xthnk.clone(),
-            Expr::let_(
-                xacc.clone(),
-                thunk_guard(Expr::app(
-                    c_arg_to_ml,
-                    Expr::app(Expr::var(xthnk), Expr::unit()),
-                )),
-                Expr::app(c_res_to_affi, Expr::app(Expr::var(x), Expr::var(xacc))),
-            ),
-        ),
-    )
+    let parts = parts();
+    let convert_arg = Expr::App(Arc::new(c_arg_to_ml), Arc::clone(&parts.force_thnk));
+    let convert_res = Expr::App(Arc::new(c_res_to_affi), Arc::clone(&parts.call_fun));
+    let body = Expr::let_(parts.acc.clone(), thunk_guard(convert_arg), convert_res);
+    Expr::lam(parts.fun.clone(), Expr::lam(parts.thnk.clone(), body))
 }
 
 #[cfg(test)]

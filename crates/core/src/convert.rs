@@ -19,9 +19,10 @@
 //! program for case study 1, an `lcvm` expression-to-expression wrapper for
 //! case studies 2 and 3).
 
-use std::collections::hash_map::Entry;
+use std::borrow::Borrow;
+use std::collections::hash_map::{Entry, RandomState};
 use std::collections::HashMap;
-use std::hash::Hash;
+use std::hash::{BuildHasher, BuildHasherDefault, Hash, Hasher};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, RwLock};
 
@@ -84,8 +85,8 @@ impl GlueCacheStats {
 /// pair `(τA, τB)`.
 ///
 /// Deriving compound glue (`τ1 + τ2 ∼ [int]`, nested products, higher-order
-/// wrappers) is recursive and allocates fresh target code at every level, so
-/// repeated boundary crossings at the same type pair — the common case in a
+/// wrappers) is recursive and builds a new node at every level, so repeated
+/// boundary crossings at the same type pair — the common case in a
 /// `semint sweep` — pay the full derivation cost every time without a cache.
 /// `GlueCache` makes every derivation after the first O(1): both successful
 /// derivations **and** refutations (`None`) are memoized, so a type checker
@@ -103,8 +104,12 @@ impl GlueCacheStats {
 ///
 /// * the table sits behind an [`RwLock`], so concurrent hits never serialize
 ///   against each other (only the rare miss takes the write lock);
-/// * the table is a *nested* map (`TA → TB → entry`), so a hit needs **no**
-///   key clone — looking up a deep compound type pair allocates nothing;
+/// * a lookup hashes its pair **once**, with the cache's own
+///   [`RandomState`], and the table is one flat map whose keys store that
+///   hash beside the pair: a probe compares the query by reference (a hit
+///   clones no key and allocates nothing), an insert needs no second hash,
+///   and growing the table re-reads the stored hashes instead of walking
+///   the types again;
 /// * cached pairs are stored behind an [`Arc`], so a hit returns a pointer
 ///   clone of the glue, not a deep copy ([`GlueCache::is_derivable`] answers
 ///   the type checker's yes/no queries without touching the glue at all);
@@ -123,15 +128,116 @@ pub struct GlueCache<TA, TB, G> {
 #[derive(Debug)]
 struct SharedGlue<TA, TB, G> {
     table: RwLock<GlueTable<TA, TB, G>>,
+    /// Hashes each queried pair, once per lookup.
+    hasher: RandomState,
     hits: AtomicU64,
     misses: AtomicU64,
     entries: AtomicUsize,
 }
 
-/// The memoization table of a [`GlueCache`]: a nested map so lookups borrow
-/// the query types instead of cloning them into a tuple key.  `None` entries
-/// record refutations.
-type GlueTable<TA, TB, G> = HashMap<TA, HashMap<TB, Option<Arc<ConversionPair<G>>>>>;
+/// The memoization table of a [`GlueCache`]: one map from a type pair,
+/// stored with its hash, to its derivation.  `None` entries record
+/// refutations.  The map's hasher hands each stored hash back unchanged.
+type GlueTable<TA, TB, G> =
+    HashMap<GlueKey<TA, TB>, Option<Arc<ConversionPair<G>>>, BuildHasherDefault<StoredHash>>;
+
+/// A key of the glue table: a type pair and the hash the cache computed
+/// for it when the pair was first looked up.
+#[derive(Debug)]
+struct GlueKey<TA, TB> {
+    hash: u64,
+    a: TA,
+    b: TB,
+}
+
+/// A query of the glue table: a borrowed type pair and its hash, so a probe
+/// clones neither type.
+struct Probe<'q, TA, TB> {
+    hash: u64,
+    a: &'q TA,
+    b: &'q TB,
+}
+
+/// What a table key and a query have in common, so that the map can find a
+/// [`GlueKey`] from a [`Probe`] (through [`Borrow`]).  Both hash as their
+/// stored hash and compare by hash, then by structure.
+trait PairKey<TA, TB> {
+    fn stored_hash(&self) -> u64;
+    fn pair(&self) -> (&TA, &TB);
+}
+
+impl<TA, TB> PairKey<TA, TB> for GlueKey<TA, TB> {
+    fn stored_hash(&self) -> u64 {
+        self.hash
+    }
+    fn pair(&self) -> (&TA, &TB) {
+        (&self.a, &self.b)
+    }
+}
+
+impl<TA, TB> PairKey<TA, TB> for Probe<'_, TA, TB> {
+    fn stored_hash(&self) -> u64 {
+        self.hash
+    }
+    fn pair(&self) -> (&TA, &TB) {
+        (self.a, self.b)
+    }
+}
+
+impl<'q, TA: 'q, TB: 'q> Borrow<dyn PairKey<TA, TB> + 'q> for GlueKey<TA, TB> {
+    fn borrow(&self) -> &(dyn PairKey<TA, TB> + 'q) {
+        self
+    }
+}
+
+impl<TA: Eq, TB: Eq> PartialEq for dyn PairKey<TA, TB> + '_ {
+    fn eq(&self, other: &Self) -> bool {
+        self.stored_hash() == other.stored_hash() && self.pair() == other.pair()
+    }
+}
+
+impl<TA: Eq, TB: Eq> Eq for dyn PairKey<TA, TB> + '_ {}
+
+impl<TA, TB> Hash for dyn PairKey<TA, TB> + '_ {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u64(self.stored_hash());
+    }
+}
+
+// A key agrees with itself seen as a `PairKey`, as `Borrow` requires.
+impl<TA: Eq, TB: Eq> PartialEq for GlueKey<TA, TB> {
+    fn eq(&self, other: &Self) -> bool {
+        self.hash == other.hash && self.a == other.a && self.b == other.b
+    }
+}
+
+impl<TA: Eq, TB: Eq> Eq for GlueKey<TA, TB> {}
+
+impl<TA, TB> Hash for GlueKey<TA, TB> {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u64(self.hash);
+    }
+}
+
+/// The glue table's hasher: it returns the one `u64` a key writes, which is
+/// the hash the cache already computed, so neither a probe nor the table's
+/// growth hashes a type.
+#[derive(Debug, Default)]
+struct StoredHash(u64);
+
+impl Hasher for StoredHash {
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("glue-table keys hash as their stored u64")
+    }
+
+    fn write_u64(&mut self, hash: u64) {
+        self.0 = hash;
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
 
 impl<TA, TB, G> Clone for GlueCache<TA, TB, G> {
     /// Clones share the table and counters; see the type-level docs.
@@ -146,7 +252,8 @@ impl<TA, TB, G> Default for GlueCache<TA, TB, G> {
     fn default() -> Self {
         GlueCache {
             shared: Arc::new(SharedGlue {
-                table: RwLock::new(HashMap::new()),
+                table: RwLock::new(HashMap::default()),
+                hasher: RandomState::new(),
                 hits: AtomicU64::new(0),
                 misses: AtomicU64::new(0),
                 entries: AtomicUsize::new(0),
@@ -174,50 +281,58 @@ where
         b: &TB,
         derive: impl FnOnce() -> Option<ConversionPair<G>>,
     ) -> Option<Arc<ConversionPair<G>>> {
+        self.lookup(a, b, derive, Option::clone)
+    }
+
+    /// Whether `a ∼ b` is derivable: the yes/no answer of
+    /// [`GlueCache::get_or_derive`], counted and memoized the same way.
+    /// This is the type checker's path: a hit reads the memoized answer
+    /// without touching its glue.
+    pub fn is_derivable(
+        &self,
+        a: &TA,
+        b: &TB,
+        derive: impl FnOnce() -> Option<ConversionPair<G>>,
+    ) -> bool {
+        self.lookup(a, b, derive, Option::is_some)
+    }
+
+    /// One lookup of `(a, b)`: hashes the pair once, counts a hit or a miss,
+    /// runs `derive` and memoizes its answer on a miss, and reads the
+    /// table's entry with `answer`.
+    fn lookup<R>(
+        &self,
+        a: &TA,
+        b: &TB,
+        derive: impl FnOnce() -> Option<ConversionPair<G>>,
+        answer: impl FnOnce(&Option<Arc<ConversionPair<G>>>) -> R,
+    ) -> R {
         let shared = &*self.shared;
-        if let Some(found) = shared
-            .table
-            .read()
-            .expect("glue cache poisoned")
-            .get(a)
-            .and_then(|by_b| by_b.get(b))
-        {
+        let hash = shared.hasher.hash_one((a, b));
+        let probe: &dyn PairKey<TA, TB> = &Probe { hash, a, b };
+        if let Some(found) = shared.table.read().expect("glue cache poisoned").get(probe) {
             shared.hits.fetch_add(1, Ordering::Relaxed);
-            return found.clone();
+            return answer(found);
         }
         shared.misses.fetch_add(1, Ordering::Relaxed);
         // The lock is released while deriving: structural derivations recurse
         // back into this cache for their sub-pairs.
         let derived = derive().map(Arc::new);
+        let key = GlueKey {
+            hash,
+            a: a.clone(),
+            b: b.clone(),
+        };
         let mut table = shared.table.write().expect("glue cache poisoned");
-        match table.entry(a.clone()).or_default().entry(b.clone()) {
+        match table.entry(key) {
             // A racing lookup of the same pair inserted first: keep its
             // answer so every caller shares one glue pointer.
-            Entry::Occupied(slot) => slot.get().clone(),
+            Entry::Occupied(slot) => answer(slot.get()),
             Entry::Vacant(slot) => {
                 shared.entries.fetch_add(1, Ordering::Relaxed);
-                slot.insert(derived).clone()
+                answer(slot.insert(derived))
             }
         }
-    }
-
-    /// Whether `a ∼ b` is derivable, **if** the answer is already memoized
-    /// (`None` means "not cached yet").  This is the type checker's fast
-    /// path: a convertibility oracle query on a warm cache costs one map
-    /// probe and never touches the glue.
-    pub fn is_derivable(&self, a: &TA, b: &TB) -> Option<bool> {
-        let cached = self
-            .shared
-            .table
-            .read()
-            .expect("glue cache poisoned")
-            .get(a)
-            .and_then(|by_b| by_b.get(b))
-            .map(|entry| entry.is_some());
-        if cached.is_some() {
-            self.shared.hits.fetch_add(1, Ordering::Relaxed);
-        }
-        cached
     }
 
     /// Number of memoized type pairs.
@@ -276,15 +391,14 @@ pub trait ConversionScheme {
             .get_or_derive(a, b, || self.derive_uncached(a, b))
     }
 
-    /// Is `a ∼ b` derivable?  On a warm cache this is one map probe with no
-    /// glue traffic — the path every convertibility oracle query takes.
-    /// (Named to avoid clashing with the per-case `convertible` oracle
-    /// traits, which are implemented in terms of this.)
+    /// Is `a ∼ b` derivable?  One lookup, hit or miss; on a warm cache it
+    /// is one map probe with no glue traffic — the path every
+    /// convertibility oracle query takes.  (Named to avoid clashing with the
+    /// per-case `convertible` oracle traits, which are implemented in terms
+    /// of this.)
     fn derivable(&self, a: &Self::TyA, b: &Self::TyB) -> bool {
-        match self.glue_cache().is_derivable(a, b) {
-            Some(answer) => answer,
-            None => self.derive_pair(a, b).is_some(),
-        }
+        self.glue_cache()
+            .is_derivable(a, b, || self.derive_uncached(a, b))
     }
 }
 
@@ -321,11 +435,70 @@ mod tests {
         let stats = cache.stats();
         assert_eq!((stats.hits, stats.misses, stats.entries), (2, 2, 2));
         assert!((stats.hit_rate() - 0.5).abs() < 1e-9);
-        // The derivable fast path answers from the cache without glue.
-        assert_eq!(cache.is_derivable(&"bool", &"int"), Some(true));
-        assert_eq!(cache.is_derivable(&"bool", &"array"), Some(false));
-        assert_eq!(cache.is_derivable(&"bool", &"ref"), None);
+        // The yes/no path answers from the cache without glue…
+        assert!(cache.is_derivable(&"bool", &"int", || unreachable!("must be cached")));
+        assert!(!cache.is_derivable(&"bool", &"array", || unreachable!("must be cached")));
         assert_eq!(cache.stats().hits, stats.hits + 2);
+        // …and on a miss derives, memoizes and counts one miss.
+        assert!(!cache.is_derivable(&"bool", &"ref", || None));
+        assert!(cache
+            .get_or_derive(&"bool", &"ref", || unreachable!("must be cached"))
+            .is_none());
+        let after = cache.stats();
+        assert_eq!((after.hits, after.misses, after.entries), (5, 3, 3));
+    }
+
+    #[test]
+    fn each_lookup_hashes_each_side_once_however_often_the_table_grew() {
+        /// How often each side's `Hash` ran.
+        static HASHES: [AtomicUsize; 2] = [AtomicUsize::new(0), AtomicUsize::new(0)];
+        /// A key of side `SIDE` whose `Hash` counts its calls.
+        #[derive(Debug, Clone, PartialEq, Eq)]
+        struct Counted<const SIDE: usize>(u32);
+        impl<const SIDE: usize> Hash for Counted<SIDE> {
+            fn hash<H: Hasher>(&self, state: &mut H) {
+                HASHES[SIDE].fetch_add(1, Ordering::Relaxed);
+                self.0.hash(state);
+            }
+        }
+        let hashes = || HASHES.each_ref().map(|side| side.load(Ordering::Relaxed));
+        let cache: GlueCache<Counted<0>, Counted<1>, u32> = GlueCache::new();
+        let pairs = 10_000;
+        for i in 0..pairs {
+            let before = hashes();
+            let glue = cache.get_or_derive(&Counted(i), &Counted(i + 1), || {
+                Some(ConversionPair::new(i, i + 1))
+            });
+            assert_eq!(glue.map(|p| p.a_to_b), Some(i));
+            let after = hashes();
+            assert_eq!(
+                [after[0] - before[0], after[1] - before[1]],
+                [1, 1],
+                "miss {i}"
+            );
+        }
+        assert_eq!(cache.len(), pairs as usize);
+        for i in 0..pairs {
+            let before = hashes();
+            let (a, b) = (Counted(i), Counted(i + 1));
+            if i % 2 == 0 {
+                let glue = cache.get_or_derive(&a, &b, || unreachable!("must be cached"));
+                assert_eq!(glue.map(|p| p.b_to_a), Some(i + 1));
+            } else {
+                assert!(cache.is_derivable(&a, &b, || unreachable!("must be cached")));
+            }
+            let after = hashes();
+            assert_eq!(
+                [after[0] - before[0], after[1] - before[1]],
+                [1, 1],
+                "hit {i}"
+            );
+        }
+        let stats = cache.stats();
+        assert_eq!(
+            (stats.hits, stats.misses),
+            (u64::from(pairs), u64::from(pairs))
+        );
     }
 
     #[test]

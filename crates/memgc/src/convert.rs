@@ -26,12 +26,21 @@
 //!   needed, unlike §4).
 //!
 //! * `unit ∼ unit` and `int ∼ int`-style base identities.
+//!
+//! The binder names (`cv%pkg`, `cv%loc`, `cv%f`, …) and every closed
+//! subterm of the glue (`snd pkg`, `!loc`, `gcmov loc`, `((), new)`, the
+//! identity, the `int ↦ bool` collapse and both Church-boolean functions)
+//! are built once per process and shared by `Arc`.  A derivation allocates
+//! only the nodes on the path from its root to its sub-glue, and the glue
+//! is the same term, names included, that building it afresh would give.
 
 use crate::compile::MemGcConversionEmitter;
 use crate::syntax::{L3Type, PolyType};
 use crate::typecheck::{ref_like_payload, MemGcConvertOracle};
 use lcvm::Expr;
 use semint_core::convert::{ConversionPair, ConversionScheme, GlueCache};
+use semint_core::Var;
+use std::sync::{Arc, OnceLock};
 
 /// The §5 conversion rule set, memoized through a shared
 /// [`GlueCache`] (clones share the cache).
@@ -132,97 +141,174 @@ impl MemGcConversionEmitter for MemGcConversions {
     }
 }
 
+/// The binder names and closed subterms of the §5 glue, built once per
+/// process and shared by every derivation, as `stacklang::builder` shares
+/// `SWAP` and `DROP`.  A derivation allocates only the nodes on the path
+/// from its root to its sub-glue; the set is fixed and does not grow with
+/// the population.
+struct Parts {
+    /// The closed rules: `int ∼ bool`, Church booleans and the identity.
+    identity: Expr,
+    collapse_to_bool: Expr,
+    church_to_bool: Expr,
+    bool_to_church: Expr,
+    /// The binder of [`pair_map`], and its `fst p` and `snd p`.
+    p: Var,
+    fst_p: Arc<Expr>,
+    snd_p: Arc<Expr>,
+    /// [`l3_ref_to_gc`]'s binders, `snd pkg`, `loc`, `!loc` and `gcmov loc`.
+    pkg: Var,
+    loc: Var,
+    wildcard: Var,
+    snd_pkg: Arc<Expr>,
+    loc_var: Arc<Expr>,
+    deref_loc: Arc<Expr>,
+    gcmov_loc: Arc<Expr>,
+    /// [`gc_ref_to_l3`]'s binders, `!ref` and `((), new)`.
+    gc_ref: Var,
+    new_cell: Var,
+    deref_gc_ref: Arc<Expr>,
+    package_new: Arc<Expr>,
+    /// [`wrap_fun`]'s binders and their variables.
+    f: Var,
+    a: Var,
+    f_var: Arc<Expr>,
+    a_var: Arc<Expr>,
+}
+
+fn parts() -> &'static Parts {
+    static PARTS: OnceLock<Parts> = OnceLock::new();
+    PARTS.get_or_init(|| {
+        let x = Var::new("cv%x");
+        let b = Var::new("cv%b");
+        let p = Var::new("cv%p");
+        let [pkg, loc, gc_ref, new_cell] = ["cv%pkg", "cv%loc", "cv%ref", "cv%new"].map(Var::new);
+        let [f, a] = ["cv%f", "cv%a"].map(Var::new);
+        // C_{BOOL↦bool}(e) ≜ e () 0 1: instantiate the Church boolean (type
+        // application compiles to application to `()`) and select 0 or 1.
+        let church_to_bool = Expr::lam(
+            b.clone(),
+            Expr::app(
+                Expr::app(Expr::app(Expr::Var(b.clone()), Expr::unit()), Expr::int(0)),
+                Expr::int(1),
+            ),
+        );
+        // C_{bool↦BOOL}(e): branch on the boolean and return the matching
+        // compiled Church constant `Λα. λx. λy. x/y`.
+        let tru = Expr::lam("_", Expr::lam("x", Expr::lam("y", Expr::var("x"))));
+        let fls = Expr::lam("_", Expr::lam("x", Expr::lam("y", Expr::var("y"))));
+        Parts {
+            identity: Expr::lam(x.clone(), Expr::Var(x.clone())),
+            collapse_to_bool: Expr::lam(
+                x.clone(),
+                Expr::if_(Expr::Var(x), Expr::int(0), Expr::int(1)),
+            ),
+            church_to_bool,
+            bool_to_church: Expr::lam(b.clone(), Expr::if_(Expr::Var(b), tru, fls)),
+            fst_p: Arc::new(Expr::fst(Expr::Var(p.clone()))),
+            snd_p: Arc::new(Expr::snd(Expr::Var(p.clone()))),
+            p,
+            snd_pkg: Arc::new(Expr::snd(Expr::Var(pkg.clone()))),
+            loc_var: Arc::new(Expr::Var(loc.clone())),
+            deref_loc: Arc::new(Expr::deref(Expr::Var(loc.clone()))),
+            gcmov_loc: Arc::new(Expr::gcmov(Expr::Var(loc.clone()))),
+            pkg,
+            loc,
+            wildcard: Var::new("_"),
+            deref_gc_ref: Arc::new(Expr::deref(Expr::Var(gc_ref.clone()))),
+            package_new: Arc::new(Expr::pair(Expr::Unit, Expr::Var(new_cell.clone()))),
+            gc_ref,
+            new_cell,
+            f_var: Arc::new(Expr::Var(f.clone())),
+            a_var: Arc::new(Expr::Var(a.clone())),
+            f,
+            a,
+        }
+    })
+}
+
 fn identity() -> Expr {
-    Expr::lam("cv%x", Expr::var("cv%x"))
+    parts().identity.clone()
 }
 
 /// `λx. if x {0} {1}`.
 fn collapse_to_bool() -> Expr {
-    Expr::lam(
-        "cv%x",
-        Expr::if_(Expr::var("cv%x"), Expr::int(0), Expr::int(1)),
-    )
+    parts().collapse_to_bool.clone()
 }
 
 /// `λp. (c1 (fst p), c2 (snd p))`.
 fn pair_map(c1: Expr, c2: Expr) -> Expr {
-    Expr::lam(
-        "cv%p",
-        Expr::pair(
-            Expr::app(c1, Expr::fst(Expr::var("cv%p"))),
-            Expr::app(c2, Expr::snd(Expr::var("cv%p"))),
-        ),
+    let parts = parts();
+    Expr::Lam(
+        parts.p.clone(),
+        Arc::new(Expr::Pair(
+            Arc::new(Expr::App(Arc::new(c1), Arc::clone(&parts.fst_p))),
+            Arc::new(Expr::App(Arc::new(c2), Arc::clone(&parts.snd_p))),
+        )),
     )
 }
 
 /// `C_{REF 𝜏 ↦ ref τ}`: convert the contents in place, then `gcmov` the very
 /// same location into the GC'd heap.
+///
+/// ```text
+/// λpkg. let loc = snd pkg in let _ = (loc := c (!loc)) in gcmov loc
+/// ```
 fn l3_ref_to_gc(c_payload_l3_to_ml: Expr) -> Expr {
-    Expr::lam(
-        "cv%pkg",
-        Expr::let_(
-            "cv%loc",
-            Expr::snd(Expr::var("cv%pkg")),
-            Expr::seq(
-                Expr::assign(
-                    Expr::var("cv%loc"),
-                    Expr::app(c_payload_l3_to_ml, Expr::deref(Expr::var("cv%loc"))),
-                ),
-                Expr::gcmov(Expr::var("cv%loc")),
-            ),
-        ),
-    )
+    let parts = parts();
+    let convert = Expr::App(Arc::new(c_payload_l3_to_ml), Arc::clone(&parts.deref_loc));
+    let store = Expr::Assign(Arc::clone(&parts.loc_var), Arc::new(convert));
+    let body = Expr::Let(
+        parts.wildcard.clone(),
+        Arc::new(store),
+        Arc::clone(&parts.gcmov_loc),
+    );
+    let unpack = Expr::Let(
+        parts.loc.clone(),
+        Arc::clone(&parts.snd_pkg),
+        Arc::new(body),
+    );
+    Expr::lam(parts.pkg.clone(), unpack)
 }
 
 /// `C_{ref τ ↦ REF 𝜏}`: copy the (possibly aliased) GC'd contents into a
 /// fresh manual cell.
+///
+/// ```text
+/// λref. let new = alloc (c (!ref)) in ((), new)
+/// ```
 fn gc_ref_to_l3(c_payload_ml_to_l3: Expr) -> Expr {
-    Expr::lam(
-        "cv%ref",
-        Expr::let_(
-            "cv%new",
-            Expr::alloc(Expr::app(
-                c_payload_ml_to_l3,
-                Expr::deref(Expr::var("cv%ref")),
-            )),
-            Expr::pair(Expr::Unit, Expr::var("cv%new")),
-        ),
-    )
+    let parts = parts();
+    let convert = Expr::App(
+        Arc::new(c_payload_ml_to_l3),
+        Arc::clone(&parts.deref_gc_ref),
+    );
+    let copy = Expr::Let(
+        parts.new_cell.clone(),
+        Arc::new(Expr::alloc(convert)),
+        Arc::clone(&parts.package_new),
+    );
+    Expr::lam(parts.gc_ref.clone(), copy)
 }
 
-/// `C_{BOOL↦bool}(e) ≜ e () 0 1` — instantiate the Church boolean (type
-/// application compiles to application to `()`) and select between 0 and 1.
+/// `C_{BOOL↦bool}(e) ≜ e () 0 1`.
 fn church_to_bool() -> Expr {
-    Expr::lam(
-        "cv%b",
-        Expr::app(
-            Expr::app(Expr::app(Expr::var("cv%b"), Expr::unit()), Expr::int(0)),
-            Expr::int(1),
-        ),
-    )
+    parts().church_to_bool.clone()
 }
 
-/// `C_{bool↦BOOL}(e)`: branch on the boolean and return the corresponding
-/// Church constant (compiled `Λα. λx. λy. x/y`).
+/// `C_{bool↦BOOL}(e) ≜ if0 e {Λα.λx.λy.x} {Λα.λx.λy.y}`.
 fn bool_to_church() -> Expr {
-    let tru = Expr::lam("_", Expr::lam("x", Expr::lam("y", Expr::var("x"))));
-    let fls = Expr::lam("_", Expr::lam("x", Expr::lam("y", Expr::var("y"))));
-    Expr::lam("cv%b", Expr::if_(Expr::var("cv%b"), tru, fls))
+    parts().bool_to_church.clone()
 }
 
 /// `λf. λx. c_res (f (c_arg x))`: plain function wrapping (no guards — L3's
 /// linearity is enforced statically).
 fn wrap_fun(c_arg: Expr, c_res: Expr) -> Expr {
-    Expr::lam(
-        "cv%f",
-        Expr::lam(
-            "cv%a",
-            Expr::app(
-                c_res,
-                Expr::app(Expr::var("cv%f"), Expr::app(c_arg, Expr::var("cv%a"))),
-            ),
-        ),
-    )
+    let parts = parts();
+    let convert_arg = Expr::App(Arc::new(c_arg), Arc::clone(&parts.a_var));
+    let call = Expr::App(Arc::clone(&parts.f_var), Arc::new(convert_arg));
+    let convert_res = Expr::App(Arc::new(c_res), Arc::new(call));
+    Expr::lam(parts.f.clone(), Expr::lam(parts.a.clone(), convert_res))
 }
 
 #[cfg(test)]

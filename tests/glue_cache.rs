@@ -1,8 +1,9 @@
 //! Properties of the shared conversion layer: memoized glue derivation
 //! must be **observably identical** to cold derivation for deep compound
 //! types in all three case studies, a type pair built afresh must hit the
-//! entry an equal pair stored, and the compilers' lookups in either
-//! direction must hand out the matching half of one derivation.
+//! entry an equal pair stored, the compilers' lookups in either
+//! direction must hand out the matching half of one derivation, and the
+//! glue text of every rule, names included, is pinned by one hash.
 
 use proptest::prelude::*;
 use semint::affine::compile::AffineConversionEmitter;
@@ -14,6 +15,8 @@ use semint::memgc::{L3Type, PolyType};
 use semint::reflang::syntax::{HlType, LlType};
 use semint::reflang::ConversionEmitter;
 use semint::sharedmem::convert::SharedMemConversions;
+use semint::sharedmem::RefStrategy;
+use std::fmt::{Display, Write};
 
 /// A §3 type pair that is derivable at any nesting depth: products (and,
 /// innermost, optionally a sum) over the base rules `bool ∼ int` /
@@ -170,4 +173,105 @@ fn affine_out_of_order_subderivations_agree_with_cold() {
     let cold_result = AffineConversions::standard().derive(&affi, &ml);
     assert_eq!(warm_result, cold_result);
     assert!(warm_result.is_some());
+}
+
+/// FNV-1a over `text`.
+fn fnv1a(text: &str) -> u64 {
+    text.bytes().fold(0xcbf2_9ce4_8422_2325, |hash, byte| {
+        (hash ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+/// Appends `a ∼ b` and both directions of its glue, rendered, to `out`.
+fn render_glue(
+    out: &mut String,
+    a: impl Display,
+    b: impl Display,
+    glue: Option<(impl Display, impl Display)>,
+) {
+    let (to, from) = glue.unwrap_or_else(|| panic!("{a} ∼ {b} must be derivable"));
+    writeln!(out, "{a} ∼ {b}\n  {to}\n  {from}").expect("writing to a String");
+}
+
+/// Both directions of the glue for every base rule, and for the three
+/// families above at depths 1–5, render to the text they rendered to
+/// before the glue builders shared their fixed parts: the same nodes and
+/// the same binder names, checked on the text itself rather than only
+/// through what the glue computes.
+#[test]
+fn glue_text_is_pinned() {
+    let mut text = String::new();
+
+    let share = SharedMemConversions::standard();
+    let copy = SharedMemConversions::with_ref_strategy(RefStrategy::Copy);
+    for (hl, ll) in [
+        (HlType::Bool, LlType::Int),
+        (HlType::Unit, LlType::Int),
+        (HlType::ref_(HlType::Bool), LlType::ref_(LlType::Int)),
+        (
+            HlType::sum(HlType::Bool, HlType::Unit),
+            LlType::array(LlType::Int),
+        ),
+        (
+            HlType::prod(HlType::Bool, HlType::Unit),
+            LlType::array(LlType::Int),
+        ),
+    ] {
+        render_glue(&mut text, &hl, &ll, share.derive(&hl, &ll));
+        render_glue(&mut text, &hl, &ll, copy.derive(&hl, &ll));
+    }
+    let affine = AffineConversions::standard();
+    for (affi, ml) in [
+        (AffiType::Unit, MlType::Unit),
+        (AffiType::Int, MlType::Int),
+        (AffiType::Bool, MlType::Int),
+        (AffiType::bang(AffiType::Bool), MlType::Int),
+        (
+            AffiType::tensor(AffiType::Bool, AffiType::Int),
+            MlType::prod(MlType::Int, MlType::Int),
+        ),
+        (
+            AffiType::lolli(AffiType::Bool, AffiType::Int),
+            MlType::fun(MlType::fun(MlType::Unit, MlType::Int), MlType::Int),
+        ),
+    ] {
+        render_glue(&mut text, &affi, &ml, affine.derive(&affi, &ml));
+    }
+    let memgc = MemGcConversions::standard();
+    for (ml, l3) in [
+        (PolyType::Unit, L3Type::Unit),
+        (PolyType::Int, L3Type::Bool),
+        (PolyType::church_bool(), L3Type::Bool),
+        (PolyType::foreign(L3Type::Bool), L3Type::Bool),
+        (
+            PolyType::ref_(PolyType::Int),
+            L3Type::ref_like(L3Type::Bool),
+        ),
+        (
+            PolyType::fun(PolyType::Int, PolyType::Int),
+            L3Type::bang(L3Type::lolli(L3Type::bang(L3Type::Bool), L3Type::Bool)),
+        ),
+        (
+            PolyType::prod(PolyType::Int, PolyType::Int),
+            L3Type::tensor(L3Type::Bool, L3Type::Bool),
+        ),
+    ] {
+        render_glue(&mut text, &ml, &l3, memgc.derive(&ml, &l3));
+    }
+
+    for depth in 1..=5 {
+        for variant in [false, true] {
+            let (hl, ll) = sharedmem_pair(depth, variant);
+            render_glue(&mut text, &hl, &ll, share.derive(&hl, &ll));
+            let (affi, ml) = affine_pair(depth, variant);
+            render_glue(&mut text, &affi, &ml, affine.derive(&affi, &ml));
+            let (ml, l3) = memgc_pair(depth, variant);
+            render_glue(&mut text, &ml, &l3, memgc.derive(&ml, &l3));
+        }
+    }
+    assert_eq!(
+        (text.lines().count(), fnv1a(&text)),
+        (159, 0x3ed8_494b_c210_8011),
+        "the rendered glue changed:\n{text}"
+    );
 }
