@@ -319,7 +319,7 @@ fn finish_executed<C: CaseStudy>(
         // Shrink candidates are *different* programs, so each takes its own
         // trip through the artifact pipeline: typecheck once, compile once,
         // execute that artifact once.
-        let (shrunk, steps) = shrink_failure(case, &scenario.program, |p| {
+        let shrunk = shrink_failure(case, &scenario.program, |p| {
             case.typecheck(p).is_ok()
                 && case
                     .compile(p)
@@ -331,14 +331,12 @@ fn finish_executed<C: CaseStudy>(
                     })
                     .unwrap_or(false)
         });
-        record.failure = Some(FailureRecord {
-            seed: scenario.seed,
-            stage: FailStage::Run,
-            reason: format!("unsafe outcome {}", stats.outcome),
-            witness: scenario.program.to_string(),
-            shrunk: shrunk.to_string(),
-            shrink_steps: steps,
-        });
+        record.failure = Some(shrunk_failure(
+            scenario,
+            FailStage::Run,
+            format!("unsafe outcome {}", stats.outcome),
+            shrunk,
+        ));
         return seal(record, timings, cfg.time);
     }
 
@@ -362,7 +360,7 @@ fn finish_executed<C: CaseStudy>(
         )
     });
     if let Err(check) = verdict {
-        let (shrunk, steps) = shrink_failure(case, &scenario.program, |p| {
+        let shrunk = shrink_failure(case, &scenario.program, |p| {
             case.typecheck(p)
                 .map(|ty| match case.compile(p) {
                     Ok(compiled) => case.model_check_compiled(p, &ty, &compiled).is_err(),
@@ -370,16 +368,39 @@ fn finish_executed<C: CaseStudy>(
                 })
                 .unwrap_or(false)
         });
-        record.failure = Some(FailureRecord {
-            seed: scenario.seed,
-            stage: FailStage::ModelCheck,
-            reason: check.to_string(),
-            witness: scenario.program.to_string(),
-            shrunk: shrunk.to_string(),
-            shrink_steps: steps,
-        });
+        record.failure = Some(shrunk_failure(
+            scenario,
+            FailStage::ModelCheck,
+            check.to_string(),
+            shrunk,
+        ));
     }
     seal(record, timings, cfg.time)
+}
+
+/// The failure record of `scenario`, whose program [`shrink_failure`] took
+/// to `shrunk` in `steps` accepted replacements.  A program that did not
+/// shrink is its own shrunk witness, so it is rendered once.
+fn shrunk_failure<P: std::fmt::Display, T>(
+    scenario: &Scenario<P, T>,
+    stage: FailStage,
+    reason: String,
+    (shrunk, steps): (P, usize),
+) -> FailureRecord {
+    let witness = scenario.program.to_string();
+    let shrunk = if steps == 0 {
+        witness.clone()
+    } else {
+        shrunk.to_string()
+    };
+    FailureRecord {
+        seed: scenario.seed,
+        stage,
+        reason,
+        witness,
+        shrunk,
+        shrink_steps: steps,
+    }
 }
 
 /// Runs the full pipeline for one seed of one case study: a [`run_batch`]

@@ -15,7 +15,7 @@
 
 use semint_core::case::GenProfile;
 use semint_core::stats::{CaseReport, StageTimings, SweepReport};
-use std::fmt::Write as _;
+use std::fmt::{self, Write as _};
 
 /// The population a sweep drew from, as the `semint` flags that select it
 /// (the profile, and `--broken` for the sabotaged case studies): what
@@ -105,9 +105,9 @@ pub fn render_case(report: &CaseReport, population: Option<&str>) -> String {
             failure.seed,
             failure.stage,
             failure.reason,
-            truncate(&failure.witness, 120),
+            Truncated(&failure.witness, 120),
             failure.shrink_steps,
-            truncate(&failure.shrunk, 120),
+            Truncated(&failure.shrunk, 120),
             repro_line(&report.case, failure.seed, population),
         );
     }
@@ -158,10 +158,24 @@ pub fn render_sweep(report: &SweepReport) -> String {
     out
 }
 
-fn truncate(s: &str, max_chars: usize) -> String {
-    match s.char_indices().nth(max_chars) {
-        None => s.to_string(),
-        Some((cut, _)) => format!("{}…", &s[..cut]),
+/// Displays its text cut to at most the given number of characters, with
+/// `…` marking a cut.
+struct Truncated<'a>(&'a str, usize);
+
+impl fmt::Display for Truncated<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let Truncated(text, max_chars) = *self;
+        // Every character takes at least one byte.
+        if text.len() <= max_chars {
+            return f.write_str(text);
+        }
+        match text.char_indices().nth(max_chars) {
+            None => f.write_str(text),
+            Some((cut, _)) => {
+                f.write_str(&text[..cut])?;
+                f.write_char('…')
+            }
+        }
     }
 }
 
@@ -291,10 +305,16 @@ mod tests {
 
     #[test]
     fn truncate_caps_long_witnesses() {
+        let truncate = |text: &str, max_chars| Truncated(text, max_chars).to_string();
         assert_eq!(truncate("short", 10), "short");
         let long = "x".repeat(200);
         let t = truncate(&long, 120);
         assert_eq!(t.chars().count(), 121);
         assert!(t.ends_with('…'));
+        // Multi-byte text is measured in characters, not bytes.
+        let exact = "⦇".repeat(120);
+        assert_eq!(truncate(&exact, 120), exact);
+        let over = "⦇".repeat(121);
+        assert_eq!(truncate(&over, 120), format!("{exact}…"));
     }
 }

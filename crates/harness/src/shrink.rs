@@ -4,44 +4,104 @@
 //! engine searches for a smaller program with the same failure.  Each case
 //! study's [`CaseStudy::shrink`] proposes *immediate* subterms; the shrinker
 //! closes them transitively (bounded by [`MAX_CANDIDATES`]), orders them
-//! smallest-rendering-first, and replaces the current witness with the first
-//! candidate the failing check still rejects.  Going through the transitive
-//! closure matters: a failing subterm is often nested under intermediate
-//! terms that do not themselves fail (e.g. a failing `bool` expression
-//! sitting inside a sound pair), which a purely greedy parent-to-child
-//! descent could never reach.
+//! smallest first by [`CaseStudy::program_chars`], breaking a size tie by
+//! rendering, and replaces the current witness with the first candidate the
+//! failing check still rejects.  Going through the transitive closure
+//! matters: a failing subterm is often nested under intermediate terms that
+//! do not themselves fail (e.g. a failing `bool` expression sitting inside a
+//! sound pair), which a purely greedy parent-to-child descent could never
+//! reach.
 
 use semint_core::case::CaseStudy;
 use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, VecDeque};
 
-/// Bound on how many distinct subterm candidates one shrink round examines.
+/// Bound on how many distinct subterm candidates one shrink round collects;
+/// a duplicate met on the way does not count towards it.
 pub const MAX_CANDIDATES: usize = 2_000;
 
 /// Bound on accepted replacement rounds (a safety net; with smallest-first
 /// ordering a second round almost never finds anything further).
 pub const MAX_ROUNDS: usize = 8;
 
-/// All distinct proper subterms of `program`, smallest rendering first.
+/// One distinct shrink candidate.
+struct Candidate<P> {
+    program: P,
+    size: usize,
+    /// The program's rendering, made once another candidate ties its size.
+    rendering: Option<String>,
+    /// The previous distinct candidate of the same size, as an index.
+    tied: Option<usize>,
+}
+
+/// All distinct proper subterms of `program`, smallest first: ordered by
+/// size ([`CaseStudy::program_chars`]), then by rendering.
 ///
-/// One ordered map both deduplicates and orders: it is keyed by size
-/// ([`CaseStudy::program_chars`]) and then rendering, so the result is
-/// deterministic regardless of traversal order, and the first program met
-/// with a given rendering is the one kept.
+/// Subterms are met breadth first, and of several with the same rendering
+/// only the first met is kept and expanded; the result's order is that of
+/// size and rendering, not of meeting.  A size is the length of the
+/// rendering, so equal renderings have equal sizes: a candidate is rendered
+/// only when another one has its size, to drop a duplicate or to order the
+/// tie, and then only once.
 fn subterm_candidates<C: CaseStudy>(case: &C, program: &C::Program) -> Vec<C::Program> {
     let mut queue: VecDeque<C::Program> = case.shrink(program).into();
-    let mut candidates: BTreeMap<(usize, String), C::Program> = BTreeMap::new();
-    while let Some(candidate) = queue.pop_front() {
-        if candidates.len() >= MAX_CANDIDATES {
+    let mut kept: Vec<Candidate<C::Program>> = Vec::new();
+    // The latest kept candidate of each size; `tied` links the earlier ones.
+    let mut latest_of_size: BTreeMap<usize, usize> = BTreeMap::new();
+    while let Some(program) = queue.pop_front() {
+        if kept.len() >= MAX_CANDIDATES {
             break;
         }
-        let key = (case.program_chars(&candidate), candidate.to_string());
-        if let Entry::Vacant(slot) = candidates.entry(key) {
-            queue.extend(case.shrink(&candidate));
-            slot.insert(candidate);
-        }
+        let size = case.program_chars(&program);
+        let (tied, rendering) = match latest_of_size.entry(size) {
+            Entry::Vacant(slot) => {
+                slot.insert(kept.len());
+                (None, None)
+            }
+            Entry::Occupied(mut slot) => {
+                let rendering = program.to_string();
+                if renders_as(&mut kept, Some(*slot.get()), &rendering) {
+                    continue;
+                }
+                (Some(slot.insert(kept.len())), Some(rendering))
+            }
+        };
+        queue.extend(case.shrink(&program));
+        kept.push(Candidate {
+            program,
+            size,
+            rendering,
+            tied,
+        });
     }
-    candidates.into_values().collect()
+    kept.sort_unstable_by(|a, b| (a.size, &a.rendering).cmp(&(b.size, &b.rendering)));
+    kept.into_iter()
+        .map(|candidate| candidate.program)
+        .collect()
+}
+
+/// Whether a kept candidate on the `tied` chain from `at` renders as
+/// `rendering`, rendering each one met for the first time.
+///
+/// Every candidate on a chain of two or more has been rendered, because
+/// adding the second walked past the first; so only a candidate still
+/// alone at its size is ever rendered here.
+fn renders_as<P: std::fmt::Display>(
+    kept: &mut [Candidate<P>],
+    mut at: Option<usize>,
+    rendering: &str,
+) -> bool {
+    while let Some(index) = at {
+        let other = &mut kept[index];
+        let other_rendering = other
+            .rendering
+            .get_or_insert_with(|| other.program.to_string());
+        if other_rendering == rendering {
+            return true;
+        }
+        at = other.tied;
+    }
+    false
 }
 
 /// Shrinks `program` while `still_fails` holds, returning the smallest
@@ -81,16 +141,29 @@ mod tests {
 
     /// A toy case study over unary "programs" (`usize` nesting depth) where
     /// every program ≥ its threshold fails; shrinking should land on exactly
-    /// the threshold.
+    /// the threshold.  A program no deeper than `twins_up_to` shrinks to
+    /// two equal children.
     struct Toy {
         threshold: usize,
+        twins_up_to: usize,
     }
 
     #[derive(Clone, Debug, PartialEq)]
     struct Depth(usize);
 
+    thread_local! {
+        /// The depth of every `Depth` rendered on this thread, in order.
+        static RENDERED: std::cell::RefCell<Vec<usize>> = const { std::cell::RefCell::new(Vec::new()) };
+    }
+
+    /// The depths rendered on this thread since the last call.
+    fn take_rendered() -> Vec<usize> {
+        RENDERED.with(|rendered| rendered.take())
+    }
+
     impl std::fmt::Display for Depth {
         fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+            RENDERED.with(|rendered| rendered.borrow_mut().push(self.0));
             // Unary rendering so "smaller program" and "smaller depth" agree.
             write!(f, "{}", "s".repeat(self.0))
         }
@@ -156,17 +229,20 @@ mod tests {
             }
         }
         fn shrink(&self, p: &Depth) -> Vec<Depth> {
-            if p.0 == 0 {
-                Vec::new()
-            } else {
-                vec![Depth(p.0 - 1)]
+            match p.0 {
+                0 => Vec::new(),
+                depth if depth <= self.twins_up_to => vec![Depth(depth - 1), Depth(depth - 1)],
+                depth => vec![Depth(depth - 1)],
             }
         }
     }
 
     #[test]
     fn shrinks_to_the_minimal_failing_program() {
-        let toy = Toy { threshold: 3 };
+        let toy = Toy {
+            threshold: 3,
+            twins_up_to: 0,
+        };
         let (shrunk, rounds) = shrink_failure(&toy, &Depth(10), |p| toy.model_check(p, p).is_err());
         assert_eq!(shrunk, Depth(3));
         assert_eq!(
@@ -177,7 +253,10 @@ mod tests {
 
     #[test]
     fn no_shrink_when_nothing_smaller_fails() {
-        let toy = Toy { threshold: 10 };
+        let toy = Toy {
+            threshold: 10,
+            twins_up_to: 0,
+        };
         let (shrunk, rounds) = shrink_failure(&toy, &Depth(10), |p| toy.model_check(p, p).is_err());
         assert_eq!(shrunk, Depth(10));
         assert_eq!(rounds, 0);
@@ -185,9 +264,50 @@ mod tests {
 
     #[test]
     fn candidates_are_transitively_closed_and_sorted() {
-        let toy = Toy { threshold: 0 };
+        let toy = Toy {
+            threshold: 0,
+            twins_up_to: 0,
+        };
         let candidates = subterm_candidates(&toy, &Depth(5));
         let depths: Vec<usize> = candidates.into_iter().map(|d| d.0).collect();
         assert_eq!(depths, vec![0, 1, 2, 3, 4]);
+    }
+
+    #[test]
+    fn candidates_of_distinct_sizes_are_never_rendered() {
+        let toy = Toy {
+            threshold: 0,
+            twins_up_to: 0,
+        };
+        take_rendered();
+        let (shrunk, rounds) = shrink_failure(&toy, &Depth(10), |_| false);
+        assert_eq!((shrunk, rounds), (Depth(10), 0));
+        assert_eq!(take_rendered(), Vec::<usize>::new(), "ten sizes, no tie");
+    }
+
+    #[test]
+    fn a_size_tie_renders_each_tied_candidate_once_and_keeps_the_first() {
+        let toy = Toy {
+            threshold: 0,
+            twins_up_to: 2,
+        };
+        take_rendered();
+        let candidates = subterm_candidates(&toy, &Depth(3));
+        assert_eq!(candidates, vec![Depth(0), Depth(1), Depth(2)]);
+        // Met breadth first: 2, then 1 and 1 (a duplicate, dropped
+        // unexpanded), then 0 and 0 (a duplicate).  Each duplicate renders,
+        // then the candidate it ties; 2 ties with nothing.
+        assert_eq!(take_rendered(), vec![1, 1, 0, 0]);
+    }
+
+    #[test]
+    fn the_cut_counts_distinct_candidates() {
+        let toy = Toy {
+            threshold: 0,
+            twins_up_to: usize::MAX,
+        };
+        let candidates = subterm_candidates(&toy, &Depth(MAX_CANDIDATES + 100));
+        let depths: Vec<usize> = candidates.into_iter().map(|d| d.0).collect();
+        assert_eq!(depths, (100..MAX_CANDIDATES + 100).collect::<Vec<_>>());
     }
 }
