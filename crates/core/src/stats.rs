@@ -618,11 +618,12 @@ fn parse_failure_row<'a>(
     })
 }
 
-/// Appends a failure row's text field to `out`, escaping backslash, tab,
-/// newline and carriage return so the field stays one field of one line.
-/// All four are ASCII, so the scan runs over bytes and copies the runs
-/// between them whole.
-fn push_escaped(out: &mut String, text: &str) {
+/// Appends a text field to `out`, escaping backslash, tab, newline and
+/// carriage return so the field stays one field of one line: the one escape
+/// rule of semint's tab-separated files (a report's failure rows, the
+/// supervised sweep's journal).  All four are ASCII, so the scan runs over
+/// bytes and copies the runs between them whole.
+pub fn push_escaped(out: &mut String, text: &str) {
     let mut rest = text;
     while let Some(at) = rest
         .bytes()
@@ -641,7 +642,7 @@ fn push_escaped(out: &mut String, text: &str) {
 }
 
 /// Reverses [`push_escaped`], refusing an escape it never writes.
-fn unescape_field(field: &str) -> Result<String, String> {
+pub fn unescape_field(field: &str) -> Result<String, String> {
     let mut out = String::with_capacity(field.len());
     let mut rest = field;
     while let Some(at) = rest.find('\\') {

@@ -130,8 +130,8 @@ impl VmCounters {
 
     /// Stable `(key, value)` view of every field, in serialization order.
     ///
-    /// The keys double as TSV row keys and JSON object keys, so writers and
-    /// parsers cannot drift apart.
+    /// The keys double as the saved report's `counter` row keys, so its
+    /// writer and parser cannot drift apart.
     pub fn fields(&self) -> [(&'static str, u64); 10] {
         [
             ("instr_data", self.instr_data),

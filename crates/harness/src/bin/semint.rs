@@ -114,11 +114,11 @@ SUPERVISED SWEEP (sweep --workers, chaos):
                      and --time cannot be handed to workers and are refused
     --worker-timeout-ms T  a worker with no heartbeat for T ms is wedged,
                      killed, and its slice re-issued    (default: 30000; chaos: 5000)
-    --state-dir DIR  durable state: an fsync'd JSONL journal recording the
-                     sweep plus checkpointed shard reports (default: a fresh
-                     temporary dir, removed after a successful sweep and kept,
-                     path printed, after a failed one); chaos keeps its
-                     per-round dirs in here
+    --state-dir DIR  durable state: an fsync'd journal, one tab-separated
+                     line per sweep event, plus checkpointed shard reports
+                     (default: a fresh temporary dir, removed after a
+                     successful sweep and kept, path printed, after a failed
+                     one); chaos keeps its per-round dirs in here
     --resume         finish the sweep journaled in --state-dir: the command
                      must match the journaled one, digest-verified checkpoints
                      are adopted, and only unaccounted shards re-run
@@ -707,6 +707,7 @@ fn cmd_check(args: &[String]) -> Result<bool, String> {
     let mut report = sweep_all(&cases, source.as_ref(), &cfg);
     report.population = Some(population(&opts.profile, opts.broken));
     print!("{}", render_sweep(&report));
+    save_report(&opts, &report)?;
     Ok(clean && report.failure_count() == 0)
 }
 
@@ -731,12 +732,9 @@ fn cmd_sweep(args: &[String]) -> Result<bool, String> {
         observer.finish();
     }
     print_sweep(&report);
-    if let Some(path) = &opts.save {
-        std::fs::write(path, report.to_tsv()).map_err(|e| format!("saving {path}: {e}"))?;
-        println!("saved: {path}");
-        if let Some(mode) = &opts.corrupt_save {
-            corrupt_saved_report(path, mode)?;
-        }
+    save_report(&opts, &report)?;
+    if let (Some(path), Some(mode)) = (&opts.save, &opts.corrupt_save) {
+        corrupt_saved_report(path, mode)?;
     }
     Ok(report.failure_count() == 0)
 }
@@ -748,6 +746,16 @@ fn print_sweep(report: &SweepReport) {
     for case in &report.cases {
         println!("digest: {}", case.digest());
     }
+}
+
+/// Writes the report to `--save PATH`, if one was given, as the TSV that
+/// `semint report` reads.
+fn save_report(opts: &Options, report: &SweepReport) -> Result<(), String> {
+    if let Some(path) = &opts.save {
+        std::fs::write(path, report.to_tsv()).map_err(|e| format!("saving {path}: {e}"))?;
+        println!("saved: {path}");
+    }
+    Ok(())
 }
 
 /// The one check `sweep --workers` and `chaos` share: whatever a worker
@@ -852,10 +860,7 @@ fn cmd_supervised_sweep(opts: &Options, workers: usize) -> Result<bool, String> 
     }
     report.population = Some(population(&opts.profile, opts.broken));
     print_sweep(&report);
-    if let Some(path) = &opts.save {
-        std::fs::write(path, report.to_tsv()).map_err(|e| format!("saving {path}: {e}"))?;
-        println!("saved: {path}");
-    }
+    save_report(opts, &report)?;
     Ok(report.failure_count() == 0)
 }
 

@@ -1,6 +1,13 @@
-//! The supervisor's write-ahead log: an append-only, fsync'd JSONL journal
-//! of one sweep's shard transitions, plus the replay logic `--resume` uses
-//! to pick the sweep up after a crash.
+//! The supervisor's write-ahead log: an append-only, fsync'd journal of one
+//! sweep's shard transitions, plus the replay logic `--resume` uses to pick
+//! the sweep up after a crash.
+//!
+//! The journal is tab-separated lines, like every other file semint
+//! writes: one line per event, holding the event's name, its fields and a
+//! closing `semint-journal-3` field that names the line format.  Every
+//! field goes through the saved report's escape rule
+//! ([`semint_core::stats::push_escaped`]), so a field never holds a raw tab
+//! or line break.
 //!
 //! Durability contract, in order:
 //!
@@ -13,9 +20,10 @@
 //! 3. Every journal append is a single `write_all` of one line followed by
 //!    `sync_data`, so after a crash the journal is a prefix of the true
 //!    history plus at most one torn final line.
-//! 4. A torn final line is a transition that never became durable — replay
-//!    drops it (it never happened), and [`Journal::open`] neutralizes it
-//!    with a lone newline so later appends start on a fresh line.
+//! 4. A torn final line is a transition that never became durable.  It
+//!    lacks its closing field, so it never parses: replay drops it (it
+//!    never happened), and [`Journal::open`] neutralizes it with a lone
+//!    newline so later appends start on a fresh line.
 //!
 //! Replay is deliberately tolerant of *duplicates* (a shard re-run after a
 //! corrupted checkpoint journals `shard-saved` again; last wins) and of
@@ -30,17 +38,21 @@ use std::fs::{File, OpenOptions};
 use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
 
-use super::spec::{FaultKind, FaultPlan, SweepSpec};
-use crate::json::{self, escape_json, Json};
+use semint_core::stats::{push_escaped, unescape_field};
+
+use super::spec::SweepSpec;
 
 /// The journal's file name inside a `--state-dir`.
-pub const JOURNAL_FILE: &str = "journal.jsonl";
+pub const JOURNAL_FILE: &str = "journal.tsv";
 
-/// The `semint_journal` marker this binary writes and reads: the journal
-/// line format's one version.  Format 1 journals held several
-/// daemon-assigned jobs, and a newer format is from a newer `semint`; both
-/// are refused rather than misread.
-pub const JOURNAL_FORMAT: u64 = 2;
+/// The journal line format this binary writes and reads.  Every line ends
+/// in the field `semint-journal-3`.  Journals of JSON lines come from an
+/// older `semint`, and a higher number from a newer one; both are refused
+/// rather than misread.
+pub const JOURNAL_FORMAT: u64 = 3;
+
+/// The closing field of a journal line, less its format number.
+const MARKER: &str = "semint-journal-";
 
 /// The checkpoint file name for one shard inside a `--state-dir`.
 pub fn checkpoint_name(shard: u64) -> String {
@@ -92,148 +104,106 @@ pub enum JournalEvent {
     },
 }
 
-fn render_spec(spec: &SweepSpec) -> String {
-    let mut out = format!(
-        "{{\"seeds_start\": {}, \"seeds_end\": {}, \"profile\": \"{}\", \"case\": \"{}\", \
-         \"workers\": {}, \"jobs\": {}, \"batch\": {}, \"model_check\": {}",
-        spec.seeds.0,
-        spec.seeds.1,
-        escape_json(&spec.profile),
-        escape_json(&spec.case),
-        spec.workers,
-        spec.jobs,
-        spec.batch,
-        spec.model_check,
-    );
-    if let Some(fault) = spec.fault {
-        out.push_str(&format!(
-            ", \"fault_shard\": {}, \"fault_after\": {}, \"fault_kind\": \"{}\"",
-            fault.shard,
-            fault.after,
-            fault.kind.label()
-        ));
-    }
-    out.push('}');
-    out
-}
-
-fn parse_spec(doc: &Json) -> Result<SweepSpec, String> {
-    let fault = match doc.get("fault_shard") {
-        None => None,
-        Some(shard) => Some(FaultPlan {
-            shard: shard.as_u64("fault_shard")?,
-            after: doc.require("fault_after")?.as_u64("fault_after")?,
-            kind: FaultKind::from_label(doc.require("fault_kind")?.as_str("fault_kind")?)?,
-        }),
-    };
-    Ok(SweepSpec {
-        seeds: (
-            doc.require("seeds_start")?.as_u64("seeds_start")?,
-            doc.require("seeds_end")?.as_u64("seeds_end")?,
-        ),
-        profile: doc.require("profile")?.as_str("profile")?.to_string(),
-        case: doc.require("case")?.as_str("case")?.to_string(),
-        workers: doc.require("workers")?.as_u64("workers")?,
-        jobs: doc.require("jobs")?.as_u64("jobs")? as usize,
-        batch: doc.require("batch")?.as_u64("batch")? as usize,
-        model_check: doc.require("model_check")?.as_bool("model_check")?,
-        fault,
-    })
-}
-
-/// Renders one event as its one-line journal form (no trailing newline).
+/// Renders one event as its one-line journal form (no trailing newline):
+/// its name, its escaped fields and the closing `semint-journal-3`, joined
+/// by tabs.
 pub fn render_event(event: &JournalEvent) -> String {
-    let mut out = format!("{{\"semint_journal\": {JOURNAL_FORMAT}");
-    match event {
-        JournalEvent::SweepStarted { spec } => {
-            out.push_str(&format!(
-                ", \"event\": \"sweep-started\", \"spec\": {}",
-                render_spec(spec)
-            ));
-        }
-        JournalEvent::ShardStarted { shard, attempt } => {
-            out.push_str(&format!(
-                ", \"event\": \"shard-started\", \"shard\": {shard}, \"attempt\": {attempt}"
-            ));
-        }
+    let (name, fields) = match event {
+        JournalEvent::SweepStarted { spec } => (
+            "sweep-started",
+            Vec::from(spec.fields().map(|(_, text)| text)),
+        ),
+        JournalEvent::ShardStarted { shard, attempt } => (
+            "shard-started",
+            vec![shard.to_string(), attempt.to_string()],
+        ),
         JournalEvent::ShardSaved {
             shard,
             attempt,
             path,
             digest,
-        } => {
-            out.push_str(&format!(
-                ", \"event\": \"shard-saved\", \"shard\": {shard}, \"attempt\": {attempt}, \
-                 \"path\": \"{}\", \"digest\": \"{}\"",
-                escape_json(path),
-                escape_json(digest)
-            ));
-        }
+        } => (
+            "shard-saved",
+            vec![
+                shard.to_string(),
+                attempt.to_string(),
+                path.clone(),
+                digest.clone(),
+            ],
+        ),
         JournalEvent::ShardDied {
             shard,
             attempt,
             reason,
-        } => {
-            out.push_str(&format!(
-                ", \"event\": \"shard-died\", \"shard\": {shard}, \"attempt\": {attempt}, \
-                 \"reason\": \"{}\"",
-                escape_json(reason)
-            ));
-        }
-        JournalEvent::Resumed { adopted } => {
-            out.push_str(&format!(
-                ", \"event\": \"sweep-resumed\", \"adopted\": {adopted}"
-            ));
-        }
+        } => (
+            "shard-died",
+            vec![shard.to_string(), attempt.to_string(), reason.clone()],
+        ),
+        JournalEvent::Resumed { adopted } => ("sweep-resumed", vec![adopted.to_string()]),
+    };
+    let mut line = name.to_string();
+    for field in &fields {
+        line.push('\t');
+        push_escaped(&mut line, field);
     }
-    out.push('}');
-    out
+    line.push_str(&format!("\t{MARKER}{JOURNAL_FORMAT}"));
+    line
 }
 
-/// Parses one journal line, checking its journal marker.  Keys the event
-/// does not use are ignored.
+/// Parses one journal line.  A line without its closing
+/// `semint-journal-3` field, as a crash leaves one, never parses, and a
+/// line of another format is refused with what to do about it.
 pub fn parse_event(line: &str) -> Result<JournalEvent, String> {
-    let doc = json::parse(line)?;
-    let format = doc.require("semint_journal")?.as_u64("semint_journal")?;
-    if format > JOURNAL_FORMAT {
-        return Err(format!(
-            "journal format {format} is newer than this semint reads (format \
-             {JOURNAL_FORMAT}); upgrade semint"
-        ));
+    let (body, last) = line.rsplit_once('\t').unwrap_or(("", line));
+    let version = last
+        .strip_prefix(MARKER)
+        .and_then(|n| n.parse::<u64>().ok());
+    if version != Some(JOURNAL_FORMAT) {
+        return Err(match version {
+            Some(newer) if newer > JOURNAL_FORMAT => format!(
+                "journal format {newer} is newer than this semint reads (format \
+                 {JOURNAL_FORMAT}); upgrade semint"
+            ),
+            _ if line.starts_with('{') => format!(
+                "a JSON journal line, from a semint older than journal format \
+                 {JOURNAL_FORMAT}; start the sweep in a fresh --state-dir"
+            ),
+            _ => format!("a torn line: no closing {MARKER}{JOURNAL_FORMAT} field"),
+        });
     }
-    if format < JOURNAL_FORMAT {
-        return Err(format!(
-            "journal format {format} is not supported (this semint reads format \
-             {JOURNAL_FORMAT}, one sweep per state dir); start the sweep in a fresh --state-dir"
-        ));
-    }
-    let shard = || doc.require("shard")?.as_u64("shard");
-    let attempt = || doc.require("attempt")?.as_u64("attempt");
-    let text =
-        |key: &str| -> Result<String, String> { Ok(doc.require(key)?.as_str(key)?.to_string()) };
-    match doc.require("event")?.as_str("event")? {
-        "sweep-started" => Ok(JournalEvent::SweepStarted {
-            spec: parse_spec(doc.require("spec")?)?,
+    let mut fields = body.split('\t');
+    let name = fields.next().unwrap_or_default();
+    let texts = fields.map(unescape_field).collect::<Result<Vec<_>, _>>()?;
+    let number = |text: &str| {
+        text.parse::<u64>()
+            .map_err(|e| format!("{name} field {text:?}: {e}"))
+    };
+    match (name, &texts[..]) {
+        ("sweep-started", spec) => Ok(JournalEvent::SweepStarted {
+            spec: SweepSpec::from_fields(spec)?,
         }),
-        "shard-started" => Ok(JournalEvent::ShardStarted {
-            shard: shard()?,
-            attempt: attempt()?,
+        ("shard-started", [shard, attempt]) => Ok(JournalEvent::ShardStarted {
+            shard: number(shard)?,
+            attempt: number(attempt)?,
         }),
-        "shard-saved" => Ok(JournalEvent::ShardSaved {
-            shard: shard()?,
-            attempt: attempt()?,
-            path: text("path")?,
-            digest: text("digest")?,
+        ("shard-saved", [shard, attempt, path, digest]) => Ok(JournalEvent::ShardSaved {
+            shard: number(shard)?,
+            attempt: number(attempt)?,
+            path: path.clone(),
+            digest: digest.clone(),
         }),
-        "shard-died" => Ok(JournalEvent::ShardDied {
-            shard: shard()?,
-            attempt: attempt()?,
-            reason: text("reason")?,
+        ("shard-died", [shard, attempt, reason]) => Ok(JournalEvent::ShardDied {
+            shard: number(shard)?,
+            attempt: number(attempt)?,
+            reason: reason.clone(),
         }),
-        "sweep-resumed" => Ok(JournalEvent::Resumed {
-            adopted: doc.require("adopted")?.as_u64("adopted")?,
+        ("sweep-resumed", [adopted]) => Ok(JournalEvent::Resumed {
+            adopted: number(adopted)?,
         }),
-        other => Err(format!("unknown journal event {other:?}")),
+        _ => Err(format!(
+            "no journal event {name:?} has {} fields",
+            texts.len()
+        )),
     }
 }
 
@@ -393,6 +363,7 @@ pub fn content_digest(bytes: &[u8]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fleet::spec::{FaultKind, FaultPlan};
 
     fn sample_spec() -> SweepSpec {
         SweepSpec {
@@ -431,59 +402,103 @@ mod tests {
         ]
     }
 
-    #[test]
-    fn every_event_round_trips_on_one_line() {
+    /// The sample events plus every event kind with multi-digit numbers,
+    /// every fault kind, a non-ASCII reason, and a reason and a path that
+    /// hold every character the escape rule rewrites.
+    fn wide_events() -> Vec<JournalEvent> {
         let mut events = sample_events();
-        // Every fault kind survives the journal.
+        events.extend([
+            JournalEvent::ShardDied {
+                shard: 1,
+                attempt: 0,
+                reason: "crashed: tab\there\nnewline\rreturn \\ backslash".into(),
+            },
+            JournalEvent::ShardSaved {
+                shard: 2,
+                attempt: 1,
+                path: "shard\t2.tsv".into(),
+                digest: content_digest(b"w"),
+            },
+            JournalEvent::ShardStarted {
+                shard: 12,
+                attempt: 10,
+            },
+            JournalEvent::ShardSaved {
+                shard: 11,
+                attempt: 12,
+                path: checkpoint_name(11),
+                digest: content_digest(b"case\taffine\n"),
+            },
+            JournalEvent::ShardDied {
+                shard: 10,
+                attempt: 11,
+                reason: "wedged \u{2014} no heartbeat within 4000 ms".into(),
+            },
+            JournalEvent::Resumed { adopted: 123 },
+        ]);
         for kind in FaultKind::ALL {
             events.push(JournalEvent::SweepStarted {
                 spec: SweepSpec {
+                    seeds: (100, 2500),
+                    workers: 16,
+                    jobs: 12,
+                    batch: 64,
+                    model_check: true,
                     fault: Some(FaultPlan {
-                        shard: 1,
-                        after: 5,
+                        shard: 11,
+                        after: 250,
                         kind,
                     }),
                     ..sample_spec()
                 },
             });
         }
-        for event in events {
+        events
+    }
+
+    #[test]
+    fn every_event_round_trips_on_one_line() {
+        for event in wide_events() {
             let line = render_event(&event);
-            assert!(!line.contains('\n'), "one line per event: {line}");
+            assert!(!line.contains(['\n', '\r']), "one line per event: {line:?}");
             assert_eq!(parse_event(&line).expect("round trip"), event);
         }
     }
 
+    /// A crash cuts a line short anywhere; no such cut may read back as an
+    /// event, or replay would journal a transition that never happened.
     #[test]
-    fn marker_skew_is_refused_and_older_version_keys_are_ignored() {
+    fn every_proper_prefix_of_an_event_is_refused() {
+        for event in wide_events() {
+            let line = render_event(&event);
+            for (cut, _) in line.char_indices() {
+                let prefix = &line[..cut];
+                assert!(parse_event(prefix).is_err(), "{prefix:?} parses");
+            }
+        }
+    }
+
+    #[test]
+    fn lines_of_other_formats_are_refused_with_what_to_do() {
         let line = render_event(&JournalEvent::Resumed { adopted: 3 });
-        assert_eq!(
-            line,
-            "{\"semint_journal\": 2, \"event\": \"sweep-resumed\", \"adopted\": 3}"
-        );
-        // Lines written before the marker became the only version carried
-        // a `"version": 2` key too; it is ignored like any unknown key.
-        let stamped = line.replace(
-            "\"semint_journal\": 2",
-            "\"semint_journal\": 2, \"version\": 2",
-        );
-        assert_ne!(line, stamped);
-        assert_eq!(
-            parse_event(&stamped).unwrap(),
-            JournalEvent::Resumed { adopted: 3 }
-        );
-        assert!(parse_event("{}").unwrap_err().contains("semint_journal"));
-        // A newer writer's journal is refused with an upgrade hint.
-        let future = line.replace("\"semint_journal\": 2", "\"semint_journal\": 3");
-        let err = parse_event(&future).unwrap_err();
-        assert!(err.contains("format 3") && err.contains("upgrade"), "{err}");
-        // A multi-job format-1 journal is refused, never misread.
-        let old = line.replace("\"semint_journal\": 2", "\"semint_journal\": 1");
-        let err = parse_event(&old).unwrap_err();
-        assert!(err.contains("format 1") && err.contains("fresh"), "{err}");
-        // Malformed lines carry the reader's position.
-        let err = parse_event(&format!("{line} trailing")).unwrap_err();
-        assert!(err.contains("column") && err.contains("trailing"), "{err}");
+        assert_eq!(line, "sweep-resumed\t3\tsemint-journal-3");
+        // A newer writer's line is refused with an upgrade hint.
+        let err = parse_event("sweep-resumed\t3\tsemint-journal-4").unwrap_err();
+        assert!(err.contains("format 4") && err.contains("upgrade"), "{err}");
+        // The JSON lines older journals hold are refused, never misread.
+        let json = "{\"semint_journal\": 2, \"event\": \"sweep-resumed\", \"adopted\": 3}";
+        let err = parse_event(json).unwrap_err();
+        assert!(err.contains("fresh --state-dir"), "{err}");
+        // Complete lines that name no event, miscount its fields or hold an
+        // escape the writer never makes.
+        let err = parse_event("sweep-paused\t3\tsemint-journal-3").unwrap_err();
+        assert!(err.contains("sweep-paused"), "{err}");
+        let err = parse_event("sweep-resumed\t3\t4\tsemint-journal-3").unwrap_err();
+        assert!(err.contains("2 fields"), "{err}");
+        let err = parse_event("shard-died\t0\t0\tbad \\q\tsemint-journal-3").unwrap_err();
+        assert!(err.contains("escape"), "{err}");
+        let err = parse_event("sweep-started\t0..9\tdeep\tsemint-journal-3").unwrap_err();
+        assert!(err.contains("8 fields"), "{err}");
     }
 
     #[test]

@@ -12,13 +12,13 @@
 //!
 //! The supervisor also survives *its own* death.  Every validated shard
 //! report is checkpointed into the state dir before its `shard-saved`
-//! event is appended to an fsync'd JSONL [`journal`], whose first line
-//! records the sweep's [`SweepSpec`].  `--resume` replays the journal,
-//! adopts every digest-verified checkpoint and re-runs only the shards it
-//! does not account for.  The [`chaos`] drill turns that invariant into a
-//! repeatable test: a seed-derived fault schedule (worker crashes, wedges,
-//! corrupted reports) against a sweep process that is SIGKILLed mid-run and
-//! resumed.
+//! event is appended to an fsync'd [`journal`] of tab-separated lines,
+//! whose first line records the sweep's [`SweepSpec`].  `--resume`
+//! replays the journal, adopts every digest-verified checkpoint and
+//! re-runs only the shards it does not account for.  The [`chaos`] drill
+//! turns that invariant into a repeatable test: a seed-derived fault
+//! schedule (worker crashes, wedges, corrupted reports) against a sweep
+//! process that is SIGKILLed mid-run and resumed.
 
 pub mod chaos;
 pub mod journal;

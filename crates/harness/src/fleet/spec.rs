@@ -1,6 +1,9 @@
 //! What a supervised sweep sweeps: the [`SweepSpec`] its journal records,
 //! and the [`FaultPlan`] that sabotages one shard for recovery tests.
 
+use std::fmt::Display;
+use std::str::FromStr;
+
 use semint_core::case::GenProfile;
 
 use crate::cases::AnyCase;
@@ -186,10 +189,13 @@ impl SweepSpec {
         args
     }
 
-    /// Every field as a (name, rendered value) pair, for naming differences.
-    fn fields(&self) -> [(&'static str, String); 8] {
+    /// Every field as a (name, text) pair: the spec's one field list.  The
+    /// journal's `sweep-started` line writes the texts in this order,
+    /// [`SweepSpec::from_fields`] reads them back, and
+    /// [`SweepSpec::differences`] names the fields that differ.
+    pub fn fields(&self) -> [(&'static str, String); 8] {
         [
-            ("seeds", self.range().spec()),
+            ("seeds", format!("{}..{}", self.seeds.0, self.seeds.1)),
             ("profile", self.profile.clone()),
             ("case", self.case.clone()),
             ("workers", self.workers.to_string()),
@@ -204,6 +210,46 @@ impl SweepSpec {
                 },
             ),
         ]
+    }
+
+    /// Reads back the texts of [`SweepSpec::fields`], in its order.
+    pub fn from_fields(texts: &[String]) -> Result<SweepSpec, String> {
+        fn parse<T: FromStr>(text: &str) -> Result<T, String>
+        where
+            T::Err: Display,
+        {
+            text.parse()
+                .map_err(|e| format!("spec field {text:?}: {e}"))
+        }
+        let [seeds, profile, case, workers, jobs, batch, model_check, fault] = texts else {
+            return Err(format!("a sweep spec has 8 fields, found {}", texts.len()));
+        };
+        let (start, end) = seeds
+            .split_once("..")
+            .ok_or_else(|| format!("spec seeds {seeds:?} are not A..B"))?;
+        let fault = match fault.split(' ').collect::<Vec<_>>()[..] {
+            ["none"] => None,
+            [kind, "on", "shard", shard, "after", after] => Some(FaultPlan {
+                shard: parse(shard)?,
+                after: parse(after)?,
+                kind: FaultKind::from_label(kind)?,
+            }),
+            _ => {
+                return Err(format!(
+                    "spec fault {fault:?} is not `none` or `KIND on shard K after N`"
+                ))
+            }
+        };
+        Ok(SweepSpec {
+            seeds: (parse(start)?, parse(end)?),
+            profile: profile.clone(),
+            case: case.clone(),
+            workers: parse(workers)?,
+            jobs: parse(jobs)?,
+            batch: parse(batch)?,
+            model_check: parse(model_check)?,
+            fault,
+        })
     }
 
     /// The fields on which `other` differs from `self`, each rendered as
@@ -331,6 +377,22 @@ mod tests {
             spec().differences(&faulted),
             vec!["fault: none vs wedge on shard 1 after 5"]
         );
+    }
+
+    #[test]
+    fn malformed_field_texts_are_refused() {
+        for (at, bad, needle) in [
+            (0, "0-40", "A..B"),
+            (3, "two", "\"two\""),
+            (6, "yes", "\"yes\""),
+            (7, "wedge on shard 1", "KIND on shard K after N"),
+            (7, "melt on shard 1 after 5", "unknown fault kind"),
+        ] {
+            let mut texts = spec().fields().map(|(_, text)| text);
+            texts[at] = bad.into();
+            let err = SweepSpec::from_fields(&texts).expect_err(bad);
+            assert!(err.contains(needle), "{bad}: {err}");
+        }
     }
 
     #[test]

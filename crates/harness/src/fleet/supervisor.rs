@@ -179,8 +179,14 @@ fn open_state(
         .map(|meta| meta.len() > 0)
         .unwrap_or(false);
     if resume && !has_journal {
+        // Before journal format 3 the journal was JSON lines in journal.jsonl.
+        let hint = if state_dir.join("journal.jsonl").exists() {
+            "; its journal.jsonl is from an older semint, so start the sweep in a fresh --state-dir"
+        } else {
+            ""
+        };
         return Err(format!(
-            "--resume found no journal at {}",
+            "--resume found no journal at {}{hint}",
             journal_path.display()
         ));
     }

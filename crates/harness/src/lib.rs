@@ -65,7 +65,6 @@
 pub mod cases;
 pub mod engine;
 pub mod fleet;
-mod json;
 pub mod observe;
 pub mod report;
 pub mod shrink;

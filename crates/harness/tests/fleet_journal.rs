@@ -120,18 +120,31 @@ proptest! {
             prev_saved = saved;
         }
 
-        // Arbitrary byte cut: the torn-tail case.  A cut through the spec
-        // line leaves no sweep to resume; any later cut loses at most one
-        // line, and what remains is still a restriction of the full state.
+        // Arbitrary byte cut: the torn-tail case.  The cut keeps lines
+        // 0..k whole and tears line k, unless it falls on a line boundary.
+        // A torn line never parses, so what remains replays exactly as
+        // lines 0..k do: the same checkpoints and retries, one torn line
+        // counted.  With the spec line torn there is no sweep to resume.
         let cut_at = (cut as usize) % (text.len() + 1);
-        match replay(&text[..cut_at]) {
-            Err(e) => prop_assert!(cut_at < lines[0].len(), "cut at {cut_at}: {e}"),
-            Ok(state) => {
-                prop_assert!(state.torn_lines <= 1, "one crash tears at most one line");
-                prop_assert_eq!(&state.spec, &full.spec);
-                let saved: BTreeSet<u64> = state.saved.keys().copied().collect();
-                prop_assert!(saved.is_subset(&full_saved));
+        let (mut k, mut line_start) = (0, 0);
+        while k < lines.len() && line_start + lines[k].len() <= cut_at {
+            line_start += lines[k].len() + 1;
+            k += 1;
+        }
+        let torn = k < lines.len() && cut_at > line_start;
+        let whole: String = lines[..k].iter().map(|l| format!("{l}\n")).collect();
+        match (replay(&text[..cut_at]), replay(&whole)) {
+            (Err(_), Err(_)) => prop_assert_eq!(k, 0),
+            (Ok(state), Ok(expected)) => {
+                prop_assert_eq!(state.torn_lines, u64::from(torn));
+                prop_assert_eq!(&state.spec, &expected.spec);
+                prop_assert_eq!(&state.saved, &expected.saved);
+                prop_assert_eq!(state.retries, expected.retries);
             }
+            (got, want) => prop_assert!(
+                false,
+                "a cut at byte {cut_at} replays to {got:?}, lines 0..{k} to {want:?}"
+            ),
         }
     }
 }
@@ -363,15 +376,28 @@ fn confusable_and_foreign_state_dirs_are_refused() {
         "only differing fields are named: {err}"
     );
 
-    // A format-1 journal (several daemon jobs) is refused, never misread.
+    // A journal of JSON lines, as semint wrote them before journal format
+    // 3, is refused, never misread, and so is a newer format's journal.
     let journal = Journal::path_in(&dir);
-    let text = std::fs::read_to_string(&journal).unwrap();
-    std::fs::write(
-        &journal,
-        text.replace("\"semint_journal\": 2", "\"semint_journal\": 1"),
-    )
-    .unwrap();
+    let json_spec = "{\"semint_journal\": 2, \"event\": \"sweep-started\", \"spec\": \
+                     {\"seeds_start\": 0, \"seeds_end\": 30, \"profile\": \"default\", \
+                     \"case\": \"all\", \"workers\": 3, \"jobs\": 2, \"batch\": 1, \
+                     \"model_check\": false}}\n";
+    std::fs::write(&journal, json_spec).unwrap();
     let err = refused(&spec(), &dir, &["--resume"]);
-    assert!(err.contains("journal format 1"), "{err}");
+    assert!(err.contains("fresh --state-dir"), "{err}");
+    let newer = render_event(&JournalEvent::SweepStarted { spec: spec() })
+        .replace("semint-journal-3", "semint-journal-4");
+    std::fs::write(&journal, format!("{newer}\n")).unwrap();
+    let err = refused(&spec(), &dir, &["--resume"]);
+    assert!(
+        err.contains("journal format 4") && err.contains("upgrade"),
+        "{err}"
+    );
+    // Older semints named the journal journal.jsonl.
+    std::fs::remove_file(&journal).unwrap();
+    std::fs::write(dir.join("journal.jsonl"), json_spec).unwrap();
+    let err = refused(&spec(), &dir, &["--resume"]);
+    assert!(err.contains("fresh --state-dir"), "{err}");
     let _ = std::fs::remove_dir_all(&dir);
 }

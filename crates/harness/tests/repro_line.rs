@@ -5,7 +5,8 @@
 //! population (profile and `--broken`), every failure block a sweep prints
 //! ends with a `repro: semint run …` line, and running that line must
 //! replay the saved failure as it is: same stage, same reason.  `semint
-//! report` refuses to merge reports of different populations.
+//! report` refuses to merge reports of different populations, and reads
+//! what `semint check --save` writes as it reads a sweep's.
 
 use semint_core::stats::SweepReport;
 use std::path::PathBuf;
@@ -142,4 +143,40 @@ fn reports_of_different_populations_do_not_merge() {
     for path in [smoke, deep, legacy] {
         let _ = std::fs::remove_file(path);
     }
+}
+
+#[test]
+fn check_saves_a_report_that_report_reads_back() {
+    let path = scratch("check");
+    let path_arg = path.to_str().expect("UTF-8 temp path");
+    let out = semint(&[
+        "check",
+        "--case",
+        "sharedmem",
+        "--seeds",
+        "0..5",
+        "--save",
+        path_arg,
+    ]);
+    let checked = String::from_utf8_lossy(&out.stdout).into_owned();
+    assert!(out.status.success(), "{checked}");
+    assert!(
+        checked.ends_with(&format!("saved: {path_arg}\n")),
+        "{checked}"
+    );
+    let text = std::fs::read_to_string(&path).expect("check --save writes its report");
+    let saved = SweepReport::from_tsv(&text).expect("saved report parses");
+    assert_eq!(saved.scenarios(), 5);
+    assert_eq!(saved.population.as_deref(), Some("--profile default"));
+    // `semint report` renders the block `check` printed, then its digests.
+    let out = semint(&["report", path_arg]);
+    let reported = String::from_utf8_lossy(&out.stdout);
+    assert!(out.status.success(), "{reported}");
+    let block: String = reported
+        .lines()
+        .filter(|line| !line.starts_with("digest: "))
+        .map(|line| format!("{line}\n"))
+        .collect();
+    assert!(checked.contains(&block), "{checked}\nvs\n{reported}");
+    let _ = std::fs::remove_file(&path);
 }
