@@ -4,6 +4,11 @@
 //! ML-style references (the §5 instance, with polymorphism and foreign types,
 //! lives in the `memgc-interop` crate).  Affi has the two affine arrows, the
 //! exponential `!𝜏`, the additive pair `&` and the multiplicative pair `⊗`.
+//!
+//! Types and expressions are immutable trees whose children sit behind
+//! [`Arc`], so cloning any of them copies one node and bumps reference
+//! counts: generator annotations, typing contexts, glue-cache keys and
+//! shrink candidates share their subtrees instead of copying them.
 
 use semint_core::Var;
 use std::fmt;
@@ -172,6 +177,10 @@ impl AffiType {
 }
 
 /// MiniML expressions (§4 instance).
+///
+/// Children sit behind [`Arc`], as in the types: a clone copies one node and
+/// shares its subtrees, so a shrink candidate is a pointer copy, while
+/// equality and rendering stay structural.
 #[derive(Debug, Clone, PartialEq)]
 pub enum MlExpr {
     /// `()`.
@@ -181,31 +190,31 @@ pub enum MlExpr {
     /// A variable.
     Var(Var),
     /// `(e1, e2)`.
-    Pair(Box<MlExpr>, Box<MlExpr>),
+    Pair(Arc<MlExpr>, Arc<MlExpr>),
     /// `fst e`.
-    Fst(Box<MlExpr>),
+    Fst(Arc<MlExpr>),
     /// `snd e`.
-    Snd(Box<MlExpr>),
+    Snd(Arc<MlExpr>),
     /// `inl e` annotated with the full sum type.
-    Inl(Box<MlExpr>, MlType),
+    Inl(Arc<MlExpr>, MlType),
     /// `inr e` annotated with the full sum type.
-    Inr(Box<MlExpr>, MlType),
+    Inr(Arc<MlExpr>, MlType),
     /// `match e x {e1} y {e2}`.
-    Match(Box<MlExpr>, Var, Box<MlExpr>, Var, Box<MlExpr>),
+    Match(Arc<MlExpr>, Var, Arc<MlExpr>, Var, Arc<MlExpr>),
     /// `λx:τ. e`.
-    Lam(Var, MlType, Box<MlExpr>),
+    Lam(Var, MlType, Arc<MlExpr>),
     /// `e1 e2`.
-    App(Box<MlExpr>, Box<MlExpr>),
+    App(Arc<MlExpr>, Arc<MlExpr>),
     /// `ref e`.
-    Ref(Box<MlExpr>),
+    Ref(Arc<MlExpr>),
     /// `!e`.
-    Deref(Box<MlExpr>),
+    Deref(Arc<MlExpr>),
     /// `e1 := e2`.
-    Assign(Box<MlExpr>, Box<MlExpr>),
+    Assign(Arc<MlExpr>, Arc<MlExpr>),
     /// Primitive addition (used by the examples; compiles to LCVM `+`).
-    Add(Box<MlExpr>, Box<MlExpr>),
+    Add(Arc<MlExpr>, Arc<MlExpr>),
     /// Boundary `⦇ē⦈τ`: an Affi term used at MiniML type `τ`.
-    Boundary(Box<AffiExpr>, MlType),
+    Boundary(Arc<AffiExpr>, MlType),
 }
 
 impl MlExpr {
@@ -223,60 +232,64 @@ impl MlExpr {
     }
     /// `(e1, e2)`.
     pub fn pair(a: MlExpr, b: MlExpr) -> MlExpr {
-        MlExpr::Pair(Box::new(a), Box::new(b))
+        MlExpr::Pair(Arc::new(a), Arc::new(b))
     }
     /// `fst e`.
     pub fn fst(e: MlExpr) -> MlExpr {
-        MlExpr::Fst(Box::new(e))
+        MlExpr::Fst(Arc::new(e))
     }
     /// `snd e`.
     pub fn snd(e: MlExpr) -> MlExpr {
-        MlExpr::Snd(Box::new(e))
+        MlExpr::Snd(Arc::new(e))
     }
     /// `inl e` at sum type `ty`.
     pub fn inl(e: MlExpr, ty: MlType) -> MlExpr {
-        MlExpr::Inl(Box::new(e), ty)
+        MlExpr::Inl(Arc::new(e), ty)
     }
     /// `inr e` at sum type `ty`.
     pub fn inr(e: MlExpr, ty: MlType) -> MlExpr {
-        MlExpr::Inr(Box::new(e), ty)
+        MlExpr::Inr(Arc::new(e), ty)
     }
     /// `match e x {l} y {r}`.
     pub fn match_(e: MlExpr, x: impl Into<Var>, l: MlExpr, y: impl Into<Var>, r: MlExpr) -> MlExpr {
-        MlExpr::Match(Box::new(e), x.into(), Box::new(l), y.into(), Box::new(r))
+        MlExpr::Match(Arc::new(e), x.into(), Arc::new(l), y.into(), Arc::new(r))
     }
     /// `λx:τ. body`.
     pub fn lam(x: impl Into<Var>, ty: MlType, body: MlExpr) -> MlExpr {
-        MlExpr::Lam(x.into(), ty, Box::new(body))
+        MlExpr::Lam(x.into(), ty, Arc::new(body))
     }
     /// `e1 e2`.
     pub fn app(f: MlExpr, a: MlExpr) -> MlExpr {
-        MlExpr::App(Box::new(f), Box::new(a))
+        MlExpr::App(Arc::new(f), Arc::new(a))
     }
     /// `ref e`.
     pub fn ref_(e: MlExpr) -> MlExpr {
-        MlExpr::Ref(Box::new(e))
+        MlExpr::Ref(Arc::new(e))
     }
     /// `!e`.
     pub fn deref(e: MlExpr) -> MlExpr {
-        MlExpr::Deref(Box::new(e))
+        MlExpr::Deref(Arc::new(e))
     }
     /// `e1 := e2`.
     pub fn assign(a: MlExpr, b: MlExpr) -> MlExpr {
-        MlExpr::Assign(Box::new(a), Box::new(b))
+        MlExpr::Assign(Arc::new(a), Arc::new(b))
     }
     /// `e1 + e2`.
     #[allow(clippy::should_implement_trait)]
     pub fn add(a: MlExpr, b: MlExpr) -> MlExpr {
-        MlExpr::Add(Box::new(a), Box::new(b))
+        MlExpr::Add(Arc::new(a), Arc::new(b))
     }
     /// `⦇ē⦈τ`: embed an Affi term at MiniML type `ty`.
     pub fn boundary(e: AffiExpr, ty: MlType) -> MlExpr {
-        MlExpr::Boundary(Box::new(e), ty)
+        MlExpr::Boundary(Arc::new(e), ty)
     }
 }
 
 /// Affi expressions (Fig. 6).
+///
+/// Children sit behind [`Arc`], as in the types: a clone copies one node and
+/// shares its subtrees, so a shrink candidate is a pointer copy, while
+/// equality and rendering stay structural.
 #[derive(Debug, Clone, PartialEq)]
 pub enum AffiExpr {
     /// `()`.
@@ -290,28 +303,28 @@ pub enum AffiExpr {
     /// An affine variable `a◦` or `a•`.
     AVar(Mode, Var),
     /// `λa:𝜏. e` with the binder's mode determining the arrow.
-    Lam(Mode, Var, AffiType, Box<AffiExpr>),
+    Lam(Mode, Var, AffiType, Arc<AffiExpr>),
     /// `e1 e2`.
-    App(Box<AffiExpr>, Box<AffiExpr>),
+    App(Arc<AffiExpr>, Arc<AffiExpr>),
     /// `!v` — exponential introduction (the payload must use no affine
     /// resources).
-    Bang(Box<AffiExpr>),
+    Bang(Arc<AffiExpr>),
     /// `let !x = e in e'` — exponential elimination, binding `x`
     /// unrestrictedly.
-    LetBang(Var, Box<AffiExpr>, Box<AffiExpr>),
+    LetBang(Var, Arc<AffiExpr>, Arc<AffiExpr>),
     /// `⟨e, e'⟩` — additive pair.
-    WithPair(Box<AffiExpr>, Box<AffiExpr>),
+    WithPair(Arc<AffiExpr>, Arc<AffiExpr>),
     /// `e.1`.
-    Proj1(Box<AffiExpr>),
+    Proj1(Arc<AffiExpr>),
     /// `e.2`.
-    Proj2(Box<AffiExpr>),
+    Proj2(Arc<AffiExpr>),
     /// `(e, e')` — multiplicative (tensor) pair.
-    TensorPair(Box<AffiExpr>, Box<AffiExpr>),
+    TensorPair(Arc<AffiExpr>, Arc<AffiExpr>),
     /// `let (a•, b•) = e in e'` — tensor elimination, binding two static
     /// affine variables.
-    LetTensor(Var, Var, Box<AffiExpr>, Box<AffiExpr>),
+    LetTensor(Var, Var, Arc<AffiExpr>, Arc<AffiExpr>),
     /// Boundary `⦇e⦈𝜏`: a MiniML term used at Affi type `𝜏`.
-    Boundary(Box<MlExpr>, AffiType),
+    Boundary(Arc<MlExpr>, AffiType),
 }
 
 impl AffiExpr {
@@ -341,39 +354,39 @@ impl AffiExpr {
     }
     /// `λa◦:𝜏. body` (dynamic affine function).
     pub fn lam(x: impl Into<Var>, ty: AffiType, body: AffiExpr) -> AffiExpr {
-        AffiExpr::Lam(Mode::Dynamic, x.into(), ty, Box::new(body))
+        AffiExpr::Lam(Mode::Dynamic, x.into(), ty, Arc::new(body))
     }
     /// `λa•:𝜏. body` (static affine function).
     pub fn lam_static(x: impl Into<Var>, ty: AffiType, body: AffiExpr) -> AffiExpr {
-        AffiExpr::Lam(Mode::Static, x.into(), ty, Box::new(body))
+        AffiExpr::Lam(Mode::Static, x.into(), ty, Arc::new(body))
     }
     /// `e1 e2`.
     pub fn app(f: AffiExpr, a: AffiExpr) -> AffiExpr {
-        AffiExpr::App(Box::new(f), Box::new(a))
+        AffiExpr::App(Arc::new(f), Arc::new(a))
     }
     /// `!e`.
     pub fn bang(e: AffiExpr) -> AffiExpr {
-        AffiExpr::Bang(Box::new(e))
+        AffiExpr::Bang(Arc::new(e))
     }
     /// `let !x = e in body`.
     pub fn let_bang(x: impl Into<Var>, e: AffiExpr, body: AffiExpr) -> AffiExpr {
-        AffiExpr::LetBang(x.into(), Box::new(e), Box::new(body))
+        AffiExpr::LetBang(x.into(), Arc::new(e), Arc::new(body))
     }
     /// `⟨a, b⟩`.
     pub fn with_pair(a: AffiExpr, b: AffiExpr) -> AffiExpr {
-        AffiExpr::WithPair(Box::new(a), Box::new(b))
+        AffiExpr::WithPair(Arc::new(a), Arc::new(b))
     }
     /// `e.1`.
     pub fn proj1(e: AffiExpr) -> AffiExpr {
-        AffiExpr::Proj1(Box::new(e))
+        AffiExpr::Proj1(Arc::new(e))
     }
     /// `e.2`.
     pub fn proj2(e: AffiExpr) -> AffiExpr {
-        AffiExpr::Proj2(Box::new(e))
+        AffiExpr::Proj2(Arc::new(e))
     }
     /// `(a, b)` (tensor).
     pub fn tensor(a: AffiExpr, b: AffiExpr) -> AffiExpr {
-        AffiExpr::TensorPair(Box::new(a), Box::new(b))
+        AffiExpr::TensorPair(Arc::new(a), Arc::new(b))
     }
     /// `let (a•, b•) = e in body`.
     pub fn let_tensor(
@@ -382,11 +395,11 @@ impl AffiExpr {
         e: AffiExpr,
         body: AffiExpr,
     ) -> AffiExpr {
-        AffiExpr::LetTensor(a.into(), b.into(), Box::new(e), Box::new(body))
+        AffiExpr::LetTensor(a.into(), b.into(), Arc::new(e), Arc::new(body))
     }
     /// `⦇e⦈𝜏`: embed a MiniML term at Affi type `ty`.
     pub fn boundary(e: MlExpr, ty: AffiType) -> AffiExpr {
-        AffiExpr::Boundary(Box::new(e), ty)
+        AffiExpr::Boundary(Arc::new(e), ty)
     }
 }
 

@@ -343,7 +343,10 @@ impl fmt::Display for CheckFailure {
 /// study.
 pub trait CaseStudy {
     /// Closed multi-language programs of this case study (either host
-    /// language at the top level).
+    /// language at the top level).  The shrinker clones a program and every
+    /// subterm it proposes, so the case studies keep expression subtrees
+    /// behind `Arc`, as they do type subtrees: a clone shares them, while
+    /// equality and rendering stay structural.
     type Program: Clone + fmt::Display + Send + 'static;
     /// Source types of this case study.  The engine clones them at every
     /// stage, so the case studies keep type subtrees behind `Arc`: a clone
@@ -474,8 +477,9 @@ pub trait CaseStudy {
     }
 
     /// Candidate one-step shrinks of `program`: structurally smaller
-    /// programs (typically immediate subterms) that may reproduce a failure.
-    /// Candidates need not be well-typed; the shrinker filters through
+    /// programs (typically immediate subterms, clones that share the
+    /// program's subtrees) that may reproduce a failure.  Candidates need
+    /// not be well-typed; the shrinker filters through
     /// [`CaseStudy::typecheck`].
     fn shrink(&self, program: &Self::Program) -> Vec<Self::Program> {
         let _ = program;

@@ -67,6 +67,12 @@ USAGE:
                                                       uninterrupted one-shot sweep
     semint help                                       this text
 
+    run and check refuse (exit 2) any option they would not honour:
+    run takes --case, --seed, the generation profile, --broken,
+    --model-check, --no-model-check and --time; check takes --case, the
+    scenario supply, the generation profile, --jobs, --batch, --broken,
+    --model-check, --time and --save.
+
 SCENARIO SUPPLY:
     --seeds A..B     half-open seed range                    (default: 0..100)
     --shard K/N      take the K-th of N deterministic slices of the seed range;
@@ -90,7 +96,7 @@ OPTIONS:
     --batch N        compiled artifacts executed per reused machine
                      (default: 1 = one machine per scenario); batching
                      amortises machine setup and never changes digests
-    --no-model-check skip the realizability-model stage (sweep only)
+    --no-model-check skip the realizability-model stage (sweep, run)
     --model-check    run the realizability-model stage (sweep: on by default;
                      chaos rounds skip it unless this is given)
     --time           collect per-stage wall-clock totals
@@ -305,7 +311,39 @@ impl Default for Options {
     }
 }
 
-fn parse_options(args: &[String]) -> Result<Options, String> {
+/// Whether `semint command` honours the option `flag`.  `run` and `check`
+/// refuse every option they would otherwise ignore; `sweep` and `chaos`
+/// take them all, and [`fleet_spec`] refuses what a supervised sweep
+/// cannot hand on.
+fn honours(command: &str, flag: &str) -> bool {
+    const POPULATION: [&str; 8] = [
+        "--case",
+        "--profile",
+        "--type-depth",
+        "--depth",
+        "--boundary-bias",
+        "--weights",
+        "--fuel",
+        "--broken",
+    ];
+    let own: &[&str] = match command {
+        "run" => &["--seed", "--model-check", "--no-model-check", "--time"],
+        "check" => &[
+            "--seeds",
+            "--shard",
+            "--jobs",
+            "--batch",
+            "--model-check",
+            "--time",
+            "--save",
+        ],
+        _ => return true,
+    };
+    POPULATION.contains(&flag) || own.contains(&flag)
+}
+
+/// Parses the options of `semint command`.
+fn parse_options(command: &str, args: &[String]) -> Result<Options, String> {
     let mut opts = Options::default();
     // Profile knob overrides are collected separately and applied on top of
     // whichever preset `--profile` selects, so flag order never matters.
@@ -317,6 +355,11 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
     let mut fuel: Option<Fuel> = None;
     let mut iter = args.iter();
     while let Some(flag) = iter.next() {
+        if !honours(command, flag) {
+            return Err(format!(
+                "`semint {command}` takes no `{flag}` option; try `semint help`"
+            ));
+        }
         let mut value = |name: &str| {
             iter.next()
                 .map(|s| s.as_str())
@@ -630,7 +673,7 @@ fn build_observer(
 /// wall-clock, so a single-seed investigation shows where the time goes
 /// without a timed sweep.
 fn cmd_run(args: &[String]) -> Result<bool, String> {
-    let opts = parse_options(args)?;
+    let opts = parse_options("run", args)?;
     let seed = opts.seed.ok_or("`semint run` needs --seed N")?;
     let cases = selected_cases(&opts)?;
     let cfg = SweepConfig {
@@ -687,7 +730,7 @@ fn cmd_run(args: &[String]) -> Result<bool, String> {
 /// `semint check`: the conversion catalogue (Lemma 3.1) plus a model-checked
 /// scenario set.
 fn cmd_check(args: &[String]) -> Result<bool, String> {
-    let opts = parse_options(args)?;
+    let opts = parse_options("check", args)?;
     let cases = selected_cases(&opts)?;
     let source = build_source(&opts)?;
     let mut cfg = sweep_config(&opts, true);
@@ -713,7 +756,7 @@ fn cmd_check(args: &[String]) -> Result<bool, String> {
 
 /// `semint sweep`: the parallel batch run.
 fn cmd_sweep(args: &[String]) -> Result<bool, String> {
-    let opts = parse_options(args)?;
+    let opts = parse_options("sweep", args)?;
     if let Some(workers) = opts.workers {
         return cmd_supervised_sweep(&opts, workers);
     }
@@ -936,7 +979,7 @@ fn cmd_report(args: &[String]) -> Result<bool, String> {
 /// the resumed digests and VM counters are byte-identical to an
 /// uninterrupted one-shot sweep — with no checkpointed shard re-run.
 fn cmd_chaos(args: &[String]) -> Result<bool, String> {
-    let opts = parse_options(args)?;
+    let opts = parse_options("chaos", args)?;
     // The drill's rounds are real supervised sweeps (run-only unless
     // --model-check); each round replaces the fault with its scheduled one.
     let spec = fleet_spec(&opts, opts.workers.unwrap_or(4), false)?;
@@ -1013,7 +1056,7 @@ mod tests {
 
     fn parse(args: &[&str]) -> Result<Options, String> {
         let owned: Vec<String> = args.iter().map(|s| s.to_string()).collect();
-        parse_options(&owned)
+        parse_options("sweep", &owned)
     }
 
     #[test]
@@ -1261,6 +1304,32 @@ mod tests {
         // A one-shot sweep refuses --corrupt-save with nothing to corrupt.
         let err = cmd_sweep(&["--corrupt-save".into(), "garbage".into()]).unwrap_err();
         assert!(err.contains("--save"), "{err}");
+    }
+
+    #[test]
+    fn run_and_check_take_only_the_options_they_honour() {
+        let owned =
+            |args: &str| -> Vec<String> { args.split_whitespace().map(str::to_string).collect() };
+        // Every flag a `repro:` line prints is one `run` takes.
+        let custom = parse(&["--boundary-bias", "90", "--fuel", "30"])
+            .unwrap()
+            .profile;
+        let repro = format!("--case sharedmem --seed 3 {}", population(&custom, true));
+        assert!(parse_options("run", &owned(&repro)).is_ok(), "{repro}");
+        for (command, flag) in [
+            ("run", "--jobs"),
+            ("run", "--seeds"),
+            ("run", "--progress"),
+            ("check", "--seed"),
+            ("check", "--no-model-check"),
+            ("check", "--progress"),
+        ] {
+            let err = parse_options(command, &owned(&format!("{flag} 1"))).unwrap_err();
+            assert!(
+                err.contains(&format!("`semint {command}`")) && err.contains(flag),
+                "{err}"
+            );
+        }
     }
 
     #[test]

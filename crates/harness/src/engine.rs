@@ -467,6 +467,9 @@ pub fn run_batch<C: CaseStudy>(case: &C, seeds: &[u64], cfg: &SweepConfig) -> Ve
         prepared.push(p);
     }
     let mut records = run_prepared(case, &scenarios, prepared, cfg);
+    // Dropping the programs is the batch's work too, so it falls inside the
+    // booked window.
+    drop(scenarios);
     book_other(&mut records, started);
     records
 }
@@ -778,6 +781,103 @@ mod tests {
         assert!(booked <= wall_ns, "booked {booked} ns of {wall_ns} ns");
         let other: u64 = timings.iter().map(|t| t.other_ns).sum();
         assert!(other > 0, "record building is engine time");
+    }
+
+    /// How long dropping one [`SlowDrop`] program takes.
+    const SLOW_DROP: std::time::Duration = std::time::Duration::from_millis(2);
+
+    /// A program that passes every stage and takes [`SLOW_DROP`] to drop.
+    #[derive(Clone)]
+    struct SlowDrop;
+
+    impl Drop for SlowDrop {
+        fn drop(&mut self) {
+            std::thread::sleep(SLOW_DROP);
+        }
+    }
+
+    impl std::fmt::Display for SlowDrop {
+        fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+            write!(f, "slow")
+        }
+    }
+
+    /// A toy case study over [`SlowDrop`] programs.
+    struct SlowDropCase;
+
+    impl CaseStudy for SlowDropCase {
+        type Program = SlowDrop;
+        type Ty = u8;
+        type Report = ();
+        type Compiled = ();
+        type Evidence = ();
+
+        fn name(&self) -> &'static str {
+            "slow-drop"
+        }
+        fn generate(&self, seed: u64, _profile: &GenProfile) -> Scenario<SlowDrop, u8> {
+            Scenario {
+                seed,
+                program: SlowDrop,
+                ty: 0,
+            }
+        }
+        fn typecheck(&self, _p: &SlowDrop) -> Result<u8, String> {
+            Ok(0)
+        }
+        fn compile(&self, _p: &SlowDrop) -> Result<(), String> {
+            Ok(())
+        }
+        fn execute(&self, _compiled: (), _fuel: semint_core::Fuel) {}
+        fn stats(&self, _report: &()) -> semint_core::stats::RunStats {
+            semint_core::stats::RunStats {
+                outcome: semint_core::stats::OutcomeClass::Value,
+                steps: 1,
+                counters: Default::default(),
+            }
+        }
+        fn model_budget(&self) -> semint_core::Fuel {
+            semint_core::Fuel::steps(1)
+        }
+        fn model_evidence(&self, _p: &SlowDrop, _ty: &u8, _c: &(), _fuel: semint_core::Fuel) {}
+        fn model_judgement(
+            &self,
+            _p: &SlowDrop,
+            _ty: &u8,
+            _evidence: (),
+            _report: &(),
+            _fuel: semint_core::Fuel,
+        ) -> Result<(), semint_core::case::CheckFailure> {
+            Ok(())
+        }
+        fn boundary_count(&self, _p: &SlowDrop) -> usize {
+            0
+        }
+        fn program_chars(&self, _p: &SlowDrop) -> usize {
+            4
+        }
+    }
+
+    #[test]
+    fn timed_batches_book_the_drop_of_their_programs() {
+        let cfg = SweepConfig {
+            jobs: 1,
+            time: true,
+            batch: 4,
+            ..SweepConfig::default()
+        };
+        let seeds: Vec<u64> = (0..4).collect();
+        let records = run_batch(&SlowDropCase, &seeds, &cfg);
+        assert!(records.iter().all(|r| r.failure.is_none()));
+        let booked: u64 = records
+            .iter()
+            .filter_map(|r| r.timings.map(|t| t.total_ns()))
+            .sum();
+        let dropping = seeds.len() as u64 * SLOW_DROP.as_nanos() as u64;
+        assert!(
+            booked >= dropping,
+            "the batch booked {booked} ns, but dropping its programs took {dropping} ns"
+        );
     }
 
     #[test]

@@ -11,6 +11,12 @@
 //! do not themselves fail (e.g. a failing `bool` expression sitting inside a
 //! sound pair), which a purely greedy parent-to-child descent could never
 //! reach.
+//!
+//! The case studies keep expression subtrees behind `Arc`, so a candidate
+//! shares its subtrees with the program it came from: proposing, keeping and
+//! dropping one is pointer work, as is the clone of the failing program a
+//! shrink starts from (`tests/program_sharing.rs`).  What a candidate costs
+//! is the walk that sizes it and, on a size tie, its rendering.
 
 use semint_core::case::CaseStudy;
 use std::collections::btree_map::Entry;

@@ -6,7 +6,9 @@
 //! ends with a `repro: semint run …` line, and running that line must
 //! replay the saved failure as it is: same stage, same reason.  `semint
 //! report` refuses to merge reports of different populations, and reads
-//! what `semint check --save` writes as it reads a sweep's.
+//! what `semint check --save` writes as it reads a sweep's.  `semint run`
+//! and `semint check` refuse, as usage errors, the options they would
+//! otherwise ignore.
 
 use semint_core::stats::SweepReport;
 use std::path::PathBuf;
@@ -179,4 +181,40 @@ fn check_saves_a_report_that_report_reads_back() {
         .collect();
     assert!(checked.contains(&block), "{checked}\nvs\n{reported}");
     let _ = std::fs::remove_file(&path);
+}
+
+#[test]
+fn run_and_check_refuse_options_they_do_not_honour() {
+    let save = scratch("refused-save");
+    let state = scratch("refused-state");
+    let (save_arg, state_arg) = (save.display(), state.display());
+    let check = "check --case sharedmem --seeds 0..3";
+    let refused = [
+        (
+            format!("run --case sharedmem --seed 3 --save {save_arg}"),
+            "--save",
+        ),
+        (format!("{check} --workers 2"), "--workers"),
+        (
+            format!("{check} --state-dir {state_arg} --resume"),
+            "--state-dir",
+        ),
+        (format!("{check} --corrupt-save garbage"), "--corrupt-save"),
+    ];
+    for (line, flag) in &refused {
+        let args: Vec<&str> = line.split_whitespace().collect();
+        let out = semint(&args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{line}: {stderr}");
+        let command = format!("`semint {}`", args[0]);
+        assert!(
+            stderr.contains(&command) && stderr.contains(&format!("`{flag}`")),
+            "{line}: {stderr}"
+        );
+        assert!(out.stdout.is_empty(), "{line} ran before it refused");
+    }
+    assert!(
+        !save.exists() && !state.exists(),
+        "a refused command writes nothing"
+    );
 }

@@ -1,6 +1,11 @@
 //! Syntax of the §5 languages: MiniML with polymorphism and foreign types
 //! (here called `Poly*` to distinguish it from the §4 instance) and core L3
 //! (Fig. 11), augmented with boundary and foreign-embedding forms.
+//!
+//! Types and expressions are immutable trees whose children sit behind
+//! [`Arc`], so cloning any of them copies one node and bumps reference
+//! counts: generator annotations, typing contexts, glue-cache keys and
+//! shrink candidates share their subtrees instead of copying them.
 
 use semint_core::Var;
 use std::fmt;
@@ -281,6 +286,10 @@ impl L3Type {
 }
 
 /// MiniML (§5) expressions.
+///
+/// Children sit behind [`Arc`], as in the types: a clone copies one node and
+/// shares its subtrees, so a shrink candidate is a pointer copy, while
+/// equality and rendering stay structural.
 #[derive(Debug, Clone, PartialEq)]
 pub enum PolyExpr {
     /// `()`.
@@ -290,35 +299,35 @@ pub enum PolyExpr {
     /// A variable.
     Var(Var),
     /// `(e1, e2)`.
-    Pair(Box<PolyExpr>, Box<PolyExpr>),
+    Pair(Arc<PolyExpr>, Arc<PolyExpr>),
     /// `fst e`.
-    Fst(Box<PolyExpr>),
+    Fst(Arc<PolyExpr>),
     /// `snd e`.
-    Snd(Box<PolyExpr>),
+    Snd(Arc<PolyExpr>),
     /// `inl e` at the annotated sum type.
-    Inl(Box<PolyExpr>, PolyType),
+    Inl(Arc<PolyExpr>, PolyType),
     /// `inr e` at the annotated sum type.
-    Inr(Box<PolyExpr>, PolyType),
+    Inr(Arc<PolyExpr>, PolyType),
     /// `match e x {e1} y {e2}`.
-    Match(Box<PolyExpr>, Var, Box<PolyExpr>, Var, Box<PolyExpr>),
+    Match(Arc<PolyExpr>, Var, Arc<PolyExpr>, Var, Arc<PolyExpr>),
     /// `λx:τ. e`.
-    Lam(Var, PolyType, Box<PolyExpr>),
+    Lam(Var, PolyType, Arc<PolyExpr>),
     /// `e1 e2`.
-    App(Box<PolyExpr>, Box<PolyExpr>),
+    App(Arc<PolyExpr>, Arc<PolyExpr>),
     /// `Λα. e`.
-    TyLam(TyVar, Box<PolyExpr>),
+    TyLam(TyVar, Arc<PolyExpr>),
     /// `e [τ]`.
-    TyApp(Box<PolyExpr>, PolyType),
+    TyApp(Arc<PolyExpr>, PolyType),
     /// `ref e`.
-    Ref(Box<PolyExpr>),
+    Ref(Arc<PolyExpr>),
     /// `!e`.
-    Deref(Box<PolyExpr>),
+    Deref(Arc<PolyExpr>),
     /// `e1 := e2`.
-    Assign(Box<PolyExpr>, Box<PolyExpr>),
+    Assign(Arc<PolyExpr>, Arc<PolyExpr>),
     /// `e1 + e2`.
-    Add(Box<PolyExpr>, Box<PolyExpr>),
+    Add(Arc<PolyExpr>, Arc<PolyExpr>),
     /// Boundary `⦇ē⦈τ`: an L3 term used at MiniML type `τ`.
-    Boundary(Box<L3Expr>, PolyType),
+    Boundary(Arc<L3Expr>, PolyType),
 }
 
 impl PolyExpr {
@@ -336,68 +345,72 @@ impl PolyExpr {
     }
     /// `(a, b)`.
     pub fn pair(a: Self, b: Self) -> Self {
-        PolyExpr::Pair(Box::new(a), Box::new(b))
+        PolyExpr::Pair(Arc::new(a), Arc::new(b))
     }
     /// `fst e`.
     pub fn fst(e: Self) -> Self {
-        PolyExpr::Fst(Box::new(e))
+        PolyExpr::Fst(Arc::new(e))
     }
     /// `snd e`.
     pub fn snd(e: Self) -> Self {
-        PolyExpr::Snd(Box::new(e))
+        PolyExpr::Snd(Arc::new(e))
     }
     /// `inl e` at `ty`.
     pub fn inl(e: Self, ty: PolyType) -> Self {
-        PolyExpr::Inl(Box::new(e), ty)
+        PolyExpr::Inl(Arc::new(e), ty)
     }
     /// `inr e` at `ty`.
     pub fn inr(e: Self, ty: PolyType) -> Self {
-        PolyExpr::Inr(Box::new(e), ty)
+        PolyExpr::Inr(Arc::new(e), ty)
     }
     /// `match e x {l} y {r}`.
     pub fn match_(e: Self, x: impl Into<Var>, l: Self, y: impl Into<Var>, r: Self) -> Self {
-        PolyExpr::Match(Box::new(e), x.into(), Box::new(l), y.into(), Box::new(r))
+        PolyExpr::Match(Arc::new(e), x.into(), Arc::new(l), y.into(), Arc::new(r))
     }
     /// `λx:τ. body`.
     pub fn lam(x: impl Into<Var>, ty: PolyType, body: Self) -> Self {
-        PolyExpr::Lam(x.into(), ty, Box::new(body))
+        PolyExpr::Lam(x.into(), ty, Arc::new(body))
     }
     /// `f a`.
     pub fn app(f: Self, a: Self) -> Self {
-        PolyExpr::App(Box::new(f), Box::new(a))
+        PolyExpr::App(Arc::new(f), Arc::new(a))
     }
     /// `Λα. body`.
     pub fn tylam(a: impl Into<TyVar>, body: Self) -> Self {
-        PolyExpr::TyLam(a.into(), Box::new(body))
+        PolyExpr::TyLam(a.into(), Arc::new(body))
     }
     /// `e [τ]`.
     pub fn tyapp(e: Self, ty: PolyType) -> Self {
-        PolyExpr::TyApp(Box::new(e), ty)
+        PolyExpr::TyApp(Arc::new(e), ty)
     }
     /// `ref e`.
     pub fn ref_(e: Self) -> Self {
-        PolyExpr::Ref(Box::new(e))
+        PolyExpr::Ref(Arc::new(e))
     }
     /// `!e`.
     pub fn deref(e: Self) -> Self {
-        PolyExpr::Deref(Box::new(e))
+        PolyExpr::Deref(Arc::new(e))
     }
     /// `a := b`.
     pub fn assign(a: Self, b: Self) -> Self {
-        PolyExpr::Assign(Box::new(a), Box::new(b))
+        PolyExpr::Assign(Arc::new(a), Arc::new(b))
     }
     /// `a + b`.
     #[allow(clippy::should_implement_trait)]
     pub fn add(a: Self, b: Self) -> Self {
-        PolyExpr::Add(Box::new(a), Box::new(b))
+        PolyExpr::Add(Arc::new(a), Arc::new(b))
     }
     /// `⦇ē⦈τ`.
     pub fn boundary(e: L3Expr, ty: PolyType) -> Self {
-        PolyExpr::Boundary(Box::new(e), ty)
+        PolyExpr::Boundary(Arc::new(e), ty)
     }
 }
 
 /// L3 expressions (Fig. 11, plus the boundary `⦇e⦈𝜏`).
+///
+/// Children sit behind [`Arc`], as in the types: a clone copies one node and
+/// shares its subtrees, so a shrink candidate is a pointer copy, while
+/// equality and rendering stay structural.
 #[derive(Debug, Clone, PartialEq)]
 pub enum L3Expr {
     /// `()`.
@@ -409,42 +422,42 @@ pub enum L3Expr {
     /// An unrestricted variable introduced by `let !x = …`.
     UVar(Var),
     /// `λx:𝜏. e`.
-    Lam(Var, L3Type, Box<L3Expr>),
+    Lam(Var, L3Type, Arc<L3Expr>),
     /// `e1 e2`.
-    App(Box<L3Expr>, Box<L3Expr>),
+    App(Arc<L3Expr>, Arc<L3Expr>),
     /// `(e1, e2)`.
-    Pair(Box<L3Expr>, Box<L3Expr>),
+    Pair(Arc<L3Expr>, Arc<L3Expr>),
     /// `let (x1, x2) = e1 in e2`.
-    LetPair(Var, Var, Box<L3Expr>, Box<L3Expr>),
+    LetPair(Var, Var, Arc<L3Expr>, Arc<L3Expr>),
     /// `let () = e1 in e2`.
-    LetUnit(Box<L3Expr>, Box<L3Expr>),
+    LetUnit(Arc<L3Expr>, Arc<L3Expr>),
     /// `if e e1 e2`.
-    If(Box<L3Expr>, Box<L3Expr>, Box<L3Expr>),
+    If(Arc<L3Expr>, Arc<L3Expr>, Arc<L3Expr>),
     /// `!v` — exponential introduction.
-    Bang(Box<L3Expr>),
+    Bang(Arc<L3Expr>),
     /// `let !x = e1 in e2`.
-    LetBang(Var, Box<L3Expr>, Box<L3Expr>),
+    LetBang(Var, Arc<L3Expr>, Arc<L3Expr>),
     /// `dupl e` — duplicate a `!`-value (`!𝜏 ⊸ !𝜏 ⊗ !𝜏`).
-    Dupl(Box<L3Expr>),
+    Dupl(Arc<L3Expr>),
     /// `drop e` — discard a `!`-value.
-    Drop(Box<L3Expr>),
+    Drop(Arc<L3Expr>),
     /// `new e` — allocate, returning `∃ζ. cap ζ 𝜏 ⊗ !ptr ζ`.
-    New(Box<L3Expr>),
+    New(Arc<L3Expr>),
     /// `free e` — deallocate a capability/pointer package, returning the
     /// stored value.
-    Free(Box<L3Expr>),
+    Free(Arc<L3Expr>),
     /// `swap ec ep ev` — strong update: returns `cap ζ 𝜏2 ⊗ 𝜏1`.
-    Swap(Box<L3Expr>, Box<L3Expr>, Box<L3Expr>),
+    Swap(Arc<L3Expr>, Arc<L3Expr>, Arc<L3Expr>),
     /// `Λζ. e`.
-    LocLam(LocVar, Box<L3Expr>),
+    LocLam(LocVar, Arc<L3Expr>),
     /// `e [ζ]`.
-    LocApp(Box<L3Expr>, LocVar),
+    LocApp(Arc<L3Expr>, LocVar),
     /// `⌜ζ, e⌝` — pack.
-    Pack(LocVar, Box<L3Expr>, L3Type),
+    Pack(LocVar, Arc<L3Expr>, L3Type),
     /// `let ⌜ζ, x⌝ = e1 in e2` — unpack.
-    Unpack(LocVar, Var, Box<L3Expr>, Box<L3Expr>),
+    Unpack(LocVar, Var, Arc<L3Expr>, Arc<L3Expr>),
     /// Boundary `⦇e⦈𝜏`: a MiniML term used at L3 type `𝜏`.
-    Boundary(Box<PolyExpr>, L3Type),
+    Boundary(Arc<PolyExpr>, L3Type),
 }
 
 impl L3Expr {
@@ -466,75 +479,75 @@ impl L3Expr {
     }
     /// `λx:𝜏. body`.
     pub fn lam(x: impl Into<Var>, ty: L3Type, body: Self) -> Self {
-        L3Expr::Lam(x.into(), ty, Box::new(body))
+        L3Expr::Lam(x.into(), ty, Arc::new(body))
     }
     /// `f a`.
     pub fn app(f: Self, a: Self) -> Self {
-        L3Expr::App(Box::new(f), Box::new(a))
+        L3Expr::App(Arc::new(f), Arc::new(a))
     }
     /// `(a, b)`.
     pub fn pair(a: Self, b: Self) -> Self {
-        L3Expr::Pair(Box::new(a), Box::new(b))
+        L3Expr::Pair(Arc::new(a), Arc::new(b))
     }
     /// `let (x, y) = e in body`.
     pub fn let_pair(x: impl Into<Var>, y: impl Into<Var>, e: Self, body: Self) -> Self {
-        L3Expr::LetPair(x.into(), y.into(), Box::new(e), Box::new(body))
+        L3Expr::LetPair(x.into(), y.into(), Arc::new(e), Arc::new(body))
     }
     /// `let () = e in body`.
     pub fn let_unit(e: Self, body: Self) -> Self {
-        L3Expr::LetUnit(Box::new(e), Box::new(body))
+        L3Expr::LetUnit(Arc::new(e), Arc::new(body))
     }
     /// `if c t f`.
     pub fn if_(c: Self, t: Self, f: Self) -> Self {
-        L3Expr::If(Box::new(c), Box::new(t), Box::new(f))
+        L3Expr::If(Arc::new(c), Arc::new(t), Arc::new(f))
     }
     /// `!e`.
     pub fn bang(e: Self) -> Self {
-        L3Expr::Bang(Box::new(e))
+        L3Expr::Bang(Arc::new(e))
     }
     /// `let !x = e in body`.
     pub fn let_bang(x: impl Into<Var>, e: Self, body: Self) -> Self {
-        L3Expr::LetBang(x.into(), Box::new(e), Box::new(body))
+        L3Expr::LetBang(x.into(), Arc::new(e), Arc::new(body))
     }
     /// `dupl e`.
     pub fn dupl(e: Self) -> Self {
-        L3Expr::Dupl(Box::new(e))
+        L3Expr::Dupl(Arc::new(e))
     }
     /// `drop e`.
     pub fn drop_(e: Self) -> Self {
-        L3Expr::Drop(Box::new(e))
+        L3Expr::Drop(Arc::new(e))
     }
     /// `new e`.
     pub fn new(e: Self) -> Self {
-        L3Expr::New(Box::new(e))
+        L3Expr::New(Arc::new(e))
     }
     /// `free e`.
     pub fn free(e: Self) -> Self {
-        L3Expr::Free(Box::new(e))
+        L3Expr::Free(Arc::new(e))
     }
     /// `swap cap ptr value`.
     pub fn swap(cap: Self, ptr: Self, value: Self) -> Self {
-        L3Expr::Swap(Box::new(cap), Box::new(ptr), Box::new(value))
+        L3Expr::Swap(Arc::new(cap), Arc::new(ptr), Arc::new(value))
     }
     /// `Λζ. body`.
     pub fn loclam(z: impl Into<LocVar>, body: Self) -> Self {
-        L3Expr::LocLam(z.into(), Box::new(body))
+        L3Expr::LocLam(z.into(), Arc::new(body))
     }
     /// `e [ζ]`.
     pub fn locapp(e: Self, z: impl Into<LocVar>) -> Self {
-        L3Expr::LocApp(Box::new(e), z.into())
+        L3Expr::LocApp(Arc::new(e), z.into())
     }
     /// `⌜ζ, e⌝ : ty` (the annotation is the existential type constructed).
     pub fn pack(z: impl Into<LocVar>, e: Self, ty: L3Type) -> Self {
-        L3Expr::Pack(z.into(), Box::new(e), ty)
+        L3Expr::Pack(z.into(), Arc::new(e), ty)
     }
     /// `let ⌜ζ, x⌝ = e in body`.
     pub fn unpack(z: impl Into<LocVar>, x: impl Into<Var>, e: Self, body: Self) -> Self {
-        L3Expr::Unpack(z.into(), x.into(), Box::new(e), Box::new(body))
+        L3Expr::Unpack(z.into(), x.into(), Arc::new(e), Arc::new(body))
     }
     /// `⦇e⦈𝜏`.
     pub fn boundary(e: PolyExpr, ty: L3Type) -> Self {
-        L3Expr::Boundary(Box::new(e), ty)
+        L3Expr::Boundary(Arc::new(e), ty)
     }
 }
 

@@ -226,7 +226,7 @@ fn emit_ll(
         LlExpr::Int(n) => out.push(Instr::push_num(*n)),
         LlExpr::Var(x) => out.push(Instr::push_var(x.clone())),
         LlExpr::Array(es, _) => {
-            for e1 in es {
+            for e1 in es.iter() {
                 emit_ll(ctx, e1, emitter, out)?;
             }
             out.push(pack(es.len()));

@@ -3,6 +3,11 @@
 //! The two languages are mutually recursive through their boundary forms:
 //! a RefHL term can embed a RefLL term (`⦇ē⦈τ`) and vice versa (`⦇e⦈𝜏`), which
 //! is why both ASTs live in one crate.
+//!
+//! Types and expressions are immutable trees whose children sit behind
+//! [`Arc`], so cloning any of them copies one node and bumps reference
+//! counts: generator annotations, typing contexts, glue-cache keys and
+//! shrink candidates share their subtrees instead of copying them.
 
 use semint_core::Var;
 use std::fmt;
@@ -135,6 +140,10 @@ impl LlType {
 }
 
 /// RefHL expressions (Fig. 1).
+///
+/// Children sit behind [`Arc`], as in the types: a clone copies one node and
+/// shares its subtrees, so a shrink candidate is a pointer copy, while
+/// equality and rendering stay structural.
 #[derive(Debug, Clone, PartialEq)]
 pub enum HlExpr {
     /// `()`.
@@ -144,31 +153,31 @@ pub enum HlExpr {
     /// A variable.
     Var(Var),
     /// `inl e` annotated with the full sum type it constructs.
-    Inl(Box<HlExpr>, HlType),
+    Inl(Arc<HlExpr>, HlType),
     /// `inr e` annotated with the full sum type it constructs.
-    Inr(Box<HlExpr>, HlType),
+    Inr(Arc<HlExpr>, HlType),
     /// `(e1, e2)`.
-    Pair(Box<HlExpr>, Box<HlExpr>),
+    Pair(Arc<HlExpr>, Arc<HlExpr>),
     /// `fst e`.
-    Fst(Box<HlExpr>),
+    Fst(Arc<HlExpr>),
     /// `snd e`.
-    Snd(Box<HlExpr>),
+    Snd(Arc<HlExpr>),
     /// `if e then e1 else e2`.
-    If(Box<HlExpr>, Box<HlExpr>, Box<HlExpr>),
+    If(Arc<HlExpr>, Arc<HlExpr>, Arc<HlExpr>),
     /// `match e x {e1} y {e2}`.
-    Match(Box<HlExpr>, Var, Box<HlExpr>, Var, Box<HlExpr>),
+    Match(Arc<HlExpr>, Var, Arc<HlExpr>, Var, Arc<HlExpr>),
     /// `λx:τ. e`.
-    Lam(Var, HlType, Box<HlExpr>),
+    Lam(Var, HlType, Arc<HlExpr>),
     /// Application `e1 e2`.
-    App(Box<HlExpr>, Box<HlExpr>),
+    App(Arc<HlExpr>, Arc<HlExpr>),
     /// `ref e`.
-    Ref(Box<HlExpr>),
+    Ref(Arc<HlExpr>),
     /// `!e`.
-    Deref(Box<HlExpr>),
+    Deref(Arc<HlExpr>),
     /// `e1 := e2`.
-    Assign(Box<HlExpr>, Box<HlExpr>),
+    Assign(Arc<HlExpr>, Arc<HlExpr>),
     /// Boundary `⦇ē⦈τ`: a RefLL term used at RefHL type `τ`.
-    Boundary(Box<LlExpr>, HlType),
+    Boundary(Arc<LlExpr>, HlType),
 }
 
 impl HlExpr {
@@ -189,67 +198,67 @@ impl HlExpr {
 
     /// `inl e : ty` (where `ty` is the full sum type).
     pub fn inl(e: HlExpr, ty: HlType) -> HlExpr {
-        HlExpr::Inl(Box::new(e), ty)
+        HlExpr::Inl(Arc::new(e), ty)
     }
 
     /// `inr e : ty` (where `ty` is the full sum type).
     pub fn inr(e: HlExpr, ty: HlType) -> HlExpr {
-        HlExpr::Inr(Box::new(e), ty)
+        HlExpr::Inr(Arc::new(e), ty)
     }
 
     /// `(e1, e2)`.
     pub fn pair(a: HlExpr, b: HlExpr) -> HlExpr {
-        HlExpr::Pair(Box::new(a), Box::new(b))
+        HlExpr::Pair(Arc::new(a), Arc::new(b))
     }
 
     /// `fst e`.
     pub fn fst(e: HlExpr) -> HlExpr {
-        HlExpr::Fst(Box::new(e))
+        HlExpr::Fst(Arc::new(e))
     }
 
     /// `snd e`.
     pub fn snd(e: HlExpr) -> HlExpr {
-        HlExpr::Snd(Box::new(e))
+        HlExpr::Snd(Arc::new(e))
     }
 
     /// `if c then t else f`.
     pub fn if_(c: HlExpr, t: HlExpr, f: HlExpr) -> HlExpr {
-        HlExpr::If(Box::new(c), Box::new(t), Box::new(f))
+        HlExpr::If(Arc::new(c), Arc::new(t), Arc::new(f))
     }
 
     /// `match e x {l} y {r}`.
     pub fn match_(e: HlExpr, x: impl Into<Var>, l: HlExpr, y: impl Into<Var>, r: HlExpr) -> HlExpr {
-        HlExpr::Match(Box::new(e), x.into(), Box::new(l), y.into(), Box::new(r))
+        HlExpr::Match(Arc::new(e), x.into(), Arc::new(l), y.into(), Arc::new(r))
     }
 
     /// `λx:τ. body`.
     pub fn lam(x: impl Into<Var>, ty: HlType, body: HlExpr) -> HlExpr {
-        HlExpr::Lam(x.into(), ty, Box::new(body))
+        HlExpr::Lam(x.into(), ty, Arc::new(body))
     }
 
     /// `e1 e2`.
     pub fn app(f: HlExpr, a: HlExpr) -> HlExpr {
-        HlExpr::App(Box::new(f), Box::new(a))
+        HlExpr::App(Arc::new(f), Arc::new(a))
     }
 
     /// `ref e`.
     pub fn ref_(e: HlExpr) -> HlExpr {
-        HlExpr::Ref(Box::new(e))
+        HlExpr::Ref(Arc::new(e))
     }
 
     /// `!e`.
     pub fn deref(e: HlExpr) -> HlExpr {
-        HlExpr::Deref(Box::new(e))
+        HlExpr::Deref(Arc::new(e))
     }
 
     /// `e1 := e2`.
     pub fn assign(a: HlExpr, b: HlExpr) -> HlExpr {
-        HlExpr::Assign(Box::new(a), Box::new(b))
+        HlExpr::Assign(Arc::new(a), Arc::new(b))
     }
 
     /// `⦇ē⦈τ`: embed a RefLL term at RefHL type `ty`.
     pub fn boundary(e: LlExpr, ty: HlType) -> HlExpr {
-        HlExpr::Boundary(Box::new(e), ty)
+        HlExpr::Boundary(Arc::new(e), ty)
     }
 
     /// Number of syntactic language boundaries `⦇·⦈`, counted structurally
@@ -277,6 +286,11 @@ impl HlExpr {
 }
 
 /// RefLL expressions (Fig. 1).
+///
+/// Children sit behind [`Arc`], as in the types, and an array's elements
+/// share one slice: a clone copies one node and shares its subtrees, so a
+/// shrink candidate is a pointer copy, while equality and rendering stay
+/// structural.
 #[derive(Debug, Clone, PartialEq)]
 pub enum LlExpr {
     /// An integer literal.
@@ -284,25 +298,25 @@ pub enum LlExpr {
     /// A variable.
     Var(Var),
     /// An array literal `[ē, …]` annotated with its element type.
-    Array(Vec<LlExpr>, LlType),
+    Array(Arc<[LlExpr]>, LlType),
     /// Indexing `ē1[ē2]`.
-    Index(Box<LlExpr>, Box<LlExpr>),
+    Index(Arc<LlExpr>, Arc<LlExpr>),
     /// `λx:𝜏. ē`.
-    Lam(Var, LlType, Box<LlExpr>),
+    Lam(Var, LlType, Arc<LlExpr>),
     /// Application `ē1 ē2`.
-    App(Box<LlExpr>, Box<LlExpr>),
+    App(Arc<LlExpr>, Arc<LlExpr>),
     /// Addition `ē1 + ē2`.
-    Add(Box<LlExpr>, Box<LlExpr>),
+    Add(Arc<LlExpr>, Arc<LlExpr>),
     /// `if0 ē ē1 ē2`.
-    If0(Box<LlExpr>, Box<LlExpr>, Box<LlExpr>),
+    If0(Arc<LlExpr>, Arc<LlExpr>, Arc<LlExpr>),
     /// `ref ē`.
-    Ref(Box<LlExpr>),
+    Ref(Arc<LlExpr>),
     /// `!ē`.
-    Deref(Box<LlExpr>),
+    Deref(Arc<LlExpr>),
     /// `ē1 := ē2`.
-    Assign(Box<LlExpr>, Box<LlExpr>),
+    Assign(Arc<LlExpr>, Arc<LlExpr>),
     /// Boundary `⦇e⦈𝜏`: a RefHL term used at RefLL type `𝜏`.
-    Boundary(Box<HlExpr>, LlType),
+    Boundary(Arc<HlExpr>, LlType),
 }
 
 impl LlExpr {
@@ -316,55 +330,63 @@ impl LlExpr {
         LlExpr::Var(x.into())
     }
 
-    /// An array literal with element type `elem`.
+    /// An array literal with element type `elem`.  The elements are
+    /// collected straight into one shared slice; an empty array shares the
+    /// static empty slice and allocates nothing.
     pub fn array(es: impl IntoIterator<Item = LlExpr>, elem: LlType) -> LlExpr {
-        LlExpr::Array(es.into_iter().collect(), elem)
+        let es = es.into_iter();
+        let es = if es.size_hint().1 == Some(0) {
+            Arc::default()
+        } else {
+            es.collect()
+        };
+        LlExpr::Array(es, elem)
     }
 
     /// `ē1[ē2]`.
     pub fn index(a: LlExpr, i: LlExpr) -> LlExpr {
-        LlExpr::Index(Box::new(a), Box::new(i))
+        LlExpr::Index(Arc::new(a), Arc::new(i))
     }
 
     /// `λx:𝜏. body`.
     pub fn lam(x: impl Into<Var>, ty: LlType, body: LlExpr) -> LlExpr {
-        LlExpr::Lam(x.into(), ty, Box::new(body))
+        LlExpr::Lam(x.into(), ty, Arc::new(body))
     }
 
     /// `ē1 ē2`.
     pub fn app(f: LlExpr, a: LlExpr) -> LlExpr {
-        LlExpr::App(Box::new(f), Box::new(a))
+        LlExpr::App(Arc::new(f), Arc::new(a))
     }
 
     /// `ē1 + ē2`.
     #[allow(clippy::should_implement_trait)]
     pub fn add(a: LlExpr, b: LlExpr) -> LlExpr {
-        LlExpr::Add(Box::new(a), Box::new(b))
+        LlExpr::Add(Arc::new(a), Arc::new(b))
     }
 
     /// `if0 c t f`.
     pub fn if0(c: LlExpr, t: LlExpr, f: LlExpr) -> LlExpr {
-        LlExpr::If0(Box::new(c), Box::new(t), Box::new(f))
+        LlExpr::If0(Arc::new(c), Arc::new(t), Arc::new(f))
     }
 
     /// `ref ē`.
     pub fn ref_(e: LlExpr) -> LlExpr {
-        LlExpr::Ref(Box::new(e))
+        LlExpr::Ref(Arc::new(e))
     }
 
     /// `!ē`.
     pub fn deref(e: LlExpr) -> LlExpr {
-        LlExpr::Deref(Box::new(e))
+        LlExpr::Deref(Arc::new(e))
     }
 
     /// `ē1 := ē2`.
     pub fn assign(a: LlExpr, b: LlExpr) -> LlExpr {
-        LlExpr::Assign(Box::new(a), Box::new(b))
+        LlExpr::Assign(Arc::new(a), Arc::new(b))
     }
 
     /// `⦇e⦈𝜏`: embed a RefHL term at RefLL type `ty`.
     pub fn boundary(e: HlExpr, ty: LlType) -> LlExpr {
-        LlExpr::Boundary(Box::new(e), ty)
+        LlExpr::Boundary(Arc::new(e), ty)
     }
 
     /// Number of syntactic language boundaries `⦇·⦈`, counted structurally

@@ -272,7 +272,7 @@ pub fn check_ll(
             .cloned()
             .ok_or_else(|| TypeError::UnboundVariable(x.clone())),
         LlExpr::Array(es, elem) => {
-            for e1 in es {
+            for e1 in es.iter() {
                 let t = check_ll(ctx, e1, oracle)?;
                 if &t != elem {
                     return Err(mismatch(elem, t, "array element"));
@@ -478,7 +478,8 @@ mod tests {
             vec![
                 LlExpr::int(1),
                 LlExpr::lam("x", LlType::Int, LlExpr::var("x")),
-            ],
+            ]
+            .into(),
             LlType::Int,
         );
         assert!(check_ll(&TypeCtx::empty(), &arr, &oracle).is_err());

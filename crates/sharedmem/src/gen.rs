@@ -210,18 +210,14 @@ impl ProgramGen {
                 ),
                 _ => LlExpr::index(
                     LlExpr::array(
-                        (0..self.rng.gen_range(1..4))
-                            .map(|_| self.ll(&LlType::Int, 0))
-                            .collect::<Vec<_>>(),
+                        (0..self.rng.gen_range(1..4)).map(|_| self.ll(&LlType::Int, 0)),
                         LlType::Int,
                     ),
                     LlExpr::int(0),
                 ),
             },
             LlType::Array(elem) => LlExpr::array(
-                (0..self.rng.gen_range(0..4))
-                    .map(|_| self.ll(elem, depth - 1))
-                    .collect::<Vec<_>>(),
+                (0..self.rng.gen_range(0..4)).map(|_| self.ll(elem, depth - 1)),
                 (**elem).clone(),
             ),
             LlType::Fun(a, b) => {
@@ -236,9 +232,7 @@ impl ProgramGen {
         match ty {
             LlType::Int => LlExpr::int(self.rng.gen_range(-5..50)),
             LlType::Array(elem) => LlExpr::array(
-                (0..self.rng.gen_range(0..3))
-                    .map(|_| self.ll_leaf(elem))
-                    .collect::<Vec<_>>(),
+                (0..self.rng.gen_range(0..3)).map(|_| self.ll_leaf(elem)),
                 (**elem).clone(),
             ),
             LlType::Fun(a, b) => {

@@ -109,7 +109,7 @@ fn ll_children(e: &LlExpr, out: &mut Vec<SmProgram>) {
     match e {
         LlExpr::Int(_) | LlExpr::Var(_) => {}
         LlExpr::Array(es, _) => {
-            for elem in es {
+            for elem in es.iter() {
                 push_ll(out, elem);
             }
         }
