@@ -79,11 +79,6 @@ impl<V> Outcome<V> {
         }
     }
 
-    /// True if the outcome is a value.
-    pub fn is_value(&self) -> bool {
-        matches!(self, Outcome::Value(_))
-    }
-
     /// True if the outcome is `Fail(code)`.
     pub fn is_fail_with(&self, code: ErrorCode) -> bool {
         matches!(self, Outcome::Fail(c) if *c == code)

@@ -6,9 +6,8 @@
 //! ends with a `repro: semint run …` line, and running that line must
 //! replay the saved failure as it is: same stage, same reason.  `semint
 //! report` refuses to merge reports of different populations, and reads
-//! what `semint check --save` writes as it reads a sweep's.  `semint run`
-//! and `semint check` refuse, as usage errors, the options they would
-//! otherwise ignore.
+//! what `semint check --save` writes as it reads a sweep's.  Every command
+//! refuses, as a usage error, the options it would otherwise ignore.
 
 use semint_core::stats::SweepReport;
 use std::path::PathBuf;
@@ -183,6 +182,23 @@ fn check_saves_a_report_that_report_reads_back() {
     let _ = std::fs::remove_file(&path);
 }
 
+/// Runs each command line, which must be refused (exit 2) for the option
+/// `flag` by `semint COMMAND`, before it prints or writes anything.
+fn assert_refused(refused: &[(String, &str, &str)], written: &[&PathBuf]) {
+    for (line, command, flag) in refused {
+        let args: Vec<&str> = line.split_whitespace().collect();
+        let out = semint(&args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{line}: {stderr}");
+        let refusal = format!("`semint {command}` takes no `{flag}` option");
+        assert!(stderr.contains(&refusal), "{line}: {stderr}");
+        assert!(out.stdout.is_empty(), "{line} ran before it refused");
+    }
+    for path in written {
+        assert!(!path.exists(), "a refused command writes nothing");
+    }
+}
+
 #[test]
 fn run_and_check_refuse_options_they_do_not_honour() {
     let save = scratch("refused-save");
@@ -192,29 +208,61 @@ fn run_and_check_refuse_options_they_do_not_honour() {
     let refused = [
         (
             format!("run --case sharedmem --seed 3 --save {save_arg}"),
+            "run",
             "--save",
         ),
-        (format!("{check} --workers 2"), "--workers"),
+        (format!("{check} --workers 2"), "check", "--workers"),
         (
             format!("{check} --state-dir {state_arg} --resume"),
+            "check",
             "--state-dir",
         ),
-        (format!("{check} --corrupt-save garbage"), "--corrupt-save"),
+        (
+            format!("{check} --corrupt-save garbage"),
+            "check",
+            "--corrupt-save",
+        ),
     ];
-    for (line, flag) in &refused {
-        let args: Vec<&str> = line.split_whitespace().collect();
-        let out = semint(&args);
-        let stderr = String::from_utf8_lossy(&out.stderr);
-        assert_eq!(out.status.code(), Some(2), "{line}: {stderr}");
-        let command = format!("`semint {}`", args[0]);
-        assert!(
-            stderr.contains(&command) && stderr.contains(&format!("`{flag}`")),
-            "{line}: {stderr}"
-        );
-        assert!(out.stdout.is_empty(), "{line} ran before it refused");
-    }
-    assert!(
-        !save.exists() && !state.exists(),
-        "a refused command writes nothing"
-    );
+    assert_refused(&refused, &[&save, &state]);
+}
+
+#[test]
+fn sweep_and_chaos_refuse_options_they_do_not_honour() {
+    let save = scratch("refused-chaos-save");
+    let state = scratch("refused-sweep-state");
+    let chaos_state = scratch("refused-chaos-state");
+    let (save_arg, state_arg) = (save.display(), state.display());
+    let smoke = "--profile smoke --jobs 1";
+    let refused = [
+        (format!("sweep --seed 7 {smoke}"), "sweep", "--seed"),
+        (
+            format!("sweep --seeds 0..4 {smoke} --state-dir {state_arg} --resume"),
+            "sweep",
+            "--state-dir",
+        ),
+        (
+            format!(
+                "sweep --seeds 0..4 {smoke} --rounds 3 --fault-shard 1 --fault-after 2 \
+                 --worker-timeout-ms 5"
+            ),
+            "sweep",
+            "--rounds",
+        ),
+        (
+            format!("sweep --workers 2 --seeds 0..8 {smoke} --progress --seed 9 --rounds 2"),
+            "sweep --workers",
+            "--progress",
+        ),
+        (
+            format!(
+                "chaos --seed 7 --rounds 1 --seeds 0..8 --workers 2 --worker-timeout-ms 3000 \
+                 --state-dir {} --save {save_arg} --progress --fault-shard 1 --fault-after 2",
+                chaos_state.display()
+            ),
+            "chaos",
+            "--save",
+        ),
+        (format!("report --time {save_arg}"), "report", "--time"),
+    ];
+    assert_refused(&refused, &[&save, &state, &chaos_state]);
 }

@@ -55,11 +55,6 @@ impl Halt {
         }
     }
 
-    /// True if the run produced a value.
-    pub fn is_value(&self) -> bool {
-        matches!(self, Halt::Value(_))
-    }
-
     /// True if the halt is permitted by semantic type safety: values, benign
     /// failures and out-of-fuel are fine; `fail Type` and phantom-stuck are
     /// not.

@@ -66,14 +66,6 @@ impl Value {
         self.as_int().map(|n| n == 0)
     }
 
-    /// The pair components, if the value is a pair.
-    pub fn as_pair(&self) -> Option<(&Value, &Value)> {
-        match self {
-            Value::Pair(a, b) => Some((a, b)),
-            _ => None,
-        }
-    }
-
     /// True for values with no internal structure pointing at the heap.
     pub fn is_heap_free(&self) -> bool {
         let mut locs = BTreeSet::new();

@@ -21,7 +21,6 @@
 
 use crate::syntax::{HlExpr, HlType, LlExpr, LlType};
 use crate::typecheck::TypeCtx;
-use semint_core::ErrorCode;
 use stacklang::builder::{dup, pack, swap, tagged};
 use stacklang::{Instr, Program};
 use std::fmt;
@@ -319,16 +318,10 @@ impl crate::typecheck::ConvertOracle for AllowAllOracle {
     }
 }
 
-/// A conversion that always fails at runtime with `fail Conv` — useful for
-/// negative tests and for experimenting with deliberately unsound rule sets.
-pub fn failing_conversion() -> Program {
-    Program::single(Instr::Fail(ErrorCode::Conv))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use semint_core::Fuel;
+    use semint_core::{ErrorCode, Fuel};
     use stacklang::{Machine, Outcome, Value};
 
     fn run_hl(e: &HlExpr) -> Outcome<Value> {
