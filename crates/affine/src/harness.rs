@@ -3,12 +3,15 @@
 
 use crate::compile::CompileOutput;
 use crate::gen::AffineProgramGen;
-use crate::model::{AffineModelChecker, AffineSemType, CHECK_FUEL};
+use crate::model::{
+    augmented_run, check_convertibility, halt_in, judge_safety, AffineSemType, CHECK_FUEL,
+};
 use crate::multilang::AffineMultiLang;
 use crate::syntax::{AffiType, MlType};
 use lcvm::{Halt, RunResult};
 use semint_core::case::{CaseStudy, CheckFailure, GenProfile, Scenario};
-use semint_core::stats::{OutcomeClass, RunStats};
+use semint_core::convert::ConversionScheme;
+use semint_core::stats::RunStats;
 use semint_core::{Fuel, GlueCacheStats};
 
 pub use crate::multilang::{AffProgram, AffSourceType};
@@ -165,11 +168,7 @@ impl CaseStudy for AffineCase {
     }
 
     fn stats(&self, report: &RunResult) -> RunStats {
-        RunStats {
-            outcome: halt_class(report),
-            steps: report.steps,
-            counters: report.counters,
-        }
+        report.stats()
     }
 
     fn model_budget(&self) -> Fuel {
@@ -187,8 +186,7 @@ impl CaseStudy for AffineCase {
     ) -> AffineEvidence {
         let budget = self.model_budget();
         AffineEvidence {
-            augmented: AffineModelChecker::new()
-                .augmented_run(&compiled.expr, &compiled.static_binders),
+            augmented: augmented_run(&compiled.expr, &compiled.static_binders),
             own_run: (!fuel.covers(budget)).then(|| self.execute(compiled.clone(), budget).halt),
         }
     }
@@ -213,12 +211,9 @@ impl CaseStudy for AffineCase {
 
         // Safety under the standard *and* the augmented semantics, plus
         // erasure agreement (the §4 analogue of type safety).
-        AffineModelChecker::judge_safety(standard, &evidence.augmented).map_err(|ce| {
-            CheckFailure {
-                claim: ce.claim,
-                witness: program.to_string(),
-                reason: ce.reason,
-            }
+        judge_safety(standard, &evidence.augmented).map_err(|failure| CheckFailure {
+            witness: program.to_string(),
+            ..failure
         })?;
 
         // The claimed-type membership check, where the broken rule bites:
@@ -233,7 +228,7 @@ impl CaseStudy for AffineCase {
             _ => None,
         };
         if let Some(sem_ty) = claimed {
-            if !AffineModelChecker::new().halt_in(standard, &sem_ty) {
+            if !halt_in(standard, &sem_ty) {
                 return Err(CheckFailure {
                     claim: format!("deliberately broken rule: compiled program ∈ E⟦{sem_ty:?}⟧"),
                     witness: program.to_string(),
@@ -268,24 +263,17 @@ impl CaseStudy for AffineCase {
     }
 
     fn check_conversions(&self) -> Result<(), CheckFailure> {
-        let checker = AffineModelChecker::new();
+        let conversions = self.system.conversions();
         let catalogue = [
             (AffiType::Bool, MlType::Int),
             (AffiType::Int, MlType::Int),
             (AffiType::Unit, MlType::Unit),
         ];
         for (affi, ml) in &catalogue {
-            if let Err(ce) = checker.check_convertibility(affi, ml) {
-                // Pairs without a registered rule are skipped, matching the
-                // sharedmem catalogue walk.
-                if ce.reason.contains("not derivable") {
-                    continue;
-                }
-                return Err(CheckFailure {
-                    claim: ce.claim,
-                    witness: ce.witness,
-                    reason: ce.reason,
-                });
+            // Pairs without a registered rule are skipped, matching the
+            // sharedmem catalogue walk.
+            if conversions.derivable(affi, ml) {
+                check_convertibility(conversions, affi, ml)?;
             }
         }
         Ok(())
@@ -293,16 +281,6 @@ impl CaseStudy for AffineCase {
 
     fn glue_cache_stats(&self) -> Option<GlueCacheStats> {
         Some(self.system.conversions().cache().stats())
-    }
-}
-
-fn halt_class(report: &RunResult) -> OutcomeClass {
-    use lcvm::Halt;
-    match &report.halt {
-        Halt::Value(_) => OutcomeClass::Value,
-        Halt::Fail(c) => OutcomeClass::Fail(*c),
-        Halt::OutOfFuel => OutcomeClass::OutOfFuel,
-        Halt::PhantomStuck { .. } => OutcomeClass::Stuck,
     }
 }
 
@@ -332,6 +310,15 @@ mod tests {
             case.model_check(&scen.program, &scen.ty)
                 .unwrap_or_else(|f| panic!("seed {seed}: {f}"));
         }
+    }
+
+    #[test]
+    fn the_catalogue_derives_in_the_rule_set_the_case_compiles_with() {
+        let case = AffineCase::standard();
+        case.check_conversions()
+            .expect("the standard catalogue is sound");
+        let stats = case.glue_cache_stats().expect("a glue cache");
+        assert!(stats.entries > 0, "no derivation reached the case's cache");
     }
 
     #[test]

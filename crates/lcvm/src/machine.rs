@@ -16,7 +16,7 @@ use crate::phantom::{PhantomConfig, PhantomState};
 use crate::syntax::{Expr, PrimOp};
 use crate::value::{Env, Value};
 use semint_core::fuel::Rebudgeted;
-use semint_core::{ErrorCode, Fuel, OpClass, Var, VmCounters};
+use semint_core::{ErrorCode, Fuel, OpClass, OutcomeClass, RunStats, Var, VmCounters};
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
@@ -93,6 +93,22 @@ impl RunResult {
     /// rule of [`Fuel::rebudget`]).
     pub fn rebudget(&self, fuel: Fuel, budget: Fuel) -> Rebudgeted {
         fuel.rebudget(self.halt != Halt::OutOfFuel, self.steps, budget)
+    }
+
+    /// The engine's projection of this run: how it halted, its steps and
+    /// its counters.
+    pub fn stats(&self) -> RunStats {
+        let outcome = match &self.halt {
+            Halt::Value(_) => OutcomeClass::Value,
+            Halt::Fail(c) => OutcomeClass::Fail(*c),
+            Halt::OutOfFuel => OutcomeClass::OutOfFuel,
+            Halt::PhantomStuck { .. } => OutcomeClass::Stuck,
+        };
+        RunStats {
+            outcome,
+            steps: self.steps,
+            counters: self.counters,
+        }
     }
 }
 

@@ -79,11 +79,6 @@ impl PhantomState {
         present
     }
 
-    /// The currently live flags.
-    pub fn live_flags(&self) -> &BTreeSet<FlagId> {
-        &self.flags
-    }
-
     /// How many flags have been consumed so far.
     pub fn consumed(&self) -> u64 {
         self.consumed
@@ -113,8 +108,9 @@ mod tests {
         let a = st.mint();
         let b = st.mint();
         assert_ne!(a, b);
-        assert!(st.live_flags().contains(&a));
-        assert!(st.live_flags().contains(&b));
+        // Both are live: each can be consumed.
+        assert!(st.consume(a));
+        assert!(st.consume(b));
     }
 
     #[test]

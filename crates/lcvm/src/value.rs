@@ -45,32 +45,12 @@ pub enum Value {
 }
 
 impl Value {
-    /// The integer carried by an `Int`, if any.
-    pub fn as_int(&self) -> Option<i64> {
-        match self {
-            Value::Int(n) => Some(*n),
-            _ => None,
-        }
-    }
-
     /// The location carried by a `Loc`, if any.
     pub fn as_loc(&self) -> Option<Loc> {
         match self {
             Value::Loc(l) => Some(*l),
             _ => None,
         }
-    }
-
-    /// Interprets the value as a compiled boolean (0 = true).
-    pub fn as_bool(&self) -> Option<bool> {
-        self.as_int().map(|n| n == 0)
-    }
-
-    /// True for values with no internal structure pointing at the heap.
-    pub fn is_heap_free(&self) -> bool {
-        let mut locs = BTreeSet::new();
-        self.collect_locs(&mut locs);
-        locs.is_empty()
     }
 
     /// Collects every heap location reachable from this value (through pairs,
@@ -233,8 +213,9 @@ mod tests {
         let mut locs = BTreeSet::new();
         v.collect_locs(&mut locs);
         assert_eq!(locs, BTreeSet::from([Loc(3), Loc(5)]));
-        assert!(!v.is_heap_free());
-        assert!(Value::Int(0).is_heap_free());
+        let mut none = BTreeSet::new();
+        Value::Int(0).collect_locs(&mut none);
+        assert!(none.is_empty());
     }
 
     #[test]
@@ -248,13 +229,5 @@ mod tests {
         let mut locs = BTreeSet::new();
         clo.collect_locs(&mut locs);
         assert!(locs.contains(&Loc(9)));
-    }
-
-    #[test]
-    fn bool_view_follows_compiled_encoding() {
-        assert_eq!(Value::Int(0).as_bool(), Some(true));
-        assert_eq!(Value::Int(1).as_bool(), Some(false));
-        assert_eq!(Value::Int(7).as_bool(), Some(false));
-        assert_eq!(Value::Unit.as_bool(), None);
     }
 }

@@ -2,12 +2,12 @@
 //! polymorphism), consumed by the `semint-harness` engine.
 
 use crate::gen::MemGcProgramGen;
-use crate::model::{MemGcModelChecker, CHECK_FUEL};
+use crate::model::{check_transfer_soundness, halt_type_safe, CHECK_FUEL};
 use crate::multilang::MemGcMultiLang;
 use crate::syntax::{L3Expr, L3Type, PolyExpr, PolyType};
 use lcvm::{Expr, Halt, RunResult};
 use semint_core::case::{CaseStudy, CheckFailure, GenProfile, Scenario};
-use semint_core::stats::{OutcomeClass, RunStats};
+use semint_core::stats::RunStats;
 use semint_core::{Fuel, GlueCacheStats};
 
 pub use crate::multilang::{MgProgram, MgSourceType};
@@ -174,17 +174,7 @@ impl CaseStudy for MemGcCase {
     }
 
     fn stats(&self, report: &RunResult) -> RunStats {
-        let outcome = match &report.halt {
-            Halt::Value(_) => OutcomeClass::Value,
-            Halt::Fail(c) => OutcomeClass::Fail(*c),
-            Halt::OutOfFuel => OutcomeClass::OutOfFuel,
-            Halt::PhantomStuck { .. } => OutcomeClass::Stuck,
-        };
-        RunStats {
-            outcome,
-            steps: report.steps,
-            counters: report.counters,
-        }
+        report.stats()
     }
 
     fn model_budget(&self) -> Fuel {
@@ -229,14 +219,14 @@ impl CaseStudy for MemGcCase {
                 .decide(report)
                 .map_or(&out_of_fuel, |run| &run.halt),
         };
-        MemGcModelChecker::halt_type_safe(halt).map_err(|ce| CheckFailure {
+        halt_type_safe(halt).map_err(|failure| CheckFailure {
             claim: if self.broken {
-                format!("deliberately broken glue: {}", ce.claim)
+                format!("deliberately broken glue: {}", failure.claim)
             } else {
-                ce.claim
+                failure.claim
             },
             witness: program.to_string(),
-            reason: ce.reason,
+            reason: failure.reason,
         })
     }
 
@@ -266,7 +256,6 @@ impl CaseStudy for MemGcCase {
     fn check_conversions(&self) -> Result<(), CheckFailure> {
         // §5's executable conversion check is transfer soundness for the
         // in-place `gcmov` move at representative payload types.
-        let checker = MemGcModelChecker::new();
         let catalogue = [
             (PolyType::Int, L3Type::Bool, lcvm::Value::Int(0)),
             (
@@ -276,13 +265,7 @@ impl CaseStudy for MemGcCase {
             ),
         ];
         for (ml_payload, l3_payload, initial) in catalogue {
-            checker
-                .check_transfer_soundness(&ml_payload, &l3_payload, initial)
-                .map_err(|ce| CheckFailure {
-                    claim: ce.claim,
-                    witness: format!("{ml_payload} ∼ {l3_payload}"),
-                    reason: ce.reason,
-                })?;
+            check_transfer_soundness(self.system.conversions(), &ml_payload, &l3_payload, initial)?;
         }
         Ok(())
     }
@@ -318,6 +301,15 @@ mod tests {
             case.model_check(&scen.program, &scen.ty)
                 .unwrap_or_else(|f| panic!("seed {seed}: {f}"));
         }
+    }
+
+    #[test]
+    fn the_catalogue_derives_in_the_rule_set_the_case_compiles_with() {
+        let case = MemGcCase::standard();
+        case.check_conversions()
+            .expect("the standard catalogue is sound");
+        let stats = case.glue_cache_stats().expect("a glue cache");
+        assert!(stats.entries > 0, "no derivation reached the case's cache");
     }
 
     #[test]

@@ -3,12 +3,15 @@
 
 use crate::convert::SharedMemConversions;
 use crate::gen::ProgramGen;
-use crate::model::{ModelChecker, SemType, World};
+use crate::model::{
+    check_convertibility, check_direction, outcome_type_safe, run_in, SemType, World,
+};
 use crate::multilang::{MultiLang, SourceType};
 use reflang::syntax::{HlExpr, HlType, LlExpr, LlType};
 use semint_core::case::{CaseStudy, CheckFailure, GenProfile, Scenario};
-use semint_core::stats::{OutcomeClass, RunStats};
-use semint_core::{Fuel, GlueCacheStats, Outcome};
+use semint_core::convert::ConversionScheme;
+use semint_core::stats::RunStats;
+use semint_core::{Fuel, GlueCacheStats};
 use stacklang::{Program, RunResult};
 
 pub use crate::multilang::SmProgram;
@@ -29,7 +32,6 @@ pub const STEP_INDEX: u64 = 20_000;
 #[derive(Debug, Clone)]
 pub struct SharedMemCase {
     system: MultiLang,
-    checker: ModelChecker,
     broken: bool,
 }
 
@@ -38,7 +40,6 @@ impl SharedMemCase {
     pub fn standard() -> Self {
         SharedMemCase {
             system: MultiLang::new(SharedMemConversions::standard()),
-            checker: ModelChecker::default(),
             broken: false,
         }
     }
@@ -180,16 +181,7 @@ impl CaseStudy for SharedMemCase {
     }
 
     fn stats(&self, report: &RunResult) -> RunStats {
-        let outcome = match &report.outcome {
-            Outcome::Value(_) => OutcomeClass::Value,
-            Outcome::Fail(c) => OutcomeClass::Fail(*c),
-            Outcome::OutOfFuel => OutcomeClass::OutOfFuel,
-        };
-        RunStats {
-            outcome,
-            steps: report.steps,
-            counters: report.counters,
-        }
+        report.stats()
     }
 
     fn model_budget(&self) -> Fuel {
@@ -226,13 +218,10 @@ impl CaseStudy for SharedMemCase {
         // Theorems 3.3/3.4: no dynamic type errors (a run that outlasts the
         // budget is safe).
         if let Some(run) = run.rebudget(fuel, self.model_budget()).decide(run) {
-            self.checker
-                .outcome_type_safe(&run.outcome)
-                .map_err(|ce| CheckFailure {
-                    claim: ce.claim,
-                    witness: program.to_string(),
-                    reason: ce.reason,
-                })?;
+            outcome_type_safe(&run.outcome).map_err(|failure| CheckFailure {
+                witness: program.to_string(),
+                ..failure
+            })?;
         }
 
         // The Fundamental Property: the compiled program inhabits E⟦τ⟧ at
@@ -242,7 +231,7 @@ impl CaseStudy for SharedMemCase {
         let sem_ty = self.claimed_sem_type(ty);
         let world = World::new(STEP_INDEX);
         let within = run.rebudget(fuel, Fuel::steps(STEP_INDEX)).decide(run);
-        if !within.is_none_or(|run| self.checker.run_in(&world, run, &sem_ty)) {
+        if !within.is_none_or(|run| run_in(&world, run, &sem_ty)) {
             return Err(CheckFailure {
                 claim: format!("compiled program ∈ E⟦{sem_ty}⟧"),
                 witness: program.to_string(),
@@ -288,33 +277,26 @@ impl CaseStudy for SharedMemCase {
             LlType::ref_(LlType::Int),
             LlType::array(LlType::Int),
         ];
+        let conversions = self.system.conversions();
         for hl in &hl_types {
             for ll in &ll_types {
-                if self.system.conversions().derive(hl, ll).is_some() {
-                    self.checker
-                        .check_convertibility(hl, ll)
-                        .map_err(|ce| CheckFailure {
-                            claim: ce.claim,
-                            witness: ce.witness,
-                            reason: ce.reason,
-                        })?;
+                if conversions.derivable(hl, ll) {
+                    check_convertibility(conversions, hl, ll)?;
                 }
             }
         }
         if self.broken {
             // The sabotaged rule: bool ∼ [int] with identity glue. Lemma 3.1
             // refutes it with a concrete witness.
-            self.checker
-                .check_direction(
-                    &SemType::Hl(HlType::Bool),
-                    &SemType::Ll(LlType::array(LlType::Int)),
-                    &Program::empty(),
-                )
-                .map_err(|ce| CheckFailure {
-                    claim: format!("deliberately broken rule: {}", ce.claim),
-                    witness: ce.witness,
-                    reason: ce.reason,
-                })?;
+            check_direction(
+                &SemType::Hl(HlType::Bool),
+                &SemType::Ll(LlType::array(LlType::Int)),
+                &Program::empty(),
+            )
+            .map_err(|failure| CheckFailure {
+                claim: format!("deliberately broken rule: {}", failure.claim),
+                ..failure
+            })?;
         }
         Ok(())
     }

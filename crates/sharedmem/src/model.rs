@@ -9,28 +9,29 @@
 //!   maps locations to *source types of either language* ([`SemType`]) —
 //!   sufficient because every interpretation the §3 system ever stores in a
 //!   heap typing is the interpretation of some source type;
-//! * membership `(W, v) ∈ V⟦τ⟧` is decided by [`ModelChecker::value_in`];
-//!   the universal quantification over future worlds/arguments in the
-//!   function case is approximated by a finite suite of canonical arguments
-//!   and a bounded recursion depth;
-//! * membership `(W, P) ∈ E⟦τ⟧` ([`ModelChecker::expr_in`]) runs the machine
-//!   for at most `W.k` steps and checks the escape clauses of the expression
-//!   relation exactly as written (benign failure, out of budget, or a value
-//!   in `V⟦τ⟧` under an extended world);
-//! * [`ModelChecker::check_convertibility`] is the executable content of
-//!   Lemma 3.1 (Convertibility Soundness), and
-//!   [`ModelChecker::check_type_safety`] of Theorem 3.4.
+//! * membership `(W, v) ∈ V⟦τ⟧` is decided by [`value_in`]; the universal
+//!   quantification over future worlds/arguments in the function case is
+//!   approximated by a finite suite of canonical arguments and a bounded
+//!   recursion depth;
+//! * membership `(W, P) ∈ E⟦τ⟧` ([`expr_in`]) runs the machine for at most
+//!   `W.k` steps and checks the escape clauses of the expression relation
+//!   exactly as written (benign failure, out of budget, or a value in
+//!   `V⟦τ⟧` under an extended world);
+//! * [`check_convertibility`] is the executable content of Lemma 3.1
+//!   (Convertibility Soundness) for one rule of the rule set it is given —
+//!   the case study passes the one its compiler uses — and
+//!   [`outcome_type_safe`] judges a run for Theorem 3.4.
 //!
 //! The positive direction (a term *is* in the relation) is approximate —
-//! quantifiers are sampled — but the negative direction is exact: when the
-//! checker reports a counterexample, the corresponding paper lemma is
+//! quantifiers are sampled — but the negative direction is exact: when a
+//! check reports a [`CheckFailure`], the corresponding paper lemma is
 //! genuinely violated for that rule set.  The test suite exercises both
 //! directions, including deliberately unsound conversions that must be
 //! rejected.
 
 use crate::convert::SharedMemConversions;
 use reflang::syntax::{HlType, LlType};
-use semint_core::{ErrorCode, Fuel, Outcome, StepIndex};
+use semint_core::{CheckFailure, ErrorCode, Fuel, Outcome, StepIndex};
 use stacklang::{Heap, Instr, Loc, Machine, Program, RunResult, StackState, Value};
 use std::collections::BTreeMap;
 use std::fmt;
@@ -143,397 +144,303 @@ impl World {
     }
 }
 
-/// A counterexample found by one of the checkers.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CounterExample {
-    /// What was being checked.
-    pub claim: String,
-    /// The offending value or program, rendered.
-    pub witness: String,
-    /// What went wrong.
-    pub reason: String,
+/// Recursion depth for the function case of the value relation.
+const FUN_DEPTH: usize = 2;
+
+/// `(W, v) ∈ V⟦ty⟧` under heap `heap` (needed to chase references that
+/// the world has not yet been told about — see module docs).
+pub fn value_in(world: &World, heap: &Heap, v: &Value, ty: &SemType) -> bool {
+    value_in_depth(world, heap, v, ty, FUN_DEPTH)
 }
 
-impl fmt::Display for CounterExample {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}: {} — {}", self.claim, self.witness, self.reason)
-    }
-}
-
-/// The executable model checker for case study 1.
-#[derive(Debug, Clone)]
-pub struct ModelChecker {
-    conversions: SharedMemConversions,
-    /// Recursion depth for the function case of the value relation.
-    pub fun_depth: usize,
-}
-
-impl Default for ModelChecker {
-    fn default() -> Self {
-        ModelChecker::new(SharedMemConversions::standard())
+fn value_in_depth(world: &World, heap: &Heap, v: &Value, ty: &SemType, depth: usize) -> bool {
+    match ty {
+        SemType::Hl(t) => value_in_hl(world, heap, v, t, depth),
+        SemType::Ll(t) => value_in_ll(world, heap, v, t, depth),
     }
 }
 
-impl ModelChecker {
-    /// A checker over the given conversion rule set.
-    pub fn new(conversions: SharedMemConversions) -> Self {
-        ModelChecker {
-            conversions,
-            fun_depth: 2,
-        }
-    }
-
-    /// `(W, v) ∈ V⟦ty⟧` under heap `heap` (needed to chase references that
-    /// the world has not yet been told about — see module docs).
-    pub fn value_in(&self, world: &World, heap: &Heap, v: &Value, ty: &SemType) -> bool {
-        self.value_in_depth(world, heap, v, ty, self.fun_depth)
-    }
-
-    fn value_in_depth(
-        &self,
-        world: &World,
-        heap: &Heap,
-        v: &Value,
-        ty: &SemType,
-        depth: usize,
-    ) -> bool {
-        match ty {
-            SemType::Hl(t) => self.value_in_hl(world, heap, v, t, depth),
-            SemType::Ll(t) => self.value_in_ll(world, heap, v, t, depth),
-        }
-    }
-
-    fn value_in_hl(
-        &self,
-        world: &World,
-        heap: &Heap,
-        v: &Value,
-        ty: &HlType,
-        depth: usize,
-    ) -> bool {
-        match ty {
-            // V⟦unit⟧ = {(W, 0)}
-            HlType::Unit => matches!(v, Value::Num(0)),
-            // V⟦bool⟧ = {(W, n)} — all integers.
-            HlType::Bool => matches!(v, Value::Num(_)),
-            // V⟦τ1 + τ2⟧ = {[0, v]} ∪ {[1, v]} with payload in the component.
-            HlType::Sum(t1, t2) => match v {
-                Value::Array(parts) if parts.len() == 2 => match &parts[0] {
-                    Value::Num(0) => self.value_in_hl(world, heap, &parts[1], t1, depth),
-                    Value::Num(1) => self.value_in_hl(world, heap, &parts[1], t2, depth),
-                    _ => false,
-                },
+fn value_in_hl(world: &World, heap: &Heap, v: &Value, ty: &HlType, depth: usize) -> bool {
+    match ty {
+        // V⟦unit⟧ = {(W, 0)}
+        HlType::Unit => matches!(v, Value::Num(0)),
+        // V⟦bool⟧ = {(W, n)} — all integers.
+        HlType::Bool => matches!(v, Value::Num(_)),
+        // V⟦τ1 + τ2⟧ = {[0, v]} ∪ {[1, v]} with payload in the component.
+        HlType::Sum(t1, t2) => match v {
+            Value::Array(parts) if parts.len() == 2 => match &parts[0] {
+                Value::Num(0) => value_in_hl(world, heap, &parts[1], t1, depth),
+                Value::Num(1) => value_in_hl(world, heap, &parts[1], t2, depth),
                 _ => false,
             },
-            HlType::Prod(t1, t2) => match v {
-                Value::Array(parts) if parts.len() == 2 => {
-                    self.value_in_hl(world, heap, &parts[0], t1, depth)
-                        && self.value_in_hl(world, heap, &parts[1], t2, depth)
-                }
-                _ => false,
-            },
-            HlType::Fun(t1, t2) => self.fun_value_in(
-                world,
-                heap,
-                v,
-                &SemType::Hl((**t1).clone()),
-                &SemType::Hl((**t2).clone()),
-                depth,
-            ),
-            HlType::Ref(t) => self.ref_value_in(world, heap, v, &SemType::Hl((**t).clone()), depth),
-        }
+            _ => false,
+        },
+        HlType::Prod(t1, t2) => match v {
+            Value::Array(parts) if parts.len() == 2 => {
+                value_in_hl(world, heap, &parts[0], t1, depth)
+                    && value_in_hl(world, heap, &parts[1], t2, depth)
+            }
+            _ => false,
+        },
+        HlType::Fun(t1, t2) => fun_value_in(
+            world,
+            heap,
+            v,
+            &SemType::Hl((**t1).clone()),
+            &SemType::Hl((**t2).clone()),
+            depth,
+        ),
+        HlType::Ref(t) => ref_value_in(world, heap, v, &SemType::Hl((**t).clone()), depth),
     }
+}
 
-    fn value_in_ll(
-        &self,
-        world: &World,
-        heap: &Heap,
-        v: &Value,
-        ty: &LlType,
-        depth: usize,
-    ) -> bool {
-        match ty {
-            // V⟦int⟧ = {(W, n)}
-            LlType::Int => matches!(v, Value::Num(_)),
-            // V⟦[𝜏]⟧: every element is in V⟦𝜏⟧ (any length).
-            LlType::Array(elem) => match v {
-                Value::Array(parts) => parts
-                    .iter()
-                    .all(|p| self.value_in_ll(world, heap, p, elem, depth)),
-                _ => false,
-            },
-            LlType::Fun(t1, t2) => self.fun_value_in(
-                world,
-                heap,
-                v,
-                &SemType::Ll((**t1).clone()),
-                &SemType::Ll((**t2).clone()),
-                depth,
-            ),
-            LlType::Ref(t) => self.ref_value_in(world, heap, v, &SemType::Ll((**t).clone()), depth),
-        }
+fn value_in_ll(world: &World, heap: &Heap, v: &Value, ty: &LlType, depth: usize) -> bool {
+    match ty {
+        // V⟦int⟧ = {(W, n)}
+        LlType::Int => matches!(v, Value::Num(_)),
+        // V⟦[𝜏]⟧: every element is in V⟦𝜏⟧ (any length).
+        LlType::Array(elem) => match v {
+            Value::Array(parts) => parts
+                .iter()
+                .all(|p| value_in_ll(world, heap, p, elem, depth)),
+            _ => false,
+        },
+        LlType::Fun(t1, t2) => fun_value_in(
+            world,
+            heap,
+            v,
+            &SemType::Ll((**t1).clone()),
+            &SemType::Ll((**t2).clone()),
+            depth,
+        ),
+        LlType::Ref(t) => ref_value_in(world, heap, v, &SemType::Ll((**t).clone()), depth),
     }
+}
 
-    /// The reference case: `(W, ℓ) ∈ V⟦ref τ⟧` iff `W.Ψ(ℓ)` is (extensionally)
-    /// the interpretation of `τ`.  For locations the world does not mention,
-    /// the checker falls back to verifying the current heap contents — the
-    /// "inferred extension" approximation described in the module docs.
-    fn ref_value_in(
-        &self,
-        world: &World,
-        heap: &Heap,
-        v: &Value,
-        payload: &SemType,
-        depth: usize,
-    ) -> bool {
-        let l = match v {
-            Value::Loc(l) => *l,
-            _ => return false,
-        };
-        match world.heap_typing.get(&l) {
-            Some(assigned) => interp_equal(assigned, payload),
-            None => match heap.read(l) {
-                Some(stored) => self.value_in_depth(world, heap, stored, payload, depth),
-                None => false,
-            },
-        }
+/// The reference case: `(W, ℓ) ∈ V⟦ref τ⟧` iff `W.Ψ(ℓ)` is (extensionally)
+/// the interpretation of `τ`.  For locations the world does not mention,
+/// the checker falls back to verifying the current heap contents — the
+/// "inferred extension" approximation described in the module docs.
+fn ref_value_in(world: &World, heap: &Heap, v: &Value, payload: &SemType, depth: usize) -> bool {
+    let l = match v {
+        Value::Loc(l) => *l,
+        _ => return false,
+    };
+    match world.heap_typing.get(&l) {
+        Some(assigned) => interp_equal(assigned, payload),
+        None => match heap.read(l) {
+            Some(stored) => value_in_depth(world, heap, stored, payload, depth),
+            None => false,
+        },
     }
+}
 
-    /// The function case: the value must be a `thunk (lam x. P)` and, for a
-    /// suite of canonical arguments in the domain, running the application
-    /// must land in the expression relation at the codomain.
-    fn fun_value_in(
-        &self,
-        world: &World,
-        heap: &Heap,
-        v: &Value,
-        dom: &SemType,
-        cod: &SemType,
-        depth: usize,
-    ) -> bool {
-        if !matches!(v, Value::Thunk(_)) {
+/// The function case: the value must be a `thunk (lam x. P)` and, for a
+/// suite of canonical arguments in the domain, running the application
+/// must land in the expression relation at the codomain.
+fn fun_value_in(
+    world: &World,
+    heap: &Heap,
+    v: &Value,
+    dom: &SemType,
+    cod: &SemType,
+    depth: usize,
+) -> bool {
+    if !matches!(v, Value::Thunk(_)) {
+        return false;
+    }
+    if depth == 0 {
+        // Budget for nested function exploration exhausted: accept the
+        // shape (this is the approximate positive direction).
+        return true;
+    }
+    for arg in sample_values(dom) {
+        // Application protocol (Fig. 3): argument below the thunk, `call`.
+        let program = Program::from(vec![
+            Instr::push_val(arg.clone()),
+            Instr::push_val(v.clone()),
+            Instr::Call,
+        ]);
+        if !expr_in_depth(world, heap.clone(), &program, cod, depth - 1) {
             return false;
         }
-        if depth == 0 {
-            // Budget for nested function exploration exhausted: accept the
-            // shape (this is the approximate positive direction).
-            return true;
+    }
+    true
+}
+
+/// `(W, P) ∈ E⟦ty⟧`, starting from a heap that satisfies `W`.
+pub fn expr_in(world: &World, heap: Heap, program: &Program, ty: &SemType) -> bool {
+    expr_in_depth(world, heap, program, ty, FUN_DEPTH)
+}
+
+fn expr_in_depth(world: &World, heap: Heap, program: &Program, ty: &SemType, depth: usize) -> bool {
+    let machine = Machine::with_state(heap, StackState::empty(), program.clone());
+    let result = machine.run(Fuel::steps(world.k.get()));
+    run_in_depth(world, &result, ty, depth)
+}
+
+/// The post-run half of [`expr_in`]: is `result`, a run of the program for
+/// at most `W.k` steps from a heap that satisfies `W`, in `E⟦ty⟧`?
+pub fn run_in(world: &World, result: &RunResult, ty: &SemType) -> bool {
+    run_in_depth(world, result, ty, FUN_DEPTH)
+}
+
+fn run_in_depth(world: &World, result: &RunResult, ty: &SemType, depth: usize) -> bool {
+    match &result.outcome {
+        // Ran longer than the step budget: no constraint (escape clause).
+        Outcome::OutOfFuel => true,
+        // Well-defined errors are allowed by the §3 expression relation.
+        Outcome::Fail(ErrorCode::Conv) | Outcome::Fail(ErrorCode::Idx) => true,
+        Outcome::Fail(_) => false,
+        Outcome::Value(v) => {
+            // Build the future world: the budget shrinks by the steps
+            // taken; existing heap-typing entries persist.
+            let k_left = world.k.get().saturating_sub(result.steps);
+            let future = World {
+                k: StepIndex::new(k_left),
+                heap_typing: world.heap_typing.clone(),
+            };
+            value_in_depth(&future, &result.heap, v, ty, depth)
         }
-        for arg in self.sample_values(dom, depth - 1) {
-            // Application protocol (Fig. 3): argument below the thunk, `call`.
-            let program = Program::from(vec![
-                Instr::push_val(arg.clone()),
-                Instr::push_val(v.clone()),
-                Instr::Call,
-            ]);
-            if !self.expr_in_with_depth(world, heap.clone(), &program, cod, depth - 1) {
-                return false;
+    }
+}
+
+/// Does `heap` satisfy `world` (`H : W`)?  Every location the heap typing
+/// mentions must exist and hold a value in the assigned interpretation.
+pub fn heap_satisfies(world: &World, heap: &Heap) -> bool {
+    world.heap_typing.iter().all(|(l, ty)| match heap.read(*l) {
+        Some(v) => value_in(world, heap, v, ty),
+        None => false,
+    })
+}
+
+/// Canonical inhabitants of `V⟦ty⟧`, used to instantiate the universally
+/// quantified argument of the function case and to seed convertibility
+/// checks.
+pub fn sample_values(ty: &SemType) -> Vec<Value> {
+    match ty {
+        SemType::Hl(HlType::Unit) => vec![Value::Num(0)],
+        SemType::Hl(HlType::Bool) => vec![Value::Num(0), Value::Num(1), Value::Num(42)],
+        SemType::Ll(LlType::Int) => vec![Value::Num(0), Value::Num(1), Value::Num(-7)],
+        SemType::Hl(HlType::Sum(a, b)) => {
+            let mut out = Vec::new();
+            for v in sample_values(&SemType::Hl((**a).clone())) {
+                out.push(Value::array([Value::Num(0), v]));
             }
-        }
-        true
-    }
-
-    /// `(W, P) ∈ E⟦ty⟧`, starting from a heap that satisfies `W`.
-    pub fn expr_in(&self, world: &World, heap: Heap, program: &Program, ty: &SemType) -> bool {
-        self.expr_in_with_depth(world, heap, program, ty, self.fun_depth)
-    }
-
-    fn expr_in_with_depth(
-        &self,
-        world: &World,
-        heap: Heap,
-        program: &Program,
-        ty: &SemType,
-        depth: usize,
-    ) -> bool {
-        let machine = Machine::with_state(heap, StackState::empty(), program.clone());
-        let result = machine.run(Fuel::steps(world.k.get()));
-        self.run_in_depth(world, &result, ty, depth)
-    }
-
-    /// The post-run half of [`ModelChecker::expr_in`]: is `result`, a run
-    /// of the program for at most `W.k` steps from a heap that satisfies
-    /// `W`, in `E⟦ty⟧`?
-    pub fn run_in(&self, world: &World, result: &RunResult, ty: &SemType) -> bool {
-        self.run_in_depth(world, result, ty, self.fun_depth)
-    }
-
-    fn run_in_depth(&self, world: &World, result: &RunResult, ty: &SemType, depth: usize) -> bool {
-        match &result.outcome {
-            // Ran longer than the step budget: no constraint (escape clause).
-            Outcome::OutOfFuel => true,
-            // Well-defined errors are allowed by the §3 expression relation.
-            Outcome::Fail(ErrorCode::Conv) | Outcome::Fail(ErrorCode::Idx) => true,
-            Outcome::Fail(_) => false,
-            Outcome::Value(v) => {
-                // Build the future world: the budget shrinks by the steps
-                // taken; existing heap-typing entries persist.
-                let k_left = world.k.get().saturating_sub(result.steps);
-                let future = World {
-                    k: StepIndex::new(k_left),
-                    heap_typing: world.heap_typing.clone(),
-                };
-                self.value_in_depth(&future, &result.heap, v, ty, depth)
+            for v in sample_values(&SemType::Hl((**b).clone())) {
+                out.push(Value::array([Value::Num(1), v]));
             }
+            out
         }
+        SemType::Hl(HlType::Prod(a, b)) => {
+            let xs = sample_values(&SemType::Hl((**a).clone()));
+            let ys = sample_values(&SemType::Hl((**b).clone()));
+            xs.into_iter()
+                .flat_map(|x| ys.iter().map(move |y| Value::array([x.clone(), y.clone()])))
+                .take(4)
+                .collect()
+        }
+        SemType::Ll(LlType::Array(elem)) => {
+            let es = sample_values(&SemType::Ll((**elem).clone()));
+            vec![
+                Value::array([]),
+                Value::array(es.iter().take(2).cloned()),
+                Value::array(es.into_iter().take(3)),
+            ]
+        }
+        // Constant functions returning canonical codomain values.
+        SemType::Hl(HlType::Fun(_, b)) => constant_thunks(&SemType::Hl((**b).clone())),
+        SemType::Ll(LlType::Fun(_, b)) => constant_thunks(&SemType::Ll((**b).clone())),
+        // Reference samples require a heap; convertibility checks build
+        // them explicitly (see `check_direction`), so none here.
+        SemType::Hl(HlType::Ref(_)) | SemType::Ll(LlType::Ref(_)) => vec![],
     }
+}
 
-    /// Does `heap` satisfy `world` (`H : W`)?  Every location the heap typing
-    /// mentions must exist and hold a value in the assigned interpretation.
-    pub fn heap_satisfies(&self, world: &World, heap: &Heap) -> bool {
-        world.heap_typing.iter().all(|(l, ty)| match heap.read(*l) {
-            Some(v) => self.value_in(world, heap, v, ty),
-            None => false,
+/// Up to two constant functions `thunk (lam _. push v)`, one per canonical
+/// inhabitant `v` of `cod`.
+fn constant_thunks(cod: &SemType) -> Vec<Value> {
+    sample_values(cod)
+        .into_iter()
+        .take(2)
+        .map(|v| {
+            Value::thunk(Program::single(Instr::lam1(
+                "ignored",
+                Program::single(Instr::push_val(v)),
+            )))
         })
-    }
+        .collect()
+}
 
-    /// Canonical inhabitants of `V⟦ty⟧`, used to instantiate the universally
-    /// quantified argument of the function case and to seed convertibility
-    /// checks.
-    #[allow(clippy::only_used_in_recursion)]
-    pub fn sample_values(&self, ty: &SemType, depth: usize) -> Vec<Value> {
-        match ty {
-            SemType::Hl(HlType::Unit) => vec![Value::Num(0)],
-            SemType::Hl(HlType::Bool) => vec![Value::Num(0), Value::Num(1), Value::Num(42)],
-            SemType::Ll(LlType::Int) => vec![Value::Num(0), Value::Num(1), Value::Num(-7)],
-            SemType::Hl(HlType::Sum(a, b)) => {
-                let mut out = Vec::new();
-                for v in self.sample_values(&SemType::Hl((**a).clone()), depth) {
-                    out.push(Value::array([Value::Num(0), v]));
-                }
-                for v in self.sample_values(&SemType::Hl((**b).clone()), depth) {
-                    out.push(Value::array([Value::Num(1), v]));
-                }
-                out
-            }
-            SemType::Hl(HlType::Prod(a, b)) => {
-                let xs = self.sample_values(&SemType::Hl((**a).clone()), depth);
-                let ys = self.sample_values(&SemType::Hl((**b).clone()), depth);
-                xs.into_iter()
-                    .flat_map(|x| ys.iter().map(move |y| Value::array([x.clone(), y.clone()])))
-                    .take(4)
-                    .collect()
-            }
-            SemType::Ll(LlType::Array(elem)) => {
-                let es = self.sample_values(&SemType::Ll((**elem).clone()), depth);
-                vec![
-                    Value::array([]),
-                    Value::array(es.iter().take(2).cloned()),
-                    Value::array(es.into_iter().take(3)),
-                ]
-            }
-            SemType::Hl(HlType::Fun(_, b)) => {
-                // Constant functions returning canonical codomain values.
-                self.sample_values(&SemType::Hl((**b).clone()), depth)
-                    .into_iter()
-                    .take(2)
-                    .map(|v| {
-                        Value::thunk(Program::single(Instr::lam1(
-                            "ignored",
-                            Program::single(Instr::push_val(v)),
-                        )))
-                    })
-                    .collect()
-            }
-            SemType::Ll(LlType::Fun(_, b)) => self
-                .sample_values(&SemType::Ll((**b).clone()), depth)
-                .into_iter()
-                .take(2)
-                .map(|v| {
-                    Value::thunk(Program::single(Instr::lam1(
-                        "ignored",
-                        Program::single(Instr::push_val(v)),
-                    )))
-                })
-                .collect(),
-            // Reference samples require a heap; convertibility checks build
-            // them explicitly (see `check_convertibility`), so none here.
-            SemType::Hl(HlType::Ref(_)) | SemType::Ll(LlType::Ref(_)) => vec![],
+/// The executable content of **Lemma 3.1 (Convertibility Soundness)** for
+/// one rule of `conversions`: for every sampled `(W, v) ∈ V⟦hl⟧`, pushing
+/// `v` and running `C_{hl↦ll}` must land in `E⟦ll⟧`, and symmetrically.
+pub fn check_convertibility(
+    conversions: &SharedMemConversions,
+    hl: &HlType,
+    ll: &LlType,
+) -> Result<(), CheckFailure> {
+    let Some((to_ll, to_hl)) = conversions.derive(hl, ll) else {
+        return Err(CheckFailure {
+            claim: format!("{hl} ∼ {ll}"),
+            witness: "-".into(),
+            reason: "rule not derivable".into(),
+        });
+    };
+    let (hl, ll) = (SemType::Hl(hl.clone()), SemType::Ll(ll.clone()));
+    check_direction(&hl, &ll, &to_ll)?;
+    check_direction(&ll, &hl, &to_hl)
+}
+
+/// Checks one direction of a conversion against an explicit glue program —
+/// also usable for *candidate* (possibly unsound) conversions.
+pub fn check_direction(from: &SemType, to: &SemType, glue: &Program) -> Result<(), CheckFailure> {
+    let refuted = |witness: String, reason: String| CheckFailure {
+        claim: format!("C_{{{from} ↦ {to}}} sound"),
+        witness,
+        reason,
+    };
+    let world = World::new(10_000);
+    for v in sample_values(from) {
+        let program = Program::single(Instr::push_val(v.clone())).then(glue.clone());
+        if !expr_in(&world, Heap::new(), &program, to) {
+            return Err(refuted(
+                v.to_string(),
+                format!("conversion output is not in E⟦{to}⟧"),
+            ));
         }
     }
-
-    /// The executable content of **Lemma 3.1 (Convertibility Soundness)** for
-    /// one rule: for every sampled `(W, v) ∈ V⟦hl⟧`, pushing `v` and running
-    /// `C_{hl↦ll}` must land in `E⟦ll⟧`, and symmetrically.
-    pub fn check_convertibility(&self, hl: &HlType, ll: &LlType) -> Result<(), CounterExample> {
-        let (to_ll, to_hl) = match self.conversions.derive(hl, ll) {
-            Some(pair) => pair,
-            None => {
-                return Err(CounterExample {
-                    claim: format!("{hl} ∼ {ll}"),
-                    witness: "-".into(),
-                    reason: "rule not derivable".into(),
-                })
+    // Reference samples need a heap: build one per payload sample.
+    if let Some(payload) = ref_payload(from) {
+        for pv in sample_values(&payload) {
+            let mut heap = Heap::new();
+            let l = heap.alloc(pv.clone());
+            let world = World::new(10_000).with_loc(l, payload.clone());
+            let program = Program::single(Instr::push_val(Value::Loc(l))).then(glue.clone());
+            if !expr_in(&world, heap, &program, to) {
+                return Err(refuted(
+                    format!("ℓ ↦ {pv}"),
+                    format!("converted reference is not in E⟦{to}⟧"),
+                ));
             }
-        };
-        self.check_direction(&SemType::Hl(hl.clone()), &SemType::Ll(ll.clone()), &to_ll)?;
-        self.check_direction(&SemType::Ll(ll.clone()), &SemType::Hl(hl.clone()), &to_hl)?;
+        }
+    }
+    Ok(())
+}
+
+/// The executable content of **Theorems 3.3/3.4 (type safety)**, judged on
+/// a run's outcome: it must be a value, a benign failure, or out of fuel —
+/// never a dynamic type error.  The failure's witness is left empty for
+/// the caller, who knows what ran.
+pub fn outcome_type_safe(outcome: &Outcome<Value>) -> Result<(), CheckFailure> {
+    if outcome.is_safe() {
         Ok(())
-    }
-
-    /// Checks one direction of a conversion against an explicit glue program —
-    /// also usable for *candidate* (possibly unsound) conversions in tests.
-    pub fn check_direction(
-        &self,
-        from: &SemType,
-        to: &SemType,
-        glue: &Program,
-    ) -> Result<(), CounterExample> {
-        let world = World::new(10_000);
-        for v in self.sample_values(from, self.fun_depth) {
-            let program = Program::single(Instr::push_val(v.clone())).then(glue.clone());
-            if !self.expr_in(&world, Heap::new(), &program, to) {
-                return Err(CounterExample {
-                    claim: format!("C_{{{from} ↦ {to}}} sound"),
-                    witness: v.to_string(),
-                    reason: format!("conversion output is not in E⟦{to}⟧"),
-                });
-            }
-        }
-        // Reference samples need a heap: build one per payload sample.
-        if let Some(payload) = ref_payload(from) {
-            for pv in self.sample_values(&payload, self.fun_depth) {
-                let mut heap = Heap::new();
-                let l = heap.alloc(pv.clone());
-                let world = World::new(10_000).with_loc(l, payload.clone());
-                let program = Program::single(Instr::push_val(Value::Loc(l))).then(glue.clone());
-                if !self.expr_in(&world, heap, &program, to) {
-                    return Err(CounterExample {
-                        claim: format!("C_{{{from} ↦ {to}}} sound"),
-                        witness: format!("ℓ ↦ {pv}"),
-                        reason: format!("converted reference is not in E⟦{to}⟧"),
-                    });
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// The executable content of **Theorems 3.3/3.4 (type safety)** for one
-    /// compiled program: it must run to a value, a benign failure, or out of
-    /// fuel — never a dynamic type error.
-    pub fn check_type_safety(&self, program: &Program, fuel: Fuel) -> Result<(), CounterExample> {
-        let result = Machine::run_program(program.clone(), fuel);
-        self.outcome_type_safe(&result.outcome)
-            .map_err(|ce| CounterExample {
-                witness: program.to_string(),
-                ..ce
-            })
-    }
-
-    /// The post-run half of [`ModelChecker::check_type_safety`]: judges a
-    /// run's outcome.  The counterexample's witness is left empty for the
-    /// caller, who knows what ran.
-    pub fn outcome_type_safe(&self, outcome: &Outcome<Value>) -> Result<(), CounterExample> {
-        if outcome.is_safe() {
-            Ok(())
-        } else {
-            Err(CounterExample {
-                claim: "type safety".into(),
-                witness: String::new(),
-                reason: format!("outcome {outcome:?}"),
-            })
-        }
+    } else {
+        Err(CheckFailure {
+            claim: "type safety".into(),
+            witness: String::new(),
+            reason: format!("outcome {outcome:?}"),
+        })
     }
 }
 
@@ -548,10 +455,6 @@ fn ref_payload(ty: &SemType) -> Option<SemType> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn checker() -> ModelChecker {
-        ModelChecker::default()
-    }
 
     #[test]
     fn bool_and_int_have_the_same_interpretation() {
@@ -575,65 +478,97 @@ mod tests {
 
     #[test]
     fn value_relation_base_cases() {
-        let c = checker();
         let w = World::new(100);
         let h = Heap::new();
         // unit: only 0.
-        assert!(c.value_in(&w, &h, &Value::Num(0), &SemType::Hl(HlType::Unit)));
-        assert!(!c.value_in(&w, &h, &Value::Num(3), &SemType::Hl(HlType::Unit)));
+        assert!(value_in(&w, &h, &Value::Num(0), &SemType::Hl(HlType::Unit)));
+        assert!(!value_in(
+            &w,
+            &h,
+            &Value::Num(3),
+            &SemType::Hl(HlType::Unit)
+        ));
         // bool: every integer, nothing else.
-        assert!(c.value_in(&w, &h, &Value::Num(17), &SemType::Hl(HlType::Bool)));
-        assert!(!c.value_in(&w, &h, &Value::array([]), &SemType::Hl(HlType::Bool)));
+        assert!(value_in(
+            &w,
+            &h,
+            &Value::Num(17),
+            &SemType::Hl(HlType::Bool)
+        ));
+        assert!(!value_in(
+            &w,
+            &h,
+            &Value::array([]),
+            &SemType::Hl(HlType::Bool)
+        ));
         // int likewise.
-        assert!(c.value_in(&w, &h, &Value::Num(-4), &SemType::Ll(LlType::Int)));
+        assert!(value_in(&w, &h, &Value::Num(-4), &SemType::Ll(LlType::Int)));
     }
 
     #[test]
     fn sums_products_and_arrays() {
-        let c = checker();
         let w = World::new(100);
         let h = Heap::new();
         let sum = SemType::Hl(HlType::sum(HlType::Bool, HlType::Unit));
-        assert!(c.value_in(&w, &h, &Value::array([Value::Num(0), Value::Num(9)]), &sum));
-        assert!(c.value_in(&w, &h, &Value::array([Value::Num(1), Value::Num(0)]), &sum));
+        assert!(value_in(
+            &w,
+            &h,
+            &Value::array([Value::Num(0), Value::Num(9)]),
+            &sum
+        ));
+        assert!(value_in(
+            &w,
+            &h,
+            &Value::array([Value::Num(1), Value::Num(0)]),
+            &sum
+        ));
         // inr payload must be unit (0).
-        assert!(!c.value_in(&w, &h, &Value::array([Value::Num(1), Value::Num(9)]), &sum));
+        assert!(!value_in(
+            &w,
+            &h,
+            &Value::array([Value::Num(1), Value::Num(9)]),
+            &sum
+        ));
         // bad tag.
-        assert!(!c.value_in(&w, &h, &Value::array([Value::Num(2), Value::Num(0)]), &sum));
+        assert!(!value_in(
+            &w,
+            &h,
+            &Value::array([Value::Num(2), Value::Num(0)]),
+            &sum
+        ));
 
         let arr = SemType::Ll(LlType::array(LlType::Int));
-        assert!(c.value_in(&w, &h, &Value::array([]), &arr));
-        assert!(c.value_in(
+        assert!(value_in(&w, &h, &Value::array([]), &arr));
+        assert!(value_in(
             &w,
             &h,
             &Value::array([Value::Num(1), Value::Num(2), Value::Num(3)]),
             &arr
         ));
-        assert!(!c.value_in(&w, &h, &Value::array([Value::array([])]), &arr));
+        assert!(!value_in(&w, &h, &Value::array([Value::array([])]), &arr));
     }
 
     #[test]
     fn reference_membership_uses_the_heap_typing() {
-        let c = checker();
         let mut h = Heap::new();
         let l = h.alloc(Value::Num(1));
         // With ℓ : bool in the world, ℓ inhabits both ref bool and ref int —
         // the crux of the §3 case study.
         let w = World::new(100).with_loc(l, HlType::Bool);
-        assert!(c.value_in(
+        assert!(value_in(
             &w,
             &h,
             &Value::Loc(l),
             &SemType::Hl(HlType::ref_(HlType::Bool))
         ));
-        assert!(c.value_in(
+        assert!(value_in(
             &w,
             &h,
             &Value::Loc(l),
             &SemType::Ll(LlType::ref_(LlType::Int))
         ));
         // But not ref unit: V⟦unit⟧ ≠ V⟦bool⟧.
-        assert!(!c.value_in(
+        assert!(!value_in(
             &w,
             &h,
             &Value::Loc(l),
@@ -641,14 +576,14 @@ mod tests {
         ));
         // A location the world does not know falls back to the heap contents.
         let w0 = World::new(100);
-        assert!(c.value_in(
+        assert!(value_in(
             &w0,
             &h,
             &Value::Loc(l),
             &SemType::Hl(HlType::ref_(HlType::Bool))
         ));
         // Dangling locations are never in the relation.
-        assert!(!c.value_in(
+        assert!(!value_in(
             &w0,
             &h,
             &Value::Loc(Loc(99)),
@@ -658,7 +593,6 @@ mod tests {
 
     #[test]
     fn function_values_are_checked_on_canonical_arguments() {
-        let c = checker();
         let w = World::new(10_000);
         let h = Heap::new();
         // thunk (lam x. push x) : bool → bool (the identity).
@@ -667,39 +601,38 @@ mod tests {
             Program::single(Instr::push_var("x")),
         )));
         let ty = SemType::Hl(HlType::fun(HlType::Bool, HlType::Bool));
-        assert!(c.value_in(&w, &h, &ident, &ty));
+        assert!(value_in(&w, &h, &ident, &ty));
         // A function that ignores its argument and returns an array is not a
         // bool → bool.
         let bad = Value::thunk(Program::single(Instr::lam1(
             "x",
             Program::single(Instr::push_val(Value::array([]))),
         )));
-        assert!(!c.value_in(&w, &h, &bad, &ty));
+        assert!(!value_in(&w, &h, &bad, &ty));
         // But it *is* a bool → [int].
-        assert!(c.value_in(
+        assert!(value_in(
             &w,
             &h,
             &bad,
             &SemType::Ll(LlType::fun(LlType::Int, LlType::array(LlType::Int)))
         ));
         // Non-thunks are never functions.
-        assert!(!c.value_in(&w, &h, &Value::Num(3), &ty));
+        assert!(!value_in(&w, &h, &Value::Num(3), &ty));
     }
 
     #[test]
     fn expression_relation_allows_benign_failures_and_divergence() {
-        let c = checker();
         let w = World::new(1_000);
         let ty = SemType::Hl(HlType::Bool);
         // A program that fails Conv is in every E⟦τ⟧.
         let p = Program::single(Instr::Fail(ErrorCode::Conv));
-        assert!(c.expr_in(&w, Heap::new(), &p, &ty));
+        assert!(expr_in(&w, Heap::new(), &p, &ty));
         // A program that fails Type is in none.
         let p = Program::single(Instr::Add);
-        assert!(!c.expr_in(&w, Heap::new(), &p, &ty));
+        assert!(!expr_in(&w, Heap::new(), &p, &ty));
         // A value of the wrong shape is rejected.
         let p = Program::single(Instr::push_val(Value::array([])));
-        assert!(!c.expr_in(&w, Heap::new(), &p, &ty));
+        assert!(!expr_in(&w, Heap::new(), &p, &ty));
         // A long-running program exhausts the budget and is accepted.
         let mut instrs = vec![Instr::push_num(0)];
         for _ in 0..2_000 {
@@ -707,27 +640,25 @@ mod tests {
             instrs.push(Instr::Add);
         }
         let w_small = World::new(50);
-        assert!(c.expr_in(&w_small, Heap::new(), &Program::from(instrs), &ty));
+        assert!(expr_in(&w_small, Heap::new(), &Program::from(instrs), &ty));
     }
 
     #[test]
     fn heap_satisfaction() {
-        let c = checker();
         let mut h = Heap::new();
         let l = h.alloc(Value::Num(5));
         let w = World::new(100).with_loc(l, HlType::Bool);
-        assert!(c.heap_satisfies(&w, &h));
+        assert!(heap_satisfies(&w, &h));
         // unit demands exactly 0.
         let w_bad = World::new(100).with_loc(l, HlType::Unit);
-        assert!(!c.heap_satisfies(&w_bad, &h));
+        assert!(!heap_satisfies(&w_bad, &h));
         // Missing locations violate satisfaction.
         let w_missing = World::new(100).with_loc(Loc(77), HlType::Bool);
-        assert!(!c.heap_satisfies(&w_missing, &h));
+        assert!(!heap_satisfies(&w_missing, &h));
     }
 
     #[test]
     fn lemma_3_1_convertibility_soundness_for_the_registered_rules() {
-        let c = checker();
         let rules = vec![
             (HlType::Bool, LlType::Int),
             (HlType::Unit, LlType::Int),
@@ -745,56 +676,55 @@ mod tests {
                 LlType::array(LlType::Int),
             ),
         ];
+        let conversions = SharedMemConversions::standard();
         for (hl, ll) in rules {
-            c.check_convertibility(&hl, &ll)
+            check_convertibility(&conversions, &hl, &ll)
                 .unwrap_or_else(|ce| panic!("convertibility soundness failed: {ce}"));
         }
     }
 
     #[test]
     fn unsound_candidate_conversions_are_rejected() {
-        let c = checker();
         // Claim: int converts to unit by doing nothing. False: 7 is not in
         // V⟦unit⟧.
-        let err = c
-            .check_direction(
-                &SemType::Ll(LlType::Int),
-                &SemType::Hl(HlType::Unit),
-                &Program::empty(),
-            )
-            .unwrap_err();
+        let err = check_direction(
+            &SemType::Ll(LlType::Int),
+            &SemType::Hl(HlType::Unit),
+            &Program::empty(),
+        )
+        .unwrap_err();
         assert!(err.reason.contains("not in"));
 
         // Claim: int converts to bool+bool by tagging without checking: wrong,
         // arbitrary ints are not valid payload-carrying sums.
         let bogus = Program::single(Instr::push_num(5));
-        let err = c
-            .check_direction(
-                &SemType::Ll(LlType::Int),
-                &SemType::Hl(HlType::sum(HlType::Bool, HlType::Bool)),
-                &bogus,
-            )
-            .unwrap_err();
+        let err = check_direction(
+            &SemType::Ll(LlType::Int),
+            &SemType::Hl(HlType::sum(HlType::Bool, HlType::Bool)),
+            &bogus,
+        )
+        .unwrap_err();
         assert_eq!(err.claim, "C_{int ↦ (bool + bool)} sound");
 
         // Claim: ref [int] converts to ref (bool×bool) with a no-op (pointer
         // sharing): unsound because an empty array can be stored there.
-        let err = c
-            .check_direction(
-                &SemType::Ll(LlType::ref_(LlType::array(LlType::Int))),
-                &SemType::Hl(HlType::ref_(HlType::prod(HlType::Bool, HlType::Bool))),
-                &Program::empty(),
-            )
-            .unwrap_err();
+        let err = check_direction(
+            &SemType::Ll(LlType::ref_(LlType::array(LlType::Int))),
+            &SemType::Hl(HlType::ref_(HlType::prod(HlType::Bool, HlType::Bool))),
+            &Program::empty(),
+        )
+        .unwrap_err();
         assert!(err.witness.contains("ℓ"));
     }
 
     #[test]
     fn unregistered_rules_report_not_derivable() {
-        let c = checker();
-        let err = c
-            .check_convertibility(&HlType::Bool, &LlType::array(LlType::Int))
-            .unwrap_err();
+        let err = check_convertibility(
+            &SharedMemConversions::standard(),
+            &HlType::Bool,
+            &LlType::array(LlType::Int),
+        )
+        .unwrap_err();
         assert_eq!(err.reason, "rule not derivable");
     }
 
@@ -826,18 +756,12 @@ mod tests {
 
     #[test]
     fn type_safety_checker_flags_type_failures_only() {
-        let c = checker();
-        assert!(c
-            .check_type_safety(&Program::single(Instr::push_num(1)), Fuel::default())
-            .is_ok());
-        assert!(c
-            .check_type_safety(
-                &Program::single(Instr::Fail(ErrorCode::Conv)),
-                Fuel::default()
-            )
-            .is_ok());
-        assert!(c
-            .check_type_safety(&Program::single(Instr::Call), Fuel::default())
-            .is_err());
+        let judge = |instr| {
+            let run = Machine::run_program(Program::single(instr), Fuel::default());
+            outcome_type_safe(&run.outcome)
+        };
+        assert!(judge(Instr::push_num(1)).is_ok());
+        assert!(judge(Instr::Fail(ErrorCode::Conv)).is_ok());
+        assert!(judge(Instr::Call).is_err());
     }
 }

@@ -88,11 +88,6 @@ pub fn pair() -> Program {
     Program::single(pack(2))
 }
 
-/// Projects element `i` out of an array on top of the stack: `push i, idx`.
-pub fn project(i: i64) -> Program {
-    Program::from(vec![Instr::push_num(i), Instr::Idx])
-}
-
 /// Pops a value `v` and pushes the tagged array `[tag, v]` — the compiled
 /// representation of `inl`/`inr` with tags 0 and 1 (Fig. 3).
 pub fn tagged(tag: i64) -> Program {
@@ -126,6 +121,7 @@ mod tests {
     #[test]
     fn pack_then_project_recovers_elements() {
         let build = Program::from(vec![Instr::push_num(10), Instr::push_num(20), pack(2)]);
+        let project = |i| Program::from(vec![Instr::push_num(i), Instr::Idx]);
         assert_eq!(
             run(build.clone().then(project(0))),
             Outcome::Value(Value::Num(10))

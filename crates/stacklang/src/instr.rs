@@ -37,26 +37,10 @@ pub enum Value {
 }
 
 impl Value {
-    /// The integer carried by a `Num`, if any.
-    pub fn as_num(&self) -> Option<i64> {
-        match self {
-            Value::Num(n) => Some(*n),
-            _ => None,
-        }
-    }
-
     /// The location carried by a `Loc`, if any.
     pub fn as_loc(&self) -> Option<Loc> {
         match self {
             Value::Loc(l) => Some(*l),
-            _ => None,
-        }
-    }
-
-    /// The elements of an `Array`, if any.
-    pub fn as_array(&self) -> Option<&[Value]> {
-        match self {
-            Value::Array(vs) => Some(vs),
             _ => None,
         }
     }
@@ -622,11 +606,9 @@ mod tests {
 
     #[test]
     fn value_accessors() {
-        assert_eq!(Value::Num(3).as_num(), Some(3));
         assert_eq!(Value::Num(3).as_loc(), None);
         assert_eq!(Value::Loc(Loc(1)).as_loc(), Some(Loc(1)));
         let arr = Value::array([Value::Num(1), Value::Num(2)]);
-        assert_eq!(arr.as_array().unwrap().len(), 2);
         assert_eq!(arr.to_string(), "[1, 2]");
     }
 

@@ -29,7 +29,7 @@
 use crate::heap::Heap;
 use crate::instr::{Env, Instr, Operand, Program, Value};
 use semint_core::fuel::Rebudgeted;
-use semint_core::{ErrorCode, Fuel, OpClass, Outcome, VmCounters};
+use semint_core::{ErrorCode, Fuel, OpClass, Outcome, OutcomeClass, RunStats, VmCounters};
 use std::fmt;
 
 /// The stack component of a configuration: either a stack of values or the
@@ -106,6 +106,21 @@ impl RunResult {
     /// rule of [`Fuel::rebudget`]).
     pub fn rebudget(&self, fuel: Fuel, budget: Fuel) -> Rebudgeted {
         fuel.rebudget(self.outcome != Outcome::OutOfFuel, self.steps, budget)
+    }
+
+    /// The engine's projection of this run: how it ended, its steps and its
+    /// counters.
+    pub fn stats(&self) -> RunStats {
+        let outcome = match &self.outcome {
+            Outcome::Value(_) => OutcomeClass::Value,
+            Outcome::Fail(c) => OutcomeClass::Fail(*c),
+            Outcome::OutOfFuel => OutcomeClass::OutOfFuel,
+        };
+        RunStats {
+            outcome,
+            steps: self.steps,
+            counters: self.counters,
+        }
     }
 }
 

@@ -11,7 +11,7 @@
 
 use semint::reflang::syntax::{HlExpr, HlType, LlExpr, LlType};
 use semint::sharedmem::convert::SharedMemConversions;
-use semint::sharedmem::model::{interp_equal, ModelChecker, SemType};
+use semint::sharedmem::model::{check_convertibility, interp_equal, outcome_type_safe, SemType};
 use semint::sharedmem::multilang::MultiLang;
 
 fn main() {
@@ -56,8 +56,8 @@ fn main() {
     println!("\nV⟦bool⟧ = V⟦int⟧ ?  {bool_eq_int}");
     println!("V⟦unit⟧ = V⟦int⟧ ?  {unit_eq_int}");
 
-    // Step 4: convertibility soundness, checked executably for a few rules.
-    let checker = ModelChecker::default();
+    // Step 4: convertibility soundness, checked executably for a few of the
+    // rules the system compiles with.
     for (hl, ll) in [
         (HlType::Bool, LlType::Int),
         (HlType::ref_(HlType::Bool), LlType::ref_(LlType::Int)),
@@ -66,15 +66,13 @@ fn main() {
             LlType::array(LlType::Int),
         ),
     ] {
-        match checker.check_convertibility(&hl, &ll) {
+        match check_convertibility(system.conversions(), &hl, &ll) {
             Ok(()) => println!("Lemma 3.1 holds for  {hl} ∼ {ll}"),
             Err(ce) => println!("COUNTEREXAMPLE for {hl} ∼ {ll}: {ce}"),
         }
     }
 
-    // Step 5: type safety on the compiled program.
-    checker
-        .check_type_safety(&compiled.program, semint::core::Fuel::default())
-        .expect("Theorem 3.4: the compiled program is safe");
+    // Step 5: type safety on the compiled program's run.
+    outcome_type_safe(&result.outcome).expect("Theorem 3.4: the compiled program is safe");
     println!("\nType safety check passed.");
 }

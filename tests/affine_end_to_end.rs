@@ -4,7 +4,10 @@
 
 use proptest::prelude::*;
 use semint::affine::compile::thunk_guard;
-use semint::affine::model::{AffineModelChecker, AffineSemType};
+use semint::affine::convert::AffineConversions;
+use semint::affine::model::{
+    augmented_run, check_convertibility, judge_safety, value_in, AffineSemType, CHECK_FUEL,
+};
 use semint::affine::multilang::AffineMultiLang;
 use semint::affine::syntax::{AffiExpr, AffiType, MlExpr, MlType};
 use semint::core::ErrorCode;
@@ -86,7 +89,7 @@ fn the_two_enforcement_regimes_have_observably_different_costs() {
 
 #[test]
 fn convertibility_soundness_for_a_catalogue_of_rules() {
-    let checker = AffineModelChecker::new();
+    let conversions = AffineConversions::standard();
     let thunked = thunked_fun(MlType::Int, MlType::Int);
     let catalogue = vec![
         (AffiType::Unit, MlType::Unit),
@@ -114,8 +117,7 @@ fn convertibility_soundness_for_a_catalogue_of_rules() {
         ),
     ];
     for (affi, ml) in catalogue {
-        checker
-            .check_convertibility(&affi, &ml)
+        check_convertibility(&conversions, &affi, &ml)
             .unwrap_or_else(|ce| panic!("Lemma 3.1 (§4) failed for {affi} ∼ {ml}: {ce}"));
     }
 }
@@ -123,7 +125,6 @@ fn convertibility_soundness_for_a_catalogue_of_rules() {
 #[test]
 fn static_arrow_stays_inside_affi_and_phantom_agrees_with_standard() {
     let sys = AffineMultiLang::new();
-    let checker = AffineModelChecker::new();
     let programs = vec![
         AffiExpr::let_tensor(
             "l",
@@ -148,8 +149,9 @@ fn static_arrow_stays_inside_affi_and_phantom_agrees_with_standard() {
     for e in programs {
         match sys.compile_affi(&e) {
             Ok(compiled) => {
-                checker
-                    .check_safety(&compiled.expr, &compiled.static_binders)
+                let standard = Machine::run_expr(compiled.expr.clone(), CHECK_FUEL).halt;
+                let augmented = augmented_run(&compiled.expr, &compiled.static_binders);
+                judge_safety(&standard, &augmented)
                     .unwrap_or_else(|ce| panic!("safety failed for {e}: {ce}"));
             }
             Err(err) => {
@@ -188,12 +190,11 @@ proptest! {
     /// in {0, 1}, and converting back is the identity on {0, 1}.
     #[test]
     fn int_bool_conversions_normalise(n in any::<i64>()) {
-        let checker = AffineModelChecker::new();
-        let conv = semint::affine::convert::AffineConversions::standard();
+        let conv = AffineConversions::standard();
         let (to_ml, to_affi) = conv.derive(&AffiType::Bool, &MlType::Int).unwrap();
         let to_bool = Machine::run_expr(Expr::app(to_affi, Expr::int(n)), semint::core::Fuel::default()).halt;
         let v = to_bool.value().expect("conversion terminates");
-        prop_assert!(checker.value_in(&v, &AffineSemType::Affi(AffiType::Bool)), "got {v}");
+        prop_assert!(value_in(&v, &AffineSemType::Affi(AffiType::Bool)), "got {v}");
         // Round-tripping a canonical boolean through MiniML is the identity.
         let b = if n == 0 { 0 } else { 1 };
         let round = Machine::run_expr(

@@ -3,7 +3,8 @@
 
 use proptest::prelude::*;
 use semint::lcvm::{Halt, Value};
-use semint::memgc::model::MemGcModelChecker;
+use semint::memgc::convert::MemGcConversions;
+use semint::memgc::model::check_transfer_soundness;
 use semint::memgc::multilang::MemGcMultiLang;
 use semint::memgc::syntax::{L3Expr, L3Type, PolyExpr, PolyType};
 
@@ -84,7 +85,7 @@ fn l3_uses_a_miniml_generic_library() {
 
 #[test]
 fn transfer_soundness_over_a_payload_catalogue() {
-    let checker = MemGcModelChecker::new();
+    let conversions = MemGcConversions::standard();
     let catalogue = vec![
         (PolyType::Int, L3Type::Bool, Value::Int(0)),
         (PolyType::Int, L3Type::Bool, Value::Int(1)),
@@ -97,8 +98,7 @@ fn transfer_soundness_over_a_payload_catalogue() {
         ),
     ];
     for (ml, l3, v) in catalogue {
-        checker
-            .check_transfer_soundness(&ml, &l3, v)
+        check_transfer_soundness(&conversions, &ml, &l3, v)
             .unwrap_or_else(|ce| panic!("transfer soundness failed for ref {ml} ∼ REF {l3}: {ce}"));
     }
 }

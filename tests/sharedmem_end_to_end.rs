@@ -7,7 +7,7 @@ use semint::core::{Fuel, GenProfile};
 use semint::reflang::syntax::{HlExpr, HlType, LlExpr, LlType};
 use semint::sharedmem::convert::{RefStrategy, SharedMemConversions};
 use semint::sharedmem::gen::ProgramGen;
-use semint::sharedmem::model::{ModelChecker, SemType};
+use semint::sharedmem::model::{check_convertibility, expr_in, SemType, World};
 use semint::sharedmem::multilang::MultiLang;
 use semint::stacklang::Value;
 
@@ -75,7 +75,6 @@ fn aliasing_through_nested_boundaries_is_preserved() {
 
 #[test]
 fn convertibility_soundness_holds_for_every_derivable_rule_in_a_catalogue() {
-    let checker = ModelChecker::default();
     let hl_types = [
         HlType::Bool,
         HlType::Unit,
@@ -98,8 +97,7 @@ fn convertibility_soundness_holds_for_every_derivable_rule_in_a_catalogue() {
         for ll in &ll_types {
             if conversions.derive(hl, ll).is_some() {
                 derivable += 1;
-                checker
-                    .check_convertibility(hl, ll)
+                check_convertibility(&conversions, hl, ll)
                     .unwrap_or_else(|ce| panic!("Lemma 3.1 failed for {hl} ∼ {ll}: {ce}"));
             }
         }
@@ -171,14 +169,13 @@ proptest! {
     #[test]
     fn generated_programs_inhabit_their_expression_relation(seed in any::<u64>()) {
         let sys = system();
-        let checker = ModelChecker::default();
         let mut generator = ProgramGen::with_profile(seed, &profile(4, 30));
         let ty = generator.gen_hl_type(1);
         let program = generator.gen_hl(&ty);
         let compiled = sys.compile_hl(&program).expect("compiles");
-        let world = semint::sharedmem::model::World::new(20_000);
+        let world = World::new(20_000);
         prop_assert!(
-            checker.expr_in(&world, semint::stacklang::Heap::new(), &compiled.program, &SemType::Hl(ty.clone())),
+            expr_in(&world, semint::stacklang::Heap::new(), &compiled.program, &SemType::Hl(ty.clone())),
             "compiled program not in E⟦{}⟧: {}", ty, program
         );
     }
