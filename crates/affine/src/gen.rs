@@ -384,19 +384,22 @@ fn ml_type_convertible_to(ty: &AffiType) -> Option<MlType> {
 mod tests {
     use super::*;
     use crate::convert::AffineConversions;
-    use crate::multilang::AffineMultiLang;
+    use crate::harness::{AffProgram, AffineCase};
+    use crate::typecheck::{check_affi, check_ml, AffineCtx};
+    use lcvm::{Machine, PhantomConfig};
+    use semint_core::case::CaseStudy;
     use semint_core::convert::ConversionScheme;
+    use semint_core::Fuel;
     use std::collections::HashSet;
 
     #[test]
     fn generated_affi_programs_typecheck_at_the_requested_type() {
-        let sys = AffineMultiLang::new();
+        let rules = AffineConversions::standard();
         for seed in 0..80 {
             let mut gen = AffineProgramGen::new(seed);
             let ty = gen.gen_affi_type(2);
             let e = gen.gen_affi(&ty);
-            let checked = sys
-                .typecheck_affi(&e)
+            let (checked, _) = check_affi(&AffineCtx::empty(), &e, &rules)
                 .unwrap_or_else(|err| panic!("seed {seed}: {e} does not typecheck: {err}"));
             assert_eq!(checked, ty, "seed {seed}");
         }
@@ -404,12 +407,11 @@ mod tests {
 
     #[test]
     fn generated_ml_programs_typecheck() {
-        let sys = AffineMultiLang::new();
+        let rules = AffineConversions::standard();
         for seed in 0..80 {
             let mut gen = AffineProgramGen::new(seed);
             let e = gen.gen_ml(&MlType::Int);
-            let ty = sys
-                .typecheck_ml(&e)
+            let (ty, _) = check_ml(&AffineCtx::empty(), &e, &rules)
                 .unwrap_or_else(|err| panic!("seed {seed}: {e} does not typecheck: {err}"));
             assert_eq!(ty, MlType::Int);
         }
@@ -417,19 +419,25 @@ mod tests {
 
     #[test]
     fn generated_programs_run_safely_under_both_semantics() {
-        let sys = AffineMultiLang::new();
+        let case = AffineCase::standard();
         for seed in 0..60 {
             let mut gen = AffineProgramGen::new(seed);
             let ty = gen.gen_affi_type(1);
-            let e = gen.gen_affi(&ty);
-            let compiled = sys.compile_affi(&e).expect("compiles");
-            assert!(
-                sys.run(&compiled).halt.is_safe(),
-                "seed {seed}: standard run unsafe for {e}"
+            let program = AffProgram::Affi(gen.gen_affi(&ty));
+            case.typecheck(&program).expect("typechecks");
+            let compiled = case.compile(&program).expect("compiles");
+            let phantom = Machine::run_phantom(
+                compiled.expr.clone(),
+                PhantomConfig::protecting(compiled.static_binders.iter().cloned()),
+                Fuel::default(),
             );
             assert!(
-                sys.run_phantom(&compiled).halt.is_safe(),
-                "seed {seed}: phantom run unsafe for {e}"
+                phantom.halt.is_safe(),
+                "seed {seed}: phantom run unsafe for {program}"
+            );
+            assert!(
+                case.execute(compiled, Fuel::default()).halt.is_safe(),
+                "seed {seed}: standard run unsafe for {program}"
             );
         }
     }
@@ -466,15 +474,14 @@ mod tests {
 
     #[test]
     fn deep_profile_types_reach_depth_four_and_programs_typecheck() {
-        let sys = AffineMultiLang::new();
+        let rules = AffineConversions::standard();
         let mut max_depth_seen = 0;
         for seed in 0..40 {
             let mut gen = AffineProgramGen::with_profile(seed, &GenProfile::deep());
             let ty = gen.gen_goal_affi_type();
             max_depth_seen = max_depth_seen.max(affi_type_depth(&ty));
             let e = gen.gen_affi(&ty);
-            let checked = sys
-                .typecheck_affi(&e)
+            let (checked, _) = check_affi(&AffineCtx::empty(), &e, &rules)
                 .unwrap_or_else(|err| panic!("seed {seed}: {e} does not typecheck: {err}"));
             assert_eq!(checked, ty, "seed {seed}");
         }
@@ -486,14 +493,13 @@ mod tests {
 
     #[test]
     fn deep_ml_goal_types_typecheck_too() {
-        let sys = AffineMultiLang::new();
+        let rules = AffineConversions::standard();
         let deep = GenProfile::deep();
         for seed in 0..40 {
             let mut gen = AffineProgramGen::with_profile(seed, &deep);
             let ty = gen.gen_ml_type(deep.type_depth);
             let e = gen.gen_ml(&ty);
-            let checked = sys
-                .typecheck_ml(&e)
+            let (checked, _) = check_ml(&AffineCtx::empty(), &e, &rules)
                 .unwrap_or_else(|err| panic!("seed {seed}: {e} does not typecheck: {err}"));
             assert_eq!(checked, ty, "seed {seed}");
         }

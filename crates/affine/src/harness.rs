@@ -1,30 +1,68 @@
 //! The [`CaseStudy`] instance for case study 2 (affine ⊸ unrestricted
-//! interoperability), consumed by the `semint-harness` engine.
+//! interoperability): the §4 multi-language system, consumed by the
+//! `semint-harness` engine and by hand-written programs alike.
 
-use crate::compile::CompileOutput;
+use crate::compile::{CompileOutput, Compiler};
+use crate::convert::AffineConversions;
 use crate::gen::AffineProgramGen;
 use crate::model::{
     augmented_run, check_convertibility, halt_in, judge_safety, AffineSemType, CHECK_FUEL,
 };
-use crate::multilang::AffineMultiLang;
-use crate::syntax::{AffiType, MlType};
-use lcvm::{Halt, RunResult};
+use crate::syntax::{AffiExpr, AffiType, MlExpr, MlType};
+use crate::typecheck::{check_affi, check_ml, AffineCtx};
+use lcvm::{Halt, Machine, RunResult};
 use semint_core::case::{CaseStudy, CheckFailure, GenProfile, Scenario};
 use semint_core::convert::ConversionScheme;
 use semint_core::stats::RunStats;
 use semint_core::{Fuel, GlueCacheStats};
+use std::fmt;
 
-pub use crate::multilang::{AffProgram, AffSourceType};
-use crate::syntax::{AffiExpr, MlExpr};
+/// A closed §4 multi-language program, hosted in either language.
+#[derive(Debug, Clone, PartialEq)]
+pub enum AffProgram {
+    /// An Affi-hosted program.
+    Affi(AffiExpr),
+    /// A MiniML-hosted program.
+    Ml(MlExpr),
+}
 
-/// Case study 2 packaged for the harness engine.
+impl fmt::Display for AffProgram {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            AffProgram::Affi(e) => write!(f, "{e}"),
+            AffProgram::Ml(e) => write!(f, "{e}"),
+        }
+    }
+}
+
+/// A source type of either §4 language.
+#[derive(Debug, Clone, PartialEq)]
+pub enum AffSourceType {
+    /// An Affi type.
+    Affi(AffiType),
+    /// A MiniML type.
+    Ml(MlType),
+}
+
+impl fmt::Display for AffSourceType {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            AffSourceType::Affi(t) => write!(f, "{t} (Affi)"),
+            AffSourceType::Ml(t) => write!(f, "{t} (MiniML)"),
+        }
+    }
+}
+
+/// The §4 multi-language system: MiniML + Affi + the Fig. 9 conversions over
+/// LCVM, run under the standard semantics.  Its stages type check and
+/// compile with that one rule set.
 ///
 /// The `broken` flag simulates an unsound extra rule `int ∼ bool` whose glue
 /// forgets to normalise: `int`-typed scenarios are claimed at the boolean
 /// relation, which only integers 0/1 inhabit, so most scenarios are refuted.
 #[derive(Debug, Clone)]
 pub struct AffineCase {
-    system: AffineMultiLang,
+    conversions: AffineConversions,
     broken: bool,
 }
 
@@ -32,7 +70,7 @@ impl AffineCase {
     /// The standard (sound) rule set.
     pub fn standard() -> Self {
         AffineCase {
-            system: AffineMultiLang::new(),
+            conversions: AffineConversions::standard(),
             broken: false,
         }
     }
@@ -40,9 +78,14 @@ impl AffineCase {
     /// The deliberately broken claim (see the type-level docs).
     pub fn broken() -> Self {
         AffineCase {
-            system: AffineMultiLang::new(),
             broken: true,
+            ..AffineCase::standard()
         }
+    }
+
+    /// The conversion rule set in use.
+    pub fn conversions(&self) -> &AffineConversions {
+        &self.conversions
     }
 }
 
@@ -55,12 +98,6 @@ pub struct AffineEvidence {
     /// How the checker's own standard run halted, when the sweep's fuel
     /// falls short of the checker's.
     own_run: Option<Halt>,
-}
-
-impl Default for AffineCase {
-    fn default() -> Self {
-        AffineCase::standard()
-    }
 }
 
 fn push_affi(out: &mut Vec<AffProgram>, e: &AffiExpr) {
@@ -152,19 +189,34 @@ impl CaseStudy for AffineCase {
     }
 
     fn typecheck(&self, program: &AffProgram) -> Result<AffSourceType, String> {
-        self.system.typecheck(program).map_err(|e| e.to_string())
+        let ctx = AffineCtx::empty();
+        match program {
+            AffProgram::Affi(e) => {
+                check_affi(&ctx, e, &self.conversions).map(|(t, _)| AffSourceType::Affi(t))
+            }
+            AffProgram::Ml(e) => {
+                check_ml(&ctx, e, &self.conversions).map(|(t, _)| AffSourceType::Ml(t))
+            }
+        }
+        .map_err(|e| e.to_string())
     }
 
     fn compile(&self, program: &AffProgram) -> Result<CompileOutput, String> {
-        self.system.compile_only(program).map_err(|e| e.to_string())
+        let compiler = Compiler::new(&self.conversions, &self.conversions);
+        match program {
+            AffProgram::Affi(e) => compiler.compile_affi_program(e),
+            AffProgram::Ml(e) => compiler.compile_ml_program(e),
+        }
+        .map_err(|e| e.to_string())
     }
 
     fn execute(&self, compiled: CompileOutput, fuel: Fuel) -> RunResult {
-        self.system.execute(compiled, fuel)
+        Machine::run_expr(compiled.expr, fuel)
     }
 
+    /// One LCVM machine for the whole batch, reset between programs.
     fn execute_batch(&self, batch: Vec<CompileOutput>, fuel: Fuel) -> Vec<RunResult> {
-        self.system.execute_batch(batch, fuel)
+        Machine::run_batch(batch.into_iter().map(|compiled| compiled.expr), fuel)
     }
 
     fn stats(&self, report: &RunResult) -> RunStats {
@@ -263,7 +315,7 @@ impl CaseStudy for AffineCase {
     }
 
     fn check_conversions(&self) -> Result<(), CheckFailure> {
-        let conversions = self.system.conversions();
+        let conversions = &self.conversions;
         let catalogue = [
             (AffiType::Bool, MlType::Int),
             (AffiType::Int, MlType::Int),
@@ -280,13 +332,43 @@ impl CaseStudy for AffineCase {
     }
 
     fn glue_cache_stats(&self) -> Option<GlueCacheStats> {
-        Some(self.system.conversions().cache().stats())
+        Some(self.conversions.cache().stats())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::typecheck::AffineTypeError;
+    use lcvm::{PhantomConfig, Value};
+    use semint_core::ErrorCode;
+
+    /// Type checks, compiles and runs `program` under the standard rules.
+    fn run(program: AffProgram) -> RunResult {
+        AffineCase::standard()
+            .run(&program, Fuel::default())
+            .unwrap()
+    }
+
+    /// Type checks and compiles `program`, as the engine's stages do.
+    fn compiled(case: &AffineCase, program: AffProgram) -> CompileOutput {
+        case.typecheck(&program).unwrap();
+        case.compile(&program).unwrap()
+    }
+
+    /// Runs an artifact under the augmented (phantom-flag) semantics,
+    /// protecting exactly the static binders the compiler reported.
+    fn run_phantom(compiled: &CompileOutput) -> RunResult {
+        Machine::run_phantom(
+            compiled.expr.clone(),
+            PhantomConfig::protecting(compiled.static_binders.iter().cloned()),
+            Fuel::default(),
+        )
+    }
+
+    fn ml_thunked_int_fun() -> MlType {
+        MlType::fun(MlType::fun(MlType::Unit, MlType::Int), MlType::Int)
+    }
 
     #[test]
     fn scenarios_typecheck_at_their_claimed_type() {
@@ -343,5 +425,157 @@ mod tests {
             AffiExpr::int(3),
         ));
         assert_eq!(case.shrink(&p).len(), 2);
+    }
+
+    #[test]
+    fn affi_arithmetic_crosses_into_miniml() {
+        // 1 + ⦇ if-free Affi: (λa◦:int. a) 41 ⦈int
+        let affi = AffiExpr::app(
+            AffiExpr::lam("a", AffiType::Int, AffiExpr::avar("a")),
+            AffiExpr::int(41),
+        );
+        let e = MlExpr::add(MlExpr::int(1), MlExpr::boundary(affi, MlType::Int));
+        let r = run(AffProgram::Ml(e));
+        assert_eq!(r.halt, Halt::Value(Value::Int(42)));
+    }
+
+    #[test]
+    fn miniml_ints_cross_into_affi_as_booleans() {
+        // Affi: if-style use of a MiniML int via bool ∼ int.
+        let e = AffiExpr::boundary(MlExpr::int(7), AffiType::Bool);
+        let r = run(AffProgram::Affi(e));
+        // 7 collapses to the canonical false (1).
+        assert_eq!(r.halt, Halt::Value(Value::Int(1)));
+    }
+
+    #[test]
+    fn affine_function_passed_to_miniml_and_called_once() {
+        // let f = ⦇ λa◦:int. a ⦈((unit→int)→int) in f (λ_:unit. 9)
+        let affi_fun = AffiExpr::lam("a", AffiType::Int, AffiExpr::avar("a"));
+        let e = MlExpr::app(
+            MlExpr::boundary(affi_fun, ml_thunked_int_fun()),
+            MlExpr::lam("_", MlType::Unit, MlExpr::int(9)),
+        );
+        assert_eq!(run(AffProgram::Ml(e)).halt, Halt::Value(Value::Int(9)));
+    }
+
+    #[test]
+    fn miniml_function_that_double_forces_fails_conv_when_used_from_affi() {
+        // MiniML gives Affi a function that forces its thunk twice; using it
+        // from Affi on an affine argument trips the dynamic guard.
+        let rude_ml = MlExpr::lam(
+            "t",
+            MlType::fun(MlType::Unit, MlType::Int),
+            MlExpr::add(
+                MlExpr::app(MlExpr::var("t"), MlExpr::unit()),
+                MlExpr::app(MlExpr::var("t"), MlExpr::unit()),
+            ),
+        );
+        // Affi: (⦇rude⦈(int ⊸ int)) 21
+        let e = AffiExpr::app(
+            AffiExpr::boundary(rude_ml, AffiType::lolli(AffiType::Int, AffiType::Int)),
+            AffiExpr::int(21),
+        );
+        let r = run(AffProgram::Affi(e));
+        assert_eq!(r.halt, Halt::Fail(ErrorCode::Conv));
+
+        // The polite variant succeeds.
+        let polite_ml = MlExpr::lam(
+            "t",
+            MlType::fun(MlType::Unit, MlType::Int),
+            MlExpr::add(
+                MlExpr::app(MlExpr::var("t"), MlExpr::unit()),
+                MlExpr::int(1),
+            ),
+        );
+        let e = AffiExpr::app(
+            AffiExpr::boundary(polite_ml, AffiType::lolli(AffiType::Int, AffiType::Int)),
+            AffiExpr::int(21),
+        );
+        assert_eq!(run(AffProgram::Affi(e)).halt, Halt::Value(Value::Int(22)));
+    }
+
+    #[test]
+    fn static_arrows_cannot_cross_the_boundary() {
+        let affi_fun = AffiExpr::lam_static("a", AffiType::Int, AffiExpr::avar_static("a"));
+        let e = MlExpr::boundary(affi_fun, ml_thunked_int_fun());
+        let case = AffineCase::standard();
+        assert!(matches!(
+            check_ml(&AffineCtx::empty(), &e, case.conversions()),
+            Err(AffineTypeError::NotConvertible { .. })
+        ));
+        assert!(case.run(&AffProgram::Ml(e), Fuel::default()).is_err());
+    }
+
+    #[test]
+    fn phantom_run_agrees_with_standard_run_on_well_typed_programs() {
+        // A well-typed program with static affine structure: the augmented
+        // semantics must agree with the standard one (erasure property) and
+        // must not get stuck (Fundamental Property for Affi).
+        let e = AffiExpr::let_tensor(
+            "x",
+            "y",
+            AffiExpr::tensor(AffiExpr::int(20), AffiExpr::int(22)),
+            AffiExpr::boundary(
+                MlExpr::add(
+                    MlExpr::boundary(AffiExpr::avar_static("x"), MlType::Int),
+                    MlExpr::boundary(AffiExpr::avar_static("y"), MlType::Int),
+                ),
+                AffiType::Int,
+            ),
+        );
+        let case = AffineCase::standard();
+        // This program moves static variables through a MiniML boundary, so
+        // the type checker must reject it (no•(Ωe)).
+        assert!(check_affi(&AffineCtx::empty(), &e, case.conversions()).is_err());
+
+        // A fully Affi-internal use of static resources is fine and the two
+        // semantics agree.
+        let ok = AffiExpr::let_tensor(
+            "x",
+            "y",
+            AffiExpr::tensor(AffiExpr::int(20), AffiExpr::int(22)),
+            AffiExpr::app(
+                AffiExpr::lam_static("z", AffiType::Int, AffiExpr::avar_static("z")),
+                AffiExpr::avar_static("x"),
+            ),
+        );
+        let compiled = compiled(&case, AffProgram::Affi(ok));
+        assert_eq!(compiled.static_binders.len(), 3);
+        let phantom = run_phantom(&compiled);
+        let standard = case.execute(compiled, Fuel::default());
+        assert_eq!(standard.halt, Halt::Value(Value::Int(20)));
+        assert_eq!(phantom.halt, Halt::Value(Value::Int(20)));
+        assert!(phantom.flags_consumed >= 1);
+    }
+
+    #[test]
+    fn well_typed_programs_are_safe_under_both_semantics() {
+        let case = AffineCase::standard();
+        let programs: Vec<AffiExpr> = vec![
+            AffiExpr::app(
+                AffiExpr::lam("a", AffiType::Int, AffiExpr::avar("a")),
+                AffiExpr::boundary(MlExpr::add(MlExpr::int(2), MlExpr::int(3)), AffiType::Int),
+            ),
+            AffiExpr::let_tensor(
+                "p",
+                "q",
+                AffiExpr::tensor(AffiExpr::bool_(true), AffiExpr::int(3)),
+                AffiExpr::avar_static("q"),
+            ),
+            AffiExpr::proj1(AffiExpr::with_pair(AffiExpr::int(1), AffiExpr::int(2))),
+            AffiExpr::let_bang("u", AffiExpr::bang(AffiExpr::int(8)), AffiExpr::uvar("u")),
+        ];
+        for e in programs {
+            let compiled = compiled(&case, AffProgram::Affi(e.clone()));
+            assert!(
+                run_phantom(&compiled).halt.is_safe(),
+                "phantom run unsafe for {e}"
+            );
+            assert!(
+                case.execute(compiled, Fuel::default()).halt.is_safe(),
+                "standard run unsafe for {e}"
+            );
+        }
     }
 }

@@ -26,7 +26,9 @@
 //!   so the augmented (phantom) semantics can protect them;
 //! * [`convert`] — the Fig. 9 conversions, represented as ordinary LCVM
 //!   functions;
-//! * [`multilang`] — the end-to-end driver (type check → compile → run);
+//! * [`harness`] — the multi-language system, [`AffineCase`]: it holds one
+//!   rule set and drives type check → compile → run for the sweep engine
+//!   and hand-written programs alike;
 //! * [`model`] — an executable approximation of the Fig. 10 logical relation
 //!   and of the §4 soundness theorems, including the phantom-flag
 //!   erasure/agreement property.
@@ -39,10 +41,8 @@ pub mod convert;
 pub mod gen;
 pub mod harness;
 pub mod model;
-pub mod multilang;
 pub mod syntax;
 pub mod typecheck;
 
-pub use harness::{AffProgram, AffineCase};
-pub use multilang::{AffineMultiLang, AffineMultiLangError};
+pub use harness::{AffProgram, AffSourceType, AffineCase};
 pub use syntax::{AffiExpr, AffiType, MlExpr, MlType, Mode};

@@ -404,8 +404,17 @@ fn closure_constant(v: Value) -> Value {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::multilang::AffineMultiLang;
+    use crate::compile::CompileOutput;
+    use crate::harness::{AffProgram, AffineCase};
     use crate::syntax::{AffiExpr, MlExpr};
+    use semint_core::case::CaseStudy;
+
+    /// Type checks and compiles `program` under the standard rules.
+    fn compiled(program: AffProgram) -> CompileOutput {
+        let case = AffineCase::standard();
+        case.typecheck(&program).unwrap();
+        case.compile(&program).unwrap()
+    }
 
     /// The safety judgement on a standard and an augmented run of `expr`.
     fn safety(expr: &Expr, static_binders: &BTreeSet<Var>) -> Result<(), CheckFailure> {
@@ -435,11 +444,12 @@ mod tests {
 
     #[test]
     fn dynamic_arrow_membership_checks_guarded_application() {
-        let sys = AffineMultiLang::new();
         // The compiled Affi identity int ⊸ int is in V⟦int ⊸ int⟧.
-        let compiled = sys
-            .compile_affi(&AffiExpr::lam("a", AffiType::Int, AffiExpr::avar("a")))
-            .unwrap();
+        let compiled = compiled(AffProgram::Affi(AffiExpr::lam(
+            "a",
+            AffiType::Int,
+            AffiExpr::avar("a"),
+        )));
         let v = Machine::run_expr(compiled.expr, Fuel::default())
             .halt
             .value()
@@ -507,12 +517,11 @@ mod tests {
 
     #[test]
     fn safety_checker_accepts_well_typed_programs_and_catches_stuck_phantoms() {
-        let sys = AffineMultiLang::new();
         let e = AffiExpr::app(
             AffiExpr::lam_static("a", AffiType::Int, AffiExpr::avar_static("a")),
             AffiExpr::int(3),
         );
-        let compiled = sys.compile_affi(&e).unwrap();
+        let compiled = compiled(AffProgram::Affi(e));
         safety(&compiled.expr, &compiled.static_binders).unwrap();
 
         // A hand-built violation: use a protected binder twice.  The standard
@@ -527,7 +536,6 @@ mod tests {
 
     #[test]
     fn miniml_boundary_programs_pass_the_safety_check() {
-        let sys = AffineMultiLang::new();
         let e = MlExpr::add(
             MlExpr::int(1),
             MlExpr::boundary(
@@ -538,7 +546,7 @@ mod tests {
                 MlType::Int,
             ),
         );
-        let compiled = sys.compile_ml(&e).unwrap();
+        let compiled = compiled(AffProgram::Ml(e));
         safety(&compiled.expr, &compiled.static_binders).unwrap();
     }
 }

@@ -19,7 +19,10 @@
 //!
 //! Implementations live with their case studies (`sharedmem::harness`,
 //! `affine_interop::harness`, `memgc_interop::harness`); only the vocabulary
-//! lives here so the case-study crates need not depend on the engine.
+//! lives here so the case-study crates need not depend on the engine.  Each
+//! implementation is its language pair's multi-language system, holding the
+//! rule set its stages type check and compile with, so the engine and
+//! hand-written programs ([`CaseStudy::run`]) enter it through one door.
 
 use crate::convert::GlueCacheStats;
 use crate::fuel::Fuel;
@@ -408,6 +411,15 @@ pub trait CaseStudy {
             .into_iter()
             .map(|compiled| self.execute(compiled, fuel))
             .collect()
+    }
+
+    /// Type checks, compiles and runs `program` under `fuel`: the entry
+    /// point for hand-written programs.  The sweep engine calls the stages
+    /// itself, and never this.
+    fn run(&self, program: &Self::Program, fuel: Fuel) -> Result<Self::Report, String> {
+        self.typecheck(program)?;
+        let compiled = self.compile(program)?;
+        Ok(self.execute(compiled, fuel))
     }
 
     /// Projects a case-study-specific report into the shared statistics

@@ -32,7 +32,6 @@ pub mod case;
 pub mod convert;
 pub mod fuel;
 pub mod outcome;
-pub mod pipeline;
 pub mod stats;
 pub mod symbol;
 pub mod telemetry;
@@ -44,7 +43,6 @@ pub use case::{
 pub use convert::{ConversionPair, ConversionScheme, GlueCache, GlueCacheStats};
 pub use fuel::Fuel;
 pub use outcome::{ErrorCode, Outcome};
-pub use pipeline::PipelineError;
 pub use stats::{CaseReport, OutcomeClass, RunStats, ScenarioRecord, StageTimings, SweepReport};
 pub use symbol::{int_chars, Var};
 pub use telemetry::{OpClass, VmCounters};

@@ -11,8 +11,7 @@ use memgc_interop::harness::{MemGcCase, MgProgram, MgSourceType};
 use semint_core::case::{CaseStudy, CheckFailure, GenProfile, Scenario};
 use semint_core::stats::RunStats;
 use semint_core::Fuel;
-use sharedmem::harness::{SharedMemCase, SmProgram};
-use sharedmem::multilang::SourceType;
+use sharedmem::harness::{SharedMemCase, SmProgram, SourceType};
 use std::fmt;
 
 /// A program of any case study.

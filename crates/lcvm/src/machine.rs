@@ -225,11 +225,6 @@ impl Machine {
         &self.heap
     }
 
-    /// Steps taken so far.
-    pub fn steps_taken(&self) -> u64 {
-        self.steps
-    }
-
     /// True if the machine can take no further step.
     pub fn is_terminal(&self) -> bool {
         self.halted.is_some()

@@ -343,17 +343,20 @@ fn convertible_ml_for(ty: &L3Type) -> Option<PolyType> {
 mod tests {
     use super::*;
     use crate::convert::MemGcConversions;
-    use crate::multilang::MemGcMultiLang;
+    use crate::harness::{MemGcCase, MgProgram};
+    use crate::typecheck::{check_l3, check_poly, MemGcCtx};
+    use semint_core::case::CaseStudy;
     use semint_core::convert::ConversionScheme;
+    use semint_core::Fuel;
 
     #[test]
     fn generated_ml_programs_typecheck_at_the_requested_type() {
-        let ml = MemGcMultiLang::new();
+        let rules = MemGcConversions::standard();
         for seed in 0..60 {
             let mut gen = MemGcProgramGen::new(seed);
             let ty = gen.gen_ml_type(2);
             let e = gen.gen_ml(&ty);
-            let checked = ml.typecheck_ml(&e).unwrap_or_else(|err| {
+            let (checked, _) = check_poly(&MemGcCtx::empty(), &e, &rules).unwrap_or_else(|err| {
                 panic!("seed {seed}: generated program {e} does not typecheck: {err}")
             });
             assert_eq!(checked, ty, "seed {seed}");
@@ -362,12 +365,12 @@ mod tests {
 
     #[test]
     fn generated_l3_programs_typecheck_at_the_requested_type() {
-        let ml = MemGcMultiLang::new();
+        let rules = MemGcConversions::standard();
         for seed in 0..60 {
             let mut gen = MemGcProgramGen::new(seed);
             let ty = gen.gen_l3_type(2);
             let e = gen.gen_l3(&ty);
-            let checked = ml.typecheck_l3(&e).unwrap_or_else(|err| {
+            let (checked, _) = check_l3(&MemGcCtx::empty(), &e, &rules).unwrap_or_else(|err| {
                 panic!("seed {seed}: generated program {e} does not typecheck: {err}")
             });
             assert_eq!(checked, ty, "seed {seed}");
@@ -376,13 +379,13 @@ mod tests {
 
     #[test]
     fn generated_programs_run_safely() {
-        let ml = MemGcMultiLang::new();
+        let case = MemGcCase::standard();
         for seed in 0..40 {
             let mut gen = MemGcProgramGen::new(seed);
             let ty = gen.gen_ml_type(2);
             let e = gen.gen_ml(&ty);
-            let r = ml
-                .run_ml(&e)
+            let r = case
+                .run(&MgProgram::Ml(e.clone()), Fuel::default())
                 .unwrap_or_else(|err| panic!("seed {seed}: {err}"));
             assert!(
                 r.halt.is_safe(),
@@ -428,15 +431,14 @@ mod tests {
 
     #[test]
     fn deep_profile_types_reach_depth_four_and_programs_typecheck() {
-        let sys = MemGcMultiLang::new();
+        let rules = MemGcConversions::standard();
         let mut max_depth_seen = 0;
         for seed in 0..40 {
             let mut gen = MemGcProgramGen::with_profile(seed, &GenProfile::deep());
             let ty = gen.gen_goal_ml_type();
             max_depth_seen = max_depth_seen.max(ml_type_depth(&ty));
             let e = gen.gen_ml(&ty);
-            let checked = sys
-                .typecheck_ml(&e)
+            let (checked, _) = check_poly(&MemGcCtx::empty(), &e, &rules)
                 .unwrap_or_else(|err| panic!("seed {seed}: {e} does not typecheck: {err}"));
             assert_eq!(checked, ty, "seed {seed}");
         }

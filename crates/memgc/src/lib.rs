@@ -20,8 +20,10 @@
 //!   conversions).
 //!
 //! Crate layout mirrors the other case studies: [`syntax`], [`typecheck`],
-//! [`compile`] (Fig. 13), [`convert`], [`multilang`], [`model`] (Fig. 14,
-//! executable approximation).
+//! [`compile`] (Fig. 13), [`convert`], [`model`] (Fig. 14, executable
+//! approximation), and [`harness`], the multi-language system
+//! [`MemGcCase`] that drives type check → compile → run for the sweep
+//! engine and hand-written programs alike.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -31,10 +33,8 @@ pub mod convert;
 pub mod gen;
 pub mod harness;
 pub mod model;
-pub mod multilang;
 pub mod syntax;
 pub mod typecheck;
 
-pub use harness::{MemGcCase, MgProgram};
-pub use multilang::{MemGcMultiLang, MemGcMultiLangError};
+pub use harness::{MemGcCase, MgProgram, MgSourceType};
 pub use syntax::{L3Expr, L3Type, PolyExpr, PolyType};

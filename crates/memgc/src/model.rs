@@ -268,8 +268,9 @@ fn collect_locs(v: &Value, out: &mut Vec<Loc>) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::multilang::MemGcMultiLang;
+    use crate::harness::{MemGcCase, MgProgram};
     use crate::syntax::{L3Expr, PolyExpr};
+    use semint_core::case::CaseStudy;
 
     #[test]
     fn capability_membership_requires_live_manual_ownership() {
@@ -361,18 +362,22 @@ mod tests {
 
     #[test]
     fn compiled_case_study_programs_pass_the_safety_check() {
-        let sys = MemGcMultiLang::new();
+        let case = MemGcCase::standard();
+        let compiled = |program: MgProgram| {
+            case.typecheck(&program).unwrap();
+            case.compile(&program).unwrap()
+        };
         let safety = |expr| halt_type_safe(&Machine::run_expr(expr, CHECK_FUEL).halt);
         let ml = PolyExpr::deref(PolyExpr::boundary(
             L3Expr::new(L3Expr::bool_(true)),
             PolyType::ref_(PolyType::Int),
         ));
-        safety(sys.compile_ml(&ml).unwrap()).unwrap();
+        safety(compiled(MgProgram::Ml(ml))).unwrap();
         let l3 = L3Expr::free(L3Expr::boundary(
             PolyExpr::ref_(PolyExpr::int(3)),
             L3Type::ref_like(L3Type::Bool),
         ));
-        safety(sys.compile_l3(&l3).unwrap()).unwrap();
+        safety(compiled(MgProgram::L3(l3))).unwrap();
         // A deliberately broken target program is caught.
         let bad = Expr::free(Expr::ref_(Expr::int(1)));
         assert!(safety(bad).is_err());

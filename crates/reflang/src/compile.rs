@@ -297,9 +297,9 @@ fn emit_ll(
 /// compiler's typing context, with an oracle that accepts every conversion:
 /// the program is already known to type check, so these re-checks probe no
 /// glue cache.  Nothing keeps the types the type checker found, so
-/// `sharedmem::MultiLang::compile_only` re-infers every boundary's subterm,
-/// and a boundary nested inside another is re-checked once per enclosing
-/// boundary.
+/// `sharedmem::SharedMemCase`'s compile stage re-infers every boundary's
+/// subterm, and a boundary nested inside another is re-checked once per
+/// enclosing boundary.
 fn infer_ll_type_for_boundary(ctx: &TypeCtx, e: &LlExpr) -> Option<LlType> {
     crate::typecheck::check_ll(ctx, e, &AllowAllOracle).ok()
 }

@@ -67,11 +67,6 @@ impl SharedMemConversions {
         }
     }
 
-    /// The configured reference strategy.
-    pub fn ref_strategy(&self) -> RefStrategy {
-        self.ref_strategy
-    }
-
     /// The memoization cache behind [`SharedMemConversions::derive`].
     pub fn cache(&self) -> &GlueCache<HlType, LlType, Program> {
         &self.cache
@@ -274,6 +269,7 @@ fn copy_ref(payload_conv: &Program) -> Program {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::model::{check_direction, SemType};
     use semint_core::Fuel;
     use stacklang::{Machine, Outcome, Value};
 
@@ -388,6 +384,21 @@ mod tests {
             run_conv(Value::Num(17), &from_ll),
             Outcome::Value(Value::Num(0))
         );
+    }
+
+    /// Lemma 3.1 samples `[int]` with tag 1 too, so the `inr` arm of
+    /// `C_{[int] ↦ τ1+τ2}` is checked: glue whose unit arm collapses every
+    /// integer to 1 instead of 0 is refuted by `[1, 0]`.
+    #[test]
+    fn lemma_3_1_checks_the_inr_arm_of_array_to_sum() {
+        let unit_to_one = Program::from(vec![stacklang::builder::drop_top(), Instr::push_num(1)]);
+        let failure = check_direction(
+            &SemType::Ll(LlType::array(LlType::Int)),
+            &SemType::Hl(HlType::sum(HlType::Bool, HlType::Unit)),
+            &array_to_sum(&Program::empty(), &unit_to_one),
+        )
+        .unwrap_err();
+        assert_eq!(failure.witness, "[1, 0]");
     }
 
     #[test]

@@ -322,7 +322,7 @@ fn hl_ref_payload_for(ty: &LlType) -> Option<HlType> {
 mod tests {
     use super::*;
     use crate::convert::SharedMemConversions;
-    use crate::multilang::MultiLang;
+    use reflang::typecheck::{check_hl, check_ll, TypeCtx};
     use semint_core::convert::ConversionScheme;
     use std::collections::HashSet;
 
@@ -337,12 +337,12 @@ mod tests {
 
     #[test]
     fn generated_hl_programs_typecheck_at_the_requested_type() {
-        let ml = MultiLang::new(SharedMemConversions::standard());
+        let rules = SharedMemConversions::standard();
         for seed in 0..60 {
             let mut gen = ProgramGen::with_profile(seed, &depth_5());
             let ty = gen.gen_hl_type(2);
             let e = gen.gen_hl(&ty);
-            let checked = ml.typecheck_hl(&e).unwrap_or_else(|err| {
+            let checked = check_hl(&TypeCtx::empty(), &e, &rules).unwrap_or_else(|err| {
                 panic!("seed {seed}: generated program {e} does not typecheck: {err}")
             });
             assert_eq!(checked, ty, "seed {seed}");
@@ -351,12 +351,11 @@ mod tests {
 
     #[test]
     fn generated_ll_programs_typecheck() {
-        let ml = MultiLang::new(SharedMemConversions::standard());
+        let rules = SharedMemConversions::standard();
         for seed in 0..60 {
             let mut gen = ProgramGen::with_profile(seed, &depth_5());
             let e = gen.gen_ll(&LlType::Int);
-            let ty = ml
-                .typecheck_ll(&e)
+            let ty = check_ll(&TypeCtx::empty(), &e, &rules)
                 .expect("generated RefLL program typechecks");
             assert_eq!(ty, LlType::Int);
         }
@@ -394,15 +393,14 @@ mod tests {
 
     #[test]
     fn deep_profile_types_reach_depth_four_and_programs_typecheck() {
-        let ml = MultiLang::new(SharedMemConversions::standard());
+        let rules = SharedMemConversions::standard();
         let mut max_depth_seen = 0;
         for seed in 0..40 {
             let mut gen = ProgramGen::with_profile(seed, &GenProfile::deep());
             let ty = gen.gen_goal_hl_type();
             max_depth_seen = max_depth_seen.max(hl_type_depth(&ty));
             let e = gen.gen_hl(&ty);
-            let checked = ml
-                .typecheck_hl(&e)
+            let checked = check_hl(&TypeCtx::empty(), &e, &rules)
                 .unwrap_or_else(|err| panic!("seed {seed}: {e} does not typecheck: {err}"));
             assert_eq!(checked, ty, "seed {seed}");
         }

@@ -1,20 +1,21 @@
 //! The [`CaseStudy`] instance for case study 1 (shared-memory
-//! interoperability), consumed by the `semint-harness` engine.
+//! interoperability): the §3 multi-language system, consumed by the
+//! `semint-harness` engine and by hand-written programs alike.
 
 use crate::convert::SharedMemConversions;
 use crate::gen::ProgramGen;
 use crate::model::{
     check_convertibility, check_direction, outcome_type_safe, run_in, SemType, World,
 };
-use crate::multilang::{MultiLang, SourceType};
+use reflang::compile::{compile_hl, compile_ll};
 use reflang::syntax::{HlExpr, HlType, LlExpr, LlType};
+use reflang::typecheck::{check_hl, check_ll, TypeCtx};
 use semint_core::case::{CaseStudy, CheckFailure, GenProfile, Scenario};
 use semint_core::convert::ConversionScheme;
 use semint_core::stats::RunStats;
 use semint_core::{Fuel, GlueCacheStats};
-use stacklang::{Program, RunResult};
-
-pub use crate::multilang::SmProgram;
+use stacklang::{Machine, Program, RunResult};
+use std::fmt;
 
 /// The step budget of the type-safety check (Theorems 3.3/3.4).
 pub const SAFETY_STEPS: u64 = 200_000;
@@ -22,7 +23,44 @@ pub const SAFETY_STEPS: u64 = 200_000;
 /// The step index `W.k` at which the compiled program must inhabit `E⟦τ⟧`.
 pub const STEP_INDEX: u64 = 20_000;
 
-/// Case study 1 packaged for the harness engine.
+/// A closed §3 multi-language program, hosted in either language.
+#[derive(Debug, Clone, PartialEq)]
+pub enum SmProgram {
+    /// A RefHL-hosted program.
+    Hl(HlExpr),
+    /// A RefLL-hosted program.
+    Ll(LlExpr),
+}
+
+impl fmt::Display for SmProgram {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            SmProgram::Hl(e) => write!(f, "{e}"),
+            SmProgram::Ll(e) => write!(f, "{e}"),
+        }
+    }
+}
+
+/// Which language the top-level program was written in, with its type.
+#[derive(Debug, Clone, PartialEq)]
+pub enum SourceType {
+    /// A RefHL program of the given type.
+    Hl(HlType),
+    /// A RefLL program of the given type.
+    Ll(LlType),
+}
+
+impl fmt::Display for SourceType {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            SourceType::Hl(t) => write!(f, "{t} (RefHL)"),
+            SourceType::Ll(t) => write!(f, "{t} (RefLL)"),
+        }
+    }
+}
+
+/// The §3 multi-language system: RefHL + RefLL + a Fig. 4 rule set over
+/// StackLang.  Its stages type check and compile with that one rule set.
 ///
 /// The `broken` flag simulates a designer error: an extra convertibility
 /// rule `bool ∼ [int]` whose glue is the identity.  The rule is unsound —
@@ -31,17 +69,23 @@ pub const STEP_INDEX: u64 = 20_000;
 /// the engine's counterexample shrinker is exercised on.
 #[derive(Debug, Clone)]
 pub struct SharedMemCase {
-    system: MultiLang,
+    conversions: SharedMemConversions,
     broken: bool,
 }
 
 impl SharedMemCase {
-    /// The standard (sound) rule set.
-    pub fn standard() -> Self {
+    /// The system over the given rule set (the copy-convert ablation passes
+    /// [`SharedMemConversions::with_ref_strategy`]).
+    pub fn new(conversions: SharedMemConversions) -> Self {
         SharedMemCase {
-            system: MultiLang::new(SharedMemConversions::standard()),
+            conversions,
             broken: false,
         }
+    }
+
+    /// The standard (sound) rule set.
+    pub fn standard() -> Self {
+        SharedMemCase::new(SharedMemConversions::standard())
     }
 
     /// The deliberately broken rule set (see the type-level docs).
@@ -52,6 +96,11 @@ impl SharedMemCase {
         }
     }
 
+    /// The conversion rule set in use.
+    pub fn conversions(&self) -> &SharedMemConversions {
+        &self.conversions
+    }
+
     /// The claimed model type of a scenario, with the broken rule applied.
     fn claimed_sem_type(&self, ty: &SourceType) -> SemType {
         match ty {
@@ -59,12 +108,6 @@ impl SharedMemCase {
             SourceType::Hl(t) => SemType::Hl(t.clone()),
             SourceType::Ll(t) => SemType::Ll(t.clone()),
         }
-    }
-}
-
-impl Default for SharedMemCase {
-    fn default() -> Self {
-        SharedMemCase::standard()
     }
 }
 
@@ -165,19 +208,30 @@ impl CaseStudy for SharedMemCase {
     }
 
     fn typecheck(&self, program: &SmProgram) -> Result<SourceType, String> {
-        self.system.typecheck(program).map_err(|e| e.to_string())
+        let ctx = TypeCtx::empty();
+        match program {
+            SmProgram::Hl(e) => check_hl(&ctx, e, &self.conversions).map(SourceType::Hl),
+            SmProgram::Ll(e) => check_ll(&ctx, e, &self.conversions).map(SourceType::Ll),
+        }
+        .map_err(|e| e.to_string())
     }
 
     fn compile(&self, program: &SmProgram) -> Result<Program, String> {
-        self.system.compile_only(program).map_err(|e| e.to_string())
+        let ctx = TypeCtx::empty();
+        match program {
+            SmProgram::Hl(e) => compile_hl(&ctx, e, &self.conversions),
+            SmProgram::Ll(e) => compile_ll(&ctx, e, &self.conversions),
+        }
+        .map_err(|e| e.to_string())
     }
 
     fn execute(&self, compiled: Program, fuel: Fuel) -> RunResult {
-        self.system.execute(compiled, fuel)
+        Machine::run_program(compiled, fuel)
     }
 
+    /// One StackLang machine for the whole batch, reset between programs.
     fn execute_batch(&self, batch: Vec<Program>, fuel: Fuel) -> Vec<RunResult> {
-        self.system.execute_batch(batch, fuel)
+        Machine::run_batch(batch, fuel)
     }
 
     fn stats(&self, report: &RunResult) -> RunStats {
@@ -277,7 +331,7 @@ impl CaseStudy for SharedMemCase {
             LlType::ref_(LlType::Int),
             LlType::array(LlType::Int),
         ];
-        let conversions = self.system.conversions();
+        let conversions = &self.conversions;
         for hl in &hl_types {
             for ll in &ll_types {
                 if conversions.derivable(hl, ll) {
@@ -302,13 +356,23 @@ impl CaseStudy for SharedMemCase {
     }
 
     fn glue_cache_stats(&self) -> Option<GlueCacheStats> {
-        Some(self.system.conversions().cache().stats())
+        Some(self.conversions.cache().stats())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use reflang::typecheck::TypeError;
+    use semint_core::{ErrorCode, Outcome};
+    use stacklang::Value;
+
+    /// Type checks, compiles and runs `program` under the standard rules.
+    fn run(program: SmProgram) -> RunResult {
+        SharedMemCase::standard()
+            .run(&program, Fuel::default())
+            .unwrap()
+    }
 
     #[test]
     fn scenarios_typecheck_at_their_claimed_type() {
@@ -373,5 +437,180 @@ mod tests {
             HlType::Bool,
         ));
         assert_eq!(case.boundary_count(&p), 2);
+    }
+
+    #[test]
+    fn boundary_free_programs_run_as_usual() {
+        let e = HlExpr::if_(
+            HlExpr::bool_(true),
+            HlExpr::bool_(false),
+            HlExpr::bool_(true),
+        );
+        let r = run(SmProgram::Hl(e));
+        assert_eq!(r.outcome, Outcome::Value(Value::Num(1)));
+
+        let e = LlExpr::add(LlExpr::int(40), LlExpr::int(2));
+        let r = run(SmProgram::Ll(e));
+        assert_eq!(r.outcome, Outcome::Value(Value::Num(2 + 40)));
+    }
+
+    #[test]
+    fn refll_ints_flow_into_refhl_bools() {
+        // if ⦇ 0 ⦈bool then false else true  ==> false is taken as 0 = true.
+        let e = HlExpr::if_(
+            HlExpr::boundary(LlExpr::int(0), HlType::Bool),
+            HlExpr::bool_(false),
+            HlExpr::bool_(true),
+        );
+        assert_eq!(run(SmProgram::Hl(e)).outcome, Outcome::Value(Value::Num(1)));
+
+        // Any non-zero int behaves as false on the RefHL side.
+        let e = HlExpr::if_(
+            HlExpr::boundary(LlExpr::int(33), HlType::Bool),
+            HlExpr::bool_(false),
+            HlExpr::bool_(true),
+        );
+        assert_eq!(run(SmProgram::Hl(e)).outcome, Outcome::Value(Value::Num(0)));
+    }
+
+    #[test]
+    fn refhl_bools_flow_into_refll_ints() {
+        // ⦇ true ⦈int + 5  ==> 0 + 5 = 5.
+        let e = LlExpr::add(
+            LlExpr::boundary(HlExpr::bool_(true), LlType::Int),
+            LlExpr::int(5),
+        );
+        assert_eq!(run(SmProgram::Ll(e)).outcome, Outcome::Value(Value::Num(5)));
+    }
+
+    #[test]
+    fn shared_reference_aliases_across_the_boundary() {
+        // A RefHL function writes through a reference it received from RefLL,
+        // and RefLL observes the write through its own alias:
+        //   let r = ref 1 in  (⦇ (λs:ref bool. s := false) ⦈(ref int → int)) r ; !r
+        // written as a RefLL program.
+        let hl_writer = HlExpr::lam(
+            "s",
+            HlType::ref_(HlType::Bool),
+            HlExpr::boundary(
+                LlExpr::boundary(
+                    HlExpr::assign(HlExpr::var("s"), HlExpr::bool_(false)),
+                    LlType::Int,
+                ),
+                HlType::Bool,
+            ),
+        );
+        // Give the writer the RefLL type ref int → int via the function-free
+        // route: apply it inside RefHL instead, but to a RefLL-created ref.
+        // let r = ref 7 in ⦇ (λs. s := false) ⦇r⦈ref bool ⦈int + !r
+        let program = LlExpr::app(
+            LlExpr::lam(
+                "r",
+                LlType::ref_(LlType::Int),
+                LlExpr::add(
+                    LlExpr::boundary(
+                        HlExpr::app(
+                            hl_writer,
+                            HlExpr::boundary(LlExpr::var("r"), HlType::ref_(HlType::Bool)),
+                        ),
+                        LlType::Int,
+                    ),
+                    LlExpr::deref(LlExpr::var("r")),
+                ),
+            ),
+            LlExpr::ref_(LlExpr::int(7)),
+        );
+        let r = run(SmProgram::Ll(program));
+        // The write of `false` (= 1) lands in the shared cell; the result is
+        // the assignment's unit (0, converted to int) plus the new contents 1.
+        assert_eq!(r.outcome, Outcome::Value(Value::Num(1)));
+    }
+
+    #[test]
+    fn sums_cross_as_int_arrays_with_dynamic_checks() {
+        let sum_ty = HlType::sum(HlType::Bool, HlType::Bool);
+        // A well-formed array becomes a sum.
+        let e = HlExpr::match_(
+            HlExpr::boundary(
+                LlExpr::array([LlExpr::int(1), LlExpr::int(0)], LlType::Int),
+                sum_ty.clone(),
+            ),
+            "x",
+            HlExpr::bool_(false),
+            "y",
+            HlExpr::var("y"),
+        );
+        assert_eq!(run(SmProgram::Hl(e)).outcome, Outcome::Value(Value::Num(0)));
+
+        // A malformed tag produces the well-defined Conv failure.
+        let e = HlExpr::match_(
+            HlExpr::boundary(
+                LlExpr::array([LlExpr::int(9), LlExpr::int(0)], LlType::Int),
+                sum_ty,
+            ),
+            "x",
+            HlExpr::bool_(false),
+            "y",
+            HlExpr::var("y"),
+        );
+        assert_eq!(
+            run(SmProgram::Hl(e)).outcome,
+            Outcome::Fail(ErrorCode::Conv)
+        );
+    }
+
+    #[test]
+    fn ill_typed_boundaries_are_rejected_statically() {
+        // ref (bool+bool) ∼ ref [int] is not derivable under pointer sharing.
+        let e = HlExpr::boundary(
+            LlExpr::ref_(LlExpr::array([LlExpr::int(0)], LlType::Int)),
+            HlType::ref_(HlType::sum(HlType::Bool, HlType::Bool)),
+        );
+        let case = SharedMemCase::standard();
+        let err = check_hl(&TypeCtx::empty(), &e, case.conversions()).unwrap_err();
+        assert!(matches!(err, TypeError::NotConvertible { .. }));
+        assert_eq!(
+            case.run(&SmProgram::Hl(e), Fuel::default()).unwrap_err(),
+            err.to_string()
+        );
+    }
+
+    #[test]
+    fn well_typed_multi_language_programs_never_fail_type() {
+        // Theorem 3.3/3.4 smoke test over the crate's own examples.
+        let programs: Vec<HlExpr> = vec![
+            HlExpr::boundary(LlExpr::add(LlExpr::int(1), LlExpr::int(2)), HlType::Bool),
+            HlExpr::pair(
+                HlExpr::boundary(LlExpr::int(0), HlType::Bool),
+                HlExpr::deref(HlExpr::ref_(HlExpr::bool_(true))),
+            ),
+            HlExpr::boundary(
+                LlExpr::index(
+                    LlExpr::array([LlExpr::int(3), LlExpr::int(4)], LlType::Int),
+                    LlExpr::int(1),
+                ),
+                HlType::Bool,
+            ),
+        ];
+        for e in programs {
+            let r = run(SmProgram::Hl(e.clone()));
+            assert!(r.outcome.is_safe(), "{e} produced {:?}", r.outcome);
+        }
+    }
+
+    #[test]
+    fn typecheck_reports_the_source_type() {
+        let case = SharedMemCase::standard();
+        let program = SmProgram::Hl(HlExpr::bool_(true));
+        let ty = case.typecheck(&program).unwrap();
+        assert_eq!(ty, SourceType::Hl(HlType::Bool));
+        assert!(ty.to_string().contains("RefHL"));
+        case.compile(&program).unwrap();
+        let program = SmProgram::Ll(LlExpr::int(1));
+        assert_eq!(
+            case.typecheck(&program).unwrap(),
+            SourceType::Ll(LlType::Int)
+        );
+        case.compile(&program).unwrap();
     }
 }

@@ -8,9 +8,11 @@
 //! * [`convert`] — the convertibility rules of Fig. 4 together with their
 //!   StackLang glue code, plus the copy-convert strategy the paper's
 //!   Discussion contrasts with pointer sharing;
-//! * [`multilang`] — a driver that type checks a multi-language program
-//!   (both environments, boundaries), compiles it with the registered glue
-//!   code and runs it on the StackLang machine;
+//! * [`harness`] — the multi-language system, [`SharedMemCase`]: it holds
+//!   one rule set, type checks a multi-language program (both environments,
+//!   boundaries), compiles it with that rule set's glue code and runs it on
+//!   the StackLang machine, for the sweep engine and hand-written programs
+//!   alike;
 //! * [`model`] — an executable approximation of the Fig. 5 realizability
 //!   model: step-indexed worlds over heap typings, value and expression
 //!   relations for both languages' types, and checkers for Convertibility
@@ -20,15 +22,15 @@
 //!   Property).
 //!
 //! ```
-//! use sharedmem::convert::SharedMemConversions;
-//! use sharedmem::multilang::MultiLang;
 //! use reflang::syntax::{HlExpr, HlType, LlExpr};
+//! use semint_core::{CaseStudy, Fuel};
+//! use sharedmem::{SharedMemCase, SmProgram};
 //! use stacklang::Value;
 //!
 //! // ⦇ 1 + 1 ⦈bool : RefLL arithmetic used as a RefHL boolean (non-zero = false).
 //! let prog = HlExpr::boundary(LlExpr::add(LlExpr::int(1), LlExpr::int(1)), HlType::Bool);
-//! let ml = MultiLang::new(SharedMemConversions::standard());
-//! let out = ml.run_hl(&prog).unwrap();
+//! let case = SharedMemCase::standard();
+//! let out = case.run(&SmProgram::Hl(prog), Fuel::default()).unwrap();
 //! assert_eq!(out.outcome.value(), Some(Value::Num(2)));
 //! ```
 
@@ -39,8 +41,6 @@ pub mod convert;
 pub mod gen;
 pub mod harness;
 pub mod model;
-pub mod multilang;
 
 pub use convert::{RefStrategy, SharedMemConversions};
-pub use harness::{SharedMemCase, SmProgram};
-pub use multilang::{MultiLang, MultiLangError};
+pub use harness::{SharedMemCase, SmProgram, SourceType};

@@ -340,11 +340,14 @@ pub fn sample_values(ty: &SemType) -> Vec<Value> {
                 .take(4)
                 .collect()
         }
+        // The first two element samples in both orders, so that an `[int]`
+        // carries tag 0 (`[0, 1]`) and tag 1 (`[1, 0]`) into `C_{[int] ↦ τ1+τ2}`.
         SemType::Ll(LlType::Array(elem)) => {
             let es = sample_values(&SemType::Ll((**elem).clone()));
             vec![
                 Value::array([]),
                 Value::array(es.iter().take(2).cloned()),
+                Value::array(es.iter().take(2).rev().cloned()),
                 Value::array(es.into_iter().take(3)),
             ]
         }

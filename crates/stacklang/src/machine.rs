@@ -208,27 +208,9 @@ impl Machine {
         &self.stack
     }
 
-    /// Number of steps taken so far.
-    pub fn steps_taken(&self) -> u64 {
-        self.steps
-    }
-
     /// True if the machine can take no further step.
     pub fn is_terminal(&self) -> bool {
         self.frames.is_empty() || matches!(self.stack, StackState::Fail(_))
-    }
-
-    /// Remaining program in execution order, each frame's environment
-    /// substituted in — mostly useful for debugging.
-    pub fn remaining_program(&self) -> Program {
-        self.frames
-            .iter()
-            .rev()
-            .flat_map(|f| {
-                let rest: Program = f.code.instrs()[f.pc..].iter().cloned().collect();
-                f.env.substitute_into(&rest).instrs().to_vec()
-            })
-            .collect()
     }
 
     /// Performs one small step (one reduction of Fig. 2).
@@ -814,31 +796,6 @@ mod tests {
         let mut m = Machine::new(Program::empty());
         assert!(m.is_terminal());
         assert_eq!(m.step(), StepStatus::Done);
-        assert_eq!(m.steps_taken(), 0);
-    }
-
-    #[test]
-    fn remaining_program_reports_execution_order() {
-        let m = Machine::new(Program::from(vec![Instr::push_num(1), Instr::Add]));
-        assert_eq!(
-            m.remaining_program(),
-            Program::from(vec![Instr::push_num(1), Instr::Add])
-        );
-        // Mid-`lam`, the body's rest comes first, with its binding
-        // substituted, then the caller's rest.
-        let mut m = Machine::new(Program::from(vec![
-            Instr::push_num(3),
-            Instr::lam1(
-                "x",
-                Program::from(vec![Instr::push_var("x"), Instr::push_var("x")]),
-            ),
-            Instr::Add,
-        ]));
-        m.step();
-        m.step();
-        assert_eq!(
-            m.remaining_program(),
-            Program::from(vec![Instr::push_num(3), Instr::push_num(3), Instr::Add])
-        );
+        assert_eq!(m.run(Fuel::default()).steps, 0);
     }
 }

@@ -3,12 +3,13 @@
 //!
 //! Run with `cargo run --example gc_linear_transfer`.
 
+use semint::core::{CaseStudy, Fuel};
 use semint::lcvm::{Halt, Value};
-use semint::memgc::multilang::MemGcMultiLang;
 use semint::memgc::syntax::{L3Expr, L3Type, PolyExpr, PolyType};
+use semint::memgc::{MemGcCase, MgProgram};
 
 fn main() {
-    let sys = MemGcMultiLang::new();
+    let case = MemGcCase::standard();
 
     // --- Ownership transfer: L3 → MiniML ------------------------------------
     // L3 allocates a cell manually (`new true`), then the whole package
@@ -32,7 +33,7 @@ fn main() {
             PolyType::ref_(PolyType::Int),
         ),
     );
-    let r = sys.run_ml(&transfer).unwrap();
+    let r = case.run(&MgProgram::Ml(transfer), Fuel::default()).unwrap();
     println!("L3 → MiniML transfer:");
     println!("  result                    = {:?}", r.halt);
     println!(
@@ -50,11 +51,16 @@ fn main() {
         PolyExpr::ref_(PolyExpr::int(7)),
         L3Type::ref_like(L3Type::Bool),
     ));
-    let r = sys.run_l3(&copy_back).unwrap();
+    let r = case
+        .run(&MgProgram::L3(copy_back), Fuel::default())
+        .unwrap();
     println!("\nMiniML → L3 conversion (must copy, aliases may exist):");
     println!("  result            = {:?}", r.halt);
     println!("  GC allocations    = {}", r.heap.stats().gc_allocs);
     println!("  manual allocations= {}", r.heap.stats().manual_allocs);
+    assert_eq!(r.halt, Halt::Value(Value::Int(1)), "7 converts to false");
+    assert_eq!(r.heap.stats().gc_allocs, 1);
+    assert_eq!(r.heap.stats().manual_allocs, 1, "the copy");
 
     // --- Polymorphism over foreign types ------------------------------------
     // The paper's example (1): a MiniML polymorphic function instantiated at
@@ -74,10 +80,15 @@ fn main() {
         ),
         PolyExpr::boundary(L3Expr::bool_(false), PolyType::foreign(L3Type::Bool)),
     );
-    let r = sys.run_ml(&example1).unwrap();
+    let r = case.run(&MgProgram::Ml(example1), Fuel::default()).unwrap();
     println!(
         "\npaper example (1), (Λα. λx:α. λy:α. y) [⟨bool⟩] ⦇true⦈ ⦇false⦈ = {:?}",
         r.halt
+    );
+    assert_eq!(
+        r.halt,
+        Halt::Value(Value::Int(1)),
+        "the second argument, false"
     );
 
     // The paper's example (2): converting actual values through Church
@@ -93,10 +104,15 @@ fn main() {
         L3Expr::bool_(true),
         L3Expr::bool_(false),
     );
-    let r = sys.run_l3(&example2).unwrap();
+    let r = case.run(&MgProgram::L3(example2), Fuel::default()).unwrap();
     println!(
         "paper example (2), Church-boolean round trip            = {:?}",
         r.halt
+    );
+    assert_eq!(
+        r.halt,
+        Halt::Value(Value::Int(0)),
+        "true survives the round trip"
     );
 
     // Linear capabilities cannot be laundered through foreign types.
@@ -104,7 +120,7 @@ fn main() {
         L3Expr::new(L3Expr::bool_(true)),
         PolyType::foreign(L3Type::ref_like(L3Type::Bool)),
     );
-    match sys.typecheck_ml(&smuggle) {
+    match case.typecheck(&MgProgram::Ml(smuggle)) {
         Err(err) => println!("\ncapability smuggling rejected statically: {err}"),
         Ok(ty) => unreachable!("should not typecheck at {ty}"),
     }

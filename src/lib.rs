@@ -8,13 +8,13 @@
 //!
 //! | module | contents |
 //! |---|---|
-//! | [`core`] | the framework vocabulary: the [`core::convert::ConversionScheme`] judgment and its glue cache, fuel, step indices, the [`core::case::CaseStudy`] trait with its [`core::case::GenProfile`], and shared sweep statistics |
+//! | [`core`] | the framework vocabulary: the [`core::convert::ConversionScheme`] judgment and its glue cache, fuel, step indices, the [`core::case::CaseStudy`] trait (the one front door to a language pair) with its [`core::case::GenProfile`], and shared sweep statistics |
 //! | [`stacklang`] | the untyped stack-machine target of case study 1 (Fig. 2) |
 //! | [`lcvm`] | the Scheme-like target of case studies 2–3, with GC'd + manual memory and the phantom-flag augmented semantics |
 //! | [`reflang`] | RefHL and RefLL, their type systems and compilers (Fig. 1, 3) |
-//! | [`sharedmem`] | case study 1: shared-memory interoperability, Fig. 4 conversions, Fig. 5 executable model |
-//! | [`affine`] | case study 2: Affi ⊸ MiniML, thunk guards, Fig. 9 conversions, Fig. 10 phantom-flag model |
-//! | [`memgc`] | case study 3: MiniML ⊸ L3, `gcmov` ownership transfer, polymorphism over foreign types, Fig. 14 model |
+//! | [`sharedmem`] | case study 1: shared-memory interoperability, Fig. 4 conversions, Fig. 5 executable model; [`sharedmem::SharedMemCase`] is the multi-language system |
+//! | [`affine`] | case study 2: Affi ⊸ MiniML, thunk guards, Fig. 9 conversions, Fig. 10 phantom-flag model; [`affine::AffineCase`] is the multi-language system |
+//! | [`memgc`] | case study 3: MiniML ⊸ L3, `gcmov` ownership transfer, polymorphism over foreign types, Fig. 14 model; [`memgc::MemGcCase`] is the multi-language system |
 //! | [`harness`] | the unified scenario engine: a parallel, work-stealing batch runner with counterexample shrinking over every case study, and the `semint` CLI |
 //!
 //! ## The `CaseStudy` abstraction and the `semint` CLI
@@ -60,9 +60,14 @@
 //!
 //! ## Quick start
 //!
+//! Each case study is its language pair's multi-language system, and the
+//! same object serves the sweep engine and hand-written programs:
+//! [`core::case::CaseStudy::run`] type checks, compiles and runs one program.
+//!
 //! ```
-//! use semint::sharedmem::{convert::SharedMemConversions, multilang::MultiLang};
+//! use semint::core::{CaseStudy, Fuel};
 //! use semint::reflang::syntax::{HlExpr, HlType, LlExpr};
+//! use semint::sharedmem::{SharedMemCase, SmProgram};
 //!
 //! // A RefHL program that embeds RefLL arithmetic as a boolean:
 //! //     if ⦇ 1 + 1 ⦈bool then false else true
@@ -71,8 +76,8 @@
 //!     HlExpr::bool_(false),
 //!     HlExpr::bool_(true),
 //! );
-//! let system = MultiLang::new(SharedMemConversions::standard());
-//! let result = system.run_hl(&prog).unwrap();
+//! let case = SharedMemCase::standard();
+//! let result = case.run(&SmProgram::Hl(prog), Fuel::default()).unwrap();
 //! assert!(result.outcome.is_safe());
 //! ```
 //!

@@ -3,25 +3,32 @@
 //! property of the phantom-flag semantics.
 
 use proptest::prelude::*;
-use semint::affine::compile::thunk_guard;
+use semint::affine::compile::{thunk_guard, CompileOutput};
 use semint::affine::convert::AffineConversions;
 use semint::affine::model::{
     augmented_run, check_convertibility, judge_safety, value_in, AffineSemType, CHECK_FUEL,
 };
-use semint::affine::multilang::AffineMultiLang;
 use semint::affine::syntax::{AffiExpr, AffiType, MlExpr, MlType};
-use semint::core::ErrorCode;
-use semint::lcvm::{Expr, Halt, Machine, Value};
+use semint::affine::{AffProgram, AffineCase};
+use semint::core::{CaseStudy, ErrorCode, Fuel};
+use semint::lcvm::{Expr, Halt, Machine, PhantomConfig, Value};
 
 fn thunked_fun(arg: MlType, res: MlType) -> MlType {
     MlType::fun(MlType::fun(MlType::Unit, arg), res)
+}
+
+/// Type checks and compiles an Affi program, as the engine's stages do.
+fn compile_affi(case: &AffineCase, e: AffiExpr) -> Result<CompileOutput, String> {
+    let program = AffProgram::Affi(e);
+    case.typecheck(&program)?;
+    case.compile(&program)
 }
 
 #[test]
 fn an_affine_pipeline_across_three_boundaries() {
     // Affi builds a one-shot adder, MiniML partially applies it through the
     // boundary, and the final result crosses back into Affi.
-    let sys = AffineMultiLang::new();
+    let case = AffineCase::standard();
     let affi_adder = AffiExpr::lam(
         "a",
         AffiType::Int,
@@ -38,7 +45,7 @@ fn an_affine_pipeline_across_three_boundaries() {
         MlExpr::lam("_", MlType::Unit, MlExpr::int(32)),
     );
     let whole = AffiExpr::boundary(ml_user, AffiType::Int);
-    let r = sys.run_affi(&whole).unwrap();
+    let r = case.run(&AffProgram::Affi(whole), Fuel::default()).unwrap();
     assert_eq!(r.halt, Halt::Value(Value::Int(42)));
 }
 
@@ -46,7 +53,7 @@ fn an_affine_pipeline_across_three_boundaries() {
 fn the_two_enforcement_regimes_have_observably_different_costs() {
     // Count the dynamic guards the compiler inserts: none for a chain of
     // static applications, one per dynamic application.
-    let sys = AffineMultiLang::new();
+    let case = AffineCase::standard();
     let static_chain = AffiExpr::app(
         AffiExpr::lam_static(
             "x",
@@ -69,14 +76,14 @@ fn the_two_enforcement_regimes_have_observably_different_costs() {
         ),
         AffiExpr::int(5),
     );
-    let static_out = sys.compile_affi(&static_chain).unwrap();
-    let dynamic_out = sys.compile_affi(&dynamic_chain).unwrap();
+    let static_out = compile_affi(&case, static_chain).unwrap();
+    let dynamic_out = compile_affi(&case, dynamic_chain).unwrap();
     assert_eq!(static_out.dynamic_guards, 0);
     assert_eq!(dynamic_out.dynamic_guards, 2);
     // Both compute the same answer, but the dynamic version runs strictly
     // more machine steps (guard allocation + forcing).
-    let rs = sys.run(&static_out);
-    let rd = sys.run(&dynamic_out);
+    let rs = case.execute(static_out, Fuel::default());
+    let rd = case.execute(dynamic_out, Fuel::default());
     assert_eq!(rs.halt, Halt::Value(Value::Int(5)));
     assert_eq!(rd.halt, Halt::Value(Value::Int(5)));
     assert!(
@@ -124,7 +131,7 @@ fn convertibility_soundness_for_a_catalogue_of_rules() {
 
 #[test]
 fn static_arrow_stays_inside_affi_and_phantom_agrees_with_standard() {
-    let sys = AffineMultiLang::new();
+    let case = AffineCase::standard();
     let programs = vec![
         AffiExpr::let_tensor(
             "l",
@@ -147,7 +154,7 @@ fn static_arrow_stays_inside_affi_and_phantom_agrees_with_standard() {
         )),
     ];
     for e in programs {
-        match sys.compile_affi(&e) {
+        match compile_affi(&case, e.clone()) {
             Ok(compiled) => {
                 let standard = Machine::run_expr(compiled.expr.clone(), CHECK_FUEL).halt;
                 let augmented = augmented_run(&compiled.expr, &compiled.static_binders);
@@ -157,10 +164,7 @@ fn static_arrow_stays_inside_affi_and_phantom_agrees_with_standard() {
             Err(err) => {
                 // Static resources crossing a boundary are *rejected*, which
                 // is also a correct outcome for the first program shape.
-                assert!(
-                    format!("{err}").contains("escape"),
-                    "unexpected error {err} for {e}"
-                );
+                assert!(err.contains("escape"), "unexpected error {err} for {e}");
             }
         }
     }
@@ -209,7 +213,7 @@ proptest! {
     /// grammar are safe under both semantics and the two runs agree.
     #[test]
     fn random_affine_pipelines_are_safe(xs in proptest::collection::vec(-50i64..50, 1..5), use_static in any::<bool>()) {
-        let sys = AffineMultiLang::new();
+        let case = AffineCase::standard();
         // Build  f (f (… (lit) …))  where f is an affine identity, freshly
         // abstracted at each layer so no variable is ever reused.
         let mut expr = AffiExpr::int(xs[0]);
@@ -227,9 +231,13 @@ proptest! {
                 )
             };
         }
-        let compiled = sys.compile_affi(&expr).expect("typechecks and compiles");
-        let standard = sys.run(&compiled);
-        let phantom = sys.run_phantom(&compiled);
+        let compiled = compile_affi(&case, expr).expect("typechecks and compiles");
+        let phantom = Machine::run_phantom(
+            compiled.expr.clone(),
+            PhantomConfig::protecting(compiled.static_binders.iter().cloned()),
+            Fuel::default(),
+        );
+        let standard = case.execute(compiled, Fuel::default());
         prop_assert!(standard.halt.is_safe());
         prop_assert!(phantom.halt.is_safe());
         prop_assert_eq!(standard.halt.value_ref(), phantom.halt.value_ref());

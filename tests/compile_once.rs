@@ -5,6 +5,9 @@
 //!   execution per scenario — the artifact built by the compile stage is
 //!   borrowed by the model check's evidence and consumed by execution, whose
 //!   report the model check judges; nothing is rebuilt or rerun;
+//! * the same double shows `CaseStudy::run`, the entry point for
+//!   hand-written programs, makes one typecheck, one compile and one
+//!   execution, and reports what the sweep's run stage reports;
 //! * sweep digests under the artifact-threaded pipeline are byte-identical
 //!   to a reference runner that recompiles per stage (the pre-PR shape:
 //!   run recompiles, model check recompiles, `--time` adds a dedicated
@@ -183,6 +186,59 @@ fn untimed_sweep_also_compiles_exactly_once_and_skipped_model_check_stays_skippe
         (0, 0),
         "--no-model-check must not pay for the stage"
     );
+}
+
+/// `CaseStudy::run`, the entry point for hand-written programs, makes the
+/// stages' calls once each and no model-check call, and its report agrees
+/// with the sweep's run stage.  Besides the presets, whose runs all end
+/// within their fuel, a 30-step profile runs many scenarios out of it.
+#[test]
+fn run_typechecks_compiles_and_executes_once_as_the_sweep_runs() {
+    let starved = GenProfile {
+        name: "custom",
+        fuel: Fuel::steps(30),
+        ..GenProfile::standard()
+    };
+    for profile in GenProfile::presets().into_iter().chain([starved]) {
+        let cfg = SweepConfig {
+            jobs: 1,
+            profile,
+            ..SweepConfig::default()
+        };
+        for name in ["sharedmem", "affine", "memgc"] {
+            let case = CountingCase::new(AnyCase::by_name(name, false).expect("known case"));
+            for seed in 0..50u64 {
+                let scenario = case.generate(seed, &profile);
+                let before = case.counts();
+                let report = case
+                    .run(&scenario.program, profile.fuel)
+                    .expect("well-typed by construction");
+                let after = case.counts();
+                assert_eq!(
+                    (
+                        after.0 - before.0,
+                        after.1 - before.1,
+                        after.2 - before.2,
+                        after.3 - before.3,
+                        after.4 - before.4,
+                    ),
+                    (1, 1, 1, 0, 0),
+                    "{name} {} seed {seed}: one typecheck, compile and execution, no model check",
+                    profile.name
+                );
+                let ran = case.stats(&report);
+                let swept = run_scenario(&case.inner, seed, &cfg)
+                    .stats
+                    .expect("the sweep ran the scenario");
+                assert_eq!(
+                    (ran.outcome, ran.steps),
+                    (swept.outcome, swept.steps),
+                    "{name} {} seed {seed}",
+                    profile.name
+                );
+            }
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------

@@ -11,23 +11,31 @@
 //! a value, so a law can never hold by running out of fuel.
 
 use semint::affine::compile::thunk_guard;
-use semint::affine::multilang::AffineMultiLang;
 use semint::affine::syntax::{AffiExpr, AffiType, MlExpr, MlType};
-use semint::core::{Fuel, Outcome, VmCounters};
+use semint::affine::{AffProgram, AffineCase};
+use semint::core::{CaseStudy, Fuel, Outcome, VmCounters};
 use semint::lcvm::{self, Expr, Halt, Machine};
-use semint::memgc::multilang::MemGcMultiLang;
 use semint::memgc::syntax::{L3Expr, L3Type, PolyExpr, PolyType};
+use semint::memgc::{MemGcCase, MgProgram};
 use semint::reflang::syntax::{HlExpr, HlType, LlExpr, LlType};
 use semint::sharedmem::convert::{RefStrategy, SharedMemConversions};
-use semint::sharedmem::multilang::MultiLang;
+use semint::sharedmem::{SharedMemCase, SmProgram};
 use semint::stacklang;
 
 /// The workload sizes every law is checked at.
 const SIZES: [usize; 5] = [0, 1, 4, 16, 64];
 
+/// Type checks and compiles a workload, as the engine's stages do.
+fn compiled<C: CaseStudy>(case: &C, program: C::Program) -> C::Compiled {
+    case.typecheck(&program).expect("workload typechecks");
+    case.compile(&program).expect("workload compiles")
+}
+
 /// Runs a RefLL program and insists that it ends in a value.
-fn run_ll(system: &MultiLang, program: &LlExpr) -> stacklang::RunResult {
-    let run = system.run_ll(program).expect("workload typechecks");
+fn run_ll(case: &SharedMemCase, program: LlExpr) -> stacklang::RunResult {
+    let run = case
+        .run(&SmProgram::Ll(program), Fuel::default())
+        .expect("workload typechecks");
     assert!(
         matches!(run.outcome, Outcome::Value(_)),
         "{:?}",
@@ -126,23 +134,23 @@ fn sum_conversion_baseline(count: usize) -> LlExpr {
 /// and a branch per crossing.
 #[test]
 fn e1_sharing_a_reference_is_free_and_conversion_pays_per_crossing() {
-    let share = MultiLang::new(SharedMemConversions::standard());
-    let copy = MultiLang::new(SharedMemConversions::with_ref_strategy(RefStrategy::Copy));
+    let share = SharedMemCase::standard();
+    let copy = SharedMemCase::new(SharedMemConversions::with_ref_strategy(RefStrategy::Copy));
     for n in SIZES {
         let k = n as u64;
-        let r = run_ll(&share, &shared_ref_workload(n));
+        let r = run_ll(&share, shared_ref_workload(n));
         assert_eq!(
             cost(r.steps, r.counters),
             (11 + 9 * k, 1, 2 + k),
             "share, n = {n}"
         );
-        let r = run_ll(&copy, &shared_ref_workload(n));
+        let r = run_ll(&copy, shared_ref_workload(n));
         assert_eq!(
             cost(r.steps, r.counters),
             (11 + 11 * k, 1 + k, 2 + 3 * k),
             "copy, n = {n}"
         );
-        let r = run_ll(&share, &proxied_ref_workload(n));
+        let r = run_ll(&share, proxied_ref_workload(n));
         assert_eq!(
             cost(r.steps, r.counters),
             (11 + 12 * k, 1, 2 + 2 * k),
@@ -156,16 +164,16 @@ fn e1_sharing_a_reference_is_free_and_conversion_pays_per_crossing() {
 /// conversion over the no-boundary baseline — yet neither allocates.
 #[test]
 fn e2_sum_conversions_pay_per_value() {
-    let system = MultiLang::new(SharedMemConversions::standard());
+    let system = SharedMemCase::standard();
     for n in SIZES {
         let k = n as u64;
-        let r = run_ll(&system, &sum_conversion_workload(n));
+        let r = run_ll(&system, sum_conversion_workload(n));
         assert_eq!(
             (r.steps, r.counters.heap_allocs),
             (1 + 31 * k, 0),
             "sums, n = {n}"
         );
-        let r = run_ll(&system, &sum_conversion_baseline(n));
+        let r = run_ll(&system, sum_conversion_baseline(n));
         assert_eq!(
             (r.steps, r.counters.heap_allocs),
             (1 + 6 * k, 0),
@@ -217,10 +225,10 @@ fn cross_boundary_affine_chain(calls: usize) -> MlExpr {
 /// not from the compiler, which reports none.
 #[test]
 fn e3_static_arrows_are_free_and_dynamic_arrows_pay_one_guard_per_call() {
-    let system = AffineMultiLang::new();
+    let system = AffineCase::standard();
     for n in SIZES {
         let k = n as u64;
-        let out = system.compile_affi(&affine_chain(n, false)).unwrap();
+        let out = compiled(&system, AffProgram::Affi(affine_chain(n, false)));
         assert_eq!(out.dynamic_guards, 0, "static, n = {n}");
         let r = run_lcvm(out.expr);
         assert_eq!(
@@ -228,7 +236,7 @@ fn e3_static_arrows_are_free_and_dynamic_arrows_pay_one_guard_per_call() {
             (1 + 5 * k, 0, 0),
             "static, n = {n}"
         );
-        let out = system.compile_affi(&affine_chain(n, true)).unwrap();
+        let out = compiled(&system, AffProgram::Affi(affine_chain(n, true)));
         assert_eq!(out.dynamic_guards, n, "dynamic, n = {n}");
         let r = run_lcvm(out.expr);
         assert_eq!(
@@ -236,7 +244,7 @@ fn e3_static_arrows_are_free_and_dynamic_arrows_pay_one_guard_per_call() {
             (1 + 30 * k, k, 7 * k),
             "dynamic, n = {n}"
         );
-        let out = system.compile_ml(&cross_boundary_affine_chain(n)).unwrap();
+        let out = compiled(&system, AffProgram::Ml(cross_boundary_affine_chain(n)));
         assert_eq!(out.dynamic_guards, 0, "cross-boundary, n = {n}");
         let r = run_lcvm(out.expr);
         assert_eq!(
@@ -309,17 +317,17 @@ fn transfer_to_l3_workload(depth: usize) -> L3Expr {
 fn e5_gcmov_transfers_without_copying() {
     // (cells handed to the collector, frees)
     let moved = |r: &lcvm::RunResult| (r.heap.stats().gcmovs, r.counters.heap_frees);
-    let system = MemGcMultiLang::new();
+    let system = MemGcCase::standard();
     for d in SIZES {
         let k = d as u64;
-        let r = run_lcvm(system.compile_ml(&transfer_to_ml_workload(d)).unwrap());
+        let r = run_lcvm(compiled(&system, MgProgram::Ml(transfer_to_ml_workload(d))));
         assert_eq!(
             cost(r.steps, r.counters),
             (41 + 22 * k, 1, 12),
             "to MiniML, d = {d}"
         );
         assert_eq!(moved(&r), (1, 0), "to MiniML, d = {d}");
-        let r = run_lcvm(system.compile_l3(&transfer_to_l3_workload(d)).unwrap());
+        let r = run_lcvm(compiled(&system, MgProgram::L3(transfer_to_l3_workload(d))));
         assert_eq!(
             cost(r.steps, r.counters),
             (44 + 25 * k, 2, 10),
@@ -391,13 +399,16 @@ fn e6_gc_collects_the_garbage_manual_management_never_makes() {
             c.heap_peak_live,
         )
     };
-    let system = MemGcMultiLang::new();
+    let system = MemGcCase::standard();
     for n in SIZES.into_iter().filter(|&n| n <= 16) {
         let k = n as u64;
-        let r = run_lcvm(system.compile_l3(&manual_pressure_workload(n)).unwrap());
+        let r = run_lcvm(compiled(
+            &system,
+            MgProgram::L3(manual_pressure_workload(n)),
+        ));
         assert_eq!(r.steps, 1 + 32 * k, "manual, n = {n}");
         assert_eq!(heap(&r), (k, k, k, 0, k.min(1)), "manual, n = {n}");
-        let r = run_lcvm(system.compile_ml(&gc_pressure_workload(n)).unwrap());
+        let r = run_lcvm(compiled(&system, MgProgram::Ml(gc_pressure_workload(n))));
         assert_eq!(heap(&r), (k + 1, k, 1, k, k.max(1)), "GC'd, n = {n}");
     }
 }

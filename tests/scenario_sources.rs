@@ -19,7 +19,7 @@ use semint::harness::CaseStudy;
 use semint::memgc::harness::MgSourceType;
 use semint::memgc::{L3Type, PolyType};
 use semint::reflang::syntax::{HlType, LlType};
-use semint::sharedmem::multilang::SourceType;
+use semint::sharedmem::harness::SourceType;
 use semint_core::case::GenProfile;
 use semint_core::stats::SweepReport;
 

@@ -3,16 +3,20 @@
 //! type-safety theorems (Thm 3.3/3.4).
 
 use proptest::prelude::*;
-use semint::core::{Fuel, GenProfile};
+use semint::core::{CaseStudy, Fuel, GenProfile};
 use semint::reflang::syntax::{HlExpr, HlType, LlExpr, LlType};
 use semint::sharedmem::convert::{RefStrategy, SharedMemConversions};
 use semint::sharedmem::gen::ProgramGen;
 use semint::sharedmem::model::{check_convertibility, expr_in, SemType, World};
-use semint::sharedmem::multilang::MultiLang;
+use semint::sharedmem::{SharedMemCase, SmProgram, SourceType};
 use semint::stacklang::Value;
 
-fn system() -> MultiLang {
-    MultiLang::new(SharedMemConversions::standard()).with_fuel(Fuel::steps(200_000))
+/// The step budget of every run here but the copy-convert ones.
+const FUEL: Fuel = Fuel::steps(200_000);
+
+/// The copy-convert ablation of the paper's Discussion.
+fn copying() -> SharedMemCase {
+    SharedMemCase::new(SharedMemConversions::with_ref_strategy(RefStrategy::Copy))
 }
 
 /// The standard generation profile with the given expression depth and
@@ -28,7 +32,7 @@ fn profile(max_depth: usize, boundary_bias: u32) -> GenProfile {
 #[test]
 fn the_paper_running_example_bool_int_roundtrip() {
     // RefHL booleans cross into RefLL, get arithmetic applied, and come back.
-    let sys = system();
+    let case = SharedMemCase::standard();
     let e = HlExpr::if_(
         HlExpr::boundary(
             LlExpr::add(
@@ -41,7 +45,7 @@ fn the_paper_running_example_bool_int_roundtrip() {
         HlExpr::bool_(true),
     );
     // true compiles to 0; 0 + 0 = 0; 0 is true; so the first branch (false) runs.
-    let r = sys.run_hl(&e).unwrap();
+    let r = case.run(&SmProgram::Hl(e), FUEL).unwrap();
     assert_eq!(r.outcome.value(), Some(Value::Num(1)));
 }
 
@@ -49,7 +53,7 @@ fn the_paper_running_example_bool_int_roundtrip() {
 fn aliasing_through_nested_boundaries_is_preserved() {
     // A RefLL reference crosses into RefHL, gets written, and the update is
     // observed by RefLL through the original alias — with zero copies.
-    let sys = system();
+    let case = SharedMemCase::standard();
     let program = LlExpr::app(
         LlExpr::lam(
             "cell",
@@ -67,7 +71,7 @@ fn aliasing_through_nested_boundaries_is_preserved() {
         ),
         LlExpr::ref_(LlExpr::int(0)),
     );
-    let r = sys.run_ll(&program).unwrap();
+    let r = case.run(&SmProgram::Ll(program), FUEL).unwrap();
     // assignment contributes 0 (unit), the cell now holds false = 1.
     assert_eq!(r.outcome.value(), Some(Value::Num(1)));
     assert_eq!(r.heap.len(), 1, "sharing allocates exactly one cell");
@@ -110,7 +114,7 @@ fn convertibility_soundness_holds_for_every_derivable_rule_in_a_catalogue() {
 
 #[test]
 fn copy_strategy_breaks_aliasing_but_stays_sound() {
-    let copy = MultiLang::new(SharedMemConversions::with_ref_strategy(RefStrategy::Copy));
+    let copy = copying();
     let program = LlExpr::app(
         LlExpr::lam(
             "cell",
@@ -128,7 +132,7 @@ fn copy_strategy_breaks_aliasing_but_stays_sound() {
         ),
         LlExpr::ref_(LlExpr::int(0)),
     );
-    let r = copy.run_ll(&program).unwrap();
+    let r = copy.run(&SmProgram::Ll(program), Fuel::default()).unwrap();
     // The write went to the copy: RefLL still sees 0 — different behaviour,
     // still type safe.
     assert_eq!(r.outcome.value(), Some(Value::Num(0)));
@@ -143,24 +147,24 @@ proptest! {
     /// never reaches `fail Type`.
     #[test]
     fn generated_refhl_programs_are_type_safe(seed in any::<u64>()) {
-        let sys = system();
+        let case = SharedMemCase::standard();
         let mut generator = ProgramGen::with_profile(seed, &profile(5, 35));
         let ty = generator.gen_hl_type(2);
-        let program = generator.gen_hl(&ty);
-        let checked = sys.typecheck_hl(&program).expect("generated programs typecheck");
-        prop_assert_eq!(checked, ty);
-        let result = sys.run_hl(&program).expect("generated programs compile");
+        let program = SmProgram::Hl(generator.gen_hl(&ty));
+        let checked = case.typecheck(&program).expect("generated programs typecheck");
+        prop_assert_eq!(checked, SourceType::Hl(ty));
+        let result = case.run(&program, FUEL).expect("generated programs compile");
         prop_assert!(result.outcome.is_safe(), "unsafe outcome {:?} for {}", result.outcome, program);
     }
 
     /// Theorem 3.3 for RefLL programs.
     #[test]
     fn generated_refll_programs_are_type_safe(seed in any::<u64>()) {
-        let sys = system();
+        let case = SharedMemCase::standard();
         let mut generator = ProgramGen::with_profile(seed, &profile(5, 35));
-        let program = generator.gen_ll(&LlType::Int);
-        sys.typecheck_ll(&program).expect("generated programs typecheck");
-        let result = sys.run_ll(&program).expect("generated programs compile");
+        let program = SmProgram::Ll(generator.gen_ll(&LlType::Int));
+        case.typecheck(&program).expect("generated programs typecheck");
+        let result = case.run(&program, FUEL).expect("generated programs compile");
         prop_assert!(result.outcome.is_safe(), "unsafe outcome {:?} for {}", result.outcome, program);
     }
 
@@ -168,14 +172,15 @@ proptest! {
     /// inhabit the expression relation at their own type.
     #[test]
     fn generated_programs_inhabit_their_expression_relation(seed in any::<u64>()) {
-        let sys = system();
+        let case = SharedMemCase::standard();
         let mut generator = ProgramGen::with_profile(seed, &profile(4, 30));
         let ty = generator.gen_hl_type(1);
-        let program = generator.gen_hl(&ty);
-        let compiled = sys.compile_hl(&program).expect("compiles");
+        let program = SmProgram::Hl(generator.gen_hl(&ty));
+        case.typecheck(&program).expect("typechecks");
+        let compiled = case.compile(&program).expect("compiles");
         let world = World::new(20_000);
         prop_assert!(
-            expr_in(&world, semint::stacklang::Heap::new(), &compiled.program, &SemType::Hl(ty.clone())),
+            expr_in(&world, semint::stacklang::Heap::new(), &compiled, &SemType::Hl(ty.clone())),
             "compiled program not in E⟦{}⟧: {}", ty, program
         );
     }
@@ -186,11 +191,10 @@ proptest! {
     fn conversion_strategy_is_unobservable_without_boundaries(seed in any::<u64>()) {
         let mut g1 = ProgramGen::with_profile(seed, &profile(4, 0));
         let ty = g1.gen_hl_type(2);
-        let program = g1.gen_hl(&ty);
-        let share = MultiLang::new(SharedMemConversions::standard());
-        let copy = MultiLang::new(SharedMemConversions::with_ref_strategy(RefStrategy::Copy));
-        let r1 = share.run_hl(&program).expect("runs");
-        let r2 = copy.run_hl(&program).expect("runs");
+        let program = SmProgram::Hl(g1.gen_hl(&ty));
+        let share = SharedMemCase::standard();
+        let r1 = share.run(&program, Fuel::default()).expect("runs");
+        let r2 = copying().run(&program, Fuel::default()).expect("runs");
         prop_assert_eq!(r1.outcome, r2.outcome);
     }
 }
