@@ -11,7 +11,7 @@ use crate::model::{
 use crate::syntax::{AffiExpr, AffiType, MlExpr, MlType};
 use crate::typecheck::{check_affi, check_ml, AffineCtx};
 use lcvm::{Halt, Machine, RunResult};
-use semint_core::case::{CaseStudy, CheckFailure, GenProfile, Scenario};
+use semint_core::case::{CaseStudy, CheckFailure, GenProfile, Scenario, Size};
 use semint_core::convert::ConversionScheme;
 use semint_core::stats::RunStats;
 use semint_core::{Fuel, GlueCacheStats};
@@ -300,17 +300,10 @@ impl CaseStudy for AffineCase {
         out
     }
 
-    fn boundary_count(&self, program: &AffProgram) -> usize {
+    fn measure(&self, program: &AffProgram) -> Size {
         match program {
-            AffProgram::Affi(e) => e.boundary_count(),
-            AffProgram::Ml(e) => e.boundary_count(),
-        }
-    }
-
-    fn program_chars(&self, program: &AffProgram) -> usize {
-        match program {
-            AffProgram::Affi(e) => e.rendered_chars(),
-            AffProgram::Ml(e) => e.rendered_chars(),
+            AffProgram::Affi(e) => e.measure(),
+            AffProgram::Ml(e) => e.measure(),
         }
     }
 

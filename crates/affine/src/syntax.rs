@@ -10,7 +10,7 @@
 //! counts: generator annotations, typing contexts, glue-cache keys and
 //! shrink candidates share their subtrees instead of copying them.
 
-use semint_core::Var;
+use semint_core::{Size, Var};
 use std::fmt;
 use std::sync::Arc;
 
@@ -403,54 +403,6 @@ impl AffiExpr {
     }
 }
 
-impl MlExpr {
-    /// Number of syntactic language boundaries `⦇·⦈`, counted structurally
-    /// (one tree walk, no rendering) across both embedded languages.
-    pub fn boundary_count(&self) -> usize {
-        match self {
-            MlExpr::Unit | MlExpr::Int(_) | MlExpr::Var(_) => 0,
-            MlExpr::Fst(e)
-            | MlExpr::Snd(e)
-            | MlExpr::Inl(e, _)
-            | MlExpr::Inr(e, _)
-            | MlExpr::Lam(_, _, e)
-            | MlExpr::Ref(e)
-            | MlExpr::Deref(e) => e.boundary_count(),
-            MlExpr::Pair(a, b) | MlExpr::App(a, b) | MlExpr::Assign(a, b) | MlExpr::Add(a, b) => {
-                a.boundary_count() + b.boundary_count()
-            }
-            MlExpr::Match(s, _, l, _, r) => {
-                s.boundary_count() + l.boundary_count() + r.boundary_count()
-            }
-            MlExpr::Boundary(e, _) => 1 + e.boundary_count(),
-        }
-    }
-}
-
-impl AffiExpr {
-    /// Number of syntactic language boundaries `⦇·⦈`, counted structurally
-    /// (one tree walk, no rendering) across both embedded languages.
-    pub fn boundary_count(&self) -> usize {
-        match self {
-            AffiExpr::Unit
-            | AffiExpr::Bool(_)
-            | AffiExpr::Int(_)
-            | AffiExpr::UVar(_)
-            | AffiExpr::AVar(_, _) => 0,
-            AffiExpr::Lam(_, _, _, e)
-            | AffiExpr::Bang(e)
-            | AffiExpr::Proj1(e)
-            | AffiExpr::Proj2(e) => e.boundary_count(),
-            AffiExpr::App(a, b)
-            | AffiExpr::WithPair(a, b)
-            | AffiExpr::TensorPair(a, b)
-            | AffiExpr::LetBang(_, a, b)
-            | AffiExpr::LetTensor(_, _, a, b) => a.boundary_count() + b.boundary_count(),
-            AffiExpr::Boundary(e, _) => 1 + e.boundary_count(),
-        }
-    }
-}
-
 impl fmt::Display for MlExpr {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -475,34 +427,31 @@ impl fmt::Display for MlExpr {
 }
 
 impl MlExpr {
-    /// The length of this program's rendering in characters, counted arm
-    /// for arm beside [`fmt::Display`] without formatting anything.
-    pub fn rendered_chars(&self) -> usize {
+    /// This program's rendered length in characters and its boundaries
+    /// `⦇·⦈` in both languages, counted arm for arm beside [`fmt::Display`]
+    /// without formatting anything.
+    pub fn measure(&self) -> Size {
         match self {
-            MlExpr::Unit => 2,
-            MlExpr::Int(n) => semint_core::int_chars(*n),
-            MlExpr::Var(x) => x.rendered_chars(),
-            MlExpr::Pair(a, b) | MlExpr::Assign(a, b) => {
-                4 + a.rendered_chars() + b.rendered_chars()
-            }
+            MlExpr::Unit => Size::chars(2),
+            MlExpr::Int(n) => Size::chars(semint_core::int_chars(*n)),
+            MlExpr::Var(x) => Size::chars(x.rendered_chars()),
+            MlExpr::Pair(a, b) | MlExpr::Assign(a, b) => 4 + a.measure() + b.measure(),
             MlExpr::Fst(e)
             | MlExpr::Snd(e)
             | MlExpr::Inl(e, _)
             | MlExpr::Inr(e, _)
-            | MlExpr::Ref(e) => 4 + e.rendered_chars(),
+            | MlExpr::Ref(e) => 4 + e.measure(),
             MlExpr::Match(s, x, l, y, r) => {
-                12 + s.rendered_chars()
+                12 + s.measure()
                     + x.rendered_chars()
-                    + l.rendered_chars()
+                    + l.measure()
                     + y.rendered_chars()
-                    + r.rendered_chars()
+                    + r.measure()
             }
-            MlExpr::Lam(x, ty, b) => {
-                4 + x.rendered_chars() + ty.rendered_chars() + b.rendered_chars()
-            }
-            MlExpr::App(a, b) | MlExpr::Add(a, b) => 5 + a.rendered_chars() + b.rendered_chars(),
-            MlExpr::Deref(e) => 1 + e.rendered_chars(),
-            MlExpr::Boundary(e, ty) => 2 + e.rendered_chars() + ty.rendered_chars(),
+            MlExpr::Lam(x, ty, b) => 4 + x.rendered_chars() + ty.rendered_chars() + b.measure(),
+            MlExpr::App(a, b) | MlExpr::Add(a, b) => 5 + a.measure() + b.measure(),
+            MlExpr::Deref(e) => 1 + e.measure(),
+            MlExpr::Boundary(e, ty) => Size::boundary(2) + e.measure() + ty.rendered_chars(),
         }
     }
 }
@@ -530,35 +479,29 @@ impl fmt::Display for AffiExpr {
 }
 
 impl AffiExpr {
-    /// The length of this program's rendering in characters, counted arm
-    /// for arm beside [`fmt::Display`] without formatting anything.
-    pub fn rendered_chars(&self) -> usize {
+    /// This program's rendered length in characters and its boundaries
+    /// `⦇·⦈` in both languages, counted arm for arm beside [`fmt::Display`]
+    /// without formatting anything.
+    pub fn measure(&self) -> Size {
         match self {
-            AffiExpr::Unit => 2,
-            AffiExpr::Bool(true) => 4,
-            AffiExpr::Bool(false) => 5,
-            AffiExpr::Int(n) => semint_core::int_chars(*n),
-            AffiExpr::UVar(x) => x.rendered_chars(),
-            AffiExpr::AVar(_, x) => 1 + x.rendered_chars(),
+            AffiExpr::Unit => Size::chars(2),
+            AffiExpr::Bool(true) => Size::chars(4),
+            AffiExpr::Bool(false) => Size::chars(5),
+            AffiExpr::Int(n) => Size::chars(semint_core::int_chars(*n)),
+            AffiExpr::UVar(x) => Size::chars(x.rendered_chars()),
+            AffiExpr::AVar(_, x) => Size::chars(1 + x.rendered_chars()),
             AffiExpr::Lam(_, x, ty, b) => {
-                5 + x.rendered_chars() + ty.rendered_chars() + b.rendered_chars()
+                5 + x.rendered_chars() + ty.rendered_chars() + b.measure()
             }
-            AffiExpr::App(a, b) => 5 + a.rendered_chars() + b.rendered_chars(),
-            AffiExpr::Bang(e) => 1 + e.rendered_chars(),
-            AffiExpr::LetBang(x, e, b) => {
-                12 + x.rendered_chars() + e.rendered_chars() + b.rendered_chars()
-            }
-            AffiExpr::WithPair(a, b) | AffiExpr::TensorPair(a, b) => {
-                4 + a.rendered_chars() + b.rendered_chars()
-            }
-            AffiExpr::Proj1(e) | AffiExpr::Proj2(e) => 2 + e.rendered_chars(),
+            AffiExpr::App(a, b) => 5 + a.measure() + b.measure(),
+            AffiExpr::Bang(e) => 1 + e.measure(),
+            AffiExpr::LetBang(x, e, b) => 12 + x.rendered_chars() + e.measure() + b.measure(),
+            AffiExpr::WithPair(a, b) | AffiExpr::TensorPair(a, b) => 4 + a.measure() + b.measure(),
+            AffiExpr::Proj1(e) | AffiExpr::Proj2(e) => 2 + e.measure(),
             AffiExpr::LetTensor(a, b, e, body) => {
-                17 + a.rendered_chars()
-                    + b.rendered_chars()
-                    + e.rendered_chars()
-                    + body.rendered_chars()
+                17 + a.rendered_chars() + b.rendered_chars() + e.measure() + body.measure()
             }
-            AffiExpr::Boundary(e, ty) => 2 + e.rendered_chars() + ty.rendered_chars(),
+            AffiExpr::Boundary(e, ty) => Size::boundary(2) + e.measure() + ty.rendered_chars(),
         }
     }
 }
@@ -654,12 +597,17 @@ mod tests {
             affi_ty.to_string().chars().count()
         );
         assert_eq!(ml_ty.rendered_chars(), ml_ty.to_string().chars().count());
-        assert_eq!(ml.rendered_chars(), ml.to_string().chars().count(), "{ml}");
-        assert_eq!(
-            affi.rendered_chars(),
-            affi.to_string().chars().count(),
-            "{affi}"
-        );
+        assert_eq!(ml.measure(), rendered(&ml), "{ml}");
+        assert_eq!(affi.measure(), rendered(&affi), "{affi}");
+    }
+
+    /// The size a rendering shows: its characters and its `⦇`s.
+    fn rendered(e: &impl fmt::Display) -> Size {
+        let text = e.to_string();
+        Size {
+            chars: text.chars().count(),
+            boundaries: text.matches('⦇').count(),
+        }
     }
 
     #[test]

@@ -28,6 +28,8 @@ use crate::convert::GlueCacheStats;
 use crate::fuel::Fuel;
 use crate::stats::RunStats;
 use std::fmt;
+use std::iter::Sum;
+use std::ops::Add;
 
 /// Relative weights for the generators' choice among goal-type constructor
 /// classes.  All three case studies' type generators draw from the same
@@ -340,10 +342,80 @@ impl fmt::Display for CheckFailure {
     }
 }
 
+/// The two sizes every sweep digests of a program ([`CaseStudy::measure`]):
+/// its rendering's length in characters and its language boundaries
+/// `⦇e⦈τ`.  A walk beside `Display` adds them up arm for arm: a bare
+/// `usize` adds characters, and [`Size::boundary`] is the boundary node
+/// itself.
+///
+/// ```
+/// use semint_core::Size;
+/// // ⦇7⦈int: the brackets, one boundary, the payload and the type.
+/// let size = Size::boundary(2) + Size::chars(1) + 3;
+/// assert_eq!(size, Size { chars: 6, boundaries: 1 });
+/// ```
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Size {
+    /// The length of the rendering in characters, not bytes (`chars=`).
+    pub chars: usize,
+    /// The number of language boundaries `⦇e⦈τ` (`boundaries=`).
+    pub boundaries: usize,
+}
+
+impl Size {
+    /// `chars` characters of rendering and no boundary.
+    pub const fn chars(chars: usize) -> Size {
+        Size {
+            chars,
+            boundaries: 0,
+        }
+    }
+
+    /// A boundary node's own share: its `chars` bracket characters and one
+    /// boundary.
+    pub const fn boundary(chars: usize) -> Size {
+        Size {
+            chars,
+            boundaries: 1,
+        }
+    }
+}
+
+impl Add for Size {
+    type Output = Size;
+    fn add(self, other: Size) -> Size {
+        Size {
+            chars: self.chars + other.chars,
+            boundaries: self.boundaries + other.boundaries,
+        }
+    }
+}
+
+impl Add<usize> for Size {
+    type Output = Size;
+    fn add(self, chars: usize) -> Size {
+        self + Size::chars(chars)
+    }
+}
+
+impl Add<Size> for usize {
+    type Output = Size;
+    fn add(self, size: Size) -> Size {
+        Size::chars(self) + size
+    }
+}
+
+impl Sum for Size {
+    fn sum<I: Iterator<Item = Size>>(sizes: I) -> Size {
+        sizes.fold(Size::default(), Add::add)
+    }
+}
+
 /// A language pair packaged as one *interface + behaviour* instance, in the
 /// FunTAL "language as interface" sense: everything the generic engine needs
 /// to generate, check, compile, run and model-check workloads for one case
-/// study.
+/// study, and to size them ([`CaseStudy::measure`], one walk for both
+/// digested sizes).
 pub trait CaseStudy {
     /// Closed multi-language programs of this case study (either host
     /// language at the top level).  The shrinker clones a program and every
@@ -498,24 +570,25 @@ pub trait CaseStudy {
         Vec::new()
     }
 
-    /// The number of syntactic language boundaries in `program`, used for
-    /// the boundary-crossing aggregate statistics.
+    /// `program`'s two digested sizes in one walk: the length of its
+    /// rendering in characters, which every sweep digest totals as `chars=`
+    /// and the shrinker orders by, and its number of language boundaries,
+    /// totalled as `boundaries=` for the boundary-crossing statistics.
     ///
-    /// This runs once per scenario on the sweep hot path, so implementations
-    /// must count structurally (one tree walk) — rendering the program and
-    /// counting `⦇` characters costs a full O(program) string allocation per
-    /// scenario, which is why there is deliberately no render-based default.
-    fn boundary_count(&self, program: &Self::Program) -> usize;
-
-    /// The length of `program`'s rendering in characters: the size every
-    /// sweep digest totals as `chars=`, and the shrinker's size order.
-    ///
-    /// Like [`CaseStudy::boundary_count`], it runs once per scenario on the
-    /// sweep hot path, so implementations count structurally (one tree walk
+    /// The engine calls it once per scenario and the shrinker once per
+    /// candidate, so implementations count structurally (one tree walk
     /// beside each `Display` impl) and there is deliberately no render-based
     /// default: formatting a program costs several times the walk, and the
     /// sweep renders a program only to report a failure.
-    fn program_chars(&self, program: &Self::Program) -> usize;
+    fn measure(&self, program: &Self::Program) -> Size;
+
+    /// The number of language boundaries in `program`:
+    /// [`CaseStudy::measure`]'s `boundaries`.  Kept only for the benchmark's
+    /// layer replay (`perfbench/src/replay.rs`), which calls it; it goes
+    /// when that replay does.
+    fn boundary_count(&self, program: &Self::Program) -> usize {
+        self.measure(program).boundaries
+    }
 
     /// Checks Lemma 3.1 (convertibility soundness) over the case study's
     /// registered rule catalogue, independent of any generated program.

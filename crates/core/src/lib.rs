@@ -14,16 +14,17 @@
 //!    derivation memoized by a [`GlueCache`]; its typechecker and compiler
 //!    both ask that scheme ([`convert`]).
 //! 3. **Realizability models** — source types are interpreted as sets of
-//!    *target* terms; the shared machinery (step indices, fuel, error codes)
-//!    lives in [`fuel`], [`outcome`] and [`world`].
+//!    *target* terms; the shared machinery (fuel and error codes) lives in
+//!    [`fuel`] and [`outcome`], and each case study's world keeps its step
+//!    index as a plain `u64`.
 //! 4. **Soundness of conversions** — glue code maps `E⟦τA⟧` into `E⟦τB⟧`.
 //! 5. **Soundness of the entire languages** — compatibility lemmas and the
 //!    fundamental property, exercised in the per-case-study crates.
 //!
 //! This crate contains only the pieces shared by every case study: interned
-//! variables, fuel/step budgets and step indices, machine outcomes and error
-//! codes, the conversion scheme and its glue cache, the [`CaseStudy`] stage
-//! interface with its [`GenProfile`], and the sweep statistics.
+//! variables, fuel/step budgets, machine outcomes and error codes, the
+//! conversion scheme and its glue cache, the [`CaseStudy`] stage interface
+//! with its [`GenProfile`] and program [`Size`], and the sweep statistics.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -35,10 +36,9 @@ pub mod outcome;
 pub mod stats;
 pub mod symbol;
 pub mod telemetry;
-pub mod world;
 
 pub use case::{
-    CaseStudy, CheckFailure, ConstructorClass, ConstructorWeights, GenProfile, Scenario,
+    CaseStudy, CheckFailure, ConstructorClass, ConstructorWeights, GenProfile, Scenario, Size,
 };
 pub use convert::{ConversionPair, ConversionScheme, GlueCache, GlueCacheStats};
 pub use fuel::Fuel;
@@ -46,4 +46,3 @@ pub use outcome::{ErrorCode, Outcome};
 pub use stats::{CaseReport, OutcomeClass, RunStats, ScenarioRecord, StageTimings, SweepReport};
 pub use symbol::{int_chars, Var};
 pub use telemetry::{OpClass, VmCounters};
-pub use world::StepIndex;

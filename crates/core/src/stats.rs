@@ -88,8 +88,10 @@ pub struct StageTimings {
     pub model_check_ns: u64,
     /// The engine's own time: a batch's wall-clock minus the five stages
     /// above, split evenly over the batch's scenarios.  It holds rendering
-    /// the program, building the record and, on `--broken` sweeps,
-    /// counterexample shrinking, which is not timed as a stage of its own.
+    /// the claimed type, sizing the program ([`crate::CaseStudy::measure`]),
+    /// building the record, dropping the batch's programs and run reports
+    /// and, on `--broken` sweeps, counterexample shrinking, which is not
+    /// timed as a stage of its own.
     pub other_ns: u64,
 }
 
@@ -150,10 +152,11 @@ pub struct ScenarioRecord {
     /// with the benchmark change that retires that replay.
     pub ty: String,
     /// Length of the program's rendering in characters — the stable size
-    /// every digest totals as `chars=`.  The engine counts it structurally
-    /// ([`crate::CaseStudy::program_chars`]) and renders nothing for it.
+    /// every digest totals as `chars=`.  The engine counts it structurally,
+    /// in the one [`crate::CaseStudy::measure`] walk that also counts
+    /// `boundaries`, and renders nothing for it.
     pub program_chars: usize,
-    /// Syntactic language-boundary count of the program.
+    /// Syntactic language-boundary count of the program (`boundaries=`).
     pub boundaries: usize,
     /// The run projection, if the pipeline reached the run stage.
     pub stats: Option<RunStats>,

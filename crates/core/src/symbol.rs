@@ -36,8 +36,8 @@ impl Var {
     }
 
     /// The length of the variable's rendering in characters, not bytes
-    /// (`ζ` counts one): what every syntax tree's `rendered_chars` walk adds
-    /// for a name.
+    /// (`ζ` counts one): what every syntax tree's `rendered_chars` or
+    /// `measure` walk adds for a name.
     pub fn rendered_chars(&self) -> usize {
         self.0.chars().count()
     }

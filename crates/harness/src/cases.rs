@@ -8,7 +8,7 @@
 
 use affine_interop::harness::{AffProgram, AffSourceType, AffineCase};
 use memgc_interop::harness::{MemGcCase, MgProgram, MgSourceType};
-use semint_core::case::{CaseStudy, CheckFailure, GenProfile, Scenario};
+use semint_core::case::{CaseStudy, CheckFailure, GenProfile, Scenario, Size};
 use semint_core::stats::RunStats;
 use semint_core::Fuel;
 use sharedmem::harness::{SharedMemCase, SmProgram, SourceType};
@@ -367,24 +367,14 @@ impl CaseStudy for AnyCase {
         }
     }
 
-    fn boundary_count(&self, program: &AnyProgram) -> usize {
+    fn measure(&self, program: &AnyProgram) -> Size {
         match (self, program) {
-            (AnyCase::SharedMem(c), AnyProgram::SharedMem(p)) => c.boundary_count(p),
-            (AnyCase::Affine(c), AnyProgram::Affine(p)) => c.boundary_count(p),
-            (AnyCase::MemGc(c), AnyProgram::MemGc(p)) => c.boundary_count(p),
-            // A foreign program has no boundaries *of this case study*.
-            _ => 0,
-        }
-    }
-
-    fn program_chars(&self, program: &AnyProgram) -> usize {
-        match (self, program) {
-            (AnyCase::SharedMem(c), AnyProgram::SharedMem(p)) => c.program_chars(p),
-            (AnyCase::Affine(c), AnyProgram::Affine(p)) => c.program_chars(p),
-            (AnyCase::MemGc(c), AnyProgram::MemGc(p)) => c.program_chars(p),
-            // As with boundaries: a foreign program has no size *in this
-            // case study*.
-            _ => 0,
+            (AnyCase::SharedMem(c), AnyProgram::SharedMem(p)) => c.measure(p),
+            (AnyCase::Affine(c), AnyProgram::Affine(p)) => c.measure(p),
+            (AnyCase::MemGc(c), AnyProgram::MemGc(p)) => c.measure(p),
+            // A foreign program has no size and no boundaries *in this case
+            // study*.
+            _ => Size::default(),
         }
     }
 

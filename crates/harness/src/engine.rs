@@ -208,11 +208,12 @@ fn prepare_generated<C: CaseStudy>(
 ) -> Prepared<C> {
     let seed = scenario.seed;
     let mut timings = StageTimings::default();
+    let size = case.measure(&scenario.program);
     let mut record = ScenarioRecord {
         seed,
         ty: scenario.ty.to_string(),
-        program_chars: case.program_chars(&scenario.program),
-        boundaries: case.boundary_count(&scenario.program),
+        program_chars: size.chars,
+        boundaries: size.boundaries,
         stats: None,
         failure: None,
         timings: None,
@@ -850,11 +851,8 @@ mod tests {
         ) -> Result<(), semint_core::case::CheckFailure> {
             Ok(())
         }
-        fn boundary_count(&self, _p: &SlowDrop) -> usize {
-            0
-        }
-        fn program_chars(&self, _p: &SlowDrop) -> usize {
-            4
+        fn measure(&self, _p: &SlowDrop) -> semint_core::Size {
+            semint_core::Size::chars(4)
         }
     }
 

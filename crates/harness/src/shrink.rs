@@ -4,19 +4,20 @@
 //! engine searches for a smaller program with the same failure.  Each case
 //! study's [`CaseStudy::shrink`] proposes *immediate* subterms; the shrinker
 //! closes them transitively (bounded by [`MAX_CANDIDATES`]), orders them
-//! smallest first by [`CaseStudy::program_chars`], breaking a size tie by
-//! rendering, and replaces the current witness with the first candidate the
-//! failing check still rejects.  Going through the transitive closure
-//! matters: a failing subterm is often nested under intermediate terms that
-//! do not themselves fail (e.g. a failing `bool` expression sitting inside a
-//! sound pair), which a purely greedy parent-to-child descent could never
-//! reach.
+//! smallest first by the rendered length that [`CaseStudy::measure`]
+//! counts, breaking a size tie by rendering, and replaces the current
+//! witness with the first candidate the failing check still rejects.  Going
+//! through the transitive closure matters: a failing subterm is often nested
+//! under intermediate terms that do not themselves fail (e.g. a failing
+//! `bool` expression sitting inside a sound pair), which a purely greedy
+//! parent-to-child descent could never reach.
 //!
 //! The case studies keep expression subtrees behind `Arc`, so a candidate
 //! shares its subtrees with the program it came from: proposing, keeping and
 //! dropping one is pointer work, as is the clone of the failing program a
 //! shrink starts from (`tests/program_sharing.rs`).  What a candidate costs
-//! is the walk that sizes it and, on a size tie, its rendering.
+//! is the one `measure` walk that sizes it and, on a size tie, its
+//! rendering.
 
 use semint_core::case::CaseStudy;
 use std::collections::btree_map::Entry;
@@ -41,7 +42,7 @@ struct Candidate<P> {
 }
 
 /// All distinct proper subterms of `program`, smallest first: ordered by
-/// size ([`CaseStudy::program_chars`]), then by rendering.
+/// size (the `chars` of [`CaseStudy::measure`]), then by rendering.
 ///
 /// Subterms are met breadth first, and of several with the same rendering
 /// only the first met is kept and expanded; the result's order is that of
@@ -58,7 +59,7 @@ fn subterm_candidates<C: CaseStudy>(case: &C, program: &C::Program) -> Vec<C::Pr
         if kept.len() >= MAX_CANDIDATES {
             break;
         }
-        let size = case.program_chars(&program);
+        let size = case.measure(&program).chars;
         let (tied, rendering) = match latest_of_size.entry(size) {
             Entry::Vacant(slot) => {
                 slot.insert(kept.len());
@@ -141,7 +142,7 @@ pub fn shrink_failure<C: CaseStudy>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use semint_core::case::{CheckFailure, GenProfile, Scenario};
+    use semint_core::case::{CheckFailure, GenProfile, Scenario, Size};
     use semint_core::stats::{OutcomeClass, RunStats};
     use semint_core::Fuel;
 
@@ -206,11 +207,8 @@ mod tests {
                 counters: Default::default(),
             }
         }
-        fn boundary_count(&self, _p: &Depth) -> usize {
-            0
-        }
-        fn program_chars(&self, p: &Depth) -> usize {
-            p.0
+        fn measure(&self, p: &Depth) -> Size {
+            Size::chars(p.0)
         }
         fn model_budget(&self) -> Fuel {
             Fuel::steps(0)

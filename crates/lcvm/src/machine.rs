@@ -220,11 +220,6 @@ impl Machine {
         self.halted = None;
     }
 
-    /// The heap (useful mid-run in tests).
-    pub fn heap(&self) -> &Heap {
-        &self.heap
-    }
-
     /// True if the machine can take no further step.
     pub fn is_terminal(&self) -> bool {
         self.halted.is_some()

@@ -9,7 +9,7 @@ use crate::model::{check_transfer_soundness, halt_type_safe, CHECK_FUEL};
 use crate::syntax::{L3Expr, L3Type, PolyExpr, PolyType};
 use crate::typecheck::{check_l3, check_poly, MemGcCtx};
 use lcvm::{Expr, Halt, Machine, RunResult};
-use semint_core::case::{CaseStudy, CheckFailure, GenProfile, Scenario};
+use semint_core::case::{CaseStudy, CheckFailure, GenProfile, Scenario, Size};
 use semint_core::stats::RunStats;
 use semint_core::{Fuel, GlueCacheStats};
 use std::fmt;
@@ -293,17 +293,10 @@ impl CaseStudy for MemGcCase {
         out
     }
 
-    fn boundary_count(&self, program: &MgProgram) -> usize {
+    fn measure(&self, program: &MgProgram) -> Size {
         match program {
-            MgProgram::Ml(e) => e.boundary_count(),
-            MgProgram::L3(e) => e.boundary_count(),
-        }
-    }
-
-    fn program_chars(&self, program: &MgProgram) -> usize {
-        match program {
-            MgProgram::Ml(e) => e.rendered_chars(),
-            MgProgram::L3(e) => e.rendered_chars(),
+            MgProgram::Ml(e) => e.measure(),
+            MgProgram::L3(e) => e.measure(),
         }
     }
 

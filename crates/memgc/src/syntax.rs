@@ -7,7 +7,7 @@
 //! counts: generator annotations, typing contexts, glue-cache keys and
 //! shrink candidates share their subtrees instead of copying them.
 
-use semint_core::Var;
+use semint_core::{Size, Var};
 use std::fmt;
 use std::sync::Arc;
 
@@ -551,61 +551,6 @@ impl L3Expr {
     }
 }
 
-impl PolyExpr {
-    /// Number of syntactic language boundaries `⦇·⦈`, counted structurally
-    /// (one tree walk, no rendering) across both embedded languages.
-    pub fn boundary_count(&self) -> usize {
-        match self {
-            PolyExpr::Unit | PolyExpr::Int(_) | PolyExpr::Var(_) => 0,
-            PolyExpr::Fst(e)
-            | PolyExpr::Snd(e)
-            | PolyExpr::Inl(e, _)
-            | PolyExpr::Inr(e, _)
-            | PolyExpr::Lam(_, _, e)
-            | PolyExpr::TyLam(_, e)
-            | PolyExpr::TyApp(e, _)
-            | PolyExpr::Ref(e)
-            | PolyExpr::Deref(e) => e.boundary_count(),
-            PolyExpr::Pair(a, b)
-            | PolyExpr::App(a, b)
-            | PolyExpr::Assign(a, b)
-            | PolyExpr::Add(a, b) => a.boundary_count() + b.boundary_count(),
-            PolyExpr::Match(s, _, l, _, r) => {
-                s.boundary_count() + l.boundary_count() + r.boundary_count()
-            }
-            PolyExpr::Boundary(e, _) => 1 + e.boundary_count(),
-        }
-    }
-}
-
-impl L3Expr {
-    /// Number of syntactic language boundaries `⦇·⦈`, counted structurally
-    /// (one tree walk, no rendering) across both embedded languages.
-    pub fn boundary_count(&self) -> usize {
-        match self {
-            L3Expr::Unit | L3Expr::Bool(_) | L3Expr::Var(_) | L3Expr::UVar(_) => 0,
-            L3Expr::Lam(_, _, e)
-            | L3Expr::Bang(e)
-            | L3Expr::Dupl(e)
-            | L3Expr::Drop(e)
-            | L3Expr::New(e)
-            | L3Expr::Free(e)
-            | L3Expr::LocLam(_, e)
-            | L3Expr::LocApp(e, _)
-            | L3Expr::Pack(_, e, _) => e.boundary_count(),
-            L3Expr::App(a, b)
-            | L3Expr::Pair(a, b)
-            | L3Expr::LetPair(_, _, a, b)
-            | L3Expr::LetUnit(a, b)
-            | L3Expr::LetBang(_, a, b)
-            | L3Expr::Unpack(_, _, a, b) => a.boundary_count() + b.boundary_count(),
-            L3Expr::If(c, t, e) => c.boundary_count() + t.boundary_count() + e.boundary_count(),
-            L3Expr::Swap(a, b, c) => a.boundary_count() + b.boundary_count() + c.boundary_count(),
-            L3Expr::Boundary(e, _) => 1 + e.boundary_count(),
-        }
-    }
-}
-
 impl fmt::Display for PolyExpr {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -632,38 +577,33 @@ impl fmt::Display for PolyExpr {
 }
 
 impl PolyExpr {
-    /// The length of this program's rendering in characters, counted arm
-    /// for arm beside [`fmt::Display`] without formatting anything.
-    pub fn rendered_chars(&self) -> usize {
+    /// This program's rendered length in characters and its boundaries
+    /// `⦇·⦈` in both languages, counted arm for arm beside [`fmt::Display`]
+    /// without formatting anything.
+    pub fn measure(&self) -> Size {
         match self {
-            PolyExpr::Unit => 2,
-            PolyExpr::Int(n) => semint_core::int_chars(*n),
-            PolyExpr::Var(x) => x.rendered_chars(),
-            PolyExpr::Pair(a, b) | PolyExpr::Assign(a, b) => {
-                4 + a.rendered_chars() + b.rendered_chars()
-            }
+            PolyExpr::Unit => Size::chars(2),
+            PolyExpr::Int(n) => Size::chars(semint_core::int_chars(*n)),
+            PolyExpr::Var(x) => Size::chars(x.rendered_chars()),
+            PolyExpr::Pair(a, b) | PolyExpr::Assign(a, b) => 4 + a.measure() + b.measure(),
             PolyExpr::Fst(e)
             | PolyExpr::Snd(e)
             | PolyExpr::Inl(e, _)
             | PolyExpr::Inr(e, _)
-            | PolyExpr::Ref(e) => 4 + e.rendered_chars(),
+            | PolyExpr::Ref(e) => 4 + e.measure(),
             PolyExpr::Match(s, x, l, y, r) => {
-                12 + s.rendered_chars()
+                12 + s.measure()
                     + x.rendered_chars()
-                    + l.rendered_chars()
+                    + l.measure()
                     + y.rendered_chars()
-                    + r.rendered_chars()
+                    + r.measure()
             }
-            PolyExpr::Lam(x, ty, b) => {
-                4 + x.rendered_chars() + ty.rendered_chars() + b.rendered_chars()
-            }
-            PolyExpr::App(a, b) | PolyExpr::Add(a, b) => {
-                5 + a.rendered_chars() + b.rendered_chars()
-            }
-            PolyExpr::TyLam(a, b) => 3 + a.rendered_chars() + b.rendered_chars(),
-            PolyExpr::TyApp(e, ty) => 3 + e.rendered_chars() + ty.rendered_chars(),
-            PolyExpr::Deref(e) => 1 + e.rendered_chars(),
-            PolyExpr::Boundary(e, ty) => 2 + e.rendered_chars() + ty.rendered_chars(),
+            PolyExpr::Lam(x, ty, b) => 4 + x.rendered_chars() + ty.rendered_chars() + b.measure(),
+            PolyExpr::App(a, b) | PolyExpr::Add(a, b) => 5 + a.measure() + b.measure(),
+            PolyExpr::TyLam(a, b) => 3 + a.rendered_chars() + b.measure(),
+            PolyExpr::TyApp(e, ty) => 3 + e.measure() + ty.rendered_chars(),
+            PolyExpr::Deref(e) => 1 + e.measure(),
+            PolyExpr::Boundary(e, ty) => Size::boundary(2) + e.measure() + ty.rendered_chars(),
         }
     }
 }
@@ -697,40 +637,32 @@ impl fmt::Display for L3Expr {
 }
 
 impl L3Expr {
-    /// The length of this program's rendering in characters, counted arm
-    /// for arm beside [`fmt::Display`] without formatting anything.
-    pub fn rendered_chars(&self) -> usize {
+    /// This program's rendered length in characters and its boundaries
+    /// `⦇·⦈` in both languages, counted arm for arm beside [`fmt::Display`]
+    /// without formatting anything.
+    pub fn measure(&self) -> Size {
         match self {
-            L3Expr::Unit => 2,
-            L3Expr::Bool(true) => 4,
-            L3Expr::Bool(false) => 5,
-            L3Expr::Var(x) | L3Expr::UVar(x) => x.rendered_chars(),
-            L3Expr::Lam(x, ty, b) => {
-                4 + x.rendered_chars() + ty.rendered_chars() + b.rendered_chars()
-            }
-            L3Expr::App(a, b) => 5 + a.rendered_chars() + b.rendered_chars(),
-            L3Expr::Pair(a, b) => 4 + a.rendered_chars() + b.rendered_chars(),
+            L3Expr::Unit => Size::chars(2),
+            L3Expr::Bool(true) => Size::chars(4),
+            L3Expr::Bool(false) => Size::chars(5),
+            L3Expr::Var(x) | L3Expr::UVar(x) => Size::chars(x.rendered_chars()),
+            L3Expr::Lam(x, ty, b) => 4 + x.rendered_chars() + ty.rendered_chars() + b.measure(),
+            L3Expr::App(a, b) => 5 + a.measure() + b.measure(),
+            L3Expr::Pair(a, b) => 4 + a.measure() + b.measure(),
             L3Expr::LetPair(x, y, e, b) | L3Expr::Unpack(x, y, e, b) => {
-                15 + x.rendered_chars()
-                    + y.rendered_chars()
-                    + e.rendered_chars()
-                    + b.rendered_chars()
+                15 + x.rendered_chars() + y.rendered_chars() + e.measure() + b.measure()
             }
-            L3Expr::LetUnit(e, b) => 13 + e.rendered_chars() + b.rendered_chars(),
-            L3Expr::If(c, t, e) => 5 + c.rendered_chars() + t.rendered_chars() + e.rendered_chars(),
-            L3Expr::Bang(e) => 1 + e.rendered_chars(),
-            L3Expr::LetBang(x, e, b) => {
-                12 + x.rendered_chars() + e.rendered_chars() + b.rendered_chars()
-            }
-            L3Expr::Dupl(e) | L3Expr::Drop(e) | L3Expr::Free(e) => 5 + e.rendered_chars(),
-            L3Expr::New(e) => 4 + e.rendered_chars(),
-            L3Expr::Swap(c, p, v) => {
-                7 + c.rendered_chars() + p.rendered_chars() + v.rendered_chars()
-            }
-            L3Expr::LocLam(z, b) => 3 + z.rendered_chars() + b.rendered_chars(),
-            L3Expr::LocApp(e, z) => 3 + e.rendered_chars() + z.rendered_chars(),
-            L3Expr::Pack(z, e, _) => 4 + z.rendered_chars() + e.rendered_chars(),
-            L3Expr::Boundary(e, ty) => 2 + e.rendered_chars() + ty.rendered_chars(),
+            L3Expr::LetUnit(e, b) => 13 + e.measure() + b.measure(),
+            L3Expr::If(c, t, e) => 5 + c.measure() + t.measure() + e.measure(),
+            L3Expr::Bang(e) => 1 + e.measure(),
+            L3Expr::LetBang(x, e, b) => 12 + x.rendered_chars() + e.measure() + b.measure(),
+            L3Expr::Dupl(e) | L3Expr::Drop(e) | L3Expr::Free(e) => 5 + e.measure(),
+            L3Expr::New(e) => 4 + e.measure(),
+            L3Expr::Swap(c, p, v) => 7 + c.measure() + p.measure() + v.measure(),
+            L3Expr::LocLam(z, b) => 3 + z.rendered_chars() + b.measure(),
+            L3Expr::LocApp(e, z) => 3 + e.measure() + z.rendered_chars(),
+            L3Expr::Pack(z, e, _) => 4 + z.rendered_chars() + e.measure(),
+            L3Expr::Boundary(e, ty) => Size::boundary(2) + e.measure() + ty.rendered_chars(),
         }
     }
 }
@@ -828,12 +760,17 @@ mod tests {
             poly_ty.rendered_chars(),
             poly_ty.to_string().chars().count()
         );
-        assert_eq!(l3.rendered_chars(), l3.to_string().chars().count(), "{l3}");
-        assert_eq!(
-            poly.rendered_chars(),
-            poly.to_string().chars().count(),
-            "{poly}"
-        );
+        assert_eq!(l3.measure(), rendered(&l3), "{l3}");
+        assert_eq!(poly.measure(), rendered(&poly), "{poly}");
+    }
+
+    /// The size a rendering shows: its characters and its `⦇`s.
+    fn rendered(e: &impl fmt::Display) -> Size {
+        let text = e.to_string();
+        Size {
+            chars: text.chars().count(),
+            boundaries: text.matches('⦇').count(),
+        }
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! counts: generator annotations, typing contexts, glue-cache keys and
 //! shrink candidates share their subtrees instead of copying them.
 
-use semint_core::Var;
+use semint_core::{Size, Var};
 use std::fmt;
 use std::sync::Arc;
 
@@ -260,29 +260,6 @@ impl HlExpr {
     pub fn boundary(e: LlExpr, ty: HlType) -> HlExpr {
         HlExpr::Boundary(Arc::new(e), ty)
     }
-
-    /// Number of syntactic language boundaries `⦇·⦈`, counted structurally
-    /// (one tree walk, no rendering) across both embedded languages.
-    pub fn boundary_count(&self) -> usize {
-        match self {
-            HlExpr::Unit | HlExpr::Bool(_) | HlExpr::Var(_) => 0,
-            HlExpr::Inl(e, _)
-            | HlExpr::Inr(e, _)
-            | HlExpr::Fst(e)
-            | HlExpr::Snd(e)
-            | HlExpr::Ref(e)
-            | HlExpr::Deref(e)
-            | HlExpr::Lam(_, _, e) => e.boundary_count(),
-            HlExpr::Pair(a, b) | HlExpr::App(a, b) | HlExpr::Assign(a, b) => {
-                a.boundary_count() + b.boundary_count()
-            }
-            HlExpr::If(a, b, c) => a.boundary_count() + b.boundary_count() + c.boundary_count(),
-            HlExpr::Match(s, _, l, _, r) => {
-                s.boundary_count() + l.boundary_count() + r.boundary_count()
-            }
-            HlExpr::Boundary(e, _) => 1 + e.boundary_count(),
-        }
-    }
 }
 
 /// RefLL expressions (Fig. 1).
@@ -388,22 +365,6 @@ impl LlExpr {
     pub fn boundary(e: HlExpr, ty: LlType) -> LlExpr {
         LlExpr::Boundary(Arc::new(e), ty)
     }
-
-    /// Number of syntactic language boundaries `⦇·⦈`, counted structurally
-    /// (one tree walk, no rendering) across both embedded languages.
-    pub fn boundary_count(&self) -> usize {
-        match self {
-            LlExpr::Int(_) | LlExpr::Var(_) => 0,
-            LlExpr::Array(es, _) => es.iter().map(LlExpr::boundary_count).sum(),
-            LlExpr::Index(a, b) | LlExpr::App(a, b) | LlExpr::Add(a, b) | LlExpr::Assign(a, b) => {
-                a.boundary_count() + b.boundary_count()
-            }
-            LlExpr::Lam(_, _, b) => b.boundary_count(),
-            LlExpr::If0(a, b, c) => a.boundary_count() + b.boundary_count() + c.boundary_count(),
-            LlExpr::Ref(e) | LlExpr::Deref(e) => e.boundary_count(),
-            LlExpr::Boundary(e, _) => 1 + e.boundary_count(),
-        }
-    }
 }
 
 impl fmt::Display for HlExpr {
@@ -430,35 +391,32 @@ impl fmt::Display for HlExpr {
 }
 
 impl HlExpr {
-    /// The length of this program's rendering in characters, counted arm
-    /// for arm beside [`fmt::Display`] without formatting anything.
-    pub fn rendered_chars(&self) -> usize {
+    /// This program's rendered length in characters and its boundaries
+    /// `⦇·⦈` in both languages, counted arm for arm beside [`fmt::Display`]
+    /// without formatting anything.
+    pub fn measure(&self) -> Size {
         match self {
-            HlExpr::Unit => 2,
-            HlExpr::Bool(true) => 4,
-            HlExpr::Bool(false) => 5,
-            HlExpr::Var(x) => x.rendered_chars(),
+            HlExpr::Unit => Size::chars(2),
+            HlExpr::Bool(true) => Size::chars(4),
+            HlExpr::Bool(false) => Size::chars(5),
+            HlExpr::Var(x) => Size::chars(x.rendered_chars()),
             HlExpr::Inl(e, _) | HlExpr::Inr(e, _) | HlExpr::Fst(e) | HlExpr::Snd(e) => {
-                4 + e.rendered_chars()
+                4 + e.measure()
             }
-            HlExpr::Pair(a, b) | HlExpr::Assign(a, b) => {
-                4 + a.rendered_chars() + b.rendered_chars()
-            }
-            HlExpr::If(c, t, e) => 5 + c.rendered_chars() + t.rendered_chars() + e.rendered_chars(),
+            HlExpr::Pair(a, b) | HlExpr::Assign(a, b) => 4 + a.measure() + b.measure(),
+            HlExpr::If(c, t, e) => 5 + c.measure() + t.measure() + e.measure(),
             HlExpr::Match(s, x, l, y, r) => {
-                12 + s.rendered_chars()
+                12 + s.measure()
                     + x.rendered_chars()
-                    + l.rendered_chars()
+                    + l.measure()
                     + y.rendered_chars()
-                    + r.rendered_chars()
+                    + r.measure()
             }
-            HlExpr::Lam(x, ty, b) => {
-                4 + x.rendered_chars() + ty.rendered_chars() + b.rendered_chars()
-            }
-            HlExpr::App(a, b) => 5 + a.rendered_chars() + b.rendered_chars(),
-            HlExpr::Ref(e) => 4 + e.rendered_chars(),
-            HlExpr::Deref(e) => 1 + e.rendered_chars(),
-            HlExpr::Boundary(e, ty) => 2 + e.rendered_chars() + ty.rendered_chars(),
+            HlExpr::Lam(x, ty, b) => 4 + x.rendered_chars() + ty.rendered_chars() + b.measure(),
+            HlExpr::App(a, b) => 5 + a.measure() + b.measure(),
+            HlExpr::Ref(e) => 4 + e.measure(),
+            HlExpr::Deref(e) => 1 + e.measure(),
+            HlExpr::Boundary(e, ty) => Size::boundary(2) + e.measure() + ty.rendered_chars(),
         }
     }
 }
@@ -492,28 +450,24 @@ impl fmt::Display for LlExpr {
 }
 
 impl LlExpr {
-    /// The length of this program's rendering in characters, counted arm
-    /// for arm beside [`fmt::Display`] without formatting anything.
-    pub fn rendered_chars(&self) -> usize {
+    /// This program's rendered length in characters and its boundaries
+    /// `⦇·⦈` in both languages, counted arm for arm beside [`fmt::Display`]
+    /// without formatting anything.
+    pub fn measure(&self) -> Size {
         match self {
-            LlExpr::Int(n) => semint_core::int_chars(*n),
-            LlExpr::Var(x) => x.rendered_chars(),
+            LlExpr::Int(n) => Size::chars(semint_core::int_chars(*n)),
+            LlExpr::Var(x) => Size::chars(x.rendered_chars()),
             LlExpr::Array(es, _) => {
-                2 + 2 * es.len().saturating_sub(1)
-                    + es.iter().map(LlExpr::rendered_chars).sum::<usize>()
+                2 + 2 * es.len().saturating_sub(1) + es.iter().map(LlExpr::measure).sum::<Size>()
             }
-            LlExpr::Index(a, i) => 2 + a.rendered_chars() + i.rendered_chars(),
-            LlExpr::Lam(x, ty, b) => {
-                4 + x.rendered_chars() + ty.rendered_chars() + b.rendered_chars()
-            }
-            LlExpr::App(a, b) | LlExpr::Add(a, b) => 5 + a.rendered_chars() + b.rendered_chars(),
-            LlExpr::If0(c, t, e) => {
-                6 + c.rendered_chars() + t.rendered_chars() + e.rendered_chars()
-            }
-            LlExpr::Ref(e) => 4 + e.rendered_chars(),
-            LlExpr::Deref(e) => 1 + e.rendered_chars(),
-            LlExpr::Assign(a, b) => 4 + a.rendered_chars() + b.rendered_chars(),
-            LlExpr::Boundary(e, ty) => 2 + e.rendered_chars() + ty.rendered_chars(),
+            LlExpr::Index(a, i) => 2 + a.measure() + i.measure(),
+            LlExpr::Lam(x, ty, b) => 4 + x.rendered_chars() + ty.rendered_chars() + b.measure(),
+            LlExpr::App(a, b) | LlExpr::Add(a, b) => 5 + a.measure() + b.measure(),
+            LlExpr::If0(c, t, e) => 6 + c.measure() + t.measure() + e.measure(),
+            LlExpr::Ref(e) => 4 + e.measure(),
+            LlExpr::Deref(e) => 1 + e.measure(),
+            LlExpr::Assign(a, b) => 4 + a.measure() + b.measure(),
+            LlExpr::Boundary(e, ty) => Size::boundary(2) + e.measure() + ty.rendered_chars(),
         }
     }
 }
@@ -580,8 +534,17 @@ mod tests {
         );
         assert_eq!(hl_ty.rendered_chars(), hl_ty.to_string().chars().count());
         assert_eq!(ll_ty.rendered_chars(), ll_ty.to_string().chars().count());
-        assert_eq!(ll.rendered_chars(), ll.to_string().chars().count(), "{ll}");
-        assert_eq!(hl.rendered_chars(), hl.to_string().chars().count(), "{hl}");
+        assert_eq!(ll.measure(), rendered(&ll), "{ll}");
+        assert_eq!(hl.measure(), rendered(&hl), "{hl}");
+    }
+
+    /// The size a rendering shows: its characters and its `⦇`s.
+    fn rendered(e: &impl fmt::Display) -> Size {
+        let text = e.to_string();
+        Size {
+            chars: text.chars().count(),
+            boundaries: text.matches('⦇').count(),
+        }
     }
 
     #[test]
@@ -595,9 +558,9 @@ mod tests {
         let outer = HlExpr::boundary(inner, HlType::Bool);
         assert!(outer.to_string().contains("⦇"));
         // The structural counter agrees with the rendered half-brackets.
-        assert_eq!(outer.boundary_count(), 2);
+        assert_eq!(outer.measure().boundaries, 2);
         assert_eq!(
-            outer.boundary_count(),
+            outer.measure().boundaries,
             outer.to_string().matches('⦇').count()
         );
     }

@@ -10,7 +10,7 @@ use crate::model::{
 use reflang::compile::{compile_hl, compile_ll};
 use reflang::syntax::{HlExpr, HlType, LlExpr, LlType};
 use reflang::typecheck::{check_hl, check_ll, TypeCtx};
-use semint_core::case::{CaseStudy, CheckFailure, GenProfile, Scenario};
+use semint_core::case::{CaseStudy, CheckFailure, GenProfile, Scenario, Size};
 use semint_core::convert::ConversionScheme;
 use semint_core::stats::RunStats;
 use semint_core::{Fuel, GlueCacheStats};
@@ -304,17 +304,10 @@ impl CaseStudy for SharedMemCase {
         out
     }
 
-    fn boundary_count(&self, program: &SmProgram) -> usize {
+    fn measure(&self, program: &SmProgram) -> Size {
         match program {
-            SmProgram::Hl(e) => e.boundary_count(),
-            SmProgram::Ll(e) => e.boundary_count(),
-        }
-    }
-
-    fn program_chars(&self, program: &SmProgram) -> usize {
-        match program {
-            SmProgram::Hl(e) => e.rendered_chars(),
-            SmProgram::Ll(e) => e.rendered_chars(),
+            SmProgram::Hl(e) => e.measure(),
+            SmProgram::Ll(e) => e.measure(),
         }
     }
 
@@ -436,7 +429,7 @@ mod tests {
             ),
             HlType::Bool,
         ));
-        assert_eq!(case.boundary_count(&p), 2);
+        assert_eq!(case.measure(&p).boundaries, 2);
     }
 
     #[test]

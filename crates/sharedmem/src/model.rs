@@ -31,7 +31,7 @@
 
 use crate::convert::SharedMemConversions;
 use reflang::syntax::{HlType, LlType};
-use semint_core::{CheckFailure, ErrorCode, Fuel, Outcome, StepIndex};
+use semint_core::{CheckFailure, ErrorCode, Fuel, Outcome};
 use stacklang::{Heap, Instr, Loc, Machine, Program, RunResult, StackState, Value};
 use std::collections::BTreeMap;
 use std::fmt;
@@ -107,7 +107,7 @@ pub fn interp_equal(a: &SemType, b: &SemType) -> bool {
 #[derive(Debug, Clone, PartialEq)]
 pub struct World {
     /// The step budget `W.k`.
-    pub k: StepIndex,
+    pub k: u64,
     /// The heap typing `W.Ψ`, mapping locations to the (source) type whose
     /// interpretation they must hold.
     pub heap_typing: BTreeMap<Loc, SemType>,
@@ -117,7 +117,7 @@ impl World {
     /// A world with the given budget and empty heap typing.
     pub fn new(k: u64) -> World {
         World {
-            k: StepIndex::new(k),
+            k,
             heap_typing: BTreeMap::new(),
         }
     }
@@ -131,7 +131,7 @@ impl World {
     /// `W' ⊒ W`: the future world may have a smaller budget and must preserve
     /// every existing heap-typing entry at an equal interpretation.
     pub fn extended_by(&self, future: &World) -> bool {
-        if future.k.get() > self.k.get() {
+        if future.k > self.k {
             return false;
         }
         self.heap_typing.iter().all(|(l, ty)| {
@@ -275,7 +275,7 @@ pub fn expr_in(world: &World, heap: Heap, program: &Program, ty: &SemType) -> bo
 
 fn expr_in_depth(world: &World, heap: Heap, program: &Program, ty: &SemType, depth: usize) -> bool {
     let machine = Machine::with_state(heap, StackState::empty(), program.clone());
-    let result = machine.run(Fuel::steps(world.k.get()));
+    let result = machine.run(Fuel::steps(world.k));
     run_in_depth(world, &result, ty, depth)
 }
 
@@ -295,9 +295,9 @@ fn run_in_depth(world: &World, result: &RunResult, ty: &SemType, depth: usize) -
         Outcome::Value(v) => {
             // Build the future world: the budget shrinks by the steps
             // taken; existing heap-typing entries persist.
-            let k_left = world.k.get().saturating_sub(result.steps);
+            let k_left = world.k.saturating_sub(result.steps);
             let future = World {
-                k: StepIndex::new(k_left),
+                k: k_left,
                 heap_typing: world.heap_typing.clone(),
             };
             value_in_depth(&future, &result.heap, v, ty, depth)
@@ -736,22 +736,19 @@ mod tests {
         let w = World::new(10).with_loc(Loc(0), HlType::Bool);
         // Extension is reflexive, and lowering the budget is an extension.
         assert!(w.extended_by(&w));
-        let lowered = World {
-            k: StepIndex::new(9),
-            ..w.clone()
-        };
+        let lowered = World { k: 9, ..w.clone() };
         assert!(w.extended_by(&lowered));
         // Forgetting a location is not an extension; relabelling bool as int is.
         let forgot = World::new(5);
         assert!(!w.extended_by(&forgot));
         let relabelled = World {
-            k: StepIndex::new(5),
+            k: 5,
             heap_typing: BTreeMap::from([(Loc(0), SemType::Ll(LlType::Int))]),
         };
         assert!(w.extended_by(&relabelled));
         // Raising the budget is not an extension.
         let raised = World {
-            k: StepIndex::new(50),
+            k: 50,
             heap_typing: w.heap_typing.clone(),
         };
         assert!(!w.extended_by(&raised));

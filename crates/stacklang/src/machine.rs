@@ -198,16 +198,6 @@ impl Machine {
         }
     }
 
-    /// The current heap.
-    pub fn heap(&self) -> &Heap {
-        &self.heap
-    }
-
-    /// The current stack.
-    pub fn stack(&self) -> &StackState {
-        &self.stack
-    }
-
     /// True if the machine can take no further step.
     pub fn is_terminal(&self) -> bool {
         self.frames.is_empty() || matches!(self.stack, StackState::Fail(_))
@@ -755,7 +745,7 @@ mod tests {
         while !reused.is_terminal() {
             reused.step();
         }
-        assert!(matches!(reused.stack(), StackState::Fail(_)));
+        assert!(matches!(reused.stack, StackState::Fail(_)));
         let p = Program::from(vec![Instr::push_num(21), dup(), Instr::Add]);
         reused.reset(p.clone());
         assert_eq!(

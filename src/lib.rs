@@ -8,7 +8,7 @@
 //!
 //! | module | contents |
 //! |---|---|
-//! | [`core`] | the framework vocabulary: the [`core::convert::ConversionScheme`] judgment and its glue cache, fuel, step indices, the [`core::case::CaseStudy`] trait (the one front door to a language pair) with its [`core::case::GenProfile`], and shared sweep statistics |
+//! | [`core`] | the framework vocabulary: the [`core::convert::ConversionScheme`] judgment and its glue cache, fuel, the [`core::case::CaseStudy`] trait (the one front door to a language pair) with its [`core::case::GenProfile`] and program [`core::case::Size`], and shared sweep statistics |
 //! | [`stacklang`] | the untyped stack-machine target of case study 1 (Fig. 2) |
 //! | [`lcvm`] | the Scheme-like target of case studies 2–3, with GC'd + manual memory and the phantom-flag augmented semantics |
 //! | [`reflang`] | RefHL and RefLL, their type systems and compilers (Fig. 1, 3) |

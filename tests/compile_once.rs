@@ -20,7 +20,7 @@ use semint::harness::cases::{AnyCase, AnyCompiled, AnyEvidence, AnyProgram, AnyR
 use semint::harness::engine::{run_scenario, sweep_case, SweepConfig};
 use semint::harness::source::SeedRange;
 use semint::harness::CaseStudy;
-use semint_core::case::{CheckFailure, GenProfile, Scenario};
+use semint_core::case::{CheckFailure, GenProfile, Scenario, Size};
 use semint_core::stats::{CaseReport, FailStage, FailureRecord, RunStats, ScenarioRecord};
 use semint_core::Fuel;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -128,12 +128,8 @@ impl CaseStudy for CountingCase {
         self.inner.shrink(program)
     }
 
-    fn boundary_count(&self, program: &AnyProgram) -> usize {
-        self.inner.boundary_count(program)
-    }
-
-    fn program_chars(&self, program: &AnyProgram) -> usize {
-        self.inner.program_chars(program)
+    fn measure(&self, program: &AnyProgram) -> Size {
+        self.inner.measure(program)
     }
 }
 
@@ -252,7 +248,7 @@ fn recompiling_record(case: &AnyCase, seed: u64, cfg: &SweepConfig) -> ScenarioR
         seed,
         ty: scenario.ty.to_string(),
         program_chars: rendered.chars().count(),
-        boundaries: case.boundary_count(&scenario.program),
+        boundaries: case.measure(&scenario.program).boundaries,
         stats: None,
         failure: None,
         timings: None,

@@ -5,7 +5,7 @@
 
 use proptest::prelude::*;
 use semint::core::convert::ConversionScheme;
-use semint::core::{ErrorCode, Fuel, Outcome, StepIndex};
+use semint::core::{ErrorCode, Fuel, Outcome};
 use semint::reflang::syntax::{HlType, LlType};
 use semint::sharedmem::convert::SharedMemConversions;
 use semint::sharedmem::model::{interp_equal, SemType, World};
@@ -47,12 +47,12 @@ fn all_case_study_worlds_satisfy_the_world_laws() {
     // Extension is reflexive, and lowering the index is an extension.
     assert!(w.extended_by(&w));
     assert!(w.extended_by(&World {
-        k: StepIndex::new(10),
+        k: 10,
         heap_typing: w.heap_typing.clone()
     }));
     // Raising the index is not, and neither is forgetting a location.
     assert!(!w.extended_by(&World {
-        k: StepIndex::new(65),
+        k: 65,
         heap_typing: w.heap_typing.clone()
     }));
     assert!(!w.extended_by(&World::new(64)));

@@ -20,7 +20,7 @@ use semint::memgc::harness::MgSourceType;
 use semint::memgc::{L3Type, PolyType};
 use semint::reflang::syntax::{HlType, LlType};
 use semint::sharedmem::harness::SourceType;
-use semint_core::case::GenProfile;
+use semint_core::case::{GenProfile, Size};
 use semint_core::stats::SweepReport;
 
 // ---------------------------------------------------------------------------
@@ -219,8 +219,8 @@ fn sharded_sweeps_merge_into_the_unsharded_digests() {
     assert_eq!(digests(&whole), digests(&merged));
 }
 
-/// The sizes a sweep digests (`boundaries=` and `chars=`) come from
-/// structural counters; both agree with the rendering — the `⦇`
+/// The sizes a sweep digests (`boundaries=` and `chars=`) come from one
+/// structural walk, `CaseStudy::measure`; both agree with the rendering — the `⦇`
 /// half-brackets and the character count — on every generated program
 /// under every preset and on every shrink candidate below it, which reaches
 /// every subterm in both host languages.
@@ -228,7 +228,7 @@ fn sharded_sweeps_merge_into_the_unsharded_digests() {
 fn structural_boundary_counts_agree_with_the_rendering() {
     fn check(case: &AnyCase, program: &AnyProgram, seed: u64, profile: &str) {
         let rendered = program.to_string();
-        let (boundaries, chars) = (case.boundary_count(program), case.program_chars(program));
+        let Size { boundaries, chars } = case.measure(program);
         assert_eq!(
             (boundaries, chars),
             (rendered.matches('⦇').count(), rendered.chars().count()),

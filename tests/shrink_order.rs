@@ -2,7 +2,7 @@
 //! order: every distinct proper subterm met breadth first through
 //! `CaseStudy::shrink`, duplicates (equal renderings) dropped unexpanded,
 //! cut at `MAX_CANDIDATES` distinct candidates and ordered by
-//! `(program_chars, rendering)`.
+//! `(chars, rendering)`, the `chars` of `CaseStudy::measure`.
 //!
 //! The oracle below is that specification written the plain way, rendering
 //! every candidate into one ordered set; the shrinker renders a candidate
@@ -26,7 +26,7 @@ fn oracle(case: &AnyCase, program: &AnyProgram) -> Vec<String> {
         if candidates.len() >= MAX_CANDIDATES {
             break;
         }
-        if candidates.insert((case.program_chars(&candidate), candidate.to_string())) {
+        if candidates.insert((case.measure(&candidate).chars, candidate.to_string())) {
             queue.extend(case.shrink(&candidate));
         }
     }
