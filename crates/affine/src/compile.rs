@@ -21,11 +21,14 @@
 //! static binder to a fresh target name.
 //!
 //! Boundaries compile to an application of the conversion glue (an ordinary
-//! LCVM function, see [`crate::convert`]) to the compiled term.
+//! LCVM function, see [`crate::convert`]), the matching half of the rule
+//! set's `derive_pair`, to the compiled term.
 
+use crate::convert::AffineConversions;
 use crate::syntax::{AffiExpr, AffiType, MlExpr, MlType, Mode};
-use crate::typecheck::{check_affi, check_ml, AffineConvertOracle, AffineCtx, AffineTypeError};
+use crate::typecheck::{check_affi, check_ml, AffineCtx, AffineTypeError};
 use lcvm::Expr;
+use semint_core::convert::ConversionScheme;
 use semint_core::{ErrorCode, Var};
 use std::collections::{BTreeSet, HashMap};
 use std::fmt;
@@ -77,14 +80,6 @@ pub fn thunk_guard(e: Expr) -> Expr {
     )
 }
 
-/// Supplies conversion glue (LCVM functions) for boundaries.
-pub trait AffineConversionEmitter {
-    /// `C_{𝜏 ↦ τ}`: converts a compiled Affi `𝜏` into a MiniML `τ`.
-    fn affi_to_ml(&self, affi: &AffiType, ml: &MlType) -> Option<Expr>;
-    /// `C_{τ ↦ 𝜏}`: converts a compiled MiniML `τ` into an Affi `𝜏`.
-    fn ml_to_affi(&self, ml: &MlType, affi: &AffiType) -> Option<Expr>;
-}
-
 /// Errors raised during compilation.
 #[derive(Debug, Clone, PartialEq)]
 pub enum CompileError {
@@ -134,32 +129,28 @@ pub struct CompileOutput {
     pub dynamic_guards: usize,
 }
 
-/// A compiler instance, parameterized by the convertibility oracle (used to
-/// re-type application heads and boundary payloads) and the glue emitter.
+/// A compiler instance over one rule set: its `derivable` re-types
+/// application heads and boundary payloads, and its `derive_pair` supplies
+/// each boundary's glue.
 ///
-/// The re-typing goes through the real oracle, so every boundary inside a
+/// The re-typing goes through the real rule set, so every boundary inside a
 /// re-typed subterm probes the glue cache once more, and those probes count
 /// in a sweep's glue hits.  The repo benchmark's anchors
-/// (`perfbench/anchors.tsv`) pin the hits, so the re-checks stay until a
-/// change to the benchmark can move the anchors with them.
+/// (`perfbench/anchors.tsv`) and `tests/preset_digests.rs` pin the hits, so
+/// the re-checks stay until a change to the benchmark can move the anchors
+/// with them.
 pub struct Compiler<'a> {
-    oracle: &'a dyn AffineConvertOracle,
-    emitter: &'a dyn AffineConversionEmitter,
+    conversions: &'a AffineConversions,
     static_binders: BTreeSet<Var>,
     dynamic_guards: usize,
     fresh: u64,
 }
 
 impl<'a> Compiler<'a> {
-    /// Creates a compiler over the given oracle and emitter (usually both are
-    /// the same `AffineConversions` value).
-    pub fn new(
-        oracle: &'a dyn AffineConvertOracle,
-        emitter: &'a dyn AffineConversionEmitter,
-    ) -> Self {
+    /// Creates a compiler over the given rule set.
+    pub fn new(conversions: &'a AffineConversions) -> Self {
         Compiler {
-            oracle,
-            emitter,
+            conversions,
             static_binders: BTreeSet::new(),
             dynamic_guards: 0,
             fresh: 0,
@@ -209,7 +200,7 @@ impl<'a> Compiler<'a> {
             MlExpr::Inl(a, _) => Expr::inl(self.ml(ctx, ren, a)?),
             MlExpr::Inr(a, _) => Expr::inr(self.ml(ctx, ren, a)?),
             MlExpr::Match(s, x, l, y, r) => {
-                let (ts, _) = check_ml(ctx, s, self.oracle)?;
+                let (ts, _) = check_ml(ctx, s, &|a, m| self.conversions.derivable(a, m))?;
                 let (tl, tr) = match ts {
                     MlType::Sum(a, b) => (Arc::unwrap_or_clone(a), Arc::unwrap_or_clone(b)),
                     other => {
@@ -238,14 +229,14 @@ impl<'a> Compiler<'a> {
             MlExpr::Assign(a, b) => Expr::assign(self.ml(ctx, ren, a)?, self.ml(ctx, ren, b)?),
             MlExpr::Add(a, b) => Expr::add(self.ml(ctx, ren, a)?, self.ml(ctx, ren, b)?),
             MlExpr::Boundary(affi, ty) => {
-                let (affi_ty, _) = check_affi(ctx, affi, self.oracle)?;
-                let glue = self.emitter.affi_to_ml(&affi_ty, ty).ok_or_else(|| {
+                let (affi_ty, _) = check_affi(ctx, affi, &|a, m| self.conversions.derivable(a, m))?;
+                let glue = self.conversions.derive_pair(&affi_ty, ty).ok_or_else(|| {
                     CompileError::MissingConversion {
                         affi: affi_ty.clone(),
                         ml: ty.clone(),
                     }
                 })?;
-                Expr::app(glue, self.affi(ctx, ren, affi)?)
+                Expr::app(glue.a_to_b.clone(), self.affi(ctx, ren, affi)?)
             }
         })
     }
@@ -282,7 +273,7 @@ impl<'a> Compiler<'a> {
                 }
             }
             AffiExpr::App(f, a) => {
-                let (tf, _) = check_affi(ctx, f, self.oracle)?;
+                let (tf, _) = check_affi(ctx, f, &|a, m| self.conversions.derivable(a, m))?;
                 let cf = self.affi(ctx, ren, f)?;
                 let ca = self.affi(ctx, ren, a)?;
                 match tf {
@@ -305,7 +296,7 @@ impl<'a> Compiler<'a> {
             }
             AffiExpr::Bang(v) => self.affi(ctx, ren, v)?,
             AffiExpr::LetBang(x, e1, body) => {
-                let (t, _) = check_affi(ctx, e1, self.oracle)?;
+                let (t, _) = check_affi(ctx, e1, &|a, m| self.conversions.derivable(a, m))?;
                 let inner = match t {
                     AffiType::Bang(inner) => Arc::unwrap_or_clone(inner),
                     other => {
@@ -334,7 +325,7 @@ impl<'a> Compiler<'a> {
                 Expr::pair(self.affi(ctx, ren, a)?, self.affi(ctx, ren, b)?)
             }
             AffiExpr::LetTensor(a, b, e1, body) => {
-                let (t, _) = check_affi(ctx, e1, self.oracle)?;
+                let (t, _) = check_affi(ctx, e1, &|a, m| self.conversions.derivable(a, m))?;
                 let (t1, t2) = match t {
                     AffiType::Tensor(t1, t2) => {
                         (Arc::unwrap_or_clone(t1), Arc::unwrap_or_clone(t2))
@@ -374,14 +365,14 @@ impl<'a> Compiler<'a> {
                 )
             }
             AffiExpr::Boundary(ml, ty) => {
-                let (ml_ty, _) = check_ml(ctx, ml, self.oracle)?;
-                let glue = self.emitter.ml_to_affi(&ml_ty, ty).ok_or_else(|| {
+                let (ml_ty, _) = check_ml(ctx, ml, &|a, m| self.conversions.derivable(a, m))?;
+                let glue = self.conversions.derive_pair(ty, &ml_ty).ok_or_else(|| {
                     CompileError::MissingConversion {
                         affi: ty.clone(),
                         ml: ml_ty.clone(),
                     }
                 })?;
-                Expr::app(glue, self.ml(ctx, ren, ml)?)
+                Expr::app(glue.b_to_a.clone(), self.ml(ctx, ren, ml)?)
             }
         })
     }
@@ -390,22 +381,11 @@ impl<'a> Compiler<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::typecheck::NoConversions;
     use lcvm::{Halt, Machine, Value};
     use semint_core::Fuel;
 
-    struct NoGlue;
-    impl AffineConversionEmitter for NoGlue {
-        fn affi_to_ml(&self, _: &AffiType, _: &MlType) -> Option<Expr> {
-            None
-        }
-        fn ml_to_affi(&self, _: &MlType, _: &AffiType) -> Option<Expr> {
-            None
-        }
-    }
-
     fn compile_affi(e: &AffiExpr) -> CompileOutput {
-        Compiler::new(&NoConversions, &NoGlue)
+        Compiler::new(&AffineConversions::standard())
             .compile_affi_program(e)
             .unwrap()
     }
@@ -565,7 +545,7 @@ mod tests {
             ),
             MlExpr::int(41),
         );
-        let out = Compiler::new(&NoConversions, &NoGlue)
+        let out = Compiler::new(&AffineConversions::standard())
             .compile_ml_program(&e)
             .unwrap();
         assert_eq!(run(out.expr), Halt::Value(Value::Int(42)));
@@ -577,7 +557,7 @@ mod tests {
             "y",
             MlExpr::int(0),
         );
-        let out = Compiler::new(&NoConversions, &NoGlue)
+        let out = Compiler::new(&AffineConversions::standard())
             .compile_ml_program(&e)
             .unwrap();
         assert_eq!(run(out.expr), Halt::Value(Value::Int(7)));
@@ -585,8 +565,9 @@ mod tests {
 
     #[test]
     fn boundaries_without_glue_are_compile_errors() {
-        let e = MlExpr::boundary(AffiExpr::int(1), MlType::Int);
-        let err = Compiler::new(&NoConversions, &NoGlue)
+        // ⦇()⦈int: the standard rules refute unit ∼ int.
+        let e = MlExpr::boundary(AffiExpr::unit(), MlType::Int);
+        let err = Compiler::new(&AffineConversions::standard())
             .compile_ml_program(&e)
             .unwrap_err();
         assert!(matches!(err, CompileError::MissingConversion { .. }));

@@ -25,9 +25,8 @@
 //! sub-glue, and the glue is the same term, names included, that building
 //! it afresh would give.
 
-use crate::compile::{thunk_guard, AffineConversionEmitter};
+use crate::compile::thunk_guard;
 use crate::syntax::{AffiType, MlType, Mode};
-use crate::typecheck::AffineConvertOracle;
 use lcvm::Expr;
 use semint_core::convert::{ConversionPair, ConversionScheme, GlueCache};
 use semint_core::Var;
@@ -45,11 +44,6 @@ impl AffineConversions {
     /// studies' constructors).
     pub fn standard() -> Self {
         AffineConversions::default()
-    }
-
-    /// The memoization cache behind [`AffineConversions::derive`].
-    pub fn cache(&self) -> &GlueCache<AffiType, MlType, Expr> {
-        &self.cache
     }
 
     /// Derives `𝜏 ∼ τ` (memoized), returning `(C_{𝜏↦τ}, C_{τ↦𝜏})` as LCVM
@@ -101,21 +95,6 @@ impl ConversionScheme for AffineConversions {
             _ => None,
         };
         pair.map(|(to_ml, to_affi)| ConversionPair::new(to_ml, to_affi))
-    }
-}
-
-impl AffineConvertOracle for AffineConversions {
-    fn convertible(&self, affi: &AffiType, ml: &MlType) -> bool {
-        self.derivable(affi, ml)
-    }
-}
-
-impl AffineConversionEmitter for AffineConversions {
-    fn affi_to_ml(&self, affi: &AffiType, ml: &MlType) -> Option<Expr> {
-        self.derive_pair(affi, ml).map(|p| p.a_to_b.clone())
-    }
-    fn ml_to_affi(&self, ml: &MlType, affi: &AffiType) -> Option<Expr> {
-        self.derive_pair(affi, ml).map(|p| p.b_to_a.clone())
     }
 }
 
@@ -252,24 +231,24 @@ mod tests {
 
     #[test]
     fn base_rules_exist_and_static_arrow_is_rejected() {
-        assert!(conv().convertible(&AffiType::Unit, &MlType::Unit));
-        assert!(conv().convertible(&AffiType::Bool, &MlType::Int));
-        assert!(conv().convertible(&AffiType::Int, &MlType::Int));
-        assert!(conv().convertible(
+        assert!(conv().derivable(&AffiType::Unit, &MlType::Unit));
+        assert!(conv().derivable(&AffiType::Bool, &MlType::Int));
+        assert!(conv().derivable(&AffiType::Int, &MlType::Int));
+        assert!(conv().derivable(
             &AffiType::lolli(AffiType::Int, AffiType::Int),
             &MlType::fun(MlType::fun(MlType::Unit, MlType::Int), MlType::Int)
         ));
         // ⊸ does NOT convert to a plain τ1 → τ2 (the thunking is essential)…
-        assert!(!conv().convertible(
+        assert!(!conv().derivable(
             &AffiType::lolli(AffiType::Int, AffiType::Int),
             &MlType::fun(MlType::Int, MlType::Int)
         ));
         // …and the static arrow cannot cross at all.
-        assert!(!conv().convertible(
+        assert!(!conv().derivable(
             &AffiType::lolli_static(AffiType::Int, AffiType::Int),
             &MlType::fun(MlType::fun(MlType::Unit, MlType::Int), MlType::Int)
         ));
-        assert!(!conv().convertible(&AffiType::Bool, &MlType::Unit));
+        assert!(!conv().derivable(&AffiType::Bool, &MlType::Unit));
     }
 
     #[test]
@@ -382,10 +361,10 @@ mod tests {
         );
         let first = c.derive(&affi, &ml);
         assert!(first.is_some());
-        let after_first = c.cache().stats();
+        let after_first = c.glue_cache().stats();
         let second = c.derive(&affi, &ml);
         assert_eq!(first, second, "cached result is observably identical");
-        let after_second = c.cache().stats();
+        let after_second = c.glue_cache().stats();
         assert_eq!(after_second.misses, after_first.misses);
         assert_eq!(after_second.hits, after_first.hits + 1);
         assert_eq!(first, AffineConversions::standard().derive(&affi, &ml));

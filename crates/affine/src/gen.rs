@@ -399,7 +399,7 @@ mod tests {
             let mut gen = AffineProgramGen::new(seed);
             let ty = gen.gen_affi_type(2);
             let e = gen.gen_affi(&ty);
-            let (checked, _) = check_affi(&AffineCtx::empty(), &e, &rules)
+            let (checked, _) = check_affi(&AffineCtx::empty(), &e, &|a, m| rules.derivable(a, m))
                 .unwrap_or_else(|err| panic!("seed {seed}: {e} does not typecheck: {err}"));
             assert_eq!(checked, ty, "seed {seed}");
         }
@@ -411,7 +411,7 @@ mod tests {
         for seed in 0..80 {
             let mut gen = AffineProgramGen::new(seed);
             let e = gen.gen_ml(&MlType::Int);
-            let (ty, _) = check_ml(&AffineCtx::empty(), &e, &rules)
+            let (ty, _) = check_ml(&AffineCtx::empty(), &e, &|a, m| rules.derivable(a, m))
                 .unwrap_or_else(|err| panic!("seed {seed}: {e} does not typecheck: {err}"));
             assert_eq!(ty, MlType::Int);
         }
@@ -481,7 +481,7 @@ mod tests {
             let ty = gen.gen_goal_affi_type();
             max_depth_seen = max_depth_seen.max(affi_type_depth(&ty));
             let e = gen.gen_affi(&ty);
-            let (checked, _) = check_affi(&AffineCtx::empty(), &e, &rules)
+            let (checked, _) = check_affi(&AffineCtx::empty(), &e, &|a, m| rules.derivable(a, m))
                 .unwrap_or_else(|err| panic!("seed {seed}: {e} does not typecheck: {err}"));
             assert_eq!(checked, ty, "seed {seed}");
         }
@@ -499,7 +499,7 @@ mod tests {
             let mut gen = AffineProgramGen::with_profile(seed, &deep);
             let ty = gen.gen_ml_type(deep.type_depth);
             let e = gen.gen_ml(&ty);
-            let (checked, _) = check_ml(&AffineCtx::empty(), &e, &rules)
+            let (checked, _) = check_ml(&AffineCtx::empty(), &e, &|a, m| rules.derivable(a, m))
                 .unwrap_or_else(|err| panic!("seed {seed}: {e} does not typecheck: {err}"));
             assert_eq!(checked, ty, "seed {seed}");
         }

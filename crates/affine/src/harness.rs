@@ -190,19 +190,18 @@ impl CaseStudy for AffineCase {
 
     fn typecheck(&self, program: &AffProgram) -> Result<AffSourceType, String> {
         let ctx = AffineCtx::empty();
+        let convertible = |affi: &AffiType, ml: &MlType| self.conversions.derivable(affi, ml);
         match program {
             AffProgram::Affi(e) => {
-                check_affi(&ctx, e, &self.conversions).map(|(t, _)| AffSourceType::Affi(t))
+                check_affi(&ctx, e, &convertible).map(|(t, _)| AffSourceType::Affi(t))
             }
-            AffProgram::Ml(e) => {
-                check_ml(&ctx, e, &self.conversions).map(|(t, _)| AffSourceType::Ml(t))
-            }
+            AffProgram::Ml(e) => check_ml(&ctx, e, &convertible).map(|(t, _)| AffSourceType::Ml(t)),
         }
         .map_err(|e| e.to_string())
     }
 
     fn compile(&self, program: &AffProgram) -> Result<CompileOutput, String> {
-        let compiler = Compiler::new(&self.conversions, &self.conversions);
+        let compiler = Compiler::new(&self.conversions);
         match program {
             AffProgram::Affi(e) => compiler.compile_affi_program(e),
             AffProgram::Ml(e) => compiler.compile_ml_program(e),
@@ -309,10 +308,20 @@ impl CaseStudy for AffineCase {
 
     fn check_conversions(&self) -> Result<(), CheckFailure> {
         let conversions = &self.conversions;
+        let thunked_int = MlType::fun(MlType::Unit, MlType::Int);
         let catalogue = [
             (AffiType::Bool, MlType::Int),
             (AffiType::Int, MlType::Int),
             (AffiType::Unit, MlType::Unit),
+            (
+                AffiType::tensor(AffiType::Bool, AffiType::Int),
+                MlType::prod(MlType::Int, MlType::Int),
+            ),
+            (AffiType::bang(AffiType::Bool), MlType::Int),
+            (
+                AffiType::lolli(AffiType::Int, AffiType::Int),
+                MlType::fun(thunked_int, MlType::Int),
+            ),
         ];
         for (affi, ml) in &catalogue {
             // Pairs without a registered rule are skipped, matching the
@@ -325,7 +334,7 @@ impl CaseStudy for AffineCase {
     }
 
     fn glue_cache_stats(&self) -> Option<GlueCacheStats> {
-        Some(self.conversions.cache().stats())
+        Some(self.conversions.glue_cache().stats())
     }
 }
 
@@ -493,8 +502,9 @@ mod tests {
         let affi_fun = AffiExpr::lam_static("a", AffiType::Int, AffiExpr::avar_static("a"));
         let e = MlExpr::boundary(affi_fun, ml_thunked_int_fun());
         let case = AffineCase::standard();
+        let rules = case.conversions();
         assert!(matches!(
-            check_ml(&AffineCtx::empty(), &e, case.conversions()),
+            check_ml(&AffineCtx::empty(), &e, &|a, m| rules.derivable(a, m)),
             Err(AffineTypeError::NotConvertible { .. })
         ));
         assert!(case.run(&AffProgram::Ml(e), Fuel::default()).is_err());
@@ -520,7 +530,8 @@ mod tests {
         let case = AffineCase::standard();
         // This program moves static variables through a MiniML boundary, so
         // the type checker must reject it (no•(Ωe)).
-        assert!(check_affi(&AffineCtx::empty(), &e, case.conversions()).is_err());
+        let rules = case.conversions();
+        assert!(check_affi(&AffineCtx::empty(), &e, &|a, m| rules.derivable(a, m)).is_err());
 
         // A fully Affi-internal use of static resources is fine and the two
         // semantics agree.

@@ -471,27 +471,6 @@ mod tests {
     }
 
     #[test]
-    fn convertibility_soundness_for_registered_rules() {
-        let thunked = MlType::fun(MlType::fun(MlType::Unit, MlType::Int), MlType::Int);
-        let rules = vec![
-            (AffiType::Unit, MlType::Unit),
-            (AffiType::Bool, MlType::Int),
-            (AffiType::Int, MlType::Int),
-            (
-                AffiType::tensor(AffiType::Bool, AffiType::Int),
-                MlType::prod(MlType::Int, MlType::Int),
-            ),
-            (AffiType::bang(AffiType::Bool), MlType::Int),
-            (AffiType::lolli(AffiType::Int, AffiType::Int), thunked),
-        ];
-        let conversions = AffineConversions::standard();
-        for (affi, ml) in rules {
-            check_convertibility(&conversions, &affi, &ml)
-                .unwrap_or_else(|ce| panic!("convertibility soundness failed: {ce}"));
-        }
-    }
-
-    #[test]
     fn unsound_candidate_conversions_are_rejected() {
         // Claim: MiniML int converts to Affi bool by the identity. False: 7
         // is not an Affi boolean.

@@ -9,39 +9,15 @@
 //!
 //! Because affine resources can appear inside MiniML terms (through
 //! boundaries), the MiniML rules also thread and split the affine usage sets,
-//! exactly as the paper notes.
+//! exactly as the paper notes.  The convertibility judgment `𝜏 ∼ τ` that a
+//! boundary consults is a predicate the caller passes: the §4 case study
+//! passes its rule set's `derivable` (Fig. 9).
 
 use crate::syntax::{AffiExpr, AffiType, MlExpr, MlType, Mode};
 use semint_core::Var;
 use std::collections::{BTreeSet, HashMap};
 use std::fmt;
 use std::sync::Arc;
-
-/// The convertibility judgment `𝜏 ∼ τ` (Affi type vs MiniML type) as consulted
-/// by the type checkers.
-pub trait AffineConvertOracle {
-    /// Is Affi type `affi` interconvertible with MiniML type `ml`?
-    fn convertible(&self, affi: &AffiType, ml: &MlType) -> bool;
-}
-
-impl<F> AffineConvertOracle for F
-where
-    F: Fn(&AffiType, &MlType) -> bool,
-{
-    fn convertible(&self, affi: &AffiType, ml: &MlType) -> bool {
-        self(affi, ml)
-    }
-}
-
-/// An oracle with no conversions (single-language programs only).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NoConversions;
-
-impl AffineConvertOracle for NoConversions {
-    fn convertible(&self, _affi: &AffiType, _ml: &MlType) -> bool {
-        false
-    }
-}
 
 /// The set of affine variables an expression uses.
 pub type Usage = BTreeSet<Var>;
@@ -185,7 +161,7 @@ fn no_static(ctx: &AffineCtx, usage: &Usage) -> Result<(), AffineTypeError> {
 pub fn check_ml(
     ctx: &AffineCtx,
     e: &MlExpr,
-    oracle: &dyn AffineConvertOracle,
+    convertible: &dyn Fn(&AffiType, &MlType) -> bool,
 ) -> Result<(MlType, Usage), AffineTypeError> {
     match e {
         MlExpr::Unit => Ok((MlType::Unit, Usage::new())),
@@ -197,19 +173,19 @@ pub fn check_ml(
             .map(|t| (t, Usage::new()))
             .ok_or_else(|| AffineTypeError::Unbound(x.clone())),
         MlExpr::Pair(a, b) => {
-            let (ta, ua) = check_ml(ctx, a, oracle)?;
-            let (tb, ub) = check_ml(ctx, b, oracle)?;
+            let (ta, ua) = check_ml(ctx, a, convertible)?;
+            let (tb, ub) = check_ml(ctx, b, convertible)?;
             Ok((MlType::prod(ta, tb), split(&ua, &ub)?))
         }
         MlExpr::Fst(e1) => {
-            let (t, u) = check_ml(ctx, e1, oracle)?;
+            let (t, u) = check_ml(ctx, e1, convertible)?;
             match t {
                 MlType::Prod(a, _) => Ok((Arc::unwrap_or_clone(a), u)),
                 other => Err(mismatch("a product type", other, "fst")),
             }
         }
         MlExpr::Snd(e1) => {
-            let (t, u) = check_ml(ctx, e1, oracle)?;
+            let (t, u) = check_ml(ctx, e1, convertible)?;
             match t {
                 MlType::Prod(_, b) => Ok((Arc::unwrap_or_clone(b), u)),
                 other => Err(mismatch("a product type", other, "snd")),
@@ -217,7 +193,7 @@ pub fn check_ml(
         }
         MlExpr::Inl(e1, ty) => match ty {
             MlType::Sum(l, _) => {
-                let (t, u) = check_ml(ctx, e1, oracle)?;
+                let (t, u) = check_ml(ctx, e1, convertible)?;
                 if &t == l.as_ref() {
                     Ok((ty.clone(), u))
                 } else {
@@ -228,7 +204,7 @@ pub fn check_ml(
         },
         MlExpr::Inr(e1, ty) => match ty {
             MlType::Sum(_, r) => {
-                let (t, u) = check_ml(ctx, e1, oracle)?;
+                let (t, u) = check_ml(ctx, e1, convertible)?;
                 if &t == r.as_ref() {
                     Ok((ty.clone(), u))
                 } else {
@@ -238,13 +214,19 @@ pub fn check_ml(
             other => Err(mismatch("a sum type", other, "inr annotation")),
         },
         MlExpr::Match(s, x, l, y, r) => {
-            let (ts, us) = check_ml(ctx, s, oracle)?;
+            let (ts, us) = check_ml(ctx, s, convertible)?;
             match ts {
                 MlType::Sum(tl, tr) => {
-                    let (t1, u1) =
-                        check_ml(&ctx.with_ml(x.clone(), Arc::unwrap_or_clone(tl)), l, oracle)?;
-                    let (t2, u2) =
-                        check_ml(&ctx.with_ml(y.clone(), Arc::unwrap_or_clone(tr)), r, oracle)?;
+                    let (t1, u1) = check_ml(
+                        &ctx.with_ml(x.clone(), Arc::unwrap_or_clone(tl)),
+                        l,
+                        convertible,
+                    )?;
+                    let (t2, u2) = check_ml(
+                        &ctx.with_ml(y.clone(), Arc::unwrap_or_clone(tr)),
+                        r,
+                        convertible,
+                    )?;
                     if t1 != t2 {
                         return Err(mismatch(t1, t2, "match branches"));
                     }
@@ -258,7 +240,7 @@ pub fn check_ml(
             }
         }
         MlExpr::Lam(x, ty, body) => {
-            let (tb, ub) = check_ml(&ctx.with_ml(x.clone(), ty.clone()), body, oracle)?;
+            let (tb, ub) = check_ml(&ctx.with_ml(x.clone(), ty.clone()), body, convertible)?;
             // A MiniML function may be applied many times.  Capturing a
             // *dynamic* affine variable is fine — its runtime guard turns a
             // second evaluation into `fail Conv` — but a *static* one has no
@@ -267,8 +249,8 @@ pub fn check_ml(
             Ok((MlType::fun(ty.clone(), tb), ub))
         }
         MlExpr::App(f, a) => {
-            let (tf, uf) = check_ml(ctx, f, oracle)?;
-            let (ta, ua) = check_ml(ctx, a, oracle)?;
+            let (tf, uf) = check_ml(ctx, f, convertible)?;
+            let (ta, ua) = check_ml(ctx, a, convertible)?;
             match tf {
                 MlType::Fun(dom, cod) => {
                     if *dom != ta {
@@ -280,19 +262,19 @@ pub fn check_ml(
             }
         }
         MlExpr::Ref(e1) => {
-            let (t, u) = check_ml(ctx, e1, oracle)?;
+            let (t, u) = check_ml(ctx, e1, convertible)?;
             Ok((MlType::ref_(t), u))
         }
         MlExpr::Deref(e1) => {
-            let (t, u) = check_ml(ctx, e1, oracle)?;
+            let (t, u) = check_ml(ctx, e1, convertible)?;
             match t {
                 MlType::Ref(inner) => Ok((Arc::unwrap_or_clone(inner), u)),
                 other => Err(mismatch("a reference type", other, "dereference")),
             }
         }
         MlExpr::Assign(a, b) => {
-            let (ta, ua) = check_ml(ctx, a, oracle)?;
-            let (tb, ub) = check_ml(ctx, b, oracle)?;
+            let (ta, ua) = check_ml(ctx, a, convertible)?;
+            let (tb, ub) = check_ml(ctx, b, convertible)?;
             match ta {
                 MlType::Ref(inner) => {
                     if *inner != tb {
@@ -304,8 +286,8 @@ pub fn check_ml(
             }
         }
         MlExpr::Add(a, b) => {
-            let (ta, ua) = check_ml(ctx, a, oracle)?;
-            let (tb, ub) = check_ml(ctx, b, oracle)?;
+            let (ta, ua) = check_ml(ctx, a, convertible)?;
+            let (tb, ub) = check_ml(ctx, b, convertible)?;
             if ta != MlType::Int {
                 return Err(mismatch(MlType::Int, ta, "addition"));
             }
@@ -315,11 +297,11 @@ pub fn check_ml(
             Ok((MlType::Int, split(&ua, &ub)?))
         }
         MlExpr::Boundary(affi, ty) => {
-            let (ta, ua) = check_affi(ctx, affi, oracle)?;
+            let (ta, ua) = check_affi(ctx, affi, convertible)?;
             // The embedded Affi term crosses into unrestricted territory: it
             // must not close over statically-enforced resources (no•(Ωe)).
             no_static(ctx, &ua)?;
-            if oracle.convertible(&ta, ty) {
+            if convertible(&ta, ty) {
                 Ok((ty.clone(), ua))
             } else {
                 Err(AffineTypeError::NotConvertible {
@@ -335,7 +317,7 @@ pub fn check_ml(
 pub fn check_affi(
     ctx: &AffineCtx,
     e: &AffiExpr,
-    oracle: &dyn AffineConvertOracle,
+    convertible: &dyn Fn(&AffiType, &MlType) -> bool,
 ) -> Result<(AffiType, Usage), AffineTypeError> {
     match e {
         AffiExpr::Unit => Ok((AffiType::Unit, Usage::new())),
@@ -352,8 +334,11 @@ pub fn check_affi(
             _ => Err(AffineTypeError::Unbound(x.clone())),
         },
         AffiExpr::Lam(mode, x, ty, body) => {
-            let (tb, ub) =
-                check_affi(&ctx.with_affine(x.clone(), *mode, ty.clone()), body, oracle)?;
+            let (tb, ub) = check_affi(
+                &ctx.with_affine(x.clone(), *mode, ty.clone()),
+                body,
+                convertible,
+            )?;
             let mut used: Usage = ub;
             used.remove(x);
             if *mode == Mode::Dynamic {
@@ -367,8 +352,8 @@ pub fn check_affi(
             ))
         }
         AffiExpr::App(f, a) => {
-            let (tf, uf) = check_affi(ctx, f, oracle)?;
-            let (ta, ua) = check_affi(ctx, a, oracle)?;
+            let (tf, uf) = check_affi(ctx, f, convertible)?;
+            let (ta, ua) = check_affi(ctx, a, convertible)?;
             match tf {
                 AffiType::Lolli(_, dom, cod) => {
                     if *dom != ta {
@@ -384,20 +369,20 @@ pub fn check_affi(
             }
         }
         AffiExpr::Bang(e1) => {
-            let (t, u) = check_affi(ctx, e1, oracle)?;
+            let (t, u) = check_affi(ctx, e1, convertible)?;
             if let Some(x) = u.iter().next() {
                 return Err(AffineTypeError::BangCapturesAffine(x.clone()));
             }
             Ok((AffiType::bang(t), Usage::new()))
         }
         AffiExpr::LetBang(x, e1, body) => {
-            let (t, u1) = check_affi(ctx, e1, oracle)?;
+            let (t, u1) = check_affi(ctx, e1, convertible)?;
             match t {
                 AffiType::Bang(inner) => {
                     let (tb, u2) = check_affi(
                         &ctx.with_unrestricted(x.clone(), Arc::unwrap_or_clone(inner)),
                         body,
-                        oracle,
+                        convertible,
                     )?;
                     Ok((tb, split(&u1, &u2)?))
                 }
@@ -406,37 +391,37 @@ pub fn check_affi(
         }
         AffiExpr::WithPair(a, b) => {
             // Additive: both components may mention the same resources.
-            let (ta, ua) = check_affi(ctx, a, oracle)?;
-            let (tb, ub) = check_affi(ctx, b, oracle)?;
+            let (ta, ua) = check_affi(ctx, a, convertible)?;
+            let (tb, ub) = check_affi(ctx, b, convertible)?;
             Ok((AffiType::with(ta, tb), ua.union(&ub).cloned().collect()))
         }
         AffiExpr::Proj1(e1) => {
-            let (t, u) = check_affi(ctx, e1, oracle)?;
+            let (t, u) = check_affi(ctx, e1, convertible)?;
             match t {
                 AffiType::With(a, _) => Ok((Arc::unwrap_or_clone(a), u)),
                 other => Err(mismatch("a &-type", other, "projection .1")),
             }
         }
         AffiExpr::Proj2(e1) => {
-            let (t, u) = check_affi(ctx, e1, oracle)?;
+            let (t, u) = check_affi(ctx, e1, convertible)?;
             match t {
                 AffiType::With(_, b) => Ok((Arc::unwrap_or_clone(b), u)),
                 other => Err(mismatch("a &-type", other, "projection .2")),
             }
         }
         AffiExpr::TensorPair(a, b) => {
-            let (ta, ua) = check_affi(ctx, a, oracle)?;
-            let (tb, ub) = check_affi(ctx, b, oracle)?;
+            let (ta, ua) = check_affi(ctx, a, convertible)?;
+            let (tb, ub) = check_affi(ctx, b, convertible)?;
             Ok((AffiType::tensor(ta, tb), split(&ua, &ub)?))
         }
         AffiExpr::LetTensor(a, b, e1, body) => {
-            let (t, u1) = check_affi(ctx, e1, oracle)?;
+            let (t, u1) = check_affi(ctx, e1, convertible)?;
             match t {
                 AffiType::Tensor(t1, t2) => {
                     let inner_ctx = ctx
                         .with_affine(a.clone(), Mode::Static, Arc::unwrap_or_clone(t1))
                         .with_affine(b.clone(), Mode::Static, Arc::unwrap_or_clone(t2));
-                    let (tb, mut u2) = check_affi(&inner_ctx, body, oracle)?;
+                    let (tb, mut u2) = check_affi(&inner_ctx, body, convertible)?;
                     u2.remove(a);
                     u2.remove(b);
                     Ok((tb, split(&u1, &u2)?))
@@ -445,8 +430,8 @@ pub fn check_affi(
             }
         }
         AffiExpr::Boundary(ml, ty) => {
-            let (tm, um) = check_ml(ctx, ml, oracle)?;
-            if oracle.convertible(ty, &tm) {
+            let (tm, um) = check_ml(ctx, ml, convertible)?;
+            if convertible(ty, &tm) {
                 Ok((ty.clone(), um))
             } else {
                 Err(AffineTypeError::NotConvertible {
@@ -462,6 +447,10 @@ pub fn check_affi(
 mod tests {
     use super::*;
 
+    fn deny_all(_: &AffiType, _: &MlType) -> bool {
+        false
+    }
+
     fn allow_int_bool(affi: &AffiType, ml: &MlType) -> bool {
         matches!((affi, ml), (AffiType::Bool, MlType::Int))
             || matches!((affi, ml), (AffiType::Int, MlType::Int))
@@ -470,7 +459,7 @@ mod tests {
     #[test]
     fn affine_variable_single_use_is_accepted() {
         let f = AffiExpr::lam("a", AffiType::Int, AffiExpr::avar("a"));
-        let (ty, used) = check_affi(&AffineCtx::empty(), &f, &NoConversions).unwrap();
+        let (ty, used) = check_affi(&AffineCtx::empty(), &f, &deny_all).unwrap();
         assert_eq!(ty, AffiType::lolli(AffiType::Int, AffiType::Int));
         assert!(used.is_empty());
     }
@@ -483,7 +472,7 @@ mod tests {
             AffiType::Int,
             AffiExpr::tensor(AffiExpr::avar("a"), AffiExpr::avar("a")),
         );
-        let err = check_affi(&AffineCtx::empty(), &f, &NoConversions).unwrap_err();
+        let err = check_affi(&AffineCtx::empty(), &f, &deny_all).unwrap_err();
         assert_eq!(err, AffineTypeError::AffineReuse(Var::new("a")));
     }
 
@@ -491,7 +480,7 @@ mod tests {
     fn affine_variable_can_be_dropped() {
         // λa◦:int. 7 — affine (not linear): dropping is fine.
         let f = AffiExpr::lam("a", AffiType::Int, AffiExpr::int(7));
-        assert!(check_affi(&AffineCtx::empty(), &f, &NoConversions).is_ok());
+        assert!(check_affi(&AffineCtx::empty(), &f, &deny_all).is_ok());
     }
 
     #[test]
@@ -502,10 +491,10 @@ mod tests {
             AffiType::Int,
             AffiExpr::with_pair(AffiExpr::avar_static("a"), AffiExpr::avar_static("a")),
         );
-        assert!(check_affi(&AffineCtx::empty(), &ok, &NoConversions).is_ok());
+        assert!(check_affi(&AffineCtx::empty(), &ok, &deny_all).is_ok());
         // …and projecting gives the component type.
         let p = AffiExpr::proj2(AffiExpr::with_pair(AffiExpr::int(1), AffiExpr::bool_(true)));
-        let (ty, _) = check_affi(&AffineCtx::empty(), &p, &NoConversions).unwrap();
+        let (ty, _) = check_affi(&AffineCtx::empty(), &p, &deny_all).unwrap();
         assert_eq!(ty, AffiType::Bool);
     }
 
@@ -517,7 +506,7 @@ mod tests {
             AffiType::Int,
             AffiExpr::lam("b", AffiType::Unit, AffiExpr::avar_static("a")),
         );
-        let err = check_affi(&AffineCtx::empty(), &bad, &NoConversions).unwrap_err();
+        let err = check_affi(&AffineCtx::empty(), &bad, &deny_all).unwrap_err();
         assert_eq!(err, AffineTypeError::StaticEscape(Var::new("a")));
 
         // A *static* inner lambda may close over it.
@@ -526,18 +515,18 @@ mod tests {
             AffiType::Int,
             AffiExpr::lam_static("b", AffiType::Unit, AffiExpr::avar_static("a")),
         );
-        assert!(check_affi(&AffineCtx::empty(), &ok, &NoConversions).is_ok());
+        assert!(check_affi(&AffineCtx::empty(), &ok, &deny_all).is_ok());
     }
 
     #[test]
     fn bang_requires_no_affine_capture() {
         let bad = AffiExpr::lam("a", AffiType::Int, AffiExpr::bang(AffiExpr::avar("a")));
         assert!(matches!(
-            check_affi(&AffineCtx::empty(), &bad, &NoConversions),
+            check_affi(&AffineCtx::empty(), &bad, &deny_all),
             Err(AffineTypeError::BangCapturesAffine(_))
         ));
         let ok = AffiExpr::bang(AffiExpr::int(3));
-        let (ty, _) = check_affi(&AffineCtx::empty(), &ok, &NoConversions).unwrap();
+        let (ty, _) = check_affi(&AffineCtx::empty(), &ok, &deny_all).unwrap();
         assert_eq!(ty, AffiType::bang(AffiType::Int));
     }
 
@@ -549,7 +538,7 @@ mod tests {
             AffiExpr::bang(AffiExpr::int(5)),
             AffiExpr::tensor(AffiExpr::uvar("x"), AffiExpr::uvar("x")),
         );
-        let (ty, _) = check_affi(&AffineCtx::empty(), &e, &NoConversions).unwrap();
+        let (ty, _) = check_affi(&AffineCtx::empty(), &e, &deny_all).unwrap();
         assert_eq!(ty, AffiType::tensor(AffiType::Int, AffiType::Int));
     }
 
@@ -561,7 +550,7 @@ mod tests {
             AffiExpr::tensor(AffiExpr::int(1), AffiExpr::int(2)),
             AffiExpr::tensor(AffiExpr::avar_static("a"), AffiExpr::avar_static("b")),
         );
-        let (ty, _) = check_affi(&AffineCtx::empty(), &e, &NoConversions).unwrap();
+        let (ty, _) = check_affi(&AffineCtx::empty(), &e, &deny_all).unwrap();
         assert_eq!(ty, AffiType::tensor(AffiType::Int, AffiType::Int));
 
         // Using one of them twice is rejected.
@@ -572,7 +561,7 @@ mod tests {
             AffiExpr::tensor(AffiExpr::avar_static("a"), AffiExpr::avar_static("a")),
         );
         assert!(matches!(
-            check_affi(&AffineCtx::empty(), &bad, &NoConversions),
+            check_affi(&AffineCtx::empty(), &bad, &deny_all),
             Err(AffineTypeError::AffineReuse(_))
         ));
     }
@@ -606,7 +595,7 @@ mod tests {
     fn boundaries_check_convertibility() {
         // ⦇ true ⦈int : Affi bool used as MiniML int.
         let e = MlExpr::boundary(AffiExpr::bool_(true), MlType::Int);
-        assert!(check_ml(&AffineCtx::empty(), &e, &NoConversions).is_err());
+        assert!(check_ml(&AffineCtx::empty(), &e, &deny_all).is_err());
         let (ty, _) = check_ml(&AffineCtx::empty(), &e, &allow_int_bool).unwrap();
         assert_eq!(ty, MlType::Int);
 

@@ -393,9 +393,7 @@ pub trait ConversionScheme {
 
     /// Is `a ∼ b` derivable?  One lookup, hit or miss; on a warm cache it
     /// is one map probe with no glue traffic — the path every
-    /// convertibility oracle query takes.  (Named to avoid clashing with the
-    /// per-case `convertible` oracle traits, which are implemented in terms
-    /// of this.)
+    /// convertibility query of a type checker takes.
     fn derivable(&self, a: &Self::TyA, b: &Self::TyB) -> bool {
         self.glue_cache()
             .is_derivable(a, b, || self.derive_uncached(a, b))

@@ -12,22 +12,17 @@
 //! ```
 //!
 //! MiniML compiles in the standard way; `Λα. e ⇝ λ_. e⁺` and `e[τ] ⇝ e⁺ ()`.
-//! Boundaries apply the conversion glue (see [`crate::convert`]).
+//! Boundaries apply the conversion glue, the matching half of the rule set's
+//! `derive_pair` (see [`crate::convert`]).
 
+use crate::convert::MemGcConversions;
 use crate::syntax::{L3Expr, L3Type, PolyExpr, PolyType};
-use crate::typecheck::{check_l3, check_poly, MemGcConvertOracle, MemGcCtx, MemGcTypeError};
+use crate::typecheck::{check_l3, check_poly, MemGcCtx, MemGcTypeError};
 use lcvm::Expr;
+use semint_core::convert::ConversionScheme;
 use semint_core::Var;
 use std::fmt;
 use std::sync::Arc;
-
-/// Supplies conversion glue (LCVM functions) for §5 boundaries.
-pub trait MemGcConversionEmitter {
-    /// `C_{𝜏 ↦ τ}`: converts a compiled L3 `𝜏` into a MiniML `τ`.
-    fn l3_to_ml(&self, l3: &L3Type, ml: &PolyType) -> Option<Expr>;
-    /// `C_{τ ↦ 𝜏}`: converts a compiled MiniML `τ` into an L3 `𝜏`.
-    fn ml_to_l3(&self, ml: &PolyType, l3: &L3Type) -> Option<Expr>;
-}
 
 /// Compilation errors.
 #[derive(Debug, Clone, PartialEq)]
@@ -62,30 +57,26 @@ impl From<MemGcTypeError> for MemGcCompileError {
     }
 }
 
-/// The §5 compiler, parameterized by the convertibility oracle (used to
-/// re-type boundary payloads and the subjects of `match`, `let (x, y)`,
-/// `let !x` and `unpack`) and the glue emitter.
+/// The §5 compiler over one rule set: its `derivable` re-types boundary
+/// payloads and the subjects of `match`, `let (x, y)`, `let !x` and
+/// `unpack`, and its `derive_pair` supplies each boundary's glue.
 ///
-/// The re-typing goes through the real oracle, so every boundary inside a
+/// The re-typing goes through the real rule set, so every boundary inside a
 /// re-typed subterm probes the glue cache once more, and those probes count
 /// in a sweep's glue hits.  The repo benchmark's anchors
-/// (`perfbench/anchors.tsv`) pin the hits, so the re-checks stay until a
-/// change to the benchmark can move the anchors with them.
+/// (`perfbench/anchors.tsv`) and `tests/preset_digests.rs` pin the hits, so
+/// the re-checks stay until a change to the benchmark can move the anchors
+/// with them.
 pub struct MemGcCompiler<'a> {
-    oracle: &'a dyn MemGcConvertOracle,
-    emitter: &'a dyn MemGcConversionEmitter,
+    conversions: &'a MemGcConversions,
     fresh: u64,
 }
 
 impl<'a> MemGcCompiler<'a> {
-    /// A compiler over the given oracle and emitter.
-    pub fn new(
-        oracle: &'a dyn MemGcConvertOracle,
-        emitter: &'a dyn MemGcConversionEmitter,
-    ) -> Self {
+    /// A compiler over the given rule set.
+    pub fn new(conversions: &'a MemGcConversions) -> Self {
         MemGcCompiler {
-            oracle,
-            emitter,
+            conversions,
             fresh: 0,
         }
     }
@@ -117,7 +108,7 @@ impl<'a> MemGcCompiler<'a> {
             PolyExpr::Inl(a, _) => Expr::inl(self.ml(ctx, a)?),
             PolyExpr::Inr(a, _) => Expr::inr(self.ml(ctx, a)?),
             PolyExpr::Match(s, x, l, y, r) => {
-                let (ts, _) = check_poly(ctx, s, self.oracle)?;
+                let (ts, _) = check_poly(ctx, s, &|m, l| self.conversions.derivable(m, l))?;
                 let (tl, tr) = match ts {
                     PolyType::Sum(a, b) => (Arc::unwrap_or_clone(a), Arc::unwrap_or_clone(b)),
                     other => {
@@ -148,14 +139,14 @@ impl<'a> MemGcCompiler<'a> {
             PolyExpr::Assign(a, b) => Expr::assign(self.ml(ctx, a)?, self.ml(ctx, b)?),
             PolyExpr::Add(a, b) => Expr::add(self.ml(ctx, a)?, self.ml(ctx, b)?),
             PolyExpr::Boundary(l3, ty) => {
-                let (tl, _) = check_l3(ctx, l3, self.oracle)?;
-                let glue = self.emitter.l3_to_ml(&tl, ty).ok_or_else(|| {
+                let (tl, _) = check_l3(ctx, l3, &|m, l| self.conversions.derivable(m, l))?;
+                let glue = self.conversions.derive_pair(ty, &tl).ok_or_else(|| {
                     MemGcCompileError::MissingConversion {
                         ml: ty.clone(),
                         l3: tl.clone(),
                     }
                 })?;
-                Expr::app(glue, self.l3(ctx, l3)?)
+                Expr::app(glue.b_to_a.clone(), self.l3(ctx, l3)?)
             }
         })
     }
@@ -172,7 +163,7 @@ impl<'a> MemGcCompiler<'a> {
             L3Expr::App(f, a) => Expr::app(self.l3(ctx, f)?, self.l3(ctx, a)?),
             L3Expr::Pair(a, b) => Expr::pair(self.l3(ctx, a)?, self.l3(ctx, b)?),
             L3Expr::LetPair(x, y, e1, body) => {
-                let (t, _) = check_l3(ctx, e1, self.oracle)?;
+                let (t, _) = check_l3(ctx, e1, &|m, l| self.conversions.derivable(m, l))?;
                 let (t1, t2) = match t {
                     L3Type::Tensor(a, b) => (Arc::unwrap_or_clone(a), Arc::unwrap_or_clone(b)),
                     other => {
@@ -205,7 +196,7 @@ impl<'a> MemGcCompiler<'a> {
             L3Expr::If(c, t, f) => Expr::if_(self.l3(ctx, c)?, self.l3(ctx, t)?, self.l3(ctx, f)?),
             L3Expr::Bang(v) => self.l3(ctx, v)?,
             L3Expr::LetBang(x, e1, body) => {
-                let (t, _) = check_l3(ctx, e1, self.oracle)?;
+                let (t, _) = check_l3(ctx, e1, &|m, l| self.conversions.derivable(m, l))?;
                 let inner = match t {
                     L3Type::Bang(inner) => Arc::unwrap_or_clone(inner),
                     other => {
@@ -278,7 +269,7 @@ impl<'a> MemGcCompiler<'a> {
             L3Expr::LocApp(e1, _) => Expr::app(self.l3(ctx, e1)?, Expr::Unit),
             L3Expr::Pack(_, e1, _) => self.l3(ctx, e1)?,
             L3Expr::Unpack(z, x, e1, body) => {
-                let (t, _) = check_l3(ctx, e1, self.oracle)?;
+                let (t, _) = check_l3(ctx, e1, &|m, l| self.conversions.derivable(m, l))?;
                 let opened = match t {
                     L3Type::ExistsLoc(w, inner) => inner.subst_loc(&w, z),
                     other => {
@@ -293,14 +284,14 @@ impl<'a> MemGcCompiler<'a> {
                 Expr::let_(x.clone(), self.l3(ctx, e1)?, self.l3(&inner_ctx, body)?)
             }
             L3Expr::Boundary(ml, ty) => {
-                let (tm, _) = check_poly(ctx, ml, self.oracle)?;
-                let glue = self.emitter.ml_to_l3(&tm, ty).ok_or_else(|| {
+                let (tm, _) = check_poly(ctx, ml, &|m, l| self.conversions.derivable(m, l))?;
+                let glue = self.conversions.derive_pair(&tm, ty).ok_or_else(|| {
                     MemGcCompileError::MissingConversion {
                         ml: tm.clone(),
                         l3: ty.clone(),
                     }
                 })?;
-                Expr::app(glue, self.ml(ctx, ml)?)
+                Expr::app(glue.a_to_b.clone(), self.ml(ctx, ml)?)
             }
         })
     }
@@ -309,22 +300,11 @@ impl<'a> MemGcCompiler<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::typecheck::NoConversions;
     use lcvm::{Halt, Machine, Slot, Value};
     use semint_core::{ErrorCode, Fuel};
 
-    struct NoGlue;
-    impl MemGcConversionEmitter for NoGlue {
-        fn l3_to_ml(&self, _: &L3Type, _: &PolyType) -> Option<Expr> {
-            None
-        }
-        fn ml_to_l3(&self, _: &PolyType, _: &L3Type) -> Option<Expr> {
-            None
-        }
-    }
-
     fn compile_l3(e: &L3Expr) -> Expr {
-        MemGcCompiler::new(&NoConversions, &NoGlue)
+        MemGcCompiler::new(&MemGcConversions::standard())
             .compile_l3_program(e)
             .unwrap()
     }
@@ -395,7 +375,7 @@ mod tests {
                 ),
             ),
         );
-        check_l3(&MemGcCtx::empty(), &e, &NoConversions).expect("typechecks");
+        check_l3(&MemGcCtx::empty(), &e, &|_, _| false).expect("typechecks");
         let r = run(compile_l3(&e));
         // The freed contents are the swapped-in false (1).
         assert_eq!(r.halt, Halt::Value(Value::Int(1)));
@@ -460,7 +440,7 @@ mod tests {
         let e = L3Expr::locapp(L3Expr::loclam("ζ", L3Expr::bool_(true)), "ζ");
         // Type checking requires ζ in scope for the application; compile the
         // closed loclam and apply: Λζ. true [ζ] ⇝ (λ_. 0) () ⇝ 0.
-        let compiled = MemGcCompiler::new(&NoConversions, &NoGlue)
+        let compiled = MemGcCompiler::new(&MemGcConversions::standard())
             .compile_l3_program(&e)
             .unwrap();
         assert_eq!(run(compiled).halt, Halt::Value(Value::Int(0)));
@@ -479,7 +459,7 @@ mod tests {
             ),
             PolyExpr::int(7),
         );
-        let compiled = MemGcCompiler::new(&NoConversions, &NoGlue)
+        let compiled = MemGcCompiler::new(&MemGcConversions::standard())
             .compile_ml_program(&e)
             .unwrap();
         assert_eq!(run(compiled).halt, Halt::Value(Value::Int(7)));
@@ -488,7 +468,7 @@ mod tests {
     #[test]
     fn miniml_gc_references_stay_gc_managed() {
         let e = PolyExpr::deref(PolyExpr::ref_(PolyExpr::int(5)));
-        let compiled = MemGcCompiler::new(&NoConversions, &NoGlue)
+        let compiled = MemGcCompiler::new(&MemGcConversions::standard())
             .compile_ml_program(&e)
             .unwrap();
         let r = run(compiled);
@@ -503,8 +483,9 @@ mod tests {
 
     #[test]
     fn boundaries_without_glue_are_compile_errors() {
-        let e = PolyExpr::boundary(L3Expr::bool_(true), PolyType::foreign(L3Type::Bool));
-        let err = MemGcCompiler::new(&NoConversions, &NoGlue)
+        // ⦇()⦈int: the standard rules refute int ∼ unit.
+        let e = PolyExpr::boundary(L3Expr::unit(), PolyType::Int);
+        let err = MemGcCompiler::new(&MemGcConversions::standard())
             .compile_ml_program(&e)
             .unwrap_err();
         assert!(matches!(err, MemGcCompileError::MissingConversion { .. }));

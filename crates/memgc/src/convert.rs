@@ -34,9 +34,8 @@
 //! only the nodes on the path from its root to its sub-glue, and the glue
 //! is the same term, names included, that building it afresh would give.
 
-use crate::compile::MemGcConversionEmitter;
 use crate::syntax::{L3Type, PolyType};
-use crate::typecheck::{ref_like_payload, MemGcConvertOracle};
+use crate::typecheck::ref_like_payload;
 use lcvm::Expr;
 use semint_core::convert::{ConversionPair, ConversionScheme, GlueCache};
 use semint_core::Var;
@@ -53,11 +52,6 @@ impl MemGcConversions {
     /// The standard rule set with a cold glue cache.
     pub fn standard() -> Self {
         MemGcConversions::default()
-    }
-
-    /// The memoization cache behind [`MemGcConversions::derive`].
-    pub fn cache(&self) -> &GlueCache<PolyType, L3Type, Expr> {
-        &self.cache
     }
 
     /// Derives `τ ∼ 𝜏` (memoized), returning `(C_{τ↦𝜏}, C_{𝜏↦τ})`.
@@ -123,21 +117,6 @@ impl ConversionScheme for MemGcConversions {
             _ => None,
         };
         pair.map(|(to_l3, from_l3)| ConversionPair::new(to_l3, from_l3))
-    }
-}
-
-impl MemGcConvertOracle for MemGcConversions {
-    fn convertible(&self, ml: &PolyType, l3: &L3Type) -> bool {
-        self.derivable(ml, l3)
-    }
-}
-
-impl MemGcConversionEmitter for MemGcConversions {
-    fn l3_to_ml(&self, l3: &L3Type, ml: &PolyType) -> Option<Expr> {
-        self.derive_pair(ml, l3).map(|p| p.b_to_a.clone())
-    }
-    fn ml_to_l3(&self, ml: &PolyType, l3: &L3Type) -> Option<Expr> {
-        self.derive_pair(ml, l3).map(|p| p.a_to_b.clone())
     }
 }
 
@@ -329,27 +308,27 @@ mod tests {
     #[test]
     fn rule_coverage() {
         let c = conv();
-        assert!(c.convertible(&PolyType::Unit, &L3Type::Unit));
-        assert!(c.convertible(&PolyType::Int, &L3Type::Bool));
-        assert!(c.convertible(&PolyType::foreign(L3Type::Bool), &L3Type::Bool));
-        assert!(c.convertible(&PolyType::foreign(L3Type::ptr("ζ")), &L3Type::ptr("ζ")));
+        assert!(c.derivable(&PolyType::Unit, &L3Type::Unit));
+        assert!(c.derivable(&PolyType::Int, &L3Type::Bool));
+        assert!(c.derivable(&PolyType::foreign(L3Type::Bool), &L3Type::Bool));
+        assert!(c.derivable(&PolyType::foreign(L3Type::ptr("ζ")), &L3Type::ptr("ζ")));
         assert!(
-            !c.convertible(
+            !c.derivable(
                 &PolyType::foreign(L3Type::cap("ζ", L3Type::Bool)),
                 &L3Type::cap("ζ", L3Type::Bool)
             ),
             "capabilities are linear, hence not Duplicable, hence not foreign-embeddable"
         );
-        assert!(c.convertible(
+        assert!(c.derivable(
             &PolyType::ref_(PolyType::Int),
             &L3Type::ref_like(L3Type::Bool)
         ));
-        assert!(c.convertible(&PolyType::church_bool(), &L3Type::Bool));
-        assert!(c.convertible(
+        assert!(c.derivable(&PolyType::church_bool(), &L3Type::Bool));
+        assert!(c.derivable(
             &PolyType::fun(PolyType::Int, PolyType::Int),
             &L3Type::bang(L3Type::lolli(L3Type::bang(L3Type::Bool), L3Type::Bool))
         ));
-        assert!(!c.convertible(&PolyType::Int, &L3Type::Unit));
+        assert!(!c.derivable(&PolyType::Int, &L3Type::Unit));
     }
 
     #[test]
@@ -357,10 +336,10 @@ mod tests {
         // Build an L3 package ((), ℓ) with ℓ a manual cell holding true (0).
         let mut heap = Heap::new();
         let loc = heap.alloc_manual(Value::Int(0));
-        let glue = conv()
-            .l3_to_ml(
-                &L3Type::ref_like(L3Type::Bool),
+        let (_, glue) = conv()
+            .derive(
                 &PolyType::ref_(PolyType::Int),
+                &L3Type::ref_like(L3Type::Bool),
             )
             .unwrap();
         let prog = Expr::app(glue, Expr::pair(Expr::Unit, Expr::Loc(loc)));
@@ -380,8 +359,8 @@ mod tests {
     fn miniml_to_l3_reference_conversion_copies_into_fresh_manual_cell() {
         let mut heap = Heap::new();
         let loc = heap.alloc_gc(Value::Int(7));
-        let glue = conv()
-            .ml_to_l3(
+        let (glue, _) = conv()
+            .derive(
                 &PolyType::ref_(PolyType::Int),
                 &L3Type::ref_like(L3Type::Bool),
             )
@@ -447,10 +426,10 @@ mod tests {
         ));
         let first = c.derive(&ml, &l3);
         assert!(first.is_some());
-        let after_first = c.cache().stats();
+        let after_first = c.glue_cache().stats();
         let second = c.derive(&ml, &l3);
         assert_eq!(first, second, "cached result is observably identical");
-        let after_second = c.cache().stats();
+        let after_second = c.glue_cache().stats();
         assert_eq!(after_second.misses, after_first.misses);
         assert_eq!(after_second.hits, after_first.hits + 1);
         assert_eq!(first, MemGcConversions::standard().derive(&ml, &l3));

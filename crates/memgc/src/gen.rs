@@ -356,9 +356,10 @@ mod tests {
             let mut gen = MemGcProgramGen::new(seed);
             let ty = gen.gen_ml_type(2);
             let e = gen.gen_ml(&ty);
-            let (checked, _) = check_poly(&MemGcCtx::empty(), &e, &rules).unwrap_or_else(|err| {
-                panic!("seed {seed}: generated program {e} does not typecheck: {err}")
-            });
+            let (checked, _) = check_poly(&MemGcCtx::empty(), &e, &|m, l| rules.derivable(m, l))
+                .unwrap_or_else(|err| {
+                    panic!("seed {seed}: generated program {e} does not typecheck: {err}")
+                });
             assert_eq!(checked, ty, "seed {seed}");
         }
     }
@@ -370,9 +371,10 @@ mod tests {
             let mut gen = MemGcProgramGen::new(seed);
             let ty = gen.gen_l3_type(2);
             let e = gen.gen_l3(&ty);
-            let (checked, _) = check_l3(&MemGcCtx::empty(), &e, &rules).unwrap_or_else(|err| {
-                panic!("seed {seed}: generated program {e} does not typecheck: {err}")
-            });
+            let (checked, _) = check_l3(&MemGcCtx::empty(), &e, &|m, l| rules.derivable(m, l))
+                .unwrap_or_else(|err| {
+                    panic!("seed {seed}: generated program {e} does not typecheck: {err}")
+                });
             assert_eq!(checked, ty, "seed {seed}");
         }
     }
@@ -438,7 +440,7 @@ mod tests {
             let ty = gen.gen_goal_ml_type();
             max_depth_seen = max_depth_seen.max(ml_type_depth(&ty));
             let e = gen.gen_ml(&ty);
-            let (checked, _) = check_poly(&MemGcCtx::empty(), &e, &rules)
+            let (checked, _) = check_poly(&MemGcCtx::empty(), &e, &|m, l| rules.derivable(m, l))
                 .unwrap_or_else(|err| panic!("seed {seed}: {e} does not typecheck: {err}"));
             assert_eq!(checked, ty, "seed {seed}");
         }

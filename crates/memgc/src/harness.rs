@@ -10,6 +10,7 @@ use crate::syntax::{L3Expr, L3Type, PolyExpr, PolyType};
 use crate::typecheck::{check_l3, check_poly, MemGcCtx};
 use lcvm::{Expr, Halt, Machine, RunResult};
 use semint_core::case::{CaseStudy, CheckFailure, GenProfile, Scenario, Size};
+use semint_core::convert::ConversionScheme;
 use semint_core::stats::RunStats;
 use semint_core::{Fuel, GlueCacheStats};
 use std::fmt;
@@ -198,19 +199,16 @@ impl CaseStudy for MemGcCase {
 
     fn typecheck(&self, program: &MgProgram) -> Result<MgSourceType, String> {
         let ctx = MemGcCtx::empty();
+        let convertible = |ml: &PolyType, l3: &L3Type| self.conversions.derivable(ml, l3);
         match program {
-            MgProgram::Ml(e) => {
-                check_poly(&ctx, e, &self.conversions).map(|(t, _)| MgSourceType::Ml(t))
-            }
-            MgProgram::L3(e) => {
-                check_l3(&ctx, e, &self.conversions).map(|(t, _)| MgSourceType::L3(t))
-            }
+            MgProgram::Ml(e) => check_poly(&ctx, e, &convertible).map(|(t, _)| MgSourceType::Ml(t)),
+            MgProgram::L3(e) => check_l3(&ctx, e, &convertible).map(|(t, _)| MgSourceType::L3(t)),
         }
         .map_err(|e| e.to_string())
     }
 
     fn compile(&self, program: &MgProgram) -> Result<Expr, String> {
-        let compiler = MemGcCompiler::new(&self.conversions, &self.conversions);
+        let compiler = MemGcCompiler::new(&self.conversions);
         match program {
             MgProgram::Ml(e) => compiler.compile_ml_program(e),
             MgProgram::L3(e) => compiler.compile_l3_program(e),
@@ -302,9 +300,12 @@ impl CaseStudy for MemGcCase {
 
     fn check_conversions(&self) -> Result<(), CheckFailure> {
         // §5's executable conversion check is transfer soundness for the
-        // in-place `gcmov` move at representative payload types.
+        // in-place `gcmov` move at representative payload types.  The payload
+        // 7 is an integer on which the `int ↦ bool` collapse is not the
+        // identity.
         let catalogue = [
             (PolyType::Int, L3Type::Bool, lcvm::Value::Int(0)),
+            (PolyType::Int, L3Type::Bool, lcvm::Value::Int(7)),
             (
                 PolyType::prod(PolyType::Int, PolyType::Int),
                 L3Type::tensor(L3Type::Bool, L3Type::Bool),
@@ -318,7 +319,7 @@ impl CaseStudy for MemGcCase {
     }
 
     fn glue_cache_stats(&self) -> Option<GlueCacheStats> {
-        Some(self.conversions.cache().stats())
+        Some(self.conversions.glue_cache().stats())
     }
 }
 
@@ -525,8 +526,9 @@ mod tests {
             PolyType::foreign(L3Type::ref_like(L3Type::Bool)),
         );
         let case = MemGcCase::standard();
+        let rules = case.conversions();
         assert!(matches!(
-            check_poly(&MemGcCtx::empty(), &e, case.conversions()),
+            check_poly(&MemGcCtx::empty(), &e, &|m, l| rules.derivable(m, l)),
             Err(MemGcTypeError::NotConvertible { .. })
         ));
         assert!(case.run(&MgProgram::Ml(e), Fuel::default()).is_err());

@@ -7,38 +7,15 @@
 //! duplicated/dropped explicitly.  As in the other case studies, usage
 //! accounting makes the declarative environment-splitting rules algorithmic,
 //! and both checkers thread both environments because open terms may cross
-//! boundaries.
+//! boundaries.  The convertibility judgment `τ ∼ 𝜏` that a boundary consults
+//! is a predicate the caller passes: the §5 case study passes its rule set's
+//! `derivable`.
 
 use crate::syntax::{L3Expr, L3Type, LocVar, PolyExpr, PolyType, TyVar};
 use semint_core::Var;
 use std::collections::{BTreeSet, HashMap};
 use std::fmt;
 use std::sync::Arc;
-
-/// The convertibility judgment `τ ∼ 𝜏` as consulted by the type checkers.
-pub trait MemGcConvertOracle {
-    /// Is MiniML type `ml` interconvertible with L3 type `l3`?
-    fn convertible(&self, ml: &PolyType, l3: &L3Type) -> bool;
-}
-
-impl<F> MemGcConvertOracle for F
-where
-    F: Fn(&PolyType, &L3Type) -> bool,
-{
-    fn convertible(&self, ml: &PolyType, l3: &L3Type) -> bool {
-        self(ml, l3)
-    }
-}
-
-/// An oracle with no conversions.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NoConversions;
-
-impl MemGcConvertOracle for NoConversions {
-    fn convertible(&self, _: &PolyType, _: &L3Type) -> bool {
-        false
-    }
-}
 
 /// Linear-variable usage.
 pub type Usage = BTreeSet<Var>;
@@ -193,7 +170,7 @@ fn does_loc_occur(ty: &L3Type, z: &LocVar) -> bool {
 pub fn check_poly(
     ctx: &MemGcCtx,
     e: &PolyExpr,
-    oracle: &dyn MemGcConvertOracle,
+    convertible: &dyn Fn(&PolyType, &L3Type) -> bool,
 ) -> Result<(PolyType, Usage), MemGcTypeError> {
     match e {
         PolyExpr::Unit => Ok((PolyType::Unit, Usage::new())),
@@ -205,21 +182,21 @@ pub fn check_poly(
             .map(|t| (t, Usage::new()))
             .ok_or_else(|| MemGcTypeError::Unbound(x.to_string())),
         PolyExpr::Pair(a, b) => {
-            let (ta, ua) = check_poly(ctx, a, oracle)?;
-            let (tb, ub) = check_poly(ctx, b, oracle)?;
+            let (ta, ua) = check_poly(ctx, a, convertible)?;
+            let (tb, ub) = check_poly(ctx, b, convertible)?;
             Ok((PolyType::prod(ta, tb), split(&ua, &ub)?))
         }
-        PolyExpr::Fst(e1) => match check_poly(ctx, e1, oracle)? {
+        PolyExpr::Fst(e1) => match check_poly(ctx, e1, convertible)? {
             (PolyType::Prod(a, _), u) => Ok((Arc::unwrap_or_clone(a), u)),
             (other, _) => Err(mismatch("a product type", other, "fst")),
         },
-        PolyExpr::Snd(e1) => match check_poly(ctx, e1, oracle)? {
+        PolyExpr::Snd(e1) => match check_poly(ctx, e1, convertible)? {
             (PolyType::Prod(_, b), u) => Ok((Arc::unwrap_or_clone(b), u)),
             (other, _) => Err(mismatch("a product type", other, "snd")),
         },
         PolyExpr::Inl(e1, ty) => match ty {
             PolyType::Sum(l, _) => {
-                let (t, u) = check_poly(ctx, e1, oracle)?;
+                let (t, u) = check_poly(ctx, e1, convertible)?;
                 if &t == l.as_ref() {
                     Ok((ty.clone(), u))
                 } else {
@@ -230,7 +207,7 @@ pub fn check_poly(
         },
         PolyExpr::Inr(e1, ty) => match ty {
             PolyType::Sum(_, r) => {
-                let (t, u) = check_poly(ctx, e1, oracle)?;
+                let (t, u) = check_poly(ctx, e1, convertible)?;
                 if &t == r.as_ref() {
                     Ok((ty.clone(), u))
                 } else {
@@ -240,13 +217,19 @@ pub fn check_poly(
             other => Err(mismatch("a sum type", other, "inr annotation")),
         },
         PolyExpr::Match(s, x, l, y, r) => {
-            let (ts, us) = check_poly(ctx, s, oracle)?;
+            let (ts, us) = check_poly(ctx, s, convertible)?;
             match ts {
                 PolyType::Sum(tl, tr) => {
-                    let (t1, u1) =
-                        check_poly(&ctx.with_ml(x.clone(), Arc::unwrap_or_clone(tl)), l, oracle)?;
-                    let (t2, u2) =
-                        check_poly(&ctx.with_ml(y.clone(), Arc::unwrap_or_clone(tr)), r, oracle)?;
+                    let (t1, u1) = check_poly(
+                        &ctx.with_ml(x.clone(), Arc::unwrap_or_clone(tl)),
+                        l,
+                        convertible,
+                    )?;
+                    let (t2, u2) = check_poly(
+                        &ctx.with_ml(y.clone(), Arc::unwrap_or_clone(tr)),
+                        r,
+                        convertible,
+                    )?;
                     if t1 != t2 {
                         return Err(mismatch(t1, t2, "match branches"));
                     }
@@ -257,7 +240,7 @@ pub fn check_poly(
             }
         }
         PolyExpr::Lam(x, ty, body) => {
-            let (tb, ub) = check_poly(&ctx.with_ml(x.clone(), ty.clone()), body, oracle)?;
+            let (tb, ub) = check_poly(&ctx.with_ml(x.clone(), ty.clone()), body, convertible)?;
             // A MiniML function may be applied many times, so it must not
             // close over linear L3 resources.
             if let Some(a) = ub.iter().next() {
@@ -266,8 +249,8 @@ pub fn check_poly(
             Ok((PolyType::fun(ty.clone(), tb), Usage::new()))
         }
         PolyExpr::App(f, a) => {
-            let (tf, uf) = check_poly(ctx, f, oracle)?;
-            let (ta, ua) = check_poly(ctx, a, oracle)?;
+            let (tf, uf) = check_poly(ctx, f, convertible)?;
+            let (ta, ua) = check_poly(ctx, a, convertible)?;
             match tf {
                 PolyType::Fun(dom, cod) => {
                     if *dom != ta {
@@ -279,27 +262,27 @@ pub fn check_poly(
             }
         }
         PolyExpr::TyLam(a, body) => {
-            let (tb, ub) = check_poly(&ctx.with_tyvar(a.clone()), body, oracle)?;
+            let (tb, ub) = check_poly(&ctx.with_tyvar(a.clone()), body, convertible)?;
             Ok((PolyType::forall(a.clone(), tb), ub))
         }
         PolyExpr::TyApp(e1, ty) => {
-            let (t, u) = check_poly(ctx, e1, oracle)?;
+            let (t, u) = check_poly(ctx, e1, convertible)?;
             match t {
                 PolyType::Forall(a, body) => Ok((body.subst(&a, ty), u)),
                 other => Err(mismatch("a ∀-type", other, "type application")),
             }
         }
         PolyExpr::Ref(e1) => {
-            let (t, u) = check_poly(ctx, e1, oracle)?;
+            let (t, u) = check_poly(ctx, e1, convertible)?;
             Ok((PolyType::ref_(t), u))
         }
-        PolyExpr::Deref(e1) => match check_poly(ctx, e1, oracle)? {
+        PolyExpr::Deref(e1) => match check_poly(ctx, e1, convertible)? {
             (PolyType::Ref(t), u) => Ok((Arc::unwrap_or_clone(t), u)),
             (other, _) => Err(mismatch("a reference type", other, "dereference")),
         },
         PolyExpr::Assign(a, b) => {
-            let (ta, ua) = check_poly(ctx, a, oracle)?;
-            let (tb, ub) = check_poly(ctx, b, oracle)?;
+            let (ta, ua) = check_poly(ctx, a, convertible)?;
+            let (tb, ub) = check_poly(ctx, b, convertible)?;
             match ta {
                 PolyType::Ref(inner) => {
                     if *inner != tb {
@@ -311,8 +294,8 @@ pub fn check_poly(
             }
         }
         PolyExpr::Add(a, b) => {
-            let (ta, ua) = check_poly(ctx, a, oracle)?;
-            let (tb, ub) = check_poly(ctx, b, oracle)?;
+            let (ta, ua) = check_poly(ctx, a, convertible)?;
+            let (tb, ub) = check_poly(ctx, b, convertible)?;
             if ta != PolyType::Int || tb != PolyType::Int {
                 return Err(mismatch(
                     PolyType::Int,
@@ -323,8 +306,8 @@ pub fn check_poly(
             Ok((PolyType::Int, split(&ua, &ub)?))
         }
         PolyExpr::Boundary(l3, ty) => {
-            let (tl, ul) = check_l3(ctx, l3, oracle)?;
-            if oracle.convertible(ty, &tl) {
+            let (tl, ul) = check_l3(ctx, l3, convertible)?;
+            if convertible(ty, &tl) {
                 Ok((ty.clone(), ul))
             } else {
                 Err(MemGcTypeError::NotConvertible {
@@ -340,7 +323,7 @@ pub fn check_poly(
 pub fn check_l3(
     ctx: &MemGcCtx,
     e: &L3Expr,
-    oracle: &dyn MemGcConvertOracle,
+    convertible: &dyn Fn(&PolyType, &L3Type) -> bool,
 ) -> Result<(L3Type, Usage), MemGcTypeError> {
     match e {
         L3Expr::Unit => Ok((L3Type::Unit, Usage::new())),
@@ -358,13 +341,17 @@ pub fn check_l3(
             .map(|t| (t, Usage::new()))
             .ok_or_else(|| MemGcTypeError::Unbound(x.to_string())),
         L3Expr::Lam(x, ty, body) => {
-            let (tb, ub) = check_l3(&ctx.with_l3_linear(x.clone(), ty.clone()), body, oracle)?;
+            let (tb, ub) = check_l3(
+                &ctx.with_l3_linear(x.clone(), ty.clone()),
+                body,
+                convertible,
+            )?;
             let used = consume_binder(ub, x)?;
             Ok((L3Type::lolli(ty.clone(), tb), used))
         }
         L3Expr::App(f, a) => {
-            let (tf, uf) = check_l3(ctx, f, oracle)?;
-            let (ta, ua) = check_l3(ctx, a, oracle)?;
+            let (tf, uf) = check_l3(ctx, f, convertible)?;
+            let (ta, ua) = check_l3(ctx, a, convertible)?;
             match tf {
                 L3Type::Lolli(dom, cod) => {
                     if *dom != ta {
@@ -376,18 +363,18 @@ pub fn check_l3(
             }
         }
         L3Expr::Pair(a, b) => {
-            let (ta, ua) = check_l3(ctx, a, oracle)?;
-            let (tb, ub) = check_l3(ctx, b, oracle)?;
+            let (ta, ua) = check_l3(ctx, a, convertible)?;
+            let (tb, ub) = check_l3(ctx, b, convertible)?;
             Ok((L3Type::tensor(ta, tb), split(&ua, &ub)?))
         }
         L3Expr::LetPair(x, y, e1, body) => {
-            let (t, u1) = check_l3(ctx, e1, oracle)?;
+            let (t, u1) = check_l3(ctx, e1, convertible)?;
             match t {
                 L3Type::Tensor(t1, t2) => {
                     let inner = ctx
                         .with_l3_linear(x.clone(), Arc::unwrap_or_clone(t1))
                         .with_l3_linear(y.clone(), Arc::unwrap_or_clone(t2));
-                    let (tb, ub) = check_l3(&inner, body, oracle)?;
+                    let (tb, ub) = check_l3(&inner, body, convertible)?;
                     let ub = consume_binder(ub, x)?;
                     let ub = consume_binder(ub, y)?;
                     Ok((tb, split(&u1, &ub)?))
@@ -396,20 +383,20 @@ pub fn check_l3(
             }
         }
         L3Expr::LetUnit(e1, body) => {
-            let (t, u1) = check_l3(ctx, e1, oracle)?;
+            let (t, u1) = check_l3(ctx, e1, convertible)?;
             if t != L3Type::Unit {
                 return Err(mismatch(L3Type::Unit, t, "let ()"));
             }
-            let (tb, ub) = check_l3(ctx, body, oracle)?;
+            let (tb, ub) = check_l3(ctx, body, convertible)?;
             Ok((tb, split(&u1, &ub)?))
         }
         L3Expr::If(c, t, f) => {
-            let (tc, uc) = check_l3(ctx, c, oracle)?;
+            let (tc, uc) = check_l3(ctx, c, convertible)?;
             if tc != L3Type::Bool {
                 return Err(mismatch(L3Type::Bool, tc, "if condition"));
             }
-            let (tt, ut) = check_l3(ctx, t, oracle)?;
-            let (tf, uf) = check_l3(ctx, f, oracle)?;
+            let (tt, ut) = check_l3(ctx, t, convertible)?;
+            let (tf, uf) = check_l3(ctx, f, convertible)?;
             if tt != tf {
                 return Err(mismatch(tt, tf, "if branches"));
             }
@@ -422,20 +409,20 @@ pub fn check_l3(
             Ok((tt, split(&uc, &ut)?))
         }
         L3Expr::Bang(e1) => {
-            let (t, u) = check_l3(ctx, e1, oracle)?;
+            let (t, u) = check_l3(ctx, e1, convertible)?;
             if let Some(x) = u.iter().next() {
                 return Err(MemGcTypeError::BangCapturesLinear(x.clone()));
             }
             Ok((L3Type::bang(t), Usage::new()))
         }
         L3Expr::LetBang(x, e1, body) => {
-            let (t, u1) = check_l3(ctx, e1, oracle)?;
+            let (t, u1) = check_l3(ctx, e1, convertible)?;
             match t {
                 L3Type::Bang(inner) => {
                     let (tb, ub) = check_l3(
                         &ctx.with_l3_unrestricted(x.clone(), Arc::unwrap_or_clone(inner)),
                         body,
-                        oracle,
+                        convertible,
                     )?;
                     Ok((tb, split(&u1, &ub)?))
                 }
@@ -443,34 +430,34 @@ pub fn check_l3(
             }
         }
         L3Expr::Dupl(e1) => {
-            let (t, u) = check_l3(ctx, e1, oracle)?;
+            let (t, u) = check_l3(ctx, e1, convertible)?;
             if !t.is_duplicable() {
                 return Err(MemGcTypeError::NotDuplicable(t));
             }
             Ok((L3Type::tensor(t.clone(), t), u))
         }
         L3Expr::Drop(e1) => {
-            let (t, u) = check_l3(ctx, e1, oracle)?;
+            let (t, u) = check_l3(ctx, e1, convertible)?;
             if !t.is_duplicable() {
                 return Err(MemGcTypeError::NotDuplicable(t));
             }
             Ok((L3Type::Unit, u))
         }
         L3Expr::New(e1) => {
-            let (t, u) = check_l3(ctx, e1, oracle)?;
+            let (t, u) = check_l3(ctx, e1, convertible)?;
             Ok((L3Type::ref_like(t), u))
         }
         L3Expr::Free(e1) => {
-            let (t, u) = check_l3(ctx, e1, oracle)?;
+            let (t, u) = check_l3(ctx, e1, convertible)?;
             match ref_like_payload(&t) {
                 Some(inner) => Ok((inner, u)),
                 None => Err(mismatch("∃ζ. cap ζ 𝜏 ⊗ !ptr ζ", t, "free")),
             }
         }
         L3Expr::Swap(ec, ep, ev) => {
-            let (tc, uc) = check_l3(ctx, ec, oracle)?;
-            let (tp, up) = check_l3(ctx, ep, oracle)?;
-            let (tv, uv) = check_l3(ctx, ev, oracle)?;
+            let (tc, uc) = check_l3(ctx, ec, convertible)?;
+            let (tp, up) = check_l3(ctx, ep, convertible)?;
+            let (tv, uv) = check_l3(ctx, ev, convertible)?;
             let (z, stored) = match tc {
                 L3Type::Cap(z, stored) => (z, Arc::unwrap_or_clone(stored)),
                 other => return Err(mismatch("a capability", other, "swap capability")),
@@ -484,14 +471,14 @@ pub fn check_l3(
             Ok((L3Type::tensor(L3Type::cap(z, tv), stored), usage))
         }
         L3Expr::LocLam(z, body) => {
-            let (tb, ub) = check_l3(&ctx.with_locvar(z.clone()), body, oracle)?;
+            let (tb, ub) = check_l3(&ctx.with_locvar(z.clone()), body, convertible)?;
             Ok((L3Type::forall_loc(z.clone(), tb), ub))
         }
         L3Expr::LocApp(e1, z) => {
             if !ctx.locvars.contains(z) {
                 return Err(MemGcTypeError::Unbound(format!("location variable {z}")));
             }
-            let (t, u) = check_l3(ctx, e1, oracle)?;
+            let (t, u) = check_l3(ctx, e1, convertible)?;
             match t {
                 L3Type::ForallLoc(w, body) => Ok((body.subst_loc(&w, z), u)),
                 other => Err(mismatch("a ∀ζ-type", other, "location application")),
@@ -500,7 +487,7 @@ pub fn check_l3(
         L3Expr::Pack(z, e1, annot) => match annot {
             L3Type::ExistsLoc(w, body) => {
                 let expected = body.subst_loc(w, z);
-                let (t, u) = check_l3(ctx, e1, oracle)?;
+                let (t, u) = check_l3(ctx, e1, convertible)?;
                 if t != expected {
                     return Err(mismatch(expected, t, "pack"));
                 }
@@ -509,12 +496,12 @@ pub fn check_l3(
             other => Err(mismatch("an ∃ζ-type", other, "pack annotation")),
         },
         L3Expr::Unpack(z, x, e1, body) => {
-            let (t, u1) = check_l3(ctx, e1, oracle)?;
+            let (t, u1) = check_l3(ctx, e1, convertible)?;
             match t {
                 L3Type::ExistsLoc(w, inner) => {
                     let opened = inner.subst_loc(&w, z);
                     let inner_ctx = ctx.with_locvar(z.clone()).with_l3_linear(x.clone(), opened);
-                    let (tb, ub) = check_l3(&inner_ctx, body, oracle)?;
+                    let (tb, ub) = check_l3(&inner_ctx, body, convertible)?;
                     let ub = consume_binder(ub, x)?;
                     if does_loc_occur(&tb, z) {
                         return Err(mismatch(
@@ -529,8 +516,8 @@ pub fn check_l3(
             }
         }
         L3Expr::Boundary(ml, ty) => {
-            let (tm, um) = check_poly(ctx, ml, oracle)?;
-            if oracle.convertible(&tm, ty) {
+            let (tm, um) = check_poly(ctx, ml, convertible)?;
+            if convertible(&tm, ty) {
                 Ok((ty.clone(), um))
             } else {
                 Err(MemGcTypeError::NotConvertible {
@@ -563,8 +550,12 @@ pub fn ref_like_payload(t: &L3Type) -> Option<L3Type> {
 mod tests {
     use super::*;
 
+    fn deny_all(_: &PolyType, _: &L3Type) -> bool {
+        false
+    }
+
     fn check(e: &L3Expr) -> Result<L3Type, MemGcTypeError> {
-        check_l3(&MemGcCtx::empty(), e, &NoConversions).map(|(t, _)| t)
+        check_l3(&MemGcCtx::empty(), e, &deny_all).map(|(t, _)| t)
     }
 
     #[test]
@@ -659,7 +650,7 @@ mod tests {
                 ),
             ),
         );
-        let (ty, _) = check_l3(&MemGcCtx::empty(), &e, &NoConversions)
+        let (ty, _) = check_l3(&MemGcCtx::empty(), &e, &deny_all)
             .unwrap_or_else(|err| panic!("swap round trip should typecheck: {err}"));
         assert_eq!(ty, L3Type::Bool);
     }
@@ -712,7 +703,7 @@ mod tests {
                 PolyExpr::lam("y", PolyType::tvar("α"), PolyExpr::var("y")),
             ),
         );
-        let (ty, _) = check_poly(&MemGcCtx::empty(), &second, &NoConversions).unwrap();
+        let (ty, _) = check_poly(&MemGcCtx::empty(), &second, &deny_all).unwrap();
         assert_eq!(
             ty,
             PolyType::forall(
@@ -725,7 +716,7 @@ mod tests {
         );
         // Instantiating at a foreign type substitutes it straight in.
         let inst = PolyExpr::tyapp(second, PolyType::foreign(L3Type::Bool));
-        let (ty, _) = check_poly(&MemGcCtx::empty(), &inst, &NoConversions).unwrap();
+        let (ty, _) = check_poly(&MemGcCtx::empty(), &inst, &deny_all).unwrap();
         assert_eq!(
             ty,
             PolyType::fun(
@@ -741,7 +732,7 @@ mod tests {
     #[test]
     fn boundaries_require_convertibility_rules() {
         let e = PolyExpr::boundary(L3Expr::bool_(true), PolyType::foreign(L3Type::Bool));
-        assert!(check_poly(&MemGcCtx::empty(), &e, &NoConversions).is_err());
+        assert!(check_poly(&MemGcCtx::empty(), &e, &deny_all).is_err());
         let allow = |ml: &PolyType, l3: &L3Type| matches!((ml, l3), (PolyType::Foreign(inner), t) if inner.as_ref() == t);
         let (ty, _) = check_poly(&MemGcCtx::empty(), &e, &allow).unwrap();
         assert_eq!(ty, PolyType::foreign(L3Type::Bool));

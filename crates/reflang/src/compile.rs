@@ -1,10 +1,10 @@
 //! Compilers from RefHL and RefLL to StackLang (Fig. 3).
 //!
 //! The compilers are type-directed only at boundaries: a boundary `⦇ē⦈τ`
-//! compiles to `ē⁺, C_{𝜏↦τ}` where the conversion glue code `C` is supplied by
-//! a [`ConversionEmitter`] (implemented by the `sharedmem` case-study crate
-//! with the Fig. 4 conversions).  Everything else follows the figure line by
-//! line:
+//! compiles to `ē⁺, C_{𝜏↦τ}` where the conversion glue code `C` is the
+//! matching half of the rule set's [`ConversionScheme::derive_pair`] (the
+//! `sharedmem` case-study crate implements the Fig. 4 rules).  Everything else
+//! follows the figure line by line:
 //!
 //! ```text
 //! ()            ⇝ push 0                  n            ⇝ push n
@@ -21,39 +21,15 @@
 
 use crate::syntax::{HlExpr, HlType, LlExpr, LlType};
 use crate::typecheck::TypeCtx;
+use semint_core::convert::ConversionScheme;
 use stacklang::builder::{dup, pack, swap, tagged};
 use stacklang::{Instr, Program};
 use std::fmt;
 
-/// Supplies the target-level conversion glue code used at boundaries.
-pub trait ConversionEmitter {
-    /// `C_{𝜏 ↦ τ}`: glue converting a (compiled) RefLL `𝜏` into a RefHL `τ`.
-    ///
-    /// Returns `None` when no conversion is registered for the pair.
-    fn ll_to_hl(&self, ll: &LlType, hl: &HlType) -> Option<Program>;
-
-    /// `C_{τ ↦ 𝜏}`: glue converting a (compiled) RefHL `τ` into a RefLL `𝜏`.
-    fn hl_to_ll(&self, hl: &HlType, ll: &LlType) -> Option<Program>;
-}
-
-/// An emitter for programs with no boundaries; any boundary is a compile
-/// error.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NoBoundaries;
-
-impl ConversionEmitter for NoBoundaries {
-    fn ll_to_hl(&self, _ll: &LlType, _hl: &HlType) -> Option<Program> {
-        None
-    }
-    fn hl_to_ll(&self, _hl: &HlType, _ll: &LlType) -> Option<Program> {
-        None
-    }
-}
-
 /// Errors raised by the compilers.
 ///
-/// The only possible error is a boundary whose conversion the emitter does
-/// not know; ill-typed programs should be rejected by the type checker before
+/// The only possible error is a boundary whose conversion the rule set does
+/// not derive; ill-typed programs should be rejected by the type checker before
 /// compilation.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MissingConversion {
@@ -79,19 +55,19 @@ impl std::error::Error for MissingConversion {}
 ///
 /// # Errors
 ///
-/// Fails with [`MissingConversion`] if the expression contains a boundary the
-/// emitter has no glue code for.  The RefLL type of an embedded term is
+/// Fails with [`MissingConversion`] if the expression contains a boundary
+/// `rules` derives no glue for.  The RefLL type of an embedded term is
 /// needed to pick the conversion, so the compiler reconstructs it with the
 /// type checker under `ctx` (convertibility does not influence the type a
 /// boundary produces, only whether it is accepted, so reconstruction under an
-/// accept-all oracle yields the same types the real type checker would).
+/// accept-all judgment yields the same types the real type checker would).
 pub fn compile_hl(
     ctx: &TypeCtx,
     e: &HlExpr,
-    emitter: &dyn ConversionEmitter,
+    rules: &dyn ConversionScheme<TyA = HlType, TyB = LlType, Glue = Program>,
 ) -> Result<Program, MissingConversion> {
     let mut out = Vec::new();
-    emit_hl(ctx, e, emitter, &mut out)?;
+    emit_hl(ctx, e, rules, &mut out)?;
     Ok(Program::from(out))
 }
 
@@ -101,7 +77,7 @@ pub fn compile_hl(
 fn emit_hl(
     ctx: &TypeCtx,
     e: &HlExpr,
-    emitter: &dyn ConversionEmitter,
+    rules: &dyn ConversionScheme<TyA = HlType, TyB = LlType, Glue = Program>,
     out: &mut Vec<Instr>,
 ) -> Result<(), MissingConversion> {
     match e {
@@ -109,35 +85,35 @@ fn emit_hl(
         HlExpr::Bool(b) => out.push(Instr::push_num(if *b { 0 } else { 1 })),
         HlExpr::Var(x) => out.push(Instr::push_var(x.clone())),
         HlExpr::Inl(e1, _) => {
-            emit_hl(ctx, e1, emitter, out)?;
+            emit_hl(ctx, e1, rules, out)?;
             out.extend_from_slice(tagged(0).instrs());
         }
         HlExpr::Inr(e1, _) => {
-            emit_hl(ctx, e1, emitter, out)?;
+            emit_hl(ctx, e1, rules, out)?;
             out.extend_from_slice(tagged(1).instrs());
         }
         HlExpr::Pair(a, b) => {
-            emit_hl(ctx, a, emitter, out)?;
-            emit_hl(ctx, b, emitter, out)?;
+            emit_hl(ctx, a, rules, out)?;
+            emit_hl(ctx, b, rules, out)?;
             out.push(pack(2));
         }
         HlExpr::Fst(e1) => {
-            emit_hl(ctx, e1, emitter, out)?;
+            emit_hl(ctx, e1, rules, out)?;
             out.extend([Instr::push_num(0), Instr::Idx]);
         }
         HlExpr::Snd(e1) => {
-            emit_hl(ctx, e1, emitter, out)?;
+            emit_hl(ctx, e1, rules, out)?;
             out.extend([Instr::push_num(1), Instr::Idx]);
         }
         HlExpr::If(c, t, f) => {
-            emit_hl(ctx, c, emitter, out)?;
+            emit_hl(ctx, c, rules, out)?;
             out.push(Instr::If0(
-                compile_hl(ctx, t, emitter)?,
-                compile_hl(ctx, f, emitter)?,
+                compile_hl(ctx, t, rules)?,
+                compile_hl(ctx, f, rules)?,
             ));
         }
         HlExpr::Match(s, x, l, y, r) => {
-            emit_hl(ctx, s, emitter, out)?;
+            emit_hl(ctx, s, rules, out)?;
             out.extend([
                 dup(),
                 Instr::push_num(1),
@@ -147,52 +123,51 @@ fn emit_hl(
                 Instr::Idx,
             ]);
             out.push(Instr::If0(
-                Program::single(Instr::lam1(x.clone(), compile_hl(ctx, l, emitter)?)),
-                Program::single(Instr::lam1(y.clone(), compile_hl(ctx, r, emitter)?)),
+                Program::single(Instr::lam1(x.clone(), compile_hl(ctx, l, rules)?)),
+                Program::single(Instr::lam1(y.clone(), compile_hl(ctx, r, rules)?)),
             ));
         }
         HlExpr::Lam(x, ty, body) => out.push(Instr::push_thunk(Program::single(Instr::lam1(
             x.clone(),
-            compile_hl(&ctx.with_hl(x.clone(), ty.clone()), body, emitter)?,
+            compile_hl(&ctx.with_hl(x.clone(), ty.clone()), body, rules)?,
         )))),
         HlExpr::App(f, a) => {
-            emit_hl(ctx, f, emitter, out)?;
-            emit_hl(ctx, a, emitter, out)?;
+            emit_hl(ctx, f, rules, out)?;
+            emit_hl(ctx, a, rules, out)?;
             out.extend([swap(), Instr::Call]);
         }
         HlExpr::Ref(e1) => {
-            emit_hl(ctx, e1, emitter, out)?;
+            emit_hl(ctx, e1, rules, out)?;
             out.push(Instr::Alloc);
         }
         HlExpr::Deref(e1) => {
-            emit_hl(ctx, e1, emitter, out)?;
+            emit_hl(ctx, e1, rules, out)?;
             out.push(Instr::Read);
         }
         HlExpr::Assign(a, b) => {
-            emit_hl(ctx, a, emitter, out)?;
-            emit_hl(ctx, b, emitter, out)?;
+            emit_hl(ctx, a, rules, out)?;
+            emit_hl(ctx, b, rules, out)?;
             out.extend([Instr::Write, Instr::push_num(0)]);
         }
         HlExpr::Boundary(ll, ty) => {
             let ll_ty = match infer_ll_type_for_boundary(ctx, ll) {
                 Some(t) => t,
                 None => {
-                    // The emitter gets a chance with every registered LL type
-                    // via the annotation-free path; if that fails, report.
+                    // The subterm does not type check, so no rule can apply.
                     return Err(MissingConversion {
                         hl: ty.clone(),
                         ll: LlType::Int,
                     });
                 }
             };
-            let glue = emitter
-                .ll_to_hl(&ll_ty, ty)
+            let glue = rules
+                .derive_pair(ty, &ll_ty)
                 .ok_or_else(|| MissingConversion {
                     hl: ty.clone(),
                     ll: ll_ty.clone(),
                 })?;
-            emit_ll(ctx, ll, emitter, out)?;
-            out.extend_from_slice(glue.instrs());
+            emit_ll(ctx, ll, rules, out)?;
+            out.extend_from_slice(glue.b_to_a.instrs());
         }
     }
     Ok(())
@@ -202,15 +177,15 @@ fn emit_hl(
 ///
 /// # Errors
 ///
-/// Fails with [`MissingConversion`] if the expression contains a boundary the
-/// emitter has no glue code for.
+/// Fails with [`MissingConversion`] if the expression contains a boundary
+/// `rules` derives no glue for.
 pub fn compile_ll(
     ctx: &TypeCtx,
     e: &LlExpr,
-    emitter: &dyn ConversionEmitter,
+    rules: &dyn ConversionScheme<TyA = HlType, TyB = LlType, Glue = Program>,
 ) -> Result<Program, MissingConversion> {
     let mut out = Vec::new();
-    emit_ll(ctx, e, emitter, &mut out)?;
+    emit_ll(ctx, e, rules, &mut out)?;
     Ok(Program::from(out))
 }
 
@@ -218,7 +193,7 @@ pub fn compile_ll(
 fn emit_ll(
     ctx: &TypeCtx,
     e: &LlExpr,
-    emitter: &dyn ConversionEmitter,
+    rules: &dyn ConversionScheme<TyA = HlType, TyB = LlType, Glue = Program>,
     out: &mut Vec<Instr>,
 ) -> Result<(), MissingConversion> {
     match e {
@@ -226,47 +201,47 @@ fn emit_ll(
         LlExpr::Var(x) => out.push(Instr::push_var(x.clone())),
         LlExpr::Array(es, _) => {
             for e1 in es.iter() {
-                emit_ll(ctx, e1, emitter, out)?;
+                emit_ll(ctx, e1, rules, out)?;
             }
             out.push(pack(es.len()));
         }
         LlExpr::Index(a, i) => {
-            emit_ll(ctx, a, emitter, out)?;
-            emit_ll(ctx, i, emitter, out)?;
+            emit_ll(ctx, a, rules, out)?;
+            emit_ll(ctx, i, rules, out)?;
             out.push(Instr::Idx);
         }
         LlExpr::Lam(x, ty, body) => out.push(Instr::push_thunk(Program::single(Instr::lam1(
             x.clone(),
-            compile_ll(&ctx.with_ll(x.clone(), ty.clone()), body, emitter)?,
+            compile_ll(&ctx.with_ll(x.clone(), ty.clone()), body, rules)?,
         )))),
         LlExpr::App(f, a) => {
-            emit_ll(ctx, f, emitter, out)?;
-            emit_ll(ctx, a, emitter, out)?;
+            emit_ll(ctx, f, rules, out)?;
+            emit_ll(ctx, a, rules, out)?;
             out.extend([swap(), Instr::Call]);
         }
         LlExpr::Add(a, b) => {
-            emit_ll(ctx, a, emitter, out)?;
-            emit_ll(ctx, b, emitter, out)?;
+            emit_ll(ctx, a, rules, out)?;
+            emit_ll(ctx, b, rules, out)?;
             out.extend([swap(), Instr::Add]);
         }
         LlExpr::If0(c, t, f) => {
-            emit_ll(ctx, c, emitter, out)?;
+            emit_ll(ctx, c, rules, out)?;
             out.push(Instr::If0(
-                compile_ll(ctx, t, emitter)?,
-                compile_ll(ctx, f, emitter)?,
+                compile_ll(ctx, t, rules)?,
+                compile_ll(ctx, f, rules)?,
             ));
         }
         LlExpr::Ref(e1) => {
-            emit_ll(ctx, e1, emitter, out)?;
+            emit_ll(ctx, e1, rules, out)?;
             out.push(Instr::Alloc);
         }
         LlExpr::Deref(e1) => {
-            emit_ll(ctx, e1, emitter, out)?;
+            emit_ll(ctx, e1, rules, out)?;
             out.push(Instr::Read);
         }
         LlExpr::Assign(a, b) => {
-            emit_ll(ctx, a, emitter, out)?;
-            emit_ll(ctx, b, emitter, out)?;
+            emit_ll(ctx, a, rules, out)?;
+            emit_ll(ctx, b, rules, out)?;
             out.extend([Instr::Write, Instr::push_num(0)]);
         }
         LlExpr::Boundary(hl, ty) => {
@@ -279,14 +254,14 @@ fn emit_ll(
                     })
                 }
             };
-            let glue = emitter
-                .hl_to_ll(&hl_ty, ty)
+            let glue = rules
+                .derive_pair(&hl_ty, ty)
                 .ok_or_else(|| MissingConversion {
                     hl: hl_ty.clone(),
                     ll: ty.clone(),
                 })?;
-            emit_hl(ctx, hl, emitter, out)?;
-            out.extend_from_slice(glue.instrs());
+            emit_hl(ctx, hl, rules, out)?;
+            out.extend_from_slice(glue.a_to_b.instrs());
         }
     }
     Ok(())
@@ -294,38 +269,47 @@ fn emit_ll(
 
 /// The source type of a boundary's subterm, which selects the boundary's
 /// conversion.  It re-runs the type checker on the subterm under the
-/// compiler's typing context, with an oracle that accepts every conversion:
+/// compiler's typing context, with a judgment that accepts every conversion:
 /// the program is already known to type check, so these re-checks probe no
 /// glue cache.  Nothing keeps the types the type checker found, so
 /// `sharedmem::SharedMemCase`'s compile stage re-infers every boundary's
 /// subterm, and a boundary nested inside another is re-checked once per
 /// enclosing boundary.
 fn infer_ll_type_for_boundary(ctx: &TypeCtx, e: &LlExpr) -> Option<LlType> {
-    crate::typecheck::check_ll(ctx, e, &AllowAllOracle).ok()
+    crate::typecheck::check_ll(ctx, e, &|_, _| true).ok()
 }
 
 fn infer_hl_type_for_boundary(ctx: &TypeCtx, e: &HlExpr) -> Option<HlType> {
-    crate::typecheck::check_hl(ctx, e, &AllowAllOracle).ok()
-}
-
-/// An oracle that accepts every conversion — used only for boundary type
-/// reconstruction inside the compiler, never for type checking.
-struct AllowAllOracle;
-
-impl crate::typecheck::ConvertOracle for AllowAllOracle {
-    fn convertible(&self, _hl: &HlType, _ll: &LlType) -> bool {
-        true
-    }
+    crate::typecheck::check_hl(ctx, e, &|_, _| true).ok()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use semint_core::convert::{ConversionPair, GlueCache};
     use semint_core::{ErrorCode, Fuel};
     use stacklang::{Machine, Outcome, Value};
 
+    /// A rule set that derives nothing: any boundary is a compile error.
+    #[derive(Default)]
+    struct NoRules(GlueCache<HlType, LlType, Program>);
+
+    impl ConversionScheme for NoRules {
+        type TyA = HlType;
+        type TyB = LlType;
+        type Glue = Program;
+
+        fn derive_uncached(&self, _: &HlType, _: &LlType) -> Option<ConversionPair<Program>> {
+            None
+        }
+
+        fn glue_cache(&self) -> &GlueCache<HlType, LlType, Program> {
+            &self.0
+        }
+    }
+
     fn run_hl(e: &HlExpr) -> Outcome<Value> {
-        let p = compile_hl(&TypeCtx::empty(), e, &NoBoundaries).unwrap();
+        let p = compile_hl(&TypeCtx::empty(), e, &NoRules::default()).unwrap();
         assert!(
             p.is_closed(),
             "compiled closed source terms are closed programs"
@@ -334,7 +318,7 @@ mod tests {
     }
 
     fn run_ll(e: &LlExpr) -> Outcome<Value> {
-        let p = compile_ll(&TypeCtx::empty(), e, &NoBoundaries).unwrap();
+        let p = compile_ll(&TypeCtx::empty(), e, &NoRules::default()).unwrap();
         assert!(p.is_closed());
         Machine::run_program(p, Fuel::default()).outcome
     }
@@ -464,12 +448,12 @@ mod tests {
     }
 
     #[test]
-    fn boundary_without_emitter_rule_is_a_compile_error() {
+    fn boundary_without_a_rule_is_a_compile_error() {
         let e = HlExpr::boundary(LlExpr::int(1), HlType::Bool);
-        let err = compile_hl(&TypeCtx::empty(), &e, &NoBoundaries).unwrap_err();
+        let err = compile_hl(&TypeCtx::empty(), &e, &NoRules::default()).unwrap_err();
         assert!(err.to_string().contains("no conversion registered"));
         let e = LlExpr::boundary(HlExpr::bool_(true), LlType::Int);
-        assert!(compile_ll(&TypeCtx::empty(), &e, &NoBoundaries).is_err());
+        assert!(compile_ll(&TypeCtx::empty(), &e, &NoRules::default()).is_err());
     }
 
     #[test]

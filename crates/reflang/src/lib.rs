@@ -10,19 +10,20 @@
 //! Each language has a boundary form `⦇e⦈τ` embedding a term of the *other*
 //! language, well-typed when the two types are convertible (`τ ∼ 𝜏`).  The
 //! convertibility judgment itself, together with its glue code, lives in the
-//! `sharedmem` case-study crate; this crate exposes the hooks it plugs into:
-//! [`typecheck::ConvertOracle`] for the static side and
-//! [`compile::ConversionEmitter`] for the compilers.
+//! `sharedmem` case-study crate: the type checkers take the judgment as a
+//! predicate, and the compilers take the rule set as a
+//! [`semint_core::convert::ConversionScheme`] and read each boundary's glue
+//! from its `derive_pair`.
 //!
 //! Both languages compile to [`stacklang`] following Fig. 3.
 //!
 //! ```
 //! use reflang::syntax::{HlExpr, HlType};
-//! use reflang::typecheck::{self, TypeCtx, DenyAllConversions};
+//! use reflang::typecheck::{self, TypeCtx};
 //!
 //! // if true then 1+2 … but RefHL has no ints: use a pair instead.
 //! let e = HlExpr::if_(HlExpr::bool_(true), HlExpr::unit(), HlExpr::unit());
-//! let ty = typecheck::check_hl(&TypeCtx::empty(), &e, &DenyAllConversions).unwrap();
+//! let ty = typecheck::check_hl(&TypeCtx::empty(), &e, &|_, _| false).unwrap();
 //! assert_eq!(ty, HlType::Unit);
 //! ```
 
@@ -33,6 +34,6 @@ pub mod compile;
 pub mod syntax;
 pub mod typecheck;
 
-pub use compile::{compile_hl, compile_ll, ConversionEmitter, NoBoundaries};
+pub use compile::{compile_hl, compile_ll};
 pub use syntax::{HlExpr, HlType, LlExpr, LlType};
-pub use typecheck::{check_hl, check_ll, ConvertOracle, TypeCtx, TypeError};
+pub use typecheck::{check_hl, check_ll, TypeCtx, TypeError};

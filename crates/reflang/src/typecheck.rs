@@ -10,40 +10,14 @@
 //!
 //! Because open terms may cross boundaries, a single [`TypeCtx`] carries both
 //! languages' environments (`Γ` for RefHL, `Γ̄` for RefLL).  The convertibility
-//! judgment `τ ∼ 𝜏` is supplied by a [`ConvertOracle`] — the §3 case-study
-//! crate registers the paper's rules (Fig. 4); tests can plug in anything.
+//! judgment `τ ∼ 𝜏` is a predicate the caller passes: the §3 case study passes
+//! its rule set's `derivable` (Fig. 4); tests can pass any function.
 
 use crate::syntax::{HlExpr, HlType, LlExpr, LlType};
 use semint_core::Var;
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
-
-/// The convertibility judgment `τ ∼ 𝜏` as seen by the type checkers.
-pub trait ConvertOracle {
-    /// Is RefHL type `hl` interconvertible with RefLL type `ll`?
-    fn convertible(&self, hl: &HlType, ll: &LlType) -> bool;
-}
-
-/// An oracle that rejects every conversion — programs without boundaries
-/// type-check against it.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct DenyAllConversions;
-
-impl ConvertOracle for DenyAllConversions {
-    fn convertible(&self, _hl: &HlType, _ll: &LlType) -> bool {
-        false
-    }
-}
-
-impl<F> ConvertOracle for F
-where
-    F: Fn(&HlType, &LlType) -> bool,
-{
-    fn convertible(&self, hl: &HlType, ll: &LlType) -> bool {
-        self(hl, ll)
-    }
-}
 
 /// Typing context carrying both languages' environments (`Γ; Γ̄`).
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -141,11 +115,12 @@ fn mismatch(
     }
 }
 
-/// Checks a RefHL expression, returning its type.
+/// Checks a RefHL expression, returning its type.  A boundary `⦇ē⦈τ` is
+/// accepted when `convertible(τ, 𝜏)` holds for the type `𝜏` of `ē`.
 pub fn check_hl(
     ctx: &TypeCtx,
     e: &HlExpr,
-    oracle: &dyn ConvertOracle,
+    convertible: &dyn Fn(&HlType, &LlType) -> bool,
 ) -> Result<HlType, TypeError> {
     match e {
         HlExpr::Unit => Ok(HlType::Unit),
@@ -156,7 +131,7 @@ pub fn check_hl(
             .ok_or_else(|| TypeError::UnboundVariable(x.clone())),
         HlExpr::Inl(e1, ty) => match ty {
             HlType::Sum(l, _) => {
-                let t = check_hl(ctx, e1, oracle)?;
+                let t = check_hl(ctx, e1, convertible)?;
                 if &t == l.as_ref() {
                     Ok(ty.clone())
                 } else {
@@ -167,7 +142,7 @@ pub fn check_hl(
         },
         HlExpr::Inr(e1, ty) => match ty {
             HlType::Sum(_, r) => {
-                let t = check_hl(ctx, e1, oracle)?;
+                let t = check_hl(ctx, e1, convertible)?;
                 if &t == r.as_ref() {
                     Ok(ty.clone())
                 } else {
@@ -177,35 +152,43 @@ pub fn check_hl(
             other => Err(mismatch("a sum type", other, "inr annotation")),
         },
         HlExpr::Pair(a, b) => {
-            let ta = check_hl(ctx, a, oracle)?;
-            let tb = check_hl(ctx, b, oracle)?;
+            let ta = check_hl(ctx, a, convertible)?;
+            let tb = check_hl(ctx, b, convertible)?;
             Ok(HlType::prod(ta, tb))
         }
-        HlExpr::Fst(e1) => match check_hl(ctx, e1, oracle)? {
+        HlExpr::Fst(e1) => match check_hl(ctx, e1, convertible)? {
             HlType::Prod(a, _) => Ok(Arc::unwrap_or_clone(a)),
             other => Err(mismatch("a product type", other, "fst")),
         },
-        HlExpr::Snd(e1) => match check_hl(ctx, e1, oracle)? {
+        HlExpr::Snd(e1) => match check_hl(ctx, e1, convertible)? {
             HlType::Prod(_, b) => Ok(Arc::unwrap_or_clone(b)),
             other => Err(mismatch("a product type", other, "snd")),
         },
         HlExpr::If(c, t, f) => {
-            let tc = check_hl(ctx, c, oracle)?;
+            let tc = check_hl(ctx, c, convertible)?;
             if tc != HlType::Bool {
                 return Err(mismatch(HlType::Bool, tc, "if condition"));
             }
-            let tt = check_hl(ctx, t, oracle)?;
-            let tf = check_hl(ctx, f, oracle)?;
+            let tt = check_hl(ctx, t, convertible)?;
+            let tf = check_hl(ctx, f, convertible)?;
             if tt == tf {
                 Ok(tt)
             } else {
                 Err(mismatch(tt, tf, "if branches"))
             }
         }
-        HlExpr::Match(s, x, l, y, r) => match check_hl(ctx, s, oracle)? {
+        HlExpr::Match(s, x, l, y, r) => match check_hl(ctx, s, convertible)? {
             HlType::Sum(tl, tr) => {
-                let t1 = check_hl(&ctx.with_hl(x.clone(), Arc::unwrap_or_clone(tl)), l, oracle)?;
-                let t2 = check_hl(&ctx.with_hl(y.clone(), Arc::unwrap_or_clone(tr)), r, oracle)?;
+                let t1 = check_hl(
+                    &ctx.with_hl(x.clone(), Arc::unwrap_or_clone(tl)),
+                    l,
+                    convertible,
+                )?;
+                let t2 = check_hl(
+                    &ctx.with_hl(y.clone(), Arc::unwrap_or_clone(tr)),
+                    r,
+                    convertible,
+                )?;
                 if t1 == t2 {
                     Ok(t1)
                 } else {
@@ -215,12 +198,12 @@ pub fn check_hl(
             other => Err(mismatch("a sum type", other, "match scrutinee")),
         },
         HlExpr::Lam(x, ty, body) => {
-            let tb = check_hl(&ctx.with_hl(x.clone(), ty.clone()), body, oracle)?;
+            let tb = check_hl(&ctx.with_hl(x.clone(), ty.clone()), body, convertible)?;
             Ok(HlType::fun(ty.clone(), tb))
         }
-        HlExpr::App(f, a) => match check_hl(ctx, f, oracle)? {
+        HlExpr::App(f, a) => match check_hl(ctx, f, convertible)? {
             HlType::Fun(dom, cod) => {
-                let ta = check_hl(ctx, a, oracle)?;
+                let ta = check_hl(ctx, a, convertible)?;
                 if ta == *dom {
                     Ok(Arc::unwrap_or_clone(cod))
                 } else {
@@ -229,14 +212,14 @@ pub fn check_hl(
             }
             other => Err(mismatch("a function type", other, "application head")),
         },
-        HlExpr::Ref(e1) => Ok(HlType::ref_(check_hl(ctx, e1, oracle)?)),
-        HlExpr::Deref(e1) => match check_hl(ctx, e1, oracle)? {
+        HlExpr::Ref(e1) => Ok(HlType::ref_(check_hl(ctx, e1, convertible)?)),
+        HlExpr::Deref(e1) => match check_hl(ctx, e1, convertible)? {
             HlType::Ref(t) => Ok(Arc::unwrap_or_clone(t)),
             other => Err(mismatch("a reference type", other, "dereference")),
         },
-        HlExpr::Assign(a, b) => match check_hl(ctx, a, oracle)? {
+        HlExpr::Assign(a, b) => match check_hl(ctx, a, convertible)? {
             HlType::Ref(t) => {
-                let tb = check_hl(ctx, b, oracle)?;
+                let tb = check_hl(ctx, b, convertible)?;
                 if tb == *t {
                     Ok(HlType::Unit)
                 } else {
@@ -246,8 +229,8 @@ pub fn check_hl(
             other => Err(mismatch("a reference type", other, "assignment target")),
         },
         HlExpr::Boundary(ll, ty) => {
-            let tll = check_ll(ctx, ll, oracle)?;
-            if oracle.convertible(ty, &tll) {
+            let tll = check_ll(ctx, ll, convertible)?;
+            if convertible(ty, &tll) {
                 Ok(ty.clone())
             } else {
                 Err(TypeError::NotConvertible {
@@ -259,11 +242,12 @@ pub fn check_hl(
     }
 }
 
-/// Checks a RefLL expression, returning its type.
+/// Checks a RefLL expression, returning its type.  A boundary `⦇e⦈𝜏` is
+/// accepted when `convertible(τ, 𝜏)` holds for the type `τ` of `e`.
 pub fn check_ll(
     ctx: &TypeCtx,
     e: &LlExpr,
-    oracle: &dyn ConvertOracle,
+    convertible: &dyn Fn(&HlType, &LlType) -> bool,
 ) -> Result<LlType, TypeError> {
     match e {
         LlExpr::Int(_) => Ok(LlType::Int),
@@ -273,7 +257,7 @@ pub fn check_ll(
             .ok_or_else(|| TypeError::UnboundVariable(x.clone())),
         LlExpr::Array(es, elem) => {
             for e1 in es.iter() {
-                let t = check_ll(ctx, e1, oracle)?;
+                let t = check_ll(ctx, e1, convertible)?;
                 if &t != elem {
                     return Err(mismatch(elem, t, "array element"));
                 }
@@ -281,8 +265,8 @@ pub fn check_ll(
             Ok(LlType::array(elem.clone()))
         }
         LlExpr::Index(a, i) => {
-            let ta = check_ll(ctx, a, oracle)?;
-            let ti = check_ll(ctx, i, oracle)?;
+            let ta = check_ll(ctx, a, convertible)?;
+            let ti = check_ll(ctx, i, convertible)?;
             if ti != LlType::Int {
                 return Err(mismatch(LlType::Int, ti, "array index"));
             }
@@ -292,12 +276,12 @@ pub fn check_ll(
             }
         }
         LlExpr::Lam(x, ty, body) => {
-            let tb = check_ll(&ctx.with_ll(x.clone(), ty.clone()), body, oracle)?;
+            let tb = check_ll(&ctx.with_ll(x.clone(), ty.clone()), body, convertible)?;
             Ok(LlType::fun(ty.clone(), tb))
         }
-        LlExpr::App(f, a) => match check_ll(ctx, f, oracle)? {
+        LlExpr::App(f, a) => match check_ll(ctx, f, convertible)? {
             LlType::Fun(dom, cod) => {
-                let ta = check_ll(ctx, a, oracle)?;
+                let ta = check_ll(ctx, a, convertible)?;
                 if ta == *dom {
                     Ok(Arc::unwrap_or_clone(cod))
                 } else {
@@ -307,8 +291,8 @@ pub fn check_ll(
             other => Err(mismatch("a function type", other, "application head")),
         },
         LlExpr::Add(a, b) => {
-            let ta = check_ll(ctx, a, oracle)?;
-            let tb = check_ll(ctx, b, oracle)?;
+            let ta = check_ll(ctx, a, convertible)?;
+            let tb = check_ll(ctx, b, convertible)?;
             if ta != LlType::Int {
                 return Err(mismatch(LlType::Int, ta, "addition"));
             }
@@ -318,26 +302,26 @@ pub fn check_ll(
             Ok(LlType::Int)
         }
         LlExpr::If0(c, t, f) => {
-            let tc = check_ll(ctx, c, oracle)?;
+            let tc = check_ll(ctx, c, convertible)?;
             if tc != LlType::Int {
                 return Err(mismatch(LlType::Int, tc, "if0 condition"));
             }
-            let tt = check_ll(ctx, t, oracle)?;
-            let tf = check_ll(ctx, f, oracle)?;
+            let tt = check_ll(ctx, t, convertible)?;
+            let tf = check_ll(ctx, f, convertible)?;
             if tt == tf {
                 Ok(tt)
             } else {
                 Err(mismatch(tt, tf, "if0 branches"))
             }
         }
-        LlExpr::Ref(e1) => Ok(LlType::ref_(check_ll(ctx, e1, oracle)?)),
-        LlExpr::Deref(e1) => match check_ll(ctx, e1, oracle)? {
+        LlExpr::Ref(e1) => Ok(LlType::ref_(check_ll(ctx, e1, convertible)?)),
+        LlExpr::Deref(e1) => match check_ll(ctx, e1, convertible)? {
             LlType::Ref(t) => Ok(Arc::unwrap_or_clone(t)),
             other => Err(mismatch("a reference type", other, "dereference")),
         },
-        LlExpr::Assign(a, b) => match check_ll(ctx, a, oracle)? {
+        LlExpr::Assign(a, b) => match check_ll(ctx, a, convertible)? {
             LlType::Ref(t) => {
-                let tb = check_ll(ctx, b, oracle)?;
+                let tb = check_ll(ctx, b, convertible)?;
                 if tb == *t {
                     // Assignments evaluate to 0 in RefLL, so give them int.
                     Ok(LlType::Int)
@@ -348,8 +332,8 @@ pub fn check_ll(
             other => Err(mismatch("a reference type", other, "assignment target")),
         },
         LlExpr::Boundary(hl, ty) => {
-            let thl = check_hl(ctx, hl, oracle)?;
-            if oracle.convertible(&thl, ty) {
+            let thl = check_hl(ctx, hl, convertible)?;
+            if convertible(&thl, ty) {
                 Ok(ty.clone())
             } else {
                 Err(TypeError::NotConvertible {
@@ -365,37 +349,39 @@ pub fn check_ll(
 mod tests {
     use super::*;
 
+    fn deny_all(_: &HlType, _: &LlType) -> bool {
+        false
+    }
+
     fn allow_bool_int(hl: &HlType, ll: &LlType) -> bool {
         matches!((hl, ll), (HlType::Bool, LlType::Int))
     }
 
     #[test]
     fn hl_basic_typing() {
-        let oracle = DenyAllConversions;
         let ctx = TypeCtx::empty();
-        assert_eq!(check_hl(&ctx, &HlExpr::unit(), &oracle), Ok(HlType::Unit));
+        assert_eq!(check_hl(&ctx, &HlExpr::unit(), &deny_all), Ok(HlType::Unit));
         assert_eq!(
-            check_hl(&ctx, &HlExpr::bool_(true), &oracle),
+            check_hl(&ctx, &HlExpr::bool_(true), &deny_all),
             Ok(HlType::Bool)
         );
         let pair = HlExpr::pair(HlExpr::bool_(true), HlExpr::unit());
         assert_eq!(
-            check_hl(&ctx, &pair, &oracle),
+            check_hl(&ctx, &pair, &deny_all),
             Ok(HlType::prod(HlType::Bool, HlType::Unit))
         );
         assert_eq!(
-            check_hl(&ctx, &HlExpr::fst(pair.clone()), &oracle),
+            check_hl(&ctx, &HlExpr::fst(pair.clone()), &deny_all),
             Ok(HlType::Bool)
         );
         assert_eq!(
-            check_hl(&ctx, &HlExpr::snd(pair), &oracle),
+            check_hl(&ctx, &HlExpr::snd(pair), &deny_all),
             Ok(HlType::Unit)
         );
     }
 
     #[test]
     fn hl_functions_and_applications() {
-        let oracle = DenyAllConversions;
         let ctx = TypeCtx::empty();
         // λx:bool. if x then () else ()
         let f = HlExpr::lam(
@@ -404,76 +390,75 @@ mod tests {
             HlExpr::if_(HlExpr::var("x"), HlExpr::unit(), HlExpr::unit()),
         );
         assert_eq!(
-            check_hl(&ctx, &f, &oracle),
+            check_hl(&ctx, &f, &deny_all),
             Ok(HlType::fun(HlType::Bool, HlType::Unit))
         );
         let app = HlExpr::app(f.clone(), HlExpr::bool_(false));
-        assert_eq!(check_hl(&ctx, &app, &oracle), Ok(HlType::Unit));
+        assert_eq!(check_hl(&ctx, &app, &deny_all), Ok(HlType::Unit));
         let bad = HlExpr::app(f, HlExpr::unit());
         assert!(matches!(
-            check_hl(&ctx, &bad, &oracle),
+            check_hl(&ctx, &bad, &deny_all),
             Err(TypeError::Mismatch { .. })
         ));
     }
 
     #[test]
     fn hl_sums_and_match() {
-        let oracle = DenyAllConversions;
         let ctx = TypeCtx::empty();
         let sum_ty = HlType::sum(HlType::Bool, HlType::Unit);
         let v = HlExpr::inl(HlExpr::bool_(true), sum_ty.clone());
-        assert_eq!(check_hl(&ctx, &v, &oracle), Ok(sum_ty.clone()));
+        assert_eq!(check_hl(&ctx, &v, &deny_all), Ok(sum_ty.clone()));
         let m = HlExpr::match_(v, "x", HlExpr::var("x"), "y", HlExpr::bool_(false));
-        assert_eq!(check_hl(&ctx, &m, &oracle), Ok(HlType::Bool));
+        assert_eq!(check_hl(&ctx, &m, &deny_all), Ok(HlType::Bool));
         // Wrong payload for inr.
         let bad = HlExpr::inr(HlExpr::bool_(true), sum_ty);
-        assert!(check_hl(&ctx, &bad, &oracle).is_err());
+        assert!(check_hl(&ctx, &bad, &deny_all).is_err());
     }
 
     #[test]
     fn hl_references() {
-        let oracle = DenyAllConversions;
         let ctx = TypeCtx::empty();
         let r = HlExpr::ref_(HlExpr::bool_(true));
-        assert_eq!(check_hl(&ctx, &r, &oracle), Ok(HlType::ref_(HlType::Bool)));
         assert_eq!(
-            check_hl(&ctx, &HlExpr::deref(r.clone()), &oracle),
+            check_hl(&ctx, &r, &deny_all),
+            Ok(HlType::ref_(HlType::Bool))
+        );
+        assert_eq!(
+            check_hl(&ctx, &HlExpr::deref(r.clone()), &deny_all),
             Ok(HlType::Bool)
         );
         assert_eq!(
             check_hl(
                 &ctx,
                 &HlExpr::assign(r.clone(), HlExpr::bool_(false)),
-                &oracle
+                &deny_all
             ),
             Ok(HlType::Unit)
         );
-        assert!(check_hl(&ctx, &HlExpr::assign(r, HlExpr::unit()), &oracle).is_err());
+        assert!(check_hl(&ctx, &HlExpr::assign(r, HlExpr::unit()), &deny_all).is_err());
     }
 
     #[test]
     fn ll_basic_typing() {
-        let oracle = DenyAllConversions;
         let ctx = TypeCtx::empty();
-        assert_eq!(check_ll(&ctx, &LlExpr::int(3), &oracle), Ok(LlType::Int));
+        assert_eq!(check_ll(&ctx, &LlExpr::int(3), &deny_all), Ok(LlType::Int));
         let arr = LlExpr::array([LlExpr::int(1), LlExpr::int(2)], LlType::Int);
         assert_eq!(
-            check_ll(&ctx, &arr, &oracle),
+            check_ll(&ctx, &arr, &deny_all),
             Ok(LlType::array(LlType::Int))
         );
         assert_eq!(
-            check_ll(&ctx, &LlExpr::index(arr, LlExpr::int(0)), &oracle),
+            check_ll(&ctx, &LlExpr::index(arr, LlExpr::int(0)), &deny_all),
             Ok(LlType::Int)
         );
         let add = LlExpr::add(LlExpr::int(1), LlExpr::int(2));
-        assert_eq!(check_ll(&ctx, &add, &oracle), Ok(LlType::Int));
+        assert_eq!(check_ll(&ctx, &add, &deny_all), Ok(LlType::Int));
         let if0 = LlExpr::if0(LlExpr::int(0), LlExpr::int(1), LlExpr::int(2));
-        assert_eq!(check_ll(&ctx, &if0, &oracle), Ok(LlType::Int));
+        assert_eq!(check_ll(&ctx, &if0, &deny_all), Ok(LlType::Int));
     }
 
     #[test]
     fn ll_heterogeneous_array_rejected() {
-        let oracle = DenyAllConversions;
         let arr = LlExpr::Array(
             vec![
                 LlExpr::int(1),
@@ -482,7 +467,7 @@ mod tests {
             .into(),
             LlType::Int,
         );
-        assert!(check_ll(&TypeCtx::empty(), &arr, &oracle).is_err());
+        assert!(check_ll(&TypeCtx::empty(), &arr, &deny_all).is_err());
     }
 
     #[test]
@@ -491,14 +476,14 @@ mod tests {
         // ⦇ 1 ⦈bool needs bool ∼ int.
         let e = HlExpr::boundary(LlExpr::int(1), HlType::Bool);
         assert!(matches!(
-            check_hl(&ctx, &e, &DenyAllConversions),
+            check_hl(&ctx, &e, &deny_all),
             Err(TypeError::NotConvertible { .. })
         ));
         assert_eq!(check_hl(&ctx, &e, &allow_bool_int), Ok(HlType::Bool));
 
         // The other direction: ⦇ true ⦈int needs bool ∼ int.
         let e = LlExpr::boundary(HlExpr::bool_(true), LlType::Int);
-        assert!(check_ll(&ctx, &e, &DenyAllConversions).is_err());
+        assert!(check_ll(&ctx, &e, &deny_all).is_err());
         assert_eq!(check_ll(&ctx, &e, &allow_bool_int), Ok(LlType::Int));
     }
 
@@ -525,12 +510,7 @@ mod tests {
 
     #[test]
     fn unbound_variables_are_reported() {
-        let err = check_hl(
-            &TypeCtx::empty(),
-            &HlExpr::var("ghost"),
-            &DenyAllConversions,
-        )
-        .unwrap_err();
+        let err = check_hl(&TypeCtx::empty(), &HlExpr::var("ghost"), &deny_all).unwrap_err();
         assert_eq!(err.to_string(), "unbound variable ghost");
     }
 
@@ -539,7 +519,7 @@ mod tests {
         let err = check_hl(
             &TypeCtx::empty(),
             &HlExpr::if_(HlExpr::unit(), HlExpr::unit(), HlExpr::unit()),
-            &DenyAllConversions,
+            &deny_all,
         )
         .unwrap_err();
         assert!(err.to_string().contains("if condition"));

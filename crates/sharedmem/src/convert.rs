@@ -23,9 +23,7 @@
 //! guard/proxy-style interoperation, needs no rule of its own: a program gets
 //! it by converting the contents around every access.
 
-use reflang::compile::ConversionEmitter;
 use reflang::syntax::{HlType, LlType};
-use reflang::typecheck::ConvertOracle;
 use semint_core::convert::{ConversionPair, ConversionScheme, GlueCache};
 use semint_core::ErrorCode;
 use stacklang::builder::{dup, pack, swap};
@@ -65,11 +63,6 @@ impl SharedMemConversions {
             ref_strategy: strategy,
             cache: GlueCache::new(),
         }
-    }
-
-    /// The memoization cache behind [`SharedMemConversions::derive`].
-    pub fn cache(&self) -> &GlueCache<HlType, LlType, Program> {
-        &self.cache
     }
 
     /// Derives `τ ∼ 𝜏` (memoized) and returns the conversion pair
@@ -137,22 +130,6 @@ impl ConversionScheme for SharedMemConversions {
             _ => None,
         };
         pair.map(|(to_ll, from_ll)| ConversionPair::new(to_ll, from_ll))
-    }
-}
-
-impl ConvertOracle for SharedMemConversions {
-    fn convertible(&self, hl: &HlType, ll: &LlType) -> bool {
-        self.derivable(hl, ll)
-    }
-}
-
-impl ConversionEmitter for SharedMemConversions {
-    fn ll_to_hl(&self, ll: &LlType, hl: &HlType) -> Option<Program> {
-        self.derive_pair(hl, ll).map(|p| p.b_to_a.clone())
-    }
-
-    fn hl_to_ll(&self, hl: &HlType, ll: &LlType) -> Option<Program> {
-        self.derive_pair(hl, ll).map(|p| p.a_to_b.clone())
     }
 }
 
@@ -284,7 +261,7 @@ mod tests {
         let (to_ll, from_ll) = c.derive(&HlType::Bool, &LlType::Int).unwrap();
         assert!(to_ll.is_empty());
         assert!(from_ll.is_empty());
-        assert!(c.convertible(&HlType::Bool, &LlType::Int));
+        assert!(c.derivable(&HlType::Bool, &LlType::Int));
     }
 
     #[test]
@@ -306,10 +283,10 @@ mod tests {
         let hl = HlType::ref_(HlType::sum(HlType::Bool, HlType::Bool));
         let ll = LlType::ref_(LlType::array(LlType::Int));
         assert!(c.derive(&hl, &ll).is_none());
-        assert!(!c.convertible(&hl, &ll));
+        assert!(!c.derivable(&hl, &ll));
         // The copy strategy, which breaks aliasing, does allow it.
         let copy = SharedMemConversions::with_ref_strategy(RefStrategy::Copy);
-        assert!(copy.convertible(&hl, &ll));
+        assert!(copy.derivable(&hl, &ll));
     }
 
     #[test]
@@ -429,14 +406,14 @@ mod tests {
         );
         let ll = LlType::array(LlType::array(LlType::Int));
         let first = c.derive(&hl, &ll);
-        let after_first = c.cache().stats();
+        let after_first = c.glue_cache().stats();
         assert!(
             after_first.misses > 0,
             "first derivation populates the cache"
         );
         let second = c.derive(&hl, &ll);
         assert_eq!(first, second, "cached result is observably identical");
-        let after_second = c.cache().stats();
+        let after_second = c.glue_cache().stats();
         assert_eq!(
             after_second.misses, after_first.misses,
             "second derivation derives nothing"
@@ -450,17 +427,8 @@ mod tests {
     #[test]
     fn unrelated_types_are_not_convertible() {
         let c = SharedMemConversions::standard();
-        assert!(!c.convertible(&HlType::Bool, &LlType::array(LlType::Int)));
-        assert!(!c.convertible(&HlType::fun(HlType::Bool, HlType::Bool), &LlType::Int));
-        assert!(!c.convertible(&HlType::Unit, &LlType::fun(LlType::Int, LlType::Int)));
-    }
-
-    #[test]
-    fn emitter_and_oracle_views_agree() {
-        let c = SharedMemConversions::standard();
-        let hl = HlType::sum(HlType::Bool, HlType::Unit);
-        let ll = LlType::array(LlType::Int);
-        assert_eq!(c.convertible(&hl, &ll), c.hl_to_ll(&hl, &ll).is_some());
-        assert_eq!(c.convertible(&hl, &ll), c.ll_to_hl(&ll, &hl).is_some());
+        assert!(!c.derivable(&HlType::Bool, &LlType::array(LlType::Int)));
+        assert!(!c.derivable(&HlType::fun(HlType::Bool, HlType::Bool), &LlType::Int));
+        assert!(!c.derivable(&HlType::Unit, &LlType::fun(LlType::Int, LlType::Int)));
     }
 }

@@ -342,9 +342,10 @@ mod tests {
             let mut gen = ProgramGen::with_profile(seed, &depth_5());
             let ty = gen.gen_hl_type(2);
             let e = gen.gen_hl(&ty);
-            let checked = check_hl(&TypeCtx::empty(), &e, &rules).unwrap_or_else(|err| {
-                panic!("seed {seed}: generated program {e} does not typecheck: {err}")
-            });
+            let checked = check_hl(&TypeCtx::empty(), &e, &|h, l| rules.derivable(h, l))
+                .unwrap_or_else(|err| {
+                    panic!("seed {seed}: generated program {e} does not typecheck: {err}")
+                });
             assert_eq!(checked, ty, "seed {seed}");
         }
     }
@@ -355,7 +356,7 @@ mod tests {
         for seed in 0..60 {
             let mut gen = ProgramGen::with_profile(seed, &depth_5());
             let e = gen.gen_ll(&LlType::Int);
-            let ty = check_ll(&TypeCtx::empty(), &e, &rules)
+            let ty = check_ll(&TypeCtx::empty(), &e, &|h, l| rules.derivable(h, l))
                 .expect("generated RefLL program typechecks");
             assert_eq!(ty, LlType::Int);
         }
@@ -400,7 +401,7 @@ mod tests {
             let ty = gen.gen_goal_hl_type();
             max_depth_seen = max_depth_seen.max(hl_type_depth(&ty));
             let e = gen.gen_hl(&ty);
-            let checked = check_hl(&TypeCtx::empty(), &e, &rules)
+            let checked = check_hl(&TypeCtx::empty(), &e, &|h, l| rules.derivable(h, l))
                 .unwrap_or_else(|err| panic!("seed {seed}: {e} does not typecheck: {err}"));
             assert_eq!(checked, ty, "seed {seed}");
         }

@@ -209,9 +209,10 @@ impl CaseStudy for SharedMemCase {
 
     fn typecheck(&self, program: &SmProgram) -> Result<SourceType, String> {
         let ctx = TypeCtx::empty();
+        let convertible = |hl: &HlType, ll: &LlType| self.conversions.derivable(hl, ll);
         match program {
-            SmProgram::Hl(e) => check_hl(&ctx, e, &self.conversions).map(SourceType::Hl),
-            SmProgram::Ll(e) => check_ll(&ctx, e, &self.conversions).map(SourceType::Ll),
+            SmProgram::Hl(e) => check_hl(&ctx, e, &convertible).map(SourceType::Hl),
+            SmProgram::Ll(e) => check_ll(&ctx, e, &convertible).map(SourceType::Ll),
         }
         .map_err(|e| e.to_string())
     }
@@ -349,7 +350,7 @@ impl CaseStudy for SharedMemCase {
     }
 
     fn glue_cache_stats(&self) -> Option<GlueCacheStats> {
-        Some(self.conversions.cache().stats())
+        Some(self.conversions.glue_cache().stats())
     }
 }
 
@@ -560,7 +561,8 @@ mod tests {
             HlType::ref_(HlType::sum(HlType::Bool, HlType::Bool)),
         );
         let case = SharedMemCase::standard();
-        let err = check_hl(&TypeCtx::empty(), &e, case.conversions()).unwrap_err();
+        let rules = case.conversions();
+        let err = check_hl(&TypeCtx::empty(), &e, &|h, l| rules.derivable(h, l)).unwrap_err();
         assert!(matches!(err, TypeError::NotConvertible { .. }));
         assert_eq!(
             case.run(&SmProgram::Hl(e), Fuel::default()).unwrap_err(),
