@@ -89,15 +89,16 @@ impl AffineCase {
     }
 }
 
-/// What the §4 judgement needs besides the run stage's report.
-#[derive(Debug, Clone)]
-pub struct AffineEvidence {
-    /// How the program halts under the augmented semantics, within the
-    /// checker's fuel.
-    augmented: Halt,
-    /// How the checker's own standard run halted, when the sweep's fuel
-    /// falls short of the checker's.
-    own_run: Option<Halt>,
+/// Lemma 3.1 for every pair of `catalogue`, each of which `conversions`
+/// must derive: a pair it does not derive is refuted as `rule not
+/// derivable`, so a rule set that loses a rule fails the catalogue.
+fn check_catalogue(
+    conversions: &AffineConversions,
+    catalogue: &[(AffiType, MlType)],
+) -> Result<(), CheckFailure> {
+    catalogue
+        .iter()
+        .try_for_each(|(affi, ml)| check_convertibility(conversions, affi, ml))
 }
 
 fn push_affi(out: &mut Vec<AffProgram>, e: &AffiExpr) {
@@ -160,7 +161,6 @@ impl CaseStudy for AffineCase {
     type Ty = AffSourceType;
     type Report = RunResult;
     type Compiled = CompileOutput;
-    type Evidence = AffineEvidence;
 
     fn name(&self) -> &'static str {
         "affine"
@@ -226,43 +226,27 @@ impl CaseStudy for AffineCase {
         CHECK_FUEL
     }
 
-    /// The augmented-semantics run, plus the checker's own standard run
-    /// when the sweep's fuel falls short of the checker's.
-    fn model_evidence(
-        &self,
-        _program: &AffProgram,
-        _ty: &AffSourceType,
-        compiled: &CompileOutput,
-        fuel: Fuel,
-    ) -> AffineEvidence {
-        let budget = self.model_budget();
-        AffineEvidence {
-            augmented: augmented_run(&compiled.expr, &compiled.static_binders),
-            own_run: (!fuel.covers(budget)).then(|| self.execute(compiled.clone(), budget).halt),
-        }
-    }
-
+    /// The run's report gives the standard semantics; the augmented one
+    /// runs the artifact under phantom flags.
     fn model_judgement(
         &self,
         program: &AffProgram,
         ty: &AffSourceType,
-        evidence: AffineEvidence,
+        compiled: &CompileOutput,
         report: &RunResult,
         fuel: Fuel,
     ) -> Result<(), CheckFailure> {
         // How the standard run halts within the checker's fuel.
         let out_of_fuel = Halt::OutOfFuel;
-        let standard = match &evidence.own_run {
-            Some(halt) => halt,
-            None => report
-                .rebudget(fuel, self.model_budget())
-                .decide(report)
-                .map_or(&out_of_fuel, |run| &run.halt),
-        };
+        let standard = report
+            .rebudget(fuel, self.model_budget())
+            .decide(report)
+            .map_or(&out_of_fuel, |run| &run.halt);
+        let augmented = augmented_run(&compiled.expr, &compiled.static_binders);
 
         // Safety under the standard *and* the augmented semantics, plus
         // erasure agreement (the §4 analogue of type safety).
-        judge_safety(standard, &evidence.augmented).map_err(|failure| CheckFailure {
+        judge_safety(standard, &augmented).map_err(|failure| CheckFailure {
             witness: program.to_string(),
             ..failure
         })?;
@@ -307,30 +291,24 @@ impl CaseStudy for AffineCase {
     }
 
     fn check_conversions(&self) -> Result<(), CheckFailure> {
-        let conversions = &self.conversions;
         let thunked_int = MlType::fun(MlType::Unit, MlType::Int);
-        let catalogue = [
-            (AffiType::Bool, MlType::Int),
-            (AffiType::Int, MlType::Int),
-            (AffiType::Unit, MlType::Unit),
-            (
-                AffiType::tensor(AffiType::Bool, AffiType::Int),
-                MlType::prod(MlType::Int, MlType::Int),
-            ),
-            (AffiType::bang(AffiType::Bool), MlType::Int),
-            (
-                AffiType::lolli(AffiType::Int, AffiType::Int),
-                MlType::fun(thunked_int, MlType::Int),
-            ),
-        ];
-        for (affi, ml) in &catalogue {
-            // Pairs without a registered rule are skipped, matching the
-            // sharedmem catalogue walk.
-            if conversions.derivable(affi, ml) {
-                check_convertibility(conversions, affi, ml)?;
-            }
-        }
-        Ok(())
+        check_catalogue(
+            &self.conversions,
+            &[
+                (AffiType::Bool, MlType::Int),
+                (AffiType::Int, MlType::Int),
+                (AffiType::Unit, MlType::Unit),
+                (
+                    AffiType::tensor(AffiType::Bool, AffiType::Int),
+                    MlType::prod(MlType::Int, MlType::Int),
+                ),
+                (AffiType::bang(AffiType::Bool), MlType::Int),
+                (
+                    AffiType::lolli(AffiType::Int, AffiType::Int),
+                    MlType::fun(thunked_int, MlType::Int),
+                ),
+            ],
+        )
     }
 
     fn glue_cache_stats(&self) -> Option<GlueCacheStats> {
@@ -403,6 +381,17 @@ mod tests {
             .expect("the standard catalogue is sound");
         let stats = case.glue_cache_stats().expect("a glue cache");
         assert!(stats.entries > 0, "no derivation reached the case's cache");
+    }
+
+    #[test]
+    fn the_catalogue_refutes_a_pair_the_rules_do_not_derive() {
+        let refuted = check_catalogue(
+            AffineCase::standard().conversions(),
+            &[(AffiType::Bool, MlType::Int), (AffiType::Unit, MlType::Int)],
+        )
+        .unwrap_err();
+        assert_eq!(refuted.claim, "unit ∼ int");
+        assert_eq!(refuted.reason, "rule not derivable");
     }
 
     #[test]

@@ -12,10 +12,10 @@
 //! The realizability models judge a compiled program by its run (`E⟦τ⟧`
 //! and the type-safety theorems are claims about how evaluation within the
 //! step index ends), and the run stage already makes that run.  So the
-//! model check comes in two halves around it: [`CaseStudy::model_evidence`]
-//! takes from the artifact what only the artifact can give before the run
-//! consumes it, and [`CaseStudy::model_judgement`] judges the run's report
-//! with that evidence.  Each scenario is run once.
+//! model check is one call after it: [`CaseStudy::model_judgement`] judges
+//! the run's report, and builds anything else it needs (a run under other
+//! semantics or of another program) from the artifact.  A scenario whose
+//! fuel covers the checker's budget is run once.
 //!
 //! Implementations live with their case studies (`sharedmem::harness`,
 //! `affine_interop::harness`, `memgc_interop::harness`); only the vocabulary
@@ -433,14 +433,10 @@ pub trait CaseStudy {
     /// The compiled target artifact of one program — the first-class object
     /// the sweep engine threads through timing, execution and model checking
     /// so each scenario is compiled exactly once no matter how many stages
-    /// consume it.  Only [`CaseStudy::model_check_compiled`] clones one, to
-    /// run a copy of its own.
+    /// consume it.  A model-checked sweep keeps a copy for
+    /// [`CaseStudy::model_judgement`] and [`CaseStudy::model_check_compiled`]
+    /// runs one; the targets keep their code behind `Arc`, so copies share it.
     type Compiled: Clone + Send + 'static;
-    /// What the model check learns from the artifact before the run stage
-    /// consumes it ([`CaseStudy::model_evidence`]), kept for the judgement
-    /// of the run's report ([`CaseStudy::model_judgement`]).  The sweep
-    /// engine holds one per scenario between the two, boxed.
-    type Evidence: Send + 'static;
 
     /// A short stable name (`sharedmem`, `affine`, `memgc`).
     fn name(&self) -> &'static str;
@@ -463,8 +459,8 @@ pub trait CaseStudy {
     /// Runs an already-compiled artifact under the given step budget.
     ///
     /// The artifact is taken by value so the compile-once-execute-once sweep
-    /// path never copies a compiled program; a model-checked scenario hands
-    /// the artifact to [`CaseStudy::model_evidence`] *before* executing it.
+    /// path consumes it; a model-checked scenario keeps a copy for
+    /// [`CaseStudy::model_judgement`], which judges this run.
     fn execute(&self, compiled: Self::Compiled, fuel: Fuel) -> Self::Report;
 
     /// Runs a whole batch of already-compiled artifacts under the given
@@ -502,41 +498,34 @@ pub trait CaseStudy {
     /// fuel [`CaseStudy::model_check_compiled`] runs its own copy with.
     fn model_budget(&self) -> Fuel;
 
-    /// The model check's first half, on the artifact before it runs under
-    /// `fuel`: the evidence only the artifact can give.  That is any run
-    /// under other semantics or of another program, and the checker's own
-    /// run when `fuel` does not [cover](Fuel::covers) its budget, so that
-    /// the run stage's report might not decide it.
-    fn model_evidence(
-        &self,
-        program: &Self::Program,
-        ty: &Self::Ty,
-        compiled: &Self::Compiled,
-        fuel: Fuel,
-    ) -> Self::Evidence;
-
-    /// The model check's second half: checks the program against the case
-    /// study's realizability model at the claimed type (type safety and,
-    /// where the model supports it, membership in the expression relation),
-    /// judging `report`, the run of the artifact under `fuel`, together
-    /// with the evidence gathered under the same `fuel`.  A checker's step
-    /// budget caps the run's steps by the budget rule of [`Fuel::rebudget`],
-    /// so the verdict is the one a run of its own would give.
+    /// The model check: checks the program against the case study's
+    /// realizability model at the claimed type (type safety and, where the
+    /// model supports it, membership in the expression relation), judging
+    /// `report`, the run of `compiled` under `fuel`, and building anything
+    /// else it needs (a run under other semantics or of another program)
+    /// from `compiled`.  A checker's step budget caps the run's steps by the
+    /// budget rule of [`Fuel::rebudget`], so the verdict is the one a run of
+    /// its own would give.
+    ///
+    /// `fuel` must [cover](Fuel::covers) [`CaseStudy::model_budget`]: a run
+    /// that ran out of a smaller fuel cannot decide the check, and the
+    /// judgement may panic on it.  Without such a run, call
+    /// [`CaseStudy::model_check_compiled`].
     fn model_judgement(
         &self,
         program: &Self::Program,
         ty: &Self::Ty,
-        evidence: Self::Evidence,
+        compiled: &Self::Compiled,
         report: &Self::Report,
         fuel: Fuel,
     ) -> Result<(), CheckFailure>;
 
     /// The whole model check on a borrowed artifact, for callers with no
-    /// run of their own to judge (shrink re-checks, ad-hoc checks): the
-    /// evidence, one run of a copy of the artifact under
-    /// [`CaseStudy::model_budget`], then the same judgement.  The sweep
-    /// judges its run stage's report instead, and never calls this on the
-    /// scenario itself.
+    /// run to judge (shrink re-checks, ad-hoc checks, and sweeps whose fuel
+    /// falls short of [`CaseStudy::model_budget`]): one run of a copy of
+    /// the artifact under the budget, then [`CaseStudy::model_judgement`]
+    /// of that run.  A sweep whose fuel covers the budget judges its run
+    /// stage's report instead.
     fn model_check_compiled(
         &self,
         program: &Self::Program,
@@ -544,9 +533,8 @@ pub trait CaseStudy {
         compiled: &Self::Compiled,
     ) -> Result<(), CheckFailure> {
         let budget = self.model_budget();
-        let evidence = self.model_evidence(program, ty, compiled, budget);
         let report = self.execute(compiled.clone(), budget);
-        self.model_judgement(program, ty, evidence, &report, budget)
+        self.model_judgement(program, ty, compiled, &report, budget)
     }
 
     /// Compile-and-model-check convenience over

@@ -78,18 +78,6 @@ pub enum AnyCompiled {
     MemGc(lcvm::Expr),
 }
 
-/// The model-check evidence of any case study, held by the sweep engine
-/// between a scenario's compile and its judgement.
-#[derive(Debug)]
-pub enum AnyEvidence {
-    /// Case study 1.
-    SharedMem(<SharedMemCase as CaseStudy>::Evidence),
-    /// Case study 2.
-    Affine(<AffineCase as CaseStudy>::Evidence),
-    /// Case study 3.
-    MemGc(<MemGcCase as CaseStudy>::Evidence),
-}
-
 /// One of the three case studies, selected at runtime.
 #[derive(Debug, Clone)]
 pub enum AnyCase {
@@ -145,7 +133,6 @@ impl CaseStudy for AnyCase {
     type Ty = AnyTy;
     type Report = AnyReport;
     type Compiled = AnyCompiled;
-    type Evidence = AnyEvidence;
 
     fn name(&self) -> &'static str {
         match self {
@@ -289,66 +276,39 @@ impl CaseStudy for AnyCase {
         }
     }
 
-    fn model_evidence(
+    fn model_judgement(
         &self,
         program: &AnyProgram,
         ty: &AnyTy,
         compiled: &AnyCompiled,
+        report: &AnyReport,
         fuel: Fuel,
-    ) -> AnyEvidence {
-        match (self, program, ty, compiled) {
+    ) -> Result<(), CheckFailure> {
+        match (self, program, ty, compiled, report) {
             (
                 AnyCase::SharedMem(c),
                 AnyProgram::SharedMem(p),
                 AnyTy::SharedMem(t),
                 AnyCompiled::SharedMem(a),
-            ) => AnyEvidence::SharedMem(c.model_evidence(p, t, a, fuel)),
+                AnyReport::StackLang(r),
+            ) => c.model_judgement(p, t, a, r, fuel),
             (
                 AnyCase::Affine(c),
                 AnyProgram::Affine(p),
                 AnyTy::Affine(t),
                 AnyCompiled::Affine(a),
-            ) => AnyEvidence::Affine(c.model_evidence(p, t, a, fuel)),
-            (AnyCase::MemGc(c), AnyProgram::MemGc(p), AnyTy::MemGc(t), AnyCompiled::MemGc(a)) => {
-                AnyEvidence::MemGc(c.model_evidence(p, t, a, fuel))
-            }
-            // The engine only ever gathers evidence on a scenario of the
-            // case's own, exactly as in `execute`.
-            _ => unreachable!("artifact does not belong to case study `{}`", self.name()),
-        }
-    }
-
-    fn model_judgement(
-        &self,
-        program: &AnyProgram,
-        ty: &AnyTy,
-        evidence: AnyEvidence,
-        report: &AnyReport,
-        fuel: Fuel,
-    ) -> Result<(), CheckFailure> {
-        match (self, program, ty, evidence, report) {
-            (
-                AnyCase::SharedMem(c),
-                AnyProgram::SharedMem(p),
-                AnyTy::SharedMem(t),
-                AnyEvidence::SharedMem(e),
-                AnyReport::StackLang(r),
-            ) => c.model_judgement(p, t, e, r, fuel),
-            (
-                AnyCase::Affine(c),
-                AnyProgram::Affine(p),
-                AnyTy::Affine(t),
-                AnyEvidence::Affine(e),
                 AnyReport::Lcvm(r),
-            ) => c.model_judgement(p, t, e, r, fuel),
+            ) => c.model_judgement(p, t, a, r, fuel),
             (
                 AnyCase::MemGc(c),
                 AnyProgram::MemGc(p),
                 AnyTy::MemGc(t),
-                AnyEvidence::MemGc(e),
+                AnyCompiled::MemGc(a),
                 AnyReport::Lcvm(r),
-            ) => c.model_judgement(p, t, e, r, fuel),
-            _ => unreachable!("evidence does not belong to case study `{}`", self.name()),
+            ) => c.model_judgement(p, t, a, r, fuel),
+            // The engine only ever judges a scenario of the case's own,
+            // exactly as in `execute`.
+            _ => unreachable!("artifact does not belong to case study `{}`", self.name()),
         }
     }
 

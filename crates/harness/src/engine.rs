@@ -6,15 +6,16 @@
 //! owns a deque, pops from its own front, and steals from the backs of the
 //! others when it runs dry.  Within a task, every scenario is generated,
 //! typechecked and compiled individually — exactly as in a per-scenario
-//! sweep — and the model check takes its evidence from the artifact
-//! ([`CaseStudy::model_evidence`]).  Then the whole batch of compiled
-//! artifacts is executed through [`CaseStudy::execute_batch`], which the
-//! case studies implement with **one** reused machine (reset in place
-//! between programs) so machine setup is amortised across the batch.
-//! Finally each scenario's report is checked for an unsafe outcome and,
-//! failing that, judged by the model check ([`CaseStudy::model_judgement`]):
-//! the realizability models judge a program by its run, and the run stage
-//! has just made it, so no scenario runs twice.
+//! sweep.  Then the whole batch of compiled artifacts is executed through
+//! [`CaseStudy::execute_batch`], which the case studies implement with
+//! **one** reused machine (reset in place between programs) so machine
+//! setup is amortised across the batch; a model-checked scenario keeps a
+//! copy of its artifact for the judgement.  Finally each scenario's report
+//! is checked for an unsafe outcome and, failing that, judged by the model
+//! check ([`CaseStudy::model_judgement`]): the realizability models judge a
+//! program by its run, and the run stage has just made it, so no scenario
+//! runs twice unless the sweep's fuel falls short of the checker's budget
+//! ([`CaseStudy::model_check_compiled`]).
 //!
 //! Neither scheduling nor batching influences results: each task's
 //! generator is seeded purely by its sweep seed, batches preserve per-seed
@@ -56,11 +57,12 @@ pub struct SweepConfig {
     /// are digest-grade facts, cheap enough to never switch off.  Timing
     /// changes *measurement only*: every scenario is typechecked once,
     /// compiled once and run once whether or not the stopwatch is on — the
-    /// compiled artifact is threaded from the compile stage through the
-    /// model check's evidence into execution — so timed and untimed sweeps
+    /// compiled artifact is threaded from the compile stage into execution,
+    /// and a copy of it into the model check — so timed and untimed sweeps
     /// of the same seeds agree on digests, counters, and glue-cache hit/miss
-    /// figures alike.  The model-check stage's time is its evidence plus its
-    /// judgement.
+    /// figures alike.  The model-check stage's time is that copy plus the
+    /// judgement, and the checker's own run when the fuel falls short of
+    /// its budget.
     pub time: bool,
     /// How many same-case compiled artifacts are executed per reused
     /// machine (`--batch N`; must be at least 1).  `1` executes every
@@ -162,27 +164,20 @@ fn staged<R>(enabled: bool, slot: &mut u64, f: impl FnOnce() -> R) -> R {
     }
 }
 
-/// A scenario ready to run: its compiled artifact and, when the sweep
-/// model-checks, the model check's evidence.  The evidence is boxed so a
-/// scenario holds one pointer, whatever the case study keeps.
-type Ready<C> = (
-    <C as CaseStudy>::Compiled,
-    Option<Box<<C as CaseStudy>::Evidence>>,
-);
-
 /// The product of the pre-execution pipeline stages for one scenario:
 /// everything the engine needs to finish the record once a machine report
 /// is available (the execution itself is left to the caller, so a batch of
 /// prepared scenarios can run through one reused machine).
 struct Prepared<C: CaseStudy> {
     /// The record so far; `failure` is set when a pre-run stage rejected
-    /// the scenario, in which case `ready` is `None`.
+    /// the scenario, in which case `compiled` is `None`.
     record: ScenarioRecord,
     /// Per-stage wall-clock so far (`generate_ns` is stamped in by the
     /// caller, which owns the generation).
     timings: StageTimings,
-    /// What the run needs, when every pre-run stage passed.
-    ready: Option<Ready<C>>,
+    /// The artifact, when every pre-run stage passed: the run consumes it,
+    /// or a copy of it when the model check keeps it for the judgement.
+    compiled: Option<C::Compiled>,
 }
 
 /// Stamps the collected timings into the record when the sweep is timed.
@@ -194,13 +189,7 @@ fn seal(mut record: ScenarioRecord, timings: StageTimings, time: bool) -> Scenar
 }
 
 /// Runs the pre-execution pipeline stages on a generated scenario: the one
-/// typecheck, the one compile, and the model check's evidence, *borrowing*
-/// the artifact (execution consumes it later, so nothing is cloned on the
-/// hot path).
-///
-/// The model check's judgement waits for the run's report: an unsafe run
-/// outcome still takes precedence over a model-check rejection, exactly as
-/// when the stages ran in pipeline order.
+/// typecheck and the one compile.
 fn prepare_generated<C: CaseStudy>(
     case: &C,
     scenario: &Scenario<C::Program, C::Ty>,
@@ -247,7 +236,7 @@ fn prepare_generated<C: CaseStudy>(
             return Prepared {
                 record,
                 timings,
-                ready: None,
+                compiled: None,
             };
         }
         Err(err) => {
@@ -255,7 +244,7 @@ fn prepare_generated<C: CaseStudy>(
             return Prepared {
                 record,
                 timings,
-                ready: None,
+                compiled: None,
             };
         }
     }
@@ -267,46 +256,29 @@ fn prepare_generated<C: CaseStudy>(
         case.compile(&scenario.program)
     });
     let compiled = match compiled {
-        Ok(compiled) => compiled,
+        Ok(compiled) => Some(compiled),
         Err(err) => {
             record.failure = Some(plain_failure(FailStage::Compile, err));
-            return Prepared {
-                record,
-                timings,
-                ready: None,
-            };
+            None
         }
     };
-
-    // 3. The model check's evidence borrows the artifact; its judgement
-    // waits for the run's report.
-    let evidence = cfg.model_check.then(|| {
-        staged(cfg.time, &mut timings.model_check_ns, || {
-            Box::new(case.model_evidence(
-                &scenario.program,
-                &scenario.ty,
-                &compiled,
-                cfg.profile.fuel,
-            ))
-        })
-    });
-
     Prepared {
         record,
         timings,
-        ready: Some((compiled, evidence)),
+        compiled,
     }
 }
 
 /// Folds a machine report into a prepared scenario's record: run-stage
 /// statistics, the unsafe-outcome check, and the model check's judgement
-/// of the report, shrinking any counterexample.
+/// of the report, shrinking any counterexample.  `kept` is the artifact's
+/// copy when the sweep model-checks.
 fn finish_executed<C: CaseStudy>(
     case: &C,
     scenario: &Scenario<C::Program, C::Ty>,
     mut record: ScenarioRecord,
     mut timings: StageTimings,
-    evidence: Option<Box<C::Evidence>>,
+    kept: Option<C::Compiled>,
     report: C::Report,
     cfg: &SweepConfig,
 ) -> ScenarioRecord {
@@ -341,24 +313,24 @@ fn finish_executed<C: CaseStudy>(
         return seal(record, timings, cfg.time);
     }
 
-    // The model check judges the run it has just seen.  A counterexample
-    // is shrunk with the same one-compile-per-candidate discipline; each
-    // candidate is model-checked whole, on its borrowed artifact.  A
-    // candidate that typechecks but fails to compile still counts as
-    // failing — the semantics the compile-their-own `model_check` default
-    // always had (a compile error *is* a refutation of the model claim),
-    // preserved so shrunk witnesses are unchanged.
-    let Some(evidence) = evidence else {
+    // The model check judges the run it has just seen, when the sweep's
+    // fuel covers the checker's budget.  A counterexample is shrunk with
+    // the same one-compile-per-candidate discipline; each candidate is
+    // model-checked whole, on its borrowed artifact.  A candidate that
+    // typechecks but fails to compile still counts as failing — the
+    // semantics the compile-their-own `model_check` default always had (a
+    // compile error *is* a refutation of the model claim), preserved so
+    // shrunk witnesses are unchanged.
+    let Some(compiled) = kept else {
         return seal(record, timings, cfg.time);
     };
+    let (program, ty, fuel) = (&scenario.program, &scenario.ty, cfg.profile.fuel);
     let verdict = staged(cfg.time, &mut timings.model_check_ns, || {
-        case.model_judgement(
-            &scenario.program,
-            &scenario.ty,
-            *evidence,
-            &report,
-            cfg.profile.fuel,
-        )
+        if fuel.covers(case.model_budget()) {
+            case.model_judgement(program, ty, &compiled, &report, fuel)
+        } else {
+            case.model_check_compiled(program, ty, &compiled)
+        }
     });
     if let Err(check) = verdict {
         let shrunk = shrink_failure(case, &scenario.program, |p| {
@@ -417,13 +389,15 @@ pub fn run_scenario<C: CaseStudy>(case: &C, seed: u64, cfg: &SweepConfig) -> Sce
 ///
 /// The pipeline is artifact-threaded: the scenario is typechecked **once**,
 /// compiled **once** and run **once**.  The resulting
-/// [`CaseStudy::Compiled`] artifact is borrowed by the model check's
-/// evidence and then consumed by execution, whose report the model check
-/// judges — no stage recompiles, no stage clones, no stage reruns.  Only
-/// shrink re-checks (which examine different, smaller programs) compile and
-/// run again, once per candidate.  The scenario executes as a batch of one,
-/// so its run stage is charged the whole batch wall-clock, and its `other`
-/// stage is everything from here on that no stage timed.
+/// [`CaseStudy::Compiled`] artifact is consumed by execution, and the model
+/// check judges the run's report with a copy of the artifact that it kept —
+/// no stage recompiles, and no stage reruns unless the fuel falls short of
+/// the checker's budget, when [`CaseStudy::model_check_compiled`] runs the
+/// copy under the budget.  Only shrink re-checks (which examine different,
+/// smaller programs) compile and run again, once per candidate.  The
+/// scenario executes as a batch of one, so its run stage is charged the
+/// whole batch wall-clock, and its `other` stage is everything from here on
+/// that no stage timed.
 pub fn run_generated<C: CaseStudy>(
     case: &C,
     scenario: &Scenario<C::Program, C::Ty>,
@@ -441,9 +415,8 @@ pub fn run_generated<C: CaseStudy>(
 /// [`CaseStudy::execute_batch`] (one reused machine in the case-study
 /// overrides).
 ///
-/// Every stage — generate, typecheck, compile, the model check's evidence
-/// before the run and its judgement after — runs per scenario exactly as in
-/// [`run_scenario`], and records
+/// Every stage — generate, typecheck, compile, and the model check after
+/// the run — runs per scenario exactly as in [`run_scenario`], and records
 /// come back in seed order with per-scenario statistics split back out, so
 /// the result is digest-identical to running the seeds one at a time; only
 /// machine setup is amortised.  The batch's run wall-clock cannot be
@@ -505,14 +478,21 @@ fn run_prepared<C: CaseStudy>(
     cfg: &SweepConfig,
 ) -> Vec<ScenarioRecord> {
     // Collect the executable artifacts in seed order and run them as one
-    // batch; scenarios that failed a pre-run stage simply take no part.
+    // batch; scenarios that failed a pre-run stage simply take no part.  A
+    // model-checked scenario keeps its artifact for the judgement and runs
+    // a copy.
     let mut ready_indices = Vec::with_capacity(prepared.len());
-    let mut evidence = Vec::with_capacity(prepared.len());
     let mut artifacts = Vec::with_capacity(prepared.len());
     for (idx, p) in prepared.iter_mut().enumerate() {
-        if let Some((compiled, held)) = p.ready.take() {
+        let artifact = if cfg.model_check {
+            staged(cfg.time, &mut p.timings.model_check_ns, || {
+                p.compiled.clone()
+            })
+        } else {
+            p.compiled.take()
+        };
+        if let Some(compiled) = artifact {
             ready_indices.push(idx);
-            evidence.push(held);
             artifacts.push(compiled);
         }
     }
@@ -539,7 +519,7 @@ fn run_prepared<C: CaseStudy>(
 
     let mut executed = ready_indices
         .into_iter()
-        .zip(evidence.into_iter().zip(reports.into_iter().zip(shares)))
+        .zip(reports.into_iter().zip(shares))
         .peekable();
     prepared
         .into_iter()
@@ -547,10 +527,10 @@ fn run_prepared<C: CaseStudy>(
         .enumerate()
         .map(|(idx, (p, scenario))| match executed.peek() {
             Some((ready_idx, _)) if *ready_idx == idx => {
-                let (_, (held, (report, run_ns))) = executed.next().expect("peeked entry");
+                let (_, (report, run_ns)) = executed.next().expect("peeked entry");
                 let mut timings = p.timings;
                 timings.run_ns = run_ns;
-                finish_executed(case, scenario, p.record, timings, held, report, cfg)
+                finish_executed(case, scenario, p.record, timings, p.compiled, report, cfg)
             }
             _ => seal(p.record, p.timings, cfg.time),
         })
@@ -811,7 +791,6 @@ mod tests {
         type Ty = u8;
         type Report = ();
         type Compiled = ();
-        type Evidence = ();
 
         fn name(&self) -> &'static str {
             "slow-drop"
@@ -840,12 +819,11 @@ mod tests {
         fn model_budget(&self) -> semint_core::Fuel {
             semint_core::Fuel::steps(1)
         }
-        fn model_evidence(&self, _p: &SlowDrop, _ty: &u8, _c: &(), _fuel: semint_core::Fuel) {}
         fn model_judgement(
             &self,
             _p: &SlowDrop,
             _ty: &u8,
-            _evidence: (),
+            _compiled: &(),
             _report: &(),
             _fuel: semint_core::Fuel,
         ) -> Result<(), semint_core::case::CheckFailure> {

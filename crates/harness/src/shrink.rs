@@ -181,7 +181,6 @@ mod tests {
         type Ty = Depth;
         type Report = ();
         type Compiled = ();
-        type Evidence = ();
 
         fn name(&self) -> &'static str {
             "toy"
@@ -213,12 +212,11 @@ mod tests {
         fn model_budget(&self) -> Fuel {
             Fuel::steps(0)
         }
-        fn model_evidence(&self, _p: &Depth, _ty: &Depth, _compiled: &(), _fuel: Fuel) {}
         fn model_judgement(
             &self,
             p: &Depth,
             _ty: &Depth,
-            _evidence: (),
+            _compiled: &(),
             _report: &(),
             _fuel: Fuel,
         ) -> Result<(), CheckFailure> {

@@ -166,10 +166,6 @@ impl CaseStudy for MemGcCase {
     type Ty = MgSourceType;
     type Report = RunResult;
     type Compiled = Expr;
-    /// How the checker's own run halted: the `fst`-wrapped artifact's run
-    /// for the broken glue, or a copy of the artifact's when the sweep's
-    /// fuel falls short of the checker's.
-    type Evidence = Option<Halt>;
 
     fn name(&self) -> &'static str {
         "memgc"
@@ -234,42 +230,26 @@ impl CaseStudy for MemGcCase {
     }
 
     /// The broken glue projects every result as if it were a pair, so its
-    /// check runs a program of its own, `fst` of the artifact.  The
-    /// standard check judges the run stage's report, unless the sweep's
-    /// fuel falls short of the checker's; then it too runs its own copy.
-    fn model_evidence(
-        &self,
-        _program: &MgProgram,
-        _ty: &MgSourceType,
-        compiled: &Expr,
-        fuel: Fuel,
-    ) -> Option<Halt> {
-        let budget = self.model_budget();
-        let checked = if self.broken {
-            Expr::fst(compiled.clone())
-        } else if !fuel.covers(budget) {
-            compiled.clone()
-        } else {
-            return None;
-        };
-        Some(self.execute(checked, budget).halt)
-    }
-
+    /// check runs a program of its own, `fst` of the artifact; the standard
+    /// check judges the run's report.
     fn model_judgement(
         &self,
         program: &MgProgram,
         _ty: &MgSourceType,
-        own_halt: Option<Halt>,
+        compiled: &Expr,
         report: &RunResult,
         fuel: Fuel,
     ) -> Result<(), CheckFailure> {
         let out_of_fuel = Halt::OutOfFuel;
-        let halt = match &own_halt {
-            Some(halt) => halt,
-            None => report
+        let projected;
+        let halt = if self.broken {
+            projected = self.execute(Expr::fst(compiled.clone()), self.model_budget());
+            &projected.halt
+        } else {
+            report
                 .rebudget(fuel, self.model_budget())
                 .decide(report)
-                .map_or(&out_of_fuel, |run| &run.halt),
+                .map_or(&out_of_fuel, |run| &run.halt)
         };
         halt_type_safe(halt).map_err(|failure| CheckFailure {
             claim: if self.broken {

@@ -176,9 +176,6 @@ impl CaseStudy for SharedMemCase {
     type Ty = SourceType;
     type Report = RunResult;
     type Compiled = Program;
-    /// The checker's own run, when the sweep's fuel falls short of
-    /// [`SAFETY_STEPS`].
-    type Evidence = Option<Box<RunResult>>;
 
     fn name(&self) -> &'static str {
         "sharedmem"
@@ -243,33 +240,16 @@ impl CaseStudy for SharedMemCase {
         Fuel::steps(SAFETY_STEPS)
     }
 
-    /// The run stage's report decides both budgets the judgement asks
-    /// about, unless the sweep's fuel falls short of the type-safety
-    /// budget; then the checker runs a copy of its own.
-    fn model_evidence(
-        &self,
-        _program: &SmProgram,
-        _ty: &SourceType,
-        compiled: &Program,
-        fuel: Fuel,
-    ) -> Option<Box<RunResult>> {
-        let budget = self.model_budget();
-        (!fuel.covers(budget)).then(|| Box::new(self.execute(compiled.clone(), budget)))
-    }
-
+    /// The run's report decides both budgets the judgement asks about, the
+    /// type-safety budget and the step index.
     fn model_judgement(
         &self,
         program: &SmProgram,
         ty: &SourceType,
-        own_run: Option<Box<RunResult>>,
-        report: &RunResult,
+        _compiled: &Program,
+        run: &RunResult,
         fuel: Fuel,
     ) -> Result<(), CheckFailure> {
-        let (run, fuel) = match own_run.as_deref() {
-            Some(own) => (own, self.model_budget()),
-            None => (report, fuel),
-        };
-
         // Theorems 3.3/3.4: no dynamic type errors (a run that outlasts the
         // budget is safe).
         if let Some(run) = run.rebudget(fuel, self.model_budget()).decide(run) {

@@ -20,13 +20,14 @@
 //! ## The `CaseStudy` abstraction and the `semint` CLI
 //!
 //! Each case-study crate implements [`core::case::CaseStudy`] (associated
-//! `Program`/`Ty`/`Report`/`Compiled`/`Evidence` types; `generate`,
-//! `typecheck`, `compile`, `execute`, and the model check in two halves:
-//! `model_evidence` on the artifact before it runs, `model_judgement` on the
-//! run's report), and the [`harness`] engine drives any implementation —
-//! including all three at once, interleaved on one thread pool —
-//! typechecking, compiling and running each scenario exactly once: the model
-//! check judges the run stage's report instead of running the program again.
+//! `Program`/`Ty`/`Report`/`Compiled` types; `generate`, `typecheck`,
+//! `compile`, `execute`, and the model check, `model_judgement`, on the
+//! run's report and its artifact), and the [`harness`] engine drives any
+//! implementation — including all three at once, interleaved on one thread
+//! pool — typechecking, compiling and running each scenario exactly once:
+//! the model check judges the run stage's report instead of running the
+//! program again, unless the sweep's fuel falls short of the checker's
+//! budget.
 //!
 //! ```
 //! use semint::harness::cases::AnyCase;

@@ -3,8 +3,10 @@
 //! * a counting test-double proves a timed, model-checked sweep performs
 //!   **exactly one** typecheck, **exactly one** compile and **exactly one**
 //!   execution per scenario — the artifact built by the compile stage is
-//!   borrowed by the model check's evidence and consumed by execution, whose
-//!   report the model check judges; nothing is rebuilt or rerun;
+//!   consumed by execution, whose report the model check judges with a copy
+//!   of the artifact; nothing is rebuilt or rerun — and that a sweep whose
+//!   fuel falls short of the checkers' budgets pays one more run per
+//!   scenario, made through the trait's `model_check_compiled`;
 //! * the same double shows `CaseStudy::run`, the entry point for
 //!   hand-written programs, makes one typecheck, one compile and one
 //!   execution, and reports what the sweep's run stage reports;
@@ -16,7 +18,7 @@
 //!   change: same scenarios, same outcomes, fewer redundant stages.
 
 use proptest::prelude::*;
-use semint::harness::cases::{AnyCase, AnyCompiled, AnyEvidence, AnyProgram, AnyReport, AnyTy};
+use semint::harness::cases::{AnyCase, AnyCompiled, AnyProgram, AnyReport, AnyTy};
 use semint::harness::engine::{run_scenario, sweep_case, SweepConfig};
 use semint::harness::source::SeedRange;
 use semint::harness::CaseStudy;
@@ -33,7 +35,6 @@ struct CountingCase {
     typechecks: AtomicUsize,
     compiles: AtomicUsize,
     executes: AtomicUsize,
-    evidence: AtomicUsize,
     model_checks: AtomicUsize,
 }
 
@@ -44,19 +45,16 @@ impl CountingCase {
             typechecks: AtomicUsize::new(0),
             compiles: AtomicUsize::new(0),
             executes: AtomicUsize::new(0),
-            evidence: AtomicUsize::new(0),
             model_checks: AtomicUsize::new(0),
         }
     }
 
-    /// Typechecks, compiles, executions, model-check evidence gathered and
-    /// model-check judgements.
-    fn counts(&self) -> (usize, usize, usize, usize, usize) {
+    /// Typechecks, compiles, executions and model-check judgements.
+    fn counts(&self) -> (usize, usize, usize, usize) {
         (
             self.typechecks.load(Ordering::SeqCst),
             self.compiles.load(Ordering::SeqCst),
             self.executes.load(Ordering::SeqCst),
-            self.evidence.load(Ordering::SeqCst),
             self.model_checks.load(Ordering::SeqCst),
         )
     }
@@ -67,7 +65,6 @@ impl CaseStudy for CountingCase {
     type Ty = AnyTy;
     type Report = AnyReport;
     type Compiled = AnyCompiled;
-    type Evidence = AnyEvidence;
 
     fn name(&self) -> &'static str {
         self.inner.name()
@@ -100,28 +97,17 @@ impl CaseStudy for CountingCase {
         self.inner.model_budget()
     }
 
-    fn model_evidence(
-        &self,
-        program: &AnyProgram,
-        ty: &AnyTy,
-        compiled: &AnyCompiled,
-        fuel: Fuel,
-    ) -> AnyEvidence {
-        self.evidence.fetch_add(1, Ordering::SeqCst);
-        self.inner.model_evidence(program, ty, compiled, fuel)
-    }
-
     fn model_judgement(
         &self,
         program: &AnyProgram,
         ty: &AnyTy,
-        evidence: AnyEvidence,
+        compiled: &AnyCompiled,
         report: &AnyReport,
         fuel: Fuel,
     ) -> Result<(), CheckFailure> {
         self.model_checks.fetch_add(1, Ordering::SeqCst);
         self.inner
-            .model_judgement(program, ty, evidence, report, fuel)
+            .model_judgement(program, ty, compiled, report, fuel)
     }
 
     fn shrink(&self, program: &AnyProgram) -> Vec<AnyProgram> {
@@ -149,15 +135,42 @@ fn timed_model_checked_sweep_typechecks_once_and_compiles_once_per_scenario() {
             let record = run_scenario(&case, seed, &cfg);
             assert!(record.failure.is_none(), "{name} seed {seed} failed");
         }
-        let (typechecks, compiles, executes, evidence, model_checks) = case.counts();
+        let (typechecks, compiles, executes, model_checks) = case.counts();
         assert_eq!(typechecks, SEEDS, "{name}: one typecheck per scenario");
         assert_eq!(compiles, SEEDS, "{name}: one compile per scenario");
         assert_eq!(executes, SEEDS, "{name}: one execution per scenario");
-        assert_eq!(
-            evidence, SEEDS,
-            "{name}: one model-check evidence per scenario"
-        );
         assert_eq!(model_checks, SEEDS, "{name}: one model check per scenario");
+    }
+}
+
+/// `smoke`'s fuel is below every checker's budget, so the run stage's run
+/// cannot decide the model check: the engine calls `model_check_compiled`,
+/// whose run under the budget goes through the trait's `execute` like the
+/// run stage's.  Under `default` the run stage's run is the only one.
+#[test]
+fn a_fuel_short_of_the_budget_pays_one_budget_run_per_scenario() {
+    const SEEDS: usize = 20;
+    for (profile, runs) in [(GenProfile::smoke(), 2), (GenProfile::standard(), 1)] {
+        let cfg = SweepConfig {
+            jobs: 1,
+            profile,
+            model_check: true,
+            ..SweepConfig::default()
+        };
+        for name in ["sharedmem", "affine", "memgc"] {
+            let case = CountingCase::new(AnyCase::by_name(name, false).expect("known case"));
+            assert_eq!(profile.fuel.covers(case.model_budget()), runs == 1);
+            for seed in 0..SEEDS as u64 {
+                let record = run_scenario(&case, seed, &cfg);
+                assert!(record.failure.is_none(), "{name} seed {seed} failed");
+            }
+            assert_eq!(
+                case.counts(),
+                (SEEDS, SEEDS, runs * SEEDS, SEEDS),
+                "{name} {}: one typecheck, compile and judgement, {runs} runs per scenario",
+                profile.name
+            );
+        }
     }
 }
 
@@ -175,11 +188,10 @@ fn untimed_sweep_also_compiles_exactly_once_and_skipped_model_check_stays_skippe
         let record = run_scenario(&case, seed, &cfg);
         assert!(record.failure.is_none(), "seed {seed} failed");
     }
-    let (typechecks, compiles, executes, evidence, model_checks) = case.counts();
+    let (typechecks, compiles, executes, model_checks) = case.counts();
     assert_eq!((typechecks, compiles, executes), (10, 10, 10));
     assert_eq!(
-        (evidence, model_checks),
-        (0, 0),
+        model_checks, 0,
         "--no-model-check must not pay for the stage"
     );
 }
@@ -216,9 +228,8 @@ fn run_typechecks_compiles_and_executes_once_as_the_sweep_runs() {
                         after.1 - before.1,
                         after.2 - before.2,
                         after.3 - before.3,
-                        after.4 - before.4,
                     ),
-                    (1, 1, 1, 0, 0),
+                    (1, 1, 1, 0),
                     "{name} {} seed {seed}: one typecheck, compile and execution, no model check",
                     profile.name
                 );

@@ -1,14 +1,15 @@
-//! The model check's two halves against its one-shot wrapper.
+//! The sweep's model check against its one-shot wrapper.
 //!
-//! A sweep gathers each scenario's evidence from the artifact
-//! ([`CaseStudy::model_evidence`]), executes the artifact, and judges the
-//! run's report ([`CaseStudy::model_judgement`]).  Shrink re-checks and
-//! ad-hoc callers call [`CaseStudy::model_check_compiled`], which runs a
-//! copy of the artifact under the checker's own budget instead.  Both must
-//! return exactly the same `Result`, for every case study under both rule
-//! sets, under all four presets and under a 30-step fuel that sends the
-//! checkers to their own runs.  The runs go through reused machines, eight
-//! artifacts each, as a `--batch 8` sweep runs them.
+//! A sweep executes each artifact and, when its fuel covers the checker's
+//! budget, judges the run's report with a copy of the artifact
+//! ([`CaseStudy::model_judgement`]); otherwise it calls
+//! [`CaseStudy::model_check_compiled`], as shrink re-checks and ad-hoc
+//! callers do, which runs a copy of the artifact under the checker's own
+//! budget.  Both must return exactly the same `Result`, for every case
+//! study under both rule sets, under all four presets and under a 30-step
+//! fuel that, like `smoke`'s, falls short of every checker's budget.  The
+//! runs go through reused machines, eight artifacts each, as a `--batch 8`
+//! sweep runs them.
 //!
 //! The verdicts are also pinned against the checkers as they were when
 //! every checker still ran the program itself: per case, a hash over every
@@ -38,19 +39,22 @@ fn verdicts(case: &AnyCase, profile: &GenProfile) -> (String, usize) {
             assert_eq!(ty, scenario.ty, "{} seed {seed}", case.name());
             let compiled = case.compile(&scenario.program).expect("compiles");
             let whole = case.model_check_compiled(&scenario.program, &ty, &compiled);
-            let evidence = case.model_evidence(&scenario.program, &ty, &compiled, profile.fuel);
-            checked.push((scenario, whole, evidence));
-            artifacts.push(compiled);
+            artifacts.push(compiled.clone());
+            checked.push((scenario, compiled, whole));
         }
         let reports = case.execute_batch(artifacts, profile.fuel);
-        for ((scenario, whole, evidence), report) in checked.into_iter().zip(&reports) {
-            let judged = case.model_judgement(
-                &scenario.program,
-                &scenario.ty,
-                evidence,
-                report,
-                profile.fuel,
-            );
+        for ((scenario, compiled, whole), report) in checked.into_iter().zip(&reports) {
+            let judged = if profile.fuel.covers(case.model_budget()) {
+                case.model_judgement(
+                    &scenario.program,
+                    &scenario.ty,
+                    &compiled,
+                    report,
+                    profile.fuel,
+                )
+            } else {
+                case.model_check_compiled(&scenario.program, &scenario.ty, &compiled)
+            };
             assert_eq!(
                 judged,
                 whole,
@@ -91,7 +95,7 @@ fn assert_judgements(profile: GenProfile, broken: bool, expected: [(&str, usize)
 }
 
 /// The `default` preset with a 30-step fuel: most runs outlast it, so the
-/// checkers fall back to runs of their own.
+/// sweep falls back to `model_check_compiled`'s run under the budget.
 fn low_fuel() -> GenProfile {
     GenProfile {
         name: "custom",
