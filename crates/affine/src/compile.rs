@@ -119,8 +119,10 @@ pub struct CompileOutput {
     /// The compiled LCVM expression.
     pub expr: Expr,
     /// Target variables that came from *static* affine binders; the augmented
-    /// semantics protects exactly these.
-    pub static_binders: BTreeSet<Var>,
+    /// semantics protects exactly these.  Shared, so copying an artifact and
+    /// running it under phantom flags copy no set; every artifact without a
+    /// static binder shares one empty set per process.
+    pub static_binders: Arc<BTreeSet<Var>>,
     /// How many dynamic-guard thunks the compiler inserted (one per
     /// dynamic-arrow application).  It counts only these: the guards of a
     /// call across the boundary come from the `⊸` glue, so a MiniML program
@@ -160,21 +162,28 @@ impl<'a> Compiler<'a> {
     /// Compiles a closed MiniML program.
     pub fn compile_ml_program(mut self, e: &MlExpr) -> Result<CompileOutput, CompileError> {
         let expr = self.ml(&AffineCtx::empty(), &HashMap::new(), e)?;
-        Ok(CompileOutput {
-            expr,
-            static_binders: self.static_binders,
-            dynamic_guards: self.dynamic_guards,
-        })
+        Ok(self.output(expr))
     }
 
     /// Compiles a closed Affi program.
     pub fn compile_affi_program(mut self, e: &AffiExpr) -> Result<CompileOutput, CompileError> {
         let expr = self.affi(&AffineCtx::empty(), &HashMap::new(), e)?;
-        Ok(CompileOutput {
+        Ok(self.output(expr))
+    }
+
+    /// The artifact of `expr`, with the static binders this compiler found.
+    fn output(self, expr: Expr) -> CompileOutput {
+        static NONE: OnceLock<Arc<BTreeSet<Var>>> = OnceLock::new();
+        let static_binders = if self.static_binders.is_empty() {
+            Arc::clone(NONE.get_or_init(Arc::default))
+        } else {
+            Arc::new(self.static_binders)
+        };
+        CompileOutput {
             expr,
-            static_binders: self.static_binders,
+            static_binders,
             dynamic_guards: self.dynamic_guards,
-        })
+        }
     }
 
     fn fresh_static(&mut self, hint: &Var) -> Var {

@@ -226,8 +226,10 @@ impl CaseStudy for AffineCase {
         CHECK_FUEL
     }
 
-    /// The run's report gives the standard semantics; the augmented one
-    /// runs the artifact under phantom flags.
+    /// The run's report gives the standard semantics.  The augmented one
+    /// runs the artifact under phantom flags if it has a static binder;
+    /// without one that run would repeat the standard run step for step
+    /// ([`augmented_run`]), so the standard halt stands for both.
     fn model_judgement(
         &self,
         program: &AffProgram,
@@ -242,11 +244,13 @@ impl CaseStudy for AffineCase {
             .rebudget(fuel, self.model_budget())
             .decide(report)
             .map_or(&out_of_fuel, |run| &run.halt);
-        let augmented = augmented_run(&compiled.expr, &compiled.static_binders);
+        let phantom = (!compiled.static_binders.is_empty())
+            .then(|| augmented_run(&compiled.expr, &compiled.static_binders));
+        let augmented = phantom.as_ref().unwrap_or(standard);
 
         // Safety under the standard *and* the augmented semantics, plus
         // erasure agreement (the §4 analogue of type safety).
-        judge_safety(standard, &augmented).map_err(|failure| CheckFailure {
+        judge_safety(standard, augmented).map_err(|failure| CheckFailure {
             witness: program.to_string(),
             ..failure
         })?;

@@ -28,6 +28,7 @@ use lcvm::{Expr, Halt, Machine, PhantomConfig, Value};
 use semint_core::{CheckFailure, ErrorCode, Fuel, Var};
 use std::collections::BTreeSet;
 use std::fmt;
+use std::sync::Arc;
 
 /// A source type of either §4 language.
 #[derive(Debug, Clone, PartialEq)]
@@ -318,21 +319,23 @@ pub fn check_direction(
 
 /// How `expr` halts under [`CHECK_FUEL`] when its static affine binders
 /// are protected by phantom flags: the augmented-semantics run that
-/// [`judge_safety`] compares with the standard one.
-pub fn augmented_run(expr: &Expr, static_binders: &BTreeSet<Var>) -> Halt {
-    Machine::run_phantom(
-        expr.clone(),
-        PhantomConfig::protecting(static_binders.iter().cloned()),
-        CHECK_FUEL,
-    )
-    .halt
+/// [`judge_safety`] compares with the standard one.  The model check makes
+/// it only for a program with a static binder: with none, no flag is minted
+/// and compiled code holds no `protect`, so the run would repeat the
+/// standard one step for step (see [`lcvm::phantom`]).
+pub fn augmented_run(expr: &Expr, static_binders: &Arc<BTreeSet<Var>>) -> Halt {
+    let config = PhantomConfig {
+        protected_binders: Arc::clone(static_binders),
+    };
+    Machine::run_phantom(expr.clone(), config, CHECK_FUEL).halt
 }
 
 /// Type safety under the standard semantics *and* the augmented
 /// semantics, plus the erasure agreement property: judged on how the
 /// program halts under each (within [`CHECK_FUEL`]), the two runs must
-/// produce the same outcome on well-typed programs.  The failure's witness
-/// is left empty for the caller, who knows what ran.
+/// produce the same outcome on well-typed programs, their values agreeing
+/// once `protect` is erased ([`Value::agrees_erased`]).  The failure's
+/// witness is left empty for the caller, who knows what ran.
 pub fn judge_safety(standard: &Halt, augmented: &Halt) -> Result<(), CheckFailure> {
     let refuted = |claim: &str, reason: String| CheckFailure {
         claim: claim.into(),
@@ -352,7 +355,7 @@ pub fn judge_safety(standard: &Halt, augmented: &Halt) -> Result<(), CheckFailur
         ));
     }
     match (standard, augmented) {
-        (Halt::Value(a), Halt::Value(b)) if a != b => Err(refuted(
+        (Halt::Value(a), Halt::Value(b)) if !a.agrees_erased(b) => Err(refuted(
             "erasure agreement",
             format!("standard gave {a}, augmented gave {b}"),
         )),
@@ -417,7 +420,7 @@ mod tests {
     }
 
     /// The safety judgement on a standard and an augmented run of `expr`.
-    fn safety(expr: &Expr, static_binders: &BTreeSet<Var>) -> Result<(), CheckFailure> {
+    fn safety(expr: &Expr, static_binders: &Arc<BTreeSet<Var>>) -> Result<(), CheckFailure> {
         let standard = Machine::run_expr(expr.clone(), CHECK_FUEL).halt;
         judge_safety(&standard, &augmented_run(expr, static_binders))
     }
@@ -508,7 +511,7 @@ mod tests {
         // so the checker reports a counterexample — this is the program the
         // Affi type system exists to rule out.
         let expr = Expr::let_("a", Expr::int(5), Expr::add(Expr::var("a"), Expr::var("a")));
-        let binders = BTreeSet::from([Var::new("a")]);
+        let binders = Arc::new(BTreeSet::from([Var::new("a")]));
         let err = safety(&expr, &binders).unwrap_err();
         assert!(err.claim.contains("augmented"));
     }

@@ -14,11 +14,18 @@
 //! compiler reports them), and the machine tracks the flag set `Φ`.
 //! Erasing `protect(·)` (see [`crate::syntax::Expr::erase_protect`]) recovers
 //! a program of the standard semantics, and the two agree on every program
-//! that does not get stuck — exactly the paper's erasure property.
+//! that does not get stuck — exactly the paper's erasure property.  Values
+//! agree up to that erasure ([`crate::Value::agrees_erased`]).
+//!
+//! A flag is minted only where a protected binder is bound and consumed only
+//! where a protected value or a `protect` node is forced.  With no protected
+//! binder and no `protect` node the augmented machine is the standard
+//! machine: it takes the same steps to the same halt.
 
 use semint_core::Var;
 use std::collections::BTreeSet;
 use std::fmt;
+use std::sync::Arc;
 
 /// A phantom flag `f` (only meaningful in the augmented semantics).
 pub type FlagId = u64;
@@ -28,15 +35,16 @@ pub type FlagId = u64;
 pub struct PhantomConfig {
     /// Target variables whose bindings are treated as static-affine binders
     /// (`a•` in the paper): binding them mints a phantom flag and wraps the
-    /// value in `protect`.
-    pub protected_binders: BTreeSet<Var>,
+    /// value in `protect`.  Shared, so a configuration can hold the set a
+    /// compiler reported without copying it.
+    pub protected_binders: Arc<BTreeSet<Var>>,
 }
 
 impl PhantomConfig {
     /// A configuration protecting the given binders.
     pub fn protecting(binders: impl IntoIterator<Item = Var>) -> Self {
         PhantomConfig {
-            protected_binders: binders.into_iter().collect(),
+            protected_binders: Arc::new(binders.into_iter().collect()),
         }
     }
 

@@ -85,6 +85,31 @@ impl Value {
             Value::Closure { env, .. } => env.collect_locs_into(acc),
         }
     }
+
+    /// True if the two values are equal once every `protect(·)` wrapper is
+    /// erased from both, inside pairs, sums and closure environments too: the
+    /// erasure of [`Expr::erase_protect`] on values.  A standard run and an
+    /// augmented run of one program agree this way, while `==` tells a
+    /// closure that captured a static binder from its protected twin.
+    /// Closure bodies come from the program and are compared as written.
+    pub fn agrees_erased(&self, other: &Value) -> bool {
+        match (self, other) {
+            (Value::Protected(a, _), b) | (b, Value::Protected(a, _)) => a.agrees_erased(b),
+            (Value::Pair(a1, b1), Value::Pair(a2, b2)) => {
+                a1.agrees_erased(a2) && b1.agrees_erased(b2)
+            }
+            (Value::Inl(a), Value::Inl(b)) | (Value::Inr(a), Value::Inr(b)) => a.agrees_erased(b),
+            (
+                Value::Closure { param, body, env },
+                Value::Closure {
+                    param: param2,
+                    body: body2,
+                    env: env2,
+                },
+            ) => param == param2 && body == body2 && env.agrees_erased(env2),
+            (a, b) => a == b,
+        }
+    }
 }
 
 impl fmt::Display for Value {
@@ -177,6 +202,21 @@ impl Env {
             cur = &node.parent;
         }
     }
+
+    /// True if the two environments bind the same variables in the same
+    /// order to values that agree up to erasure ([`Value::agrees_erased`]).
+    pub fn agrees_erased(&self, other: &Env) -> bool {
+        let (mut a, mut b) = (self, other);
+        loop {
+            match (&a.0, &b.0) {
+                (None, None) => return true,
+                (Some(x), Some(y)) if x.var == y.var && x.val.agrees_erased(&y.val) => {
+                    (a, b) = (&x.parent, &y.parent);
+                }
+                _ => return false,
+            }
+        }
+    }
 }
 
 #[cfg(test)]
@@ -216,6 +256,39 @@ mod tests {
         let mut none = BTreeSet::new();
         Value::Int(0).collect_locs(&mut none);
         assert!(none.is_empty());
+    }
+
+    #[test]
+    fn values_agree_up_to_erased_protection() {
+        let closure = |x: Value| Value::Closure {
+            param: Var::new("a"),
+            body: Arc::new(Expr::var("a")),
+            env: Env::empty().extend(Var::new("x"), x),
+        };
+        let protected = |v: Value, f| Value::Protected(Box::new(v), f);
+        let plain = closure(Value::Int(20));
+        let guarded = closure(protected(Value::Int(20), 0));
+        assert_ne!(plain, guarded, "`==` looks inside the environment");
+        assert!(plain.agrees_erased(&guarded) && guarded.agrees_erased(&plain));
+        assert!(protected(protected(Value::Unit, 1), 2).agrees_erased(&Value::Unit));
+        let pair = |a, b| Value::Pair(Box::new(a), Box::new(b));
+        assert!(pair(protected(Value::Int(1), 3), Value::Unit)
+            .agrees_erased(&pair(Value::Int(1), Value::Unit)));
+        assert!(!plain.agrees_erased(&closure(protected(Value::Int(21), 0))));
+        assert!(
+            !Value::Inl(Box::new(Value::Unit)).agrees_erased(&Value::Inr(Box::new(Value::Unit)))
+        );
+        let longer = Value::Closure {
+            param: Var::new("a"),
+            body: Arc::new(Expr::var("a")),
+            env: Env::empty()
+                .extend(Var::new("y"), Value::Unit)
+                .extend(Var::new("x"), Value::Int(20)),
+        };
+        assert!(
+            !plain.agrees_erased(&longer),
+            "environments agree binding by binding"
+        );
     }
 
     #[test]

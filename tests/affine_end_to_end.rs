@@ -10,7 +10,7 @@ use semint::affine::model::{
 };
 use semint::affine::syntax::{AffiExpr, AffiType, MlExpr, MlType};
 use semint::affine::{AffProgram, AffineCase};
-use semint::core::{CaseStudy, ErrorCode, Fuel};
+use semint::core::{CaseStudy, ErrorCode, Fuel, GenProfile};
 use semint::lcvm::{Expr, Halt, Machine, PhantomConfig, Value};
 
 fn thunked_fun(arg: MlType, res: MlType) -> MlType {
@@ -152,6 +152,20 @@ fn static_arrow_stays_inside_affi_and_phantom_agrees_with_standard() {
             AffiExpr::boundary(MlExpr::int(1), AffiType::Int),
             AffiExpr::boundary(MlExpr::int(2), AffiType::Int),
         )),
+        // Closures that capture static binders: the augmented run's closure
+        // environment holds them protected, the standard run's does not.
+        AffiExpr::let_tensor(
+            "x",
+            "y",
+            AffiExpr::tensor(AffiExpr::int(20), AffiExpr::int(22)),
+            AffiExpr::lam("a", AffiType::Int, AffiExpr::avar("a")),
+        ),
+        AffiExpr::let_tensor(
+            "x",
+            "y",
+            AffiExpr::tensor(AffiExpr::int(20), AffiExpr::int(22)),
+            AffiExpr::lam_static("a", AffiType::Int, AffiExpr::avar_static("x")),
+        ),
     ];
     for e in programs {
         match compile_affi(&case, e.clone()) {
@@ -160,6 +174,10 @@ fn static_arrow_stays_inside_affi_and_phantom_agrees_with_standard() {
                 let augmented = augmented_run(&compiled.expr, &compiled.static_binders);
                 judge_safety(&standard, &augmented)
                     .unwrap_or_else(|ce| panic!("safety failed for {e}: {ce}"));
+                let program = AffProgram::Affi(e.clone());
+                let ty = case.typecheck(&program).expect("compiled, so well-typed");
+                case.model_check(&program, &ty)
+                    .unwrap_or_else(|ce| panic!("model check refuted {e}: {ce}"));
             }
             Err(err) => {
                 // Static resources crossing a boundary are *rejected*, which
@@ -168,6 +186,38 @@ fn static_arrow_stays_inside_affi_and_phantom_agrees_with_standard() {
             }
         }
     }
+}
+
+/// The model check runs the augmented semantics only for an artifact with
+/// a static binder.  That is exact because compiled code holds no `protect`
+/// node and, with no protected binder, the augmented machine mints no flag,
+/// so it halts exactly as the standard machine does.
+#[test]
+fn without_a_static_binder_the_augmented_run_is_the_standard_run() {
+    let case = AffineCase::standard();
+    let mut unprotected = 0;
+    for profile in GenProfile::presets() {
+        for seed in 0..500 {
+            let program = case.generate(seed, &profile).program;
+            let compiled = case.compile(&program).expect("generated programs compile");
+            assert_eq!(
+                compiled.expr.erase_protect(),
+                compiled.expr,
+                "{} seed {seed}: the artifact of `{program}` holds a `protect`",
+                profile.name,
+            );
+            if compiled.static_binders.is_empty() {
+                unprotected += 1;
+                assert_eq!(
+                    augmented_run(&compiled.expr, &compiled.static_binders),
+                    Machine::run_expr(compiled.expr, CHECK_FUEL).halt,
+                    "{} seed {seed}: the runs of `{program}` differ",
+                    profile.name,
+                );
+            }
+        }
+    }
+    assert!(unprotected > 0, "no artifact without a static binder");
 }
 
 proptest! {
