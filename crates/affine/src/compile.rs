@@ -29,8 +29,8 @@ use crate::syntax::{AffiExpr, AffiType, MlExpr, MlType, Mode};
 use crate::typecheck::{check_affi, check_ml, AffineCtx, AffineTypeError};
 use lcvm::Expr;
 use semint_core::convert::ConversionScheme;
-use semint_core::{ErrorCode, Var};
-use std::collections::{BTreeSet, HashMap};
+use semint_core::{ErrorCode, Scope, Var};
+use std::collections::BTreeSet;
 use std::fmt;
 use std::sync::{Arc, OnceLock};
 
@@ -161,13 +161,13 @@ impl<'a> Compiler<'a> {
 
     /// Compiles a closed MiniML program.
     pub fn compile_ml_program(mut self, e: &MlExpr) -> Result<CompileOutput, CompileError> {
-        let expr = self.ml(&AffineCtx::empty(), &HashMap::new(), e)?;
+        let expr = self.ml(&AffineCtx::empty(), &Scope::empty(), e)?;
         Ok(self.output(expr))
     }
 
     /// Compiles a closed Affi program.
     pub fn compile_affi_program(mut self, e: &AffiExpr) -> Result<CompileOutput, CompileError> {
-        let expr = self.affi(&AffineCtx::empty(), &HashMap::new(), e)?;
+        let expr = self.affi(&AffineCtx::empty(), &Scope::empty(), e)?;
         Ok(self.output(expr))
     }
 
@@ -193,12 +193,7 @@ impl<'a> Compiler<'a> {
         v
     }
 
-    fn ml(
-        &mut self,
-        ctx: &AffineCtx,
-        ren: &HashMap<Var, Var>,
-        e: &MlExpr,
-    ) -> Result<Expr, CompileError> {
+    fn ml(&mut self, ctx: &AffineCtx, ren: &Scope<Var>, e: &MlExpr) -> Result<Expr, CompileError> {
         Ok(match e {
             MlExpr::Unit => Expr::Unit,
             MlExpr::Int(n) => Expr::Int(*n),
@@ -253,7 +248,7 @@ impl<'a> Compiler<'a> {
     fn affi(
         &mut self,
         ctx: &AffineCtx,
-        ren: &HashMap<Var, Var>,
+        ren: &Scope<Var>,
         e: &AffiExpr,
     ) -> Result<Expr, CompileError> {
         Ok(match e {
@@ -266,18 +261,15 @@ impl<'a> Compiler<'a> {
             AffiExpr::AVar(Mode::Dynamic, x) => Expr::app(Expr::Var(x.clone()), Expr::Unit),
             // A static affine variable is used directly; the model's phantom
             // flag (not any target code) enforces single use.
-            AffiExpr::AVar(Mode::Static, x) => {
-                Expr::Var(ren.get(x).cloned().unwrap_or_else(|| x.clone()))
-            }
+            AffiExpr::AVar(Mode::Static, x) => Expr::Var(ren.lookup(x).unwrap_or(x).clone()),
             AffiExpr::Lam(mode, x, ty, body) => {
                 let inner_ctx = ctx.with_affine(x.clone(), *mode, ty.clone());
                 match mode {
                     Mode::Dynamic => Expr::lam(x.clone(), self.affi(&inner_ctx, ren, body)?),
                     Mode::Static => {
                         let fresh = self.fresh_static(x);
-                        let mut ren2 = ren.clone();
-                        ren2.insert(x.clone(), fresh.clone());
-                        Expr::lam(fresh, self.affi(&inner_ctx, &ren2, body)?)
+                        let ren = ren.extend(x.clone(), fresh.clone());
+                        Expr::lam(fresh, self.affi(&inner_ctx, &ren, body)?)
                     }
                 }
             }
@@ -349,9 +341,9 @@ impl<'a> Compiler<'a> {
                 };
                 let fresh_a = self.fresh_static(a);
                 let fresh_b = self.fresh_static(b);
-                let mut ren2 = ren.clone();
-                ren2.insert(a.clone(), fresh_a.clone());
-                ren2.insert(b.clone(), fresh_b.clone());
+                let inner_ren = ren
+                    .extend(a.clone(), fresh_a.clone())
+                    .extend(b.clone(), fresh_b.clone());
                 let inner_ctx = ctx.with_affine(a.clone(), Mode::Static, t1).with_affine(
                     b.clone(),
                     Mode::Static,
@@ -368,7 +360,7 @@ impl<'a> Compiler<'a> {
                         Expr::let_(
                             fresh_b,
                             Expr::snd(Expr::Var(pair_var)),
-                            self.affi(&inner_ctx, &ren2, body)?,
+                            self.affi(&inner_ctx, &inner_ren, body)?,
                         ),
                     ),
                 )

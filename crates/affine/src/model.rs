@@ -334,8 +334,9 @@ pub fn augmented_run(expr: &Expr, static_binders: &Arc<BTreeSet<Var>>) -> Halt {
 /// semantics, plus the erasure agreement property: judged on how the
 /// program halts under each (within [`CHECK_FUEL`]), the two runs must
 /// produce the same outcome on well-typed programs, their values agreeing
-/// once `protect` is erased ([`Value::agrees_erased`]).  The failure's
-/// witness is left empty for the caller, who knows what ran.
+/// once `protect` is erased ([`Value::agrees_erased`], which names the
+/// captured binding where they differ).  The failure's witness is left
+/// empty for the caller, who knows what ran.
 pub fn judge_safety(standard: &Halt, augmented: &Halt) -> Result<(), CheckFailure> {
     let refuted = |claim: &str, reason: String| CheckFailure {
         claim: claim.into(),
@@ -355,10 +356,13 @@ pub fn judge_safety(standard: &Halt, augmented: &Halt) -> Result<(), CheckFailur
         ));
     }
     match (standard, augmented) {
-        (Halt::Value(a), Halt::Value(b)) if !a.agrees_erased(b) => Err(refuted(
-            "erasure agreement",
-            format!("standard gave {a}, augmented gave {b}"),
-        )),
+        (Halt::Value(a), Halt::Value(b)) => a.agrees_erased(b).map_err(|binding| {
+            let at = binding.map_or(String::new(), |x| format!(", which differ at binding {x}"));
+            refuted(
+                "erasure agreement",
+                format!("standard gave {a}, augmented gave {b}{at}"),
+            )
+        }),
         _ => Ok(()),
     }
 }
@@ -514,6 +518,28 @@ mod tests {
         let binders = Arc::new(BTreeSet::from([Var::new("a")]));
         let err = safety(&expr, &binders).unwrap_err();
         assert!(err.claim.contains("augmented"));
+    }
+
+    #[test]
+    fn an_erasure_disagreement_names_the_differing_binding() {
+        // λa◦. a◦ under `x• ↦ 20, y• ↦ 22` from the standard run, and the
+        // same closure with `y•` bound to 23 from the augmented one.
+        let closure = |y: i64| {
+            Halt::Value(Value::Closure {
+                param: Var::new("a"),
+                body: Arc::new(Expr::app(Expr::var("a"), Expr::unit())),
+                env: lcvm::Env::empty()
+                    .extend(Var::new("x•0"), Value::Int(20))
+                    .extend(Var::new("y•1"), Value::Int(y)),
+            })
+        };
+        assert_eq!(judge_safety(&closure(22), &closure(22)), Ok(()));
+        let err = judge_safety(&closure(22), &closure(23)).unwrap_err();
+        assert_eq!(err.claim, "erasure agreement");
+        assert_eq!(
+            err.reason,
+            "standard gave λa{…}, augmented gave λa{…}, which differ at binding y•1"
+        );
     }
 
     #[test]

@@ -14,8 +14,8 @@
 //! passes its rule set's `derivable` (Fig. 9).
 
 use crate::syntax::{AffiExpr, AffiType, MlExpr, MlType, Mode};
-use semint_core::Var;
-use std::collections::{BTreeSet, HashMap};
+use semint_core::{Scope, Var};
+use std::collections::BTreeSet;
 use std::fmt;
 use std::sync::Arc;
 
@@ -23,12 +23,13 @@ use std::sync::Arc;
 pub type Usage = BTreeSet<Var>;
 
 /// Typing context: `Δ; Γ; Γ̄; Ω` (minus `Δ`, as the §4 MiniML instance here is
-/// monomorphic — polymorphism is exercised in the §5 crate).
+/// monomorphic — polymorphism is exercised in the §5 crate), each part a
+/// [`Scope`]: extending one allocates a node and shares the rest.
 #[derive(Debug, Clone, Default)]
 pub struct AffineCtx {
-    ml: HashMap<Var, MlType>,
-    affi_unrestricted: HashMap<Var, AffiType>,
-    omega: HashMap<Var, (Mode, AffiType)>,
+    ml: Scope<MlType>,
+    affi_unrestricted: Scope<AffiType>,
+    omega: Scope<(Mode, AffiType)>,
 }
 
 impl AffineCtx {
@@ -40,27 +41,27 @@ impl AffineCtx {
     /// Extends the MiniML environment `Γ`.
     pub fn with_ml(&self, x: Var, ty: MlType) -> Self {
         let mut c = self.clone();
-        c.ml.insert(x, ty);
+        c.ml = self.ml.extend(x, ty);
         c
     }
 
     /// Extends Affi's unrestricted environment `Γ̄`.
     pub fn with_unrestricted(&self, x: Var, ty: AffiType) -> Self {
         let mut c = self.clone();
-        c.affi_unrestricted.insert(x, ty);
+        c.affi_unrestricted = self.affi_unrestricted.extend(x, ty);
         c
     }
 
     /// Extends the affine environment `Ω`.
     pub fn with_affine(&self, x: Var, mode: Mode, ty: AffiType) -> Self {
         let mut c = self.clone();
-        c.omega.insert(x, (mode, ty));
+        c.omega = self.omega.extend(x, (mode, ty));
         c
     }
 
     /// The mode of an affine variable currently in `Ω`, if any.
     pub fn affine_mode(&self, x: &Var) -> Option<Mode> {
-        self.omega.get(x).map(|(m, _)| *m)
+        self.omega.lookup(x).map(|(m, _)| *m)
     }
 }
 
@@ -168,7 +169,7 @@ pub fn check_ml(
         MlExpr::Int(_) => Ok((MlType::Int, Usage::new())),
         MlExpr::Var(x) => ctx
             .ml
-            .get(x)
+            .lookup(x)
             .cloned()
             .map(|t| (t, Usage::new()))
             .ok_or_else(|| AffineTypeError::Unbound(x.clone())),
@@ -325,11 +326,11 @@ pub fn check_affi(
         AffiExpr::Int(_) => Ok((AffiType::Int, Usage::new())),
         AffiExpr::UVar(x) => ctx
             .affi_unrestricted
-            .get(x)
+            .lookup(x)
             .cloned()
             .map(|t| (t, Usage::new()))
             .ok_or_else(|| AffineTypeError::Unbound(x.clone())),
-        AffiExpr::AVar(mode, x) => match ctx.omega.get(x) {
+        AffiExpr::AVar(mode, x) => match ctx.omega.lookup(x) {
             Some((m, t)) if m == mode => Ok((t.clone(), Usage::from([x.clone()]))),
             _ => Err(AffineTypeError::Unbound(x.clone())),
         },

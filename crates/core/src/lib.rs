@@ -22,9 +22,10 @@
 //!    fundamental property, exercised in the per-case-study crates.
 //!
 //! This crate contains only the pieces shared by every case study: interned
-//! variables, fuel/step budgets, machine outcomes and error codes, the
-//! conversion scheme and its glue cache, the [`CaseStudy`] stage interface
-//! with its [`GenProfile`] and program [`Size`], and the sweep statistics.
+//! variables and the [`Scope`]s that bind them, fuel/step budgets, machine
+//! outcomes and error codes, the conversion scheme and its glue cache, the
+//! [`CaseStudy`] stage interface with its [`GenProfile`] and program
+//! [`Size`], and the sweep statistics.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -33,6 +34,7 @@ pub mod case;
 pub mod convert;
 pub mod fuel;
 pub mod outcome;
+pub mod scope;
 pub mod stats;
 pub mod symbol;
 pub mod telemetry;
@@ -43,6 +45,7 @@ pub use case::{
 pub use convert::{ConversionPair, ConversionScheme, GlueCache, GlueCacheStats};
 pub use fuel::Fuel;
 pub use outcome::{ErrorCode, Outcome};
+pub use scope::Scope;
 pub use stats::{CaseReport, OutcomeClass, RunStats, ScenarioRecord, StageTimings, SweepReport};
 pub use symbol::{int_chars, Var};
 pub use telemetry::{OpClass, VmCounters};

@@ -404,11 +404,11 @@ impl Heap {
     /// Runs a mark-and-sweep collection (`callgc`).
     ///
     /// `roots` are the locations directly reachable from the machine state
-    /// (environments, continuation frames, pinned locations).  Manual cells
-    /// are never reclaimed, but they *are* traced: a GC'd cell referenced
-    /// from a live manual cell survives.  Returns the number of reclaimed
-    /// cells; reclaimed locations are vacated in place and pushed onto the
-    /// free list in ascending order for re-use.
+    /// (environments and continuation frames), in any order and with
+    /// duplicates.  Manual cells are never reclaimed, but they *are* traced:
+    /// a GC'd cell referenced from a live manual cell survives.  Returns the
+    /// number of reclaimed cells; reclaimed locations are vacated in place
+    /// and pushed onto the free list in ascending order for re-use.
     pub fn collect(&mut self, roots: impl IntoIterator<Item = Loc>) -> usize {
         self.stats.gc_runs += 1;
         let next = self.next as usize;
@@ -429,9 +429,9 @@ impl Heap {
             }
         }
         while let Some(l) = worklist.pop() {
-            // Out-of-slab locations (pinned sentinels, stale pointers) have
-            // no slot to trace and cannot be swept, so skipping them is the
-            // same as the old map's "marked but absent" case.
+            // Out-of-slab locations (sentinels, stale pointers) have no slot
+            // to trace and cannot be swept, so skipping them is the same as
+            // the old map's "marked but absent" case.
             let Some(i) = usize::try_from(l.0).ok().filter(|i| *i < next) else {
                 continue;
             };

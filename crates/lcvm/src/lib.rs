@@ -13,7 +13,8 @@
 //! explicit continuation stack, which gives us
 //!
 //! * precise step counting (for the executable step-indexed models),
-//! * precise GC roots (current environment + every saved frame), and
+//! * precise GC roots (current environment + every saved frame, each
+//!   environment a persistent [`semint_core::Scope`]), and
 //! * an *augmented* mode implementing the paper's phantom-flag semantics
 //!   (§4): `protect(v, f)` values consume a phantom flag when forced, and
 //!   bindings of designated "static affine" variables mint fresh flags.
@@ -38,7 +39,7 @@ pub mod syntax;
 pub mod value;
 
 pub use heap::{Heap, HeapError, Loc, Slot};
-pub use machine::{Halt, Machine, MachineConfig, RunResult};
+pub use machine::{Halt, Machine, RunResult};
 pub use phantom::{FlagId, PhantomConfig};
 pub use syntax::{Expr, PrimOp};
 pub use value::{Env, Value};

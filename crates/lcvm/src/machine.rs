@@ -17,7 +17,6 @@ use crate::syntax::{Expr, PrimOp};
 use crate::value::{Env, Value};
 use semint_core::fuel::Rebudgeted;
 use semint_core::{ErrorCode, Fuel, OpClass, OutcomeClass, RunStats, Var, VmCounters};
-use std::collections::BTreeSet;
 use std::sync::Arc;
 
 /// How a run ended.
@@ -112,16 +111,6 @@ impl RunResult {
     }
 }
 
-/// Static configuration of a machine.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct MachineConfig {
-    /// Enables the augmented (phantom-flag) semantics of §4.
-    pub phantom: Option<PhantomConfig>,
-    /// Locations the garbage collector must treat as live even if they are
-    /// not reachable from the machine state (the §5 model's pinned set `L`).
-    pub pinned: BTreeSet<Loc>,
-}
-
 /// Continuation frames.
 ///
 /// Pending expressions are held as [`Arc<Expr>`] — the same shared nodes the
@@ -163,7 +152,9 @@ pub struct Machine {
     heap: Heap,
     control: Control,
     kont: Vec<Frame>,
-    config: MachineConfig,
+    /// The binders the augmented (phantom-flag) semantics of §4 protects,
+    /// when the machine runs under it.
+    augmented: Option<PhantomConfig>,
     phantom: PhantomState,
     steps: u64,
     counters: VmCounters,
@@ -173,23 +164,27 @@ pub struct Machine {
 impl Machine {
     /// A machine evaluating `expr` in the empty environment and empty heap.
     pub fn new(expr: Expr) -> Machine {
-        Machine::with_config(expr, MachineConfig::default())
+        Machine::with_state(Heap::new(), expr)
     }
 
-    /// A machine with an explicit configuration.
-    pub fn with_config(expr: Expr, config: MachineConfig) -> Machine {
-        Machine::with_state(Heap::new(), Env::empty(), expr, config)
+    /// A machine evaluating `expr` under the augmented (phantom-flag)
+    /// semantics, protecting the binders `cfg` names.
+    pub fn with_phantom(expr: Expr, cfg: PhantomConfig) -> Machine {
+        Machine {
+            augmented: Some(cfg),
+            ..Machine::new(expr)
+        }
     }
 
-    /// A machine starting from an explicit heap and environment — used by the
+    /// A machine evaluating `expr` against an explicit heap — used by the
     /// executable models, which need to run expressions against heaps that
     /// satisfy a given world.
-    pub fn with_state(heap: Heap, env: Env, expr: Expr, config: MachineConfig) -> Machine {
+    pub fn with_state(heap: Heap, expr: Expr) -> Machine {
         Machine {
             heap,
-            control: Control::Eval(Arc::new(expr), env),
+            control: Control::Eval(Arc::new(expr), Env::empty()),
             kont: Vec::new(),
-            config,
+            augmented: None,
             phantom: PhantomState::new(),
             steps: 0,
             counters: VmCounters::new(),
@@ -204,10 +199,10 @@ impl Machine {
     /// a batch of compiled artifacts shares by reusing one machine (each
     /// run's final *heap* is harvested into its [`RunResult`], so heaps
     /// start over logically while the slab's storage stays; see
-    /// [`Machine::run_mut`]).  The static [`MachineConfig`] is retained.
+    /// [`Machine::run_mut`]).  The protected binders, if any, are retained.
     ///
-    /// A reset machine is observationally identical to
-    /// [`Machine::with_config`] on the same expression and configuration —
+    /// A reset machine is observationally identical to a fresh one
+    /// ([`Machine::new`] or [`Machine::with_phantom`]) on the same expression —
     /// same halt, same final heap, same step count — which the unit tests
     /// below and the `batched_execution` integration suite assert.
     pub fn reset(&mut self, expr: Expr) {
@@ -233,42 +228,39 @@ impl Machine {
         self.halted = Some(Halt::Fail(code));
     }
 
-    fn heap_roots(&self) -> BTreeSet<Loc> {
-        let mut roots = self.config.pinned.clone();
+    /// The locations directly reachable from the machine state: the
+    /// control, every saved frame and the environments they hold.
+    fn heap_roots(&self) -> Vec<Loc> {
+        let mut roots = Vec::new();
         match &self.control {
             Control::Eval(e, env) => {
-                env.collect_locs(&mut roots);
+                env.iter()
+                    .for_each(|(_, v)| v.collect_locs_into(&mut roots));
                 collect_expr_locs(e, &mut roots);
             }
-            Control::Return(v) => v.collect_locs(&mut roots),
+            Control::Return(v) => v.collect_locs_into(&mut roots),
         }
         for frame in &self.kont {
             match frame {
                 Frame::PairL(e, env)
                 | Frame::AppL(e, env)
                 | Frame::AssignL(e, env)
-                | Frame::PrimL(_, e, env) => {
-                    env.collect_locs(&mut roots);
+                | Frame::PrimL(_, e, env)
+                | Frame::LetK(_, e, env) => {
+                    env.iter()
+                        .for_each(|(_, v)| v.collect_locs_into(&mut roots));
                     collect_expr_locs(e, &mut roots);
                 }
-                Frame::IfK(e1, e2, env) => {
-                    env.collect_locs(&mut roots);
+                Frame::IfK(e1, e2, env) | Frame::MatchK(_, e1, _, e2, env) => {
+                    env.iter()
+                        .for_each(|(_, v)| v.collect_locs_into(&mut roots));
                     collect_expr_locs(e1, &mut roots);
                     collect_expr_locs(e2, &mut roots);
                 }
-                Frame::MatchK(_, e1, _, e2, env) => {
-                    env.collect_locs(&mut roots);
-                    collect_expr_locs(e1, &mut roots);
-                    collect_expr_locs(e2, &mut roots);
+                Frame::PairR(v) | Frame::AppR(v) | Frame::PrimR(_, v) => {
+                    v.collect_locs_into(&mut roots)
                 }
-                Frame::LetK(_, e1, env) => {
-                    env.collect_locs(&mut roots);
-                    collect_expr_locs(e1, &mut roots);
-                }
-                Frame::PairR(v) | Frame::AppR(v) | Frame::PrimR(_, v) => v.collect_locs(&mut roots),
-                Frame::AssignR(l) => {
-                    roots.insert(*l);
-                }
+                Frame::AssignR(l) => roots.push(*l),
                 Frame::Fst
                 | Frame::Snd
                 | Frame::InlK
@@ -293,7 +285,7 @@ impl Machine {
         if x.as_str() == "_" {
             return env.clone();
         }
-        if let Some(cfg) = &self.config.phantom {
+        if let Some(cfg) = &self.augmented {
             if cfg.protects(&x) {
                 let f = self.phantom.mint();
                 return env.extend(x, Value::Protected(Box::new(v), f));
@@ -437,7 +429,7 @@ impl Machine {
             Expr::Protect(e1, f) => {
                 // Evaluating protect(e, f) consumes the flag and continues
                 // with e (paper: ⟨Φ ⊎ {f}, H, protect(e,f)⟩ ⇝ ⟨Φ, H, e⟩).
-                if self.config.phantom.is_some() {
+                if self.augmented.is_some() {
                     if self.phantom.consume(*f) {
                         self.control = Control::Eval(e1.clone(), env);
                     } else {
@@ -650,14 +642,7 @@ impl Machine {
     /// Convenience: runs an expression under the augmented (phantom-flag)
     /// semantics with the given protected binders.
     pub fn run_phantom(expr: Expr, cfg: PhantomConfig, fuel: Fuel) -> RunResult {
-        Machine::with_config(
-            expr,
-            MachineConfig {
-                phantom: Some(cfg),
-                pinned: BTreeSet::new(),
-            },
-        )
-        .run(fuel)
+        Machine::with_phantom(expr, cfg).run(fuel)
     }
 }
 
@@ -712,9 +697,9 @@ fn classify_frame(f: &Frame) -> OpClass {
     }
 }
 
-fn collect_expr_locs(e: &Expr, acc: &mut BTreeSet<Loc>) {
+fn collect_expr_locs(e: &Expr, acc: &mut Vec<Loc>) {
     if let Expr::Loc(l) = e {
-        acc.insert(*l);
+        acc.push(*l);
     }
     // Walk the expression for embedded location literals (rare outside tests
     // and conversion glue applied to already-evaluated values).
@@ -934,26 +919,6 @@ mod tests {
     }
 
     #[test]
-    fn pinned_locations_survive_collection() {
-        let mut heap = Heap::new();
-        let pinned = heap.alloc_gc(Value::Int(77));
-        let cfg = MachineConfig {
-            phantom: None,
-            pinned: BTreeSet::from([pinned]),
-        };
-        // The program never mentions the pinned location, but callgc must keep it.
-        let m = Machine::with_state(
-            heap,
-            Env::empty(),
-            Expr::seq(Expr::Callgc, Expr::unit()),
-            cfg,
-        );
-        let r = m.run(Fuel::default());
-        assert_eq!(r.halt, Halt::Value(Value::Unit));
-        assert!(r.heap.contains(pinned));
-    }
-
-    #[test]
     fn explicit_fail_reports_its_code() {
         assert_eq!(
             run(Expr::Fail(ErrorCode::Conv)),
@@ -1115,13 +1080,10 @@ mod tests {
 
     #[test]
     fn reset_clears_phantom_state_but_keeps_the_config() {
-        let cfg = MachineConfig {
-            phantom: Some(PhantomConfig::protecting([Var::new("a")])),
-            pinned: BTreeSet::new(),
-        };
+        let cfg = PhantomConfig::protecting([Var::new("a")]);
         let once = Expr::let_("a", Expr::int(5), Expr::add(Expr::var("a"), Expr::int(0)));
         let twice = Expr::let_("a", Expr::int(5), Expr::add(Expr::var("a"), Expr::var("a")));
-        let mut reused = Machine::with_config(twice.clone(), cfg.clone());
+        let mut reused = Machine::with_phantom(twice.clone(), cfg.clone());
         // First run gets stuck on the double use and consumes a flag…
         assert!(matches!(
             reused.run_mut(Fuel::default()).halt,
@@ -1131,7 +1093,7 @@ mod tests {
         // (which binder is protected) survives.
         reused.reset(once.clone());
         let from_reset = reused.run_mut(Fuel::default());
-        let from_fresh = Machine::with_config(once, cfg).run(Fuel::default());
+        let from_fresh = Machine::with_phantom(once, cfg).run(Fuel::default());
         assert_eq!(from_reset, from_fresh);
         assert_eq!(from_reset.flags_consumed, 1);
     }

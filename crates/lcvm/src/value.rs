@@ -4,13 +4,13 @@
 //! uses environments and closures instead, which is observationally
 //! equivalent and lets the garbage collector enumerate its roots precisely
 //! (every live value is either in the current environment, in a continuation
-//! frame, or in the heap).
+//! frame, or in the heap).  An environment is a [`Scope`] of values, the
+//! persistent binding list the typecheckers' contexts use too.
 
 use crate::heap::Loc;
 use crate::phantom::FlagId;
 use crate::syntax::Expr;
-use semint_core::Var;
-use std::collections::BTreeSet;
+use semint_core::{Scope, Var};
 use std::fmt;
 use std::sync::Arc;
 
@@ -53,26 +53,9 @@ impl Value {
         }
     }
 
-    /// Collects every heap location reachable from this value (through pairs,
-    /// sums, closures' environments and protected wrappers).
-    pub fn collect_locs(&self, acc: &mut BTreeSet<Loc>) {
-        match self {
-            Value::Unit | Value::Int(_) => {}
-            Value::Loc(l) => {
-                acc.insert(*l);
-            }
-            Value::Pair(a, b) => {
-                a.collect_locs(acc);
-                b.collect_locs(acc);
-            }
-            Value::Inl(v) | Value::Inr(v) | Value::Protected(v, _) => v.collect_locs(acc),
-            Value::Closure { env, .. } => env.collect_locs(acc),
-        }
-    }
-
-    /// Pushes every heap location reachable from this value onto `acc`, with
-    /// duplicates.  The allocation-free variant of [`Value::collect_locs`]
-    /// used on GC hot paths (the collector's own mark stamps deduplicate).
+    /// Pushes every heap location reachable from this value (through pairs,
+    /// sums, closures' environments and protected wrappers) onto `acc`, with
+    /// duplicates: the collector's mark stamps deduplicate.
     pub fn collect_locs_into(&self, acc: &mut Vec<Loc>) {
         match self {
             Value::Unit | Value::Int(_) => {}
@@ -82,21 +65,24 @@ impl Value {
                 b.collect_locs_into(acc);
             }
             Value::Inl(v) | Value::Inr(v) | Value::Protected(v, _) => v.collect_locs_into(acc),
-            Value::Closure { env, .. } => env.collect_locs_into(acc),
+            Value::Closure { env, .. } => env.iter().for_each(|(_, v)| v.collect_locs_into(acc)),
         }
     }
 
-    /// True if the two values are equal once every `protect(·)` wrapper is
+    /// `Ok` if the two values are equal once every `protect(·)` wrapper is
     /// erased from both, inside pairs, sums and closure environments too: the
     /// erasure of [`Expr::erase_protect`] on values.  A standard run and an
     /// augmented run of one program agree this way, while `==` tells a
     /// closure that captured a static binder from its protected twin.
-    /// Closure bodies come from the program and are compared as written.
-    pub fn agrees_erased(&self, other: &Value) -> bool {
+    /// Closure bodies are compared as written and environments binding by
+    /// binding; the error names the first binding of the (outermost) closure
+    /// environment at which the values differ, if they differ in one.
+    pub fn agrees_erased<'a>(&'a self, other: &'a Value) -> Result<(), Option<&'a Var>> {
         match (self, other) {
             (Value::Protected(a, _), b) | (b, Value::Protected(a, _)) => a.agrees_erased(b),
             (Value::Pair(a1, b1), Value::Pair(a2, b2)) => {
-                a1.agrees_erased(a2) && b1.agrees_erased(b2)
+                a1.agrees_erased(a2)?;
+                b1.agrees_erased(b2)
             }
             (Value::Inl(a), Value::Inl(b)) | (Value::Inr(a), Value::Inr(b)) => a.agrees_erased(b),
             (
@@ -106,8 +92,18 @@ impl Value {
                     body: body2,
                     env: env2,
                 },
-            ) => param == param2 && body == body2 && env.agrees_erased(env2),
-            (a, b) => a == b,
+            ) if param == param2 && body == body2 => {
+                let (mut left, mut right) = (env.iter(), env2.iter());
+                loop {
+                    match (left.next(), right.next()) {
+                        (None, None) => return Ok(()),
+                        (Some((x, v)), Some((y, w))) if x == y && v.agrees_erased(w).is_ok() => {}
+                        (Some((x, _)), _) | (None, Some((x, _))) => return Err(Some(x)),
+                    }
+                }
+            }
+            (a, b) if a == b => Ok(()),
+            _ => Err(None),
         }
     }
 }
@@ -127,122 +123,15 @@ impl fmt::Display for Value {
     }
 }
 
-/// A persistent environment mapping variables to values.
+/// An environment: the values of the enclosing binders, innermost first.
 ///
-/// Extension is O(1) and shares the tail, which keeps closure capture cheap.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct Env(Option<Arc<EnvNode>>);
-
-#[derive(Debug, PartialEq)]
-struct EnvNode {
-    var: Var,
-    val: Value,
-    parent: Env,
-}
-
-impl Env {
-    /// The empty environment.
-    pub fn empty() -> Env {
-        Env(None)
-    }
-
-    /// Extends the environment with `var ↦ val` (shadowing any previous
-    /// binding of `var`).
-    pub fn extend(&self, var: Var, val: Value) -> Env {
-        Env(Some(Arc::new(EnvNode {
-            var,
-            val,
-            parent: self.clone(),
-        })))
-    }
-
-    /// Looks a variable up.
-    pub fn lookup(&self, var: &Var) -> Option<&Value> {
-        let mut cur = self;
-        while let Some(node) = &cur.0 {
-            if &node.var == var {
-                return Some(&node.val);
-            }
-            cur = &node.parent;
-        }
-        None
-    }
-
-    /// True if the environment has no bindings.
-    pub fn is_empty(&self) -> bool {
-        self.0.is_none()
-    }
-
-    /// Number of (possibly shadowed) bindings.
-    pub fn len(&self) -> usize {
-        let mut n = 0;
-        let mut cur = self;
-        while let Some(node) = &cur.0 {
-            n += 1;
-            cur = &node.parent;
-        }
-        n
-    }
-
-    /// Collects every heap location reachable from the environment.
-    pub fn collect_locs(&self, acc: &mut BTreeSet<Loc>) {
-        let mut cur = self;
-        while let Some(node) = &cur.0 {
-            node.val.collect_locs(acc);
-            cur = &node.parent;
-        }
-    }
-
-    /// Pushes every heap location reachable from the environment onto `acc`,
-    /// with duplicates (see [`Value::collect_locs_into`]).
-    pub fn collect_locs_into(&self, acc: &mut Vec<Loc>) {
-        let mut cur = self;
-        while let Some(node) = &cur.0 {
-            node.val.collect_locs_into(acc);
-            cur = &node.parent;
-        }
-    }
-
-    /// True if the two environments bind the same variables in the same
-    /// order to values that agree up to erasure ([`Value::agrees_erased`]).
-    pub fn agrees_erased(&self, other: &Env) -> bool {
-        let (mut a, mut b) = (self, other);
-        loop {
-            match (&a.0, &b.0) {
-                (None, None) => return true,
-                (Some(x), Some(y)) if x.var == y.var && x.val.agrees_erased(&y.val) => {
-                    (a, b) = (&x.parent, &y.parent);
-                }
-                _ => return false,
-            }
-        }
-    }
-}
+/// A [`Scope`], so extension is O(1) and shares the tail, which keeps
+/// closure capture cheap.
+pub type Env = Scope<Value>;
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn env_lookup_and_shadowing() {
-        let env = Env::empty()
-            .extend(Var::new("x"), Value::Int(1))
-            .extend(Var::new("y"), Value::Int(2))
-            .extend(Var::new("x"), Value::Int(3));
-        assert_eq!(env.lookup(&Var::new("x")), Some(&Value::Int(3)));
-        assert_eq!(env.lookup(&Var::new("y")), Some(&Value::Int(2)));
-        assert_eq!(env.lookup(&Var::new("z")), None);
-        assert_eq!(env.len(), 3);
-        assert!(!env.is_empty());
-        assert!(Env::empty().is_empty());
-    }
-
-    #[test]
-    fn extension_does_not_mutate_the_original() {
-        let base = Env::empty().extend(Var::new("x"), Value::Int(1));
-        let _ext = base.extend(Var::new("x"), Value::Int(2));
-        assert_eq!(base.lookup(&Var::new("x")), Some(&Value::Int(1)));
-    }
 
     #[test]
     fn loc_collection_traverses_structure() {
@@ -250,11 +139,11 @@ mod tests {
             Box::new(Value::Loc(Loc(3))),
             Box::new(Value::Inl(Box::new(Value::Loc(Loc(5))))),
         );
-        let mut locs = BTreeSet::new();
-        v.collect_locs(&mut locs);
-        assert_eq!(locs, BTreeSet::from([Loc(3), Loc(5)]));
-        let mut none = BTreeSet::new();
-        Value::Int(0).collect_locs(&mut none);
+        let mut locs = Vec::new();
+        v.collect_locs_into(&mut locs);
+        assert_eq!(locs, [Loc(3), Loc(5)]);
+        let mut none = Vec::new();
+        Value::Int(0).collect_locs_into(&mut none);
         assert!(none.is_empty());
     }
 
@@ -269,14 +158,20 @@ mod tests {
         let plain = closure(Value::Int(20));
         let guarded = closure(protected(Value::Int(20), 0));
         assert_ne!(plain, guarded, "`==` looks inside the environment");
-        assert!(plain.agrees_erased(&guarded) && guarded.agrees_erased(&plain));
-        assert!(protected(protected(Value::Unit, 1), 2).agrees_erased(&Value::Unit));
+        assert!(plain.agrees_erased(&guarded).is_ok() && guarded.agrees_erased(&plain).is_ok());
+        assert!(protected(protected(Value::Unit, 1), 2)
+            .agrees_erased(&Value::Unit)
+            .is_ok());
         let pair = |a, b| Value::Pair(Box::new(a), Box::new(b));
         assert!(pair(protected(Value::Int(1), 3), Value::Unit)
-            .agrees_erased(&pair(Value::Int(1), Value::Unit)));
-        assert!(!plain.agrees_erased(&closure(protected(Value::Int(21), 0))));
-        assert!(
-            !Value::Inl(Box::new(Value::Unit)).agrees_erased(&Value::Inr(Box::new(Value::Unit)))
+            .agrees_erased(&pair(Value::Int(1), Value::Unit))
+            .is_ok());
+        assert!(plain
+            .agrees_erased(&closure(protected(Value::Int(21), 0)))
+            .is_err());
+        assert_eq!(
+            Value::Inl(Box::new(Value::Unit)).agrees_erased(&Value::Inr(Box::new(Value::Unit))),
+            Err(None)
         );
         let longer = Value::Closure {
             param: Var::new("a"),
@@ -286,8 +181,34 @@ mod tests {
                 .extend(Var::new("x"), Value::Int(20)),
         };
         assert!(
-            !plain.agrees_erased(&longer),
+            plain.agrees_erased(&longer).is_err(),
             "environments agree binding by binding"
+        );
+    }
+
+    #[test]
+    fn a_disagreement_names_the_first_differing_binding() {
+        let closure = |y: i64| Value::Closure {
+            param: Var::new("a"),
+            body: Arc::new(Expr::var("a")),
+            env: Env::empty()
+                .extend(Var::new("y"), Value::Int(y))
+                .extend(Var::new("x"), Value::Protected(Box::new(Value::Int(20)), 0)),
+        };
+        assert_eq!(closure(22).agrees_erased(&closure(22)), Ok(()));
+        assert_eq!(
+            closure(22).agrees_erased(&closure(23)),
+            Err(Some(&Var::new("y")))
+        );
+        let capturing = |inner: Value| Value::Closure {
+            param: Var::new("b"),
+            body: Arc::new(Expr::var("b")),
+            env: Env::empty().extend(Var::new("f"), inner),
+        };
+        assert_eq!(
+            capturing(closure(22)).agrees_erased(&capturing(closure(23))),
+            Err(Some(&Var::new("f"))),
+            "nested closures report the outermost binding"
         );
     }
 
@@ -299,8 +220,8 @@ mod tests {
             body: Arc::new(Expr::unit()),
             env,
         };
-        let mut locs = BTreeSet::new();
-        clo.collect_locs(&mut locs);
+        let mut locs = Vec::new();
+        clo.collect_locs_into(&mut locs);
         assert!(locs.contains(&Loc(9)));
     }
 }

@@ -293,8 +293,7 @@ fn wrap_fun(c_arg: Expr, c_res: Expr) -> Expr {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lcvm::Env;
-    use lcvm::{Halt, Heap, Machine, MachineConfig, Slot, Value};
+    use lcvm::{Halt, Heap, Machine, Slot, Value};
     use semint_core::Fuel;
 
     fn conv() -> MemGcConversions {
@@ -343,7 +342,7 @@ mod tests {
             )
             .unwrap();
         let prog = Expr::app(glue, Expr::pair(Expr::Unit, Expr::Loc(loc)));
-        let machine = Machine::with_state(heap, Env::empty(), prog, MachineConfig::default());
+        let machine = Machine::with_state(heap, prog);
         let r = machine.run(Fuel::default());
         // The result is the *same* location, now GC-managed, contents intact.
         assert_eq!(r.halt, Halt::Value(Value::Loc(loc)));
@@ -366,7 +365,7 @@ mod tests {
             )
             .unwrap();
         let prog = Expr::app(glue, Expr::Loc(loc));
-        let machine = Machine::with_state(heap, Env::empty(), prog, MachineConfig::default());
+        let machine = Machine::with_state(heap, prog);
         let r = machine.run(Fuel::default());
         match r.halt {
             Halt::Value(Value::Pair(cap, ptr)) => {

@@ -23,10 +23,8 @@
 
 use crate::convert::MemGcConversions;
 use crate::syntax::{L3Type, LocVar, PolyType};
-use lcvm::Env;
-use lcvm::{Expr, Halt, Heap, Loc, Machine, MachineConfig, Slot, Value};
-use semint_core::{CheckFailure, ErrorCode, Fuel};
-use std::collections::BTreeMap;
+use lcvm::{Expr, Halt, Heap, Loc, Machine, Slot, Value};
+use semint_core::{CheckFailure, ErrorCode, Fuel, Scope};
 use std::fmt;
 
 /// A source type of either §5 language.
@@ -47,8 +45,9 @@ impl fmt::Display for MemGcSemType {
     }
 }
 
-/// The location-variable substitution `ρ.L3(ζ) = ℓ` from Fig. 14.
-pub type LocSubst = BTreeMap<LocVar, Loc>;
+/// The location-variable substitution `ρ.L3(ζ) = ℓ` from Fig. 14: a
+/// [`Scope`] of locations, so an `∃ζ` under test extends it with one node.
+pub type LocSubst = Scope<Loc>;
 
 /// The step budget of every evaluation the checks perform.
 pub const CHECK_FUEL: Fuel = Fuel::steps(100_000);
@@ -106,7 +105,7 @@ fn value_in_l3(heap: &Heap, rho: &LocSubst, v: &Value, ty: &L3Type) -> bool {
         L3Type::Lolli(_, _) => matches!(v, Value::Closure { .. }),
         L3Type::Bang(inner) => value_in_l3(heap, rho, v, inner),
         // ptr ζ: exactly the location ρ names (aliasing is fine).
-        L3Type::Ptr(z) => match (v, rho.get(z)) {
+        L3Type::Ptr(z) => match (v, rho.lookup(z)) {
             (Value::Loc(l), Some(expected)) => l == expected,
             _ => false,
         },
@@ -114,7 +113,7 @@ fn value_in_l3(heap: &Heap, rho: &LocSubst, v: &Value, ty: &L3Type) -> bool {
         // ownership of the manual cell ρ(ζ), whose contents inhabit 𝜏.
         L3Type::Cap(z, stored) => {
             matches!(v, Value::Unit)
-                && match rho.get(z) {
+                && match rho.lookup(z) {
                     Some(l) => {
                         matches!(heap.slot(*l), Some(Slot::Manual(contents)) if value_in_l3(heap, rho, contents, stored))
                     }
@@ -131,15 +130,11 @@ fn value_in_l3(heap: &Heap, rho: &LocSubst, v: &Value, ty: &L3Type) -> bool {
             if candidates.is_empty() {
                 // No location mentioned: any live location could witness
                 // it only if the body ignores ζ.
-                let mut rho2 = rho.clone();
-                rho2.insert(z.clone(), Loc(u64::MAX));
-                return value_in_l3(heap, &rho2, v, body);
+                return value_in_l3(heap, &rho.extend(z.clone(), Loc(u64::MAX)), v, body);
             }
-            candidates.into_iter().any(|l| {
-                let mut rho2 = rho.clone();
-                rho2.insert(z.clone(), l);
-                value_in_l3(heap, &rho2, v, body)
-            })
+            candidates
+                .into_iter()
+                .any(|l| value_in_l3(heap, &rho.extend(z.clone(), l), v, body))
         }
     }
 }
@@ -172,7 +167,7 @@ pub fn check_transfer_soundness(
     let loc = heap.alloc_manual(initial.clone());
     let before = heap.stats();
     let prog = Expr::app(to_ml, Expr::pair(Expr::Unit, Expr::Loc(loc)));
-    let r = Machine::with_state(heap, Env::empty(), prog, MachineConfig::default()).run(CHECK_FUEL);
+    let r = Machine::with_state(heap, prog).run(CHECK_FUEL);
     let Halt::Value(v) = &r.halt else {
         return Err(to_ml_refuted(format!(
             "conversion did not produce a value: {:?}",
@@ -193,7 +188,7 @@ pub fn check_transfer_soundness(
     }
     if !value_in(
         &r.heap,
-        &LocSubst::new(),
+        &LocSubst::empty(),
         v,
         &MemGcSemType::Ml(ml_ref.clone()),
     ) {
@@ -206,7 +201,7 @@ pub fn check_transfer_soundness(
     let mut heap = Heap::new();
     let gc_loc = heap.alloc_gc(initial);
     let prog = Expr::app(to_l3, Expr::Loc(gc_loc));
-    let r = Machine::with_state(heap, Env::empty(), prog, MachineConfig::default()).run(CHECK_FUEL);
+    let r = Machine::with_state(heap, prog).run(CHECK_FUEL);
     let Halt::Value(v) = &r.halt else {
         return Err(to_l3_refuted(format!(
             "conversion did not produce a value: {:?}",
@@ -227,7 +222,7 @@ pub fn check_transfer_soundness(
     if !matches!(r.heap.slot(gc_loc), Some(Slot::Gc(_))) {
         return Err(to_l3_refuted("the original GC'd cell was disturbed".into()));
     }
-    let rho = LocSubst::from([(LocVar::new("ζ"), new_loc)]);
+    let rho = LocSubst::empty().extend(LocVar::new("ζ"), new_loc);
     let pkg_ty = L3Type::tensor(
         L3Type::cap("ζ", l3_payload.clone()),
         L3Type::bang(L3Type::ptr("ζ")),
@@ -276,8 +271,7 @@ mod tests {
     fn capability_membership_requires_live_manual_ownership() {
         let mut heap = Heap::new();
         let l = heap.alloc_manual(Value::Int(0));
-        let mut rho = LocSubst::new();
-        rho.insert(LocVar::new("ζ"), l);
+        let rho = LocSubst::empty().extend(LocVar::new("ζ"), l);
         let cap_ty = MemGcSemType::L3(L3Type::cap("ζ", L3Type::Bool));
         assert!(value_in(&heap, &rho, &Value::Unit, &cap_ty));
         // A pointer to the same cell inhabits ptr ζ.
@@ -298,9 +292,9 @@ mod tests {
         let gc = heap.alloc_gc(Value::Int(3));
         let manual = heap.alloc_manual(Value::Int(3));
         let ty = MemGcSemType::Ml(PolyType::ref_(PolyType::Int));
-        assert!(value_in(&heap, &LocSubst::new(), &Value::Loc(gc), &ty));
+        assert!(value_in(&heap, &LocSubst::empty(), &Value::Loc(gc), &ty));
         assert!(
-            !value_in(&heap, &LocSubst::new(), &Value::Loc(manual), &ty),
+            !value_in(&heap, &LocSubst::empty(), &Value::Loc(manual), &ty),
             "a manual cell is not an ML reference until it is gcmov'd"
         );
     }
@@ -309,8 +303,8 @@ mod tests {
     fn foreign_types_are_interpreted_as_their_l3_type() {
         let heap = Heap::new();
         let ty = MemGcSemType::Ml(PolyType::foreign(L3Type::Bool));
-        assert!(value_in(&heap, &LocSubst::new(), &Value::Int(1), &ty));
-        assert!(!value_in(&heap, &LocSubst::new(), &Value::Int(7), &ty));
+        assert!(value_in(&heap, &LocSubst::empty(), &Value::Int(1), &ty));
+        assert!(!value_in(&heap, &LocSubst::empty(), &Value::Int(7), &ty));
     }
 
     #[test]
@@ -320,7 +314,7 @@ mod tests {
         let pkg = Value::Pair(Box::new(Value::Unit), Box::new(Value::Loc(l)));
         assert!(value_in(
             &heap,
-            &LocSubst::new(),
+            &LocSubst::empty(),
             &pkg,
             &MemGcSemType::L3(L3Type::ref_like(L3Type::Bool))
         ));
@@ -329,7 +323,7 @@ mod tests {
         heap.write(l, Value::Int(9)).unwrap();
         assert!(!value_in(
             &heap,
-            &LocSubst::new(),
+            &LocSubst::empty(),
             &pkg,
             &MemGcSemType::L3(L3Type::ref_like(L3Type::Bool))
         ));

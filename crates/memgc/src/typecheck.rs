@@ -12,22 +12,24 @@
 //! `derivable`.
 
 use crate::syntax::{L3Expr, L3Type, LocVar, PolyExpr, PolyType, TyVar};
-use semint_core::Var;
-use std::collections::{BTreeSet, HashMap};
+use semint_core::{Scope, Var};
+use std::collections::BTreeSet;
 use std::fmt;
 use std::sync::Arc;
 
 /// Linear-variable usage.
 pub type Usage = BTreeSet<Var>;
 
-/// The combined typing context `Δ; Γ; Γ̄; Ω`.
+/// The combined typing context `Δ; Γ; Γ̄; Ω`, each part a [`Scope`]:
+/// extending one allocates a node and shares the rest.  `Δ` binds type
+/// and location variables.
 #[derive(Debug, Clone, Default)]
 pub struct MemGcCtx {
-    ml: HashMap<Var, PolyType>,
-    tyvars: BTreeSet<TyVar>,
-    locvars: BTreeSet<LocVar>,
-    l3_unrestricted: HashMap<Var, L3Type>,
-    l3_linear: HashMap<Var, L3Type>,
+    ml: Scope<PolyType>,
+    tyvars: Scope<()>,
+    locvars: Scope<()>,
+    l3_unrestricted: Scope<L3Type>,
+    l3_linear: Scope<L3Type>,
 }
 
 impl MemGcCtx {
@@ -38,33 +40,73 @@ impl MemGcCtx {
     /// Extends the MiniML environment.
     pub fn with_ml(&self, x: Var, ty: PolyType) -> Self {
         let mut c = self.clone();
-        c.ml.insert(x, ty);
+        c.ml = self.ml.extend(x, ty);
         c
     }
     /// Brings a type variable into scope.
     pub fn with_tyvar(&self, a: TyVar) -> Self {
         let mut c = self.clone();
-        c.tyvars.insert(a);
+        c.tyvars = self.tyvars.extend(a, ());
         c
     }
     /// Brings a location variable into scope.
     pub fn with_locvar(&self, z: LocVar) -> Self {
         let mut c = self.clone();
-        c.locvars.insert(z);
+        c.locvars = self.locvars.extend(z, ());
         c
     }
     /// Extends L3's unrestricted environment.
     pub fn with_l3_unrestricted(&self, x: Var, ty: L3Type) -> Self {
         let mut c = self.clone();
-        c.l3_unrestricted.insert(x, ty);
+        c.l3_unrestricted = self.l3_unrestricted.extend(x, ty);
         c
     }
     /// Extends L3's linear environment.
     pub fn with_l3_linear(&self, x: Var, ty: L3Type) -> Self {
         let mut c = self.clone();
-        c.l3_linear.insert(x, ty);
+        c.l3_linear = self.l3_linear.extend(x, ty);
         c
     }
+
+    /// `Δ ⊢ τ` for a MiniML annotation: each type variable is bound in `Δ`
+    /// or by a `∀` inside `ty`, and each foreign type is well formed.
+    fn poly_type_ok(&self, ty: &PolyType) -> Result<(), MemGcTypeError> {
+        match ty {
+            PolyType::Unit | PolyType::Int => Ok(()),
+            PolyType::Prod(a, b) | PolyType::Sum(a, b) | PolyType::Fun(a, b) => {
+                self.poly_type_ok(a).and(self.poly_type_ok(b))
+            }
+            PolyType::Ref(t) => self.poly_type_ok(t),
+            PolyType::Forall(a, t) => self.with_tyvar(a.clone()).poly_type_ok(t),
+            PolyType::Var(a) => in_scope(&self.tyvars, a, "type variable"),
+            PolyType::Foreign(t) => self.l3_type_ok(t),
+        }
+    }
+
+    /// `Δ ⊢ 𝜏` for an L3 annotation: each location variable is bound in `Δ`
+    /// or by a quantifier inside `ty`.
+    fn l3_type_ok(&self, ty: &L3Type) -> Result<(), MemGcTypeError> {
+        match ty {
+            L3Type::Unit | L3Type::Bool => Ok(()),
+            L3Type::Tensor(a, b) | L3Type::Lolli(a, b) => {
+                self.l3_type_ok(a).and(self.l3_type_ok(b))
+            }
+            L3Type::Bang(t) => self.l3_type_ok(t),
+            L3Type::Ptr(z) => in_scope(&self.locvars, z, "location variable"),
+            L3Type::Cap(z, t) => {
+                in_scope(&self.locvars, z, "location variable").and(self.l3_type_ok(t))
+            }
+            L3Type::ForallLoc(z, t) | L3Type::ExistsLoc(z, t) => {
+                self.with_locvar(z.clone()).l3_type_ok(t)
+            }
+        }
+    }
+}
+
+/// `Δ ⊢ x` for a type or location variable `x` that `scope` should bind.
+fn in_scope(scope: &Scope<()>, x: &Var, what: &str) -> Result<(), MemGcTypeError> {
+    let unbound = || MemGcTypeError::Unbound(format!("{what} {x}"));
+    scope.lookup(x).copied().ok_or_else(unbound)
 }
 
 /// Type errors for the §5 languages.
@@ -177,7 +219,7 @@ pub fn check_poly(
         PolyExpr::Int(_) => Ok((PolyType::Int, Usage::new())),
         PolyExpr::Var(x) => ctx
             .ml
-            .get(x)
+            .lookup(x)
             .cloned()
             .map(|t| (t, Usage::new()))
             .ok_or_else(|| MemGcTypeError::Unbound(x.to_string())),
@@ -196,6 +238,7 @@ pub fn check_poly(
         },
         PolyExpr::Inl(e1, ty) => match ty {
             PolyType::Sum(l, _) => {
+                ctx.poly_type_ok(ty)?;
                 let (t, u) = check_poly(ctx, e1, convertible)?;
                 if &t == l.as_ref() {
                     Ok((ty.clone(), u))
@@ -207,6 +250,7 @@ pub fn check_poly(
         },
         PolyExpr::Inr(e1, ty) => match ty {
             PolyType::Sum(_, r) => {
+                ctx.poly_type_ok(ty)?;
                 let (t, u) = check_poly(ctx, e1, convertible)?;
                 if &t == r.as_ref() {
                     Ok((ty.clone(), u))
@@ -240,6 +284,7 @@ pub fn check_poly(
             }
         }
         PolyExpr::Lam(x, ty, body) => {
+            ctx.poly_type_ok(ty)?;
             let (tb, ub) = check_poly(&ctx.with_ml(x.clone(), ty.clone()), body, convertible)?;
             // A MiniML function may be applied many times, so it must not
             // close over linear L3 resources.
@@ -266,6 +311,7 @@ pub fn check_poly(
             Ok((PolyType::forall(a.clone(), tb), ub))
         }
         PolyExpr::TyApp(e1, ty) => {
+            ctx.poly_type_ok(ty)?;
             let (t, u) = check_poly(ctx, e1, convertible)?;
             match t {
                 PolyType::Forall(a, body) => Ok((body.subst(&a, ty), u)),
@@ -306,6 +352,7 @@ pub fn check_poly(
             Ok((PolyType::Int, split(&ua, &ub)?))
         }
         PolyExpr::Boundary(l3, ty) => {
+            ctx.poly_type_ok(ty)?;
             let (tl, ul) = check_l3(ctx, l3, convertible)?;
             if convertible(ty, &tl) {
                 Ok((ty.clone(), ul))
@@ -330,17 +377,18 @@ pub fn check_l3(
         L3Expr::Bool(_) => Ok((L3Type::Bool, Usage::new())),
         L3Expr::Var(x) => ctx
             .l3_linear
-            .get(x)
+            .lookup(x)
             .cloned()
             .map(|t| (t, Usage::from([x.clone()])))
             .ok_or_else(|| MemGcTypeError::Unbound(x.to_string())),
         L3Expr::UVar(x) => ctx
             .l3_unrestricted
-            .get(x)
+            .lookup(x)
             .cloned()
             .map(|t| (t, Usage::new()))
             .ok_or_else(|| MemGcTypeError::Unbound(x.to_string())),
         L3Expr::Lam(x, ty, body) => {
+            ctx.l3_type_ok(ty)?;
             let (tb, ub) = check_l3(
                 &ctx.with_l3_linear(x.clone(), ty.clone()),
                 body,
@@ -475,9 +523,7 @@ pub fn check_l3(
             Ok((L3Type::forall_loc(z.clone(), tb), ub))
         }
         L3Expr::LocApp(e1, z) => {
-            if !ctx.locvars.contains(z) {
-                return Err(MemGcTypeError::Unbound(format!("location variable {z}")));
-            }
+            in_scope(&ctx.locvars, z, "location variable")?;
             let (t, u) = check_l3(ctx, e1, convertible)?;
             match t {
                 L3Type::ForallLoc(w, body) => Ok((body.subst_loc(&w, z), u)),
@@ -486,6 +532,8 @@ pub fn check_l3(
         }
         L3Expr::Pack(z, e1, annot) => match annot {
             L3Type::ExistsLoc(w, body) => {
+                in_scope(&ctx.locvars, z, "location variable")?;
+                ctx.l3_type_ok(annot)?;
                 let expected = body.subst_loc(w, z);
                 let (t, u) = check_l3(ctx, e1, convertible)?;
                 if t != expected {
@@ -516,6 +564,7 @@ pub fn check_l3(
             }
         }
         L3Expr::Boundary(ml, ty) => {
+            ctx.l3_type_ok(ty)?;
             let (tm, um) = check_poly(ctx, ml, convertible)?;
             if convertible(&tm, ty) {
                 Ok((ty.clone(), um))
@@ -597,15 +646,57 @@ mod tests {
                 L3Type::tensor(L3Type::bang(L3Type::Bool), L3Type::bang(L3Type::Bool))
             )
         );
-        let bad = L3Expr::lam(
-            "x",
-            L3Type::cap("ζ", L3Type::Bool),
-            L3Expr::dupl(L3Expr::var("x")),
+        let bad = L3Expr::loclam(
+            "ζ",
+            L3Expr::lam(
+                "x",
+                L3Type::cap("ζ", L3Type::Bool),
+                L3Expr::dupl(L3Expr::var("x")),
+            ),
         );
         assert!(matches!(check(&bad), Err(MemGcTypeError::NotDuplicable(_))));
         // drop of a bool is fine.
         let ok = L3Expr::drop_(L3Expr::bool_(true));
         assert_eq!(check(&ok).unwrap(), L3Type::Unit);
+    }
+
+    #[test]
+    fn annotations_mention_only_variables_in_scope() {
+        let unbound = |what: &str| MemGcTypeError::Unbound(what.into());
+        let poly = |e: &PolyExpr| check_poly(&MemGcCtx::empty(), e, &deny_all).map(|(t, _)| t);
+        // (Λa. λx:a. x) [b]
+        let id = PolyExpr::tylam(
+            "a",
+            PolyExpr::lam("x", PolyType::tvar("a"), PolyExpr::var("x")),
+        );
+        assert_eq!(
+            poly(&PolyExpr::tyapp(id.clone(), PolyType::tvar("b"))),
+            Err(unbound("type variable b"))
+        );
+        assert_eq!(
+            poly(&PolyExpr::tyapp(id, PolyType::Int)),
+            Ok(PolyType::fun(PolyType::Int, PolyType::Int))
+        );
+        // λx:c. x
+        let lam = PolyExpr::lam("x", PolyType::tvar("c"), PolyExpr::var("x"));
+        assert_eq!(poly(&lam), Err(unbound("type variable c")));
+        assert!(poly(&PolyExpr::tylam("c", lam)).is_ok());
+        // inl 1 : int + d
+        let inl = |ty| PolyExpr::inl(PolyExpr::int(1), ty);
+        assert_eq!(
+            poly(&inl(PolyType::sum(PolyType::Int, PolyType::tvar("d")))),
+            Err(unbound("type variable d"))
+        );
+        let closed = PolyType::sum(PolyType::Int, PolyType::forall("d", PolyType::tvar("d")));
+        assert_eq!(poly(&inl(closed.clone())), Ok(closed));
+        // λx:ptr ζ. x
+        let lam = L3Expr::lam("x", L3Type::ptr("ζ"), L3Expr::var("x"));
+        assert_eq!(check(&lam), Err(unbound("location variable ζ")));
+        assert!(check(&L3Expr::loclam("ζ", lam)).is_ok());
+        // pack ⌜q, ()⌝ as ∃w. unit: the witness is in Δ too
+        let pack = L3Expr::pack("q", L3Expr::unit(), L3Type::exists_loc("w", L3Type::Unit));
+        assert_eq!(check(&pack), Err(unbound("location variable q")));
+        assert!(check(&L3Expr::loclam("q", pack)).is_ok());
     }
 
     #[test]

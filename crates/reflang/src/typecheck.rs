@@ -14,16 +14,17 @@
 //! its rule set's `derivable` (Fig. 4); tests can pass any function.
 
 use crate::syntax::{HlExpr, HlType, LlExpr, LlType};
-use semint_core::Var;
-use std::collections::HashMap;
+use semint_core::{Scope, Var};
 use std::fmt;
 use std::sync::Arc;
 
-/// Typing context carrying both languages' environments (`Γ; Γ̄`).
+/// Typing context carrying both languages' environments (`Γ; Γ̄`), each a
+/// [`Scope`]: extending one allocates a node and shares the rest, so a
+/// clone is a pointer copy.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct TypeCtx {
-    hl: HashMap<Var, HlType>,
-    ll: HashMap<Var, LlType>,
+    hl: Scope<HlType>,
+    ll: Scope<LlType>,
 }
 
 impl TypeCtx {
@@ -35,25 +36,25 @@ impl TypeCtx {
     /// Extends the RefHL environment.
     pub fn with_hl(&self, x: Var, ty: HlType) -> TypeCtx {
         let mut ctx = self.clone();
-        ctx.hl.insert(x, ty);
+        ctx.hl = self.hl.extend(x, ty);
         ctx
     }
 
     /// Extends the RefLL environment.
     pub fn with_ll(&self, x: Var, ty: LlType) -> TypeCtx {
         let mut ctx = self.clone();
-        ctx.ll.insert(x, ty);
+        ctx.ll = self.ll.extend(x, ty);
         ctx
     }
 
     /// Looks up a RefHL variable.
     pub fn hl(&self, x: &Var) -> Option<&HlType> {
-        self.hl.get(x)
+        self.hl.lookup(x)
     }
 
     /// Looks up a RefLL variable.
     pub fn ll(&self, x: &Var) -> Option<&LlType> {
-        self.ll.get(x)
+        self.ll.lookup(x)
     }
 }
 

@@ -12,13 +12,14 @@
 //! the nested programs of `if0`, `lam` and `thunk` are programs too, so
 //! copying any of them is a pointer copy.  Arrays inside a [`Value`] are
 //! shared the same way.  The machine never rewrites code: `lam` binds its
-//! values in an environment, and a [`Thunk`] carries the environment that
-//! was current when its `push (thunk P)` ran.  A thunk *denotes* Fig. 2's
-//! substituted program — its code with the environment substituted in
-//! ([`Thunk::program`]) — and it renders and compares as that program.
+//! values in an environment (a persistent [`Scope`], so binding shares the
+//! tail), and a [`Thunk`] carries the environment that was current when its
+//! `push (thunk P)` ran.  A thunk *denotes* Fig. 2's substituted program —
+//! its code with the environment substituted in ([`Thunk::program`]) — and
+//! it renders and compares as that program.
 
 use crate::heap::Loc;
-use semint_core::{ErrorCode, Var};
+use semint_core::{ErrorCode, Scope, Var};
 use std::collections::BTreeSet;
 use std::fmt;
 use std::sync::{Arc, OnceLock};
@@ -116,9 +117,12 @@ impl Thunk {
     }
 
     /// The program this thunk denotes: its code with the captured
-    /// environment substituted in.
+    /// environment substituted in, innermost binding first, so an inner
+    /// binding shadows an outer one of the same name.
     pub fn program(&self) -> Program {
-        self.env.substitute_into(&self.code)
+        self.env
+            .iter()
+            .fold(self.code.clone(), |p, (x, v)| p.subst(x, v))
     }
 
     /// This thunk as a literal pushed under `env`.  Code that captured
@@ -153,60 +157,9 @@ impl fmt::Debug for Thunk {
 /// An environment: the values bound by the enclosing `lam`s, innermost
 /// first.
 ///
-/// Persistent: binding shares the tail, so a thunk captures its environment
-/// with a pointer copy.
-#[derive(Clone, Default, PartialEq, Eq)]
-pub(crate) struct Env(Option<Arc<Binding>>);
-
-#[derive(PartialEq, Eq)]
-struct Binding {
-    var: Var,
-    val: Value,
-    next: Env,
-}
-
-impl Env {
-    /// The empty environment.
-    pub fn empty() -> Env {
-        Env(None)
-    }
-
-    /// True if nothing is bound.
-    pub fn is_empty(&self) -> bool {
-        self.0.is_none()
-    }
-
-    /// `self` extended with `var ↦ val`, shadowing any outer `var`.
-    pub fn bind(&self, var: Var, val: Value) -> Env {
-        Env(Some(Arc::new(Binding {
-            var,
-            val,
-            next: self.clone(),
-        })))
-    }
-
-    /// The innermost value bound to `var`.
-    pub fn lookup(&self, var: &Var) -> Option<&Value> {
-        self.iter().find(|(x, _)| *x == var).map(|(_, v)| v)
-    }
-
-    /// The bindings, innermost first (shadowed ones included).
-    pub fn iter(&self) -> impl Iterator<Item = (&Var, &Value)> {
-        std::iter::successors(self.0.as_deref(), |b| b.next.0.as_deref()).map(|b| (&b.var, &b.val))
-    }
-
-    /// `program` with every binding substituted, innermost first, so an
-    /// inner binding shadows an outer one of the same name.
-    pub fn substitute_into(&self, program: &Program) -> Program {
-        self.iter().fold(program.clone(), |p, (x, v)| p.subst(x, v))
-    }
-}
-
-impl fmt::Debug for Env {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_list().entries(self.iter()).finish()
-    }
-}
+/// A [`Scope`], so binding shares the tail and a thunk captures its
+/// environment with a pointer copy.
+pub(crate) type Env = Scope<Value>;
 
 /// The operand of a `push`: a literal value, a variable bound by an
 /// enclosing `lam`, or an array template whose elements are themselves
@@ -618,7 +571,7 @@ mod tests {
         let code = Program::single(Instr::push_var("x"));
         let captured = Value::Thunk(Thunk {
             code: code.clone(),
-            env: Env::empty().bind(var("x"), Value::Num(7)),
+            env: Env::empty().extend(var("x"), Value::Num(7)),
         });
         let substituted = Value::thunk(Program::single(Instr::push_num(7)));
         assert_eq!(captured, substituted);
@@ -630,15 +583,12 @@ mod tests {
     #[test]
     fn environments_shadow_innermost_first() {
         let env = Env::empty()
-            .bind(var("x"), Value::Num(1))
-            .bind(var("y"), Value::Num(2))
-            .bind(var("x"), Value::Num(3));
-        assert_eq!(env.lookup(&var("x")), Some(&Value::Num(3)));
-        assert_eq!(env.lookup(&var("y")), Some(&Value::Num(2)));
-        assert_eq!(env.lookup(&var("z")), None);
-        let p = Program::from(vec![Instr::push_var("x"), Instr::push_var("y")]);
+            .extend(var("x"), Value::Num(1))
+            .extend(var("y"), Value::Num(2))
+            .extend(var("x"), Value::Num(3));
+        let code = Program::from(vec![Instr::push_var("x"), Instr::push_var("y")]);
         assert_eq!(
-            env.substitute_into(&p),
+            Thunk { code, env }.program(),
             Program::from(vec![Instr::push_num(3), Instr::push_num(2)])
         );
     }

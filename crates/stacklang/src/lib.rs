@@ -11,8 +11,9 @@
 //! suspend and resume computation.
 //!
 //! Fig. 2 gives `lam` by substitution.  The [`Machine`] instead runs shared,
-//! immutable code under environments: `lam` pops its values into a new
-//! environment for its body, `push (thunk P)` captures the current one, and
+//! immutable code under environments, persistent [`semint_core::Scope`]s of
+//! values: `lam` pops its values into a new environment for its body,
+//! `push (thunk P)` captures the current one with a pointer copy, and
 //! `if0`/`call` enter code as a new frame, so no step copies a program.
 //! Running a body under `x ↦ v` is the same computation as running it with
 //! `v` substituted for `x`: outcomes, step counts and telemetry are the

@@ -258,7 +258,7 @@ impl Machine {
                         .iter()
                         .rev()
                         .zip(vs.drain(base..))
-                        .fold(frame.env.clone(), |env, (x, v)| env.bind(x.clone(), v));
+                        .fold(frame.env.clone(), |env, (x, v)| env.extend(x.clone(), v));
                     enter = Some((body.clone(), env));
                     Ok(None)
                 }
