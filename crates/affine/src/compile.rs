@@ -22,7 +22,8 @@
 //!
 //! Boundaries compile to an application of the conversion glue (an ordinary
 //! LCVM function, see [`crate::convert`]), the matching half of the rule
-//! set's `derive_pair`, to the compiled term.
+//! set's `derive_pair`, to the compiled term.  The application points at
+//! the cached glue; it does not copy it.
 
 use crate::convert::AffineConversions;
 use crate::syntax::{AffiExpr, AffiType, MlExpr, MlType, Mode};
@@ -240,7 +241,10 @@ impl<'a> Compiler<'a> {
                         ml: ty.clone(),
                     }
                 })?;
-                Expr::app(glue.a_to_b.clone(), self.affi(ctx, ren, affi)?)
+                Expr::App(
+                    Arc::clone(&glue.a_to_b),
+                    Arc::new(self.affi(ctx, ren, affi)?),
+                )
             }
         })
     }
@@ -373,7 +377,7 @@ impl<'a> Compiler<'a> {
                         ml: ml_ty.clone(),
                     }
                 })?;
-                Expr::app(glue.b_to_a.clone(), self.ml(ctx, ren, ml)?)
+                Expr::App(Arc::clone(&glue.b_to_a), Arc::new(self.ml(ctx, ren, ml)?))
             }
         })
     }

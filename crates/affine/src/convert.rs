@@ -20,10 +20,11 @@
 //! The binder names (`cv%fun`, `cv%thnk`, …) and every closed subterm of
 //! the glue (`xthnk ()`, `thunk(xconv)`, `x xacc`, the identity and
 //! `int ↦ bool` collapse functions, and the fixed parts of the
-//! [`thunk_guard`]) are built once per process and shared by `Arc`.  A
-//! derivation allocates only the nodes on the path from its root to its
-//! sub-glue, and the glue is the same term, names included, that building
-//! it afresh would give.
+//! [`thunk_guard`]) are built once per process and shared by `Arc`.  Each
+//! direction of a glue pair is an `Arc<Expr>` too, so a compound rule
+//! points at its memoized sub-glue: a derivation allocates only the nodes
+//! on the path from its root to its sub-glue, root included, and the glue
+//! is the same term, names included, that building it afresh would give.
 
 use crate::compile::thunk_guard;
 use crate::syntax::{AffiType, MlType, Mode};
@@ -36,7 +37,7 @@ use std::sync::{Arc, OnceLock};
 /// [`GlueCache`] (clones share the cache).
 #[derive(Debug, Clone, Default)]
 pub struct AffineConversions {
-    cache: GlueCache<AffiType, MlType, Expr>,
+    cache: GlueCache<AffiType, MlType, Arc<Expr>>,
 }
 
 impl AffineConversions {
@@ -47,37 +48,44 @@ impl AffineConversions {
     }
 
     /// Derives `𝜏 ∼ τ` (memoized), returning `(C_{𝜏↦τ}, C_{τ↦𝜏})` as LCVM
-    /// functions.
+    /// functions (their roots copied out of the cache's `Arc`s).
     pub fn derive(&self, affi: &AffiType, ml: &MlType) -> Option<(Expr, Expr)> {
         self.derive_pair(affi, ml)
-            .map(|p| (p.a_to_b.clone(), p.b_to_a.clone()))
+            .map(|p| (Expr::clone(&p.a_to_b), Expr::clone(&p.b_to_a)))
     }
 }
 
 impl ConversionScheme for AffineConversions {
     type TyA = AffiType;
     type TyB = MlType;
-    type Glue = Expr;
+    type Glue = Arc<Expr>;
 
-    fn glue_cache(&self) -> &GlueCache<AffiType, MlType, Expr> {
+    fn glue_cache(&self) -> &GlueCache<AffiType, MlType, Arc<Expr>> {
         &self.cache
     }
 
     /// One Fig. 9 derivation step; sub-derivations recurse through the
-    /// memoized [`AffineConversions::derive`].
-    fn derive_uncached(&self, affi: &AffiType, ml: &MlType) -> Option<ConversionPair<Expr>> {
+    /// memoized [`ConversionScheme::derive_pair`], and compound glue points
+    /// at their glue.
+    fn derive_uncached(&self, affi: &AffiType, ml: &MlType) -> Option<ConversionPair<Arc<Expr>>> {
         let pair = match (affi, ml) {
             (AffiType::Unit, MlType::Unit) => Some((identity(), identity())),
             (AffiType::Int, MlType::Int) => Some((identity(), identity())),
             // C_{bool↦int}(e) ≜ e        C_{int↦bool}(e) ≜ if e 0 1
             (AffiType::Bool, MlType::Int) => Some((identity(), collapse_to_bool())),
             // !𝜏 is erased by compilation, so it converts exactly when 𝜏 does.
-            (AffiType::Bang(inner), _) => self.derive(inner, ml),
+            (AffiType::Bang(inner), _) => {
+                let c = self.derive_pair(inner, ml)?;
+                Some((Arc::clone(&c.a_to_b), Arc::clone(&c.b_to_a)))
+            }
             // 𝜏1 ⊗ 𝜏2 ∼ τ1 × τ2: componentwise.
             (AffiType::Tensor(a1, a2), MlType::Prod(m1, m2)) => {
-                let (c1_to, c1_from) = self.derive(a1, m1)?;
-                let (c2_to, c2_from) = self.derive(a2, m2)?;
-                Some((pair_map(c1_to, c2_to), pair_map(c1_from, c2_from)))
+                let c1 = self.derive_pair(a1, m1)?;
+                let c2 = self.derive_pair(a2, m2)?;
+                Some((
+                    pair_map(&c1.a_to_b, &c2.a_to_b),
+                    pair_map(&c1.b_to_a, &c2.b_to_a),
+                ))
             }
             // 𝜏1 ⊸ 𝜏2 ∼ (unit → τ1) → τ2 (dynamic arrows only).
             (AffiType::Lolli(Mode::Dynamic, a1, a2), MlType::Fun(thunk_ty, m2)) => {
@@ -85,11 +93,11 @@ impl ConversionScheme for AffineConversions {
                     MlType::Fun(u, m1) if **u == MlType::Unit => m1,
                     _ => return None,
                 };
-                let (c1_to_ml, c1_to_affi) = self.derive(a1, m1)?;
-                let (c2_to_ml, c2_to_affi) = self.derive(a2, m2)?;
+                let arg = self.derive_pair(a1, m1)?;
+                let res = self.derive_pair(a2, m2)?;
                 Some((
-                    lolli_to_ml(c1_to_affi, c2_to_ml),
-                    ml_to_lolli(c1_to_ml, c2_to_affi),
+                    lolli_to_ml(&arg.b_to_a, &res.a_to_b),
+                    ml_to_lolli(&arg.a_to_b, &res.b_to_a),
                 ))
             }
             _ => None,
@@ -105,9 +113,9 @@ impl ConversionScheme for AffineConversions {
 /// the population.
 struct Parts {
     /// `λx. x`.
-    identity: Expr,
+    identity: Arc<Expr>,
     /// `λx. if x { 0 } { 1 }`.
-    collapse_to_bool: Expr,
+    collapse_to_bool: Arc<Expr>,
     /// The binder of [`pair_map`], and its `fst p` and `snd p`.
     p: Var,
     fst_p: Arc<Expr>,
@@ -130,11 +138,11 @@ fn parts() -> &'static Parts {
         let p = Var::new("cv%p");
         let [fun, thnk, conv, acc] = ["cv%fun", "cv%thnk", "cv%conv", "cv%acc"].map(Var::new);
         Parts {
-            identity: Expr::lam(x.clone(), Expr::Var(x.clone())),
-            collapse_to_bool: Expr::lam(
+            identity: Arc::new(Expr::lam(x.clone(), Expr::Var(x.clone()))),
+            collapse_to_bool: Arc::new(Expr::lam(
                 x.clone(),
                 Expr::if_(Expr::Var(x), Expr::int(0), Expr::int(1)),
-            ),
+            )),
             fst_p: Arc::new(Expr::fst(Expr::Var(p.clone()))),
             snd_p: Arc::new(Expr::snd(Expr::Var(p.clone()))),
             p,
@@ -149,26 +157,26 @@ fn parts() -> &'static Parts {
     })
 }
 
-fn identity() -> Expr {
-    parts().identity.clone()
+fn identity() -> Arc<Expr> {
+    Arc::clone(&parts().identity)
 }
 
 /// `λx. if x { 0 } { 1 }`: collapses an arbitrary MiniML integer into an Affi
 /// boolean (0 stays true, everything else becomes the canonical false).
-fn collapse_to_bool() -> Expr {
-    parts().collapse_to_bool.clone()
+fn collapse_to_bool() -> Arc<Expr> {
+    Arc::clone(&parts().collapse_to_bool)
 }
 
 /// `λp. (c1 (fst p), c2 (snd p))`.
-fn pair_map(c1: Expr, c2: Expr) -> Expr {
+fn pair_map(c1: &Arc<Expr>, c2: &Arc<Expr>) -> Arc<Expr> {
     let parts = parts();
-    Expr::Lam(
+    Arc::new(Expr::Lam(
         parts.p.clone(),
         Arc::new(Expr::Pair(
-            Arc::new(Expr::App(Arc::new(c1), Arc::clone(&parts.fst_p))),
-            Arc::new(Expr::App(Arc::new(c2), Arc::clone(&parts.snd_p))),
+            Arc::new(Expr::App(Arc::clone(c1), Arc::clone(&parts.fst_p))),
+            Arc::new(Expr::App(Arc::clone(c2), Arc::clone(&parts.snd_p))),
         )),
-    )
+    ))
 }
 
 /// `C_{𝜏1⊸𝜏2 ↦ (unit→τ1)→τ2}` (Fig. 9):
@@ -182,10 +190,10 @@ fn pair_map(c1: Expr, c2: Expr) -> Expr {
 /// The MiniML caller provides a `unit → τ1` thunk; it is forced exactly once
 /// here, converted, and re-protected with the one-shot guard that the
 /// compiled affine function expects.
-fn lolli_to_ml(c_arg_to_affi: Expr, c_res_to_ml: Expr) -> Expr {
+fn lolli_to_ml(c_arg_to_affi: &Arc<Expr>, c_res_to_ml: &Arc<Expr>) -> Arc<Expr> {
     let parts = parts();
-    let convert_arg = Expr::App(Arc::new(c_arg_to_affi), Arc::clone(&parts.force_thnk));
-    let convert_res = Expr::App(Arc::new(c_res_to_ml), Arc::clone(&parts.call_fun));
+    let convert_arg = Expr::App(Arc::clone(c_arg_to_affi), Arc::clone(&parts.force_thnk));
+    let convert_res = Expr::App(Arc::clone(c_res_to_ml), Arc::clone(&parts.call_fun));
     let body = Expr::Let(
         parts.conv.clone(),
         Arc::new(convert_arg),
@@ -195,7 +203,10 @@ fn lolli_to_ml(c_arg_to_affi: Expr, c_res_to_ml: Expr) -> Expr {
             Arc::new(convert_res),
         )),
     );
-    Expr::lam(parts.fun.clone(), Expr::lam(parts.thnk.clone(), body))
+    Arc::new(Expr::lam(
+        parts.fun.clone(),
+        Expr::lam(parts.thnk.clone(), body),
+    ))
 }
 
 /// `C_{(unit→τ1)→τ2 ↦ 𝜏1⊸𝜏2}` (Fig. 9):
@@ -207,12 +218,15 @@ fn lolli_to_ml(c_arg_to_affi: Expr, c_res_to_ml: Expr) -> Expr {
 /// The Affi caller passes a guarded thunk; the wrapper repackages it as the
 /// `unit → τ1` thunk the MiniML function expects, converting the payload on
 /// first (and only) forcing.
-fn ml_to_lolli(c_arg_to_ml: Expr, c_res_to_affi: Expr) -> Expr {
+fn ml_to_lolli(c_arg_to_ml: &Arc<Expr>, c_res_to_affi: &Arc<Expr>) -> Arc<Expr> {
     let parts = parts();
-    let convert_arg = Expr::App(Arc::new(c_arg_to_ml), Arc::clone(&parts.force_thnk));
-    let convert_res = Expr::App(Arc::new(c_res_to_affi), Arc::clone(&parts.call_fun));
+    let convert_arg = Expr::App(Arc::clone(c_arg_to_ml), Arc::clone(&parts.force_thnk));
+    let convert_res = Expr::App(Arc::clone(c_res_to_affi), Arc::clone(&parts.call_fun));
     let body = Expr::let_(parts.acc.clone(), thunk_guard(convert_arg), convert_res);
-    Expr::lam(parts.fun.clone(), Expr::lam(parts.thnk.clone(), body))
+    Arc::new(Expr::lam(
+        parts.fun.clone(),
+        Expr::lam(parts.thnk.clone(), body),
+    ))
 }
 
 #[cfg(test)]

@@ -19,10 +19,11 @@
 //! program for case study 1, an `lcvm` expression-to-expression wrapper for
 //! case studies 2 and 3).
 
-use std::borrow::Borrow;
-use std::collections::hash_map::{Entry, RandomState};
+use std::cell::Cell;
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
-use std::hash::{BuildHasher, BuildHasherDefault, Hash, Hasher};
+use std::hash::{Hash, Hasher};
+use std::marker::PhantomData;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, RwLock};
 
@@ -99,20 +100,31 @@ impl GlueCacheStats {
 /// checker all consult one table.  Each case study owns one such cache for
 /// the whole sweep, shared by every worker.
 ///
+/// The table is keyed by bytes, not by types: a pair `(a, b)` is stored
+/// under [`encode_key`]`(a)` followed by `encode_key(b)`, the stream each
+/// side's [`Hash`] writes, with discriminants and lengths as varints and
+/// every string closed by `0xff`.  For types whose `Hash` is derived that
+/// stream is prefix-free, so two pairs share an entry exactly when they are
+/// equal (`tests/glue_cache.rs` checks it for the six source-type enums).
+/// `TA` and `TB` must hash that way: a hand-written `Hash` that writes the
+/// same bytes for two unequal values would give them one entry's glue.
+///
 /// The hot path is engineered for the sweep engine's access pattern — many
 /// parallel workers, ~99% hits after warm-up:
 ///
 /// * the table sits behind an [`RwLock`], so concurrent hits never serialize
 ///   against each other (only the rare miss takes the write lock);
-/// * a lookup hashes its pair **once**, with the cache's own
-///   [`RandomState`], and the table is one flat map whose keys store that
-///   hash beside the pair: a probe compares the query by reference (a hit
-///   clones no key and allocates nothing), an insert needs no second hash,
-///   and growing the table re-reads the stored hashes instead of walking
-///   the types again;
+/// * a lookup encodes its pair **once**, into a buffer each thread reuses,
+///   and probes the one flat map with those bytes: the map hashes them once
+///   and compares bytes, not type trees, and once the thread's buffer has
+///   grown to the pair's length a hit allocates nothing;
+/// * only a miss copies the bytes into a boxed key, so an entry costs one
+///   key allocation plus its glue, and keeps no type tree alive;
 /// * cached pairs are stored behind an [`Arc`], so a hit returns a pointer
 ///   clone of the glue, not a deep copy ([`GlueCache::is_derivable`] answers
 ///   the type checker's yes/no queries without touching the glue at all);
+///   the §4 and §5 rule sets also keep each direction behind an `Arc`, so
+///   compound glue points at its memoized sub-glue instead of copying it;
 /// * derivations run *outside* the lock — recursive sub-derivations re-enter
 ///   the cache without deadlocking, at the price of occasional duplicated
 ///   work under contention (harmless: derivation is deterministic);
@@ -121,121 +133,72 @@ impl GlueCacheStats {
 ///   are O(1) and never walk the table.
 #[derive(Debug)]
 pub struct GlueCache<TA, TB, G> {
-    shared: Arc<SharedGlue<TA, TB, G>>,
+    shared: Arc<SharedGlue<G>>,
+    /// The cache answers pairs of these types; it stores none of them.
+    pair: PhantomData<fn(&TA, &TB)>,
 }
 
 /// The state every clone of a [`GlueCache`] shares.
 #[derive(Debug)]
-struct SharedGlue<TA, TB, G> {
-    table: RwLock<GlueTable<TA, TB, G>>,
-    /// Hashes each queried pair, once per lookup.
-    hasher: RandomState,
+struct SharedGlue<G> {
+    table: RwLock<GlueTable<G>>,
     hits: AtomicU64,
     misses: AtomicU64,
     entries: AtomicUsize,
 }
 
-/// The memoization table of a [`GlueCache`]: one map from a type pair,
-/// stored with its hash, to its derivation.  `None` entries record
-/// refutations.  The map's hasher hands each stored hash back unchanged.
-type GlueTable<TA, TB, G> =
-    HashMap<GlueKey<TA, TB>, Option<Arc<ConversionPair<G>>>, BuildHasherDefault<StoredHash>>;
+/// The memoization table of a [`GlueCache`]: one map from an encoded type
+/// pair to its derivation.  `None` entries record refutations.
+type GlueTable<G> = HashMap<Box<[u8]>, Option<Arc<ConversionPair<G>>>>;
 
-/// A key of the glue table: a type pair and the hash the cache computed
-/// for it when the pair was first looked up.
-#[derive(Debug)]
-struct GlueKey<TA, TB> {
-    hash: u64,
-    a: TA,
-    b: TB,
+thread_local! {
+    /// The buffer this thread encodes its queries into, kept between
+    /// lookups so that a warm probe allocates nothing.
+    static QUERY: Cell<Vec<u8>> = const { Cell::new(Vec::new()) };
 }
 
-/// A query of the glue table: a borrowed type pair and its hash, so a probe
-/// clones neither type.
-struct Probe<'q, TA, TB> {
-    hash: u64,
-    a: &'q TA,
-    b: &'q TB,
+/// Appends the encoding of `value` to `out`: the stream its [`Hash`]
+/// writes, with each discriminant and length as a LEB128 varint (one byte
+/// below 128), each string as its bytes closed by `0xff` (which UTF-8 never
+/// contains) and every other integer at its fixed width.  For a type whose
+/// `Hash` is derived the encoding is prefix-free, so a [`GlueCache`] keys
+/// the pair `(a, b)` by `encode_key(a)` followed by `encode_key(b)`.
+pub fn encode_key(value: &impl Hash, out: &mut Vec<u8>) {
+    value.hash(&mut KeyWriter(out));
 }
 
-/// What a table key and a query have in common, so that the map can find a
-/// [`GlueKey`] from a [`Probe`] (through [`Borrow`]).  Both hash as their
-/// stored hash and compare by hash, then by structure.
-trait PairKey<TA, TB> {
-    fn stored_hash(&self) -> u64;
-    fn pair(&self) -> (&TA, &TB);
-}
+/// The [`Hasher`] behind [`encode_key`]: it records what it is fed.
+struct KeyWriter<'a>(&'a mut Vec<u8>);
 
-impl<TA, TB> PairKey<TA, TB> for GlueKey<TA, TB> {
-    fn stored_hash(&self) -> u64 {
-        self.hash
-    }
-    fn pair(&self) -> (&TA, &TB) {
-        (&self.a, &self.b)
+impl KeyWriter<'_> {
+    fn varint(&mut self, mut n: u64) {
+        while n >= 0x80 {
+            self.0.push(n as u8 | 0x80);
+            n >>= 7;
+        }
+        self.0.push(n as u8);
     }
 }
 
-impl<TA, TB> PairKey<TA, TB> for Probe<'_, TA, TB> {
-    fn stored_hash(&self) -> u64 {
-        self.hash
-    }
-    fn pair(&self) -> (&TA, &TB) {
-        (self.a, self.b)
-    }
-}
-
-impl<'q, TA: 'q, TB: 'q> Borrow<dyn PairKey<TA, TB> + 'q> for GlueKey<TA, TB> {
-    fn borrow(&self) -> &(dyn PairKey<TA, TB> + 'q) {
-        self
-    }
-}
-
-impl<TA: Eq, TB: Eq> PartialEq for dyn PairKey<TA, TB> + '_ {
-    fn eq(&self, other: &Self) -> bool {
-        self.stored_hash() == other.stored_hash() && self.pair() == other.pair()
-    }
-}
-
-impl<TA: Eq, TB: Eq> Eq for dyn PairKey<TA, TB> + '_ {}
-
-impl<TA, TB> Hash for dyn PairKey<TA, TB> + '_ {
-    fn hash<H: Hasher>(&self, state: &mut H) {
-        state.write_u64(self.stored_hash());
-    }
-}
-
-// A key agrees with itself seen as a `PairKey`, as `Borrow` requires.
-impl<TA: Eq, TB: Eq> PartialEq for GlueKey<TA, TB> {
-    fn eq(&self, other: &Self) -> bool {
-        self.hash == other.hash && self.a == other.a && self.b == other.b
-    }
-}
-
-impl<TA: Eq, TB: Eq> Eq for GlueKey<TA, TB> {}
-
-impl<TA, TB> Hash for GlueKey<TA, TB> {
-    fn hash<H: Hasher>(&self, state: &mut H) {
-        state.write_u64(self.hash);
-    }
-}
-
-/// The glue table's hasher: it returns the one `u64` a key writes, which is
-/// the hash the cache already computed, so neither a probe nor the table's
-/// growth hashes a type.
-#[derive(Debug, Default)]
-struct StoredHash(u64);
-
-impl Hasher for StoredHash {
-    fn write(&mut self, _: &[u8]) {
-        unreachable!("glue-table keys hash as their stored u64")
+impl Hasher for KeyWriter<'_> {
+    fn write(&mut self, bytes: &[u8]) {
+        self.0.extend_from_slice(bytes);
     }
 
-    fn write_u64(&mut self, hash: u64) {
-        self.0 = hash;
+    fn write_u8(&mut self, byte: u8) {
+        self.0.push(byte);
+    }
+
+    fn write_usize(&mut self, n: usize) {
+        self.varint(n as u64);
+    }
+
+    fn write_isize(&mut self, n: isize) {
+        self.varint(n as u64);
     }
 
     fn finish(&self) -> u64 {
-        self.0
+        unreachable!("a key writer records bytes and is never asked for a hash")
     }
 }
 
@@ -244,6 +207,7 @@ impl<TA, TB, G> Clone for GlueCache<TA, TB, G> {
     fn clone(&self) -> Self {
         GlueCache {
             shared: Arc::clone(&self.shared),
+            pair: PhantomData,
         }
     }
 }
@@ -252,21 +216,17 @@ impl<TA, TB, G> Default for GlueCache<TA, TB, G> {
     fn default() -> Self {
         GlueCache {
             shared: Arc::new(SharedGlue {
-                table: RwLock::new(HashMap::default()),
-                hasher: RandomState::new(),
+                table: RwLock::new(HashMap::new()),
                 hits: AtomicU64::new(0),
                 misses: AtomicU64::new(0),
                 entries: AtomicUsize::new(0),
             }),
+            pair: PhantomData,
         }
     }
 }
 
-impl<TA, TB, G> GlueCache<TA, TB, G>
-where
-    TA: Eq + Hash + Clone,
-    TB: Eq + Hash + Clone,
-{
+impl<TA: Hash, TB: Hash, G> GlueCache<TA, TB, G> {
     /// Creates an empty cache.
     pub fn new() -> Self {
         GlueCache::default()
@@ -297,8 +257,8 @@ where
         self.lookup(a, b, derive, Option::is_some)
     }
 
-    /// One lookup of `(a, b)`: hashes the pair once, counts a hit or a miss,
-    /// runs `derive` and memoizes its answer on a miss, and reads the
+    /// One lookup of `(a, b)`: encodes the pair once, counts a hit or a
+    /// miss, runs `derive` and memoizes its answer on a miss, and reads the
     /// table's entry with `answer`.
     fn lookup<R>(
         &self,
@@ -308,21 +268,29 @@ where
         answer: impl FnOnce(&Option<Arc<ConversionPair<G>>>) -> R,
     ) -> R {
         let shared = &*self.shared;
-        let hash = shared.hasher.hash_one((a, b));
-        let probe: &dyn PairKey<TA, TB> = &Probe { hash, a, b };
-        if let Some(found) = shared.table.read().expect("glue cache poisoned").get(probe) {
+        // The buffer is taken, not borrowed, so a lookup that re-entered
+        // this one while it holds the buffer would encode into a fresh one
+        // instead of failing.
+        let mut query = QUERY.take();
+        query.clear();
+        encode_key(a, &mut query);
+        encode_key(b, &mut query);
+        let table = shared.table.read().expect("glue cache poisoned");
+        if let Some(found) = table.get(query.as_slice()) {
             shared.hits.fetch_add(1, Ordering::Relaxed);
-            return answer(found);
+            let hit = answer(found);
+            drop(table);
+            QUERY.set(query);
+            return hit;
         }
+        drop(table);
         shared.misses.fetch_add(1, Ordering::Relaxed);
-        // The lock is released while deriving: structural derivations recurse
-        // back into this cache for their sub-pairs.
+        // The key is boxed and the buffer handed back before deriving:
+        // structural derivations recurse into this cache for their
+        // sub-pairs, on this thread.
+        let key = Box::from(query.as_slice());
+        QUERY.set(query);
         let derived = derive().map(Arc::new);
-        let key = GlueKey {
-            hash,
-            a: a.clone(),
-            b: b.clone(),
-        };
         let mut table = shared.table.write().expect("glue cache poisoned");
         match table.entry(key) {
             // A racing lookup of the same pair inserted first: keep its
@@ -366,9 +334,10 @@ where
 /// query.  Recursive rules should recurse through the *cached* entry point so
 /// compound glue is assembled from memoized parts.
 pub trait ConversionScheme {
-    /// Language-A source types (`τA`).
+    /// Language-A source types (`τA`), hashed structurally: the glue cache
+    /// keys a pair by what its `Hash` writes (see [`GlueCache`]).
     type TyA: Clone + Eq + Hash;
-    /// Language-B source types (`τB`).
+    /// Language-B source types (`τB`), hashed as `TyA` is.
     type TyB: Clone + Eq + Hash;
     /// The target-level glue representation (a `stacklang` program, an
     /// `lcvm` wrapper function, …).
@@ -497,6 +466,27 @@ mod tests {
             (stats.hits, stats.misses),
             (u64::from(pairs), u64::from(pairs))
         );
+    }
+
+    #[test]
+    fn keys_are_prefix_free() {
+        // A string is closed by 0xff, so ("a", "bc") and ("ab", "c") write
+        // different bytes and get two entries.
+        let cache: GlueCache<&str, &str, u8> = GlueCache::new();
+        cache.get_or_derive(&"a", &"bc", || Some(ConversionPair::new(1, 1)));
+        let other = cache.get_or_derive(&"ab", &"c", || Some(ConversionPair::new(2, 2)));
+        assert_eq!(other.map(|p| p.a_to_b), Some(2));
+        assert_eq!(cache.len(), 2);
+        let mut key = Vec::new();
+        encode_key(&"ab", &mut key);
+        assert_eq!(key, b"ab\xff");
+        // A discriminant is one byte below 128, and a length a varint.
+        key.clear();
+        encode_key(&Some(7u8), &mut key);
+        assert_eq!(key, [1, 7]);
+        key.clear();
+        encode_key(&vec![9u8; 300], &mut key);
+        assert_eq!((&key[..3], key.len()), (&[0xac, 0x02, 9][..], 302));
     }
 
     #[test]

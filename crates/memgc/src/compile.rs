@@ -13,7 +13,8 @@
 //!
 //! MiniML compiles in the standard way; `Λα. e ⇝ λ_. e⁺` and `e[τ] ⇝ e⁺ ()`.
 //! Boundaries apply the conversion glue, the matching half of the rule set's
-//! `derive_pair` (see [`crate::convert`]).
+//! `derive_pair` (see [`crate::convert`]), by pointer: the application
+//! shares the cached glue instead of copying it.
 
 use crate::convert::MemGcConversions;
 use crate::syntax::{L3Expr, L3Type, PolyExpr, PolyType};
@@ -146,7 +147,7 @@ impl<'a> MemGcCompiler<'a> {
                         l3: tl.clone(),
                     }
                 })?;
-                Expr::app(glue.b_to_a.clone(), self.l3(ctx, l3)?)
+                Expr::App(Arc::clone(&glue.b_to_a), Arc::new(self.l3(ctx, l3)?))
             }
         })
     }
@@ -291,7 +292,7 @@ impl<'a> MemGcCompiler<'a> {
                         l3: ty.clone(),
                     }
                 })?;
-                Expr::app(glue.a_to_b.clone(), self.ml(ctx, ml)?)
+                Expr::App(Arc::clone(&glue.a_to_b), Arc::new(self.ml(ctx, ml)?))
             }
         })
     }

@@ -30,9 +30,11 @@
 //! The binder names (`cv%pkg`, `cv%loc`, `cv%f`, …) and every closed
 //! subterm of the glue (`snd pkg`, `!loc`, `gcmov loc`, `((), new)`, the
 //! identity, the `int ↦ bool` collapse and both Church-boolean functions)
-//! are built once per process and shared by `Arc`.  A derivation allocates
-//! only the nodes on the path from its root to its sub-glue, and the glue
-//! is the same term, names included, that building it afresh would give.
+//! are built once per process and shared by `Arc`.  Each direction of a
+//! glue pair is an `Arc<Expr>` too, so a compound rule points at its
+//! memoized sub-glue: a derivation allocates only the nodes on the path
+//! from its root to its sub-glue, root included, and the glue is the same
+//! term, names included, that building it afresh would give.
 
 use crate::syntax::{L3Type, PolyType};
 use crate::typecheck::ref_like_payload;
@@ -45,7 +47,7 @@ use std::sync::{Arc, OnceLock};
 /// [`GlueCache`] (clones share the cache).
 #[derive(Debug, Clone, Default)]
 pub struct MemGcConversions {
-    cache: GlueCache<PolyType, L3Type, Expr>,
+    cache: GlueCache<PolyType, L3Type, Arc<Expr>>,
 }
 
 impl MemGcConversions {
@@ -54,25 +56,27 @@ impl MemGcConversions {
         MemGcConversions::default()
     }
 
-    /// Derives `τ ∼ 𝜏` (memoized), returning `(C_{τ↦𝜏}, C_{𝜏↦τ})`.
+    /// Derives `τ ∼ 𝜏` (memoized), returning `(C_{τ↦𝜏}, C_{𝜏↦τ})` (their
+    /// roots copied out of the cache's `Arc`s).
     pub fn derive(&self, ml: &PolyType, l3: &L3Type) -> Option<(Expr, Expr)> {
         self.derive_pair(ml, l3)
-            .map(|p| (p.a_to_b.clone(), p.b_to_a.clone()))
+            .map(|p| (Expr::clone(&p.a_to_b), Expr::clone(&p.b_to_a)))
     }
 }
 
 impl ConversionScheme for MemGcConversions {
     type TyA = PolyType;
     type TyB = L3Type;
-    type Glue = Expr;
+    type Glue = Arc<Expr>;
 
-    fn glue_cache(&self) -> &GlueCache<PolyType, L3Type, Expr> {
+    fn glue_cache(&self) -> &GlueCache<PolyType, L3Type, Arc<Expr>> {
         &self.cache
     }
 
     /// One §5 derivation step; sub-derivations recurse through the memoized
-    /// [`MemGcConversions::derive`].
-    fn derive_uncached(&self, ml: &PolyType, l3: &L3Type) -> Option<ConversionPair<Expr>> {
+    /// [`ConversionScheme::derive_pair`], and compound glue points at their
+    /// glue.
+    fn derive_uncached(&self, ml: &PolyType, l3: &L3Type) -> Option<ConversionPair<Arc<Expr>>> {
         // Foreign embedding: ⟨𝜏⟩ ∼ 𝜏 for Duplicable 𝜏, no runtime consequence.
         if let PolyType::Foreign(inner) = ml {
             if inner.as_ref() == l3 && l3.is_duplicable() {
@@ -91,18 +95,18 @@ impl ConversionScheme for MemGcConversions {
             // ref τ ∼ REF 𝜏 when τ ∼ 𝜏.
             (PolyType::Ref(t), l3_ref) => {
                 let payload = ref_like_payload(l3_ref)?;
-                let (c_ml_to_l3, c_l3_to_ml) = self.derive(t, &payload)?;
-                Some((gc_ref_to_l3(c_ml_to_l3), l3_ref_to_gc(c_l3_to_ml)))
+                let c = self.derive_pair(t, &payload)?;
+                Some((gc_ref_to_l3(&c.a_to_b), l3_ref_to_gc(&c.b_to_a)))
             }
             // τ1 → τ2 ∼ !(!𝜏1 ⊸ 𝜏2) when the pieces are convertible.
             (PolyType::Fun(m1, m2), L3Type::Bang(inner)) => {
                 if let L3Type::Lolli(a1, a2) = inner.as_ref() {
                     if let L3Type::Bang(a1_inner) = a1.as_ref() {
-                        let (c_arg_ml_to_l3, c_arg_l3_to_ml) = self.derive(m1, a1_inner)?;
-                        let (c_res_ml_to_l3, c_res_l3_to_ml) = self.derive(m2, a2)?;
+                        let arg = self.derive_pair(m1, a1_inner)?;
+                        let res = self.derive_pair(m2, a2)?;
                         return Some(ConversionPair::new(
-                            wrap_fun(c_arg_l3_to_ml, c_res_ml_to_l3),
-                            wrap_fun(c_arg_ml_to_l3, c_res_l3_to_ml),
+                            wrap_fun(&arg.b_to_a, &res.a_to_b),
+                            wrap_fun(&arg.a_to_b, &res.b_to_a),
                         ));
                     }
                 }
@@ -110,9 +114,12 @@ impl ConversionScheme for MemGcConversions {
             }
             // Pairs, componentwise.
             (PolyType::Prod(m1, m2), L3Type::Tensor(a1, a2)) => {
-                let (c1_to, c1_from) = self.derive(m1, a1)?;
-                let (c2_to, c2_from) = self.derive(m2, a2)?;
-                Some((pair_map(c1_to, c2_to), pair_map(c1_from, c2_from)))
+                let c1 = self.derive_pair(m1, a1)?;
+                let c2 = self.derive_pair(m2, a2)?;
+                Some((
+                    pair_map(&c1.a_to_b, &c2.a_to_b),
+                    pair_map(&c1.b_to_a, &c2.b_to_a),
+                ))
             }
             _ => None,
         };
@@ -127,10 +134,10 @@ impl ConversionScheme for MemGcConversions {
 /// the population.
 struct Parts {
     /// The closed rules: `int ∼ bool`, Church booleans and the identity.
-    identity: Expr,
-    collapse_to_bool: Expr,
-    church_to_bool: Expr,
-    bool_to_church: Expr,
+    identity: Arc<Expr>,
+    collapse_to_bool: Arc<Expr>,
+    church_to_bool: Arc<Expr>,
+    bool_to_church: Arc<Expr>,
     /// The binder of [`pair_map`], and its `fst p` and `snd p`.
     p: Var,
     fst_p: Arc<Expr>,
@@ -165,25 +172,25 @@ fn parts() -> &'static Parts {
         let [f, a] = ["cv%f", "cv%a"].map(Var::new);
         // C_{BOOL↦bool}(e) ≜ e () 0 1: instantiate the Church boolean (type
         // application compiles to application to `()`) and select 0 or 1.
-        let church_to_bool = Expr::lam(
+        let church_to_bool = Arc::new(Expr::lam(
             b.clone(),
             Expr::app(
                 Expr::app(Expr::app(Expr::Var(b.clone()), Expr::unit()), Expr::int(0)),
                 Expr::int(1),
             ),
-        );
+        ));
         // C_{bool↦BOOL}(e): branch on the boolean and return the matching
         // compiled Church constant `Λα. λx. λy. x/y`.
         let tru = Expr::lam("_", Expr::lam("x", Expr::lam("y", Expr::var("x"))));
         let fls = Expr::lam("_", Expr::lam("x", Expr::lam("y", Expr::var("y"))));
         Parts {
-            identity: Expr::lam(x.clone(), Expr::Var(x.clone())),
-            collapse_to_bool: Expr::lam(
+            identity: Arc::new(Expr::lam(x.clone(), Expr::Var(x.clone()))),
+            collapse_to_bool: Arc::new(Expr::lam(
                 x.clone(),
                 Expr::if_(Expr::Var(x), Expr::int(0), Expr::int(1)),
-            ),
+            )),
             church_to_bool,
-            bool_to_church: Expr::lam(b.clone(), Expr::if_(Expr::Var(b), tru, fls)),
+            bool_to_church: Arc::new(Expr::lam(b.clone(), Expr::if_(Expr::Var(b), tru, fls))),
             fst_p: Arc::new(Expr::fst(Expr::Var(p.clone()))),
             snd_p: Arc::new(Expr::snd(Expr::Var(p.clone()))),
             p,
@@ -206,25 +213,25 @@ fn parts() -> &'static Parts {
     })
 }
 
-fn identity() -> Expr {
-    parts().identity.clone()
+fn identity() -> Arc<Expr> {
+    Arc::clone(&parts().identity)
 }
 
 /// `λx. if x {0} {1}`.
-fn collapse_to_bool() -> Expr {
-    parts().collapse_to_bool.clone()
+fn collapse_to_bool() -> Arc<Expr> {
+    Arc::clone(&parts().collapse_to_bool)
 }
 
 /// `λp. (c1 (fst p), c2 (snd p))`.
-fn pair_map(c1: Expr, c2: Expr) -> Expr {
+fn pair_map(c1: &Arc<Expr>, c2: &Arc<Expr>) -> Arc<Expr> {
     let parts = parts();
-    Expr::Lam(
+    Arc::new(Expr::Lam(
         parts.p.clone(),
         Arc::new(Expr::Pair(
-            Arc::new(Expr::App(Arc::new(c1), Arc::clone(&parts.fst_p))),
-            Arc::new(Expr::App(Arc::new(c2), Arc::clone(&parts.snd_p))),
+            Arc::new(Expr::App(Arc::clone(c1), Arc::clone(&parts.fst_p))),
+            Arc::new(Expr::App(Arc::clone(c2), Arc::clone(&parts.snd_p))),
         )),
-    )
+    ))
 }
 
 /// `C_{REF 𝜏 ↦ ref τ}`: convert the contents in place, then `gcmov` the very
@@ -233,9 +240,9 @@ fn pair_map(c1: Expr, c2: Expr) -> Expr {
 /// ```text
 /// λpkg. let loc = snd pkg in let _ = (loc := c (!loc)) in gcmov loc
 /// ```
-fn l3_ref_to_gc(c_payload_l3_to_ml: Expr) -> Expr {
+fn l3_ref_to_gc(c_payload_l3_to_ml: &Arc<Expr>) -> Arc<Expr> {
     let parts = parts();
-    let convert = Expr::App(Arc::new(c_payload_l3_to_ml), Arc::clone(&parts.deref_loc));
+    let convert = Expr::App(Arc::clone(c_payload_l3_to_ml), Arc::clone(&parts.deref_loc));
     let store = Expr::Assign(Arc::clone(&parts.loc_var), Arc::new(convert));
     let body = Expr::Let(
         parts.wildcard.clone(),
@@ -247,7 +254,7 @@ fn l3_ref_to_gc(c_payload_l3_to_ml: Expr) -> Expr {
         Arc::clone(&parts.snd_pkg),
         Arc::new(body),
     );
-    Expr::lam(parts.pkg.clone(), unpack)
+    Arc::new(Expr::lam(parts.pkg.clone(), unpack))
 }
 
 /// `C_{ref τ ↦ REF 𝜏}`: copy the (possibly aliased) GC'd contents into a
@@ -256,10 +263,10 @@ fn l3_ref_to_gc(c_payload_l3_to_ml: Expr) -> Expr {
 /// ```text
 /// λref. let new = alloc (c (!ref)) in ((), new)
 /// ```
-fn gc_ref_to_l3(c_payload_ml_to_l3: Expr) -> Expr {
+fn gc_ref_to_l3(c_payload_ml_to_l3: &Arc<Expr>) -> Arc<Expr> {
     let parts = parts();
     let convert = Expr::App(
-        Arc::new(c_payload_ml_to_l3),
+        Arc::clone(c_payload_ml_to_l3),
         Arc::clone(&parts.deref_gc_ref),
     );
     let copy = Expr::Let(
@@ -267,27 +274,30 @@ fn gc_ref_to_l3(c_payload_ml_to_l3: Expr) -> Expr {
         Arc::new(Expr::alloc(convert)),
         Arc::clone(&parts.package_new),
     );
-    Expr::lam(parts.gc_ref.clone(), copy)
+    Arc::new(Expr::lam(parts.gc_ref.clone(), copy))
 }
 
 /// `C_{BOOL↦bool}(e) ≜ e () 0 1`.
-fn church_to_bool() -> Expr {
-    parts().church_to_bool.clone()
+fn church_to_bool() -> Arc<Expr> {
+    Arc::clone(&parts().church_to_bool)
 }
 
 /// `C_{bool↦BOOL}(e) ≜ if0 e {Λα.λx.λy.x} {Λα.λx.λy.y}`.
-fn bool_to_church() -> Expr {
-    parts().bool_to_church.clone()
+fn bool_to_church() -> Arc<Expr> {
+    Arc::clone(&parts().bool_to_church)
 }
 
 /// `λf. λx. c_res (f (c_arg x))`: plain function wrapping (no guards — L3's
 /// linearity is enforced statically).
-fn wrap_fun(c_arg: Expr, c_res: Expr) -> Expr {
+fn wrap_fun(c_arg: &Arc<Expr>, c_res: &Arc<Expr>) -> Arc<Expr> {
     let parts = parts();
-    let convert_arg = Expr::App(Arc::new(c_arg), Arc::clone(&parts.a_var));
+    let convert_arg = Expr::App(Arc::clone(c_arg), Arc::clone(&parts.a_var));
     let call = Expr::App(Arc::clone(&parts.f_var), Arc::new(convert_arg));
-    let convert_res = Expr::App(Arc::new(c_res), Arc::new(call));
-    Expr::lam(parts.f.clone(), Expr::lam(parts.a.clone(), convert_res))
+    let convert_res = Expr::App(Arc::clone(c_res), Arc::new(call));
+    Arc::new(Expr::lam(
+        parts.f.clone(),
+        Expr::lam(parts.a.clone(), convert_res),
+    ))
 }
 
 #[cfg(test)]

@@ -12,7 +12,8 @@
 //!   `Duplicable` foreign types own no manual memory;
 //! * [`check_transfer_soundness`] is the executable core of the §5
 //!   convertibility-soundness argument for `REF 𝜏 ∼ ref τ` under the rule
-//!   set it is given (the case study passes the one its compiler uses):
+//!   set it is given (the case study passes the one its compiler uses), and
+//!   [`check_transfer`] the same check of one glue pair, however built:
 //!   after running the glue code, the result must inhabit the target type's
 //!   interpretation *in the resulting heap*, ownership must have moved from
 //!   the manual to the GC'd side (or vice versa), and — for the L3→MiniML
@@ -140,7 +141,8 @@ fn value_in_l3(heap: &Heap, rho: &LocSubst, v: &Value, ty: &L3Type) -> bool {
 }
 
 /// The executable `REF 𝜏 ∼ ref τ` soundness check (both directions) for a
-/// payload pair `(τ, 𝜏)` of `conversions` and an initial payload value.
+/// payload pair `(τ, 𝜏)` of `conversions` and an initial payload value:
+/// [`check_transfer`] of the glue `conversions` derives for the pair.
 ///
 /// Returns a failure, witnessed by the payload pair, that describes the
 /// first violated obligation.
@@ -150,6 +152,32 @@ pub fn check_transfer_soundness(
     l3_payload: &L3Type,
     initial: Value,
 ) -> Result<(), CheckFailure> {
+    let ml_ref = PolyType::ref_(ml_payload.clone());
+    let l3_ref = L3Type::ref_like(l3_payload.clone());
+    let (to_l3, to_ml) = conversions
+        .derive(&ml_ref, &l3_ref)
+        .ok_or_else(|| CheckFailure {
+            claim: format!("{ml_ref} ∼ {l3_ref}"),
+            witness: format!("{ml_payload} ∼ {l3_payload}"),
+            reason: "rule not derivable".into(),
+        })?;
+    check_transfer(ml_payload, l3_payload, &to_l3, &to_ml, initial)
+}
+
+/// The `REF 𝜏 ∼ ref τ` soundness check of one (possibly unsound, candidate)
+/// glue pair for the payload pair `(τ, 𝜏)`: `to_l3` is `C_{ref τ ↦ REF 𝜏}`
+/// and `to_ml` is `C_{REF 𝜏 ↦ ref τ}`, each run on a cell holding
+/// `initial`.
+///
+/// Returns a failure, witnessed by the payload pair, that describes the
+/// first violated obligation.
+pub fn check_transfer(
+    ml_payload: &PolyType,
+    l3_payload: &L3Type,
+    to_l3: &Expr,
+    to_ml: &Expr,
+    initial: Value,
+) -> Result<(), CheckFailure> {
     let refuted = |claim: String, reason: String| CheckFailure {
         claim,
         witness: format!("{ml_payload} ∼ {l3_payload}"),
@@ -157,16 +185,13 @@ pub fn check_transfer_soundness(
     };
     let ml_ref = PolyType::ref_(ml_payload.clone());
     let l3_ref = L3Type::ref_like(l3_payload.clone());
-    let (to_l3, to_ml) = conversions
-        .derive(&ml_ref, &l3_ref)
-        .ok_or_else(|| refuted(format!("{ml_ref} ∼ {l3_ref}"), "rule not derivable".into()))?;
 
     // Direction 1: L3 → MiniML must transfer ownership without copying.
     let to_ml_refuted = |reason: String| refuted("L3→MiniML transfer".into(), reason);
     let mut heap = Heap::new();
     let loc = heap.alloc_manual(initial.clone());
     let before = heap.stats();
-    let prog = Expr::app(to_ml, Expr::pair(Expr::Unit, Expr::Loc(loc)));
+    let prog = Expr::app(to_ml.clone(), Expr::pair(Expr::Unit, Expr::Loc(loc)));
     let r = Machine::with_state(heap, prog).run(CHECK_FUEL);
     let Halt::Value(v) = &r.halt else {
         return Err(to_ml_refuted(format!(
@@ -200,7 +225,7 @@ pub fn check_transfer_soundness(
     let to_l3_refuted = |reason: String| refuted("MiniML→L3 conversion".into(), reason);
     let mut heap = Heap::new();
     let gc_loc = heap.alloc_gc(initial);
-    let prog = Expr::app(to_l3, Expr::Loc(gc_loc));
+    let prog = Expr::app(to_l3.clone(), Expr::Loc(gc_loc));
     let r = Machine::with_state(heap, prog).run(CHECK_FUEL);
     let Halt::Value(v) = &r.halt else {
         return Err(to_l3_refuted(format!(

@@ -6,7 +6,8 @@ use proptest::prelude::*;
 use semint::affine::compile::{thunk_guard, CompileOutput};
 use semint::affine::convert::AffineConversions;
 use semint::affine::model::{
-    augmented_run, check_convertibility, judge_safety, value_in, AffineSemType, CHECK_FUEL,
+    augmented_run, check_convertibility, check_direction, judge_safety, value_in, AffineSemType,
+    CHECK_FUEL,
 };
 use semint::affine::syntax::{AffiExpr, AffiType, MlExpr, MlType};
 use semint::affine::{AffProgram, AffineCase};
@@ -127,6 +128,38 @@ fn convertibility_soundness_for_a_catalogue_of_rules() {
         check_convertibility(&conversions, &affi, &ml)
             .unwrap_or_else(|ce| panic!("Lemma 3.1 (§4) failed for {affi} ∼ {ml}: {ce}"));
     }
+}
+
+/// The `⊗ ∼ ×` rule's MiniML→Affi glue built from the Affi→MiniML
+/// component glue never collapses an `int` under the pair to a `bool`, and
+/// Lemma 3.1's direction check refutes it; the standard glue passes.
+#[test]
+fn lemma_3_1_refutes_tensor_glue_that_skips_the_bool_collapse() {
+    let (int_pair, bool_int) = (
+        AffineSemType::Ml(MlType::prod(MlType::Int, MlType::Int)),
+        AffineSemType::Affi(AffiType::tensor(AffiType::Bool, AffiType::Int)),
+    );
+    // λp. (id (fst p), id (snd p))
+    let id = Expr::lam("x", Expr::var("x"));
+    let mutant = Expr::lam(
+        "p",
+        Expr::pair(
+            Expr::app(id.clone(), Expr::fst(Expr::var("p"))),
+            Expr::app(id, Expr::snd(Expr::var("p"))),
+        ),
+    );
+    let failure = check_direction(&int_pair, &bool_int, &mutant).unwrap_err();
+    assert_eq!(
+        (failure.claim.as_str(), failure.witness.as_str()),
+        ("C_{(int × int) ↦ (bool ⊗ int)} sound", "(-9, -9)")
+    );
+    let (_, sound) = AffineConversions::standard()
+        .derive(
+            &AffiType::tensor(AffiType::Bool, AffiType::Int),
+            &MlType::prod(MlType::Int, MlType::Int),
+        )
+        .expect("bool ⊗ int ∼ int × int derives");
+    check_direction(&int_pair, &bool_int, &sound).unwrap();
 }
 
 #[test]

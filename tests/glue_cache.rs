@@ -1,19 +1,22 @@
 //! Properties of the shared conversion layer: memoized glue derivation
 //! must be **observably identical** to cold derivation for deep compound
 //! types in all three case studies, a type pair built afresh must hit the
-//! entry an equal pair stored, and the glue text of every rule, names
-//! included, is pinned by one hash.
+//! entry an equal pair stored, two pairs share an entry exactly when they
+//! are equal, and the glue text of every rule, names included, is pinned by
+//! one hash.
 
 use proptest::prelude::*;
 use semint::affine::convert::AffineConversions;
 use semint::affine::{AffiType, MlType};
-use semint::core::convert::ConversionScheme;
+use semint::core::convert::{encode_key, ConversionScheme};
 use semint::memgc::convert::MemGcConversions;
 use semint::memgc::{L3Type, PolyType};
 use semint::reflang::syntax::{HlType, LlType};
 use semint::sharedmem::convert::SharedMemConversions;
 use semint::sharedmem::RefStrategy;
+use std::collections::HashMap;
 use std::fmt::{Display, Write};
+use std::hash::Hash;
 
 /// A §3 type pair that is derivable at any nesting depth: products (and,
 /// innermost, optionally a sum) over the base rules `bool ∼ int` /
@@ -146,6 +149,210 @@ fn affine_out_of_order_subderivations_agree_with_cold() {
     let cold_result = AffineConversions::standard().derive(&affi, &ml);
     assert_eq!(warm_result, cold_result);
     assert!(warm_result.is_some());
+}
+
+/// Type variables and location variables of the enumerated types: in each
+/// kind one name is a prefix of the other, so a key that wrote a name
+/// without closing it would give `a` followed by `b…` the key of `ab`
+/// followed by `…`.
+const TYPE_VARS: [&str; 2] = ["a", "ab"];
+const LOC_VARS: [&str; 2] = ["ζ", "ζ1"];
+
+/// Every `HlType` of depth at most `depth` (a leaf has depth 0), once.
+fn hl_types(depth: u32) -> Vec<HlType> {
+    let mut types = vec![HlType::Unit, HlType::Bool];
+    if depth > 0 {
+        let below = hl_types(depth - 1);
+        for a in &below {
+            types.push(HlType::ref_(a.clone()));
+            for b in &below {
+                types.push(HlType::sum(a.clone(), b.clone()));
+                types.push(HlType::prod(a.clone(), b.clone()));
+                types.push(HlType::fun(a.clone(), b.clone()));
+            }
+        }
+    }
+    types
+}
+
+/// Every `LlType` of depth at most `depth`, once.
+fn ll_types(depth: u32) -> Vec<LlType> {
+    let mut types = vec![LlType::Int];
+    if depth > 0 {
+        let below = ll_types(depth - 1);
+        for a in &below {
+            types.push(LlType::array(a.clone()));
+            types.push(LlType::ref_(a.clone()));
+            for b in &below {
+                types.push(LlType::fun(a.clone(), b.clone()));
+            }
+        }
+    }
+    types
+}
+
+/// Every `AffiType` of depth at most `depth`, both arrow modes, once.
+fn affi_types(depth: u32) -> Vec<AffiType> {
+    let mut types = vec![AffiType::Unit, AffiType::Bool, AffiType::Int];
+    if depth > 0 {
+        let below = affi_types(depth - 1);
+        for a in &below {
+            types.push(AffiType::bang(a.clone()));
+            for b in &below {
+                types.push(AffiType::lolli(a.clone(), b.clone()));
+                types.push(AffiType::lolli_static(a.clone(), b.clone()));
+                types.push(AffiType::with(a.clone(), b.clone()));
+                types.push(AffiType::tensor(a.clone(), b.clone()));
+            }
+        }
+    }
+    types
+}
+
+/// Every `MlType` of depth at most `depth`, once.
+fn ml_types(depth: u32) -> Vec<MlType> {
+    let mut types = vec![MlType::Unit, MlType::Int];
+    if depth > 0 {
+        let below = ml_types(depth - 1);
+        for a in &below {
+            types.push(MlType::ref_(a.clone()));
+            for b in &below {
+                types.push(MlType::prod(a.clone(), b.clone()));
+                types.push(MlType::sum(a.clone(), b.clone()));
+                types.push(MlType::fun(a.clone(), b.clone()));
+            }
+        }
+    }
+    types
+}
+
+/// Every `PolyType` of depth at most `depth` over [`TYPE_VARS`], once; a
+/// foreign type embeds every `L3Type` one level down.
+fn poly_types(depth: u32) -> Vec<PolyType> {
+    let mut types = vec![PolyType::Unit, PolyType::Int];
+    types.extend(TYPE_VARS.map(PolyType::tvar));
+    if depth > 0 {
+        let below = poly_types(depth - 1);
+        types.extend(l3_types(depth - 1).into_iter().map(PolyType::foreign));
+        for a in &below {
+            types.push(PolyType::ref_(a.clone()));
+            types.extend(TYPE_VARS.map(|v| PolyType::forall(v, a.clone())));
+            for b in &below {
+                types.push(PolyType::prod(a.clone(), b.clone()));
+                types.push(PolyType::sum(a.clone(), b.clone()));
+                types.push(PolyType::fun(a.clone(), b.clone()));
+            }
+        }
+    }
+    types
+}
+
+/// Every `L3Type` of depth at most `depth` over [`LOC_VARS`], once.
+fn l3_types(depth: u32) -> Vec<L3Type> {
+    let mut types = vec![L3Type::Unit, L3Type::Bool];
+    types.extend(LOC_VARS.map(L3Type::ptr));
+    if depth > 0 {
+        let below = l3_types(depth - 1);
+        for a in &below {
+            types.push(L3Type::bang(a.clone()));
+            for z in LOC_VARS {
+                types.push(L3Type::cap(z, a.clone()));
+                types.push(L3Type::forall_loc(z, a.clone()));
+                types.push(L3Type::exists_loc(z, a.clone()));
+            }
+            for b in &below {
+                types.push(L3Type::tensor(a.clone(), b.clone()));
+                types.push(L3Type::lolli(a.clone(), b.clone()));
+            }
+        }
+    }
+    types
+}
+
+/// The bytes `value` contributes to a glue-table key.
+fn key_of(value: &impl Hash) -> Vec<u8> {
+    let mut key = Vec::new();
+    encode_key(value, &mut key);
+    key
+}
+
+/// Asserts that on `types`, each listed once, keys are equal exactly when
+/// the types are `==` and no key is a proper prefix of another; `again`
+/// holds the same types built afresh, sharing no node with `types`.
+fn assert_keys_prefix_free<T: Hash + Eq + Display>(types: &[T], again: &[T]) {
+    let mut keys: Vec<(Vec<u8>, &T)> = types
+        .iter()
+        .zip(again)
+        .map(|(ty, same)| {
+            let key = key_of(ty);
+            assert!(ty == same && key == key_of(same), "{ty} built afresh");
+            (key, ty)
+        })
+        .collect();
+    // A key that is a prefix of another sorts right before the keys that
+    // extend it, so neighbours are the only candidates.
+    keys.sort_unstable_by(|x, y| x.0.cmp(&y.0));
+    for neighbours in keys.windows(2) {
+        let [(k1, t1), (k2, t2)] = neighbours else {
+            unreachable!("windows of two")
+        };
+        assert!(
+            !k2.starts_with(k1) || (k1 == k2 && t1 == t2),
+            "the key of {t1} is a prefix of the key of {t2}"
+        );
+    }
+}
+
+/// Asserts that two pairs of `side_a × side_b` (each side listed once) get
+/// the same glue-table key, one side's bytes followed by the other's,
+/// exactly when they are `==`.
+fn assert_pair_keys_distinct<A: Hash + Eq + Display, B: Hash + Eq + Display>(
+    side_a: &[A],
+    side_b: &[B],
+) {
+    let mut seen: HashMap<Vec<u8>, (&A, &B)> = HashMap::new();
+    for a in side_a {
+        for b in side_b {
+            let mut key = key_of(a);
+            encode_key(b, &mut key);
+            if let Some((a0, b0)) = seen.insert(key, (a, b)) {
+                assert!(
+                    a0 == a && b0 == b,
+                    "({a0}, {b0}) and ({a}, {b}) share a key"
+                );
+            }
+        }
+    }
+}
+
+/// The key invariant of every rule set's glue cache: two type pairs share
+/// an entry, and so its glue, exactly when they are `==`.  Over every type
+/// of the six source-type enums up to depth 2, each side's keys are
+/// injective and prefix-free, which makes a pair's key (the `TyA` bytes,
+/// then the `TyB` bytes) injective on every pair of them; the products of
+/// depth-2 types with leaves, and of depth-1 types with each other, check
+/// the pair keys directly.  A change to a type's `Hash` or to the encoder
+/// that let two pairs meet in one entry fails here.
+#[test]
+fn pairs_share_an_entry_exactly_when_equal() {
+    /// Checks one rule set's pairs and returns how many types of depth at
+    /// most 2 each side has.
+    fn check<A, B>(side_a: fn(u32) -> Vec<A>, side_b: fn(u32) -> Vec<B>) -> [usize; 2]
+    where
+        A: Hash + Eq + Display,
+        B: Hash + Eq + Display,
+    {
+        let (deep_a, deep_b) = (side_a(2), side_b(2));
+        assert_keys_prefix_free(&deep_a, &side_a(2));
+        assert_keys_prefix_free(&deep_b, &side_b(2));
+        assert_pair_keys_distinct(&deep_a, &side_b(0));
+        assert_pair_keys_distinct(&side_a(0), &deep_b);
+        assert_pair_keys_distinct(&side_a(1), &side_b(1));
+        [deep_a.len(), deep_b.len()]
+    }
+    assert_eq!(check(hl_types, ll_types), [786, 25], "sharedmem");
+    assert_eq!(check(affi_types, ml_types), [7101, 786], "affine");
+    assert_eq!(check(poly_types, l3_types), [14144, 8644], "memgc");
 }
 
 /// FNV-1a over `text`.

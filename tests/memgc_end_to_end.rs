@@ -3,9 +3,9 @@
 
 use proptest::prelude::*;
 use semint::core::{CaseStudy, Fuel};
-use semint::lcvm::{Halt, RunResult, Value};
+use semint::lcvm::{Expr, Halt, RunResult, Value};
 use semint::memgc::convert::MemGcConversions;
-use semint::memgc::model::check_transfer_soundness;
+use semint::memgc::model::{check_transfer, check_transfer_soundness};
 use semint::memgc::syntax::{L3Expr, L3Type, PolyExpr, PolyType};
 use semint::memgc::{MemGcCase, MgProgram};
 
@@ -105,6 +105,43 @@ fn transfer_soundness_over_a_payload_catalogue() {
         check_transfer_soundness(&conversions, &ml, &l3, v)
             .unwrap_or_else(|ce| panic!("transfer soundness failed for ref {ml} ∼ REF {l3}: {ce}"));
     }
+}
+
+/// `ref int ∼ REF bool` glue whose MiniML→L3 half copies the payload
+/// without the `int ↦ bool` collapse stores a 7 where L3 expects a boolean,
+/// and the transfer check refutes it on payload `7`; the standard glue
+/// passes.
+#[test]
+fn the_transfer_check_refutes_ref_glue_that_skips_the_bool_collapse() {
+    let (to_l3, to_ml) = MemGcConversions::standard()
+        .derive(
+            &PolyType::ref_(PolyType::Int),
+            &L3Type::ref_like(L3Type::Bool),
+        )
+        .expect("ref int ∼ REF bool derives");
+    check_transfer(&PolyType::Int, &L3Type::Bool, &to_l3, &to_ml, Value::Int(7)).unwrap();
+    // λref. let new = alloc (id (!ref)) in ((), new)
+    let id = Expr::lam("x", Expr::var("x"));
+    let mutant = Expr::lam(
+        "ref",
+        Expr::let_(
+            "new",
+            Expr::alloc(Expr::app(id, Expr::deref(Expr::var("ref")))),
+            Expr::pair(Expr::unit(), Expr::var("new")),
+        ),
+    );
+    let failure = check_transfer(
+        &PolyType::Int,
+        &L3Type::Bool,
+        &mutant,
+        &to_ml,
+        Value::Int(7),
+    )
+    .unwrap_err();
+    assert_eq!(
+        (failure.claim.as_str(), failure.witness.as_str()),
+        ("MiniML→L3 conversion", "int ∼ bool")
+    );
 }
 
 #[test]
